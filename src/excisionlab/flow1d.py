@@ -34,7 +34,6 @@ __all__ = [
     "MODE_QUADRATURE",
     "MODE_ZERO_BLOCKED",
     "adaptive_quad",
-    "time_between",
     "forward_time",
     "backward_time",
     "flow_map",
@@ -151,18 +150,6 @@ def adaptive_quad(
         panels.append((lerr, pa, pm, lval, depth + 1))
         panels.append((rerr, pm, pb, rval, depth + 1))
     return total, toterr, False
-
-
-def time_between(v: ScalarField1D, x0: float, x1: float, tol: float = QUAD_TOL) -> float:
-    """Travel time ``int_{x0}^{x1} dx / v(x)`` for interior ``x0 <= x1``."""
-    if x1 < x0:
-        raise InputError("time_between expects x0 <= x1")
-    if x1 == x0:
-        return 0.0
-    val, _, capped = adaptive_quad(lambda x: 1.0 / v(x), x0, x1, tol=tol, cap=DIVERGENCE_CAP)
-    if capped:
-        return math.inf
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -301,68 +288,50 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
         )
         return math.inf if capped else val
 
-    if t > 0:
-        tof = forward_time(v, x, tol=tol)
-        if t >= tof.value:
-            stof = backward_time(v, x, tol=tol)
-            raise FlowDomainError(t, stof.value, tof.value)
-        barrier = _zero_barrier(v, x, +1)
-        top = hi if barrier is None else barrier
-        # expand the bracket toward the barrier until the time exceeds t
-        y_lo, t_lo = x, 0.0
-        y_hi = None
-        step = 0.5 * (top - x)
-        probe = x + step
-        t_probe = t_lo + cum(y_lo, probe)
-        for _ in range(200):
-            if t_probe > t:
-                y_hi, t_hi = probe, t_probe
-                break
-            y_lo, t_lo = probe, t_probe
-            step *= 0.5
-            probe = top - step
-            t_probe = t_lo + cum(y_lo, probe)
-        if y_hi is None:
-            raise FlowDomainError(t, -math.inf, t_probe)
-        while y_hi - y_lo > ROOT_TOL:
-            mid = 0.5 * (y_lo + y_hi)
-            t_mid = t_lo + cum(y_lo, mid)
-            if t_mid < t:
-                y_lo, t_lo = mid, t_mid
-            else:
-                y_hi, t_hi = mid, t_mid
-        return 0.5 * (y_lo + y_hi)
+    # Bracket and bisect away from x in the flow direction d; "near" is the
+    # end of the bracket on x's side, "far" the end beyond the target time.
+    d = 1 if t > 0 else -1
+    target = abs(t)
+    tof = (forward_time if d > 0 else backward_time)(v, x, tol=tol)
+    if target >= d * tof.value:
+        other = (backward_time if d > 0 else forward_time)(v, x, tol=tol)
+        back, fwd = (other, tof) if d > 0 else (tof, other)
+        raise FlowDomainError(t, back.value, fwd.value)
+    barrier = _zero_barrier(v, x, d)
+    end = (hi if d > 0 else lo) if barrier is None else barrier
 
-    # t < 0: mirror construction toward the left barrier
-    tof = backward_time(v, x, tol=tol)
-    if t <= tof.value:
-        ftof = forward_time(v, x, tol=tol)
-        raise FlowDomainError(t, tof.value, ftof.value)
-    barrier = _zero_barrier(v, x, -1)
-    bottom = lo if barrier is None else barrier
-    y_hi, t_hi = x, 0.0      # t_hi = time from y back to x (nonnegative)
-    y_lo = None
-    step = 0.5 * (x - bottom)
-    probe = x - step
-    t_probe = t_hi + cum(probe, y_hi)
+    def span(y0: float, y1: float) -> float:
+        """Time from ``y0`` to ``y1`` in the flow direction."""
+        return cum(y0, y1) if d > 0 else cum(y1, y0)
+
+    # expand the bracket toward the barrier until the time exceeds |t|
+    near, t_near = x, 0.0
+    far = None
+    step = 0.5 * abs(end - x)
+    probe = x + d * step
+    t_probe = t_near + span(near, probe)
     for _ in range(200):
-        if t_probe > -t:
-            y_lo, t_lo = probe, t_probe
+        if t_probe > target:
+            far = probe
             break
-        y_hi, t_hi = probe, t_probe
+        near, t_near = probe, t_probe
         step *= 0.5
-        probe = bottom + step
-        t_probe = t_hi + cum(probe, y_hi)
-    if y_lo is None:
+        probe = end - d * step
+        t_probe = t_near + span(near, probe)
+    if far is None:
+        if d > 0:
+            raise FlowDomainError(t, -math.inf, t_probe)
         raise FlowDomainError(t, -t_probe, math.inf)
-    while y_hi - y_lo > ROOT_TOL:
-        mid = 0.5 * (y_lo + y_hi)
-        t_mid = t_hi + cum(mid, y_hi)
-        if t_mid > -t:
-            y_lo, t_lo = mid, t_mid
+    while abs(far - near) > ROOT_TOL:
+        mid = 0.5 * (near + far)
+        t_mid = t_near + span(near, mid)
+        # forward keeps t_mid < t on the near side, backward t_mid > -t on
+        # the far side; the two differ only on a tie
+        if (t_mid < target if d > 0 else not t_mid > target):
+            near, t_near = mid, t_mid
         else:
-            y_hi, t_hi = mid, t_mid
-    return 0.5 * (y_lo + y_hi)
+            far = mid
+    return 0.5 * (near + far)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +347,21 @@ def _check_ramp_params(a: float, b: float, c: float) -> None:
         raise InputError("c must lie in [0, 1]")
 
 
+def _ramp_corner(xi, a: float, s: float):
+    """Corner factor ``exp(1/(xi - s) - 1/(a - xi))`` of the ramp time on
+    the band ``(s, a)``, with the exponent clipped to the float range."""
+    xi = np.asarray(xi, dtype=float)
+    expo = (1.0 / np.maximum(xi - s, 1e-300)
+            - 1.0 / np.maximum(a - xi, 1e-300))
+    return np.exp(np.clip(expo, -745.0, 700.0))
+
+
 def _tu2_correction(a: float, b: float, x: float, tol: float = QUAD_TOL):
     """Quadrature of the ramp correction integral over ``[x, a]`` for the
     band below the cutoff plateau (c = 0 branch)."""
     s = 0.5 * (a - 1.0)
-
-    def integrand(xi):
-        xi = np.asarray(xi, dtype=float)
-        expo = (1.0 / np.maximum(xi - s, 1e-300)
-                - 1.0 / np.maximum(a - xi, 1e-300))
-        return (1.0 + np.exp(np.clip(expo, -745.0, 700.0))) / (1.0 - b)
-
-    return adaptive_quad(integrand, x, a, tol=tol, cap=DIVERGENCE_CAP)
+    return adaptive_quad(lambda xi: (1.0 + _ramp_corner(xi, a, s)) / (1.0 - b),
+                         x, a, tol=tol, cap=DIVERGENCE_CAP)
 
 
 def ramp_time_closed_form(a: float, b: float, c: float, x: float,
@@ -445,15 +417,9 @@ def unit_time_threshold(a: float, b: float, tol: float = ROOT_TOL) -> float:
     # bracket needs no evaluation; bisect with incremental quadrature,
     # treating capped segments as certified-above (x - b never exceeds 2).
     def seg(lo: float, hi: float) -> float:
-        def integrand(xi):
-            xi = np.asarray(xi, dtype=float)
-            expo = (1.0 / np.maximum(xi - s, 1e-300)
-                    - 1.0 / np.maximum(a - xi, 1e-300))
-            return np.exp(np.clip(expo, -745.0, 700.0))
-
         try:
-            val, _, capped = adaptive_quad(integrand, lo, hi, tol=1e-13,
-                                           cap=2.5)
+            val, _, capped = adaptive_quad(lambda xi: _ramp_corner(xi, a, s),
+                                           lo, hi, tol=1e-13, cap=2.5)
         except ToleranceFailure as failure:
             if failure.partial is not None and failure.partial > 2.5:
                 return math.inf

@@ -369,7 +369,7 @@ def extend_null_field(field: VectorFieldPX, target: ExcisionTarget,
     zs = target.sample(certificate_samples, rng)
     v = np.atleast_1d(field.velocity(zs[:, :-2], zs[:, -2]))
     vmin = float(np.min(v))
-    if vmin <= v_floor:
+    if not vmin > v_floor:
         raise InputError(
             f"null field not bounded below on Z: sampled min {vmin} <= {v_floor}"
         )
@@ -433,6 +433,6 @@ def localize(F: HamiltonianField, hood: TubeNeighbourhood,
     """
     if target_samples is not None:
         b, _ = hood.bump(np.atleast_2d(target_samples))
-        if np.any(b < 1.0):
+        if not np.all(b >= 1.0):
             raise InputError("neighbourhood does not contain the target with margin")
     return LocalizedHamiltonian(F, hood)

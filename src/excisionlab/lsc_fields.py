@@ -13,12 +13,16 @@ stages:
    ``sup g_n = 1``, each a bump blend of constants above an exact
    over-ball bound of the functions it must dominate
    (:func:`smooth_majorant` and its structural variant);
-3. a tower of unit-capped velocities on ``B x (0, 1)``: the first from
-   :func:`adjust_time_1` (exit time <= 1 exactly above ``f_1``), each next
-   from :func:`adjust_time_2`, which keeps the previous field below
-   ``g_{n-1}``, re-times the exit threshold from ``f_{n-1}`` to ``f_n``
-   through a bridge band ``(g_{n-1}, g_n)``, and runs at unit speed above
-   ``g_n``.
+3. a tower of unit-capped velocities on ``B x (0, 1)``, one stack of
+   bridge bands per fibre: level ``n`` keeps level ``n-1`` below
+   ``g_{n-1}``, adds the band ``(g_{n-1}, g_n)`` and runs at unit speed
+   above ``g_n``.  The first band's delay is ``f_1``, so level 1 exits
+   within time 1 exactly above ``f_1``; each next delay is the level
+   ``n-1`` travel time from ``f_{n-1}`` to ``f_n``, which re-times the
+   threshold to ``f_n``.  :meth:`GluedField.fiber_data` computes the
+   thresholds, separators and delays of one fibre, and the band primitive
+   :func:`band_velocity` / :func:`band_travel_time` evaluates any level
+   from them.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -51,9 +55,8 @@ __all__ = [
     "BaireSequence",
     "baire_sequence",
     "smooth_majorant",
-    "BandVelocity",
-    "adjust_time_1",
-    "adjust_time_2",
+    "band_velocity",
+    "band_travel_time",
     "FiberData",
     "GluedField",
     "build_lsc_field",
@@ -452,145 +455,40 @@ def smooth_majorant(f: Callable, spec: LscSpec, scale: float = MAJORANT_SCALE,
 
 
 # ---------------------------------------------------------------------------
-# the velocity tower
+# the velocity tower: stacked bridge bands
 # ---------------------------------------------------------------------------
 
-def _as_base_fn(obj) -> Callable:
-    if callable(obj):
-        return obj
-    value = float(obj)
-    return lambda pts: np.full(np.atleast_2d(pts).shape[0], value)
+def band_velocity(g, tau, level: int, x, deriv: bool = False) -> np.ndarray:
+    """Speed of tower level ``level`` at ``x`` on one fibre (its
+    ``x``-derivative with ``deriv=True``): the bridge profile with delay
+    ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])`` for
+    ``k = 1..level``, unit speed everywhere else."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x) if deriv else np.ones_like(x)
+    band = np.searchsorted(g, x)   # 0 below g_0, k inside band k
+    for k in range(1, level + 1):
+        m = band == k
+        if np.any(m):
+            if deriv:
+                vals = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x)
+            else:
+                vals = bridge_velocity(g[k - 1], g[k], tau[k - 1], x,
+                                       validate=False)
+            out = np.where(m, vals, out)
+    return out
 
 
-class BandVelocity(VectorFieldPX):
-    """Piecewise velocity on ``B x (0, 1)``: unit speed outside the stacked
-    bridge bands ``(lo_k(p), hi_k(p))``, the bridge profile with delay
-    ``delay_k(p)`` inside each."""
-
-    def __init__(self, base_dim: int, band_fns: Sequence[tuple]):
-        self.base_dim = base_dim
-        self.interval = (0.0, 1.0)
-        self.band_fns = list(band_fns)
-
-    def bands_at(self, p) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        rows = []
-        for lo_fn, hi_fn, delay_fn in self.band_fns:
-            rows.append([
-                float(np.atleast_1d(lo_fn(pts))[0]),
-                float(np.atleast_1d(hi_fn(pts))[0]),
-                float(np.atleast_1d(delay_fn(pts))[0]),
-            ])
-        bands = np.asarray(rows)
-        if np.any(bands[:, 0] >= bands[:, 1]) or np.any(bands[:, 2] <= 0.0):
-            raise InputError("band ordering violated")
-        flat = bands[:, :2].ravel()
-        if np.any(np.diff(flat) < 0.0) or flat[0] <= 0.0 or flat[-1] >= 1.0:
-            raise InputError("bands must be disjoint inside (0, 1)")
-        return bands
-
-    @staticmethod
-    def _piecewise(bands, x, fn, default):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, default)
-        for blo, bhi, bde in bands:
-            mask = (x > blo) & (x < bhi)
-            if np.any(mask):
-                out = np.where(mask, fn(blo, bhi, bde, x), out)
-        return out
-
-    def velocity(self, p, x):
-        bands = self.bands_at(p)
-        out = self._piecewise(
-            bands, x,
-            lambda a, b, d, xx: bridge_velocity(a, b, d, xx, validate=False),
-            1.0,
-        )
-        return float(out) if np.ndim(x) == 0 else out
-
-    def velocity_dx(self, p, x):
-        bands = self.bands_at(p)
-        out = self._piecewise(bands, x, bridge_velocity_dx, 0.0)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def travel_time(self, p, x0: float, x1: float) -> float:
-        """Exact crossing time from ``x0`` to ``x1`` (piecewise closed form)."""
-        if x1 < x0:
-            raise InputError("travel_time expects x0 <= x1")
-        bands = self.bands_at(p)
-        total = x1 - x0
-        for blo, bhi, bde in bands:
-            a = max(x0, blo)
-            b = min(x1, bhi)
-            if b > a:
-                total += bridge_crossing_time(blo, bhi, bde, a, b) - (b - a)
-        return total
-
-    def exit_time(self, p, x: float) -> float:
-        """Time to the right endpoint (finite: unit speed near the top)."""
-        return self.travel_time(p, x, 1.0)
-
-    def fiber(self, p) -> ScalarField1D:
-        bands = self.bands_at(p)
-        piecewise = self._piecewise
-        return ScalarField1D(
-            f=lambda x: piecewise(
-                bands, x,
-                lambda a, b, d, xx: bridge_velocity(a, b, d, xx, validate=False),
-                1.0,
-            ),
-            df=lambda x: piecewise(bands, x, bridge_velocity_dx, 0.0),
-            domain=(0.0, 1.0),
-            zero_regions=(),
-            label="band-velocity",
-        )
-
-
-def adjust_time_1(f, a, b, base_dim: int = 1) -> BandVelocity:
-    """First tower level: one bridge band ``(a(p), b(p))`` with delay
-    ``f(p)``.
-
-    With ``0 < f < a < b < 1`` the exit time from ``f(p)`` is exactly
-    ``(a - f) + (b - a + f) + (1 - b) = 1`` and strictly decreasing in
-    ``x``, so it is at most 1 exactly above ``f(p)``; the speed is 1 off
-    the band.
-    """
-    f_fn, a_fn = _as_base_fn(f), _as_base_fn(a)
-
-    def checked_delay(pts):
-        fv = np.atleast_1d(f_fn(pts))
-        av = np.atleast_1d(a_fn(pts))
-        if np.any(fv <= 0.0) or np.any(fv >= av):
-            raise InputError("need 0 < threshold < band start")
-        return fv
-
-    return BandVelocity(base_dim, [(a_fn, _as_base_fn(b), checked_delay)])
-
-
-def adjust_time_2(prev: BandVelocity, f, h, b, c,
-                  delay_fn: Optional[Callable] = None) -> BandVelocity:
-    """Next tower level: keep ``prev`` below ``b(p)``, add a bridge band
-    ``(b(p), c(p))`` whose delay is the ``prev``-travel time from ``f(p)``
-    to ``h(p)``, and run at unit speed above ``c(p)``.
-
-    The added delay exactly compensates the threshold move ``f -> h``, so
-    the exit time of the new field is at most 1 exactly above ``h(p)``.
-    """
-    f_fn, h_fn, b_fn, c_fn = map(_as_base_fn, (f, h, b, c))
-
-    if delay_fn is None:
-        def delay_fn(pts):
-            pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
-            out = np.empty(pts2.shape[0])
-            for i, p in enumerate(pts2):
-                lo_v = float(np.atleast_1d(f_fn(p[None, :]))[0])
-                hi_v = float(np.atleast_1d(h_fn(p[None, :]))[0])
-                if not (0.0 < lo_v < hi_v):
-                    raise InputError("threshold ordering violated")
-                out[i] = prev.travel_time(p, lo_v, hi_v)
-            return out
-
-    return BandVelocity(prev.base_dim, prev.band_fns + [(b_fn, c_fn, delay_fn)])
+def band_travel_time(g, tau, level: int, x0: float, x1: float) -> float:
+    """Crossing time from ``x0`` to ``x1`` under tower level ``level``
+    (the speed of :func:`band_velocity`).  Closed form per band."""
+    total = x1 - x0
+    for k in range(1, level + 1):
+        blo, bhi = g[k - 1], g[k]
+        a = max(x0, blo)
+        b = min(x1, bhi)
+        if b > a:
+            total += bridge_crossing_time(blo, bhi, tau[k - 1], a, b) - (b - a)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -650,30 +548,17 @@ class GluedField(VectorFieldPX):
         tau = np.empty(self.depth)
         tau[0] = fs[0]
         for k in range(2, self.depth + 1):
-            tau[k - 1] = self._travel(gs, tau, k - 1, fs[k - 2], fs[k - 1])
+            tau[k - 1] = band_travel_time(gs, tau, k - 1, fs[k - 2], fs[k - 1])
         data = FiberData(f=fs, g=gs, tau=tau)
         self._fiber_cache[key] = data
         return data
-
-    @staticmethod
-    def _travel(gs, tau, level: int, x0: float, x1: float) -> float:
-        """Crossing time from ``x0`` to ``x1`` under tower level ``level``
-        (bands 1..level; unit speed elsewhere).  Closed form per band."""
-        total = x1 - x0
-        for k in range(1, level + 1):
-            blo, bhi = gs[k - 1], gs[k]
-            a = max(x0, blo)
-            b = min(x1, bhi)
-            if b > a:
-                total += bridge_crossing_time(blo, bhi, tau[k - 1], a, b) - (b - a)
-        return total
 
     def level_exit_time(self, p, x: float, level: int) -> float:
         """Exit time to the top under tower level ``level`` (no cutoff)."""
         data = self.fiber_data(p)
         if not (1 <= level <= data.depth):
             raise InputError("level out of range")
-        return self._travel(data.g, data.tau, level, x, 1.0)
+        return band_travel_time(data.g, data.tau, level, x, 1.0)
 
     def limit_exit_time(self, p, x: float) -> tuple[float, float]:
         """Bounds ``(lower, upper)`` on the exit time of the limit field.
@@ -690,7 +575,7 @@ class GluedField(VectorFieldPX):
             raise DepthExhausted(
                 f"query x={x} above deepest separator g_N={data.g[-1]}"
             )
-        base = self._travel(data.g, data.tau, data.depth, x, 1.0)
+        base = band_travel_time(data.g, data.tau, data.depth, x, 1.0)
         lam_p = self.spec.lam(np.asarray(p, dtype=float))
         if lam_p < data.g[0]:
             tail = max(lam_p - data.f[self.depth - 1], 0.0)
@@ -720,23 +605,12 @@ class GluedField(VectorFieldPX):
         return smooth_step_deriv(arg) / (0.5 * f1)
 
     def _raw_velocity(self, data: FiberData, x, deriv: bool = False):
+        """The full tower's speed below the deepest separator (before the
+        cutoff); queries at or above it are not covered."""
         x = np.asarray(x, dtype=float)
         if np.any(x >= data.g[-1]):
             raise DepthExhausted("velocity query above deepest separator")
-        out = np.zeros_like(x) if deriv else np.ones_like(x)
-        band = np.searchsorted(data.g, x)   # 0 below g_0, k inside band k
-        for k in range(1, data.depth + 1):
-            m = band == k
-            if np.any(m):
-                if deriv:
-                    vals = bridge_velocity_dx(
-                        data.g[k - 1], data.g[k], data.tau[k - 1], x)
-                else:
-                    vals = bridge_velocity(
-                        data.g[k - 1], data.g[k], data.tau[k - 1], x,
-                        validate=False)
-                out = np.where(m, vals, out)
-        return out
+        return band_velocity(data.g, data.tau, data.depth, x, deriv)
 
     def velocity(self, p, x):
         data = self.fiber_data(p)

@@ -189,7 +189,7 @@ def build_epigraph_field(spec: EpigraphSpec) -> EpigraphField:
         lo, hi = np.asarray(spec.validation_box[0]), np.asarray(spec.validation_box[1])
         samples.append(rng.uniform(lo, hi, size=(512, spec.C.dim)))
     vals = spec.lam(np.concatenate(samples, axis=0))
-    if np.any(vals <= -1.0) or np.any(vals > 1.0):
+    if not np.all((vals > -1.0) & (vals <= 1.0)):
         raise InputError("ambient function must take values in (-1, 1]")
     return EpigraphField(spec)
 

@@ -22,8 +22,8 @@ objects are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "bridge_velocity",
     "bridge_velocity_dx",
     "bump_mass",
-    "bridge_norm",
     "ScalarField1D",
     "constant_field",
     "affine_field",
@@ -300,18 +299,8 @@ def bump_mass(t):
     return _maybe_scalar(out, t)
 
 
-_bridge_norm_value: Optional[float] = None
-
-
-def bridge_norm() -> float:
-    """Total mass of the unit bump (normalizes all bridge crossing times)."""
-    global _bridge_norm_value
-    if _bridge_norm_value is None:
-        _bridge_norm_value = float(bump_mass(1.0))
-    return _bridge_norm_value
-
-
-BRIDGE_NORM = bridge_norm()
+# total mass of the unit bump (normalizes all bridge crossing times)
+BRIDGE_NORM = float(bump_mass(1.0))
 
 
 def _bridge_params(lo, hi, delay):
@@ -330,7 +319,7 @@ def bridge_velocity(lo, hi, delay, x, validate: bool = True):
     the crossing from ``lo`` to ``hi`` takes exactly ``hi - lo + delay``.
 
     Inside the band the profile is ``K / (K + delay * W(x))`` where ``W`` is
-    a flat bump on ``(lo, hi)`` and ``K = (hi-lo)/2 * bridge_norm()``; the
+    a flat bump on ``(lo, hi)`` and ``K = (hi-lo)/2 * BRIDGE_NORM``; the
     normalization makes the extra crossing time exactly ``delay``.
     """
     if validate:
@@ -379,7 +368,7 @@ def bridge_crossing_time(lo, hi, delay, x0, x1):
     """Exact travel time of the bridge flow from ``x0`` to ``x1``.
 
     Valid for ``lo <= x0 <= x1 <= hi``; uses the closed antiderivative
-    ``(x1-x0) + delay * (M(eta1) - M(eta0)) / bridge_norm()`` where ``M`` is
+    ``(x1-x0) + delay * (M(eta1) - M(eta0)) / BRIDGE_NORM`` where ``M`` is
     :func:`bump_mass` and ``eta`` the affine map of the band onto (-1, 1).
     """
     lo = np.asarray(lo, dtype=float)

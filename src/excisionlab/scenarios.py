@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ import numpy as np
 from . import flow1d, lsc_fields, null_fields, scalar_kit, symflow, trees
 from .errors import DepthExhausted, InputError
 from .ham_extension import (
-    ExtendedHamiltonian,
     RayHamiltonian,
     TubeNeighbourhood,
     build_ray_hamiltonian,
@@ -73,6 +72,18 @@ class ScenarioConfig:
         return ScenarioConfig(**raw)
 
 
+def _worst(values) -> float:
+    """Largest of the residuals in ``values`` (floats or arrays), failing
+    closed: ``inf`` when any of them is NaN or infinite, ``0.0`` when there
+    are none.  Python's ``max`` would let a NaN residual through."""
+    flat = np.concatenate([np.zeros(0)] + [np.ravel(v) for v in values])
+    if flat.size == 0:
+        return 0.0
+    if not np.all(np.isfinite(flat)):
+        return math.inf
+    return float(flat.max())
+
+
 def _check(passed: bool, points: int, max_residual: float, **extra) -> dict:
     out = {"pass": bool(passed), "points": int(points),
            "max_residual": float(max_residual)}
@@ -83,12 +94,13 @@ def _check(passed: bool, points: int, max_residual: float, **extra) -> dict:
 def _grad_check(field, pts: np.ndarray, fd_step: float, rel_tol: float) -> dict:
     """Closed-form gradient against central differences."""
     g = np.atleast_2d(field.grad(pts))
-    worst = 0.0
+    resid = []
     for i in range(pts.shape[1]):
         zp = pts.copy(); zp[:, i] += fd_step
         zm = pts.copy(); zm[:, i] -= fd_step
         fd = (np.atleast_1d(field.value(zp)) - np.atleast_1d(field.value(zm))) / (2 * fd_step)
-        worst = max(worst, float(np.max(np.abs(fd - g[:, i]) / (1.0 + np.abs(g[:, i])))))
+        resid.append(np.abs(fd - g[:, i]) / (1.0 + np.abs(g[:, i])))
+    worst = _worst(resid)
     return _check(worst <= rel_tol, pts.shape[0], worst, bound=rel_tol)
 
 
@@ -96,13 +108,12 @@ def _symplecticity_check(field, samples: np.ndarray, bound: float,
                          fd_step: float, tol: float) -> dict:
     jacs = symflow.time1_jacobian_batch(field, samples, fd_step=fd_step,
                                         tol=tol)
-    worst = max(symflow.symplecticity_residual(j) for j in jacs)
+    worst = _worst(symflow.symplecticity_residual(j) for j in jacs)
     return _check(worst <= bound, samples.shape[0], worst, bound=bound)
 
 
 def _batch_endpoints(field, pts: np.ndarray, tol: float, backward: bool) -> np.ndarray:
-    work = symflow._Reversed(field) if backward else field
-    outs = symflow.integrate_batch(work, pts, 1.0, tol=tol)
+    outs = symflow.integrate_batch(field, pts, -1.0 if backward else 1.0, tol=tol)
     ends = np.empty_like(np.atleast_2d(pts))
     for i, out in enumerate(outs):
         if out.status != symflow.COMPLETED:
@@ -115,22 +126,21 @@ def _roundtrip_check(field, survivors: np.ndarray, targets: np.ndarray,
                      bound: float, tol: float) -> dict:
     fw = _batch_endpoints(field, survivors, tol, backward=False)
     bk = _batch_endpoints(field, fw, tol, backward=True)
-    worst = float(np.abs(bk - survivors).max())
     bk_t = _batch_endpoints(field, targets, tol, backward=True)
     fw_t = _batch_endpoints(field, bk_t, tol, backward=False)
-    worst = max(worst, float(np.abs(fw_t - targets).max()))
+    worst = _worst([np.abs(bk - survivors), np.abs(fw_t - targets)])
     return _check(worst <= bound, survivors.shape[0] + targets.shape[0],
                   worst, bound=bound)
 
 
 def _conservation_check(field, samples: np.ndarray, tol: float,
                         bound: float = 1e-7, horizon: float = 2.0) -> dict:
-    worst = 0.0
-    for z in samples:
-        out = symflow.integrate(field, z, horizon, tol=tol, record=True)
-        traj = out.trajectory
-        vals = np.atleast_1d(field.value(traj[:, 1:]))
-        worst = max(worst, float(np.abs(vals - vals[0]).max()))
+    drift = []
+    for out in symflow.integrate_batch(field, samples, horizon, tol=tol,
+                                       record=True):
+        vals = np.atleast_1d(field.value(out.trajectory[:, 1:]))
+        drift.append(np.abs(vals - vals[0]))
+    worst = _worst(drift)
     return _check(worst <= bound, samples.shape[0], worst, bound=bound)
 
 
@@ -265,7 +275,7 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
     checks["flatness_off_hypersurface"] = _flatness_check(field, off)
 
     # properness: |F| >= c only inside the predicted compact box
-    prop_pass, prop_worst = True, 0.0
+    prop_pass, prop_vals = True, []
     for c in (0.05, 0.1, 0.2):
         x_hi = 1.0 - c * c / base.h_coef
         r2 = base.h_coef * (1.0 + base.eps)
@@ -274,9 +284,10 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         inside = (pts[:, -2] >= -base.eps) & (pts[:, -2] <= x_hi)
         inside &= (np.sum(pts[:, : base.dim - 2] ** 2, axis=1) + pts[:, -1] ** 2) <= r2
         vals = np.abs(np.atleast_1d(field.value(pts[~inside])))
-        prop_worst = max(prop_worst, float(vals.max()))
+        prop_vals.append(vals)
         prop_pass &= bool(np.all(vals < c))
-    checks["properness_away_from_zero"] = _check(prop_pass, 60000, prop_worst)
+    checks["properness_away_from_zero"] = _check(prop_pass, 60000,
+                                                 _worst(prop_vals))
 
     if cfg.u_scale != 1.0:
         outside = rng.uniform(-0.9, 0.9, size=(500, base.dim))
@@ -450,13 +461,14 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     checks["fibre_classification"] = _check(mism == 0, tested, mism)
 
     # fibre bijectivity: backward then forward is the identity
-    worst = 0.0
+    errs = []
     for _ in range(cfg.roundtrip_samples):
         p = rng.uniform(-1.2, 1.2, size=2)
         x_target = rng.uniform(-0.9, 0.9)
         _, x_back = null_fields.presympl_flow(vfield, p, x_target, -1.0)
         _, x_fwd = null_fields.presympl_flow(vfield, p, x_back, 1.0)
-        worst = max(worst, abs(x_fwd - x_target))
+        errs.append(abs(x_fwd - x_target))
+    worst = _worst(errs)
     checks["fibre_bijectivity"] = _check(worst <= 1e-8,
                                          cfg.roundtrip_samples, worst,
                                          bound=1e-8)
@@ -483,10 +495,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     vec = np.atleast_2d(ham.vector_field(onN))
     v_exp = np.atleast_1d(vfield.velocity(onN[:, :2], onN[:, 2]))
     chi = ham.cutoff(onN)
-    resid = max(
-        float(np.abs(vec[:, [0, 1, 3]]).max()),
-        float(np.abs(vec[:, 2] - chi * v_exp).max()),
-    )
+    resid = _worst([np.abs(vec[:, [0, 1, 3]]), np.abs(vec[:, 2] - chi * v_exp)])
     checks["hypersurface_restriction"] = _check(resid <= 1e-10, onN.shape[0], resid,
                                                 bound=1e-10)
     f_on_n = np.abs(np.atleast_1d(ham.value(onN))).max()
@@ -570,7 +579,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         xs_f = np.linspace(0.05, float(data.g[-1]) - 1e-3, 40)
         prev = None
         for lvl in range(1, field.depth + 1):
-            v = _level_velocity(field, data, xs_f, lvl)
+            v = lsc_fields.band_velocity(data.g, data.tau, lvl, xs_f)
             if prev is not None:
                 nest_ok &= bool(np.all(v <= prev + 1e-14)) and bool(np.all(v > 0))
                 low = xs_f <= data.g[lvl - 1]
@@ -602,7 +611,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     checks["limit_classification"] = _check(mism == 0, tested, mism)
 
     # backward totality and fibre bijectivity through the final cutoff
-    worst = 0.0
+    errs = []
     blocked = True
     for _ in range(60):
         p = transect[rng.integers(0, transect.shape[0])]
@@ -615,29 +624,13 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         blocked &= (back.value == -math.inf)
         x_b = flow1d.flow_map(fiber, -1.0, float(x_t))
         x_f = flow1d.flow_map(fiber, 1.0, x_b)
-        worst = max(worst, abs(x_f - x_t))
+        errs.append(abs(x_f - x_t))
         z_lo = 0.25 * float(data.f[0])
         blocked &= (field.velocity(p, z_lo) == 0.0)
+    worst = _worst(errs)
     checks["backward_totality"] = _check(blocked and worst <= 1e-8, 60, worst,
                                          bound=1e-8)
     return checks
-
-
-def _level_velocity(field: lsc_fields.GluedField, data, xs: np.ndarray,
-                    level: int) -> np.ndarray:
-    """Velocity of tower level ``level`` (bands 1..level, unit above)."""
-    out = np.ones_like(xs)
-    band = np.searchsorted(data.g, xs)
-    for k in range(1, level + 1):
-        msk = band == k
-        if np.any(msk):
-            out = np.where(
-                msk,
-                scalar_kit.bridge_velocity(data.g[k - 1], data.g[k],
-                                           data.tau[k - 1], xs, validate=False),
-                out,
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -707,23 +700,23 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
             x1 = rng.uniform(-0.35 * chart.eps / 0.4, -0.05)
             z = chart.from_model(np.array([[x1, 0.0]]))[0]
             samples.append(z)
-    extra = outside[: cfg.sympl_samples - len(samples)]
+    extra = outside[: max(cfg.sympl_samples - len(samples), 0)]
     samples = np.concatenate([np.asarray(samples), extra], axis=0)
-    worst = 0.0
-    for z in samples:
-        jac = symflow.numerical_jacobian(
+    worst = _worst(
+        symflow.symplecticity_residual(symflow.numerical_jacobian(
             lambda w: staged.forward_point(w, tol=cfg.tol), z,
-            fd_step=cfg.fd_step)
-        worst = max(worst, symflow.symplecticity_residual(jac))
+            fd_step=cfg.fd_step))
+        for z in samples)
     checks["composed_symplecticity"] = _check(worst <= 2e-5, samples.shape[0],
                                               worst, bound=2e-5)
 
     # composed inverse consistency
-    worst = 0.0
+    errs = []
     for z in samples[: cfg.roundtrip_samples // 4]:
         fw = staged.forward_point(z, tol=cfg.tol)
         bk = staged.inverse_batch(fw[None, :], tol=cfg.tol)[0]
-        worst = max(worst, float(np.abs(bk - z).max()))
+        errs.append(np.abs(bk - z))
+    worst = _worst(errs)
     checks["composed_inverse"] = _check(worst <= 1e-7,
                                         min(len(samples), cfg.roundtrip_samples // 4),
                                         worst, bound=1e-7)
@@ -787,9 +780,10 @@ def _write_trajectories(cfg: ScenarioConfig, out_dir: str) -> None:
                   np.array([0.0, 0.5, 0.2, 0.1])]
     else:
         return
-    for i, z0 in enumerate(starts):
-        out = symflow.integrate(field, z0, 1.0 + DELTA_PROBE_DEFAULT,
-                                tol=cfg.tol, record=True)
+    outs = symflow.integrate_batch(field, np.stack(starts),
+                                   1.0 + symflow.DELTA_PROBE, tol=cfg.tol,
+                                   record=True)
+    for i, out in enumerate(outs):
         rows = out.trajectory
         path = os.path.join(out_dir, "trajectories", f"traj_{i}.csv")
         with open(path, "w", newline="") as fh:
@@ -801,9 +795,6 @@ def _write_trajectories(cfg: ScenarioConfig, out_dir: str) -> None:
             writer.writerow(header)
             for row in rows:
                 writer.writerow([repr(float(v)) for v in row])
-
-
-DELTA_PROBE_DEFAULT = symflow.DELTA_PROBE
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:

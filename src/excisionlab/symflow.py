@@ -14,7 +14,7 @@ assumed from the integrator class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,10 +34,6 @@ __all__ = [
     "FlowOutcome",
     "integrate",
     "integrate_batch",
-    "time1_map",
-    "time1_point",
-    "inverse_time1_map",
-    "inverse_time1_point",
     "numerical_jacobian",
     "symplecticity_residual",
     "classify_escape",
@@ -77,8 +73,8 @@ class FlowOutcome:
 
     ``status == 'escaped-chart'`` carries a bracket
     ``t_esc_lower <= t_esc <= t_esc_upper`` of width at most ``ESC_BRACKET``
-    around the chart-exit time.  ``trajectory`` (when recorded) holds one
-    row ``(t, z...)`` per accepted step.
+    around the chart-exit time.  ``trajectory`` (when recorded) holds the
+    start row ``(0, z0...)`` and one row ``(t, z...)`` per accepted step.
     """
 
     endpoint: np.ndarray
@@ -170,15 +166,25 @@ _STATUS_NAMES = {_DONE: COMPLETED, _ESC: ESCAPED, _FAIL: TOLERANCE_FAILURE}
 
 def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
                     tol: float = DEFAULT_TOL,
-                    max_steps: int = 50_000) -> list[FlowOutcome]:
-    """Integrate a batch of initial conditions to time ``t_final > 0``.
+                    max_steps: int = 50_000,
+                    record: bool = False) -> list[FlowOutcome]:
+    """Integrate a batch of initial conditions for the signed time ``t_final``.
 
     Each point carries its own adaptive step; the batch is advanced with
     active masks, so heterogeneous stiffness does not couple points, and
     the result order matches the input order regardless of which points
     finish first.  A point exceeding ``max_steps`` attempts is reported as
     a tolerance failure rather than stalling the batch.
+
+    A negative ``t_final`` flows backward along the reversed field (whose
+    chart monitor never fires; only the ``R_MAX`` norm guard does) and
+    reports negative ``elapsed``.  With ``record=True`` every outcome
+    carries one row ``(t, z...)`` per accepted step after the start row;
+    on a chart exit the last row is the bracketed exit point.
     """
+    backward = t_final < 0
+    if backward:
+        field, t_final = _Reversed(field), -t_final
     z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
     m = z.shape[0]
     t = np.zeros(m)
@@ -187,6 +193,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
     steps = np.zeros(m, dtype=int)
     esc_lo = np.full(m, np.nan)
     esc_hi = np.full(m, np.nan)
+    rows = [[np.concatenate([[0.0], zi])] for zi in z] if record else None
 
     already = _escaped(field, z)
     status[already] = _ESC
@@ -225,6 +232,9 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
             t[acc] += dti[accept]
             z[acc] = z5[accept]
             steps[acc] += 1
+            if record:
+                for i in acc:
+                    rows[i].append(np.concatenate([[t[i]], z[i]]))
             esc_now = _escaped(field, z[acc])
             esc_rows = np.nonzero(esc_now)[0]
             for r in esc_rows:
@@ -249,107 +259,36 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
             esc_lo[i], esc_hi[i] = lo[j], hi[j]
             z[i] = z_end[j]
             t[i] = hi[j]
+            if record:
+                rows[i][-1] = np.concatenate([[hi[j]], z_end[j]])
 
+    sign = -1.0 if backward else 1.0
     out = []
     for i in range(m):
+        traj = None
+        if record:
+            traj = np.array(rows[i])
+            traj[:, 0] *= sign
         out.append(FlowOutcome(
             endpoint=z[i].copy(),
-            elapsed=float(t[i]),
+            elapsed=sign * float(t[i]),
             status=_STATUS_NAMES[status[i]],
             step_count=int(steps[i]),
             t_esc_lower=None if np.isnan(esc_lo[i]) else float(esc_lo[i]),
             t_esc_upper=None if np.isnan(esc_hi[i]) else float(esc_hi[i]),
+            trajectory=traj,
         ))
     return out
 
 
-def integrate(field: HamiltonianField, z0, t: float, tol: float = DEFAULT_TOL,
-              record: bool = False) -> FlowOutcome:
-    """Integrate a single trajectory for time ``t`` (either sign).
-
-    With ``record=True`` the outcome carries the accepted-step history as
-    rows ``(t, z...)``; recording forces the scalar (non-batch) path.
-    """
+def integrate(field: HamiltonianField, z0, t: float,
+              tol: float = DEFAULT_TOL) -> FlowOutcome:
+    """Integrate a single trajectory for time ``t`` (either sign); a
+    one-point :func:`integrate_batch` with a shortcut for ``t == 0``."""
     z0 = np.asarray(z0, dtype=float)
-    work_field = field if t >= 0 else _Reversed(field)
-    t_final = abs(t)
-    if t_final == 0.0:
+    if t == 0.0:
         return FlowOutcome(endpoint=z0.copy(), elapsed=0.0, status=COMPLETED)
-    if not record:
-        out = integrate_batch(work_field, z0[None, :], t_final, tol=tol)[0]
-    else:
-        out = _integrate_recorded(work_field, z0, t_final, tol)
-    if t < 0:
-        out.elapsed = -out.elapsed
-        if out.trajectory is not None:
-            out.trajectory[:, 0] *= -1.0
-    return out
-
-
-def _integrate_recorded(field, z0, t_final, tol):
-    rows = [np.concatenate([[0.0], z0])]
-    z = z0[None, :].copy()
-    t, dt = 0.0, min(1e-2, t_final)
-    steps = 0
-    if _escaped(field, z)[0]:
-        return FlowOutcome(endpoint=z[0], elapsed=0.0, status=ESCAPED,
-                           t_esc_lower=0.0, t_esc_upper=0.0,
-                           trajectory=np.array(rows))
-    dt_min = 1e-14 * max(1.0, t_final)
-    while True:
-        dti = min(dt, t_final - t)
-        z5, err = _dp_step(field, z, np.array([dti]))
-        scale = tol + tol * max(np.abs(z).max(), np.abs(z5).max())
-        enorm = float(np.abs(err).max() / scale)
-        if enorm <= 1.0:
-            t_prev, z_prev = t, z[0].copy()
-            t += dti
-            z = z5
-            steps += 1
-            rows.append(np.concatenate([[t], z[0]]))
-            if _escaped(field, z)[0]:
-                lo_a, hi_a, z_end_a = _bracket_escapes_batch(
-                    field, z_prev[None, :], np.array([t_prev]), np.array([dti]))
-                lo, hi, z_end = float(lo_a[0]), float(hi_a[0]), z_end_a[0]
-                rows[-1] = np.concatenate([[hi], z_end])
-                return FlowOutcome(endpoint=z_end, elapsed=hi, status=ESCAPED,
-                                   step_count=steps, t_esc_lower=lo,
-                                   t_esc_upper=hi, trajectory=np.array(rows))
-            if t >= t_final:
-                return FlowOutcome(endpoint=z[0].copy(), elapsed=t,
-                                   status=COMPLETED, step_count=steps,
-                                   trajectory=np.array(rows))
-        e = max(enorm, 1e-12)
-        dt = dti * min(5.0, max(0.2, 0.9 * e ** -0.2))
-        if dt < dt_min:
-            return FlowOutcome(endpoint=z[0].copy(), elapsed=t,
-                               status=TOLERANCE_FAILURE, step_count=steps,
-                               trajectory=np.array(rows))
-
-
-def time1_map(field: HamiltonianField, z0, tol: float = DEFAULT_TOL) -> FlowOutcome:
-    """Forward time-1 flow (defined off the excised set)."""
-    return integrate(field, z0, 1.0, tol=tol)
-
-
-def time1_point(field: HamiltonianField, z0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    out = time1_map(field, z0, tol=tol)
-    if out.status != COMPLETED:
-        raise ExcisedPointError(f"time-1 map undefined: {out.status} at t={out.elapsed}")
-    return out.endpoint
-
-
-def inverse_time1_map(field: HamiltonianField, z1, tol: float = DEFAULT_TOL) -> FlowOutcome:
-    """Backward time-1 flow; total on the chart for the shipped fields
-    (backward times are minus infinity everywhere)."""
-    return integrate(field, z1, -1.0, tol=tol)
-
-
-def inverse_time1_point(field: HamiltonianField, z1, tol: float = DEFAULT_TOL) -> np.ndarray:
-    out = inverse_time1_map(field, z1, tol=tol)
-    if out.status != COMPLETED:
-        raise ExcisedPointError(f"backward map failed: {out.status}")
-    return out.endpoint
+    return integrate_batch(field, z0[None, :], t, tol=tol)[0]
 
 
 def numerical_jacobian(map_fn: Callable[[np.ndarray], np.ndarray], z,

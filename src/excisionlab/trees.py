@@ -21,8 +21,8 @@ each open-rooted component into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -245,10 +245,6 @@ class WorldBranchField(HamiltonianField):
         in_tube = (x1 > -self.chart.eps) & (y1 * y1 < h)
         return np.where(in_tube, x1, -np.inf)
 
-    def on_branch(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        m = self.chart.to_model(np.atleast_2d(pts))
-        return (m[:, 1] == 0.0) & (m[:, 0] >= 0.0) & (m[:, 0] < 1.0 - margin)
-
 
 def _check_strip_disjoint(fields: Sequence[WorldBranchField]) -> None:
     """Conservative pairwise separation check between strips that do not
@@ -332,8 +328,7 @@ class StagedExcision:
     def inverse_batch(self, pts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         for f in reversed(self.fields):
-            rev = _ReversedBranch(f)
-            outcomes = integrate_batch(rev, zs, 1.0, tol=tol)
+            outcomes = integrate_batch(f, zs, -1.0, tol=tol)
             for i, out in enumerate(outcomes):
                 if out.status != COMPLETED:
                     raise ExcisedPointError("backward stage failed")
@@ -341,32 +336,11 @@ class StagedExcision:
         return zs
 
 
-class _ReversedBranch(HamiltonianField):
-    def __init__(self, base: WorldBranchField):
-        self.base = base
-        self.dim = 2
-
-    def value(self, z):
-        return self.base.value(z)
-
-    def grad(self, z):
-        return self.base.grad(z)
-
-    def vector_field(self, z):
-        return -self.base.vector_field(z)
-
-    def escape_value(self, z):
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.full(z2.shape[0], -np.inf)
-
-
-def _build_stages(spec: TreeSpec, root: int,
-                  nodes: Optional[dict] = None) -> list:
+def _build_stages(spec: TreeSpec, root: int) -> list:
     """Leaf-first branch fields for the open-rooted tree with this root."""
     adj = {i: set(ns) for i, ns in spec.adjacency().items()}
     original_adj = spec.adjacency()
     fields = []
-    active = {i for i, ns in adj.items() if ns}
     while any(adj[i] for i in adj):
         leaves = sorted(
             i for i in adj

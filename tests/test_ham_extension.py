@@ -164,6 +164,16 @@ class TestLocalize:
         assert np.allclose(np.atleast_1d(loc.value(axis)),
                            np.atleast_1d(F.value(axis)))
 
+    def test_nan_bump_is_not_a_margin(self):
+        class NanHood:
+            def bump(self, pts):
+                return np.full(pts.shape[0], np.nan), None
+
+        F = hx.build_ray_hamiltonian(2)
+        rng = np.random.default_rng(8)
+        with pytest.raises(InputError):
+            hx.localize(F, NanHood(), target_samples=F.sample_target(10, rng))
+
     def test_margin_enforced(self):
         F = hx.build_ray_hamiltonian(2)
         hood = hx.TubeNeighbourhood(eps=0.01, h_coef=1e-6)

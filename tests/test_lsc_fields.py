@@ -86,49 +86,93 @@ class TestSmoothMajorant:
         assert np.all(g(pts) < 1.0)
 
 
+def band_tower(f, g):
+    """Delays of the tower on one fibre with thresholds ``f`` and separators
+    ``g``, built as the paper's adjust-time steps build them: the first
+    delay is ``f_1``, each next the previous level's time from ``f_{k-1}``
+    to ``f_k``."""
+    tau = [f[0]]
+    for k in range(1, len(g) - 1):
+        tau.append(lf.band_travel_time(g, tau, k, f[k - 1], f[k]))
+    return np.asarray(tau)
+
+
+class StubBaire:
+    """Fixed thresholds at every base point."""
+
+    def __init__(self, fs):
+        self.fs = np.asarray(fs, dtype=float)
+
+    def raw_values(self, points):
+        return self.fs[None, :]
+
+
 class TestAdjustTime:
+    """The adjust-time steps, evaluated through the band primitive."""
+
+    # first level: threshold 0.2, bridge band (0.4, 0.7)
+    G1 = np.array([0.4, 0.7])
+    # second level adds the band (0.7, 0.85) and re-times to 0.3
+    G2 = np.array([0.4, 0.7, 0.85])
+
     def test_first_level_timing(self):
         # constant thresholds: unit travel plus the bridge delay sums to 1
-        field = lf.adjust_time_1(0.2, 0.4, 0.7)
-        p = np.zeros(1)
-        assert field.exit_time(p, 0.2) == pytest.approx(1.0, abs=1e-12)
-        assert field.exit_time(p, 0.25) < 1.0
-        assert field.exit_time(p, 0.15) == pytest.approx(1.05, abs=1e-12)
+        g = self.G1
+        tau = band_tower([0.2], g)
+        assert lf.band_travel_time(g, tau, 1, 0.2, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert lf.band_travel_time(g, tau, 1, 0.25, 1.0) < 1.0
+        assert lf.band_travel_time(g, tau, 1, 0.15, 1.0) == pytest.approx(1.05, abs=1e-12)
 
     def test_unit_speed_off_band(self):
-        field = lf.adjust_time_1(0.2, 0.4, 0.7)
-        p = np.zeros(1)
-        v = field.velocity(p, np.array([0.1, 0.39, 0.45, 0.65, 0.71, 0.9]))
+        g = self.G1
+        tau = band_tower([0.2], g)
+        v = lf.band_velocity(g, tau, 1, np.array([0.1, 0.39, 0.45, 0.65, 0.71, 0.9]))
         assert v[0] == 1.0 and v[1] == 1.0 and v[4] == 1.0 and v[5] == 1.0
         assert 0.0 < v[2] < 1.0 and 0.0 < v[3] < 1.0
 
     def test_second_level_retiming(self):
-        first = lf.adjust_time_1(0.2, 0.4, 0.7)
-        second = lf.adjust_time_2(first, 0.2, 0.3, 0.7, 0.85)
-        p = np.zeros(1)
-        assert second.exit_time(p, 0.3) == pytest.approx(1.0, abs=1e-6)
-        # coincides with the previous field below its top separator
+        g = self.G2
+        tau = band_tower([0.2, 0.3], g)
+        assert lf.band_travel_time(g, tau, 2, 0.3, 1.0) == pytest.approx(1.0, abs=1e-6)
+        # coincides with the previous level below its top separator
         xs = np.linspace(0.05, 0.69, 30)
-        assert np.allclose(second.velocity(p, xs), first.velocity(p, xs))
+        assert np.allclose(lf.band_velocity(g, tau, 2, xs),
+                           lf.band_velocity(g, tau, 1, xs))
         # unit speed above the new separator
-        assert second.velocity(p, 0.9) == 1.0
+        assert lf.band_velocity(g, tau, 2, 0.9) == 1.0
 
     def test_delay_via_independent_quadrature(self):
         # the closed-form band delay equals the adaptive quadrature of the
-        # previous field's reciprocal speed (dual route)
-        first = lf.adjust_time_1(0.2, 0.4, 0.7)
-        second = lf.adjust_time_2(first, 0.2, 0.3, 0.7, 0.85)
-        p = np.zeros(1)
-        delay = second.bands_at(p)[1][2]
-        fiber = first.fiber(p)
-        ref, _, _ = flow1d.adaptive_quad(lambda x: 1.0 / fiber(x), 0.2, 0.3,
-                                         tol=1e-12)
-        assert delay == pytest.approx(ref, abs=1e-9)
+        # previous level's reciprocal speed (dual route)
+        g = self.G2
+        tau = band_tower([0.2, 0.3], g)
+        inv_speed = lambda x: 1.0 / lf.band_velocity(g, tau, 1, x)
+        ref, _, _ = flow1d.adaptive_quad(inv_speed, 0.2, 0.3, tol=1e-12)
+        assert tau[1] == pytest.approx(ref, abs=1e-9)
+        # the same identity across the first bridge band
+        ref, _, _ = flow1d.adaptive_quad(inv_speed, 0.3, 0.6, tol=1e-12)
+        assert lf.band_travel_time(g, tau, 1, 0.3, 0.6) == pytest.approx(ref, abs=1e-9)
+
+    @staticmethod
+    def stub_field(fs, gs):
+        majorants = [lambda pts, c=c: np.full(np.atleast_2d(pts).shape[0], c)
+                     for c in gs]
+        return lf.GluedField(constant_spec(0.5), StubBaire(fs), majorants, depth=2)
 
     def test_ordering_validation(self):
-        field = lf.adjust_time_1(0.5, 0.4, 0.7)   # f > a: invalid
-        with pytest.raises(InputError):
-            field.bands_at(np.zeros(1))
+        # fiber_data refuses each violated ordering rule of the tower
+        for fs, gs in [
+            ([0.2, 0.1, 0.3], [0.4, 0.6, 0.8]),     # thresholds not increasing
+            ([0.1, 0.2, 0.3], [0.4, 0.35, 0.8]),    # separators not increasing
+            ([0.1, 0.2, 0.7], [0.4, 0.6, 0.65]),    # threshold above its separator
+        ]:
+            with pytest.raises(InputError):
+                self.stub_field(fs, gs).fiber_data(np.zeros(1))
+
+    def test_ordered_tower_accepted(self):
+        field = self.stub_field([0.1, 0.2, 0.3], [0.4, 0.6, 0.8])
+        data = field.fiber_data(np.zeros(1))
+        assert np.array_equal(data.tau, band_tower(data.f, data.g))
 
 
 class TestGluedField:

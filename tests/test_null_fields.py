@@ -51,6 +51,16 @@ class TestBuildEpigraphField:
         with pytest.raises(InputError):
             nf.build_epigraph_field(bad)
 
+    def test_range_validation_rejects_nan(self):
+        C = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
+        lam = nf.SmoothMap(
+            f=lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 0.0),
+            grad=lambda pts: np.zeros_like(pts),
+        )
+        bad = nf.EpigraphSpec(C=C, lam=lam, validation_box=((-1.0,), (1.0,)))
+        with pytest.raises(InputError):
+            nf.build_epigraph_field(bad)
+
 
 class TestClassification:
     def test_cantor_brush_members(self, brush):

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flow1d, lsc_fields, null_fields, scalar_kit, symflow, trees
-from .errors import DepthExhausted, InputError
+from .errors import DepthExhausted, ExcisedPointError, InputError
 from .ham_extension import (
     RayHamiltonian,
     TubeNeighbourhood,
@@ -92,13 +92,18 @@ def _check(passed: bool, points: int, max_residual: float, **extra) -> dict:
 
 
 def _grad_check(field, pts: np.ndarray, fd_step: float, rel_tol: float) -> dict:
-    """Closed-form gradient against central differences."""
+    """Closed-form gradient against the Richardson-extrapolated O(h^4)
+    central difference ``(8 (f(z+h) - f(z-h)) - (f(z+2h) - f(z-2h))) / 12h``.
+    The plain O(h^2) stencil is truncation-limited in the cutoff bands."""
     g = np.atleast_2d(field.grad(pts))
     resid = []
     for i in range(pts.shape[1]):
-        zp = pts.copy(); zp[:, i] += fd_step
-        zm = pts.copy(); zm[:, i] -= fd_step
-        fd = (np.atleast_1d(field.value(zp)) - np.atleast_1d(field.value(zm))) / (2 * fd_step)
+        def f(shift):
+            z = pts.copy()
+            z[:, i] += shift
+            return np.atleast_1d(field.value(z))
+        fd = (8.0 * (f(fd_step) - f(-fd_step))
+              - (f(2.0 * fd_step) - f(-2.0 * fd_step))) / (12.0 * fd_step)
         resid.append(np.abs(fd - g[:, i]) / (1.0 + np.abs(g[:, i])))
     worst = _worst(resid)
     return _check(worst <= rel_tol, pts.shape[0], worst, bound=rel_tol)
@@ -196,18 +201,24 @@ def _ray_grid(n: int, resolution: int, margin: float) -> np.ndarray:
 
 def _ray_sympl_samples(field: RayHamiltonian, count: int,
                        rng: np.random.Generator,
-                       eps_eff: Optional[float] = None,
-                       h_eff: Optional[float] = None) -> np.ndarray:
+                       u_scale: float = 1.0) -> np.ndarray:
     """Surviving points where the time-1 map is FD-conditioned: inside the
     cutoff plateau near the axis (with the whole trajectory staying in the
     plateau: the tube pinches, so the radius ratio grows along the flow),
-    or outside the tube with margin."""
+    or outside the tube with margin.  ``u_scale`` shrinks the tube as
+    :func:`localize` does; the plateau window ``[x_lo, x_hi)`` must stay
+    non-empty, which bounds ``u_scale`` from below."""
     dim = field.dim
-    eps_eff = field.eps if eps_eff is None else eps_eff
-    h_eff = field.h_coef if h_eff is None else h_eff
+    eps_eff = field.eps * u_scale
+    h_eff = field.h_coef * u_scale
     out = []
     x_hi = -0.15
     x_lo = -min(0.45, 0.9 * eps_eff)
+    if not x_lo < x_hi:
+        raise InputError(
+            f"u_scale {u_scale:g} leaves no plateau window for the "
+            f"symplecticity samples; u_scale must exceed "
+            f"{-x_hi / (0.9 * field.eps):.6g}")
     while len(out) < count // 2:
         x = rng.uniform(x_lo, x_hi)
         # bound the squared radius by the tube height at the time-1
@@ -243,14 +254,15 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         field = localize(base, hood, target_samples=base.sample_target(200, rng0))
 
     rng = np.random.default_rng(cfg.seed)
+    # drawn first so that a bad u_scale fails before the sweep; the sweep
+    # draws nothing from rng
+    sympl = _ray_sympl_samples(base, cfg.sympl_samples, rng, cfg.u_scale)
+
     checks = {}
     grid = _ray_grid(n, cfg.grid, cfg.margin)
     checks["escape_classification"] = _classification_check(
         field, base.membership, grid, cfg.tol)
 
-    sympl = _ray_sympl_samples(
-        base, cfg.sympl_samples, rng,
-        eps_eff=base.eps * cfg.u_scale, h_eff=base.h_coef * cfg.u_scale)
     checks["symplecticity"] = _symplecticity_check(
         field, sympl, bound=1e-5, fd_step=cfg.fd_step, tol=cfg.tol)
 
@@ -661,37 +673,26 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     checks = {}
     spec = staged.spec
 
-    # locality: points outside the union of strips are fixed bitwise
+    # locality samples: points outside the union of strips
     box_lo, box_hi = np.array([-2.5, -2.5]), np.array([2.5, 2.5])
     pool = rng.uniform(box_lo, box_hi, size=(3000, 2))
     outside = pool[~staged.in_support(pool)][:200]
-    ends, esc = staged.forward_batch(outside, tol=cfg.tol)
-    moved = np.abs(ends - outside).max() if outside.size else 0.0
-    fixed = bool(np.all(ends == outside)) and bool(np.all(esc == -1))
-    checks["locality_outside_U"] = _check(fixed, outside.shape[0], float(moved))
 
-    # containment: nothing outside U maps into U
-    into = staged.in_support(ends)
-    checks["containment"] = _check(not np.any(into), outside.shape[0],
-                                   float(np.sum(into)))
-
-    # every on-tree sample escapes during its own branch's stage; margin
-    # bands are carved around both branch ends (junctions of other stages)
-    mism = total = 0
-    for k, f in enumerate(staged.fields):
+    # on-tree samples of each branch; margin bands are carved around both
+    # branch ends (junctions of other stages)
+    on_tree = []
+    for f in staged.fields:
         chart = f.chart
         margin_t = 2.0 * spec.w0 / chart.length
         ts = np.linspace(margin_t, 1.0 - margin_t, 12)
         leaf = np.asarray(chart.leaf)
         node = np.asarray(chart.node)
-        pts = leaf[None, :] + ts[:, None] * (node - leaf)[None, :]
-        _, esc = staged.forward_batch(pts, tol=cfg.tol)
-        total += pts.shape[0]
-        mism += int(np.sum(esc != k))
-    checks["on_tree_escape"] = _check(mism == 0, total, float(mism))
+        on_tree.append(leaf[None, :] + ts[:, None] * (node - leaf)[None, :])
+    on_tree = np.concatenate(on_tree)
+    own_stage = np.repeat(np.arange(len(staged.fields)), ts.size)
 
-    # composed symplecticity at conditioned survivors: behind-the-leaf
-    # plateau points and frozen outside points
+    # conditioned survivors: behind-the-leaf plateau points and frozen
+    # outside points
     samples = []
     per_branch = max(1, cfg.sympl_samples // (2 * len(staged.fields)))
     for f in staged.fields:
@@ -702,23 +703,46 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
             samples.append(z)
     extra = outside[: max(cfg.sympl_samples - len(samples), 0)]
     samples = np.concatenate([np.asarray(samples), extra], axis=0)
-    worst = _worst(
-        symflow.symplecticity_residual(symflow.numerical_jacobian(
-            lambda w: staged.forward_point(w, tol=cfg.tol), z,
-            fd_step=cfg.fd_step))
-        for z in samples)
+    inv_samples = samples[: cfg.roundtrip_samples // 4]
+
+    # one composed forward pass serves the locality, containment, on-tree
+    # and inverse checks
+    cuts = np.cumsum([outside.shape[0], on_tree.shape[0]])
+    ends, esc = staged.forward_batch(
+        np.concatenate([outside, on_tree, inv_samples]), tol=cfg.tol)
+    out_ends, _, inv_ends = np.split(ends, cuts)
+    out_esc, tree_esc, inv_esc = np.split(esc, cuts)
+
+    # locality: points outside the union of strips are fixed bitwise
+    moved = np.abs(out_ends - outside).max() if outside.size else 0.0
+    fixed = bool(np.all(out_ends == outside)) and bool(np.all(out_esc == -1))
+    checks["locality_outside_U"] = _check(fixed, outside.shape[0], float(moved))
+
+    # containment: nothing outside U maps into U
+    into = staged.in_support(out_ends)
+    checks["containment"] = _check(not np.any(into), outside.shape[0],
+                                   float(np.sum(into)))
+
+    # every on-tree sample escapes during its own branch's stage
+    mism = int(np.sum(tree_esc != own_stage))
+    checks["on_tree_escape"] = _check(mism == 0, on_tree.shape[0], float(mism))
+
+    # composed symplecticity at the conditioned survivors
+    def composed(stencil):
+        images, stage = staged.forward_batch(stencil, tol=cfg.tol)
+        return images, stage == -1
+
+    jacs = symflow.numerical_jacobian(composed, samples, fd_step=cfg.fd_step)
+    worst = _worst(symflow.symplecticity_residual(j) for j in jacs)
     checks["composed_symplecticity"] = _check(worst <= 2e-5, samples.shape[0],
                                               worst, bound=2e-5)
 
     # composed inverse consistency
-    errs = []
-    for z in samples[: cfg.roundtrip_samples // 4]:
-        fw = staged.forward_point(z, tol=cfg.tol)
-        bk = staged.inverse_batch(fw[None, :], tol=cfg.tol)[0]
-        errs.append(np.abs(bk - z))
-    worst = _worst(errs)
-    checks["composed_inverse"] = _check(worst <= 1e-7,
-                                        min(len(samples), cfg.roundtrip_samples // 4),
+    if np.any(inv_esc != -1):
+        raise ExcisedPointError("an inverse sample escaped the forward map")
+    worst = _worst([np.abs(staged.inverse_batch(inv_ends, tol=cfg.tol)
+                           - inv_samples)])
+    checks["composed_inverse"] = _check(worst <= 1e-7, inv_samples.shape[0],
                                         worst, bound=1e-7)
     return checks
 

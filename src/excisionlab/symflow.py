@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ExcisedPointError, StencilError
+from .errors import StencilError
 from .ham_extension import HamiltonianField, coordinate_stencil, pairing_matrix
 
 __all__ = [
@@ -291,24 +291,26 @@ def integrate(field: HamiltonianField, z0, t: float,
     return integrate_batch(field, z0[None, :], t, tol=tol)[0]
 
 
-def numerical_jacobian(map_fn: Callable[[np.ndarray], np.ndarray], z,
-                       fd_step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a map; stencil points that fall
-    outside the map's domain raise :class:`StencilError` so the caller can
-    enlarge its margin."""
-    z = np.asarray(z, dtype=float)
-    cols = []
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += fd_step
-        zm[i] -= fd_step
-        try:
-            fp = np.asarray(map_fn(zp), dtype=float)
-            fm = np.asarray(map_fn(zm), dtype=float)
-        except ExcisedPointError as exc:
-            raise StencilError(f"stencil point excised along axis {i}") from exc
-        cols.append((fp - fm) / (2.0 * fd_step))
-    return np.stack(cols, axis=1)
+def numerical_jacobian(map_batch: Callable[[np.ndarray], tuple],
+                       points: np.ndarray, fd_step: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobians of a batch map at ``m`` points, as a
+    C-contiguous ``(m, d, d)`` array.
+
+    The whole coordinate stencil goes through one call
+    ``map_batch(stencil) -> (images, ok)``; a stencil row with ``ok``
+    false lies outside the map's domain and raises :class:`StencilError`
+    so the caller can enlarge its margin.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, d = pts.shape
+    images, ok = map_batch(coordinate_stencil(pts, fd_step))
+    bad = np.nonzero(~np.asarray(ok, dtype=bool))[0]
+    if bad.size:
+        k, r = divmod(int(bad[0]), 2 * d)
+        raise StencilError(f"stencil escaped at sample {k}, axis {r // 2}")
+    images = np.asarray(images, dtype=float).reshape(m, d, 2, d)
+    cols = (images[:, :, 0, :] - images[:, :, 1, :]) / (2.0 * fd_step)
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 def symplecticity_residual(jac: np.ndarray) -> float:
@@ -319,27 +321,18 @@ def symplecticity_residual(jac: np.ndarray) -> float:
 
 def time1_jacobian_batch(field: HamiltonianField, points: np.ndarray,
                          fd_step: float = 1e-5,
-                         tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Finite-difference Jacobians of the time-1 map at many points, with
-    the whole stencil integrated as one batch.
+                         tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`numerical_jacobian` of the time-1 map, with the whole stencil
+    integrated as one batch.
 
     Every stencil point must survive to t=1; a stencil that touches the
     excised set raises :class:`StencilError` (callers sample with margin).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = pts.shape
-    outcomes = integrate_batch(field, coordinate_stencil(pts, fd_step), 1.0, tol=tol)
-    jacs = []
-    for k in range(m):
-        cols = []
-        for i in range(d):
-            op = outcomes[k * 2 * d + 2 * i]
-            om = outcomes[k * 2 * d + 2 * i + 1]
-            if op.status != COMPLETED or om.status != COMPLETED:
-                raise StencilError(f"stencil escaped at sample {k}, axis {i}")
-            cols.append((op.endpoint - om.endpoint) / (2.0 * fd_step))
-        jacs.append(np.stack(cols, axis=1))
-    return jacs
+    def time1(stencil):
+        outs = integrate_batch(field, stencil, 1.0, tol=tol)
+        return (np.stack([out.endpoint for out in outs]),
+                np.array([out.status == COMPLETED for out in outs]))
+    return numerical_jacobian(time1, points, fd_step)
 
 
 def classify_escape(field: HamiltonianField, membership: Callable,

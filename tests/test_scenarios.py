@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from excisionlab import cli, scenarios
+from excisionlab.errors import InputError
 
 RAY_CHECKS = {
     "escape_classification", "symplecticity", "inverse_consistency",
@@ -107,3 +108,40 @@ class TestDriver:
             report["config"].pop("out_dir")
             texts.append(json.dumps(report, indent=2, sort_keys=True))
         assert texts[0] == texts[1]
+
+
+class SineOfFirstCoordinate:
+    """``F = sin(1000 z0)``: a fifth derivative large enough that the
+    O(h^2) central difference misses the gradient by more than 1e-5."""
+
+    def value(self, z):
+        return np.sin(1000.0 * z[:, 0])
+
+    def grad(self, z):
+        g = np.zeros_like(z)
+        g[:, 0] = 1000.0 * np.cos(1000.0 * z[:, 0])
+        return g
+
+
+class TestGradCheck:
+    def test_fourth_order_oracle(self):
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
+        pts[0] = 0.0
+        field, h = SineOfFirstCoordinate(), 1e-5
+        zp, zm = pts.copy(), pts.copy()
+        zp[:, 0] += h
+        zm[:, 0] -= h
+        g = field.grad(pts)[:, 0]
+        second_order = np.abs((field.value(zp) - field.value(zm)) / (2 * h) - g)
+        assert np.max(second_order / (1.0 + np.abs(g))) > 1e-5
+        chk = scenarios._grad_check(field, pts, h, 1e-5)
+        assert chk["pass"] is True
+        assert chk["max_residual"] < 1e-8
+
+
+class TestUScale:
+    @pytest.mark.parametrize("scenario", ["ray", "ray-n1"])
+    def test_empty_sample_window_is_refused(self, scenario):
+        cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.3)
+        with pytest.raises(InputError, match="u_scale must exceed 0.333333"):
+            scenarios.run_scenario(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from excisionlab import scenarios, symflow
+from excisionlab.errors import StencilError
 from excisionlab.ham_extension import build_ray_hamiltonian
 
 
@@ -84,3 +85,45 @@ class TestTimeReversal:
         # complete backward
         outs = symflow.integrate_batch(ray, starts[:4], -1.0)
         assert all(out.completed for out in outs)
+
+
+class TestNumericalJacobian:
+    def test_linear_map(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 3))
+        pts = rng.normal(size=(4, 3))
+        jacs = symflow.numerical_jacobian(
+            lambda z: (z @ a.T, np.ones(z.shape[0], dtype=bool)), pts, 1e-5)
+        assert jacs.shape == (4, 3, 3)
+        assert jacs.flags.c_contiguous
+        assert np.abs(jacs - a).max() <= 1e-9
+
+    def test_equals_column_loop(self):
+        # row-wise map, so the loop below does the same arithmetic
+        def f(z):
+            return np.sin(z) * z[:, ::-1], np.ones(z.shape[0], dtype=bool)
+
+        pts = np.random.default_rng(6).normal(size=(5, 4))
+        h = 1e-5
+        jacs = symflow.numerical_jacobian(f, pts, h)
+        for z, jac in zip(pts, jacs):
+            for i in range(z.size):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                col = (f(zp[None, :])[0][0] - f(zm[None, :])[0][0]) / (2.0 * h)
+                assert np.array_equal(jac[:, i], col)
+
+    @pytest.mark.parametrize("k,i", [(0, 0), (2, 1), (3, 2)])
+    def test_escaped_row_names_sample_and_axis(self, k, i):
+        pts = np.zeros((4, 3))
+        d = pts.shape[1]
+
+        def escapes_once(z):
+            ok = np.ones(z.shape[0], dtype=bool)
+            ok[k * 2 * d + 2 * i + 1] = False
+            return z, ok
+
+        with pytest.raises(StencilError,
+                           match=f"stencil escaped at sample {k}, axis {i}$"):
+            symflow.numerical_jacobian(escapes_once, pts, 1e-5)

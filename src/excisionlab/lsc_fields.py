@@ -86,6 +86,14 @@ class LscSpec:
     pieces: tuple  # ((lo, hi, value), ...) with lo/hi coordinate tuples
 
     def __post_init__(self):
+        base_lo = np.asarray(self.base_lo, dtype=float)
+        base_hi = np.asarray(self.base_hi, dtype=float)
+        if base_lo.shape != base_hi.shape:
+            raise InputError("base_lo and base_hi differ in length")
+        if not (np.all(np.isfinite(base_lo)) and np.all(np.isfinite(base_hi))):
+            raise InputError("base box corners must be finite")
+        if np.any(base_lo > base_hi):
+            raise InputError("base box corners out of order")
         for lo, hi, value in self.pieces:
             if not (0.0 < value <= 1.0):
                 raise InputError("piece values must lie in (0, 1]")
@@ -154,20 +162,33 @@ def _lattice(lo, hi, pitch, pad):
 
 
 class _NeighborIndex:
-    """Cell hash over a fixed center set.  ``pairs`` returns candidate
-    (query, center) index pairs for all centers within ``reach`` of each
-    query, looping over occupied query cells rather than points."""
+    """Cell hash over a fixed center set, kept as one sorted array of cell
+    codes.  ``pairs`` returns candidate (query, center) index pairs for all
+    centers within ``reach`` of each query as a sort-based join: every
+    query's neighbour cells are looked up in the sorted codes at once.
+
+    Each query's candidates come in ``_offsets`` order and, within a cell,
+    in ascending center index; the ``bincount`` blends sum each query's
+    weights in that order, so it fixes their last digits."""
 
     def __init__(self, centers: np.ndarray, radius: float):
         self.centers = centers
         self.radius = radius
-        keys = np.floor(centers / radius).astype(np.int64)
-        self.cells: dict[tuple, np.ndarray] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            self.cells.setdefault(key, []).append(i)
-        for key, lst in list(self.cells.items()):
-            self.cells[key] = np.asarray(lst, dtype=np.int64)
         self.dim = centers.shape[1]
+        keys = np.floor(centers / radius).astype(np.int64)
+        # cell codes ravel the key bounding box in C order
+        if keys.shape[0]:
+            self._key_lo = keys.min(axis=0)
+            self._key_shape = keys.max(axis=0) - self._key_lo + 1
+        else:
+            self._key_lo = np.zeros(self.dim, dtype=np.int64)
+            self._key_shape = np.zeros(self.dim, dtype=np.int64)
+        self._key_strides = np.append(
+            np.cumprod(self._key_shape[:0:-1])[::-1], 1
+        ).astype(np.int64)
+        codes = (keys - self._key_lo) @ self._key_strides
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._order]
 
     def _offsets(self, span: int) -> np.ndarray:
         rng = np.arange(-span, span + 1)
@@ -177,27 +198,20 @@ class _NeighborIndex:
     def pairs(self, pts: np.ndarray, reach: Optional[float] = None):
         reach = self.radius if reach is None else reach
         span = int(math.ceil(reach / self.radius))
-        offsets = self._offsets(span)
         keys = np.floor(pts / self.radius).astype(np.int64)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        qi_out, ci_out = [], []
-        for u_idx in range(uniq.shape[0]):
-            q_rows = np.nonzero(inverse == u_idx)[0]
-            cand = []
-            base = uniq[u_idx]
-            for off in offsets:
-                arr = self.cells.get(tuple(base + off))
-                if arr is not None:
-                    cand.append(arr)
-            if not cand:
-                continue
-            cand = np.concatenate(cand)
-            qi_out.append(np.repeat(q_rows, cand.size))
-            ci_out.append(np.tile(cand, q_rows.size))
-        if not qi_out:
-            return (np.empty(0, dtype=np.int64),) * 2
-        return np.concatenate(qi_out), np.concatenate(ci_out)
+        # (m, n_offsets, dim) neighbour cells, relative to the key box
+        cells = keys[:, None, :] + (self._offsets(span) - self._key_lo)
+        in_box = np.all((cells >= 0) & (cells < self._key_shape), axis=2)
+        q_rows, _ = np.nonzero(in_box)      # query-major, offsets in order
+        codes = cells[in_box] @ self._key_strides
+        start = np.searchsorted(self._sorted_codes, codes, side="left")
+        counts = np.searchsorted(self._sorted_codes, codes, side="right") - start
+        # expand each (query, cell) run of sorted centers
+        run_start = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum())) + np.repeat(start - run_start, counts)
+        qi = np.repeat(q_rows, counts).astype(np.int64, copy=False)
+        ci = self._order[pos].astype(np.int64, copy=False)
+        return qi, ci
 
     def max_over_balls(self, pts: np.ndarray, reach: float,
                        values: np.ndarray) -> np.ndarray:
@@ -295,6 +309,8 @@ class BaireSequence:
             cols.append(prev)
 
         out = np.stack([0.5 * cols[0]] + cols, axis=1)
+        # callers share the cached array, so nobody may write into it
+        out.flags.writeable = False
         self._cache[key] = out
         return out
 
@@ -458,36 +474,51 @@ def smooth_majorant(f: Callable, spec: LscSpec, scale: float = MAJORANT_SCALE,
 # the velocity tower: stacked bridge bands
 # ---------------------------------------------------------------------------
 
+def _check_level(g, tau, level: int):
+    g = np.asarray(g, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if not (1 <= level <= g.size - 1 and tau.size >= level):
+        raise InputError(
+            f"level {level} needs 1 <= level <= {g.size - 1} separators "
+            f"and at least {level} delays (got {tau.size})"
+        )
+    return g, tau
+
+
 def band_velocity(g, tau, level: int, x, deriv: bool = False) -> np.ndarray:
     """Speed of tower level ``level`` at ``x`` on one fibre (its
     ``x``-derivative with ``deriv=True``): the bridge profile with delay
     ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])`` for
     ``k = 1..level``, unit speed everywhere else."""
+    g, tau = _check_level(g, tau, level)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x) if deriv else np.ones_like(x)
-    band = np.searchsorted(g, x)   # 0 below g_0, k inside band k
-    for k in range(1, level + 1):
-        m = band == k
-        if np.any(m):
-            if deriv:
-                vals = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x)
-            else:
-                vals = bridge_velocity(g[k - 1], g[k], tau[k - 1], x,
-                                       validate=False)
-            out = np.where(m, vals, out)
+    band = np.asarray(np.searchsorted(g, x))   # 0 below g_0, k inside band k
+    inside = (band >= 1) & (band <= level)
+    if np.any(inside):
+        k = band[inside]
+        if deriv:
+            out[inside] = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x[inside])
+        else:
+            out[inside] = bridge_velocity(g[k - 1], g[k], tau[k - 1], x[inside],
+                                          validate=False)
     return out
 
 
 def band_travel_time(g, tau, level: int, x0: float, x1: float) -> float:
     """Crossing time from ``x0`` to ``x1`` under tower level ``level``
     (the speed of :func:`band_velocity`).  Closed form per band."""
+    g, tau = _check_level(g, tau, level)
+    lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
+    a = np.maximum(x0, lo)
+    b = np.minimum(x1, hi)
+    crossed = b > a
+    lo, hi, delay, a, b = (v[crossed] for v in (lo, hi, delay, a, b))
+    extra = bridge_crossing_time(lo, hi, delay, a, b) - (b - a)
+    # band by band as Python floats: a numpy sum would reorder the terms
     total = x1 - x0
-    for k in range(1, level + 1):
-        blo, bhi = g[k - 1], g[k]
-        a = max(x0, blo)
-        b = min(x1, bhi)
-        if b > a:
-            total += bridge_crossing_time(blo, bhi, tau[k - 1], a, b) - (b - a)
+    for term in extra.tolist():
+        total += term
     return total
 
 
@@ -549,6 +580,8 @@ class GluedField(VectorFieldPX):
         tau[0] = fs[0]
         for k in range(2, self.depth + 1):
             tau[k - 1] = band_travel_time(gs, tau, k - 1, fs[k - 2], fs[k - 1])
+        for arr in (fs, gs, tau):
+            arr.flags.writeable = False
         data = FiberData(f=fs, g=gs, tau=tau)
         self._fiber_cache[key] = data
         return data

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from excisionlab import lsc_fields, null_fields, scalar_kit
 from excisionlab.ham_extension import epigraph_target, extend_null_field
+
+# Fixed examples keep the suite deterministic.  No per-example deadline:
+# the speed of a shared host can drift by 2x, which would make a deadline
+# fail at random.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

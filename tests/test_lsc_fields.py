@@ -4,15 +4,94 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from excisionlab import flow1d, lsc_fields as lf
 from excisionlab.errors import DepthExhausted, InputError
+from excisionlab.scalar_kit import (bridge_crossing_time, bridge_velocity,
+                                    bridge_velocity_dx)
 
 
 def constant_spec(value: float) -> lf.LscSpec:
     """Target identically ``value`` on the whole (boxed) base."""
     return lf.LscSpec(base_lo=(-1.0,), base_hi=(1.0,),
                       pieces=(((-3.0,), (3.0,), value),))
+
+
+class TestLscSpec:
+    @pytest.mark.parametrize("lo, hi", [
+        ((-1.0, -1.0), (1.0,)),            # corners differ in length
+        ((-1.0, float("nan")), (1.0, 1.0)),  # non-finite corner
+        ((-1.0, -1.0), (1.0, math.inf)),
+        ((1.0, -1.0), (-1.0, 1.0)),        # inverted axis
+    ])
+    def test_bad_base_box_is_refused(self, lo, hi):
+        with pytest.raises(InputError):
+            lf.LscSpec(base_lo=lo, base_hi=hi, pieces=())
+
+    def test_degenerate_base_box_builds(self):
+        spec = lf.LscSpec(base_lo=(0.5,), base_hi=(0.5,), pieces=())
+        field = lf.build_lsc_field(spec, depth=2)
+        assert field.fiber_data(np.array([0.5])).depth == 2
+
+
+def reference_pairs(index, pts, reach):
+    """Per query, the concatenation over ``_offsets`` of the ascending
+    indices of the centers in cell ``key + off``."""
+    reach = index.radius if reach is None else reach
+    span = math.ceil(reach / index.radius)
+    center_keys = np.floor(index.centers / index.radius).astype(np.int64)
+    query_keys = np.floor(pts / index.radius).astype(np.int64)
+    return [
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.nonzero(np.all(center_keys == key + off, axis=1))[0]
+            for off in index._offsets(span)
+        ])
+        for key in query_keys
+    ]
+
+
+@st.composite
+def neighbor_cases(draw):
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    centers = draw(hnp.arrays(float, (draw(st.integers(0, 40)), dim),
+                              elements=coords))
+    # queries reach past the center cloud on every side
+    pts = draw(hnp.arrays(float, (draw(st.integers(0, 20)), dim),
+                          elements=st.floats(-2.0, 2.0, allow_nan=False)))
+    radius = draw(st.floats(0.05, 0.6))
+    reach = draw(st.one_of(st.none(), st.floats(0.1, 0.95).map(lambda r: r * radius),
+                           st.floats(1.0, 4.0).map(lambda r: r * radius)))
+    return centers, pts, radius, reach
+
+
+class TestNeighborIndex:
+    @given(neighbor_cases())
+    def test_pairs_match_cell_scan(self, case):
+        centers, pts, radius, reach = case
+        index = lf._NeighborIndex(centers, radius)
+        qi, ci = index.pairs(pts, reach)
+        assert qi.dtype == np.int64 and ci.dtype == np.int64
+        for q, want in enumerate(reference_pairs(index, pts, reach)):
+            assert np.array_equal(ci[qi == q], want)
+
+    @given(neighbor_cases())
+    def test_max_over_balls_is_brute_force_max(self, case):
+        centers, pts, radius, reach = case
+        reach = radius if reach is None else reach
+        values = np.arange(centers.shape[0], dtype=float)[::-1]
+        got = lf._NeighborIndex(centers, radius).max_over_balls(pts, reach, values)
+        for q, p in enumerate(pts):
+            near = np.sum((p - centers) ** 2, axis=1) <= reach * reach
+            assert got[q] == (values[near].max() if near.any() else -np.inf)
+
+    def test_empty_center_set_gives_empty_pairs(self):
+        index = lf._NeighborIndex(np.zeros((0, 2)), 0.25)
+        qi, ci = index.pairs(np.zeros((3, 2)))
+        assert qi.dtype == ci.dtype == np.int64
+        assert qi.size == ci.size == 0
 
 
 class TestBaireSequence:
@@ -50,6 +129,17 @@ class TestBaireSequence:
             dist = np.maximum(np.maximum(0.0 - pts[:, 0], pts[:, 0] - 1.0), 0.0)
             inf_ball = np.where(dist < r, 0.5, 1.0)
             assert np.all(vals[:, lvl - 1] >= (1 - 1 / lvl) * inf_ball - 1e-12)
+
+    def test_cached_levels_are_read_only(self):
+        seq = lf.baire_sequence(constant_spec(0.5), n_levels=4)
+        pts = np.linspace(-1.0, 1.0, 5)[:, None]
+        vals = seq.raw_values(pts)
+        want = vals.copy()
+        with pytest.raises(ValueError):
+            vals[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            seq.value(2, pts)[0] = 2.0
+        assert np.array_equal(seq.raw_values(pts), want)
 
     def test_strict_minorization_at_jump(self):
         # just inside the low plateau the levels must stay below the low
@@ -175,7 +265,77 @@ class TestAdjustTime:
         assert np.array_equal(data.tau, band_tower(data.f, data.g))
 
 
+def reference_band_velocity(g, tau, level, x, deriv=False):
+    """The band loop: one bridge call per band over all of ``x``."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x) if deriv else np.ones_like(x)
+    band = np.searchsorted(g, x)
+    for k in range(1, level + 1):
+        if deriv:
+            vals = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x)
+        else:
+            vals = bridge_velocity(g[k - 1], g[k], tau[k - 1], x, validate=False)
+        out = np.where(band == k, vals, out)
+    return out
+
+
+def reference_band_travel_time(g, tau, level, x0, x1):
+    """The band loop: one scalar crossing time per band, summed in order."""
+    total = x1 - x0
+    for k in range(1, level + 1):
+        a, b = max(x0, g[k - 1]), min(x1, g[k])
+        if b > a:
+            total += bridge_crossing_time(g[k - 1], g[k], tau[k - 1], a, b) - (b - a)
+    return total
+
+
+class TestBandPrimitives:
+    def test_level_is_guarded(self):
+        g, tau = np.array([0.4, 0.7, 0.85]), np.array([0.2, 0.1])
+        for level, delays in [(0, tau), (3, tau), (2, tau[:1])]:
+            with pytest.raises(InputError):
+                lf.band_velocity(g, delays, level, 0.5)
+            with pytest.raises(InputError):
+                lf.band_travel_time(g, delays, level, 0.1, 1.0)
+
+    def test_equal_band_loops_on_box_tail_fibres(self, box_tail_field):
+        spec, field, transect = box_tail_field
+        rng = np.random.default_rng(3)
+        for p in transect[[2, 20, 33]]:
+            data = field.fiber_data(p)
+            g, tau = data.g, data.tau
+            for level in range(1, field.depth + 1):
+                xs = np.concatenate([
+                    rng.uniform(0.0, g[-1], 60),
+                    g,                                  # exactly on separators
+                    rng.uniform(g[level], 1.0, 5),      # above the top band
+                ])
+                for deriv in (False, True):
+                    want = reference_band_velocity(g, tau, level, xs, deriv)
+                    assert np.array_equal(
+                        lf.band_velocity(g, tau, level, xs, deriv), want)
+                    for x, w in zip(xs[::7], want[::7]):
+                        got = lf.band_velocity(g, tau, level, x, deriv)
+                        assert got.shape == () and got == w
+                starts = np.concatenate([data.f, g[:level + 1], rng.uniform(0, 1, 5)])
+                for x0 in starts:
+                    x1 = float(rng.uniform(x0, 1.0))
+                    for end in (x1, 1.0, float(g[level])):
+                        assert (lf.band_travel_time(g, tau, level, x0, end)
+                                == reference_band_travel_time(g, tau, level, x0, end))
+
+
 class TestGluedField:
+    def test_cached_fibre_data_is_read_only(self, box_tail_field):
+        spec, field, transect = box_tail_field
+        p = transect[9]
+        data = field.fiber_data(p)
+        want = data.tau.copy()
+        for arr in (data.f, data.g, data.tau):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert np.array_equal(field.fiber_data(p).tau, want)
+
     def test_tower_thresholds_are_exact(self, box_tail_field):
         spec, field, transect = box_tail_field
         p = transect[7]

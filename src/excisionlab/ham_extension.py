@@ -33,8 +33,7 @@ from .scalar_kit import (
     cubic_smoothstep_deriv,
     decay_witness,
     decay_witness_grad,
-    smooth_step,
-    smooth_step_deriv,
+    smooth_step_jet,
 )
 
 __all__ = [
@@ -149,11 +148,11 @@ def _tube_cutoff(pts, eps, h_coef, h_power, r_on, r_off):
 
     r = np.where(inside, q / h, np.inf)
     sx_arg = 2.0 * (x + eps) / eps
-    sx = smooth_step(sx_arg)
-    dsx = smooth_step_deriv(sx_arg) * (2.0 / eps)
+    sx, dsx = smooth_step_jet(sx_arg)
+    dsx = dsx * (2.0 / eps)
     sr_arg = (r_off - r) / (r_off - r_on)
-    sr = smooth_step(sr_arg)
-    dsr = -smooth_step_deriv(sr_arg) / (r_off - r_on)
+    sr, dsr = smooth_step_jet(sr_arg)
+    dsr = -dsr / (r_off - r_on)
 
     inner = sx * sr
     chi = cubic_smoothstep(inner)
@@ -328,24 +327,29 @@ class ExtendedHamiltonian(HamiltonianField):
         self.v_floor = v_floor
 
     def _pieces(self, pts, need_grad: bool):
+        """``(ham, chi, grad)``: one :meth:`VectorFieldPX.jet` call when the
+        gradient is needed (``grad`` is ``None`` otherwise)."""
         p = pts[:, :-2]
         x = pts[:, -2]
         y = pts[:, -1]
-        v = np.atleast_1d(self.field.velocity(p, x))
+        if need_grad:
+            v, v_x, v_p = self.field.jet(p, x)
+        else:
+            v = np.atleast_1d(self.field.velocity(p, x))
         ham = y * v
         wit = decay_witness(pts)
         ratio = np.abs(ham) / wit
-        theta = smooth_step(v / self.v_floor)
+        theta, theta_t = smooth_step_jet(v / self.v_floor, need_grad)
         s_arg = 2.0 * (1.0 - ratio)
-        s_h = smooth_step(s_arg)
+        s_h, s_h_t = smooth_step_jet(s_arg, need_grad)
         inner = theta * s_h
         chi = cubic_smoothstep(inner)
         if not need_grad:
-            return p, x, y, v, ham, chi, None
+            return ham, chi, None
 
         dv = np.zeros_like(pts)
-        dv[:, :-2] = np.atleast_2d(self.field.velocity_grad_p(p, x))
-        dv[:, -2] = np.atleast_1d(self.field.velocity_dx(p, x))
+        dv[:, :-2] = v_p
+        dv[:, -2] = v_x
 
         dham = y[:, None] * dv
         dham[:, -1] += v
@@ -355,28 +359,28 @@ class ExtendedHamiltonian(HamiltonianField):
         dratio = (sgn[:, None] * dham * wit[:, None]
                   - np.abs(ham)[:, None] * dwit) / (wit * wit)[:, None]
 
-        dtheta = (smooth_step_deriv(v / self.v_floor) / self.v_floor)[:, None] * dv
-        ds_h = (-2.0 * smooth_step_deriv(s_arg))[:, None] * dratio
+        dtheta = (theta_t / self.v_floor)[:, None] * dv
+        ds_h = (-2.0 * s_h_t)[:, None] * dratio
         dinner = dtheta * s_h[:, None] + theta[:, None] * ds_h
         dchi = cubic_smoothstep_deriv(inner)[:, None] * dinner
 
         grad = chi[:, None] * dham + ham[:, None] * dchi
-        return p, x, y, v, ham, chi, grad
+        return ham, chi, grad
 
     def value(self, z):
         pts = _as_batch(z, self.dim)
-        *_, ham, chi, _ = self._pieces(pts, need_grad=False)
+        ham, chi, _ = self._pieces(pts, need_grad=False)
         out = chi * ham
         return float(out[0]) if np.ndim(z) == 1 else out
 
     def grad(self, z):
         pts = _as_batch(z, self.dim)
-        *_, grad = self._pieces(pts, need_grad=True)
+        _, _, grad = self._pieces(pts, need_grad=True)
         return grad[0] if np.ndim(z) == 1 else grad
 
     def cutoff(self, z):
         pts = _as_batch(z, self.dim)
-        *_, chi, _ = self._pieces(pts, need_grad=False)
+        _, chi, _ = self._pieces(pts, need_grad=False)
         return float(chi[0]) if np.ndim(z) == 1 else chi
 
 

@@ -276,6 +276,8 @@ class BaireSequence:
     def raw_values(self, points) -> np.ndarray:
         """(m, depth) matrix of all exposed levels at the query points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise InputError("query points must be finite")
         key = pts.tobytes()
         hit = self._cache.get(key)
         if hit is not None:

@@ -26,7 +26,7 @@ from .scalar_kit import (
     defining_function,
     ramp_velocity,
     ramp_velocity_field,
-    ramp_velocity_partials,
+    ramp_velocity_jet,
 )
 
 __all__ = [
@@ -123,11 +123,16 @@ class VectorFieldPX:
     def velocity(self, p, x):
         raise NotImplementedError
 
-    def velocity_dx(self, p, x):
+    def jet(self, p, x):
+        """``(v, dv/dx, grad_p v)`` at a batch of base points ``p`` of shape
+        ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``."""
         raise NotImplementedError
 
+    def velocity_dx(self, p, x):
+        return self.jet(p, x)[1]
+
     def velocity_grad_p(self, p, x):
-        raise NotImplementedError
+        return self.jet(p, x)[2]
 
     def fiber(self, p) -> ScalarField1D:
         """The restriction ``v(p, .)`` as a 1D field with exact zero set."""
@@ -157,23 +162,16 @@ class EpigraphField(VectorFieldPX):
         a, b, c = self.params(p)
         return ramp_velocity(a, b, c, x, validate=False)
 
-    def velocity_dx(self, p, x):
-        a, b, c = self.params(p)
-        return ramp_velocity_partials(a, b, c, x)[3]
-
-    def velocity_grad_p(self, p, x):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        xs = np.asarray(x, dtype=float)
-        b = self.spec.lam(pts)
+    def jet(self, p, x):
+        """One pass over the parameter fields and the ramp partials; ``v``
+        is bitwise :meth:`velocity`."""
+        b = self.spec.lam(p)
         a = 0.5 * (b - 1.0)
-        c, c_grad = self.c_fn.value_and_grad(pts)
-        b_grad = self.spec.lam.gradient(pts)
-        du_da, du_db, du_dc, _ = ramp_velocity_partials(a, b, c, xs)
-        grad = (
-            (0.5 * du_da + du_db)[..., None] * b_grad
-            + du_dc[..., None] * c_grad
-        )
-        return grad[0] if np.ndim(p) == 1 else grad
+        c, c_grad = self.c_fn.value_and_grad(p)
+        v, du_da, du_db, du_dc, du_dx = ramp_velocity_jet(a, b, c, x)
+        grad_p = ((0.5 * du_da + du_db)[:, None] * self.spec.lam.gradient(p)
+                  + du_dc[:, None] * c_grad)
+        return v, du_dx, grad_p
 
     def fiber(self, p) -> ScalarField1D:
         a, b, c = self.params(np.asarray(p, dtype=float))

@@ -16,13 +16,20 @@ extensions) is assembled from the primitives in this module:
   a prescribed closed set (finite unions of boxes, points and finite-depth
   Cantor products).
 
-All evaluators accept scalars or numpy arrays and are pure; the field
-objects are immutable after construction and safe to share between threads.
+The public evaluators accept scalars or numpy arrays.  The one-pass
+kernels that the vector fields call on every RHS evaluation are batch-only:
+they take arrays of one shape and return arrays, never scalars.  They are
+``_ratio_jet`` (the exponential ratio behind every smooth step, with both
+partials from one pair of ``exp`` calls), ``smooth_step_jet``,
+``ramp_velocity_jet``, ``AxisSet.locate`` (one ``searchsorted`` over the
+sorted interval starts) and ``_axis_profile``.  All evaluators are pure;
+the field objects are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,10 +45,12 @@ __all__ = [
     "cubic_smoothstep_deriv",
     "smooth_step",
     "smooth_step_deriv",
+    "smooth_step_jet",
     "rising_cutoff",
     "rising_cutoff_dx",
     "rising_cutoff_da",
     "ramp_velocity",
+    "ramp_velocity_jet",
     "ramp_velocity_partials",
     "bridge_velocity",
     "bridge_velocity_dx",
@@ -120,54 +129,50 @@ def cubic_smoothstep_deriv(s):
     return _maybe_scalar(6.0 * s * (1.0 - s), s)
 
 
-def _ratio(u, v):
-    """``E(u) / (E(u) + E(v))`` with ``E = exp_decay``, flat at both ends.
+def _ratio_jet(u, v, need_grad: bool = True):
+    """``E(u) / (E(u) + E(v))`` with ``E = exp_decay``, flat at both ends,
+    and its partials w.r.t. ``u`` and ``v``, from one pair of ``exp`` calls.
 
-    Assumes ``u + v > 0`` pointwise (never both branches dead).
+    Batch-only: ``u`` and ``v`` are arrays of one shape with ``u + v > 0``
+    pointwise (never both branches dead).  Returns ``(value, du, dv)``;
+    with ``need_grad=False`` the partials are ``None``.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    out = np.zeros(u.shape)
-    out[v <= EXP_CLAMP] = 1.0
+    val = np.zeros(u.shape)
+    val[v <= EXP_CLAMP] = 1.0
     mid = (u > EXP_CLAMP) & (v > EXP_CLAMP)
-    if np.any(mid):
-        n = np.exp(-1.0 / u[mid])
-        d = np.exp(-1.0 / v[mid])
-        out[mid] = n / (n + d)
-    return out
-
-
-def _ratio_partials(u, v):
-    """Partials of :func:`_ratio` w.r.t. ``u`` and ``v``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
+    um, vm = u[mid], v[mid]
+    n = np.exp(-1.0 / um)
+    d = np.exp(-1.0 / vm)
+    val[mid] = n / (n + d)
+    if not need_grad:
+        return val, None, None
     du = np.zeros(u.shape)
     dv = np.zeros(u.shape)
-    mid = (u > EXP_CLAMP) & (v > EXP_CLAMP)
-    if np.any(mid):
-        um, vm = u[mid], v[mid]
-        n = np.exp(-1.0 / um)
-        d = np.exp(-1.0 / vm)
-        np_ = n / (um * um)
-        dp = d / (vm * vm)
-        denom = (n + d) ** 2
-        du[mid] = np_ * d / denom
-        dv[mid] = -n * dp / denom
-    return du, dv
+    np_ = n / (um * um)
+    dp = d / (vm * vm)
+    denom = (n + d) ** 2
+    du[mid] = np_ * d / denom
+    dv[mid] = -n * dp / denom
+    return val, du, dv
+
+
+def smooth_step_jet(t, need_grad: bool = True):
+    """Batch-only :func:`smooth_step` with its derivative: ``(value,
+    derivative)`` from one :func:`_ratio_jet` call (derivative ``None``
+    when ``need_grad`` is false)."""
+    val, du, dv = _ratio_jet(t, 1.0 - t, need_grad)
+    return val, (du - dv if need_grad else None)
 
 
 def smooth_step(t):
     """C-infinity step: 0 for ``t <= 0``, 1 for ``t >= 1``, flat at both ends."""
     t = np.asarray(t, dtype=float)
-    return _maybe_scalar(_ratio(t, 1.0 - t), t)
+    return _maybe_scalar(smooth_step_jet(t, need_grad=False)[0], t)
 
 
 def smooth_step_deriv(t):
     t = np.asarray(t, dtype=float)
-    du, dv = _ratio_partials(t, 1.0 - t)
-    return _maybe_scalar(du - dv, t)
+    return _maybe_scalar(smooth_step_jet(t)[1], t)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,16 @@ def _check_closed(name, value, lo, hi):
         raise InputError(f"{name} must lie in [{lo}, {hi}]")
 
 
+def _rising_jet(a, x, need_grad: bool = True):
+    """Batch-only :func:`rising_cutoff` with its ``x``- and ``a``-partials,
+    ``(chi, chi_x, chi_a)``, from one :func:`_ratio_jet` call."""
+    s = 0.5 * (a - 1.0)
+    chi, du, dv = _ratio_jet(x - s, a - x, need_grad)
+    if not need_grad:
+        return chi, None, None
+    return chi, du - dv, -0.5 * du + dv
+
+
 def rising_cutoff(a, x, validate: bool = True):
     """Nondecreasing C-infinity ramp: 0 for ``x <= (a-1)/2``, 1 for ``x >= a``.
 
@@ -198,17 +213,14 @@ def rising_cutoff(a, x, validate: bool = True):
         _check_open("x", x, -1.0, 1.0)
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    s = 0.5 * (a - 1.0)
-    return _maybe_scalar(_ratio(x - s, a - x), a, x)
+    return _maybe_scalar(_rising_jet(a, x, need_grad=False)[0], a, x)
 
 
 def rising_cutoff_dx(a, x):
     """x-derivative of :func:`rising_cutoff` (closed form, nonnegative)."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    s = 0.5 * (a - 1.0)
-    du, dv = _ratio_partials(x - s, a - x)
-    return _maybe_scalar(du - dv, a, x)
+    return _maybe_scalar(_rising_jet(a, x)[1], a, x)
 
 
 def rising_cutoff_da(a, x):
@@ -216,9 +228,7 @@ def rising_cutoff_da(a, x):
     pushes the ramp to the right)."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    s = 0.5 * (a - 1.0)
-    du, dv = _ratio_partials(x - s, a - x)
-    return _maybe_scalar(-0.5 * du + dv, a, x)
+    return _maybe_scalar(_rising_jet(a, x)[2], a, x)
 
 
 def ramp_velocity(a, b, c, x, validate: bool = True):
@@ -240,8 +250,27 @@ def ramp_velocity(a, b, c, x, validate: bool = True):
     )
     one_m_x2 = 1.0 - x * x
     rational = one_m_x2 / (one_m_x2 + c)
-    chi = rising_cutoff(a, x, validate=False)
+    chi = _rising_jet(a, x, need_grad=False)[0]
     return _maybe_scalar(chi * (1.0 - b) * rational, a, b, c, x)
+
+
+def ramp_velocity_jet(a, b, c, x):
+    """Batch-only :func:`ramp_velocity` with all its partials:
+    ``(u, du/da, du/db, du/dc, du/dx)`` for arrays of one shape, from one
+    :func:`_ratio_jet` call.  ``u`` is bitwise :func:`ramp_velocity`."""
+    one_m_x2 = 1.0 - x * x
+    denom = one_m_x2 + c
+    rational = one_m_x2 / denom
+    r_x = -2.0 * x * c / (denom * denom)
+    r_c = -one_m_x2 / (denom * denom)
+    chi, chi_x, chi_a = _rising_jet(a, x)
+    one_m_b = 1.0 - b
+    u = chi * one_m_b * rational
+    du_da = chi_a * one_m_b * rational
+    du_db = -chi * rational
+    du_dc = chi * one_m_b * r_c
+    du_dx = chi_x * one_m_b * rational + chi * one_m_b * r_x
+    return u, du_da, du_db, du_dc, du_dx
 
 
 def ramp_velocity_partials(a, b, c, x):
@@ -249,20 +278,7 @@ def ramp_velocity_partials(a, b, c, x):
     a, b, c, x = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (a, b, c, x))
     )
-    one_m_x2 = 1.0 - x * x
-    denom = one_m_x2 + c
-    rational = one_m_x2 / denom
-    r_x = -2.0 * x * c / (denom * denom)
-    r_c = -one_m_x2 / (denom * denom)
-    chi = rising_cutoff(a, x, validate=False)
-    chi_x = rising_cutoff_dx(a, x)
-    chi_a = rising_cutoff_da(a, x)
-    one_m_b = 1.0 - b
-    du_da = chi_a * one_m_b * rational
-    du_db = -chi * rational
-    du_dc = chi * one_m_b * r_c
-    du_dx = chi_x * one_m_b * rational + chi * one_m_b * r_x
-    return du_da, du_db, du_dc, du_dx
+    return ramp_velocity_jet(a, b, c, x)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +517,16 @@ def cotangent_lift(g: ScalarField1D, point):
 
 @dataclass(frozen=True)
 class AxisSet:
-    """Finite union of disjoint closed intervals on one coordinate axis."""
+    """Finite union of disjoint closed intervals on one coordinate axis.
+
+    ``lo`` and ``hi`` hold the sorted interval endpoints as arrays, so that
+    :meth:`locate` finds the interval or gap of a batch of points with one
+    ``searchsorted``.
+    """
 
     intervals: tuple[tuple[float, float], ...]
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
@@ -514,13 +537,20 @@ class AxisSet:
             if a1 <= b0:
                 raise InputError("axis intervals must be disjoint")
         object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "lo", np.array([a for a, _ in ivs]))
+        object.__setattr__(self, "hi", np.array([b for _, b in ivs]))
+
+    def locate(self, t: np.ndarray) -> np.ndarray:
+        """Index ``k`` of the last interval starting at or before each point
+        of the batch ``t``: the point lies in interval ``k`` or in the gap
+        (or right tail) after it.  Left of the set ``k = -1``, which indexes
+        the last interval, whose start and end the point cannot reach."""
+        return self.lo.searchsorted(t, side="right") - 1
 
     def contains(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=bool)
-        for a, b in self.intervals:
-            out |= (t >= a) & (t <= b)
-        return out
+        k = self.locate(t)
+        return (t >= self.lo[k]) & (t <= self.hi[k])
 
     def boundary_distance(self, t) -> np.ndarray:
         """Distance to the nearest interval endpoint (the membership
@@ -637,26 +667,27 @@ def _axis_profile(axis: AxisSet, t: np.ndarray, d0: float):
         val[right] = np.where(w > EXP_CLAMP, np.exp(-d0 / np.maximum(w, EXP_CLAMP)), 0.0)
         der[right] = val[right] * d0 / np.maximum(w, EXP_CLAMP) ** 2
 
-    for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
-        gap = a1 - b0
-        if gap <= 0:
-            continue
-        m = (t > b0) & (t < a1)
-        if not np.any(m):
-            continue
-        u = t[m] - b0
-        v = a1 - t[m]
-        # normalized so the peak value at the gap midpoint is exactly 1
-        expo = d0 * (4.0 / gap - 1.0 / np.maximum(u, EXP_CLAMP) - 1.0 / np.maximum(v, EXP_CLAMP))
-        live = (u > EXP_CLAMP) & (v > EXP_CLAMP) & (expo > _LOG_TINY)
-        pv = np.where(live, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
-        pd = np.where(
-            live,
-            pv * d0 * (1.0 / np.maximum(u, EXP_CLAMP) ** 2 - 1.0 / np.maximum(v, EXP_CLAMP) ** 2),
-            0.0,
-        )
-        val[m] = pv
-        der[m] = pd
+    if len(ivs) == 1:
+        return val, der
+    # a point in a gap lies past the end b0 of the interval it locates to,
+    # and before the start a1 of the next one
+    k = axis.locate(t)
+    gap = (t > axis.hi[k]) & (k < len(ivs) - 1)
+    kg = k[gap]
+    b0 = axis.hi[kg]
+    a1 = axis.lo[kg + 1]
+    u = t[gap] - b0
+    v = a1 - t[gap]
+    # normalized so the peak value at the gap midpoint is exactly 1
+    expo = d0 * (4.0 / (a1 - b0) - 1.0 / np.maximum(u, EXP_CLAMP) - 1.0 / np.maximum(v, EXP_CLAMP))
+    live = (u > EXP_CLAMP) & (v > EXP_CLAMP) & (expo > _LOG_TINY)
+    pv = np.where(live, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
+    val[gap] = pv
+    der[gap] = np.where(
+        live,
+        pv * d0 * (1.0 / np.maximum(u, EXP_CLAMP) ** 2 - 1.0 / np.maximum(v, EXP_CLAMP) ** 2),
+        0.0,
+    )
     return val, der
 
 

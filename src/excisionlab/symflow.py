@@ -3,7 +3,11 @@ that certifies time-1 maps: numerical Jacobians, symplecticity residuals,
 inverse consistency, and grid classification sweeps.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with per-point
-adaptive steps, vectorized over batches of initial conditions.  A point is
+adaptive steps, vectorized over batches of initial conditions.  Each step
+attempt makes six RHS calls: the seventh stage is evaluated at the
+fifth-order solution itself, so an accepted step's last stage is carried
+over, bitwise, as the first stage of the next step (first same as last,
+FSAL), and a rejected step keeps the first stage it had.  A point is
 declared to have escaped the chart when its monitor coordinate crosses
 ``1 - DELTA_ESC`` (or its norm exceeds ``R_MAX``); the crossing time is then
 bracketed to width ``ESC_BRACKET`` by bisecting the last accepted step.
@@ -116,10 +120,17 @@ def _escaped(field: HamiltonianField, pts: np.ndarray) -> np.ndarray:
     return esc
 
 
-def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray):
-    """One Dormand-Prince step for a batch: returns (z5, err_vector)."""
-    ks = []
-    for i in range(7):
+def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
+             k1: np.ndarray):
+    """One Dormand-Prince step for a batch from its first stage
+    ``k1 = f(z)``: returns ``(z5, err_vector, k7)``.
+
+    Stage 7 is evaluated at ``z5`` itself (its weights are the fifth-order
+    weights, applied in the same order), so ``k7`` is bitwise the first
+    stage of the next step from ``z5``: six RHS calls per step (FSAL).
+    """
+    ks = [k1]
+    for i in range(1, 7):
         zi = z.copy()
         for j, aij in enumerate(_DP_A[i]):
             if aij != 0.0:
@@ -132,7 +143,7 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray):
             z5 = z5 + (dt * _DP_B5[i])[:, None] * ks[i]
         if _DP_ERR[i] != 0.0:
             err = err + (dt * _DP_ERR[i])[:, None] * ks[i]
-    return z5, err
+    return z5, err, ks[6]
 
 
 def _bracket_escapes_batch(field, z_prev, t_prev, dts):
@@ -140,9 +151,12 @@ def _bracket_escapes_batch(field, z_prev, t_prev, dts):
 
     Each row escaped between its step start ``z_prev`` (not escaped) and its
     accepted endpoint (escaped); bisect the step fraction in lockstep until
-    every bracket is narrower than ``ESC_BRACKET`` in flow time.
+    every bracket is narrower than ``ESC_BRACKET`` in flow time.  Every
+    bisection step starts from ``z_prev``, so its first stage is evaluated
+    once for all of them.
     """
     k = z_prev.shape[0]
+    k_prev = np.atleast_2d(field.vector_field(z_prev))
     lo = np.zeros(k)
     hi = np.ones(k)
     while True:
@@ -150,12 +164,13 @@ def _bracket_escapes_batch(field, z_prev, t_prev, dts):
         if not np.any(open_mask):
             break
         mid = 0.5 * (lo + hi)
-        zm, _ = _dp_step(field, z_prev[open_mask], (mid * dts)[open_mask])
+        zm, _, _ = _dp_step(field, z_prev[open_mask], (mid * dts)[open_mask],
+                            k_prev[open_mask])
         esc = _escaped(field, zm)
         sub = np.nonzero(open_mask)[0]
         hi[sub[esc]] = mid[sub[esc]]
         lo[sub[~esc]] = mid[sub[~esc]]
-    z_end, _ = _dp_step(field, z_prev, hi * dts)
+    z_end, _, _ = _dp_step(field, z_prev, hi * dts, k_prev)
     return t_prev + lo * dts, t_prev + hi * dts, z_end
 
 
@@ -199,6 +214,11 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
     status[already] = _ESC
     esc_lo[already] = 0.0
     esc_hi[already] = 0.0
+    # first stage of each row's next step: f at its start, then the last
+    # stage of each accepted step; a rejected step keeps it
+    k1 = np.zeros_like(z)
+    if not np.all(already):
+        k1[~already] = np.atleast_2d(field.vector_field(z[~already]))
 
     pend_idx: list[int] = []
     pend_zprev: list[np.ndarray] = []
@@ -220,7 +240,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
                 break
         zi = z[idx]
         dti = np.minimum(dt[idx], t_final - t[idx])
-        z5, err = _dp_step(field, zi, dti)
+        z5, err, k7 = _dp_step(field, zi, dti, k1[idx])
         scale = tol + tol * np.maximum(np.abs(zi), np.abs(z5)).max(axis=1)
         enorm = np.abs(err).max(axis=1) / scale
         accept = enorm <= 1.0
@@ -231,6 +251,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
             t_prev = t[acc].copy()
             t[acc] += dti[accept]
             z[acc] = z5[accept]
+            k1[acc] = k7[accept]
             steps[acc] += 1
             if record:
                 for i in acc:
@@ -245,6 +266,9 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
             status[acc[esc_now]] = _ESC
             done = (t[acc] >= t_final) & ~esc_now
             status[acc[done]] = _DONE
+        # free the step's stages before the next one; the carried first
+        # stages live in k1 only
+        del z5, err, k7
 
         e = np.maximum(enorm, 1e-12)
         dt[idx] = dti * np.clip(0.9 * e ** -0.2, 0.2, 5.0)

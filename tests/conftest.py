@@ -31,6 +31,24 @@ def brush():
 
 
 @pytest.fixture(scope="session")
+def epigraph_box():
+    """The epigraph scenario's target (a box with an affine height), null
+    field and Hamiltonian extension."""
+    C = scalar_kit.ClosedSetSpec(
+        dim=2,
+        pieces=((scalar_kit.axis_interval(-0.5, 0.5),
+                 scalar_kit.axis_interval(-0.5, 0.5)),),
+    )
+    spec = null_fields.EpigraphSpec(
+        C=C, lam=null_fields.affine_map((0.1, 0.0), 0.2),
+        validation_box=((-1.5, -1.5), (1.5, 1.5)),
+    )
+    vfield = null_fields.build_epigraph_field(spec)
+    ham = extend_null_field(vfield, epigraph_target(spec))
+    return spec, vfield, ham
+
+
+@pytest.fixture(scope="session")
 def box_tail_field():
     """Glued tower for the box-with-tail target (shared across tests)."""
     spec = lsc_fields.LscSpec(

@@ -1,0 +1,342 @@
+"""One-pass kernels against the per-interval and per-derivative code they
+replaced: each kernel must agree with its reference bitwise
+(``np.array_equal``), so the reports built on them do not move.
+
+The references below are the earlier implementations, kept verbatim: the
+per-gap loop of ``_axis_profile`` and ``AxisSet.contains``, the separate
+``_ratio`` / ``_ratio_partials`` evaluations, and the ramp partials and
+``EpigraphField`` derivatives assembled from them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from excisionlab import scalar_kit as sk
+from excisionlab.scalar_kit import EXP_CLAMP, _LOG_TINY
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+def contains_ref(axis, t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=bool)
+    for a, b in axis.intervals:
+        out |= (t >= a) & (t <= b)
+    return out
+
+
+def axis_profile_ref(axis, t, d0):
+    t = np.asarray(t, dtype=float)
+    val = np.zeros(t.shape)
+    der = np.zeros(t.shape)
+    ivs = axis.intervals
+    lo0 = ivs[0][0]
+    him = ivs[-1][1]
+
+    left = t < lo0
+    if np.any(left):
+        w = lo0 - t[left]
+        val[left] = np.where(w > EXP_CLAMP, np.exp(-d0 / np.maximum(w, EXP_CLAMP)), 0.0)
+        der[left] = -val[left] * d0 / np.maximum(w, EXP_CLAMP) ** 2
+
+    right = t > him
+    if np.any(right):
+        w = t[right] - him
+        val[right] = np.where(w > EXP_CLAMP, np.exp(-d0 / np.maximum(w, EXP_CLAMP)), 0.0)
+        der[right] = val[right] * d0 / np.maximum(w, EXP_CLAMP) ** 2
+
+    for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
+        gap = a1 - b0
+        if gap <= 0:
+            continue
+        m = (t > b0) & (t < a1)
+        if not np.any(m):
+            continue
+        u = t[m] - b0
+        v = a1 - t[m]
+        expo = d0 * (4.0 / gap - 1.0 / np.maximum(u, EXP_CLAMP) - 1.0 / np.maximum(v, EXP_CLAMP))
+        live = (u > EXP_CLAMP) & (v > EXP_CLAMP) & (expo > _LOG_TINY)
+        pv = np.where(live, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
+        pd = np.where(
+            live,
+            pv * d0 * (1.0 / np.maximum(u, EXP_CLAMP) ** 2 - 1.0 / np.maximum(v, EXP_CLAMP) ** 2),
+            0.0,
+        )
+        val[m] = pv
+        der[m] = pd
+    return val, der
+
+
+def ratio_ref(u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(u, v)
+    out = np.zeros(u.shape)
+    out[v <= EXP_CLAMP] = 1.0
+    mid = (u > EXP_CLAMP) & (v > EXP_CLAMP)
+    if np.any(mid):
+        n = np.exp(-1.0 / u[mid])
+        d = np.exp(-1.0 / v[mid])
+        out[mid] = n / (n + d)
+    return out
+
+
+def ratio_partials_ref(u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(u, v)
+    du = np.zeros(u.shape)
+    dv = np.zeros(u.shape)
+    mid = (u > EXP_CLAMP) & (v > EXP_CLAMP)
+    if np.any(mid):
+        um, vm = u[mid], v[mid]
+        n = np.exp(-1.0 / um)
+        d = np.exp(-1.0 / vm)
+        np_ = n / (um * um)
+        dp = d / (vm * vm)
+        denom = (n + d) ** 2
+        du[mid] = np_ * d / denom
+        dv[mid] = -n * dp / denom
+    return du, dv
+
+
+def ramp_partials_ref(a, b, c, x):
+    a, b, c, x = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, c, x))
+    )
+    one_m_x2 = 1.0 - x * x
+    denom = one_m_x2 + c
+    rational = one_m_x2 / denom
+    r_x = -2.0 * x * c / (denom * denom)
+    r_c = -one_m_x2 / (denom * denom)
+    s = 0.5 * (a - 1.0)
+    chi = ratio_ref(x - s, a - x)
+    du, dv = ratio_partials_ref(x - s, a - x)
+    chi_x = du - dv
+    chi_a = -0.5 * du + dv
+    one_m_b = 1.0 - b
+    du_da = chi_a * one_m_b * rational
+    du_db = -chi * rational
+    du_dc = chi * one_m_b * r_c
+    du_dx = chi_x * one_m_b * rational + chi * one_m_b * r_x
+    return du_da, du_db, du_dc, du_dx
+
+
+def velocity_dx_ref(field, p, x):
+    a, b, c = field.params(p)
+    return ramp_partials_ref(a, b, c, x)[3]
+
+
+def velocity_grad_p_ref(field, p, x):
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    b = field.spec.lam(pts)
+    a = 0.5 * (b - 1.0)
+    c, c_grad = field.c_fn.value_and_grad(pts)
+    b_grad = field.spec.lam.gradient(pts)
+    du_da, du_db, du_dc, _ = ramp_partials_ref(a, b, c, xs)
+    return ((0.5 * du_da + du_db)[..., None] * b_grad
+            + du_dc[..., None] * c_grad)
+
+
+# ---------------------------------------------------------------------------
+# sorted-interval lookup
+# ---------------------------------------------------------------------------
+
+def axis_sets():
+    coord = st.floats(-2.0, 2.0)
+    width = st.floats(1e-3, 3.0)
+    return st.one_of(
+        st.builds(lambda d: sk.cantor_axis(0.0, 1.0, d), st.integers(0, 7)),
+        st.builds(lambda lo, w, d: sk.cantor_axis(lo, lo + w, d),
+                  coord, width, st.integers(0, 7)),
+        st.builds(lambda lo, w: sk.axis_interval(lo, lo + w), coord, width),
+        st.builds(sk.axis_point, coord),
+    )
+
+
+@st.composite
+def axis_and_points(draw):
+    """An axis set and points on its endpoints and one ulp off them, inside
+    its intervals, in its gaps, beyond both ends and off the real line."""
+    axis = draw(axis_sets())
+    lo = np.array([a for a, _ in axis.intervals])
+    hi = np.array([b for _, b in axis.intervals])
+    ends = np.concatenate([lo, hi])
+    fracs = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+    k = np.array(draw(st.lists(st.integers(0, lo.size - 1), min_size=fracs.size,
+                               max_size=fracs.size)))
+    inside = lo[k] + fracs * (hi[k] - lo[k])
+    pts = [ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf), inside]
+    if lo.size > 1:
+        g = np.minimum(k, lo.size - 2)
+        pts.append(hi[g] + fracs * (lo[g + 1] - hi[g]))
+        pts.append(hi[:-1] + 0.5 * EXP_CLAMP)
+        pts.append(lo[1:] - 0.5 * EXP_CLAMP)
+    beyond = np.array(draw(st.lists(st.floats(1e-14, 10.0), min_size=1, max_size=4)))
+    pts += [lo[0] - beyond, hi[-1] + beyond, np.array([np.nan, np.inf, -np.inf])]
+    t = np.concatenate(pts)
+    order = draw(st.permutations(range(t.size)))
+    return axis, t[np.asarray(order)]
+
+
+class TestSortedIntervalLookup:
+    @given(case=axis_and_points())
+    def test_contains_equals_interval_loop(self, case):
+        axis, t = case
+        got = axis.contains(t)
+        assert got.dtype == bool
+        assert np.array_equal(got, contains_ref(axis, t))
+
+    @given(case=axis_and_points(),
+           d0=st.one_of(st.sampled_from([0.002, 0.006]), st.floats(1e-4, 0.1)))
+    def test_axis_profile_equals_gap_loop(self, case, d0):
+        axis, t = case
+        val, der = sk._axis_profile(axis, t, d0)
+        want_val, want_der = axis_profile_ref(axis, t, d0)
+        assert np.array_equal(val, want_val)
+        assert np.array_equal(der, want_der)
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_cantor_depths_on_a_fine_grid(self, depth):
+        axis = sk.cantor_axis(0.0, 1.0, depth)
+        t = np.linspace(-0.25, 1.25, 20_001)
+        assert np.array_equal(axis.contains(t), contains_ref(axis, t))
+        for got, want in zip(sk._axis_profile(axis, t, 0.002),
+                             axis_profile_ref(axis, t, 0.002)):
+            assert np.array_equal(got, want)
+
+    def test_scalar_and_empty_queries(self):
+        axis = sk.cantor_axis(0.0, 1.0, 3)
+        assert axis.contains(1.0 / 3.0) and not axis.contains(0.5)
+        assert axis.contains(np.array([])).shape == (0,)
+        val, der = sk._axis_profile(axis, np.array([]), 0.002)
+        assert val.shape == der.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the ratio jet
+# ---------------------------------------------------------------------------
+
+_STEP_EDGES = np.array([
+    0.0, -0.0, 1.0, EXP_CLAMP, -EXP_CLAMP, 1.0 - EXP_CLAMP, 1.0 + EXP_CLAMP,
+    np.nextafter(EXP_CLAMP, 1.0), np.nextafter(EXP_CLAMP, 0.0), 0.5,
+    np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -3.0, 4.0, 1e-3, 1 - 1e-3,
+])
+
+
+def step_args():
+    return st.lists(st.one_of(st.sampled_from(list(_STEP_EDGES)),
+                              st.floats(-0.5, 1.5)),
+                    min_size=1, max_size=32).map(np.array)
+
+
+class TestRatioJet:
+    @given(t=step_args())
+    def test_smooth_step_jet(self, t):
+        u, v = t, 1.0 - t
+        val, du, dv = sk._ratio_jet(u, v)
+        want_du, want_dv = ratio_partials_ref(u, v)
+        assert np.array_equal(val, ratio_ref(u, v))
+        assert np.array_equal(du, want_du)
+        assert np.array_equal(dv, want_dv)
+        step, deriv = sk.smooth_step_jet(t)
+        assert np.array_equal(step, ratio_ref(u, v))
+        assert np.array_equal(deriv, want_du - want_dv)
+        assert np.array_equal(sk.smooth_step(t), step)
+        assert np.array_equal(sk.smooth_step_deriv(t), deriv)
+
+    @given(t=step_args())
+    def test_value_only_pass(self, t):
+        val, du, dv = sk._ratio_jet(t, 1.0 - t, need_grad=False)
+        assert du is None and dv is None
+        assert np.array_equal(val, ratio_ref(t, 1.0 - t))
+        step, deriv = sk.smooth_step_jet(t, need_grad=False)
+        assert deriv is None and np.array_equal(step, val)
+
+    @given(a=st.floats(-0.99, 0.99),
+           x=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=16).map(np.array))
+    def test_rising_cutoff(self, a, x):
+        s = 0.5 * (a - 1.0)
+        edges = np.array([s, a, s + EXP_CLAMP, a - EXP_CLAMP, 0.5 * (s + a)])
+        x = np.concatenate([x, edges[(edges > -1.0) & (edges < 1.0)]])
+        du, dv = ratio_partials_ref(x - s, a - x)
+        assert np.array_equal(sk.rising_cutoff(a, x, validate=False),
+                              ratio_ref(x - s, a - x))
+        assert np.array_equal(sk.rising_cutoff_dx(a, x), du - dv)
+        assert np.array_equal(sk.rising_cutoff_da(a, x), -0.5 * du + dv)
+
+    def test_scalar_edge_still_returns_floats(self):
+        for t in (0.0, 1.0, EXP_CLAMP, -EXP_CLAMP, 0.3):
+            assert isinstance(sk.smooth_step(t), float)
+            assert sk.smooth_step(t) == float(ratio_ref(t, 1.0 - t))
+            du, dv = ratio_partials_ref(t, 1.0 - t)
+            assert sk.smooth_step_deriv(t) == float(du - dv)
+
+    @given(a=st.floats(-0.9, 0.9), b=st.floats(-1.0, 1.0), c=st.floats(0.0, 1.0),
+           x=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=16).map(np.array))
+    def test_ramp_jet(self, a, b, c, x):
+        a, b, c, x = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (a, b, c, x)))
+        u, *partials = sk.ramp_velocity_jet(a, b, c, x)
+        assert np.array_equal(u, sk.ramp_velocity(a, b, c, x, validate=False))
+        for got, want in zip(partials, ramp_partials_ref(a, b, c, x)):
+            assert np.array_equal(got, want)
+        for got, want in zip(sk.ramp_velocity_partials(a, b, c, x), partials):
+            assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the epigraph velocity jet
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def epigraph_fields(brush, epigraph_box):
+    return {"brush": brush[2], "epigraph": epigraph_box[1]}
+
+
+class TestEpigraphJet:
+    @pytest.mark.parametrize("name", ["brush", "epigraph"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_jet_equals_separate_derivatives(self, epigraph_fields, name, seed):
+        field = epigraph_fields[name]
+        rng = np.random.default_rng(seed)
+        m = 64
+        p = rng.uniform(-0.7, 1.2, size=(m, 2))
+        # fibres over the set (exact zeros of c), next to it and on the
+        # Cantor midlines of the brush
+        p[: m // 4] = field.spec.C.sample(m // 4, rng)
+        p[m // 4: m // 2, 1] = np.nextafter(p[m // 4: m // 2, 1], 2.0)
+        x = rng.uniform(-0.95, 0.95, size=m)
+        x[:8] = [-0.95, -0.6, -0.5, -0.4, 0.0, 0.2, 0.9, 0.95]
+        v, v_x, v_p = field.jet(p, x)
+        assert np.array_equal(v, field.velocity(p, x))
+        assert np.array_equal(v_x, velocity_dx_ref(field, p, x))
+        assert np.array_equal(v_p, velocity_grad_p_ref(field, p, x))
+        assert np.array_equal(field.velocity_dx(p, x), v_x)
+        assert np.array_equal(field.velocity_grad_p(p, x), v_p)
+
+    def test_extension_makes_one_jet_call_per_grad(self, brush, monkeypatch):
+        _, _, vfield, ham = brush
+        z = np.random.default_rng(1).uniform(-0.5, 1.0, size=(32, 4))
+        want = ham.grad(z)
+        calls = []
+
+        def counted(name):
+            method = getattr(vfield, name)
+
+            def wrapper(p, x):
+                calls.append(name)
+                return method(p, x)
+            return wrapper
+
+        for name in ("jet", "velocity"):
+            monkeypatch.setattr(vfield, name, counted(name))
+        assert np.array_equal(ham.grad(z), want)
+        assert calls == ["jet"]
+        calls.clear()
+        ham.vector_field(z)
+        assert calls == ["jet"]

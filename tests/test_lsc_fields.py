@@ -141,6 +141,12 @@ class TestBaireSequence:
             seq.value(2, pts)[0] = 2.0
         assert np.array_equal(seq.raw_values(pts), want)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_is_refused(self, bad):
+        seq = lf.baire_sequence(constant_spec(0.5), n_levels=4)
+        with pytest.raises(InputError, match="query points must be finite"):
+            seq.raw_values(np.array([[0.2], [bad]]))
+
     def test_strict_minorization_at_jump(self):
         # just inside the low plateau the levels must stay below the low
         # value even though high-value bumps crowd the boundary
@@ -335,6 +341,11 @@ class TestGluedField:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
         assert np.array_equal(field.fiber_data(p).tau, want)
+
+    def test_non_finite_base_point_is_refused(self, box_tail_field):
+        _, field, _ = box_tail_field
+        with pytest.raises(InputError, match="query points must be finite"):
+            field.fiber_data(np.array([np.nan, 0.1]))
 
     def test_tower_thresholds_are_exact(self, box_tail_field):
         spec, field, transect = box_tail_field

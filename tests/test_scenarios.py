@@ -99,15 +99,30 @@ class TestDriver:
             assert set(report["reports"][name]["checks"]) == want, name
 
     def test_tree_report_is_deterministic(self, tmp_path):
-        texts = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            cli.main(["tree", "--config", write_config(tmp_path),
-                      "--out", str(out)])
-            report = json.loads((out / "report.json").read_text())
-            report["config"].pop("out_dir")
-            texts.append(json.dumps(report, indent=2, sort_keys=True))
-        assert texts[0] == texts[1]
+        assert_deterministic(tmp_path, "tree")
+
+    @pytest.mark.parametrize("scenario", ["ray-n1", "cantor-brush"])
+    def test_batch_flow_report_is_deterministic(self, tmp_path, scenario):
+        assert len(assert_deterministic(tmp_path, scenario)) == 3
+
+
+def assert_deterministic(tmp_path, scenario):
+    """Two runs of ``scenario`` at the reduced config write the same
+    ``report.json`` (``out_dir`` removed) and the same trajectory CSVs;
+    returns the CSVs by file name."""
+    texts, csvs = [], []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        cli.main([scenario, "--config", write_config(tmp_path),
+                  "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        report["config"].pop("out_dir")
+        texts.append(json.dumps(report, indent=2, sort_keys=True))
+        csvs.append({path.name: path.read_text()
+                     for path in sorted((out / "trajectories").glob("*.csv"))})
+    assert texts[0] == texts[1]
+    assert csvs[0] == csvs[1]
+    return csvs[0]
 
 
 class SineOfFirstCoordinate:

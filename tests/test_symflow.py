@@ -1,7 +1,9 @@
-"""The DP5 integrator loop: recording, batching and time reversal."""
+"""The DP5 integrator loop: recording, batching, time reversal and the
+first-same-as-last (FSAL) step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excisionlab import scenarios, symflow
 from excisionlab.errors import StencilError
@@ -127,3 +129,155 @@ class TestNumericalJacobian:
         with pytest.raises(StencilError,
                            match=f"stencil escaped at sample {k}, axis {i}$"):
             symflow.numerical_jacobian(escapes_once, pts, 1e-5)
+
+
+def dp_step_seven_stages(field, z, dt, k1):
+    """Reference Dormand-Prince step that ignores the carried first stage
+    and evaluates all seven stages, as the stepper did before FSAL."""
+    ks = []
+    for i in range(7):
+        zi = z.copy()
+        for j, aij in enumerate(symflow._DP_A[i]):
+            if aij != 0.0:
+                zi = zi + (dt * aij)[:, None] * ks[j]
+        ks.append(np.atleast_2d(field.vector_field(zi)))
+    z5 = z.copy()
+    err = np.zeros_like(z)
+    for i in range(7):
+        if symflow._DP_B5[i] != 0.0:
+            z5 = z5 + (dt * symflow._DP_B5[i])[:, None] * ks[i]
+        if symflow._DP_ERR[i] != 0.0:
+            err = err + (dt * symflow._DP_ERR[i])[:, None] * ks[i]
+    return z5, err, ks[6]
+
+
+class Counting:
+    """A field wrapper that counts ``vector_field`` row batches."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.batches = 0
+
+    def vector_field(self, z):
+        self.batches += 1
+        return self.base.vector_field(z)
+
+    def escape_value(self, z):
+        return self.base.escape_value(z)
+
+
+@pytest.fixture(scope="module")
+def ray_starts(ray):
+    """Survivors off the axis, axis points that escape, and the mixed
+    starts above."""
+    rng = np.random.default_rng(11)
+    axis = np.zeros((6, 4))
+    axis[:, 2] = np.linspace(-0.1, 0.9, 6)
+    return np.concatenate([scenarios._ray_sympl_samples(ray, 6, rng), axis])
+
+
+@pytest.fixture(scope="module")
+def epigraph_starts():
+    """Fibres over the box whose exit speeds ``1 - lam(p)`` differ, so the
+    rows of an escape bracket carry different first stages."""
+    z = np.zeros((6, 4))
+    z[:, 0] = np.linspace(-0.4, 0.4, 6)
+    z[:, 2] = np.linspace(0.3, 0.55, 6)
+    z[1, 3] = 0.2
+    return z
+
+
+@pytest.fixture(scope="module")
+def brush_starts(brush):
+    C, _, vfield, _ = brush
+    grid = scenarios._brush_grid(C, 8, 1e-3)
+    sympl = scenarios._brush_sympl_samples(C, vfield, 8,
+                                           np.random.default_rng(5))
+    return np.concatenate([grid[::3], sympl])
+
+
+def same_outcomes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.status == b.status
+        assert a.step_count == b.step_count
+        assert a.elapsed == b.elapsed
+        assert a.t_esc_lower == b.t_esc_lower
+        assert a.t_esc_upper == b.t_esc_upper
+        assert np.array_equal(a.endpoint, b.endpoint)
+        assert np.array_equal(a.trajectory, b.trajectory)
+
+
+class TestFsalStep:
+    def test_six_rhs_batches_per_attempt(self, ray, ray_starts, monkeypatch):
+        steps = []
+        in_bracket = []
+
+        def step_spy(field, z, dt, k1):
+            steps.append(bool(in_bracket))
+            return step(field, z, dt, k1)
+
+        def bracket_spy(*args):
+            in_bracket.append(True)
+            try:
+                return bracket(*args)
+            finally:
+                in_bracket.clear()
+
+        step, bracket = symflow._dp_step, symflow._bracket_escapes_batch
+        monkeypatch.setattr(symflow, "_dp_step", step_spy)
+        monkeypatch.setattr(symflow, "_bracket_escapes_batch", bracket_spy)
+        survivors = ray_starts[:6]
+        field = Counting(ray)
+        outs = symflow.integrate_batch(field, survivors, 1.0)
+        assert all(out.completed for out in outs)
+        assert field.batches == 1 + 6 * len(steps)
+
+        # escapes add one first stage for all bisection steps of the
+        # bracket; a loose tolerance leaves final steps long enough to bisect
+        steps.clear()
+        field = Counting(ray)
+        outs = symflow.integrate_batch(field, ray_starts, 1.05, tol=1e-6)
+        assert {out.status for out in outs} == {symflow.COMPLETED, symflow.ESCAPED}
+        assert sum(steps) > 2
+        assert field.batches == 2 + 6 * len(steps)
+
+    def test_no_rhs_call_when_every_start_has_escaped(self, ray):
+        field = Counting(ray)
+        z = np.zeros((2, 4))
+        z[:, 2] = 1.0
+        outs = symflow.integrate_batch(field, z, 1.0)
+        assert all(out.status == symflow.ESCAPED for out in outs)
+        assert field.batches == 0
+
+    @pytest.mark.parametrize("tol", [symflow.DEFAULT_TOL, 1e-6])
+    @pytest.mark.parametrize("field_name,starts_name", [
+        ("ray", "ray_starts"), ("brush", "brush_starts"),
+        ("epigraph_box", "epigraph_starts"),
+    ])
+    def test_equals_seven_stage_stepper(self, request, field_name, starts_name,
+                                        tol, monkeypatch):
+        field = request.getfixturevalue(field_name)
+        if isinstance(field, tuple):
+            field = field[-1]   # the Hamiltonian extension of a null field
+        starts = request.getfixturevalue(starts_name)
+        for t_final in (1.05, -1.0):
+            fsal = symflow.integrate_batch(field, starts, t_final, tol=tol,
+                                           record=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(symflow, "_dp_step", dp_step_seven_stages)
+                ref = symflow.integrate_batch(field, starts, t_final, tol=tol,
+                                              record=True)
+            same_outcomes(fsal, ref)
+            escaped = sum(out.status == symflow.ESCAPED for out in fsal)
+            assert (escaped > 0) == (t_final > 0)
+
+    @settings(max_examples=12)
+    @given(picks=st.lists(st.integers(0, 11), min_size=1, max_size=5))
+    def test_subset_batch_equals_singletons(self, ray, ray_starts, picks):
+        starts = ray_starts[np.asarray(picks)]
+        batch = symflow.integrate_batch(ray, starts, 1.05, record=True)
+        alone = [symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)[0]
+                 for z0 in starts]
+        same_outcomes(batch, alone)

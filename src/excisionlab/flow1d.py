@@ -274,9 +274,12 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     Solves ``int_x^y dxi / v(xi) = t`` for ``y`` by monotone bisection of
     the cumulative time integral.  Points where ``v`` vanishes are fixed for
     all times.  Times outside the flow domain raise
-    :class:`~excisionlab.errors.FlowDomainError`.
+    :class:`~excisionlab.errors.FlowDomainError`; a NaN time raises
+    :class:`~excisionlab.errors.InputError`.
     """
     v.check_domain(x)
+    if not -math.inf <= t <= math.inf:
+        raise InputError("flow time must not be NaN")
     if float(v(x)) == 0.0 or t == 0.0:
         return float(x)
     lo, hi = v.domain

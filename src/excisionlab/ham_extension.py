@@ -14,9 +14,10 @@ families are provided:
   hypersurface and whose off-hypersurface trajectories are complete because
   ``|F|`` is dominated by a witness vanishing at infinity.
 
-All fields expose batched ``value``/``grad``/``vector_field`` evaluators
-with closed-form gradients (finite differences are used only by the test
-suite to certify them).
+All fields expose batch-only ``value``/``grad``/``vector_field``
+evaluators: they take ``(m, dim)`` arrays and return ``(m,)`` or
+``(m, dim)`` arrays, with closed-form gradients (finite differences are
+used only by the test suite to certify them).
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ class HamiltonianField:
         raise NotImplementedError
 
     def vector_field(self, z):
-        g = np.atleast_2d(self.grad(z))
-        out = g @ self._omega_t
-        return out[0] if np.ndim(z) == 1 else out
+        return self.grad(z) @ self._omega_t
 
     @property
     def _omega_t(self):
@@ -100,9 +99,7 @@ class HamiltonianField:
         return om
 
     def escape_value(self, z):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = z[:, self.dim - 2]
-        return out
+        return np.asarray(z, dtype=float)[:, self.dim - 2]
 
 
 def coordinate_stencil(pts: np.ndarray, step: float) -> np.ndarray:
@@ -118,9 +115,9 @@ def coordinate_stencil(pts: np.ndarray, step: float) -> np.ndarray:
 
 
 def _as_batch(z, dim):
-    pts = np.atleast_2d(np.asarray(z, dtype=float))
-    if pts.shape[1] != dim:
-        raise InputError(f"expected points of dimension {dim}")
+    pts = np.asarray(z, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise InputError(f"expected an (m, {dim}) batch of points")
     return pts
 
 
@@ -186,7 +183,7 @@ class RayHamiltonian(HamiltonianField):
             raise InputError("n must be at least 1")
         if not (0.0 < eps < 1.0):
             raise InputError("eps must lie in (0, 1)")
-        if h_coef <= 0.0:
+        if not h_coef > 0.0:
             raise InputError("h_coef must be positive")
         self.n = n
         self.dim = 2 * n
@@ -220,8 +217,7 @@ class RayHamiltonian(HamiltonianField):
     def value(self, z):
         pts = _as_batch(z, self.dim)
         _, y, _, _, _, amp, chi, _ = self._pieces(pts)
-        out = amp * chi * y
-        return float(out[0]) if np.ndim(z) == 1 else out
+        return amp * chi * y
 
     def grad(self, z):
         pts = _as_batch(z, self.dim)
@@ -231,14 +227,13 @@ class RayHamiltonian(HamiltonianField):
         damp[:, -2] = -2.0 * x * q / (denom * denom)
         out = (chi * y)[:, None] * damp + (amp * y)[:, None] * dchi
         out[:, -1] += amp * chi
-        return out[0] if np.ndim(z) == 1 else out
+        return out
 
     def membership(self, z) -> np.ndarray:
         """Exact membership in the model ray ``{p=0, y=0, 0 <= x < 1}``."""
         pts = _as_batch(z, self.dim)
         on_axis = np.all(pts[:, :-2] == 0.0, axis=1) & (pts[:, -1] == 0.0)
-        out = on_axis & (pts[:, -2] >= 0.0) & (pts[:, -2] < 1.0)
-        return bool(out[0]) if np.ndim(z) == 1 else out
+        return on_axis & (pts[:, -2] >= 0.0) & (pts[:, -2] < 1.0)
 
     def sample_target(self, m: int, rng: np.random.Generator) -> np.ndarray:
         pts = np.zeros((m, self.dim))
@@ -297,7 +292,7 @@ def epigraph_target(spec, x_max: float = 0.95) -> ExcisionTarget:
 
     def sample(m, rng):
         p = spec.C.sample(m, rng)
-        lam = np.atleast_1d(spec.lam(p))
+        lam = spec.lam(p)
         x = rng.uniform(lam, np.maximum(lam, x_max))
         out = np.zeros((m, dim))
         out[:, :-2] = p
@@ -335,7 +330,7 @@ class ExtendedHamiltonian(HamiltonianField):
         if need_grad:
             v, v_x, v_p = self.field.jet(p, x)
         else:
-            v = np.atleast_1d(self.field.velocity(p, x))
+            v = self.field.velocity(p, x)
         ham = y * v
         wit = decay_witness(pts)
         ratio = np.abs(ham) / wit
@@ -370,18 +365,13 @@ class ExtendedHamiltonian(HamiltonianField):
     def value(self, z):
         pts = _as_batch(z, self.dim)
         ham, chi, _ = self._pieces(pts, need_grad=False)
-        out = chi * ham
-        return float(out[0]) if np.ndim(z) == 1 else out
+        return chi * ham
 
     def grad(self, z):
-        pts = _as_batch(z, self.dim)
-        _, _, grad = self._pieces(pts, need_grad=True)
-        return grad[0] if np.ndim(z) == 1 else grad
+        return self._pieces(_as_batch(z, self.dim), need_grad=True)[2]
 
     def cutoff(self, z):
-        pts = _as_batch(z, self.dim)
-        _, chi, _ = self._pieces(pts, need_grad=False)
-        return float(chi[0]) if np.ndim(z) == 1 else chi
+        return self._pieces(_as_batch(z, self.dim), need_grad=False)[1]
 
 
 def extend_null_field(field: VectorFieldPX, target: ExcisionTarget,
@@ -399,7 +389,7 @@ def extend_null_field(field: VectorFieldPX, target: ExcisionTarget,
     zs = target.sample(certificate_samples, rng)
     if zs.shape[0] == 0:
         raise InputError("no target sample inside the chart")
-    v = np.atleast_1d(field.velocity(zs[:, :-2], zs[:, -2]))
+    v = field.velocity(zs[:, :-2], zs[:, -2])
     vmin = float(np.min(v))
     if not vmin > v_floor:
         raise InputError(
@@ -444,16 +434,13 @@ class LocalizedHamiltonian(HamiltonianField):
     def value(self, z):
         pts = _as_batch(z, self.dim)
         b, _ = self.hood.bump(pts)
-        out = b * np.atleast_1d(self.base.value(pts))
-        return float(out[0]) if np.ndim(z) == 1 else out
+        return b * self.base.value(pts)
 
     def grad(self, z):
         pts = _as_batch(z, self.dim)
         b, db = self.hood.bump(pts)
-        f = np.atleast_1d(self.base.value(pts))
-        g = np.atleast_2d(self.base.grad(pts))
-        out = b[:, None] * g + f[:, None] * db
-        return out[0] if np.ndim(z) == 1 else out
+        f, g = self.base.value(pts), self.base.grad(pts)
+        return b[:, None] * g + f[:, None] * db
 
 
 def localize(F: HamiltonianField, hood: TubeNeighbourhood,
@@ -468,7 +455,7 @@ def localize(F: HamiltonianField, hood: TubeNeighbourhood,
     as a failure.
     """
     if target_samples is not None:
-        pts = np.atleast_2d(np.asarray(target_samples, dtype=float))
+        pts = _as_batch(target_samples, F.dim)
         b, _ = hood.bump(np.concatenate([pts, coordinate_stencil(pts, HOOD_MARGIN)]))
         if not np.all(b >= 1.0):
             raise InputError("neighbourhood does not contain the target with margin")

@@ -105,19 +105,21 @@ class LscSpec:
         return len(self.base_lo)
 
     def lam(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Target values at an ``(m, dim)`` batch."""
+        pts = np.asarray(points, dtype=float)
         out = np.ones(pts.shape[0])
         for lo, hi, value in self.pieces:
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
             inside = np.all((pts >= lo) & (pts <= hi), axis=1)
             out = np.where(inside, np.minimum(out, value), out)
-        return float(out[0]) if np.ndim(points) == 1 else out
+        return out
 
     def boundary_distance(self, points):
         """Distance to the nearest piece face (the discontinuity set of
-        ``lam`` lives on piece boundaries); used to carve margin bands."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ``lam`` lives on piece boundaries) at an ``(m, dim)`` batch; used to
+        carve margin bands."""
+        pts = np.asarray(points, dtype=float)
         best = np.full(pts.shape[0], np.inf)
         for lo, hi, _ in self.pieces:
             lo = np.asarray(lo, dtype=float)
@@ -127,7 +129,7 @@ class LscSpec:
             inside_margin = np.min(np.minimum(pts - lo, hi - pts), axis=1)
             d = np.where(d_out > 0.0, d_out, np.maximum(inside_margin, 0.0))
             best = np.minimum(best, d)
-        return float(best[0]) if np.ndim(points) == 1 else best
+        return best
 
     def to_config(self) -> dict:
         return {
@@ -274,8 +276,9 @@ class BaireSequence:
         return np.stack(cols, axis=1) if cols else np.zeros((pts.shape[0], 0))
 
     def raw_values(self, points) -> np.ndarray:
-        """(m, depth) matrix of all exposed levels at the query points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """(m, depth) matrix of all exposed levels at an ``(m, dim)`` batch
+        of query points."""
+        pts = np.asarray(points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise InputError("query points must be finite")
         key = pts.tobytes()
@@ -317,11 +320,10 @@ class BaireSequence:
         return out
 
     def value(self, level: int, points):
-        """Level-``level`` minorant (1-based)."""
+        """Level-``level`` minorant (1-based) at an ``(m, dim)`` batch."""
         if not (1 <= level <= self.depth):
             raise InputError(f"level must lie in [1, {self.depth}]")
-        vals = self.raw_values(points)[:, level - 1]
-        return float(vals[0]) if np.ndim(points) == 1 else vals
+        return self.raw_values(points)[:, level - 1]
 
     def level_upper_bound(self, level: int, pts: np.ndarray,
                           reach: float) -> np.ndarray:
@@ -372,7 +374,7 @@ def baire_sequence(spec: LscSpec, n_levels: int,
             parts.append(np.unique(np.round(proj, 12), axis=0))
         centers = np.unique(np.round(np.concatenate(parts, axis=0), 12), axis=0)
 
-        lam_c = np.atleast_1d(spec.lam(centers))
+        lam_c = spec.lam(centers)
         if seq._levels:
             prev_c = seq.raw_values(centers)[:, -1]
         else:
@@ -410,7 +412,7 @@ class _BlendField:
         self.radius = radius
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         qi, ci = self.index.pairs(pts)
         d2 = np.sum((pts[qi] - self.index.centers[ci]) ** 2, axis=1)
         w = ball_bump_from_sq(d2 / (self.radius * self.radius))
@@ -418,8 +420,7 @@ class _BlendField:
         den = np.bincount(qi, weights=w, minlength=pts.shape[0])
         if np.any(den <= 0.0):
             raise CoverageError("majorant blend not covering a query point")
-        out = num / den
-        return float(out[0]) if np.ndim(points) == 1 else out
+        return num / den
 
     def ball_upper_bound(self, pts: np.ndarray, reach: float) -> np.ndarray:
         bound = self.index.max_over_balls(pts, reach + self.radius, self.c_vals)
@@ -465,7 +466,7 @@ def smooth_majorant(f: Callable, spec: LscSpec, scale: float = MAJORANT_SCALE,
         for start in range(0, centers.shape[0], chunk):
             block = centers[start:start + chunk]
             samples = (block[:, None, :] + sub[None, :, :]).reshape(-1, spec.dim)
-            vals = np.atleast_1d(f(samples)).reshape(block.shape[0], -1)
+            vals = f(samples).reshape(block.shape[0], -1)
             maxima[start:start + chunk] = vals.max(axis=1)
         return maxima
 
@@ -550,6 +551,11 @@ class GluedField(VectorFieldPX):
     below ``g_0`` and between bands the speed is 1 (before the cutoff).
     Queries above the deepest separator raise
     :class:`~excisionlab.errors.DepthExhausted` instead of extrapolating.
+
+    The whole API is per fibre, the one-point edge of the package: every
+    method takes one base point ``p`` of shape ``(base_dim,)``.
+    ``velocity`` and ``velocity_dx`` evaluate elementwise in ``x``; the
+    exit times and :meth:`classify` take a float ``x``.
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
@@ -567,13 +573,13 @@ class GluedField(VectorFieldPX):
     # -- per-point tower data -------------------------------------------
 
     def fiber_data(self, p) -> FiberData:
-        pt = np.asarray(p, dtype=float).reshape(1, -1)
+        pt = np.asarray(p, dtype=float)[None]
         key = pt.tobytes()
         hit = self._fiber_cache.get(key)
         if hit is not None:
             return hit
         fs = self.baire.raw_values(pt)[0]          # f_1 .. f_{depth+1}
-        gs = np.array([float(np.atleast_1d(m(pt))[0]) for m in self.majorants])
+        gs = np.array([m(pt)[0] for m in self.majorants])
         if not (np.all(np.diff(fs) > 0.0) and np.all(np.diff(gs) > 0.0)):
             raise InputError("tower ordering violated at this base point")
         if not np.all(fs < gs):
@@ -611,7 +617,7 @@ class GluedField(VectorFieldPX):
                 f"query x={x} above deepest separator g_N={data.g[-1]}"
             )
         base = band_travel_time(data.g, data.tau, data.depth, x, 1.0)
-        lam_p = self.spec.lam(np.asarray(p, dtype=float))
+        lam_p = float(self.spec.lam(np.asarray(p, dtype=float)[None])[0])
         if lam_p < data.g[0]:
             tail = max(lam_p - data.f[self.depth - 1], 0.0)
             t_inf = base + tail
@@ -649,15 +655,13 @@ class GluedField(VectorFieldPX):
 
     def velocity(self, p, x):
         data = self.fiber_data(p)
-        out = self._raw_velocity(data, x) * self._cutoff(data.f[0], x)
-        return float(out) if np.ndim(x) == 0 else out
+        return self._raw_velocity(data, x) * self._cutoff(data.f[0], x)
 
     def velocity_dx(self, p, x):
         data = self.fiber_data(p)
         raw = self._raw_velocity(data, x)
         raw_dx = self._raw_velocity(data, x, deriv=True)
-        out = raw_dx * self._cutoff(data.f[0], x) + raw * self._cutoff_dx(data.f[0], x)
-        return float(out) if np.ndim(x) == 0 else out
+        return raw_dx * self._cutoff(data.f[0], x) + raw * self._cutoff_dx(data.f[0], x)
 
     def velocity_grad_p(self, p, x):
         raise NotImplementedError(

@@ -37,23 +37,18 @@ __all__ = [
     "VectorFieldPX",
     "EpigraphField",
     "build_epigraph_field",
-    "EXCISED",
-    "SURVIVES",
     "classify_epigraph",
     "presympl_time1",
     "presympl_flow",
 ]
 
-EXCISED = "excised"
-SURVIVES = "survives"
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """A smooth function on the base with an exact gradient.
 
-    ``f`` maps ``(m, d)`` arrays to ``(m,)``; ``grad`` maps ``(m, d)`` to
-    ``(m, d)``.  Single points ``(d,)`` are accepted too.
+    Batch-only: ``f`` maps an ``(m, d)`` batch of base points to ``(m,)``
+    and ``grad`` maps it to ``(m, d)``; calling the map and
+    :meth:`gradient` do the same.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -61,14 +56,10 @@ class SmoothMap:
     label: str = ""
 
     def __call__(self, p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        out = self.f(pts)
-        return float(out[0]) if np.ndim(p) == 1 else out
+        return self.f(np.asarray(p, dtype=float))
 
     def gradient(self, p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        out = self.grad(pts)
-        return out[0] if np.ndim(p) == 1 else out
+        return self.grad(np.asarray(p, dtype=float))
 
 
 def constant_map(value: float, label: str = "") -> SmoothMap:
@@ -104,18 +95,21 @@ class EpigraphSpec:
     sharpness: float = 0.006
 
     def membership(self, p, x) -> np.ndarray:
-        """Exact epigraph membership ``p in C and x >= lam(p)`` (the oracle
-        side of every classification check)."""
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = self.C.contains(pts) & (xs >= self.lam(pts))
-        if np.ndim(p) == 1:
-            return bool(inside[0])
-        return inside
+        """Exact epigraph membership ``p in C and x >= lam(p)`` of ``(m, d)``
+        base points and ``(m,)`` fibre coordinates (the oracle side of
+        every classification check)."""
+        return self.C.contains(p) & (np.asarray(x, dtype=float) >= self.lam(p))
 
 
 class VectorFieldPX:
-    """Fibrewise-horizontal field ``v(p, x) d/dx`` on ``base x interval``."""
+    """Fibrewise-horizontal field ``v(p, x) d/dx`` on ``base x interval``.
+
+    ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
+    ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``.  The
+    one-point edge is the per-fibre API: :meth:`fiber`, and
+    :func:`presympl_time1` and :func:`presympl_flow` built on it, take one
+    base point of shape ``(base_dim,)`` and a float ``x``.
+    """
 
     base_dim: int
     interval: tuple[float, float]
@@ -150,13 +144,9 @@ class EpigraphField(VectorFieldPX):
 
     # parameter fields: a = (b - 1)/2 with b = lam, c the defining function
     def params(self, p):
-        pts = np.atleast_2d(np.asarray(p, dtype=float))
-        b = self.spec.lam(pts)
-        a = 0.5 * (b - 1.0)
-        c = self.c_fn.value(pts)
-        if np.ndim(p) == 1:
-            return float(a[0]), float(b[0]), float(c[0])
-        return a, b, c
+        """``(a, b, c)`` arrays at an ``(m, base_dim)`` batch."""
+        b = self.spec.lam(p)
+        return 0.5 * (b - 1.0), b, self.c_fn.value(p)
 
     def velocity(self, p, x):
         a, b, c = self.params(p)
@@ -174,8 +164,8 @@ class EpigraphField(VectorFieldPX):
         return v, du_dx, grad_p
 
     def fiber(self, p) -> ScalarField1D:
-        a, b, c = self.params(np.asarray(p, dtype=float))
-        return ramp_velocity_field(a, b, c)
+        a, b, c = self.params(np.asarray(p, dtype=float)[None])
+        return ramp_velocity_field(float(a[0]), float(b[0]), float(c[0]))
 
 
 def build_epigraph_field(spec: EpigraphSpec) -> EpigraphField:
@@ -192,15 +182,20 @@ def build_epigraph_field(spec: EpigraphSpec) -> EpigraphField:
     return EpigraphField(spec)
 
 
-def classify_epigraph(field: EpigraphField, p, x) -> str:
-    """``excised`` when the closed-form forward time is at most 1.
+def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:
+    """Boolean ``excised`` array at ``(m, base_dim)`` base points and
+    ``(m,)`` fibre coordinates: true where the closed-form forward time is
+    at most 1.
 
     This is the analytic route; the integration-based escape verdicts and
     the raw membership test are kept independent of it.
     """
-    a, b, c = field.params(np.asarray(p, dtype=float))
-    tof = ramp_time_closed_form(a, b, c, float(x))
-    return EXCISED if tof.value <= 1.0 else SURVIVES
+    a, b, c = field.params(p)
+    xs = np.asarray(x, dtype=float)
+    return np.array([
+        ramp_time_closed_form(*abcx).value <= 1.0
+        for abcx in zip(a.tolist(), b.tolist(), c.tolist(), xs.tolist())
+    ], dtype=bool)
 
 
 def presympl_time1(field: VectorFieldPX, p, x) -> tuple[np.ndarray, float]:

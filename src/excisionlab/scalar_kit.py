@@ -16,15 +16,20 @@ extensions) is assembled from the primitives in this module:
   a prescribed closed set (finite unions of boxes, points and finite-depth
   Cantor products).
 
-The public evaluators accept scalars or numpy arrays.  The one-pass
-kernels that the vector fields call on every RHS evaluation are batch-only:
-they take arrays of one shape and return arrays, never scalars.  They are
-``_ratio_jet`` (the exponential ratio behind every smooth step, with both
-partials from one pair of ``exp`` calls), ``smooth_step_jet``,
-``ramp_velocity_jet``, ``AxisSet.locate`` (one ``searchsorted`` over the
-sorted interval starts) and ``_axis_profile``.  All evaluators are pure;
-the field objects are immutable after construction and safe to share
-between threads.
+Every evaluator is batch-only and returns numpy arrays, never Python
+scalars.  The elementwise ones (smooth steps, cutoffs, ramp and bridge
+velocities, ``bump_mass``, ``ball_bump_from_sq``) take arrays of any
+shape, a 0-d array included, and return an array of the broadcast shape.
+The point evaluators (``ClosedSetSpec.contains`` and
+``boundary_distance``, ``DefiningFunction``, ``smooth_box_plateau``) take
+an ``(m, dim)`` batch and return ``(m,)`` or ``(m, dim)`` arrays.  The
+one-pass kernels that the vector fields call on every RHS evaluation take
+arrays of one shape: ``_ratio_jet`` (the exponential ratio behind every
+smooth step, with both partials from one pair of ``exp`` calls),
+``smooth_step_jet``, ``ramp_velocity_jet``, ``AxisSet.locate`` (one
+``searchsorted`` over the sorted interval starts) and ``_axis_profile``.
+All evaluators are pure; the field objects are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ __all__ = [
     "EXP_CLAMP",
     "BRIDGE_NORM",
     "exp_decay",
-    "exp_decay_deriv",
     "cubic_smoothstep",
     "cubic_smoothstep_deriv",
     "smooth_step",
@@ -71,7 +75,6 @@ __all__ = [
     "defining_function",
     "decay_witness",
     "decay_witness_grad",
-    "ball_bump",
     "ball_bump_from_sq",
     "smooth_box_plateau",
 ]
@@ -85,12 +88,6 @@ EXP_CLAMP = 1e-12
 _LOG_TINY = -700.0
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
-
-
 def exp_decay(w):
     """``exp(-1/w)`` for ``w > 0``, extended by 0 for ``w <= 0``.
 
@@ -100,17 +97,7 @@ def exp_decay(w):
     out = np.zeros_like(w)
     mask = w > EXP_CLAMP
     out[mask] = np.exp(-1.0 / w[mask])
-    return _maybe_scalar(out, w)
-
-
-def exp_decay_deriv(w):
-    """Derivative ``exp(-1/w) / w^2`` of :func:`exp_decay`."""
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    mask = w > EXP_CLAMP
-    wm = w[mask]
-    out[mask] = np.exp(-1.0 / wm) / (wm * wm)
-    return _maybe_scalar(out, w)
+    return out
 
 
 def cubic_smoothstep(s):
@@ -121,12 +108,12 @@ def cubic_smoothstep(s):
     make a composed cutoff flat on its zero set.
     """
     s = np.asarray(s, dtype=float)
-    return _maybe_scalar(s * s * (3.0 - 2.0 * s), s)
+    return np.asarray(s * s * (3.0 - 2.0 * s))
 
 
 def cubic_smoothstep_deriv(s):
     s = np.asarray(s, dtype=float)
-    return _maybe_scalar(6.0 * s * (1.0 - s), s)
+    return np.asarray(6.0 * s * (1.0 - s))
 
 
 def _ratio_jet(u, v, need_grad: bool = True):
@@ -166,13 +153,11 @@ def smooth_step_jet(t, need_grad: bool = True):
 
 def smooth_step(t):
     """C-infinity step: 0 for ``t <= 0``, 1 for ``t >= 1``, flat at both ends."""
-    t = np.asarray(t, dtype=float)
-    return _maybe_scalar(smooth_step_jet(t, need_grad=False)[0], t)
+    return smooth_step_jet(np.asarray(t, dtype=float), need_grad=False)[0]
 
 
 def smooth_step_deriv(t):
-    t = np.asarray(t, dtype=float)
-    return _maybe_scalar(smooth_step_jet(t)[1], t)
+    return np.asarray(smooth_step_jet(np.asarray(t, dtype=float))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +166,13 @@ def smooth_step_deriv(t):
 
 def _check_open(name, value, lo, hi):
     value = np.asarray(value, dtype=float)
-    if np.any(value <= lo) or np.any(value >= hi):
+    if not np.all((lo < value) & (value < hi)):
         raise InputError(f"{name} must lie in ({lo}, {hi})")
 
 
 def _check_closed(name, value, lo, hi):
     value = np.asarray(value, dtype=float)
-    if np.any(value < lo) or np.any(value > hi):
+    if not np.all((lo <= value) & (value <= hi)):
         raise InputError(f"{name} must lie in [{lo}, {hi}]")
 
 
@@ -213,14 +198,14 @@ def rising_cutoff(a, x, validate: bool = True):
         _check_open("x", x, -1.0, 1.0)
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    return _maybe_scalar(_rising_jet(a, x, need_grad=False)[0], a, x)
+    return _rising_jet(a, x, need_grad=False)[0]
 
 
 def rising_cutoff_dx(a, x):
     """x-derivative of :func:`rising_cutoff` (closed form, nonnegative)."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    return _maybe_scalar(_rising_jet(a, x)[1], a, x)
+    return np.asarray(_rising_jet(a, x)[1])
 
 
 def rising_cutoff_da(a, x):
@@ -228,7 +213,7 @@ def rising_cutoff_da(a, x):
     pushes the ramp to the right)."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    return _maybe_scalar(_rising_jet(a, x)[2], a, x)
+    return np.asarray(_rising_jet(a, x)[2])
 
 
 def ramp_velocity(a, b, c, x, validate: bool = True):
@@ -251,7 +236,7 @@ def ramp_velocity(a, b, c, x, validate: bool = True):
     one_m_x2 = 1.0 - x * x
     rational = one_m_x2 / (one_m_x2 + c)
     chi = _rising_jet(a, x, need_grad=False)[0]
-    return _maybe_scalar(chi * (1.0 - b) * rational, a, b, c, x)
+    return np.asarray(chi * (1.0 - b) * rational)
 
 
 def ramp_velocity_jet(a, b, c, x):
@@ -311,8 +296,7 @@ def bump_mass(t):
     vals = np.zeros_like(pts)
     mask = q > EXP_CLAMP
     vals[mask] = np.exp(-2.0 / q[mask])
-    out = half * (vals * weights).sum(axis=-1)
-    return _maybe_scalar(out, t)
+    return np.asarray(half * (vals * weights).sum(axis=-1))
 
 
 # total mass of the unit bump (normalizes all bridge crossing times)
@@ -352,7 +336,7 @@ def bridge_velocity(lo, hi, delay, x, validate: bool = True):
         w = np.where(expo > _LOG_TINY, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
         k = 0.5 * width * BRIDGE_NORM
         out[inside] = k / (k + d * w)
-    return _maybe_scalar(out, lo, hi, delay, x)
+    return out
 
 
 def bridge_velocity_dx(lo, hi, delay, x):
@@ -377,7 +361,7 @@ def bridge_velocity_dx(lo, hi, delay, x):
         )
         k = 0.5 * width * BRIDGE_NORM
         out[inside] = -k * d * w_x / (k + d * w) ** 2
-    return _maybe_scalar(out, lo, hi, delay, x)
+    return out
 
 
 def bridge_crossing_time(lo, hi, delay, x0, x1):
@@ -396,7 +380,7 @@ def bridge_crossing_time(lo, hi, delay, x0, x1):
     eta0 = np.clip((2.0 * x0 - lo - hi) / width, -1.0, 1.0)
     eta1 = np.clip((2.0 * x1 - lo - hi) / width, -1.0, 1.0)
     extra = delay * (bump_mass(eta1) - bump_mass(eta0)) / BRIDGE_NORM
-    return _maybe_scalar((x1 - x0) + extra, lo, hi, delay, x0, x1)
+    return np.asarray((x1 - x0) + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +410,8 @@ class ScalarField1D:
 
     def check_domain(self, x) -> None:
         lo, hi = self.domain
-        if np.any(np.asarray(x) <= lo) or np.any(np.asarray(x) >= hi):
+        x = np.asarray(x, dtype=float)
+        if not np.all((lo < x) & (x < hi)):
             raise InputError(
                 f"argument outside open domain ({lo}, {hi}) of {self.label or 'field'}"
             )
@@ -610,29 +595,28 @@ class ClosedSetSpec:
                 raise InputError("piece dimension mismatch")
 
     def contains(self, points) -> np.ndarray:
-        """Exact membership test (interval comparisons, no smoothing)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Exact membership test (interval comparisons, no smoothing) of an
+        ``(m, dim)`` batch."""
+        pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0], dtype=bool)
         for piece in self.pieces:
             inside = np.ones(pts.shape[0], dtype=bool)
             for k, axis in enumerate(piece):
                 inside &= axis.contains(pts[:, k])
             out |= inside
-        if np.ndim(points) == 1:
-            return bool(out[0])
         return out
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance to the nearest interval endpoint in any coordinate,
         minimized over pieces.  Used to carve classification margin bands."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         best = np.full(pts.shape[0], np.inf)
         for piece in self.pieces:
             for k, axis in enumerate(piece):
                 for a, b in axis.intervals:
                     best = np.minimum(best, np.abs(pts[:, k] - a))
                     best = np.minimum(best, np.abs(pts[:, k] - b))
-        return best if np.ndim(points) > 1 else float(best[0])
+        return best
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Uniformly sample points of the set, piece by piece."""
@@ -698,7 +682,8 @@ class DefiningFunction:
 
     ``sharpness`` sets the length scale of the exponential profiles: at
     distance ``d`` from the set the value is roughly ``exp(-sharpness/d)``,
-    so smaller values make ``c`` rise faster off the set.
+    so smaller values make ``c`` rise faster off the set.  ``value`` and
+    ``value_and_grad`` take an ``(m, dim)`` batch.
     """
 
     spec: ClosedSetSpec
@@ -719,16 +704,15 @@ class DefiningFunction:
         return vals, grads
 
     def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         vals, _ = self._piece_terms(pts)
         prod = np.ones(pts.shape[0])
         for pv in vals:
             prod *= pv
-        out = prod / (1.0 + prod)
-        return float(out[0]) if np.ndim(points) == 1 else out
+        return prod / (1.0 + prod)
 
     def value_and_grad(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         vals, grads = self._piece_terms(pts)
         prod = np.ones(pts.shape[0])
         for pv in vals:
@@ -742,10 +726,7 @@ class DefiningFunction:
             gprod += gi * others[:, None]
         cap = prod / (1.0 + prod)
         dcap = 1.0 / (1.0 + prod) ** 2
-        grad = gprod * dcap[:, None]
-        if np.ndim(points) == 1:
-            return float(cap[0]), grad[0]
-        return cap, grad
+        return cap, gprod * dcap[:, None]
 
     def grad(self, points):
         return self.value_and_grad(points)[1]
@@ -753,7 +734,7 @@ class DefiningFunction:
 
 def defining_function(spec: ClosedSetSpec, sharpness: float = 0.006) -> DefiningFunction:
     """Build the smooth defining function of a :class:`ClosedSetSpec`."""
-    if sharpness <= 0:
+    if not sharpness > 0:
         raise InputError("sharpness must be positive")
     return DefiningFunction(spec=spec, sharpness=sharpness)
 
@@ -784,18 +765,14 @@ def ball_bump_from_sq(q):
     m = q < 1.0 - 1e-14
     qm = q[m]
     out[m] = np.exp(-qm / (1.0 - qm))
-    return _maybe_scalar(out, q)
-
-
-def ball_bump(dist, radius):
-    dist = np.asarray(dist, dtype=float)
-    return ball_bump_from_sq((dist / radius) ** 2)
+    return out
 
 
 def smooth_box_plateau(points, lo, hi, margin):
     """C-infinity plateau: exactly 1 on the box ``[lo, hi]``, 0 outside the
-    ``margin``-enlarged box; a product of one-sided smooth steps per axis."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ``margin``-enlarged box; a product of one-sided smooth steps per axis.
+    ``points`` is an ``(m, dim)`` batch."""
+    pts = np.asarray(points, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = np.ones(pts.shape[0])
@@ -803,6 +780,4 @@ def smooth_box_plateau(points, lo, hi, margin):
         t = pts[:, k]
         out = out * smooth_step((t - (lo[k] - margin)) / margin)
         out = out * smooth_step(((hi[k] + margin) - t) / margin)
-    if np.ndim(points) == 1:
-        return float(out[0])
     return out

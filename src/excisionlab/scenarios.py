@@ -95,13 +95,13 @@ def _grad_check(field, pts: np.ndarray, fd_step: float, rel_tol: float) -> dict:
     """Closed-form gradient against the Richardson-extrapolated O(h^4)
     central difference ``(8 (f(z+h) - f(z-h)) - (f(z+2h) - f(z-2h))) / 12h``.
     The plain O(h^2) stencil is truncation-limited in the cutoff bands."""
-    g = np.atleast_2d(field.grad(pts))
+    g = field.grad(pts)
     resid = []
     for i in range(pts.shape[1]):
         def f(shift):
             z = pts.copy()
             z[:, i] += shift
-            return np.atleast_1d(field.value(z))
+            return field.value(z)
         fd = (8.0 * (f(fd_step) - f(-fd_step))
               - (f(2.0 * fd_step) - f(-2.0 * fd_step))) / (12.0 * fd_step)
         resid.append(np.abs(fd - g[:, i]) / (1.0 + np.abs(g[:, i])))
@@ -119,7 +119,7 @@ def _symplecticity_check(field, samples: np.ndarray, bound: float,
 
 def _batch_endpoints(field, pts: np.ndarray, tol: float, backward: bool) -> np.ndarray:
     outs = symflow.integrate_batch(field, pts, -1.0 if backward else 1.0, tol=tol)
-    ends = np.empty_like(np.atleast_2d(pts))
+    ends = np.empty_like(pts)
     for i, out in enumerate(outs):
         if out.status != symflow.COMPLETED:
             raise InputError(f"round-trip sample left the chart: {out.status}")
@@ -143,7 +143,7 @@ def _conservation_check(field, samples: np.ndarray, tol: float,
     drift = []
     for out in symflow.integrate_batch(field, samples, horizon, tol=tol,
                                        record=True):
-        vals = np.atleast_1d(field.value(out.trajectory[:, 1:]))
+        vals = field.value(out.trajectory[:, 1:])
         drift.append(np.abs(vals - vals[0]))
     worst = _worst(drift)
     return _check(worst <= bound, samples.shape[0], worst, bound=bound)
@@ -151,11 +151,11 @@ def _conservation_check(field, samples: np.ndarray, tol: float,
 
 def _flatness_check(field, pts: np.ndarray, bound: float = 1e-10) -> dict:
     """grad F must vanish on sampled zeros of F off the hypersurface."""
-    vals = np.abs(np.atleast_1d(field.value(pts)))
+    vals = np.abs(field.value(pts))
     zero = pts[vals == 0.0]
     if zero.shape[0] == 0:
         return _check(False, 0, math.inf, note="no zero samples found")
-    worst = float(np.abs(np.atleast_2d(field.grad(zero))).max())
+    worst = float(np.abs(field.grad(zero)).max())
     return _check(worst <= bound, zero.shape[0], worst, bound=bound)
 
 
@@ -295,7 +295,7 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         pts[:, -1] = rng.uniform(-3.0, 3.0, size=20000)
         inside = (pts[:, -2] >= -base.eps) & (pts[:, -2] <= x_hi)
         inside &= (np.sum(pts[:, : base.dim - 2] ** 2, axis=1) + pts[:, -1] ** 2) <= r2
-        vals = np.abs(np.atleast_1d(field.value(pts[~inside])))
+        vals = np.abs(field.value(pts[~inside]))
         prop_vals.append(vals)
         prop_pass &= bool(np.all(vals < c))
     checks["properness_away_from_zero"] = _check(prop_pass, 60000,
@@ -304,7 +304,7 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
     if cfg.u_scale != 1.0:
         outside = rng.uniform(-0.9, 0.9, size=(500, base.dim))
         hood_mask = ~field.hood.contains(outside)
-        vecs = np.atleast_2d(field.vector_field(outside[hood_mask]))
+        vecs = field.vector_field(outside[hood_mask])
         worst = float(np.abs(vecs).max()) if vecs.size else 0.0
         checks["locality_outside_U"] = _check(
             worst == 0.0, int(hood_mask.sum()), worst)
@@ -375,7 +375,7 @@ def _brush_sympl_samples(C, vfield, count: int, rng: np.random.Generator) -> np.
         z[3] = rng.uniform(0.8, 1.5) * (1 if rng.uniform() < 0.5 else -1)
         # keep only points frozen with margin: the scaled energy must sit
         # beyond the witness so the cutoff vanishes on the whole stencil
-        v = float(np.atleast_1d(vfield.velocity(z[:2], z[2]))[0])
+        v = float(vfield.velocity(z[None, :2], z[2:3])[0])
         if abs(z[3] * v) * (1.0 + float(z @ z)) >= 1.3:
             out.append(list(z))
             frozen += 1
@@ -395,7 +395,6 @@ def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     grid = _brush_grid(C, cfg.grid, cfg.margin)
 
     def member(z):
-        z = np.atleast_2d(z)
         return C.contains(z[:, :2]) & (z[:, 2] >= 0.0) & (z[:, 3] == 0.0)
 
     checks["escape_classification"] = _classification_check(
@@ -423,12 +422,8 @@ def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     # closed-form fibre classification against raw membership
     pgrid = grid[::7, :2]
     xgrid = grid[::7, 2]
-    mism = 0
-    for p, x in zip(pgrid, xgrid):
-        verdict = null_fields.classify_epigraph(vfield, p, float(x))
-        want = (null_fields.EXCISED if (C.contains(p) and x >= 0.0)
-                else null_fields.SURVIVES)
-        mism += int(verdict != want)
+    excised = null_fields.classify_epigraph(vfield, pgrid, xgrid)
+    mism = int(np.sum(excised != (C.contains(pgrid) & (xgrid >= 0.0))))
     checks["fibre_classification"] = _check(mism == 0, pgrid.shape[0], mism)
 
     return checks
@@ -450,27 +445,20 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     checks = {}
 
-    # fibre classification on a transect grid
+    # fibre classification on a transect grid: fibres and heights that
+    # keep the margin from the set's faces and from the graph of lam
     m = cfg.grid or 100
     ts = np.linspace(-1.2, 1.2, m)
     xs = np.linspace(-0.9, 0.9, m)
-    mism = tested = 0
-    for t in ts:
-        p = np.array([t, 0.1])
-        if C.boundary_distance(p) < cfg.margin and not C.contains(p):
-            continue
-        lam_p = lam(p)
-        for x in xs:
-            if abs(x - lam_p) < cfg.margin:
-                continue
-            if C.contains(p) and C.boundary_distance(p) < cfg.margin:
-                continue
-            tested += 1
-            verdict = null_fields.classify_epigraph(vfield, p, float(x))
-            want = (null_fields.EXCISED if (C.contains(p) and x >= lam_p)
-                    else null_fields.SURVIVES)
-            mism += int(verdict != want)
-    checks["fibre_classification"] = _check(mism == 0, tested, mism)
+    ps = np.stack([ts, np.full(m, 0.1)], axis=1)
+    ps = ps[~(C.boundary_distance(ps) < cfg.margin)]
+    p_q = np.repeat(ps, m, axis=0)
+    x_q = np.tile(xs, ps.shape[0])
+    clear = ~(np.abs(x_q - np.repeat(lam(ps), m)) < cfg.margin)
+    p_q, x_q = p_q[clear], x_q[clear]
+    excised = null_fields.classify_epigraph(vfield, p_q, x_q)
+    mism = int(np.sum(excised != spec.membership(p_q, x_q)))
+    checks["fibre_classification"] = _check(mism == 0, x_q.size, mism)
 
     # fibre bijectivity: backward then forward is the identity
     errs = []
@@ -488,8 +476,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     # forward invariance of the epigraph (flow for less than the exit time)
     ok = True
     zp = C.sample(200, rng)
-    for p in zp:
-        lam_p = lam(p)
+    for p, lam_p in zip(zp, lam(zp).tolist()):
         x = rng.uniform(lam_p, 0.97)
         exit_t = flow1d.forward_time(vfield.fiber(p), float(x))
         _, x1 = null_fields.presympl_flow(vfield, p, x, 0.5 * exit_t.value)
@@ -504,15 +491,15 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
 
     onN = pts.copy()
     onN[:, 3] = 0.0
-    vec = np.atleast_2d(ham.vector_field(onN))
-    v_exp = np.atleast_1d(vfield.velocity(onN[:, :2], onN[:, 2]))
+    vec = ham.vector_field(onN)
+    v_exp = vfield.velocity(onN[:, :2], onN[:, 2])
     chi = ham.cutoff(onN)
     resid = _worst([np.abs(vec[:, [0, 1, 3]]), np.abs(vec[:, 2] - chi * v_exp)])
     checks["hypersurface_restriction"] = _check(resid <= 1e-10, onN.shape[0], resid,
                                                 bound=1e-10)
-    f_on_n = np.abs(np.atleast_1d(ham.value(onN))).max()
+    f_on_n = np.abs(ham.value(onN)).max()
     wit = scalar_kit.decay_witness(pts)
-    below = np.all(np.abs(np.atleast_1d(ham.value(pts))) < wit)
+    below = np.all(np.abs(ham.value(pts)) < wit)
     checks["dominated_by_witness"] = _check(bool(below) and f_on_n == 0.0,
                                             pts.shape[0], float(f_on_n))
     return checks
@@ -569,15 +556,16 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         prop_ok &= bool(np.all(slack >= -1e-12))
     checks["minorant_lower_bound"] = _check(prop_ok, G.shape[0], -worst_slack)
 
-    # level-resolved exit times: threshold exactness and monotone nesting
+    # level-resolved exit times: threshold exactness and monotone nesting,
+    # on the transect fibres clear of the piece faces
     xs = np.linspace(0.05, 0.9, m)
     xs = xs[(xs > 0.0) & (xs < 0.9)]
+    clear = ~(spec.boundary_distance(transect) < cfg.margin)
+    fibres = transect[clear]
     mism = tested = 0
     nest_ok = True
     coincide_ok = True
-    for p in transect:
-        if spec.boundary_distance(p) < cfg.margin:
-            continue
+    for p in fibres:
         data = field.fiber_data(p)
         for x in xs:
             for lvl in (1, max(2, cfg.depth // 2), cfg.depth):
@@ -605,10 +593,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
 
     # limit classification against direct lookup
     mism = tested = 0
-    for p in transect:
-        if spec.boundary_distance(p) < cfg.margin:
-            continue
-        lam_p = spec.lam(p)
+    for p, lam_p in zip(fibres, spec.lam(fibres)):
         for x in xs:
             if abs(x - lam_p) < cfg.margin:
                 continue
@@ -626,9 +611,10 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     errs = []
     blocked = True
     for _ in range(60):
-        p = transect[rng.integers(0, transect.shape[0])]
-        if spec.boundary_distance(p) < cfg.margin:
+        i = rng.integers(0, transect.shape[0])
+        if not clear[i]:
             continue
+        p = transect[i]
         data = field.fiber_data(p)
         fiber = field.fiber(p)
         x_t = rng.uniform(float(data.f[0]), 0.9)

@@ -110,8 +110,7 @@ class _Reversed(HamiltonianField):
 
     def escape_value(self, z):
         # backward flows move away from the chart end; keep the norm guard
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.full(z2.shape[0], -np.inf)
+        return np.full(np.shape(z)[0], -np.inf)
 
 
 def _escaped(field: HamiltonianField, pts: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
         for j, aij in enumerate(_DP_A[i]):
             if aij != 0.0:
                 zi = zi + (dt * aij)[:, None] * ks[j]
-        ks.append(np.atleast_2d(field.vector_field(zi)))
+        ks.append(field.vector_field(zi))
     z5 = z.copy()
     err = np.zeros_like(z)
     for i in range(7):
@@ -156,7 +155,7 @@ def _bracket_escapes_batch(field, z_prev, t_prev, dts):
     once for all of them.
     """
     k = z_prev.shape[0]
-    k_prev = np.atleast_2d(field.vector_field(z_prev))
+    k_prev = field.vector_field(z_prev)
     lo = np.zeros(k)
     hi = np.ones(k)
     while True:
@@ -183,7 +182,8 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
                     tol: float = DEFAULT_TOL,
                     max_steps: int = 50_000,
                     record: bool = False) -> list[FlowOutcome]:
-    """Integrate a batch of initial conditions for the signed time ``t_final``.
+    """Integrate an ``(m, d)`` batch of initial conditions for the signed
+    time ``t_final``.
 
     Each point carries its own adaptive step; the batch is advanced with
     active masks, so heterogeneous stiffness does not couple points, and
@@ -200,7 +200,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
     backward = t_final < 0
     if backward:
         field, t_final = _Reversed(field), -t_final
-    z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
+    z = np.array(z0, dtype=float)
     m = z.shape[0]
     t = np.zeros(m)
     dt = np.full(m, min(1e-2, t_final))
@@ -218,7 +218,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
     # stage of each accepted step; a rejected step keeps it
     k1 = np.zeros_like(z)
     if not np.all(already):
-        k1[~already] = np.atleast_2d(field.vector_field(z[~already]))
+        k1[~already] = field.vector_field(z[~already])
 
     pend_idx: list[int] = []
     pend_zprev: list[np.ndarray] = []
@@ -325,7 +325,7 @@ def numerical_jacobian(map_batch: Callable[[np.ndarray], tuple],
     false lies outside the map's domain and raises :class:`StencilError`
     so the caller can enlarge its margin.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     images, ok = map_batch(coordinate_stencil(pts, fd_step))
     bad = np.nonzero(~np.asarray(ok, dtype=bool))[0]
@@ -370,9 +370,9 @@ def classify_escape(field: HamiltonianField, membership: Callable,
     the decision boundary the exit time is exactly 1 and the verdict is a
     floating-point coin flip.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     outcomes = integrate_batch(field, pts, t_probe, tol=tol)
-    member = np.atleast_1d(membership(pts))
+    member = membership(pts)
     mismatches = []
     for i, out in enumerate(outcomes):
         if out.status == ESCAPED:

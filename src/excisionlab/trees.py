@@ -139,7 +139,7 @@ class BranchChart:
         return np.asarray(self.rot, dtype=float).reshape(2, 2)
 
     def to_model(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
         frame = (pts - np.asarray(self.leaf)) @ self.rot_matrix.T
         out = np.empty_like(frame)
         out[:, 0] = frame[:, 0] / self.length
@@ -147,7 +147,7 @@ class BranchChart:
         return out
 
     def from_model(self, mpts: np.ndarray) -> np.ndarray:
-        mpts = np.atleast_2d(np.asarray(mpts, dtype=float))
+        mpts = np.asarray(mpts, dtype=float)
         frame = np.empty_like(mpts)
         frame[:, 0] = mpts[:, 0] * self.length
         frame[:, 1] = mpts[:, 1] / self.length
@@ -226,20 +226,13 @@ class WorldBranchField(HamiltonianField):
         self._dpsi_t = (scale @ mat).T
 
     def value(self, z):
-        pts = np.atleast_2d(np.asarray(z, dtype=float))
-        out = self.model.value(self.chart.to_model(pts))
-        out = np.atleast_1d(out)
-        return float(out[0]) if np.ndim(z) == 1 else out
+        return self.model.value(self.chart.to_model(z))
 
     def grad(self, z):
-        pts = np.atleast_2d(np.asarray(z, dtype=float))
-        g1 = np.atleast_2d(self.model.grad(self.chart.to_model(pts)))
-        out = g1 @ self._dpsi_t.T
-        return out[0] if np.ndim(z) == 1 else out
+        return self.model.grad(self.chart.to_model(z)) @ self._dpsi_t.T
 
     def escape_value(self, z):
-        pts = np.atleast_2d(np.asarray(z, dtype=float))
-        m = self.chart.to_model(pts)
+        m = self.chart.to_model(z)
         x1, y1 = m[:, 0], m[:, 1]
         h = self.chart.h_coef * np.maximum(1.0 - x1, 0.0) ** 2
         in_tube = (x1 > -self.chart.eps) & (y1 * y1 < h)
@@ -287,7 +280,7 @@ class StagedExcision:
 
     def in_support(self, pts: np.ndarray) -> np.ndarray:
         """Union of the stage tubes (the neighbourhood the excision owns)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0], dtype=bool)
         for f in self.fields:
             out |= f.chart.in_tube(pts)
@@ -300,7 +293,7 @@ class StagedExcision:
         is the index of the stage during which point ``i`` left the chart
         (-1 when it survived all stages; -2 on tolerance failure).
         """
-        zs = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        zs = np.array(pts, dtype=float)
         stage_escaped = np.full(zs.shape[0], -1, dtype=int)
         alive = np.ones(zs.shape[0], dtype=bool)
         for k, f in enumerate(self.fields):
@@ -326,7 +319,7 @@ class StagedExcision:
         return ends[0]
 
     def inverse_batch(self, pts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        zs = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        zs = np.array(pts, dtype=float)
         for f in reversed(self.fields):
             outcomes = integrate_batch(f, zs, -1.0, tol=tol)
             for i, out in enumerate(outcomes):

@@ -7,7 +7,7 @@ import pytest
 
 from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
-from excisionlab.errors import FlowDomainError
+from excisionlab.errors import FlowDomainError, InputError
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -53,6 +53,13 @@ class TestForwardBackward:
         t = f1.forward_time(v, -0.8)      # below the ramp: v = 0
         assert t.value == math.inf and t.mode == f1.MODE_ZERO_BLOCKED
 
+    def test_nan_start_is_refused(self):
+        # refused at the domain check, before any quadrature level
+        v = sk.ramp_velocity_field(0.2, 0.5, 0.0)
+        for flight_time in (f1.forward_time, f1.backward_time):
+            with pytest.raises(InputError, match="outside open domain"):
+                flight_time(v, math.nan)
+
     def test_opaque_field_zero_scan(self):
         # no zero metadata: the scan must find the dead zone ahead
         dead = sk.ScalarField1D(
@@ -75,6 +82,13 @@ class TestFlowMap:
         v = sk.ramp_velocity_field(0.4, 0.0, 1.0)
         for t in (-3.0, 0.5, 10.0):
             assert f1.flow_map(v, t, -0.8) == -0.8
+
+    def test_nan_time_is_refused(self):
+        v = sk.ramp_velocity_field(0.2, 0.5, 0.0)
+        with pytest.raises(InputError, match="NaN"):
+            f1.flow_map(v, math.nan, 0.5)
+        with pytest.raises(InputError, match="outside open domain"):
+            f1.flow_map(v, 0.5, math.nan)
 
     def test_bridge_endpoint_timing(self):
         v = sk.bridge_velocity_field(0.2, 0.5, 0.1)

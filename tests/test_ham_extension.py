@@ -24,8 +24,8 @@ class TestRayHamiltonian:
     def test_axis_velocity_is_cutoff(self):
         F = hx.build_ray_hamiltonian(2)
         for x in (0.0, 0.3, 0.8):
-            z = np.array([0.0, 0.0, x, 0.0])
-            vec = F.vector_field(z)
+            z = np.array([[0.0, 0.0, x, 0.0]])
+            vec = F.vector_field(z)[0]
             assert vec[2] == pytest.approx(1.0, abs=1e-14)  # chi = 1 there
             assert np.abs(vec[[0, 1, 3]]).max() == 0.0
 
@@ -78,10 +78,24 @@ class TestRayHamiltonian:
 
     def test_membership(self):
         F = hx.build_ray_hamiltonian(2)
-        assert F.membership(np.array([0.0, 0.0, 0.5, 0.0]))
-        assert not F.membership(np.array([0.0, 0.0, -0.1, 0.0]))
-        assert not F.membership(np.array([0.1, 0.0, 0.5, 0.0]))
-        assert not F.membership(np.array([0.0, 0.0, 0.5, 0.2]))
+        inside = F.membership(np.array([[0.0, 0.0, 0.5, 0.0],
+                                        [0.0, 0.0, -0.1, 0.0],
+                                        [0.1, 0.0, 0.5, 0.0],
+                                        [0.0, 0.0, 0.5, 0.2]]))
+        assert inside.tolist() == [True, False, False, False]
+
+    def test_single_point_is_refused(self):
+        # the evaluators are batch-only: one point is a (1, dim) batch
+        F = hx.build_ray_hamiltonian(2)
+        z = np.array([0.0, 0.0, 0.5, 0.0])
+        for evaluate in (F.value, F.grad, F.vector_field, F.membership):
+            with pytest.raises(InputError, match=r"\(m, 4\) batch"):
+                evaluate(z)
+            assert evaluate(z[None]).shape[0] == 1
+
+    def test_nan_height_coefficient_is_refused(self):
+        with pytest.raises(InputError, match="h_coef"):
+            hx.RayHamiltonian(n=2, h_coef=float("nan"))
 
 
 class TestRayPlane:

@@ -269,12 +269,14 @@ class TestRatioJet:
         assert np.array_equal(sk.rising_cutoff_dx(a, x), du - dv)
         assert np.array_equal(sk.rising_cutoff_da(a, x), -0.5 * du + dv)
 
-    def test_scalar_edge_still_returns_floats(self):
+    def test_zero_dim_queries_return_arrays(self):
         for t in (0.0, 1.0, EXP_CLAMP, -EXP_CLAMP, 0.3):
-            assert isinstance(sk.smooth_step(t), float)
-            assert sk.smooth_step(t) == float(ratio_ref(t, 1.0 - t))
+            step, deriv = sk.smooth_step(t), sk.smooth_step_deriv(t)
+            assert isinstance(step, np.ndarray) and step.shape == ()
+            assert isinstance(deriv, np.ndarray) and deriv.shape == ()
+            assert step == ratio_ref(t, 1.0 - t)
             du, dv = ratio_partials_ref(t, 1.0 - t)
-            assert sk.smooth_step_deriv(t) == float(du - dv)
+            assert deriv == du - dv
 
     @given(a=st.floats(-0.9, 0.9), b=st.floats(-1.0, 1.0), c=st.floats(0.0, 1.0),
            x=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=16).map(np.array))

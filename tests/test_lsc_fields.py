@@ -374,10 +374,8 @@ class TestGluedField:
         spec, field, transect = box_tail_field
         xs = np.linspace(0.05, 0.9, 50)
         mismatches = 0
-        for p in transect:
-            if spec.boundary_distance(p) < 1e-3:
-                continue
-            lam_p = spec.lam(p)
+        clear = spec.boundary_distance(transect) >= 1e-3
+        for p, lam_p in zip(transect[clear], spec.lam(transect[clear])):
             for x in xs:
                 if abs(x - lam_p) < 1e-3:
                     continue

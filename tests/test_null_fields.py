@@ -18,29 +18,33 @@ def point_field():
     return spec, nf.build_epigraph_field(spec)
 
 
+def fibre_params(field, p):
+    """``(a, b, c)`` as floats on the fibre over the 1-D base point ``p``."""
+    return tuple(float(v[0]) for v in field.params(np.array([[p]])))
+
+
 class TestBuildEpigraphField:
     def test_parameter_fields(self, point_field):
         spec, field = point_field
-        a, b, c = field.params(np.array([0.0]))
-        assert b == 0.0 and a == -0.5 and c == 0.0
-        a, b, c = field.params(np.array([0.7]))
-        assert c > 0.0
+        a, b, c = field.params(np.array([[0.0], [0.7]]))
+        assert b[0] == 0.0 and a[0] == -0.5 and c[0] == 0.0
+        assert c[1] > 0.0
 
     def test_exit_time_on_set(self, point_field):
         _, field = point_field
-        a, b, c = field.params(np.array([0.0]))
+        a, b, c = fibre_params(field, 0.0)
         tof = flow1d.ramp_time_closed_form(a, b, c, 0.5)
         assert tof.value == pytest.approx(0.5, abs=1e-12)
 
     def test_exit_time_off_set(self, point_field):
         _, field = point_field
-        a, b, c = field.params(np.array([0.7]))
+        a, b, c = fibre_params(field, 0.7)
         for x in (-0.5, 0.0, 0.5):
             assert flow1d.ramp_time_closed_form(a, b, c, x).value == math.inf
 
     def test_exit_time_below_threshold(self, point_field):
         _, field = point_field
-        a, b, c = field.params(np.array([0.0]))
+        a, b, c = fibre_params(field, 0.0)
         tof = flow1d.ramp_time_closed_form(a, b, c, -0.2)
         assert 1.0 < tof.value < math.inf
 
@@ -65,30 +69,29 @@ class TestBuildEpigraphField:
 class TestClassification:
     def test_cantor_brush_members(self, brush):
         C, spec, vfield, _ = brush
-        # 1/3 is an interval endpoint at every depth: member
-        p = np.array([0.0, 1.0 / 3.0])
-        assert nf.classify_epigraph(vfield, p, 0.2) == nf.EXCISED
-        # 0.5 was removed at depth 1
-        assert nf.classify_epigraph(vfield, np.array([0.0, 0.5]), 0.2) == nf.SURVIVES
-        # first coordinate off the axis point
-        assert nf.classify_epigraph(vfield, np.array([0.2, 0.0]), 0.2) == nf.SURVIVES
+        p = np.array([
+            [0.0, 1.0 / 3.0],   # an interval endpoint at every depth: member
+            [0.0, 0.5],         # removed at depth 1
+            [0.2, 0.0],         # first coordinate off the axis point
+            [0.0, 1.0 / 3.0],   # member, but below the height 0
+        ])
+        excised = nf.classify_epigraph(vfield, p, np.array([0.2, 0.2, 0.2, -0.2]))
+        assert excised.tolist() == [True, False, False, False]
 
     def test_completeness_grid(self, point_field):
         spec, field = point_field
-        ps = np.linspace(-1.0, 1.0, 100)
-        xs = np.linspace(-0.9, 0.9, 100)
-        mismatches = 0
-        for p in ps:
-            member_p = spec.C.contains(np.array([p]))
-            if not member_p and abs(p) < 1e-3:
-                continue
-            for x in xs:
-                if member_p and abs(x) < 1e-3:
-                    continue
-                verdict = nf.classify_epigraph(field, np.array([p]), float(x))
-                want = nf.EXCISED if (member_p and x >= 0.0) else nf.SURVIVES
-                mismatches += int(verdict != want)
-        assert mismatches == 0
+        # the base grid includes the set {0} itself
+        base = np.union1d(np.linspace(-1.0, 1.0, 100), [0.0])
+        ps = np.repeat(base, 100)[:, None]
+        xs = np.tile(np.linspace(-0.9, 0.9, 100), base.size)
+        member_p = spec.C.contains(ps)
+        # margins around the set off it and around the threshold on it
+        keep = ~((~member_p & (np.abs(ps[:, 0]) < 1e-3))
+                 | (member_p & (np.abs(xs) < 1e-3)))
+        excised = nf.classify_epigraph(field, ps[keep], xs[keep])
+        want = member_p[keep] & (xs[keep] >= 0.0)
+        assert excised.shape == want.shape and np.any(want)
+        assert np.sum(excised != want) == 0
 
 
 class TestFibreFlows:
@@ -112,7 +115,7 @@ class TestFibreFlows:
     def test_fixed_fibre_where_cutoff_dead(self, point_field):
         _, field = point_field
         p = np.array([0.9])
-        a, _, _ = field.params(p)
+        a, _, _ = fibre_params(field, 0.9)
         x = 0.5 * (a - 1.0) - 0.1     # below the ramp: speed 0
         _, x1 = nf.presympl_time1(field, p, x)
         assert x1 == x

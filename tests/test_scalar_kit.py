@@ -73,6 +73,85 @@ class TestRisingCutoff:
         assert np.max(np.abs(d_rho_chi)) <= 1e-10
 
 
+NAN = float("nan")
+
+
+class TestDomainEdges:
+    """Every domain guard fails closed on NaN: the comparisons are written
+    as ``not (lo < x < hi)``, which NaN never passes."""
+
+    def test_open_interval_refuses_nan(self):
+        with pytest.raises(InputError, match="a must lie"):
+            sk.rising_cutoff(NAN, 0.0)
+        with pytest.raises(InputError, match="x must lie"):
+            sk.rising_cutoff(0.0, np.array([0.1, NAN]))
+        with pytest.raises(InputError, match="a must lie"):
+            sk.ramp_velocity_field(NAN, 0.0, 0.0)
+
+    def test_closed_interval_refuses_nan(self):
+        with pytest.raises(InputError, match="b must lie"):
+            sk.ramp_velocity_field(0.0, NAN, 0.0)
+        with pytest.raises(InputError, match="c must lie"):
+            sk.ramp_velocity(0.0, 0.0, NAN, 0.5)
+
+    def test_field_domain_refuses_nan(self):
+        field = sk.ramp_velocity_field(0.2, 0.5, 0.0)
+        with pytest.raises(InputError, match="outside open domain"):
+            field.check_domain(NAN)
+        with pytest.raises(InputError, match="outside open domain"):
+            field.check_domain(np.array([0.5, NAN]))
+
+    def test_sharpness_refuses_nan(self):
+        spec = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
+        with pytest.raises(InputError, match="sharpness"):
+            sk.defining_function(spec, sharpness=NAN)
+
+
+class TestBatchContract:
+    """The elementwise evaluators return arrays, 0-d ones for 0-d input,
+    and the point evaluators take ``(m, dim)`` batches."""
+
+    ELEMENTWISE = [
+        ("exp_decay", (0.5,)),
+        ("cubic_smoothstep", (0.5,)),
+        ("cubic_smoothstep_deriv", (0.5,)),
+        ("smooth_step", (0.5,)),
+        ("smooth_step_deriv", (0.5,)),
+        ("rising_cutoff", (0.0, -0.25)),
+        ("rising_cutoff_dx", (0.0, -0.25)),
+        ("rising_cutoff_da", (0.0, -0.25)),
+        ("ramp_velocity", (0.0, 0.5, 1.0, 0.0)),
+        ("bridge_velocity", (0.2, 0.5, 0.1, 0.35)),
+        ("bridge_velocity_dx", (0.2, 0.5, 0.1, 0.3)),
+        ("bridge_crossing_time", (0.2, 0.5, 0.1, 0.2, 0.5)),
+        ("bump_mass", (0.5,)),
+        ("ball_bump_from_sq", (0.5,)),
+    ]
+
+    @pytest.mark.parametrize("name, args", ELEMENTWISE, ids=lambda v: str(v))
+    def test_elementwise_returns_arrays(self, name, args):
+        fn = getattr(sk, name)
+        zero_dim = fn(*args)
+        assert isinstance(zero_dim, np.ndarray) and zero_dim.shape == ()
+        batch = fn(*args[:-1], np.full(3, args[-1]))
+        assert isinstance(batch, np.ndarray) and batch.shape == (3,)
+        assert np.all(batch == zero_dim)
+
+    def test_point_evaluators_take_batches(self):
+        spec = sk.ClosedSetSpec(
+            dim=2, pieces=((sk.axis_interval(-0.5, 0.5), sk.axis_point(0.0)),))
+        pts = np.array([[0.0, 0.0], [0.0, 0.1], [0.7, 0.0]])
+        assert spec.contains(pts).tolist() == [True, False, False]
+        assert spec.boundary_distance(pts) == pytest.approx([0.0, 0.1, 0.0])
+        c = sk.defining_function(spec)
+        val, grad = c.value_and_grad(pts)
+        assert val.shape == (3,) and grad.shape == (3, 2)
+        assert np.array_equal(c.value(pts), val)
+        assert np.array_equal(c.grad(pts), grad)
+        plateau = sk.smooth_box_plateau(pts, (-0.5, -0.05), (0.5, 0.05), 0.1)
+        assert plateau.shape == (3,) and plateau[0] == 1.0
+
+
 class TestRampVelocity:
     def test_plateau_value(self):
         assert sk.ramp_velocity(0.0, 0.0, 0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
@@ -227,18 +306,20 @@ class TestDefiningFunction:
     def test_point_membership(self):
         spec = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
         c = sk.defining_function(spec)
-        assert c.value(np.array([0.0])) == 0.0
-        assert c.value(np.array([0.5])) > 0.0
+        vals = c.value(np.array([[0.0], [0.5]]))
+        assert vals[0] == 0.0
+        assert vals[1] > 0.0
 
     def test_cantor_midpoint_removed(self):
         spec = sk.ClosedSetSpec(dim=1, pieces=((sk.cantor_axis(0.0, 1.0, 3),),))
         c = sk.defining_function(spec)
+        pts = np.array([[0.5], [1.0 / 3.0]])
+        vals = c.value(pts)
         # 1/2 sits in the middle-thirds gap removed at depth 1
-        assert c.value(np.array([0.5])) > 0.0
+        assert vals[0] > 0.0
         # brute-force interval membership agrees
-        assert not spec.contains(np.array([0.5]))
-        assert spec.contains(np.array([1.0 / 3.0]))
-        assert c.value(np.array([1.0 / 3.0])) == 0.0
+        assert spec.contains(pts).tolist() == [False, True]
+        assert vals[1] == 0.0
 
     def test_sign_agreement_on_grid(self, brush):
         C, _, vfield, _ = brush

@@ -1,6 +1,7 @@
 """The certification driver: fail-closed residuals, sample bookkeeping, the
 full check set of every scenario, and deterministic reports."""
 
+import hashlib
 import json
 import math
 
@@ -38,6 +39,20 @@ EXPECTED_CHECKS = {
 }
 
 SMALL = {"grid": 8, "depth": 4, "sympl_samples": 8, "roundtrip_samples": 8}
+
+# sha256 of each scenario's sub-report, serialised with indent=2 and sorted
+# keys, in the verify-all run at the SMALL config.  A refactor must leave
+# them unchanged; a change that moves a digit must list its residual
+# deltas in CHANGES.md when it updates them.
+SMALL_REPORT_DIGESTS = {
+    "ray": "14a14f1f6a58d0a7f889e1db0e73ba5e781f3ba750ca45acf3d01c67783a45fe",
+    "ray-n1": "8f77ee2cd1c772a0c2f3f024dc9bc0afff4a7073d952788edcdb0565b1947151",
+    "epigraph": "146ae87bf7a91704a3abf9715cb3acba6109fb8186100c6eacac3d8614ffb88d",
+    "cantor-brush": "8b98e924f4411cae71586d088306c246c7d55e3a879589f7362096ec5e9bbed7",
+    "box-tail": "72d622dbc9975a00ec5ef750618a13075278b31821ff2fb22ee348496633ba93",
+    "tree": "431e58fc73127110bc0947026463e41b907bd395aadfea276fc5b0aa5bb1da02",
+    "retract": "21921a234988a6c837748f26ad106c96521a06c628cf0132532c6d210cad3dfe",
+}
 
 
 class NanAtFirstPoint:
@@ -97,6 +112,9 @@ class TestDriver:
         assert set(report["reports"]) == set(EXPECTED_CHECKS)
         for name, want in EXPECTED_CHECKS.items():
             assert set(report["reports"][name]["checks"]) == want, name
+        for name, want in SMALL_REPORT_DIGESTS.items():
+            text = json.dumps(report["reports"][name], indent=2, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, name
 
     def test_tree_report_is_deterministic(self, tmp_path):
         assert_deterministic(tmp_path, "tree")

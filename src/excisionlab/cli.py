@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 _CHOICES = sorted(SCENARIOS) + ["verify-all"]
+# ScenarioConfig fields a command-line option can override
+_OVERRIDES = ("tol", "grid", "out_dir", "seed", "n", "depth", "u_scale")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with a ScenarioConfig")
     parser.add_argument("--tol", type=float, help="integrator tolerance")
     parser.add_argument("--grid", type=int, help="grid resolution override")
-    parser.add_argument("--out", help="output directory for report and CSVs")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory for report and CSVs")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--n", type=int, help="model dimension parameter")
     parser.add_argument("--depth", type=int, help="tower depth (box-tail)")
@@ -48,12 +52,9 @@ def main(argv=None) -> int:
         cfg = ScenarioConfig.from_file(args.config, scenario=args.scenario)
     else:
         cfg = ScenarioConfig(scenario=args.scenario)
-    for attr, key in (("tol", "tol"), ("grid", "grid"), ("out", "out_dir"),
-                      ("seed", "seed"), ("n", "n"), ("depth", "depth"),
-                      ("u_scale", "u_scale")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    # through the constructor, so the overrides are validated too
+    cfg = replace(cfg, **{key: getattr(args, key) for key in _OVERRIDES
+                          if getattr(args, key) is not None})
 
     report = run_scenario(cfg)
     for name, chk in _flatten(report):

@@ -268,6 +268,7 @@ def backward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFl
     return TimeOfFlight(-res.value, res.mode)
 
 
+@np.errstate(divide="ignore", over="ignore")
 def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> float:
     """Point reached from ``x`` after flowing for time ``t`` along ``v``.
 
@@ -275,7 +276,9 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     the cumulative time integral.  Points where ``v`` vanishes are fixed for
     all times.  Times outside the flow domain raise
     :class:`~excisionlab.errors.FlowDomainError`; a NaN time raises
-    :class:`~excisionlab.errors.InputError`.
+    :class:`~excisionlab.errors.InputError`.  A quadrature node next to a
+    zero of ``v``, where ``v`` underflows to 0, gives ``1/v = inf``: an
+    infinite time, which the bracket treats as beyond the target.
     """
     v.check_domain(x)
     if not -math.inf <= t <= math.inf:

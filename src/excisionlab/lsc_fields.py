@@ -38,7 +38,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CoverageError, DepthExhausted, InputError
-from .null_fields import VectorFieldPX
 from .scalar_kit import (
     ScalarField1D,
     ball_bump_from_sq,
@@ -543,7 +542,7 @@ class FiberData:
         return self.tau.size
 
 
-class GluedField(VectorFieldPX):
+class GluedField:
     """Lazily evaluated limit of the velocity tower, with the final flat
     cutoff vanishing below ``f_1(p)/2``.
 
@@ -553,7 +552,10 @@ class GluedField(VectorFieldPX):
     :class:`~excisionlab.errors.DepthExhausted` instead of extrapolating.
 
     The whole API is per fibre, the one-point edge of the package: every
-    method takes one base point ``p`` of shape ``(base_dim,)``.
+    method takes one base point ``p`` of shape ``(base_dim,)`` and refuses
+    any other shape with :class:`~excisionlab.errors.InputError`.  So it
+    is not a batch :class:`~excisionlab.null_fields.VectorFieldPX` and has
+    no ambient extension; it is certified at the hypersurface level.
     ``velocity`` and ``velocity_dx`` evaluate elementwise in ``x``; the
     exit times and :meth:`classify` take a float ``x``.
     """
@@ -567,13 +569,16 @@ class GluedField(VectorFieldPX):
         self.majorants = list(majorants)   # g_0 .. g_depth
         self.depth = depth
         self.base_dim = spec.dim
-        self.interval = (0.0, 1.0)
         self._fiber_cache: dict[bytes, FiberData] = {}
 
     # -- per-point tower data -------------------------------------------
 
     def fiber_data(self, p) -> FiberData:
-        pt = np.asarray(p, dtype=float)[None]
+        pt = np.asarray(p, dtype=float)
+        if pt.shape != (self.base_dim,):
+            raise InputError(f"base point must have shape ({self.base_dim},), "
+                             f"got {pt.shape}")
+        pt = pt[None]
         key = pt.tobytes()
         hit = self._fiber_cache.get(key)
         if hit is not None:
@@ -662,12 +667,6 @@ class GluedField(VectorFieldPX):
         raw = self._raw_velocity(data, x)
         raw_dx = self._raw_velocity(data, x, deriv=True)
         return raw_dx * self._cutoff(data.f[0], x) + raw * self._cutoff_dx(data.f[0], x)
-
-    def velocity_grad_p(self, p, x):
-        raise NotImplementedError(
-            "the glued field is certified at the hypersurface level; no "
-            "ambient extension is built for it"
-        )
 
     def fiber(self, p) -> ScalarField1D:
         # the 1D field is only defined on the covered band below the

@@ -60,8 +60,11 @@ class ScenarioConfig:
     roundtrip_samples: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0 or self.fd_step <= 0 or self.margin <= 0:
-            raise InputError("tolerances must be positive")
+        # written to fail closed: NaN is not in (0, inf)
+        for name in ("tol", "fd_step", "margin", "u_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {value!r}")
 
     @staticmethod
     def from_file(path: str, scenario: Optional[str] = None) -> "ScenarioConfig":
@@ -118,13 +121,11 @@ def _symplecticity_check(field, samples: np.ndarray, bound: float,
 
 
 def _batch_endpoints(field, pts: np.ndarray, tol: float, backward: bool) -> np.ndarray:
-    outs = symflow.integrate_batch(field, pts, -1.0 if backward else 1.0, tol=tol)
-    ends = np.empty_like(pts)
-    for i, out in enumerate(outs):
-        if out.status != symflow.COMPLETED:
-            raise InputError(f"round-trip sample left the chart: {out.status}")
-        ends[i] = out.endpoint
-    return ends
+    out = symflow.integrate_batch(field, pts, -1.0 if backward else 1.0, tol=tol)
+    left = np.nonzero(~out.completed)[0]
+    if left.size:
+        raise InputError(f"round-trip sample left the chart: {out.status[left[0]]}")
+    return out.endpoint
 
 
 def _roundtrip_check(field, survivors: np.ndarray, targets: np.ndarray,
@@ -141,9 +142,9 @@ def _roundtrip_check(field, survivors: np.ndarray, targets: np.ndarray,
 def _conservation_check(field, samples: np.ndarray, tol: float,
                         bound: float = 1e-7, horizon: float = 2.0) -> dict:
     drift = []
-    for out in symflow.integrate_batch(field, samples, horizon, tol=tol,
-                                       record=True):
-        vals = field.value(out.trajectory[:, 1:])
+    for traj in symflow.integrate_batch(field, samples, horizon, tol=tol,
+                                        record=True).trajectories:
+        vals = field.value(traj[:, 1:])
         drift.append(np.abs(vals - vals[0]))
     worst = _worst(drift)
     return _check(worst <= bound, samples.shape[0], worst, bound=bound)
@@ -790,11 +791,10 @@ def _write_trajectories(cfg: ScenarioConfig, out_dir: str) -> None:
                   np.array([0.0, 0.5, 0.2, 0.1])]
     else:
         return
-    outs = symflow.integrate_batch(field, np.stack(starts),
-                                   1.0 + symflow.DELTA_PROBE, tol=cfg.tol,
-                                   record=True)
-    for i, out in enumerate(outs):
-        rows = out.trajectory
+    out = symflow.integrate_batch(field, np.stack(starts),
+                                  1.0 + symflow.DELTA_PROBE, tol=cfg.tol,
+                                  record=True)
+    for i, rows in enumerate(out.trajectories):
         path = os.path.join(out_dir, "trajectories", f"traj_{i}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

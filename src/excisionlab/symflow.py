@@ -11,6 +11,9 @@ FSAL), and a rejected step keeps the first stage it had.  A point is
 declared to have escaped the chart when its monitor coordinate crosses
 ``1 - DELTA_ESC`` (or its norm exceeds ``R_MAX``); the crossing time is then
 bracketed to width ``ESC_BRACKET`` by bisecting the last accepted step.
+A batch in gives a batch out: :func:`integrate_batch` returns one
+:class:`FlowOutcome` whose fields are arrays with one entry per row, so
+callers read masks and endpoints without taking per-row objects apart.
 Hamiltonian flows have no structure-preserving discretization here on
 purpose: symplecticity is certified a posteriori on the time-1 map, not
 assumed from the integrator class.
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import StencilError
+from .errors import InputError, StencilError
 from .ham_extension import HamiltonianField, coordinate_stencil, pairing_matrix
 
 __all__ = [
@@ -73,24 +76,28 @@ _DP_ERR = np.array([
 
 @dataclass
 class FlowOutcome:
-    """Result of integrating one trajectory.
+    """Result of integrating an ``(m, d)`` batch: one entry per row.
 
-    ``status == 'escaped-chart'`` carries a bracket
-    ``t_esc_lower <= t_esc <= t_esc_upper`` of width at most ``ESC_BRACKET``
-    around the chart-exit time.  ``trajectory`` (when recorded) holds the
-    start row ``(0, z0...)`` and one row ``(t, z...)`` per accepted step.
+    ``endpoint`` is ``(m, d)``; ``elapsed``, ``status``, ``step_count``,
+    ``t_esc_lower`` and ``t_esc_upper`` are ``(m,)``.  ``status`` holds the
+    strings ``COMPLETED``, ``ESCAPED`` or ``TOLERANCE_FAILURE``.  An escaped
+    row carries a bracket ``t_esc_lower <= t_esc <= t_esc_upper`` of width
+    at most ``ESC_BRACKET`` around its chart-exit time; the bracket is NaN
+    on every other row.  ``trajectories`` (when recorded) is a list of
+    ``m`` arrays, each holding the start row ``(0, z0...)`` and one row
+    ``(t, z...)`` per accepted step.
     """
 
     endpoint: np.ndarray
-    elapsed: float
-    status: str
-    step_count: int = 0
-    t_esc_lower: Optional[float] = None
-    t_esc_upper: Optional[float] = None
-    trajectory: Optional[np.ndarray] = None
+    elapsed: np.ndarray
+    status: np.ndarray
+    step_count: np.ndarray
+    t_esc_lower: np.ndarray
+    t_esc_upper: np.ndarray
+    trajectories: Optional[list] = None
 
     @property
-    def completed(self) -> bool:
+    def completed(self) -> np.ndarray:
         return self.status == COMPLETED
 
 
@@ -173,15 +180,16 @@ def _bracket_escapes_batch(field, z_prev, t_prev, dts):
     return t_prev + lo * dts, t_prev + hi * dts, z_end
 
 
-# integer status codes used internally for vectorized masking
-_RUNNING, _DONE, _ESC, _FAIL = 0, 1, 2, 3
-_STATUS_NAMES = {_DONE: COMPLETED, _ESC: ESCAPED, _FAIL: TOLERANCE_FAILURE}
+# integer status codes used internally for vectorized masking; a finished
+# row's code indexes its name
+_RUNNING, _DONE, _ESC, _FAIL = -1, 0, 1, 2
+_STATUS_NAMES = np.array([COMPLETED, ESCAPED, TOLERANCE_FAILURE])
 
 
 def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
                     tol: float = DEFAULT_TOL,
                     max_steps: int = 50_000,
-                    record: bool = False) -> list[FlowOutcome]:
+                    record: bool = False) -> FlowOutcome:
     """Integrate an ``(m, d)`` batch of initial conditions for the signed
     time ``t_final``.
 
@@ -189,42 +197,46 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
     active masks, so heterogeneous stiffness does not couple points, and
     the result order matches the input order regardless of which points
     finish first.  A point exceeding ``max_steps`` attempts is reported as
-    a tolerance failure rather than stalling the batch.
+    a tolerance failure rather than stalling the batch.  At
+    ``t_final == 0`` every start that has not already escaped completes
+    without a step.  A non-finite ``t_final`` or start row raises
+    :class:`InputError` before any RHS call.
 
     A negative ``t_final`` flows backward along the reversed field (whose
     chart monitor never fires; only the ``R_MAX`` norm guard does) and
-    reports negative ``elapsed``.  With ``record=True`` every outcome
-    carries one row ``(t, z...)`` per accepted step after the start row;
-    on a chart exit the last row is the bracketed exit point.
+    reports negative ``elapsed``.  With ``record=True`` each row's
+    trajectory holds one row ``(t, z...)`` per accepted step after the
+    start row; on a chart exit the last row is the bracketed exit point.
     """
+    z = np.array(z0, dtype=float)
+    if not np.isfinite(t_final):
+        raise InputError(f"t_final must be finite, got {t_final!r}")
+    bad = np.nonzero(~np.all(np.isfinite(z), axis=1))[0]
+    if bad.size:
+        raise InputError(f"start row {bad[0]} is not finite")
     backward = t_final < 0
     if backward:
         field, t_final = _Reversed(field), -t_final
-    z = np.array(z0, dtype=float)
     m = z.shape[0]
     t = np.zeros(m)
     dt = np.full(m, min(1e-2, t_final))
-    status = np.full(m, _RUNNING, dtype=int)
     steps = np.zeros(m, dtype=int)
-    esc_lo = np.full(m, np.nan)
-    esc_hi = np.full(m, np.nan)
-    rows = [[np.concatenate([[0.0], zi])] for zi in z] if record else None
+    # accepted rows of each step, as (row indices, (t, z...) rows)
+    log = [(np.arange(m), np.column_stack([t, z]))] if record else None
 
     already = _escaped(field, z)
-    status[already] = _ESC
-    esc_lo[already] = 0.0
-    esc_hi[already] = 0.0
+    status = np.where(already, _ESC, _DONE if t_final == 0 else _RUNNING)
+    esc_lo = np.where(already, 0.0, np.nan)
+    esc_hi = esc_lo.copy()
     # first stage of each row's next step: f at its start, then the last
     # stage of each accepted step; a rejected step keeps it
     k1 = np.zeros_like(z)
-    if not np.all(already):
-        k1[~already] = field.vector_field(z[~already])
+    running = status == _RUNNING
+    if np.any(running):
+        k1[running] = field.vector_field(z[running])
 
-    pend_idx: list[int] = []
-    pend_zprev: list[np.ndarray] = []
-    pend_tprev: list[float] = []
-    pend_dt: list[float] = []
-
+    # escaping steps in the order they escaped: rows, starts, times, steps
+    pending = []
     dt_min = 1e-14 * max(1.0, abs(t_final))
     attempts = np.zeros(m, dtype=int)
     while True:
@@ -247,22 +259,17 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
 
         acc = idx[accept]
         if acc.size:
-            z_prev = z[acc].copy()
-            t_prev = t[acc].copy()
-            t[acc] += dti[accept]
+            dta = dti[accept]
+            esc_now = _escaped(field, z5[accept])
+            if np.any(esc_now):
+                pending.append((acc[esc_now], zi[accept][esc_now],
+                                t[acc][esc_now], dta[esc_now]))
+            t[acc] += dta
             z[acc] = z5[accept]
             k1[acc] = k7[accept]
             steps[acc] += 1
             if record:
-                for i in acc:
-                    rows[i].append(np.concatenate([[t[i]], z[i]]))
-            esc_now = _escaped(field, z[acc])
-            esc_rows = np.nonzero(esc_now)[0]
-            for r in esc_rows:
-                pend_idx.append(int(acc[r]))
-                pend_zprev.append(z_prev[r])
-                pend_tprev.append(float(t_prev[r]))
-                pend_dt.append(float(dti[accept][r]))
+                log.append((acc, np.column_stack([t[acc], z[acc]])))
             status[acc[esc_now]] = _ESC
             done = (t[acc] >= t_final) & ~esc_now
             status[acc[done]] = _DONE
@@ -275,44 +282,39 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
         fail = (dt[idx] < dt_min) & (status[idx] == _RUNNING)
         status[idx[fail]] = _FAIL
 
-    if pend_idx:
-        lo, hi, z_end = _bracket_escapes_batch(
-            field, np.stack(pend_zprev), np.array(pend_tprev), np.array(pend_dt)
-        )
-        for j, i in enumerate(pend_idx):
-            esc_lo[i], esc_hi[i] = lo[j], hi[j]
-            z[i] = z_end[j]
-            t[i] = hi[j]
-            if record:
-                rows[i][-1] = np.concatenate([[hi[j]], z_end[j]])
+    if pending:
+        rows, z_prev, t_prev, dts = (np.concatenate(col) for col in zip(*pending))
+        lo, hi, z_end = _bracket_escapes_batch(field, z_prev, t_prev, dts)
+        esc_lo[rows], esc_hi[rows] = lo, hi
+        z[rows] = z_end
+        t[rows] = hi
 
     sign = -1.0 if backward else 1.0
-    out = []
-    for i in range(m):
-        traj = None
-        if record:
-            traj = np.array(rows[i])
-            traj[:, 0] *= sign
-        out.append(FlowOutcome(
-            endpoint=z[i].copy(),
-            elapsed=sign * float(t[i]),
-            status=_STATUS_NAMES[status[i]],
-            step_count=int(steps[i]),
-            t_esc_lower=None if np.isnan(esc_lo[i]) else float(esc_lo[i]),
-            t_esc_upper=None if np.isnan(esc_hi[i]) else float(esc_hi[i]),
-            trajectory=traj,
-        ))
-    return out
+    trajectories = None
+    if record:
+        owner, traj = (np.concatenate(col) for col in zip(*log))
+        traj = traj[np.argsort(owner, kind="stable")]
+        ends = np.cumsum(np.bincount(owner, minlength=m))
+        if pending:
+            # the bracketed exit point replaces an escaped row's last step
+            traj[ends[rows] - 1] = np.column_stack([hi, z_end])
+        traj[:, 0] *= sign
+        trajectories = np.split(traj, ends)[:m]
+    return FlowOutcome(
+        endpoint=z,
+        elapsed=sign * t,
+        status=_STATUS_NAMES[status],
+        step_count=steps,
+        t_esc_lower=esc_lo,
+        t_esc_upper=esc_hi,
+        trajectories=trajectories,
+    )
 
 
 def integrate(field: HamiltonianField, z0, t: float,
               tol: float = DEFAULT_TOL) -> FlowOutcome:
-    """Integrate a single trajectory for time ``t`` (either sign); a
-    one-point :func:`integrate_batch` with a shortcut for ``t == 0``."""
-    z0 = np.asarray(z0, dtype=float)
-    if t == 0.0:
-        return FlowOutcome(endpoint=z0.copy(), elapsed=0.0, status=COMPLETED)
-    return integrate_batch(field, z0[None, :], t, tol=tol)[0]
+    """A one-row :func:`integrate_batch` of the point ``z0``."""
+    return integrate_batch(field, np.asarray(z0, dtype=float)[None, :], t, tol=tol)
 
 
 def numerical_jacobian(map_batch: Callable[[np.ndarray], tuple],
@@ -353,9 +355,8 @@ def time1_jacobian_batch(field: HamiltonianField, points: np.ndarray,
     excised set raises :class:`StencilError` (callers sample with margin).
     """
     def time1(stencil):
-        outs = integrate_batch(field, stencil, 1.0, tol=tol)
-        return (np.stack([out.endpoint for out in outs]),
-                np.array([out.status == COMPLETED for out in outs]))
+        out = integrate_batch(field, stencil, 1.0, tol=tol)
+        return out.endpoint, out.completed
     return numerical_jacobian(time1, points, fd_step)
 
 
@@ -371,24 +372,20 @@ def classify_escape(field: HamiltonianField, membership: Callable,
     floating-point coin flip.
     """
     pts = np.asarray(points, dtype=float)
-    outcomes = integrate_batch(field, pts, t_probe, tol=tol)
-    member = membership(pts)
-    mismatches = []
-    for i, out in enumerate(outcomes):
-        if out.status == ESCAPED:
-            verdict = 0.5 * (out.t_esc_lower + out.t_esc_upper) <= 1.0
-        elif out.status == COMPLETED:
-            verdict = False
-        else:
-            verdict = None  # tolerance failure: always a mismatch
-        if verdict is None or bool(verdict) != bool(member[i]):
-            mismatches.append({
-                "index": int(i),
-                "point": [float(v) for v in pts[i]],
-                "verdict": None if verdict is None else bool(verdict),
-                "member": bool(member[i]),
-                "status": out.status,
-            })
+    out = integrate_batch(field, pts, t_probe, tol=tol)
+    member = np.asarray(membership(pts), dtype=bool)
+    # escaped rows exit at or before t=1; completed rows survive; a
+    # tolerance failure is always a mismatch
+    failed = out.status == TOLERANCE_FAILURE
+    verdict = (out.status == ESCAPED) & (
+        0.5 * (out.t_esc_lower + out.t_esc_upper) <= 1.0)
+    mismatches = [{
+        "index": int(i),
+        "point": [float(v) for v in pts[i]],
+        "verdict": None if failed[i] else bool(verdict[i]),
+        "member": bool(member[i]),
+        "status": str(out.status[i]),
+    } for i in np.nonzero(failed | (verdict != member))[0]]
     return {
         "n_points": int(pts.shape[0]),
         "n_mismatches": len(mismatches),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ExcisedPointError, InputError
 from .ham_extension import HamiltonianField, RayHamiltonian
-from .symflow import COMPLETED, ESCAPED, integrate_batch
+from .symflow import ESCAPED, integrate_batch
 
 __all__ = [
     "TreeSpec",
@@ -300,16 +300,11 @@ class StagedExcision:
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
-            outcomes = integrate_batch(f, zs[idx], 1.0, tol=tol)
-            for row, out in zip(idx, outcomes):
-                if out.status == COMPLETED:
-                    zs[row] = out.endpoint
-                elif out.status == ESCAPED:
-                    stage_escaped[row] = k
-                    alive[row] = False
-                else:
-                    stage_escaped[row] = -2
-                    alive[row] = False
+            out = integrate_batch(f, zs[idx], 1.0, tol=tol)
+            done = out.completed
+            zs[idx[done]] = out.endpoint[done]
+            stage_escaped[idx[~done]] = np.where(out.status[~done] == ESCAPED, k, -2)
+            alive[idx[~done]] = False
         return zs, stage_escaped
 
     def forward_point(self, z, tol: float = 1e-10) -> np.ndarray:
@@ -321,11 +316,10 @@ class StagedExcision:
     def inverse_batch(self, pts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         zs = np.array(pts, dtype=float)
         for f in reversed(self.fields):
-            outcomes = integrate_batch(f, zs, -1.0, tol=tol)
-            for i, out in enumerate(outcomes):
-                if out.status != COMPLETED:
-                    raise ExcisedPointError("backward stage failed")
-                zs[i] = out.endpoint
+            out = integrate_batch(f, zs, -1.0, tol=tol)
+            if not np.all(out.completed):
+                raise ExcisedPointError("backward stage failed")
+            zs = out.endpoint
         return zs
 
 

@@ -102,22 +102,18 @@ class TestRayPlane:
     def test_exit_iff_nonnegative(self):
         F = hx.build_ray_hamiltonian_n1()
         # axis exit times: chi = 1 above -eps/2, so T(x) = 1 - x there
-        out = sf.integrate(F, np.array([0.0, 0.0]), 1.0 + sf.DELTA_PROBE)
-        assert out.status == sf.ESCAPED
-        assert out.t_esc_lower <= 1.0 <= out.t_esc_upper + 2e-4
-
-        out = sf.integrate(F, np.array([-0.01, 0.0]), 1.0 + sf.DELTA_PROBE)
-        assert out.status == sf.ESCAPED and out.t_esc_lower > 1.0
-
-        out = sf.integrate(F, np.array([0.01, 0.0]), 1.0 + sf.DELTA_PROBE)
-        assert out.status == sf.ESCAPED and out.t_esc_upper < 1.0
+        starts = np.array([[0.0, 0.0], [-0.01, 0.0], [0.01, 0.0]])
+        out = sf.integrate_batch(F, starts, 1.0 + sf.DELTA_PROBE)
+        assert np.all(out.status == sf.ESCAPED)
+        assert out.t_esc_lower[0] <= 1.0 <= out.t_esc_upper[0] + 2e-4
+        assert out.t_esc_lower[1] > 1.0
+        assert out.t_esc_upper[2] < 1.0
 
     def test_off_axis_complete(self):
         F = hx.build_ray_hamiltonian_n1()
-        out_fw = sf.integrate(F, np.array([0.5, 0.7]), 10.0)
-        out_bw = sf.integrate(F, np.array([0.5, 0.7]), -10.0)
-        assert out_fw.status == sf.COMPLETED
-        assert out_bw.status == sf.COMPLETED
+        z = np.array([0.5, 0.7])
+        assert sf.integrate(F, z, 10.0).completed[0]
+        assert sf.integrate(F, z, -10.0).completed[0]
 
 
 class TestExtension:

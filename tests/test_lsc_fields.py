@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from excisionlab import flow1d, lsc_fields as lf
+from excisionlab import flow1d, lsc_fields as lf, null_fields
 from excisionlab.errors import DepthExhausted, InputError
 from excisionlab.scalar_kit import (bridge_crossing_time, bridge_velocity,
                                     bridge_velocity_dx)
@@ -409,6 +409,28 @@ class TestGluedField:
             x_f = flow1d.flow_map(fiber, 1.0, x_b)
             worst = max(worst, abs(x_f - x_t))
         assert worst <= 1e-8
+
+    @settings(max_examples=25)
+    @given(i=st.integers(0, 49), x=st.floats(0.3, 0.85), t=st.floats(0.0, 1.0))
+    def test_backward_then_forward_is_identity(self, box_tail_field, i, x, t):
+        _, field, transect = box_tail_field
+        fiber = field.fiber(transect[i])
+        back = flow1d.flow_map(fiber, -t, x)
+        assert abs(flow1d.flow_map(fiber, t, back) - x) <= 1e-8
+
+    def test_is_a_per_fibre_field(self, box_tail_field):
+        # a batch of base points is refused at the edge, not deep inside
+        _, field, transect = box_tail_field
+        assert not isinstance(field, null_fields.VectorFieldPX)
+        assert not hasattr(field, "jet")
+        with pytest.raises(InputError, match=r"base point must have shape \(2,\)"):
+            field.velocity(transect[2:5], np.full(3, 0.5))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 2), (2, 2)])
+    def test_base_point_shape_is_checked(self, box_tail_field, shape):
+        _, field, _ = box_tail_field
+        with pytest.raises(InputError, match="base point must have shape"):
+            field.fiber_data(np.full(shape, 0.1))
 
     def test_depth_exhaustion_is_loud(self, box_tail_field):
         spec, field, transect = box_tail_field

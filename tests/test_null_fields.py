@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excisionlab import flow1d, null_fields as nf, scalar_kit as sk
 from excisionlab.errors import ExcisedPointError, InputError
@@ -161,3 +162,32 @@ class TestGradients:
             fd = (vfield.velocity(zp, xs) - vfield.velocity(zm, xs)) / (2 * h)
             rel = np.abs(fd - grad[:, i]) / (1.0 + np.abs(grad[:, i]))
             assert np.max(rel) <= 1e-5
+
+
+class TestFibreFlowProperties:
+    @settings(max_examples=40)
+    @given(p=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           x=st.floats(-0.95, 0.95), s=st.floats(-1.0, 0.0),
+           t=st.floats(-1.0, 0.0))
+    def test_backward_flows_compose(self, epigraph_box, p, x, s, t):
+        # flow_map(s + t) = flow_map(t) o flow_map(s): backward flows are
+        # total on epigraph fibres, so every composition is defined
+        _, field, _ = epigraph_box
+        fiber = field.fiber(np.array(p))
+        once = flow1d.flow_map(fiber, s + t, x)
+        twice = flow1d.flow_map(fiber, t, flow1d.flow_map(fiber, s, x))
+        assert abs(once - twice) <= 1e-10
+
+    def test_flow_toward_a_zero_of_the_velocity_is_quiet(self, epigraph_box):
+        # x sits just above the fibre's zero region, so quadrature nodes
+        # meet v = 0 (1/v = inf) while the bracket closes in on it; under
+        # the suite's error::RuntimeWarning filter a warning would raise
+        _, field, _ = epigraph_box
+        fiber = field.fiber(np.array([0.48876145, 0.70375182]))
+        x = -0.6860298096716246
+        assert fiber.zero_regions[0][1] < x
+        once = flow1d.flow_map(fiber, -0.47511112, x)
+        twice = flow1d.flow_map(fiber, -0.17889691,
+                                flow1d.flow_map(fiber, -0.29621421, x))
+        assert fiber.zero_regions[0][1] < once < x
+        assert abs(once - twice) <= 1e-10

@@ -54,6 +54,21 @@ SMALL_REPORT_DIGESTS = {
     "retract": "21921a234988a6c837748f26ad106c96521a06c628cf0132532c6d210cad3dfe",
 }
 
+# sha256 of each trajectory CSV written at the SMALL config; they pin the
+# recorded-trajectory path of the integrator
+SMALL_TRAJECTORY_DIGESTS = {
+    "ray-n1": {
+        "traj_0.csv": "7424cfe73e0f81200f43187c5cacdc3b6b59786c4c875947cb6288df854383fd",
+        "traj_1.csv": "4343d4be60b9d7ba2c874db1eb77854fbd223731172ff9907c66dfa40a8b69c6",
+        "traj_2.csv": "30b7c82ddcd520fa9d1cc038e1337205bed19795e871e9777e14aac3d112aaae",
+    },
+    "cantor-brush": {
+        "traj_0.csv": "b6c122e312a675c11bb1acb9566a53104392c5c2ccbaf874851c22c67ead1846",
+        "traj_1.csv": "1445102d91f4759d4c3f3f2de344f0e6eb612e611e88f3567a4788bbfb27132e",
+        "traj_2.csv": "75a2a8362ed339bb9185366c8f23a62ff74176f2deb0d8d35d5fc51086e5fea8",
+    },
+}
+
 
 class NanAtFirstPoint:
     """``F = |z|^2`` with its exact gradient, except that the value is NaN
@@ -121,13 +136,16 @@ class TestDriver:
 
     @pytest.mark.parametrize("scenario", ["ray-n1", "cantor-brush"])
     def test_batch_flow_report_is_deterministic(self, tmp_path, scenario):
-        assert len(assert_deterministic(tmp_path, scenario)) == 3
+        csvs = assert_deterministic(tmp_path, scenario)
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in csvs.items()}
+        assert digests == SMALL_TRAJECTORY_DIGESTS[scenario]
 
 
 def assert_deterministic(tmp_path, scenario):
     """Two runs of ``scenario`` at the reduced config write the same
     ``report.json`` (``out_dir`` removed) and the same trajectory CSVs;
-    returns the CSVs by file name."""
+    returns the CSV bytes by file name."""
     texts, csvs = [], []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -136,7 +154,7 @@ def assert_deterministic(tmp_path, scenario):
         report = json.loads((out / "report.json").read_text())
         report["config"].pop("out_dir")
         texts.append(json.dumps(report, indent=2, sort_keys=True))
-        csvs.append({path.name: path.read_text()
+        csvs.append({path.name: path.read_bytes()
                      for path in sorted((out / "trajectories").glob("*.csv"))})
     assert texts[0] == texts[1]
     assert csvs[0] == csvs[1]
@@ -178,3 +196,20 @@ class TestUScale:
         cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.3)
         with pytest.raises(InputError, match="u_scale must exceed 0.333333"):
             scenarios.run_scenario(cfg)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["tol", "fd_step", "margin", "u_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_value_is_refused(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be positive and finite"):
+            scenarios.ScenarioConfig(scenario="ray", **{field: value})
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "-1"), ("--tol", "nan"), ("--u-scale", "-1"),
+        ("--u-scale", "inf"),
+    ])
+    def test_command_line_override_is_validated(self, option, value, capsys):
+        with pytest.raises(InputError, match="must be positive and finite"):
+            cli.main(["ray-n1", option, value])
+        assert capsys.readouterr().out == ""

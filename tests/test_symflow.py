@@ -1,12 +1,14 @@
 """The DP5 integrator loop: recording, batching, time reversal and the
 first-same-as-last (FSAL) step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from excisionlab import scenarios, symflow
-from excisionlab.errors import StencilError
+from excisionlab.errors import InputError, StencilError
 from excisionlab.ham_extension import build_ray_hamiltonian
 
 
@@ -28,46 +30,88 @@ def starts():
 
 class TestRecording:
     def test_last_row_is_endpoint(self, ray, starts):
-        outs = symflow.integrate_batch(ray, starts, 1.05, record=True)
-        statuses = {out.status for out in outs}
-        assert statuses == {symflow.COMPLETED, symflow.ESCAPED}
-        for z0, out in zip(starts, outs):
-            traj = out.trajectory
-            assert traj.shape == (out.step_count + 1, 5)
+        out = symflow.integrate_batch(ray, starts, 1.05, record=True)
+        assert set(out.status) == {symflow.COMPLETED, symflow.ESCAPED}
+        assert len(out.trajectories) == starts.shape[0]
+        for i, (z0, traj) in enumerate(zip(starts, out.trajectories)):
+            assert traj.shape == (out.step_count[i] + 1, 5)
             assert np.array_equal(traj[0], np.concatenate([[0.0], z0]))
-            assert traj[-1, 0] == out.elapsed
-            assert np.array_equal(traj[-1, 1:], out.endpoint)
+            assert traj[-1, 0] == out.elapsed[i]
+            assert np.array_equal(traj[-1, 1:], out.endpoint[i])
             assert np.all(np.diff(traj[:, 0]) > 0.0)
 
     def test_backward_rows_run_backward(self, ray, starts):
-        out = symflow.integrate_batch(ray, starts[:1], -1.0, record=True)[0]
-        assert out.status == symflow.COMPLETED
-        assert out.elapsed == -1.0
-        assert out.trajectory[-1, 0] == out.elapsed
-        assert np.all(np.diff(out.trajectory[:, 0]) < 0.0)
+        out = symflow.integrate_batch(ray, starts[:1], -1.0, record=True)
+        traj = out.trajectories[0]
+        assert out.status[0] == symflow.COMPLETED
+        assert out.elapsed[0] == -1.0
+        assert traj[-1, 0] == out.elapsed[0]
+        assert np.all(np.diff(traj[:, 0]) < 0.0)
 
     def test_unrecorded_run_has_no_rows(self, ray, starts):
-        outs = symflow.integrate_batch(ray, starts, 1.05)
-        assert all(out.trajectory is None for out in outs)
+        assert symflow.integrate_batch(ray, starts, 1.05).trajectories is None
 
     def test_batch_equals_singletons(self, ray, starts):
         batch = symflow.integrate_batch(ray, starts, 1.05, record=True)
-        for z0, out in zip(starts, batch):
-            alone = symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)[0]
-            assert alone.status == out.status
-            assert alone.elapsed == out.elapsed
-            assert alone.t_esc_lower == out.t_esc_lower
-            assert alone.t_esc_upper == out.t_esc_upper
-            assert np.array_equal(alone.trajectory, out.trajectory)
+        alone = [symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)
+                 for z0 in starts]
+        same_outcomes(batch, stacked(alone))
 
     def test_integrate_is_a_one_point_batch(self, ray, starts):
         for t in (1.05, -0.5):
             single = symflow.integrate(ray, starts[0], t)
-            batch = symflow.integrate_batch(ray, starts[:1], t)[0]
-            assert single.elapsed == batch.elapsed == t
+            batch = symflow.integrate_batch(ray, starts[:1], t)
+            assert single.elapsed[0] == batch.elapsed[0] == t
             assert np.array_equal(single.endpoint, batch.endpoint)
         zero = symflow.integrate(ray, starts[0], 0.0)
-        assert zero.completed and zero.step_count == 0
+        assert zero.completed[0] and zero.step_count[0] == 0
+
+
+class TestOutcomeArrays:
+    def test_one_entry_per_row(self, ray, starts):
+        out = symflow.integrate_batch(ray, starts, 1.05)
+        m = starts.shape[0]
+        assert out.endpoint.shape == starts.shape
+        for name in ("elapsed", "status", "step_count", "t_esc_lower",
+                     "t_esc_upper", "completed"):
+            assert getattr(out, name).shape == (m,), name
+        assert out.completed.dtype == bool
+        esc = out.status == symflow.ESCAPED
+        assert np.all(np.isnan(out.t_esc_lower[~esc]))
+        assert np.all(np.isnan(out.t_esc_upper[~esc]))
+        assert np.all(out.t_esc_upper[esc] - out.t_esc_lower[esc]
+                      <= symflow.ESC_BRACKET)
+
+    def test_empty_batch(self, ray):
+        out = symflow.integrate_batch(ray, np.zeros((0, 4)), 1.0, record=True)
+        assert out.endpoint.shape == (0, 4) and out.status.shape == (0,)
+        assert out.trajectories == []
+
+    def test_zero_time_takes_no_step(self, ray, starts):
+        field = Counting(ray)
+        out = symflow.integrate_batch(field, starts, 0.0, record=True)
+        assert field.batches == 0
+        # the last start lies outside the chart already
+        assert list(out.status) == [symflow.COMPLETED] * 4 + [symflow.ESCAPED]
+        assert np.array_equal(out.endpoint, starts)
+        assert np.all(out.elapsed == 0.0) and np.all(out.step_count == 0)
+        assert all(traj.shape == (1, 5) for traj in out.trajectories)
+
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_refused(self, ray, starts, t_final):
+        field = Counting(ray)
+        with pytest.raises(InputError, match="t_final must be finite"):
+            symflow.integrate_batch(field, starts, t_final)
+        assert field.batches == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_refused(self, ray, starts, bad):
+        field = Counting(ray)
+        z = starts.copy()
+        z[3, 1] = bad
+        with pytest.raises(InputError, match="start row 3 is not finite"):
+            symflow.integrate_batch(field, z, 1.0)
+        assert field.batches == 0
 
 
 class TestTimeReversal:
@@ -75,18 +119,15 @@ class TestTimeReversal:
         rng = np.random.default_rng(3)
         pts = scenarios._ray_sympl_samples(ray, 16, rng)
         fw = symflow.integrate_batch(ray, pts, 1.0)
-        assert all(out.completed for out in fw)
-        ends = np.stack([out.endpoint for out in fw])
-        bk = symflow.integrate_batch(ray, ends, -1.0)
-        assert all(out.completed and out.elapsed == -1.0 for out in bk)
-        back = np.stack([out.endpoint for out in bk])
-        assert np.abs(back - pts).max() <= 1e-7
+        assert np.all(fw.completed)
+        bk = symflow.integrate_batch(ray, fw.endpoint, -1.0)
+        assert np.all(bk.completed) and np.all(bk.elapsed == -1.0)
+        assert np.abs(bk.endpoint - pts).max() <= 1e-7
 
     def test_backward_flow_never_exits_the_chart(self, ray, starts):
         # the chart monitor is off backward: points escaping forward
         # complete backward
-        outs = symflow.integrate_batch(ray, starts[:4], -1.0)
-        assert all(out.completed for out in outs)
+        assert np.all(symflow.integrate_batch(ray, starts[:4], -1.0).completed)
 
 
 class TestNumericalJacobian:
@@ -197,16 +238,28 @@ def brush_starts(brush):
     return np.concatenate([grid[::3], sympl])
 
 
+ROW_FIELDS = [f.name for f in dataclasses.fields(symflow.FlowOutcome)
+              if f.name != "trajectories"]
+
+
+def stacked(outs):
+    """One outcome holding the rows of the outcomes ``outs`` in order."""
+    rows = [np.concatenate([getattr(out, name) for out in outs])
+            for name in ROW_FIELDS]
+    trajs = None
+    if outs[0].trajectories is not None:
+        trajs = [traj for out in outs for traj in out.trajectories]
+    return symflow.FlowOutcome(*rows, trajectories=trajs)
+
+
 def same_outcomes(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.status == b.status
-        assert a.step_count == b.step_count
-        assert a.elapsed == b.elapsed
-        assert a.t_esc_lower == b.t_esc_lower
-        assert a.t_esc_upper == b.t_esc_upper
-        assert np.array_equal(a.endpoint, b.endpoint)
-        assert np.array_equal(a.trajectory, b.trajectory)
+    for name in ROW_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=name.startswith("t_esc")), name
+    assert (got.trajectories is None) == (want.trajectories is None)
+    assert len(got.trajectories or []) == len(want.trajectories or [])
+    for a, b in zip(got.trajectories or [], want.trajectories or []):
+        assert np.array_equal(a, b)
 
 
 class TestFsalStep:
@@ -230,16 +283,16 @@ class TestFsalStep:
         monkeypatch.setattr(symflow, "_bracket_escapes_batch", bracket_spy)
         survivors = ray_starts[:6]
         field = Counting(ray)
-        outs = symflow.integrate_batch(field, survivors, 1.0)
-        assert all(out.completed for out in outs)
+        out = symflow.integrate_batch(field, survivors, 1.0)
+        assert np.all(out.completed)
         assert field.batches == 1 + 6 * len(steps)
 
         # escapes add one first stage for all bisection steps of the
         # bracket; a loose tolerance leaves final steps long enough to bisect
         steps.clear()
         field = Counting(ray)
-        outs = symflow.integrate_batch(field, ray_starts, 1.05, tol=1e-6)
-        assert {out.status for out in outs} == {symflow.COMPLETED, symflow.ESCAPED}
+        out = symflow.integrate_batch(field, ray_starts, 1.05, tol=1e-6)
+        assert set(out.status) == {symflow.COMPLETED, symflow.ESCAPED}
         assert sum(steps) > 2
         assert field.batches == 2 + 6 * len(steps)
 
@@ -247,8 +300,8 @@ class TestFsalStep:
         field = Counting(ray)
         z = np.zeros((2, 4))
         z[:, 2] = 1.0
-        outs = symflow.integrate_batch(field, z, 1.0)
-        assert all(out.status == symflow.ESCAPED for out in outs)
+        out = symflow.integrate_batch(field, z, 1.0)
+        assert np.all(out.status == symflow.ESCAPED)
         assert field.batches == 0
 
     @pytest.mark.parametrize("tol", [symflow.DEFAULT_TOL, 1e-6])
@@ -270,7 +323,7 @@ class TestFsalStep:
                 ref = symflow.integrate_batch(field, starts, t_final, tol=tol,
                                               record=True)
             same_outcomes(fsal, ref)
-            escaped = sum(out.status == symflow.ESCAPED for out in fsal)
+            escaped = np.count_nonzero(fsal.status == symflow.ESCAPED)
             assert (escaped > 0) == (t_final > 0)
 
     @settings(max_examples=12)
@@ -278,6 +331,6 @@ class TestFsalStep:
     def test_subset_batch_equals_singletons(self, ray, ray_starts, picks):
         starts = ray_starts[np.asarray(picks)]
         batch = symflow.integrate_batch(ray, starts, 1.05, record=True)
-        alone = [symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)[0]
+        alone = [symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)
                  for z0 in starts]
-        same_outcomes(batch, alone)
+        same_outcomes(batch, stacked(alone))

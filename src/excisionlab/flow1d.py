@@ -6,10 +6,16 @@ endpoint is finite exactly when ``v`` stays positive ahead and the improper
 integral converges.  This module provides:
 
 * an adaptive Gauss-Kronrod quadrature with divergence detection,
-* :func:`forward_time` / :func:`backward_time` returning a
-  :class:`TimeOfFlight` (finite, infinite-by-divergence, or blocked by a
-  zero of ``v``),
-* :func:`flow_map`, inverting the time integral by bracketed bisection,
+* one panel walk, the only code here that integrates ``1/v`` toward an
+  end of the fibre: a bulk panel over the first half of the way, then
+  panels whose far edge halves its distance to the end at each level,
+* :func:`forward_time` / :func:`backward_time`, the walk to the right or
+  left endpoint, returning a :class:`TimeOfFlight` (finite,
+  infinite-by-divergence, or blocked by a zero of ``v``),
+* :func:`flow_map`, which stops the walk at the first panel that passes
+  the flow time and bisects it; only a refused time costs the two full
+  walks that give the bounds :class:`~excisionlab.errors.FlowDomainError`
+  reports,
 * the closed-form time :func:`ramp_time_closed_form` for the parametric
   ramp velocity, and the threshold :func:`unit_time_threshold` where that
   time equals 1.
@@ -190,52 +196,79 @@ def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]
     return float(grid[idx[0]])
 
 
-def _improper_endpoint_time(v: ScalarField1D, x: float, endpoint: float, sign: int, tol: float):
-    """Integrate ``1/v`` from ``x`` toward ``endpoint`` (never evaluating at
-    the endpoint) with geometric shrinking, declaring divergence when the
-    partial sums exceed the cap or stop decaying."""
+def _transit(v: ScalarField1D, y0: float, y1: float, tol: float):
+    """Quadrature of ``1/v`` between ``y0`` and ``y1`` (either order),
+    stopped once it provably exceeds ``DIVERGENCE_CAP``:
+    ``(value, capped)``."""
+    val, _, capped = adaptive_quad(
+        lambda xi: 1.0 / np.asarray(v(xi), dtype=float),
+        min(y0, y1), max(y0, y1), tol=tol, cap=DIVERGENCE_CAP,
+    )
+    return val, capped
 
-    def integrand(xi):
-        return 1.0 / np.asarray(v(xi), dtype=float)
 
-    span = abs(endpoint - x)
-    accum = 0.0
+def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
+          target: float = math.inf):
+    """Integrate ``1/v`` from ``x`` toward ``end`` (``d`` = +1 or -1 is the
+    direction), evaluating at ``end`` only once the far edge rounds to it.
+    The first panel is ``[x, end - d*delta]`` with ``delta`` half the
+    distance to ``end``; each later panel halves its far edge's distance to
+    ``end``.
+
+    Returns ``(near, t_near, far)`` as soon as the cumulative time passes
+    ``target``: the time from ``x`` to ``near`` is ``t_near <= target`` and
+    the time to ``far`` exceeds ``target``.  Otherwise returns the unsigned
+    :class:`TimeOfFlight` to ``end``: finite when a panel's time drops below
+    the tolerance and the sum plus a geometric tail is at most ``target``,
+    infinite when the sum passes ``DIVERGENCE_CAP`` or, for an infinite
+    ``target`` only, when the per-level times stop decaying.
+    """
+    delta = 0.5 * abs(end - x)
+    near, t_near = x, 0.0
+    far = end - d * delta
     contribs = []
-    delta = 0.5 * span
-    # first panel covers the regular bulk [x, endpoint -/+ delta]
-    lo_pt = min(x, endpoint - sign * delta)
-    hi_pt = max(x, endpoint - sign * delta)
-    val, _, capped = adaptive_quad(integrand, lo_pt, hi_pt, tol=tol, cap=DIVERGENCE_CAP)
-    accum += val
-    if capped or accum > DIVERGENCE_CAP:
-        return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
-    for level in range(1, MAX_LEVELS + 1):
-        new_delta = 0.5 * delta
-        a_pt = endpoint - sign * delta
-        b_pt = endpoint - sign * new_delta
-        lo_pt, hi_pt = (a_pt, b_pt) if sign > 0 else (b_pt, a_pt)
-        val, _, capped = adaptive_quad(integrand, lo_pt, hi_pt, tol=tol, cap=DIVERGENCE_CAP)
-        accum += val
-        contribs.append(val)
-        delta = new_delta
+    for level in range(MAX_LEVELS + 1):
+        val, capped = _transit(v, near, far, tol)
+        accum = t_near + val
+        if (math.inf if capped else accum) > target:
+            return near, t_near, far
         if capped or accum > DIVERGENCE_CAP:
             return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
-        if val <= tol * max(1.0, accum):
-            # geometric tail extrapolation; the remainder is below tol
-            ratio = 0.5
-            if len(contribs) >= 2 and contribs[-2] > 0:
-                ratio = min(max(val / contribs[-2], 0.0), 0.9)
-            accum += val * ratio / (1.0 - ratio)
-            return TimeOfFlight(accum, MODE_QUADRATURE)
-        if level >= 12 and len(contribs) >= 5:
-            tail = contribs[-5:]
-            ratios = [t1 / t0 for t0, t1 in zip(tail, tail[1:]) if t0 > 0]
-            if ratios and min(ratios) >= 0.85 and val > 1e-8:
-                # contributions per dyadic level stop decaying: divergence
-                return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
+        # a panel whose far edge rounds to its near edge has no width and
+        # gives no verdict
+        if level and far != near:
+            contribs.append(val)
+            if val <= tol * max(1.0, accum):
+                # geometric tail extrapolation; the remainder is below tol
+                ratio = 0.5
+                if len(contribs) >= 2 and contribs[-2] > 0:
+                    ratio = min(max(val / contribs[-2], 0.0), 0.9)
+                total = accum + val * ratio / (1.0 - ratio)
+                # a target inside the extrapolated tail is walked to
+                if total <= target:
+                    return TimeOfFlight(total, MODE_QUADRATURE)
+            if target == math.inf and level >= 12 and len(contribs) >= 5:
+                tail = contribs[-5:]
+                ratios = [t1 / t0 for t0, t1 in zip(tail, tail[1:]) if t0 > 0]
+                if ratios and min(ratios) >= 0.85 and val > 1e-8:
+                    # contributions per dyadic level stop decaying: divergence
+                    return TimeOfFlight(math.inf, MODE_QUADRATURE,
+                                        lower_bound=accum)
+        near, t_near = far, accum
+        delta *= 0.5
+        far = end - d * delta
     raise ToleranceFailure(
-        f"improper time integral toward {endpoint} did not settle", partial=accum
+        f"improper time integral toward {end} did not settle", partial=t_near
     )
+
+
+def _time_of_flight(v: ScalarField1D, x: float, d: int, tol: float) -> TimeOfFlight:
+    v.check_domain(x)
+    if float(v(x)) == 0.0 or _zero_barrier(v, x, d) is not None:
+        return TimeOfFlight(d * math.inf, MODE_ZERO_BLOCKED)
+    lo, hi = v.domain
+    tof = _walk(v, x, hi if d > 0 else lo, d, tol)
+    return TimeOfFlight(d * tof.value, tof.mode, tof.lower_bound)
 
 
 def forward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
@@ -245,40 +278,29 @@ def forward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFli
     ``[x, hi)``; otherwise the (possibly divergent) improper integral of
     ``1/v`` computed by adaptive quadrature.
     """
-    v.check_domain(x)
-    if float(v(x)) == 0.0:
-        return TimeOfFlight(math.inf, MODE_ZERO_BLOCKED)
-    barrier = _zero_barrier(v, x, +1)
-    if barrier is not None:
-        return TimeOfFlight(math.inf, MODE_ZERO_BLOCKED)
-    return _improper_endpoint_time(v, x, v.domain[1], +1, tol)
+    return _time_of_flight(v, x, +1, tol)
 
 
 def backward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
     """Signed (negative) time of flight from ``x`` back to the left endpoint."""
-    v.check_domain(x)
-    if float(v(x)) == 0.0:
-        return TimeOfFlight(-math.inf, MODE_ZERO_BLOCKED)
-    barrier = _zero_barrier(v, x, -1)
-    if barrier is not None:
-        return TimeOfFlight(-math.inf, MODE_ZERO_BLOCKED)
-    res = _improper_endpoint_time(v, x, v.domain[0], -1, tol)
-    if not res.finite:
-        return TimeOfFlight(-math.inf, res.mode, lower_bound=res.lower_bound)
-    return TimeOfFlight(-res.value, res.mode)
+    return _time_of_flight(v, x, -1, tol)
 
 
-@np.errstate(divide="ignore", over="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> float:
     """Point reached from ``x`` after flowing for time ``t`` along ``v``.
 
-    Solves ``int_x^y dxi / v(xi) = t`` for ``y`` by monotone bisection of
-    the cumulative time integral.  Points where ``v`` vanishes are fixed for
-    all times.  Times outside the flow domain raise
-    :class:`~excisionlab.errors.FlowDomainError`; a NaN time raises
-    :class:`~excisionlab.errors.InputError`.  A quadrature node next to a
-    zero of ``v``, where ``v`` underflows to 0, gives ``1/v = inf``: an
-    infinite time, which the bracket treats as beyond the target.
+    Solves ``int_x^y dxi / v(xi) = t`` for ``y``: the walk toward the end
+    in the flow direction (the domain endpoint or the nearest zero of
+    ``v``) stops at the first panel that passes ``|t|``, and bisection of
+    that panel finds ``y``.  Points where ``v`` vanishes are fixed.  A time
+    at or beyond the exit time the walk settles on, or one it does not pass
+    before the time diverges, raises
+    :class:`~excisionlab.errors.FlowDomainError`, whose exact bounds are
+    only then computed by :func:`backward_time` and :func:`forward_time`;
+    a NaN time raises :class:`~excisionlab.errors.InputError`.  Next to a
+    zero of ``v`` a node where ``v`` underflows to 0 gives ``1/v = inf``
+    (and a NaN error estimate): an infinite time, beyond any target.
     """
     v.check_domain(x)
     if not -math.inf <= t <= math.inf:
@@ -286,51 +308,20 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     if float(v(x)) == 0.0 or t == 0.0:
         return float(x)
     lo, hi = v.domain
-
-    def cum(frm: float, to: float) -> float:
-        val, _, capped = adaptive_quad(
-            lambda xi: 1.0 / np.asarray(v(xi), dtype=float), frm, to,
-            tol=tol, cap=DIVERGENCE_CAP,
-        )
-        return math.inf if capped else val
-
-    # Bracket and bisect away from x in the flow direction d; "near" is the
-    # end of the bracket on x's side, "far" the end beyond the target time.
     d = 1 if t > 0 else -1
     target = abs(t)
-    tof = (forward_time if d > 0 else backward_time)(v, x, tol=tol)
-    if target >= d * tof.value:
-        other = (backward_time if d > 0 else forward_time)(v, x, tol=tol)
-        back, fwd = (other, tof) if d > 0 else (tof, other)
-        raise FlowDomainError(t, back.value, fwd.value)
     barrier = _zero_barrier(v, x, d)
     end = (hi if d > 0 else lo) if barrier is None else barrier
-
-    def span(y0: float, y1: float) -> float:
-        """Time from ``y0`` to ``y1`` in the flow direction."""
-        return cum(y0, y1) if d > 0 else cum(y1, y0)
-
-    # expand the bracket toward the barrier until the time exceeds |t|
-    near, t_near = x, 0.0
-    far = None
-    step = 0.5 * abs(end - x)
-    probe = x + d * step
-    t_probe = t_near + span(near, probe)
-    for _ in range(200):
-        if t_probe > target:
-            far = probe
-            break
-        near, t_near = probe, t_probe
-        step *= 0.5
-        probe = end - d * step
-        t_probe = t_near + span(near, probe)
-    if far is None:
-        if d > 0:
-            raise FlowDomainError(t, -math.inf, t_probe)
-        raise FlowDomainError(t, -t_probe, math.inf)
+    walk = _walk(v, x, end, d, tol, target)
+    if isinstance(walk, TimeOfFlight):
+        raise FlowDomainError(t, backward_time(v, x, tol=tol).value,
+                              forward_time(v, x, tol=tol).value)
+    # bisect the panel: "near" is on x's side, "far" beyond the target time
+    near, t_near, far = walk
     while abs(far - near) > ROOT_TOL:
         mid = 0.5 * (near + far)
-        t_mid = t_near + span(near, mid)
+        val, capped = _transit(v, near, mid, tol)
+        t_mid = t_near + (math.inf if capped else val)
         # forward keeps t_mid < t on the near side, backward t_mid > -t on
         # the far side; the two differ only on a tie
         if (t_mid < target if d > 0 else not t_mid > target):

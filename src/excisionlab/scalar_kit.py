@@ -230,9 +230,8 @@ def ramp_velocity(a, b, c, x, validate: bool = True):
         _check_closed("b", b, -1.0, 1.0)
         _check_closed("c", c, 0.0, 1.0)
         _check_open("x", x, -1.0, 1.0)
-    a, b, c, x = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, c, x))
-    )
+    # x - s and a - x share one shape; b and c broadcast in the product
+    a, b, c, x = (np.asarray(v, dtype=float) for v in (a, b, c, x))
     one_m_x2 = 1.0 - x * x
     rational = one_m_x2 / (one_m_x2 + c)
     chi = _rising_jet(a, x, need_grad=False)[0]

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,9 @@ from .ham_extension import (
 __all__ = ["ScenarioConfig", "run_scenario", "SCENARIOS"]
 
 MARGIN = 1e-3
+# least value of each integer ScenarioConfig field
+_INT_MINIMUMS = {"n": 1, "grid": 0, "seed": 0, "depth": 2,
+                 "sympl_samples": 2, "roundtrip_samples": 0}
 
 
 @dataclass
@@ -65,6 +68,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise InputError(f"{name} must be positive and finite, got {value!r}")
+        for name, least in _INT_MINIMUMS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @staticmethod
     def from_file(path: str, scenario: Optional[str] = None) -> "ScenarioConfig":
@@ -72,6 +79,9 @@ class ScenarioConfig:
             raw = json.load(fh)
         if scenario is not None:
             raw["scenario"] = scenario
+        unknown = sorted(set(raw) - {f.name for f in fields(ScenarioConfig)})
+        if unknown:
+            raise InputError(f"unknown config key {', '.join(map(repr, unknown))}")
         return ScenarioConfig(**raw)
 
 
@@ -242,7 +252,7 @@ def _ray_sympl_samples(field: RayHamiltonian, count: int,
     return np.asarray(out)
 
 
-def _run_ray(cfg: ScenarioConfig) -> dict:
+def _run_ray(cfg: ScenarioConfig) -> tuple:
     n = cfg.n if cfg.scenario == "ray" else 1
     if cfg.scenario == "ray" and n < 2:
         raise InputError("the 'ray' scenario needs n >= 2; use 'ray-n1'")
@@ -310,7 +320,10 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         checks["locality_outside_U"] = _check(
             worst == 0.0, int(hood_mask.sum()), worst)
 
-    return checks
+    starts = np.zeros((3, base.dim))
+    starts[:, -2] = (-0.3, 0.25, -0.2)
+    starts[2, -1] = 0.1
+    return checks, (field, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +401,7 @@ def _brush_sympl_samples(C, vfield, count: int, rng: np.random.Generator) -> np.
     return np.asarray(out)
 
 
-def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
+def _run_cantor_brush(cfg: ScenarioConfig) -> tuple:
     C, spec, vfield, ham = _brush_setup()
     rng = np.random.default_rng(cfg.seed)
     checks = {}
@@ -427,10 +440,13 @@ def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     mism = int(np.sum(excised != (C.contains(pgrid) & (xgrid >= 0.0))))
     checks["fibre_classification"] = _check(mism == 0, pgrid.shape[0], mism)
 
-    return checks
+    starts = np.array([[0.0, 0.5, -0.3, 0.0],
+                       [0.0, 1.0 / 3.0, -0.3, 0.0],
+                       [0.0, 0.5, 0.2, 0.1]])
+    return checks, (ham, starts)
 
 
-def _run_epigraph(cfg: ScenarioConfig) -> dict:
+def _run_epigraph(cfg: ScenarioConfig) -> tuple:
     """Generic smooth-over-closed-set target: a box with affine height."""
     C = scalar_kit.ClosedSetSpec(
         dim=2,
@@ -503,7 +519,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     below = np.all(np.abs(ham.value(pts)) < wit)
     checks["dominated_by_witness"] = _check(bool(below) and f_on_n == 0.0,
                                             pts.shape[0], float(f_on_n))
-    return checks
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +534,7 @@ def _box_tail_spec() -> lsc_fields.LscSpec:
     )
 
 
-def _run_box_tail(cfg: ScenarioConfig) -> dict:
+def _run_box_tail(cfg: ScenarioConfig) -> tuple:
     spec = _box_tail_spec()
     m = cfg.grid or 50
     transect = np.stack([np.linspace(-1.95, 1.95, m),
@@ -629,7 +645,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     worst = _worst(errs)
     checks["backward_totality"] = _check(blocked and worst <= 1e-8, 60, worst,
                                          bound=1e-8)
-    return checks
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -734,16 +750,16 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     return checks
 
 
-def _run_tree(cfg: ScenarioConfig) -> dict:
+def _run_tree(cfg: ScenarioConfig) -> tuple:
     staged = trees.excise_tree(_horned_ray_spec())
     rng = np.random.default_rng(cfg.seed)
     checks = _tree_checks(staged, cfg, rng)
     checks["stage_count"] = _check(len(staged.fields) == 3, 3,
                                    float(len(staged.fields)))
-    return checks
+    return checks, None
 
 
-def _run_retract(cfg: ScenarioConfig) -> dict:
+def _run_retract(cfg: ScenarioConfig) -> tuple:
     staged = trees.retract_tree(_double_y_spec())
     rng = np.random.default_rng(cfg.seed)
     checks = _tree_checks(staged, cfg, rng)
@@ -755,7 +771,7 @@ def _run_retract(cfg: ScenarioConfig) -> dict:
     ok = esc[0] == -1 and np.linalg.norm(end[0] - z0) > 1e-3
     checks["near_tree_survivor"] = _check(bool(ok), 1,
                                           float(np.linalg.norm(end[0] - z0)))
-    return checks
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -773,27 +789,12 @@ SCENARIOS = {
 }
 
 
-def _write_trajectories(cfg: ScenarioConfig, out_dir: str) -> None:
-    """A few representative trajectories per scenario, one CSV each."""
-    os.makedirs(os.path.join(out_dir, "trajectories"), exist_ok=True)
-    if cfg.scenario in ("ray", "ray-n1"):
-        n = cfg.n if cfg.scenario == "ray" else 1
-        field = build_ray_hamiltonian(n) if n >= 2 else build_ray_hamiltonian_n1()
-        starts = [np.zeros(field.dim) for _ in range(3)]
-        starts[0][-2] = -0.3
-        starts[1][-2] = 0.25
-        starts[2][-2] = -0.2
-        starts[2][-1] = 0.1
-    elif cfg.scenario == "cantor-brush":
-        _, _, _, field = _brush_setup()
-        starts = [np.array([0.0, 0.5, -0.3, 0.0]),
-                  np.array([0.0, 1.0 / 3.0, -0.3, 0.0]),
-                  np.array([0.0, 0.5, 0.2, 0.1])]
-    else:
-        return
-    out = symflow.integrate_batch(field, np.stack(starts),
-                                  1.0 + symflow.DELTA_PROBE, tol=cfg.tol,
-                                  record=True)
+def _write_trajectories(field, starts: np.ndarray, tol: float,
+                        out_dir: str) -> None:
+    """Trajectories of the certified ``field`` from ``starts``, one CSV
+    each."""
+    out = symflow.integrate_batch(field, starts, 1.0 + symflow.DELTA_PROBE,
+                                  tol=tol, record=True)
     for i, rows in enumerate(out.trajectories):
         path = os.path.join(out_dir, "trajectories", f"traj_{i}.csv")
         with open(path, "w", newline="") as fh:
@@ -809,7 +810,11 @@ def _write_trajectories(cfg: ScenarioConfig, out_dir: str) -> None:
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Build the scenario, run its certification suite, optionally write
-    ``report.json`` and trajectory CSVs, and return the report."""
+    ``report.json`` and trajectory CSVs, and return the report.
+
+    Each runner returns its checks and either ``None`` or the certified
+    field with the starts of its trajectory CSVs."""
+    trajectories = None
     if cfg.scenario == "verify-all":
         sub = {}
         overall = True
@@ -825,7 +830,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         runner = SCENARIOS.get(cfg.scenario)
         if runner is None:
             raise InputError(f"unknown scenario {cfg.scenario!r}")
-        checks = runner(cfg)
+        checks, trajectories = runner(cfg)
         report = {
             "scenario": cfg.scenario,
             "config": asdict(cfg),
@@ -839,5 +844,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if cfg.scenario != "verify-all":
-            _write_trajectories(cfg, cfg.out_dir)
+            os.makedirs(os.path.join(cfg.out_dir, "trajectories"), exist_ok=True)
+        if trajectories is not None:
+            _write_trajectories(*trajectories, cfg.tol, cfg.out_dir)
     return report

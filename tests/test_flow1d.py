@@ -235,3 +235,273 @@ class TestAdaptiveQuad:
         val, _, capped = f1.adaptive_quad(
             lambda x: 1.0 / np.maximum(x, 1e-300) ** 2, 0.0, 1.0, cap=100.0)
         assert capped and val > 100.0
+
+
+# ---------------------------------------------------------------------------
+# the one panel walk against the two walks it replaced
+# ---------------------------------------------------------------------------
+#
+# The references are the earlier implementation: a geometric walk for the
+# times of flight and, in flow_map, a full time-of-flight domain check
+# followed by a separate bracket expansion.  They are kept as they were,
+# except for names, the start-point domain check (the tests pass valid
+# starts) and an AssertionError where the walk raised ToleranceFailure.
+
+def improper_endpoint_time_ref(v, x, endpoint, sign, tol):
+    def integrand(xi):
+        return 1.0 / np.asarray(v(xi), dtype=float)
+
+    span = abs(endpoint - x)
+    accum = 0.0
+    contribs = []
+    delta = 0.5 * span
+    lo_pt = min(x, endpoint - sign * delta)
+    hi_pt = max(x, endpoint - sign * delta)
+    val, _, capped = f1.adaptive_quad(integrand, lo_pt, hi_pt, tol=tol,
+                                      cap=f1.DIVERGENCE_CAP)
+    accum += val
+    if capped or accum > f1.DIVERGENCE_CAP:
+        return f1.TimeOfFlight(math.inf, f1.MODE_QUADRATURE, lower_bound=accum)
+    for level in range(1, f1.MAX_LEVELS + 1):
+        new_delta = 0.5 * delta
+        a_pt = endpoint - sign * delta
+        b_pt = endpoint - sign * new_delta
+        lo_pt, hi_pt = (a_pt, b_pt) if sign > 0 else (b_pt, a_pt)
+        val, _, capped = f1.adaptive_quad(integrand, lo_pt, hi_pt, tol=tol,
+                                          cap=f1.DIVERGENCE_CAP)
+        accum += val
+        contribs.append(val)
+        delta = new_delta
+        if capped or accum > f1.DIVERGENCE_CAP:
+            return f1.TimeOfFlight(math.inf, f1.MODE_QUADRATURE,
+                                   lower_bound=accum)
+        if val <= tol * max(1.0, accum):
+            ratio = 0.5
+            if len(contribs) >= 2 and contribs[-2] > 0:
+                ratio = min(max(val / contribs[-2], 0.0), 0.9)
+            accum += val * ratio / (1.0 - ratio)
+            return f1.TimeOfFlight(accum, f1.MODE_QUADRATURE)
+        if level >= 12 and len(contribs) >= 5:
+            tail = contribs[-5:]
+            ratios = [t1 / t0 for t0, t1 in zip(tail, tail[1:]) if t0 > 0]
+            if ratios and min(ratios) >= 0.85 and val > 1e-8:
+                return f1.TimeOfFlight(math.inf, f1.MODE_QUADRATURE,
+                                       lower_bound=accum)
+    raise AssertionError("reference walk did not settle")
+
+
+def forward_time_ref(v, x, tol=f1.QUAD_TOL):
+    if float(v(x)) == 0.0 or f1._zero_barrier(v, x, +1) is not None:
+        return f1.TimeOfFlight(math.inf, f1.MODE_ZERO_BLOCKED)
+    return improper_endpoint_time_ref(v, x, v.domain[1], +1, tol)
+
+
+def backward_time_ref(v, x, tol=f1.QUAD_TOL):
+    if float(v(x)) == 0.0 or f1._zero_barrier(v, x, -1) is not None:
+        return f1.TimeOfFlight(-math.inf, f1.MODE_ZERO_BLOCKED)
+    res = improper_endpoint_time_ref(v, x, v.domain[0], -1, tol)
+    if not res.finite:
+        return f1.TimeOfFlight(-math.inf, res.mode, lower_bound=res.lower_bound)
+    return f1.TimeOfFlight(-res.value, res.mode)
+
+
+@np.errstate(divide="ignore", over="ignore")
+def flow_map_ref(v, t, x, tol=f1.QUAD_TOL):
+    if float(v(x)) == 0.0 or t == 0.0:
+        return float(x)
+    lo, hi = v.domain
+
+    def cum(frm, to):
+        val, _, capped = f1.adaptive_quad(
+            lambda xi: 1.0 / np.asarray(v(xi), dtype=float), frm, to,
+            tol=tol, cap=f1.DIVERGENCE_CAP,
+        )
+        return math.inf if capped else val
+
+    d = 1 if t > 0 else -1
+    target = abs(t)
+    tof = (forward_time_ref if d > 0 else backward_time_ref)(v, x, tol=tol)
+    if target >= d * tof.value:
+        other = (backward_time_ref if d > 0 else forward_time_ref)(v, x, tol=tol)
+        back, fwd = (other, tof) if d > 0 else (tof, other)
+        raise FlowDomainError(t, back.value, fwd.value)
+    barrier = f1._zero_barrier(v, x, d)
+    end = (hi if d > 0 else lo) if barrier is None else barrier
+
+    def span(y0, y1):
+        return cum(y0, y1) if d > 0 else cum(y1, y0)
+
+    near, t_near = x, 0.0
+    far = None
+    step = 0.5 * abs(end - x)
+    probe = x + d * step
+    t_probe = t_near + span(near, probe)
+    for _ in range(200):
+        if t_probe > target:
+            far = probe
+            break
+        near, t_near = probe, t_probe
+        step *= 0.5
+        probe = end - d * step
+        t_probe = t_near + span(near, probe)
+    if far is None:
+        if d > 0:
+            raise FlowDomainError(t, -math.inf, t_probe)
+        raise FlowDomainError(t, -t_probe, math.inf)
+    while abs(far - near) > f1.ROOT_TOL:
+        mid = 0.5 * (near + far)
+        t_mid = t_near + span(near, mid)
+        if (t_mid < target if d > 0 else not t_mid > target):
+            near, t_near = mid, t_mid
+        else:
+            far = mid
+    return 0.5 * (near + far)
+
+
+def tof_fields(tof):
+    return (tof.value, tof.mode, tof.lower_bound)
+
+
+def flow_or_refusal(flow, v, t, x):
+    try:
+        return flow(v, t, x)
+    except FlowDomainError as err:
+        return ("refused", err.backward, err.forward)
+
+
+@pytest.fixture(scope="module")
+def walk_fibres(box_tail_field):
+    """Ramp, bridge and glued (box-tail) fibres with start points on each,
+    as Python floats, the way the scenarios call the fibre routines."""
+    rng = np.random.default_rng(7)
+    fibres = []
+    for _ in range(12):
+        a = rng.uniform(-0.8, 0.8)
+        b = rng.uniform(-0.9, 0.9)
+        c = rng.choice([0.0, rng.uniform(0.05, 1.0)])
+        xs = rng.uniform(0.5 * (a - 1.0) + 0.02, 0.95, size=4)
+        fibres.append((sk.ramp_velocity_field(a, b, c), xs.tolist()))
+    for lo, hi, delay in ((0.2, 0.5, 0.1), (0.3, 0.6, 0.2), (0.1, 0.9, 2.0)):
+        fibres.append((sk.bridge_velocity_field(lo, hi, delay),
+                       rng.uniform(0.02, 0.98, size=4).tolist()))
+    _, field, transect = box_tail_field
+    for i in (3, 11, 20, 31, 44):
+        data = field.fiber_data(transect[i])
+        fibres.append((field.fiber(transect[i]),
+                       rng.uniform(float(data.f[0]), 0.9, size=4).tolist()))
+    return fibres
+
+
+class TestOneWalk:
+    def test_times_of_flight_are_unchanged(self, walk_fibres):
+        for v, xs in walk_fibres:
+            for x in xs:
+                assert tof_fields(f1.forward_time(v, x)) == \
+                    tof_fields(forward_time_ref(v, x))
+                assert tof_fields(f1.backward_time(v, x)) == \
+                    tof_fields(backward_time_ref(v, x))
+
+    def test_flow_map_matches_within_two_ulps(self, walk_fibres):
+        rng = np.random.default_rng(8)
+        moved = 0
+        for v, xs in walk_fibres:
+            for x in xs:
+                for t in rng.uniform(-1.5, 1.5, size=3).tolist() + [1.0, -1.0, 2.0]:
+                    got = flow_or_refusal(f1.flow_map, v, t, x)
+                    want = flow_or_refusal(flow_map_ref, v, t, x)
+                    if isinstance(want, tuple):
+                        assert got == want
+                        continue
+                    # ulps at the scale of the fibre's coordinate, which
+                    # the bisection midpoints carry
+                    assert abs(got - want) <= 2.0 * math.ulp(max(map(abs, v.domain)))
+                    moved += got != want
+        # only the first probe moved, so most flows are bitwise equal
+        assert moved < 20
+
+    def test_in_domain_flow_makes_no_time_of_flight_call(self, walk_fibres,
+                                                         monkeypatch):
+        # half of each exit time, or a fixed time where the exit time is
+        # infinite, keeps every flow inside its domain
+        flows = []
+        for v, xs in walk_fibres:
+            for x in xs[:2]:
+                for time in (f1.forward_time, f1.backward_time):
+                    exit_t = time(v, x).value
+                    flows.append((v, 0.5 * exit_t if math.isfinite(exit_t)
+                                  else math.copysign(0.3, exit_t), x))
+        calls = []
+        for name in ("forward_time", "backward_time"):
+            wrapped = getattr(f1, name)
+            monkeypatch.setattr(f1, name, lambda *a, _w=wrapped, **k:
+                                calls.append(a) or _w(*a, **k))
+        for v, t, x in flows:
+            f1.flow_map(v, t, x)
+        assert calls == []
+        with pytest.raises(FlowDomainError):
+            f1.flow_map(sk.ramp_velocity_field(0.2, 0.5, 0.0), 0.7, 0.7)
+        assert len(calls) == 2
+
+    def test_numpy_scalar_flow_is_quiet(self):
+        # toward the right end of a ramp with c > 0 the speed underflows to
+        # 0 at quadrature nodes; with numpy scalars inf - inf in a panel's
+        # error estimate warned
+        v = sk.ramp_velocity_field(-0.17978911822283405, -0.318534576735228,
+                                   0.19268974261692928)
+        x = np.float64(0.006823612503560228)
+        got = f1.flow_map(v, np.float64(5.0), x)
+        assert got == f1.flow_map(v, 5.0, float(x))
+
+    def test_target_beyond_float_resolution(self):
+        # the exact point lies within 1e-28 of the right end, so the walk
+        # runs out of float resolution before it passes t: a panel whose far
+        # edge rounds to its near edge must not settle the walk into a
+        # refusal; the parent's walk returns the end's rounding too
+        v = sk.ramp_velocity_field(-0.17978911822283405, -0.318534576735228,
+                                   0.19268974261692928)
+        for x in (0.6708532832785272, 0.9176990251470087):
+            got = f1.flow_map(v, 5.0, x)
+            assert got == flow_map_ref(v, 5.0, x) == 1.0
+
+    def test_time_inside_the_extrapolated_tail(self):
+        # the walk settles about 1e-10 short of the exit time and adds the
+        # tail; a time inside that tail is still walked to, and the exit
+        # time itself is refused
+        v = sk.constant_field(1.0, (0.0, 1.0))
+        for t in (0.75 - 1e-12, 0.75 - 1e-11, 0.75 - 1e-10):
+            got = f1.flow_map(v, t, 0.25)
+            assert got == flow_map_ref(v, t, 0.25)
+            assert got == pytest.approx(0.25 + t, abs=1e-11)
+        with pytest.raises(FlowDomainError) as err:
+            f1.flow_map(v, 0.75, 0.25)
+        assert (err.value.backward, err.value.forward) == (-0.25, 0.75)
+        v = sk.ramp_velocity_field(0.2, 0.5, 0.0)
+        exit_t = f1.forward_time(v, 0.3).value
+        assert f1.flow_map(v, exit_t - 1e-12, 0.3) == \
+            flow_map_ref(v, exit_t - 1e-12, 0.3)
+
+    def test_backward_refusal_reports_both_bounds(self):
+        v = sk.bridge_velocity_field(0.2, 0.5, 0.1)
+        with pytest.raises(FlowDomainError) as err:
+            f1.flow_map(v, -0.2, 0.1)
+        assert err.value.t == -0.2
+        assert err.value.backward == pytest.approx(-0.1, abs=1e-9)
+        assert err.value.forward == pytest.approx(1.0, abs=1e-9)
+
+    def test_infinite_time_is_refused(self):
+        v = sk.ramp_velocity_field(0.2, 0.5, 0.0)
+        for t in (math.inf, -math.inf):
+            with pytest.raises(FlowDomainError) as err:
+                f1.flow_map(v, t, 0.7)
+            assert err.value.backward == -math.inf
+            assert err.value.forward == pytest.approx(0.6, abs=1e-8)
+
+    def test_log_divergence_verdict_does_not_stop_a_finite_time(self):
+        # v = 1 - x: the time to 1 diverges like -log(1 - x), slowly enough
+        # that the per-level verdict fires near t = 9, yet t = 20 is reached
+        v = sk.affine_field(-1.0, 1.0, (0.0, 1.0))
+        tof = f1.forward_time(v, 0.5)
+        assert tof.value == math.inf and 8.0 < tof.lower_bound < 10.0
+        got = f1.flow_map(v, 20.0, 0.5)
+        assert abs(got - (1.0 - 0.5 * math.exp(-20.0))) <= 1e-11
+        assert abs(got - flow_map_ref(v, 20.0, 0.5)) <= 2.0 * math.ulp(1.0)

@@ -4,8 +4,9 @@ replaced: each kernel must agree with its reference bitwise
 
 The references below are the earlier implementations, kept verbatim: the
 per-gap loop of ``_axis_profile`` and ``AxisSet.contains``, the separate
-``_ratio`` / ``_ratio_partials`` evaluations, and the ramp partials and
-``EpigraphField`` derivatives assembled from them.
+``_ratio`` / ``_ratio_partials`` evaluations, the ramp partials and
+``EpigraphField`` derivatives assembled from them, and ``ramp_velocity``
+with its four inputs broadcast to one shape up front.
 """
 
 import numpy as np
@@ -123,6 +124,16 @@ def ramp_partials_ref(a, b, c, x):
     du_dc = chi * one_m_b * r_c
     du_dx = chi_x * one_m_b * rational + chi * one_m_b * r_x
     return du_da, du_db, du_dc, du_dx
+
+
+def ramp_velocity_ref(a, b, c, x):
+    a, b, c, x = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, c, x))
+    )
+    one_m_x2 = 1.0 - x * x
+    rational = one_m_x2 / (one_m_x2 + c)
+    chi = sk._rising_jet(a, x, need_grad=False)[0]
+    return np.asarray(chi * (1.0 - b) * rational)
 
 
 def velocity_dx_ref(field, p, x):
@@ -289,6 +300,30 @@ class TestRatioJet:
             assert np.array_equal(got, want)
         for got, want in zip(sk.ramp_velocity_partials(a, b, c, x), partials):
             assert np.array_equal(got, want)
+
+    @given(a=st.floats(-0.9, 0.9), b=st.floats(-1.0, 1.0), c=st.floats(0.0, 1.0),
+           x=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=16).map(np.array))
+    def test_ramp_velocity_scalar_params(self, a, b, c, x):
+        got = sk.ramp_velocity(a, b, c, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, ramp_velocity_ref(a, b, c, x))
+
+    @given(abc=st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-1.0, 1.0),
+                                  st.floats(0.0, 1.0)),
+                        min_size=1, max_size=16).map(np.array),
+           x=st.floats(-0.999, 0.999))
+    def test_ramp_velocity_batch_params(self, abc, x):
+        a, b, c = abc.T
+        got = sk.ramp_velocity(a, b, c, x)
+        assert got.shape == a.shape
+        assert np.array_equal(got, ramp_velocity_ref(a, b, c, x))
+
+    def test_ramp_velocity_zero_dim(self):
+        for a, b, c, x in ((0.2, 0.5, 0.0, 0.7), (0.2, 0.5, 0.3, -0.3),
+                           (0.1, -0.4, 1.0, 0.05), (0.4, 0.0, 0.0, -0.9)):
+            got = sk.ramp_velocity(a, b, c, x)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got == ramp_velocity_ref(a, b, c, x)
 
 
 # ---------------------------------------------------------------------------

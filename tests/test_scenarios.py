@@ -197,6 +197,19 @@ class TestUScale:
         with pytest.raises(InputError, match="u_scale must exceed 0.333333"):
             scenarios.run_scenario(cfg)
 
+    def test_trajectories_follow_the_certified_field(self, tmp_path):
+        # at u = 0.5 the start (-0.3, 0) lies outside the shrunk
+        # neighbourhood, where the localized field vanishes; the base field
+        # would carry it to x = 0.75
+        out = tmp_path / "u05"
+        cli.main(["ray-n1", "--config", write_config(tmp_path),
+                  "--u-scale", "0.5", "--out", str(out)])
+        lines = (out / "trajectories" / "traj_0.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,y1"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows[-1][0] == 1.0 + scenarios.symflow.DELTA_PROBE
+        assert all(row[1:] == [-0.3, 0.0] for row in rows)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field", ["tol", "fd_step", "margin", "u_scale"])
@@ -213,3 +226,35 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="must be positive and finite"):
             cli.main(["ray-n1", option, value])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid", -3), ("seed", -1), ("sympl_samples", 0), ("sympl_samples", 1),
+        ("roundtrip_samples", -2), ("n", 0), ("depth", 1), ("grid", 2.5),
+        ("seed", True), ("depth", "14"), ("sympl_samples", None),
+    ])
+    def test_bad_integer_is_refused(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer >= "):
+            scenarios.ScenarioConfig(scenario="ray", **{field: value})
+
+    def test_least_integers_are_accepted(self):
+        cfg = scenarios.ScenarioConfig(scenario="ray", n=1, grid=0, seed=0,
+                                       depth=2, sympl_samples=2,
+                                       roundtrip_samples=0)
+        assert (cfg.n, cfg.depth, cfg.sympl_samples) == (1, 2, 2)
+
+    @pytest.mark.parametrize("option,value", [
+        ("--grid", "-3"), ("--seed", "-1"), ("--n", "0"), ("--depth", "1"),
+    ])
+    def test_command_line_integer_is_validated(self, option, value, capsys):
+        with pytest.raises(InputError, match="must be an integer >= "):
+            cli.main(["ray", option, value])
+        assert capsys.readouterr().out == ""
+
+    def test_config_file_is_validated(self, tmp_path):
+        with pytest.raises(InputError, match="unknown config key 'gird'"):
+            cli.main(["ray", "--config", write_config(tmp_path, gird=8)])
+        with pytest.raises(InputError, match="grid must be an integer >= 0"):
+            cli.main(["ray", "--config", write_config(tmp_path, grid=2.5)])
+        with pytest.raises(InputError, match="roundtrip_samples must be an integer"):
+            cli.main(["cantor-brush", "--config",
+                      write_config(tmp_path, roundtrip_samples=-2)])

@@ -51,6 +51,7 @@ QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12
 DIVERGENCE_CAP = 1e6
 MAX_LEVELS = 60
+TARGET_LEVELS = 200     # levels a walk toward a finite flow time may take
 ZERO_SCAN_STEP = 1e-4
 
 MODE_CLOSED_FORM = "closed-form"
@@ -197,9 +198,8 @@ def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]
 
 
 def _transit(v: ScalarField1D, y0: float, y1: float, tol: float):
-    """Quadrature of ``1/v`` between ``y0`` and ``y1`` (either order),
-    stopped once it provably exceeds ``DIVERGENCE_CAP``:
-    ``(value, capped)``."""
+    """``(value, capped)``: quadrature of ``1/v`` between ``y0`` and ``y1``
+    (either order), stopped once it provably exceeds ``DIVERGENCE_CAP``."""
     val, _, capped = adaptive_quad(
         lambda xi: 1.0 / np.asarray(v(xi), dtype=float),
         min(y0, y1), max(y0, y1), tol=tol, cap=DIVERGENCE_CAP,
@@ -219,20 +219,23 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
     ``target``: the time from ``x`` to ``near`` is ``t_near <= target`` and
     the time to ``far`` exceeds ``target``.  Otherwise returns the unsigned
     :class:`TimeOfFlight` to ``end``: finite when a panel's time drops below
-    the tolerance and the sum plus a geometric tail is at most ``target``,
-    infinite when the sum passes ``DIVERGENCE_CAP`` or, for an infinite
-    ``target`` only, when the per-level times stop decaying.
+    the tolerance and the sum plus a geometric tail is at most ``target``.
+    Without a finite ``target`` it is infinite when the sum passes
+    ``DIVERGENCE_CAP`` or the per-level times stop decaying, and
+    ``MAX_LEVELS`` unsettled levels raise :class:`ToleranceFailure`; a
+    finite ``target`` not passed in ``TARGET_LEVELS`` levels is infinite.
     """
     delta = 0.5 * abs(end - x)
     near, t_near = x, 0.0
     far = end - d * delta
     contribs = []
-    for level in range(MAX_LEVELS + 1):
+    levels = MAX_LEVELS + 1 if target == math.inf else TARGET_LEVELS
+    for level in range(levels):
         val, capped = _transit(v, near, far, tol)
         accum = t_near + val
         if (math.inf if capped else accum) > target:
             return near, t_near, far
-        if capped or accum > DIVERGENCE_CAP:
+        if target == math.inf and (capped or accum > DIVERGENCE_CAP):
             return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
         # a panel whose far edge rounds to its near edge has no width and
         # gives no verdict
@@ -257,6 +260,8 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
         near, t_near = far, accum
         delta *= 0.5
         far = end - d * delta
+    if target < math.inf:
+        return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=t_near)
     raise ToleranceFailure(
         f"improper time integral toward {end} did not settle", partial=t_near
     )
@@ -295,7 +300,7 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     ``v``) stops at the first panel that passes ``|t|``, and bisection of
     that panel finds ``y``.  Points where ``v`` vanishes are fixed.  A time
     at or beyond the exit time the walk settles on, or one it does not pass
-    before the time diverges, raises
+    within ``TARGET_LEVELS`` dyadic levels, raises
     :class:`~excisionlab.errors.FlowDomainError`, whose exact bounds are
     only then computed by :func:`backward_time` and :func:`forward_time`;
     a NaN time raises :class:`~excisionlab.errors.InputError`.  Next to a

@@ -252,7 +252,7 @@ def _ray_sympl_samples(field: RayHamiltonian, count: int,
     return np.asarray(out)
 
 
-def _run_ray(cfg: ScenarioConfig) -> tuple:
+def _run_ray(cfg: ScenarioConfig) -> dict:
     n = cfg.n if cfg.scenario == "ray" else 1
     if cfg.scenario == "ray" and n < 2:
         raise InputError("the 'ray' scenario needs n >= 2; use 'ray-n1'")
@@ -323,7 +323,9 @@ def _run_ray(cfg: ScenarioConfig) -> tuple:
     starts = np.zeros((3, base.dim))
     starts[:, -2] = (-0.3, 0.25, -0.2)
     starts[2, -1] = 0.1
-    return checks, (field, starts)
+    if cfg.out_dir:
+        _write_trajectories(field, starts, cfg.tol, cfg.out_dir)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def _brush_sympl_samples(C, vfield, count: int, rng: np.random.Generator) -> np.
     return np.asarray(out)
 
 
-def _run_cantor_brush(cfg: ScenarioConfig) -> tuple:
+def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     C, spec, vfield, ham = _brush_setup()
     rng = np.random.default_rng(cfg.seed)
     checks = {}
@@ -443,10 +445,12 @@ def _run_cantor_brush(cfg: ScenarioConfig) -> tuple:
     starts = np.array([[0.0, 0.5, -0.3, 0.0],
                        [0.0, 1.0 / 3.0, -0.3, 0.0],
                        [0.0, 0.5, 0.2, 0.1]])
-    return checks, (ham, starts)
+    if cfg.out_dir:
+        _write_trajectories(ham, starts, cfg.tol, cfg.out_dir)
+    return checks
 
 
-def _run_epigraph(cfg: ScenarioConfig) -> tuple:
+def _run_epigraph(cfg: ScenarioConfig) -> dict:
     """Generic smooth-over-closed-set target: a box with affine height."""
     C = scalar_kit.ClosedSetSpec(
         dim=2,
@@ -519,7 +523,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> tuple:
     below = np.all(np.abs(ham.value(pts)) < wit)
     checks["dominated_by_witness"] = _check(bool(below) and f_on_n == 0.0,
                                             pts.shape[0], float(f_on_n))
-    return checks, None
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +538,7 @@ def _box_tail_spec() -> lsc_fields.LscSpec:
     )
 
 
-def _run_box_tail(cfg: ScenarioConfig) -> tuple:
+def _run_box_tail(cfg: ScenarioConfig) -> dict:
     spec = _box_tail_spec()
     m = cfg.grid or 50
     transect = np.stack([np.linspace(-1.95, 1.95, m),
@@ -645,7 +649,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> tuple:
     worst = _worst(errs)
     checks["backward_totality"] = _check(blocked and worst <= 1e-8, 60, worst,
                                          bound=1e-8)
-    return checks, None
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -750,16 +754,16 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     return checks
 
 
-def _run_tree(cfg: ScenarioConfig) -> tuple:
+def _run_tree(cfg: ScenarioConfig) -> dict:
     staged = trees.excise_tree(_horned_ray_spec())
     rng = np.random.default_rng(cfg.seed)
     checks = _tree_checks(staged, cfg, rng)
     checks["stage_count"] = _check(len(staged.fields) == 3, 3,
                                    float(len(staged.fields)))
-    return checks, None
+    return checks
 
 
-def _run_retract(cfg: ScenarioConfig) -> tuple:
+def _run_retract(cfg: ScenarioConfig) -> dict:
     staged = trees.retract_tree(_double_y_spec())
     rng = np.random.default_rng(cfg.seed)
     checks = _tree_checks(staged, cfg, rng)
@@ -771,7 +775,7 @@ def _run_retract(cfg: ScenarioConfig) -> tuple:
     ok = esc[0] == -1 and np.linalg.norm(end[0] - z0) > 1e-3
     checks["near_tree_survivor"] = _check(bool(ok), 1,
                                           float(np.linalg.norm(end[0] - z0)))
-    return checks, None
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +795,7 @@ SCENARIOS = {
 
 def _write_trajectories(field, starts: np.ndarray, tol: float,
                         out_dir: str) -> None:
-    """Trajectories of the certified ``field`` from ``starts``, one CSV
-    each."""
+    """One CSV per start: the trajectory of ``field`` from it."""
     out = symflow.integrate_batch(field, starts, 1.0 + symflow.DELTA_PROBE,
                                   tol=tol, record=True)
     for i, rows in enumerate(out.trajectories):
@@ -810,11 +813,7 @@ def _write_trajectories(field, starts: np.ndarray, tol: float,
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Build the scenario, run its certification suite, optionally write
-    ``report.json`` and trajectory CSVs, and return the report.
-
-    Each runner returns its checks and either ``None`` or the certified
-    field with the starts of its trajectory CSVs."""
-    trajectories = None
+    ``report.json`` and trajectory CSVs, and return the report."""
     if cfg.scenario == "verify-all":
         sub = {}
         overall = True
@@ -830,7 +829,9 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         runner = SCENARIOS.get(cfg.scenario)
         if runner is None:
             raise InputError(f"unknown scenario {cfg.scenario!r}")
-        checks, trajectories = runner(cfg)
+        if cfg.out_dir:
+            os.makedirs(os.path.join(cfg.out_dir, "trajectories"), exist_ok=True)
+        checks = runner(cfg)
         report = {
             "scenario": cfg.scenario,
             "config": asdict(cfg),
@@ -843,8 +844,4 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if cfg.scenario != "verify-all":
-            os.makedirs(os.path.join(cfg.out_dir, "trajectories"), exist_ok=True)
-        if trajectories is not None:
-            _write_trajectories(*trajectories, cfg.tol, cfg.out_dir)
     return report

@@ -505,3 +505,33 @@ class TestOneWalk:
         got = f1.flow_map(v, 20.0, 0.5)
         assert abs(got - (1.0 - 0.5 * math.exp(-20.0))) <= 1e-11
         assert abs(got - flow_map_ref(v, 20.0, 0.5)) <= 2.0 * math.ulp(1.0)
+
+    def test_log_divergent_end_at_zero(self):
+        # toward 0 the floats stay fine-grained, so the walk needs many
+        # levels: v = a x adds log(2)/a per level, and t = -1 at a = 50
+        # (t = -45 at a = 1) lies past the first MAX_LEVELS of them
+        for a, t in ((50.0, -1.0), (1.0, -45.0), (1.0, -100.0)):
+            v = sk.affine_field(a, 0.0, (0.0, 1.0))
+            got = f1.flow_map(v, t, 0.5)
+            assert got == flow_map_ref(v, t, 0.5)
+            assert abs(got - 0.5 * math.exp(a * t)) <= f1.ROOT_TOL
+
+    def test_time_past_the_level_budget_is_refused(self):
+        # 200 levels of log(2)/50 reach about 2.77 toward 0: t = -3.9 is
+        # refused, as at the earlier implementation, with the exact bounds
+        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        with pytest.raises(FlowDomainError):
+            flow_map_ref(v, -3.9, 0.5)
+        with pytest.raises(FlowDomainError) as err:
+            f1.flow_map(v, -3.9, 0.5)
+        assert err.value.backward == -math.inf
+        assert err.value.forward == pytest.approx(math.log(2.0) / 50.0, abs=1e-9)
+
+    def test_time_beyond_the_divergence_cap_is_reached(self):
+        # the exit time 5e6 exceeds DIVERGENCE_CAP, so forward_time calls
+        # it infinite; a finite time past the cap is still walked to
+        v = sk.constant_field(1e-7, (0.0, 1.0))
+        assert f1.forward_time(v, 0.5).value == math.inf
+        got = f1.flow_map(v, 4e6, 0.5)
+        assert abs(got - flow_map_ref(v, 4e6, 0.5)) <= 2.0 * math.ulp(1.0)
+        assert got == pytest.approx(0.9, abs=1e-9)

@@ -23,6 +23,7 @@ integral converges.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,7 +52,6 @@ QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12
 DIVERGENCE_CAP = 1e6
 MAX_LEVELS = 60
-TARGET_LEVELS = 200     # levels a walk toward a finite flow time may take
 ZERO_SCAN_STEP = 1e-4
 
 MODE_CLOSED_FORM = "closed-form"
@@ -222,15 +222,17 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
     the tolerance and the sum plus a geometric tail is at most ``target``.
     Without a finite ``target`` it is infinite when the sum passes
     ``DIVERGENCE_CAP`` or the per-level times stop decaying, and
-    ``MAX_LEVELS`` unsettled levels raise :class:`ToleranceFailure`; a
-    finite ``target`` not passed in ``TARGET_LEVELS`` levels is infinite.
+    ``MAX_LEVELS`` unsettled levels raise :class:`ToleranceFailure`.  A
+    walk toward a finite ``target`` goes on until its far edge rounds onto
+    ``end`` (about 1075 levels toward 0 at worst); a ``target`` not passed
+    by then is infinite.
     """
     delta = 0.5 * abs(end - x)
     near, t_near = x, 0.0
     far = end - d * delta
     contribs = []
-    levels = MAX_LEVELS + 1 if target == math.inf else TARGET_LEVELS
-    for level in range(levels):
+    levels = range(MAX_LEVELS + 1) if target == math.inf else itertools.count()
+    for level in levels:
         val, capped = _transit(v, near, far, tol)
         accum = t_near + val
         if (math.inf if capped else accum) > target:
@@ -257,11 +259,12 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
                     # contributions per dyadic level stop decaying: divergence
                     return TimeOfFlight(math.inf, MODE_QUADRATURE,
                                         lower_bound=accum)
+        if far == end and target < math.inf:
+            # the end is reached without passing the target
+            return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
         near, t_near = far, accum
         delta *= 0.5
         far = end - d * delta
-    if target < math.inf:
-        return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=t_near)
     raise ToleranceFailure(
         f"improper time integral toward {end} did not settle", partial=t_near
     )
@@ -298,12 +301,14 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     Solves ``int_x^y dxi / v(xi) = t`` for ``y``: the walk toward the end
     in the flow direction (the domain endpoint or the nearest zero of
     ``v``) stops at the first panel that passes ``|t|``, and bisection of
-    that panel finds ``y``.  Points where ``v`` vanishes are fixed.  A time
-    at or beyond the exit time the walk settles on, or one it does not pass
-    within ``TARGET_LEVELS`` dyadic levels, raises
-    :class:`~excisionlab.errors.FlowDomainError`, whose exact bounds are
-    only then computed by :func:`backward_time` and :func:`forward_time`;
-    a NaN time raises :class:`~excisionlab.errors.InputError`.  Next to a
+    that panel finds ``y``.  Points where ``v`` vanishes are fixed.  A point
+    closer to the domain end than float resolution comes back as the last
+    float inside the open domain.  A time at or beyond the exit time the
+    walk settles on, or one it does not pass before its far edge rounds
+    onto the end, raises :class:`~excisionlab.errors.FlowDomainError`,
+    whose exact bounds are only then computed by :func:`backward_time` and
+    :func:`forward_time`; a NaN time raises
+    :class:`~excisionlab.errors.InputError`.  Next to a
     zero of ``v`` a node where ``v`` underflows to 0 gives ``1/v = inf``
     (and a NaN error estimate): an infinite time, beyond any target.
     """
@@ -333,7 +338,11 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
             near, t_near = mid, t_mid
         else:
             far = mid
-    return 0.5 * (near + far)
+    y = 0.5 * (near + far)
+    # a point closer to the domain end than float resolution rounds onto it
+    if y == lo or y == hi:
+        return float(np.nextafter(y, x))
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ stages:
    threshold to ``f_n``.  :meth:`GluedField.fiber_data` computes the
    thresholds, separators and delays of one fibre, and the band primitive
    :func:`band_velocity` / :func:`band_travel_time` evaluates any level
-   from them.
+   from them at a whole array of points of the fibre: one bridge call over
+   every crossed (point, band) pair, summed band by band per point.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -31,6 +32,7 @@ below ``f_1(p)/2`` makes every backward trajectory take infinite time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -162,22 +164,56 @@ def _lattice(lo, hi, pitch, pad):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _sq_dist(pts: np.ndarray, qi: np.ndarray, centers: np.ndarray,
+             ci: np.ndarray) -> np.ndarray:
+    """``|pts[qi] - centers[ci]|^2`` per pair, summed over the columns in
+    order (as ``np.sum(..., axis=1)`` sums them) without ``(n, dim)``
+    temporaries."""
+    d2 = np.zeros(qi.shape[0])
+    for p_col, c_col in zip(pts.T, centers.T):
+        diff = np.ascontiguousarray(p_col).take(qi)
+        diff -= np.ascontiguousarray(c_col).take(ci)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _in_support(pts: np.ndarray, qi: np.ndarray, centers: np.ndarray,
+                ci: np.ndarray, radius: float):
+    """The candidate pairs inside the bump support, with their squared
+    relative radii ``q = d^2 / radius^2 < 1``.
+
+    A dropped pair (``q >= 1``) would carry the weight ``+0.0`` through the
+    gate and kill factors and add ``+0.0`` to its query's ``bincount``
+    sums; the kept pairs keep their order, so every blend is bitwise the
+    same as over all candidates."""
+    q = _sq_dist(pts, qi, centers, ci) / (radius * radius)
+    inside = np.flatnonzero(q < 1.0)
+    return qi.take(inside), ci.take(inside), q.take(inside)
+
+
 class _NeighborIndex:
     """Cell hash over a fixed center set, kept as one sorted array of cell
     codes.  ``pairs`` returns candidate (query, center) index pairs for all
-    centers within ``reach`` of each query as a sort-based join: every
-    query's neighbour cells are looked up in the sorted codes at once.
+    centers within ``reach`` of each query as a sort-based join.
 
-    Each query's candidates come in ``_offsets`` order and, within a cell,
-    in ascending center index; the ``bincount`` blends sum each query's
-    weights in that order, so it fixes their last digits."""
+    Cell codes ravel the key box in C order, so the ``2*span + 1``
+    neighbour cells that differ only in the last key axis have consecutive
+    codes: each such row of cells, its last axis clipped to the key box, is
+    one code range and costs one pair of ``searchsorted`` lookups: at
+    ``span = 1`` in 2-D, 3 rows per query instead of 9 cells.
+
+    Each query's candidates come cell by cell, the neighbour cells in C
+    order of their offsets (rows in ``_row_offsets`` order, the last key
+    axis fastest within a row), and within a cell in ascending center
+    index; the ``bincount`` blends sum each query's weights in that order,
+    so it fixes their last digits."""
 
     def __init__(self, centers: np.ndarray, radius: float):
         self.centers = centers
         self.radius = radius
         self.dim = centers.shape[1]
         keys = np.floor(centers / radius).astype(np.int64)
-        # cell codes ravel the key bounding box in C order
         if keys.shape[0]:
             self._key_lo = keys.min(axis=0)
             self._key_shape = keys.max(axis=0) - self._key_lo + 1
@@ -191,27 +227,34 @@ class _NeighborIndex:
         self._order = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[self._order]
 
-    def _offsets(self, span: int) -> np.ndarray:
-        rng = np.arange(-span, span + 1)
-        mesh = np.meshgrid(*([rng] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+    def _row_offsets(self, span: int) -> np.ndarray:
+        """Neighbour-cell offsets in all but the last key axis, in C order:
+        one per row of cells."""
+        rows = list(itertools.product(range(-span, span + 1), repeat=self.dim - 1))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim - 1)
 
     def pairs(self, pts: np.ndarray, reach: Optional[float] = None):
         reach = self.radius if reach is None else reach
         span = int(math.ceil(reach / self.radius))
-        keys = np.floor(pts / self.radius).astype(np.int64)
-        # (m, n_offsets, dim) neighbour cells, relative to the key box
-        cells = keys[:, None, :] + (self._offsets(span) - self._key_lo)
-        in_box = np.all((cells >= 0) & (cells < self._key_shape), axis=2)
-        q_rows, _ = np.nonzero(in_box)      # query-major, offsets in order
-        codes = cells[in_box] @ self._key_strides
-        start = np.searchsorted(self._sorted_codes, codes, side="left")
-        counts = np.searchsorted(self._sorted_codes, codes, side="right") - start
-        # expand each (query, cell) run of sorted centers
+        keys = np.floor(pts / self.radius).astype(np.int64) - self._key_lo
+        # (m, n_rows, dim - 1) leading keys of each row of neighbour cells,
+        # and each row's last-axis key range clipped to the key box
+        lead = keys[:, None, :-1] + self._row_offsets(span)
+        last_lo = np.maximum(keys[:, -1] - span, 0)
+        last_hi = np.minimum(keys[:, -1] + span, self._key_shape[-1] - 1)
+        in_box = (np.all((lead >= 0) & (lead < self._key_shape[:-1]), axis=2)
+                  & (last_lo <= last_hi)[:, None])
+        q_rows, _ = np.nonzero(in_box)      # query-major, rows in order
+        row_code = lead[in_box] @ self._key_strides[:-1]
+        start = np.searchsorted(self._sorted_codes, row_code + last_lo[q_rows],
+                                side="left")
+        counts = np.searchsorted(self._sorted_codes, row_code + last_hi[q_rows],
+                                 side="right") - start
+        # expand each (query, row) run of sorted centers
         run_start = np.cumsum(counts) - counts
         pos = np.arange(int(counts.sum())) + np.repeat(start - run_start, counts)
         qi = np.repeat(q_rows, counts).astype(np.int64, copy=False)
-        ci = self._order[pos].astype(np.int64, copy=False)
+        ci = self._order.take(pos)
         return qi, ci
 
     def max_over_balls(self, pts: np.ndarray, reach: float,
@@ -219,12 +262,13 @@ class _NeighborIndex:
         """Per query point, the max of ``values`` over centers within
         ``reach``; minus infinity where no center is in reach."""
         qi, ci = self.pairs(pts, reach=reach)
-        if qi.size:
-            d2 = np.sum((pts[qi] - self.centers[ci]) ** 2, axis=1)
-            keep = d2 <= reach * reach
-            qi, ci = qi[keep], ci[keep]
+        keep = np.flatnonzero(_sq_dist(pts, qi, self.centers, ci) <= reach * reach)
+        qi, ci = qi.take(keep), ci.take(keep)
         out = np.full(pts.shape[0], -np.inf)
-        np.maximum.at(out, qi, values[ci])
+        if qi.size:
+            # pairs are query-major: one max per run of equal queries
+            first = np.flatnonzero(np.diff(qi, prepend=-1))
+            out[qi[first]] = np.maximum.reduceat(values[ci], first)
         return out
 
 
@@ -297,11 +341,12 @@ class BaireSequence:
             qi, ci = lev.index.pairs(pts)
             if qi.size == 0:
                 raise CoverageError(f"no centers near queries at level {lev.n}")
-            d2 = np.sum((pts[qi] - lev.index.centers[ci]) ** 2, axis=1)
-            w = ball_bump_from_sq(d2 / (lev.radius * lev.radius))
-            c = lev.c_vals[ci]
-            w = w * smooth_step((c - prev[qi]) / lev.gate_scale[ci])
-            w = w * kill_cum[qi, lev.kill_rank[ci]]
+            qi, ci, q = _in_support(pts, qi, lev.index.centers, ci, lev.radius)
+            w = ball_bump_from_sq(q)
+            c = lev.c_vals.take(ci)
+            w = w * smooth_step((c - prev.take(qi)) / lev.gate_scale.take(ci))
+            # kill_cum[qi, kill_rank[ci]], through its flat index
+            w = w * kill_cum.take(qi * kill_cum.shape[1] + lev.kill_rank.take(ci))
             num = np.bincount(qi, weights=w * c, minlength=pts.shape[0])
             den = np.bincount(qi, weights=w, minlength=pts.shape[0])
             if np.any(den <= 0.0):
@@ -413,8 +458,8 @@ class _BlendField:
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         qi, ci = self.index.pairs(pts)
-        d2 = np.sum((pts[qi] - self.index.centers[ci]) ** 2, axis=1)
-        w = ball_bump_from_sq(d2 / (self.radius * self.radius))
+        qi, ci, q = _in_support(pts, qi, self.index.centers, ci, self.radius)
+        w = ball_bump_from_sq(q)
         num = np.bincount(qi, weights=w * self.c_vals[ci], minlength=pts.shape[0])
         den = np.bincount(qi, weights=w, minlength=pts.shape[0])
         if np.any(den <= 0.0):
@@ -507,21 +552,29 @@ def band_velocity(g, tau, level: int, x, deriv: bool = False) -> np.ndarray:
     return out
 
 
-def band_travel_time(g, tau, level: int, x0: float, x1: float) -> float:
+def band_travel_time(g, tau, level: int, x0, x1):
     """Crossing time from ``x0`` to ``x1`` under tower level ``level``
-    (the speed of :func:`band_velocity`).  Closed form per band."""
+    (the speed of :func:`band_velocity`), closed form per band.  ``x0``
+    and ``x1`` broadcast; floats in give a float out."""
     g, tau = _check_level(g, tau, level)
+    x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                 np.asarray(x1, dtype=float))
     lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
-    a = np.maximum(x0, lo)
-    b = np.minimum(x1, hi)
+    # (..., level): each point's stretch of each band
+    a = np.maximum(x0[..., None], lo)
+    b = np.minimum(x1[..., None], hi)
     crossed = b > a
-    lo, hi, delay, a, b = (v[crossed] for v in (lo, hi, delay, a, b))
-    extra = bridge_crossing_time(lo, hi, delay, a, b) - (b - a)
-    # band by band as Python floats: a numpy sum would reorder the terms
-    total = x1 - x0
-    for term in extra.tolist():
-        total += term
-    return total
+    extra = np.zeros(crossed.shape)
+    band = np.nonzero(crossed)[-1]
+    a, b = a[crossed], b[crossed]
+    extra[crossed] = (bridge_crossing_time(lo[band], hi[band], delay[band], a, b)
+                      - (b - a))
+    # band by band, each point's terms in band order: a sum over the band
+    # axis would reorder them
+    total = np.array(x1 - x0)
+    for k in range(level):
+        np.add(total, extra[..., k], out=total, where=crossed[..., k])
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +609,11 @@ class GluedField:
     any other shape with :class:`~excisionlab.errors.InputError`.  So it
     is not a batch :class:`~excisionlab.null_fields.VectorFieldPX` and has
     no ambient extension; it is certified at the hypersurface level.
-    ``velocity`` and ``velocity_dx`` evaluate elementwise in ``x``; the
-    exit times and :meth:`classify` take a float ``x``.
+    ``velocity``, ``velocity_dx``, the exit times and :meth:`classify`
+    evaluate elementwise in ``x``, an array of points on the fibre, so one
+    call covers a fibre.  They return arrays of the shape of ``x`` (0-d for
+    a float), except :meth:`level_exit_time`, which gives a float for a
+    float.
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
@@ -599,15 +655,17 @@ class GluedField:
         self._fiber_cache[key] = data
         return data
 
-    def level_exit_time(self, p, x: float, level: int) -> float:
-        """Exit time to the top under tower level ``level`` (no cutoff)."""
+    def level_exit_time(self, p, x, level: int):
+        """Exit times to the top under tower level ``level`` (no cutoff)
+        from the points ``x`` of the fibre over ``p``."""
         data = self.fiber_data(p)
         if not (1 <= level <= data.depth):
             raise InputError("level out of range")
         return band_travel_time(data.g, data.tau, level, x, 1.0)
 
-    def limit_exit_time(self, p, x: float) -> tuple[float, float]:
-        """Bounds ``(lower, upper)`` on the exit time of the limit field.
+    def limit_exit_time(self, p, x) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds ``(lower, upper)`` on the exit times of the limit field
+        from the points ``x`` of the fibre over ``p``.
 
         The time through the built bands is exact; each unbuilt band above
         adds its delay, and those delays sum to ``lam(p) - f_N(p)``
@@ -617,29 +675,35 @@ class GluedField:
         is sharp and the upper bound is infinite.
         """
         data = self.fiber_data(p)
-        if x >= data.g[-1]:
+        x = np.asarray(x, dtype=float)
+        above = x >= data.g[-1]
+        if np.any(above):
             raise DepthExhausted(
-                f"query x={x} above deepest separator g_N={data.g[-1]}"
+                f"query x={x[above].flat[0]} above deepest separator "
+                f"g_N={data.g[-1]}"
             )
-        base = band_travel_time(data.g, data.tau, data.depth, x, 1.0)
+        base = np.asarray(band_travel_time(data.g, data.tau, data.depth, x, 1.0))
         lam_p = float(self.spec.lam(np.asarray(p, dtype=float)[None])[0])
         if lam_p < data.g[0]:
-            tail = max(lam_p - data.f[self.depth - 1], 0.0)
-            t_inf = base + tail
+            t_inf = base + max(lam_p - data.f[self.depth - 1], 0.0)
             return t_inf, t_inf
-        return base, math.inf
+        return base, np.full(base.shape, math.inf)
 
-    def classify(self, p, x: float) -> str:
+    def classify(self, p, x) -> np.ndarray:
         """``excised`` iff the limit exit time is at most 1, certified from
-        the monotone level times and the exact tail sum."""
+        the monotone level times and the exact tail sum, at the points
+        ``x`` of the fibre over ``p``; a point the bounds leave undecided
+        raises :class:`~excisionlab.errors.DepthExhausted`."""
         lower, upper = self.limit_exit_time(p, x)
-        if lower > 1.0:
-            return "survives"
-        if upper <= 1.0:
-            return "excised"
-        raise DepthExhausted(
-            f"classification undecided at (p={p}, x={x}): bounds ({lower}, {upper})"
-        )
+        survives = lower > 1.0
+        undecided = ~survives & ~(upper <= 1.0)
+        if np.any(undecided):
+            i = np.flatnonzero(undecided)[0]
+            raise DepthExhausted(
+                f"classification undecided at (p={p}, x={np.ravel(x)[i]}): "
+                f"bounds ({lower.flat[i]}, {upper.flat[i]})"
+            )
+        return np.where(survives, "survives", "excised")
 
     # -- field evaluation --------------------------------------------------
 

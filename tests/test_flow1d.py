@@ -456,12 +456,18 @@ class TestOneWalk:
         # the exact point lies within 1e-28 of the right end, so the walk
         # runs out of float resolution before it passes t: a panel whose far
         # edge rounds to its near edge must not settle the walk into a
-        # refusal; the parent's walk returns the end's rounding too
+        # refusal.  The bisection's midpoint rounds onto the end, where the
+        # reference stops; the last float inside the open domain stands for
+        # it, so a flow can start there
         v = sk.ramp_velocity_field(-0.17978911822283405, -0.318534576735228,
                                    0.19268974261692928)
+        last = float(np.nextafter(1.0, 0.0))
         for x in (0.6708532832785272, 0.9176990251470087):
+            assert flow_map_ref(v, 5.0, x) == 1.0
             got = f1.flow_map(v, 5.0, x)
-            assert got == flow_map_ref(v, 5.0, x) == 1.0
+            assert got == last and type(got) is float
+            v.check_domain(got)
+            assert f1.flow_map(v, 1.0, got) == last
 
     def test_time_inside_the_extrapolated_tail(self):
         # the walk settles about 1e-10 short of the exit time and adds the
@@ -516,16 +522,21 @@ class TestOneWalk:
             assert got == flow_map_ref(v, t, 0.5)
             assert abs(got - 0.5 * math.exp(a * t)) <= f1.ROOT_TOL
 
-    def test_time_past_the_level_budget_is_refused(self):
-        # 200 levels of log(2)/50 reach about 2.77 toward 0: t = -3.9 is
-        # refused, as at the earlier implementation, with the exact bounds
+    def test_time_past_two_hundred_levels_is_reached(self):
+        # 200 levels of log(2)/50 reach about 2.77 toward 0, and the
+        # reference refuses t = -3.9 there; the walk goes on until its far
+        # edge rounds onto 0, so every time is reached, within ROOT_TOL of
+        # 0.5 e^(50 t) (about 1e-85 at t = -3.9)
         v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
         with pytest.raises(FlowDomainError):
             flow_map_ref(v, -3.9, 0.5)
-        with pytest.raises(FlowDomainError) as err:
-            f1.flow_map(v, -3.9, 0.5)
-        assert err.value.backward == -math.inf
-        assert err.value.forward == pytest.approx(math.log(2.0) / 50.0, abs=1e-9)
+        got = f1.flow_map(v, -3.9, 0.5)
+        assert 0.0 < got < 0.5
+        assert got == pytest.approx(0.5 * math.exp(-195.0), rel=0.1)
+        for t in (-14.0, -100.0, -1e4):
+            got = f1.flow_map(v, t, 0.5)
+            assert 0.0 < got <= f1.ROOT_TOL
+            v.check_domain(got)
 
     def test_time_beyond_the_divergence_cap_is_reached(self):
         # the exit time 5e6 exceeds DIVERGENCE_CAP, so forward_time calls

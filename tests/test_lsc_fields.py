@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from excisionlab import flow1d, lsc_fields as lf, null_fields
 from excisionlab.errors import DepthExhausted, InputError
-from excisionlab.scalar_kit import (bridge_crossing_time, bridge_velocity,
-                                    bridge_velocity_dx)
+from excisionlab.scalar_kit import (ball_bump_from_sq, bridge_crossing_time,
+                                    bridge_velocity, bridge_velocity_dx,
+                                    smooth_step)
 
 
 def constant_spec(value: float) -> lf.LscSpec:
@@ -36,8 +37,15 @@ class TestLscSpec:
         assert field.fiber_data(np.array([0.5])).depth == 2
 
 
+def cell_offsets(dim, span):
+    """All neighbour-cell offsets in C order (the last key axis fastest)."""
+    rng = np.arange(-span, span + 1)
+    mesh = np.meshgrid(*([rng] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def reference_pairs(index, pts, reach):
-    """Per query, the concatenation over ``_offsets`` of the ascending
+    """Per query, the concatenation over ``cell_offsets`` of the ascending
     indices of the centers in cell ``key + off``."""
     reach = index.radius if reach is None else reach
     span = math.ceil(reach / index.radius)
@@ -46,10 +54,91 @@ def reference_pairs(index, pts, reach):
     return [
         np.concatenate([np.zeros(0, dtype=np.int64)] + [
             np.nonzero(np.all(center_keys == key + off, axis=1))[0]
-            for off in index._offsets(span)
+            for off in cell_offsets(index.dim, span)
         ])
         for key in query_keys
     ]
+
+
+# The kernels below are the tower's earlier implementations, kept as
+# references: one searchsorted pair per neighbour cell, blends over every
+# candidate, np.maximum.at, and one scalar band time per call.
+
+def pairs_by_cell(index, pts, reach=None):
+    reach = index.radius if reach is None else reach
+    span = int(math.ceil(reach / index.radius))
+    keys = np.floor(pts / index.radius).astype(np.int64)
+    # (m, n_offsets, dim) neighbour cells, relative to the key box
+    cells = keys[:, None, :] + (cell_offsets(index.dim, span) - index._key_lo)
+    in_box = np.all((cells >= 0) & (cells < index._key_shape), axis=2)
+    q_rows, _ = np.nonzero(in_box)      # query-major, offsets in order
+    codes = cells[in_box] @ index._key_strides
+    start = np.searchsorted(index._sorted_codes, codes, side="left")
+    counts = np.searchsorted(index._sorted_codes, codes, side="right") - start
+    # expand each (query, cell) run of sorted centers
+    run_start = np.cumsum(counts) - counts
+    pos = np.arange(int(counts.sum())) + np.repeat(start - run_start, counts)
+    qi = np.repeat(q_rows, counts).astype(np.int64, copy=False)
+    ci = index._order[pos].astype(np.int64, copy=False)
+    return qi, ci
+
+
+def max_over_balls_at(index, pts, reach, values):
+    qi, ci = pairs_by_cell(index, pts, reach=reach)
+    if qi.size:
+        d2 = np.sum((pts[qi] - index.centers[ci]) ** 2, axis=1)
+        keep = d2 <= reach * reach
+        qi, ci = qi[keep], ci[keep]
+    out = np.full(pts.shape[0], -np.inf)
+    np.maximum.at(out, qi, values[ci])
+    return out
+
+
+def raw_values_unpruned(seq, pts):
+    plat = seq._plateaus(pts)
+    # cumulative high-side kill factors by piece-value rank
+    kill_cum = np.ones((pts.shape[0], plat.shape[1] + 1))
+    for j in range(plat.shape[1]):
+        kill_cum[:, j + 1] = kill_cum[:, j] * (1.0 - plat[:, j])
+
+    prev = np.zeros(pts.shape[0])
+    cols = []
+    for lev in seq._levels:
+        qi, ci = pairs_by_cell(lev.index, pts)
+        d2 = np.sum((pts[qi] - lev.index.centers[ci]) ** 2, axis=1)
+        w = ball_bump_from_sq(d2 / (lev.radius * lev.radius))
+        c = lev.c_vals[ci]
+        w = w * smooth_step((c - prev[qi]) / lev.gate_scale[ci])
+        w = w * kill_cum[qi, lev.kill_rank[ci]]
+        num = np.bincount(qi, weights=w * c, minlength=pts.shape[0])
+        den = np.bincount(qi, weights=w, minlength=pts.shape[0])
+        prev = num / den
+        cols.append(prev)
+    return np.stack([0.5 * cols[0]] + cols, axis=1)
+
+
+def blend_unpruned(blend, pts):
+    qi, ci = pairs_by_cell(blend.index, pts)
+    d2 = np.sum((pts[qi] - blend.index.centers[ci]) ** 2, axis=1)
+    w = ball_bump_from_sq(d2 / (blend.radius * blend.radius))
+    num = np.bincount(qi, weights=w * blend.c_vals[ci], minlength=pts.shape[0])
+    den = np.bincount(qi, weights=w, minlength=pts.shape[0])
+    return num / den
+
+
+def band_travel_time_scalar(g, tau, level, x0, x1):
+    g, tau = lf._check_level(g, tau, level)
+    lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
+    a = np.maximum(x0, lo)
+    b = np.minimum(x1, hi)
+    crossed = b > a
+    lo, hi, delay, a, b = (v[crossed] for v in (lo, hi, delay, a, b))
+    extra = bridge_crossing_time(lo, hi, delay, a, b) - (b - a)
+    # band by band as Python floats: a numpy sum would reorder the terms
+    total = x1 - x0
+    for term in extra.tolist():
+        total += term
+    return total
 
 
 @st.composite
@@ -87,11 +176,46 @@ class TestNeighborIndex:
             near = np.sum((p - centers) ** 2, axis=1) <= reach * reach
             assert got[q] == (values[near].max() if near.any() else -np.inf)
 
+    @given(neighbor_cases())
+    def test_pairs_equal_the_per_cell_join(self, case):
+        centers, pts, radius, reach = case
+        index = lf._NeighborIndex(centers, radius)
+        qi, ci = index.pairs(pts, reach)
+        want_qi, want_ci = pairs_by_cell(index, pts, reach)
+        assert np.array_equal(qi, want_qi) and np.array_equal(ci, want_ci)
+
+    @settings(max_examples=40)
+    @given(dim=st.integers(1, 3), span=st.integers(1, 4),
+           shift=st.floats(-12.0, 12.0), seed=st.integers(0, 2**16))
+    def test_row_runs_at_every_span(self, dim, span, shift, seed):
+        # a dense cloud, so every row of cells holds centers, with queries
+        # inside, next to and far outside the key box
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-1.0, 1.0, (300, dim))
+        pts = rng.uniform(-1.5, 1.5, (25, dim)) + shift
+        index = lf._NeighborIndex(centers, 0.2)
+        reach = 0.2 * span
+        qi, ci = index.pairs(pts, reach)
+        want_qi, want_ci = pairs_by_cell(index, pts, reach)
+        assert np.array_equal(qi, want_qi) and np.array_equal(ci, want_ci)
+
+    @given(neighbor_cases())
+    def test_max_over_balls_equals_maximum_at(self, case):
+        centers, pts, radius, reach = case
+        reach = radius if reach is None else reach
+        values = np.random.default_rng(0).uniform(-1.0, 1.0, centers.shape[0])
+        index = lf._NeighborIndex(centers, radius)
+        assert np.array_equal(index.max_over_balls(pts, reach, values),
+                              max_over_balls_at(index, pts, reach, values))
+
     def test_empty_center_set_gives_empty_pairs(self):
-        index = lf._NeighborIndex(np.zeros((0, 2)), 0.25)
-        qi, ci = index.pairs(np.zeros((3, 2)))
-        assert qi.dtype == ci.dtype == np.int64
-        assert qi.size == ci.size == 0
+        for dim in (1, 2, 3):
+            index = lf._NeighborIndex(np.zeros((0, dim)), 0.25)
+            qi, ci = index.pairs(np.zeros((3, dim)), reach=0.6)
+            assert qi.dtype == ci.dtype == np.int64
+            assert qi.size == ci.size == 0
+            assert np.all(index.max_over_balls(np.zeros((3, dim)), 0.6,
+                                               np.zeros(0)) == -np.inf)
 
 
 class TestBaireSequence:
@@ -156,6 +280,56 @@ class TestBaireSequence:
         edge = np.array([[0.004], [0.02], [0.996], [0.5]])
         vals = seq.raw_values(edge)
         assert np.all(vals < 0.5)
+
+
+@pytest.fixture(scope="module")
+def shallow_box_tail(box_tail_field):
+    """A depth-6 box-tail tower, with a 31 x 31 grid over the base."""
+    spec, _, transect = box_tail_field
+    field = lf.build_lsc_field(spec, depth=6, grid=transect)
+    g1 = np.linspace(-1.95, 1.95, 31)
+    grid = np.stack(np.meshgrid(g1, g1, indexing="ij"), axis=-1).reshape(-1, 2)
+    return field, np.concatenate([grid, transect])
+
+
+class TestPrunedBlends:
+    """Blends over the candidates inside the bump support equal blends over
+    every candidate, bit for bit."""
+
+    def test_raw_values_equal_the_unpruned_blend(self, shallow_box_tail):
+        field, pts = shallow_box_tail
+        seq = field.baire
+        assert np.array_equal(seq.raw_values(pts), raw_values_unpruned(seq, pts))
+        # each level's centers under the levels below it, as the build
+        # queries them
+        for n in range(1, len(seq._levels)):
+            below = lf.BaireSequence(seq.spec)
+            below._levels = seq._levels[:n]
+            centers = seq._levels[n].index.centers
+            assert np.array_equal(below.raw_values(centers),
+                                  raw_values_unpruned(below, centers))
+
+    def test_majorants_equal_the_unpruned_blend(self, shallow_box_tail):
+        field, pts = shallow_box_tail
+        for g in field.majorants:
+            assert np.array_equal(g(pts), blend_unpruned(g, pts))
+            centers, reach = g.index.centers, lf.MAJORANT_SCALE
+            assert np.array_equal(
+                g.ball_upper_bound(centers, reach),
+                max_over_balls_at(g.index, centers, reach + g.radius, g.c_vals))
+
+    def test_level_upper_bounds_equal_maximum_at(self, shallow_box_tail):
+        field, _ = shallow_box_tail
+        seq = field.baire
+        centers = field.majorants[0].index.centers
+        reach = lf.MAJORANT_SCALE
+        for level in range(1, seq.depth + 1):
+            lev, factor = ((seq._levels[0], 0.5) if level == 1
+                           else (seq._levels[level - 2], 1.0))
+            want = factor * max_over_balls_at(lev.index, centers,
+                                              reach + lev.radius, lev.c_vals)
+            assert np.array_equal(seq.level_upper_bound(level, centers, reach),
+                                  want)
 
 
 class TestSmoothMajorant:
@@ -329,6 +503,64 @@ class TestBandPrimitives:
                     for end in (x1, 1.0, float(g[level])):
                         assert (lf.band_travel_time(g, tau, level, x0, end)
                                 == reference_band_travel_time(g, tau, level, x0, end))
+
+
+class TestArrayExitTimes:
+    """Exit times on arrays equal the scalar band time point by point."""
+
+    def test_band_travel_time_equals_the_scalar_one(self, box_tail_field):
+        spec, field, transect = box_tail_field
+        rng = np.random.default_rng(5)
+        for p in transect[[2, 13, 20, 33, 47]]:
+            data = field.fiber_data(p)
+            g, tau = data.g, data.tau
+            for level in range(1, field.depth + 1):
+                x0 = np.concatenate([
+                    rng.uniform(0.0, g[-1], 40),
+                    g,                                  # exactly on separators
+                    data.f,
+                    rng.uniform(g[level], 1.0, 5),      # above the top band
+                ])
+                want = [band_travel_time_scalar(g, tau, level, x, 1.0)
+                        for x in x0.tolist()]
+                assert np.array_equal(lf.band_travel_time(g, tau, level, x0, 1.0),
+                                      want)
+                assert np.array_equal(field.level_exit_time(p, x0, level), want)
+                # pairwise ends, a quarter of them empty stretches
+                x1 = np.maximum(x0, rng.uniform(0.0, 1.0, x0.size))
+                x1[::4] = x0[::4]
+                want = [band_travel_time_scalar(g, tau, level, a, b)
+                        for a, b in zip(x0.tolist(), x1.tolist())]
+                assert np.array_equal(lf.band_travel_time(g, tau, level, x0, x1),
+                                      want)
+                got = lf.band_travel_time(g, tau, level, float(x0[0]), float(x1[0]))
+                assert type(got) is float and got == want[0]
+
+    def test_limit_times_and_verdicts_per_point(self, box_tail_field):
+        spec, field, transect = box_tail_field
+        xs = np.linspace(0.05, 0.9, 50)
+        clear = spec.boundary_distance(transect) >= 1e-3
+        for p, lam_p in zip(transect[clear], spec.lam(transect[clear])):
+            x = xs[np.abs(xs - lam_p) >= 1e-3]
+            lower, upper = field.limit_exit_time(p, x)
+            verdicts = field.classify(p, x)
+            assert lower.shape == upper.shape == verdicts.shape == x.shape
+            for i, x_i in enumerate(x.tolist()):
+                lo_i, up_i = field.limit_exit_time(p, x_i)
+                assert (lower[i], upper[i]) == (lo_i, up_i)
+                assert verdicts[i] == field.classify(p, x_i)
+            assert np.array_equal(verdicts,
+                                  np.where(x >= lam_p, "excised", "survives"))
+
+    def test_one_point_above_the_tower_refuses_the_fibre(self, box_tail_field):
+        _, field, transect = box_tail_field
+        p = transect[5]
+        top = float(field.fiber_data(p).g[-1])
+        x = np.array([0.3, top, 0.5])
+        with pytest.raises(DepthExhausted, match=f"query x={top}"):
+            field.limit_exit_time(p, x)
+        with pytest.raises(DepthExhausted):
+            field.classify(p, x)
 
 
 class TestGluedField:

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from excisionlab import cli, scenarios
-from excisionlab.errors import InputError
+from excisionlab import cli, lsc_fields, scenarios
+from excisionlab.errors import DepthExhausted, InputError
 
 RAY_CHECKS = {
     "escape_classification", "symplecticity", "inverse_consistency",
@@ -141,16 +141,50 @@ class TestDriver:
                    for name, data in csvs.items()}
         assert digests == SMALL_TRAJECTORY_DIGESTS[scenario]
 
+    def test_box_tail_report_is_deterministic(self, tmp_path):
+        # the tower's blends and band times sum in candidate and band
+        # order, so their last digits hang on that order; at the default
+        # depth
+        assert_deterministic(tmp_path, "box-tail", "--depth", "14")
 
-def assert_deterministic(tmp_path, scenario):
-    """Two runs of ``scenario`` at the reduced config write the same
-    ``report.json`` (``out_dir`` removed) and the same trajectory CSVs;
-    returns the CSV bytes by file name."""
+    def test_undecided_points_count_as_mismatches(self):
+        # a depth-2 tower leaves points undecided: each is one mismatch,
+        # as when the fibres are classified point by point
+        cfg = scenarios.ScenarioConfig(scenario="box-tail", grid=8, depth=2)
+        check = scenarios.run_scenario(cfg)["checks"]["limit_classification"]
+        spec = scenarios._box_tail_spec()
+        transect = np.stack([np.linspace(-1.95, 1.95, 8), np.full(8, 0.12)],
+                            axis=1)
+        field = lsc_fields.build_lsc_field(spec, depth=2, grid=transect)
+        xs = np.linspace(0.05, 0.9, 8)
+        xs = xs[(xs > 0.0) & (xs < 0.9)]
+        fibres = transect[~(spec.boundary_distance(transect) < cfg.margin)]
+        tested = mism = undecided = 0
+        for p, lam_p in zip(fibres, spec.lam(fibres)):
+            for x in xs:
+                if abs(x - lam_p) < cfg.margin:
+                    continue
+                tested += 1
+                try:
+                    verdict = field.classify(p, float(x))
+                except DepthExhausted:
+                    undecided += 1
+                    continue
+                mism += int(verdict != ("excised" if x >= lam_p else "survives"))
+        assert undecided > 0
+        assert (check["points"], check["max_residual"]) == (tested, mism + undecided)
+
+
+def assert_deterministic(tmp_path, scenario, *options):
+    """Two runs of ``scenario`` at the reduced config (with any further
+    command-line ``options``) write the same ``report.json`` (``out_dir``
+    removed) and the same trajectory CSVs; returns the CSV bytes by file
+    name."""
     texts, csvs = [], []
     for run in ("a", "b"):
         out = tmp_path / run
         cli.main([scenario, "--config", write_config(tmp_path),
-                  "--out", str(out)])
+                  "--out", str(out), *options])
         report = json.loads((out / "report.json").read_text())
         report["config"].pop("out_dir")
         texts.append(json.dumps(report, indent=2, sort_keys=True))
@@ -217,6 +251,17 @@ class TestConfigValidation:
     def test_bad_value_is_refused(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be positive and finite"):
             scenarios.ScenarioConfig(scenario="ray", **{field: value})
+
+    @pytest.mark.parametrize("field", ["tol", "fd_step", "margin", "u_scale"])
+    def test_bool_value_is_refused(self, field):
+        # True would pass 0 < True < inf, run at 1 and report true
+        with pytest.raises(InputError, match=f"{field} must be positive and finite"):
+            scenarios.ScenarioConfig(scenario="ray", **{field: True})
+
+    def test_bool_value_in_config_file_is_refused(self, tmp_path, capsys):
+        with pytest.raises(InputError, match="tol must be positive and finite, got True"):
+            cli.main(["ray", "--config", write_config(tmp_path, tol=True)])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("option,value", [
         ("--tol", "-1"), ("--tol", "nan"), ("--u-scale", "-1"),

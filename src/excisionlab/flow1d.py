@@ -111,6 +111,10 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _XGK), dtype=float)
+    if half == 0.0 and not np.all(np.isfinite(fx)):
+        # no float lies inside the panel, so every node sits on an end; an
+        # infinite integrand there is an infinite time, not 0 * inf = NaN
+        return float(_WGK @ fx), 0.0
     kron = half * float(_WGK @ fx)
     gauss = half * float(_WG @ fx[_GAUSS_IDX])
     return kron, abs(kron - gauss)

@@ -32,6 +32,7 @@ from .ham_extension import (
     TubeNeighbourhood,
     build_ray_hamiltonian,
     build_ray_hamiltonian_n1,
+    coordinate_stencil,
     epigraph_target,
     extend_null_field,
     localize,
@@ -122,42 +123,91 @@ def _grad_check(field, pts: np.ndarray, fd_step: float, rel_tol: float) -> dict:
     return _check(worst <= rel_tol, pts.shape[0], worst, bound=rel_tol)
 
 
-def _symplecticity_check(field, samples: np.ndarray, bound: float,
-                         fd_step: float, tol: float) -> dict:
-    jacs = symflow.time1_jacobian_batch(field, samples, fd_step=fd_step,
-                                        tol=tol)
-    worst = _worst(symflow.symplecticity_residual(j) for j in jacs)
-    return _check(worst <= bound, samples.shape[0], worst, bound=bound)
+def _integrate_plan(field, plan: dict, tol: float) -> dict:
+    """Integrate every block of ``plan`` in one :func:`symflow.integrate_batch`
+    call and return each block's :class:`symflow.FlowOutcome` by name.
+
+    ``plan`` maps a name to ``(starts, t_final, record)``.  Each row
+    carries its own signed time and step, and the scenario fields are
+    row-independent, so a block's outcome is bitwise the one a call of its
+    own would give; the call takes as many DP5 steps as its slowest row
+    instead of the sum over the blocks.
+    """
+    blocks = list(plan.values())
+    sizes = [z.shape[0] for z, _, _ in blocks]
+    out = symflow.integrate_batch(
+        field, np.concatenate([z for z, _, _ in blocks]),
+        np.repeat([t for _, t, _ in blocks], sizes), tol=tol,
+        record=np.repeat([rec for _, _, rec in blocks], sizes))
+    cuts = np.cumsum([0] + sizes)
+    return {name: out.take(slice(a, b))
+            for name, a, b in zip(plan, cuts[:-1], cuts[1:])}
 
 
-def _batch_endpoints(field, pts: np.ndarray, tol: float, backward: bool) -> np.ndarray:
-    out = symflow.integrate_batch(field, pts, -1.0 if backward else 1.0, tol=tol)
+def _completed_endpoints(out) -> np.ndarray:
     left = np.nonzero(~out.completed)[0]
     if left.size:
         raise InputError(f"round-trip sample left the chart: {out.status[left[0]]}")
     return out.endpoint
 
 
-def _roundtrip_check(field, survivors: np.ndarray, targets: np.ndarray,
-                     bound: float, tol: float) -> dict:
-    fw = _batch_endpoints(field, survivors, tol, backward=False)
-    bk = _batch_endpoints(field, fw, tol, backward=True)
-    bk_t = _batch_endpoints(field, targets, tol, backward=True)
-    fw_t = _batch_endpoints(field, bk_t, tol, backward=False)
-    worst = _worst([np.abs(bk - survivors), np.abs(fw_t - targets)])
-    return _check(worst <= bound, survivors.shape[0] + targets.shape[0],
-                  worst, bound=bound)
+def _flow_checks(field, membership: Callable, grid: np.ndarray,
+                 sympl: np.ndarray, survivors: np.ndarray, targets: np.ndarray,
+                 cons: np.ndarray, starts: np.ndarray,
+                 cfg: ScenarioConfig) -> dict:
+    """Escape classification of ``grid``, symplecticity at ``sympl``, the
+    round trips of ``survivors`` (forward first) and ``targets`` (backward
+    first) and conservation along ``cons``, from two integrate_batch calls:
+    every first leg, then the return legs.  With an ``out_dir`` the first
+    call also records the trajectories from ``starts``.
 
+    A stencil row that leaves the chart raises :class:`StencilError`
+    before a first leg that leaves it raises :class:`InputError`.
+    """
+    probe = 1.0 + symflow.DELTA_PROBE
+    plan = {
+        "grid": (grid, probe, False),
+        "stencil": (coordinate_stencil(sympl, cfg.fd_step), 1.0, False),
+        "survivors": (survivors, 1.0, False),
+        "targets": (targets, -1.0, False),
+        "conservation": (cons, 2.0, True),
+    }
+    if cfg.out_dir:
+        plan["trajectories"] = (starts, probe, True)
+    flows = _integrate_plan(field, plan, cfg.tol)
 
-def _conservation_check(field, samples: np.ndarray, tol: float,
-                        bound: float = 1e-7, horizon: float = 2.0) -> dict:
+    checks = {}
+    rep = symflow.classify_escape(flows["grid"], membership, grid)
+    checks["escape_classification"] = _check(
+        rep["pass"], rep["n_points"], float(rep["n_mismatches"]),
+        mismatches=rep["mismatches"][:10])
+
+    jacs = symflow.time1_jacobian_batch(flows["stencil"], sympl, cfg.fd_step)
+    worst = _worst(symflow.symplecticity_residual(j) for j in jacs)
+    checks["symplecticity"] = _check(worst <= 1e-5, sympl.shape[0], worst,
+                                     bound=1e-5)
+
+    legs = _integrate_plan(field, {
+        "survivors": (_completed_endpoints(flows["survivors"]), -1.0, False),
+        "targets": (_completed_endpoints(flows["targets"]), 1.0, False),
+    }, cfg.tol)
+    worst = _worst([np.abs(_completed_endpoints(legs["survivors"]) - survivors),
+                    np.abs(_completed_endpoints(legs["targets"]) - targets)])
+    checks["inverse_consistency"] = _check(
+        worst <= 1e-7, survivors.shape[0] + targets.shape[0], worst, bound=1e-7)
+
+    # energy drift along each recorded trajectory to t = 2
     drift = []
-    for traj in symflow.integrate_batch(field, samples, horizon, tol=tol,
-                                        record=True).trajectories:
+    for traj in flows["conservation"].trajectories:
         vals = field.value(traj[:, 1:])
         drift.append(np.abs(vals - vals[0]))
     worst = _worst(drift)
-    return _check(worst <= bound, samples.shape[0], worst, bound=bound)
+    checks["conservation"] = _check(worst <= 1e-7, cons.shape[0], worst,
+                                    bound=1e-7)
+
+    if cfg.out_dir:
+        _write_trajectories(flows["trajectories"].trajectories, cfg.out_dir)
+    return checks
 
 
 def _flatness_check(field, pts: np.ndarray, bound: float = 1e-10) -> dict:
@@ -168,13 +218,6 @@ def _flatness_check(field, pts: np.ndarray, bound: float = 1e-10) -> dict:
         return _check(False, 0, math.inf, note="no zero samples found")
     worst = float(np.abs(field.grad(zero)).max())
     return _check(worst <= bound, zero.shape[0], worst, bound=bound)
-
-
-def _classification_check(field, membership: Callable, grid: np.ndarray,
-                          tol: float) -> dict:
-    rep = symflow.classify_escape(field, membership, grid, tol=tol)
-    return _check(rep["pass"], rep["n_points"], float(rep["n_mismatches"]),
-                  mismatches=rep["mismatches"][:10])
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +308,22 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         field = localize(base, hood, target_samples=base.sample_target(200, rng0))
 
     rng = np.random.default_rng(cfg.seed)
-    # drawn first so that a bad u_scale fails before the sweep; the sweep
-    # draws nothing from rng
+    # every flow sample is drawn first, sympl first so that a bad u_scale
+    # fails before any flow; the grid draws nothing from rng
     sympl = _ray_sympl_samples(base, cfg.sympl_samples, rng, cfg.u_scale)
-
-    checks = {}
-    grid = _ray_grid(n, cfg.grid, cfg.margin)
-    checks["escape_classification"] = _classification_check(
-        field, base.membership, grid, cfg.tol)
-
-    checks["symplecticity"] = _symplecticity_check(
-        field, sympl, bound=1e-5, fd_step=cfg.fd_step, tol=cfg.tol)
-
     m = cfg.roundtrip_samples
     survivors = sympl[rng.integers(0, sympl.shape[0], size=m // 2)]
     targets = sympl[rng.integers(0, sympl.shape[0], size=m - m // 2)]
-    checks["inverse_consistency"] = _roundtrip_check(
-        field, survivors, targets, bound=1e-7, tol=cfg.tol)
-
-    cons = sympl[rng.integers(0, sympl.shape[0], size=10)]
     axis_pts = np.zeros((3, base.dim))
     axis_pts[:, -2] = (-0.4, -0.2, -0.1)
-    checks["conservation"] = _conservation_check(
-        field, np.concatenate([cons, axis_pts]), cfg.tol)
+    cons = np.concatenate([sympl[rng.integers(0, sympl.shape[0], size=10)],
+                           axis_pts])
+    starts = np.zeros((3, base.dim))
+    starts[:, -2] = (-0.3, 0.25, -0.2)
+    starts[2, -1] = 0.1
+    checks = _flow_checks(field, base.membership,
+                          _ray_grid(n, cfg.grid, cfg.margin), sympl,
+                          survivors, targets, cons, starts, cfg)
 
     # zeros of F off the hypersurface: outside the tube with y != 0
     off = rng.uniform(-0.9, 0.9, size=(4000, base.dim))
@@ -319,12 +355,6 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         worst = float(np.abs(vecs).max()) if vecs.size else 0.0
         checks["locality_outside_U"] = _check(
             worst == 0.0, int(hood_mask.sum()), worst)
-
-    starts = np.zeros((3, base.dim))
-    starts[:, -2] = (-0.3, 0.25, -0.2)
-    starts[2, -1] = 0.1
-    if cfg.out_dir:
-        _write_trajectories(field, starts, cfg.tol, cfg.out_dir)
     return checks
 
 
@@ -406,30 +436,24 @@ def _brush_sympl_samples(C, vfield, count: int, rng: np.random.Generator) -> np.
 def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     C, spec, vfield, ham = _brush_setup()
     rng = np.random.default_rng(cfg.seed)
-    checks = {}
-
     grid = _brush_grid(C, cfg.grid, cfg.margin)
 
     def member(z):
         return C.contains(z[:, :2]) & (z[:, 2] >= 0.0) & (z[:, 3] == 0.0)
 
-    checks["escape_classification"] = _classification_check(
-        ham, member, grid, cfg.tol)
-
+    # every flow sample is drawn first; the grid draws nothing from rng
     sympl = _brush_sympl_samples(C, vfield, cfg.sympl_samples, rng)
-    checks["symplecticity"] = _symplecticity_check(
-        ham, sympl, bound=1e-5, fd_step=cfg.fd_step, tol=cfg.tol)
-
     moving = sympl[: cfg.sympl_samples // 2]
     m = cfg.roundtrip_samples
     survivors = moving[rng.integers(0, moving.shape[0], size=m // 2)]
     targets = moving[rng.integers(0, moving.shape[0], size=m - m // 2)].copy()
     targets[:, 2] += 0.5   # generic chart targets for the backward map
-    checks["inverse_consistency"] = _roundtrip_check(
-        ham, survivors, targets, bound=1e-7, tol=cfg.tol)
-
-    checks["conservation"] = _conservation_check(
-        ham, sympl[rng.integers(0, sympl.shape[0], size=10)], cfg.tol)
+    cons = sympl[rng.integers(0, sympl.shape[0], size=10)]
+    starts = np.array([[0.0, 0.5, -0.3, 0.0],
+                       [0.0, 1.0 / 3.0, -0.3, 0.0],
+                       [0.0, 0.5, 0.2, 0.1]])
+    checks = _flow_checks(ham, member, grid, sympl, survivors, targets, cons,
+                          starts, cfg)
 
     off = rng.uniform(-0.5, 1.5, size=(4000, 4))
     off[:, 3] = rng.uniform(0.8, 2.0, size=4000) * np.sign(rng.uniform(-1, 1, 4000))
@@ -441,12 +465,6 @@ def _run_cantor_brush(cfg: ScenarioConfig) -> dict:
     excised = null_fields.classify_epigraph(vfield, pgrid, xgrid)
     mism = int(np.sum(excised != (C.contains(pgrid) & (xgrid >= 0.0))))
     checks["fibre_classification"] = _check(mism == 0, pgrid.shape[0], mism)
-
-    starts = np.array([[0.0, 0.5, -0.3, 0.0],
-                       [0.0, 1.0 / 3.0, -0.3, 0.0],
-                       [0.0, 0.5, 0.2, 0.1]])
-    if cfg.out_dir:
-        _write_trajectories(ham, starts, cfg.tol, cfg.out_dir)
     return checks
 
 
@@ -793,12 +811,9 @@ SCENARIOS = {
 }
 
 
-def _write_trajectories(field, starts: np.ndarray, tol: float,
-                        out_dir: str) -> None:
-    """One CSV per start: the trajectory of ``field`` from it."""
-    out = symflow.integrate_batch(field, starts, 1.0 + symflow.DELTA_PROBE,
-                                  tol=tol, record=True)
-    for i, rows in enumerate(out.trajectories):
+def _write_trajectories(trajectories: list, out_dir: str) -> None:
+    """One CSV per recorded trajectory."""
+    for i, rows in enumerate(trajectories):
         path = os.path.join(out_dir, "trajectories", f"traj_{i}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

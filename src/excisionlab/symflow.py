@@ -7,21 +7,35 @@ adaptive steps, vectorized over batches of initial conditions.  Each step
 attempt makes six RHS calls: the seventh stage is evaluated at the
 fifth-order solution itself, so an accepted step's last stage is carried
 over, bitwise, as the first stage of the next step (first same as last,
-FSAL), and a rejected step keeps the first stage it had.  A point is
-declared to have escaped the chart when its monitor coordinate crosses
-``1 - DELTA_ESC`` (or its norm exceeds ``R_MAX``); the crossing time is then
-bracketed to width ``ESC_BRACKET`` by bisecting the last accepted step.
+FSAL), and a rejected step keeps the first stage it had.
+
+The flows are autonomous, so the inverse of a time-``t`` map is the
+time ``-t`` flow of the same field.  Every row of a batch carries its own
+signed time: :func:`integrate_batch` takes ``t_final`` as one time or an
+``(m,)`` array, and ``record`` as one flag or an ``(m,)`` mask of the rows
+whose trajectories are kept.  A backward row takes negative steps along
+the field itself, which is bitwise the reversed field stepped forward, so
+forward and backward rows share every RHS call and there is no reversed
+wrapper.  A forward point is declared to have escaped the chart when its
+monitor coordinate crosses ``1 - DELTA_ESC``, and any point when its norm
+exceeds ``R_MAX``; the crossing time is then bracketed to width
+``ESC_BRACKET`` by bisecting the last accepted step.  A call takes as many
+steps as its slowest row, so a scenario's independent flows go through
+one call.
+
 A batch in gives a batch out: :func:`integrate_batch` returns one
 :class:`FlowOutcome` whose fields are arrays with one entry per row, so
-callers read masks and endpoints without taking per-row objects apart.
-Hamiltonian flows have no structure-preserving discretization here on
-purpose: symplecticity is certified a posteriori on the time-1 map, not
-assumed from the integrator class.
+callers read masks and endpoints, or slices of rows, without taking
+per-row objects apart; :func:`classify_escape` and
+:func:`time1_jacobian_batch` read such slices.  Hamiltonian flows have no
+structure-preserving discretization here on purpose: symplecticity is
+certified a posteriori on the time-1 map, not assumed from the integrator
+class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,13 +93,15 @@ class FlowOutcome:
     """Result of integrating an ``(m, d)`` batch: one entry per row.
 
     ``endpoint`` is ``(m, d)``; ``elapsed``, ``status``, ``step_count``,
-    ``t_esc_lower`` and ``t_esc_upper`` are ``(m,)``.  ``status`` holds the
+    ``t_esc_lower`` and ``t_esc_upper`` are ``(m,)``.  ``elapsed`` is the
+    signed flow time, negative on backward rows.  ``status`` holds the
     strings ``COMPLETED``, ``ESCAPED`` or ``TOLERANCE_FAILURE``.  An escaped
     row carries a bracket ``t_esc_lower <= t_esc <= t_esc_upper`` of width
-    at most ``ESC_BRACKET`` around its chart-exit time; the bracket is NaN
-    on every other row.  ``trajectories`` (when recorded) is a list of
-    ``m`` arrays, each holding the start row ``(0, z0...)`` and one row
-    ``(t, z...)`` per accepted step.
+    at most ``ESC_BRACKET`` around its signed exit time; the bracket is NaN
+    on every other row.  ``trajectories`` is ``None`` when no recording was
+    asked for, and otherwise a list of ``m`` entries: ``None`` on a row not
+    recorded, else an array holding the start row ``(0, z0...)`` and one
+    row ``(t, z...)`` per accepted step.
     """
 
     endpoint: np.ndarray
@@ -100,29 +116,22 @@ class FlowOutcome:
     def completed(self) -> np.ndarray:
         return self.status == COMPLETED
 
-
-class _Reversed(HamiltonianField):
-    def __init__(self, base: HamiltonianField):
-        self.base = base
-        self.dim = base.dim
-
-    def value(self, z):
-        return self.base.value(z)
-
-    def grad(self, z):
-        return self.base.grad(z)
-
-    def vector_field(self, z):
-        return -self.base.vector_field(z)
-
-    def escape_value(self, z):
-        # backward flows move away from the chart end; keep the norm guard
-        return np.full(np.shape(z)[0], -np.inf)
+    def take(self, rows: slice) -> "FlowOutcome":
+        """The outcome of the rows in the slice ``rows``."""
+        return FlowOutcome(
+            *(getattr(self, f.name)[rows] for f in fields(self)
+              if f.name != "trajectories"),
+            trajectories=None if self.trajectories is None
+            else self.trajectories[rows])
 
 
-def _escaped(field: HamiltonianField, pts: np.ndarray) -> np.ndarray:
-    esc = np.asarray(field.escape_value(pts)) >= 1.0 - DELTA_ESC
-    esc |= np.linalg.norm(pts, axis=1) >= R_MAX
+def _escaped(field: HamiltonianField, pts: np.ndarray,
+             monitored: np.ndarray) -> np.ndarray:
+    """Rows of ``pts`` out of the chart: past the norm guard ``R_MAX``, or
+    at the chart monitor on the ``monitored`` rows."""
+    esc = np.linalg.norm(pts, axis=1) >= R_MAX
+    esc[monitored] |= (np.asarray(field.escape_value(pts[monitored]))
+                       >= 1.0 - DELTA_ESC)
     return esc
 
 
@@ -131,9 +140,10 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
     """One Dormand-Prince step for a batch from its first stage
     ``k1 = f(z)``: returns ``(z5, err_vector, k7)``.
 
-    Stage 7 is evaluated at ``z5`` itself (its weights are the fifth-order
-    weights, applied in the same order), so ``k7`` is bitwise the first
-    stage of the next step from ``z5``: six RHS calls per step (FSAL).
+    ``dt`` is signed per row.  Stage 7 is evaluated at ``z5`` itself (its
+    weights are the fifth-order weights, applied in the same order), so
+    ``k7`` is bitwise the first stage of the next step from ``z5``: six RHS
+    calls per step (FSAL).
     """
     ks = [k1]
     for i in range(1, 7):
@@ -152,27 +162,31 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
     return z5, err, ks[6]
 
 
-def _bracket_escapes_batch(field, z_prev, t_prev, dts):
-    """Bracket chart-exit times for a batch of escaping steps.
+def _bracket_escapes_batch(field, z_prev, t_prev, dts, monitored):
+    """Bracket exit times for a batch of escaping steps.
 
-    Each row escaped between its step start ``z_prev`` (not escaped) and its
-    accepted endpoint (escaped); bisect the step fraction in lockstep until
-    every bracket is narrower than ``ESC_BRACKET`` in flow time.  Every
-    bisection step starts from ``z_prev``, so its first stage is evaluated
-    once for all of them.
+    Each row escaped between its step start ``z_prev`` (not escaped) at the
+    signed time ``t_prev`` and its accepted endpoint (escaped) one signed
+    step ``dts`` later; ``monitored`` marks the rows the chart monitor
+    watches.  Bisect the step fraction in lockstep until every bracket is
+    narrower than ``ESC_BRACKET`` in flow time.  Every bisection step
+    starts from ``z_prev``, so its first stage is evaluated once for all of
+    them.  Returns the last time not escaped, the first time escaped and
+    the point reached then.
     """
     k = z_prev.shape[0]
     k_prev = field.vector_field(z_prev)
     lo = np.zeros(k)
     hi = np.ones(k)
+    span = np.abs(dts)
     while True:
-        open_mask = (hi - lo) * dts > ESC_BRACKET
+        open_mask = (hi - lo) * span > ESC_BRACKET
         if not np.any(open_mask):
             break
         mid = 0.5 * (lo + hi)
         zm, _, _ = _dp_step(field, z_prev[open_mask], (mid * dts)[open_mask],
                             k_prev[open_mask])
-        esc = _escaped(field, zm)
+        esc = _escaped(field, zm, monitored[open_mask])
         sub = np.nonzero(open_mask)[0]
         hi[sub[esc]] = mid[sub[esc]]
         lo[sub[~esc]] = mid[sub[~esc]]
@@ -186,46 +200,73 @@ _RUNNING, _DONE, _ESC, _FAIL = -1, 0, 1, 2
 _STATUS_NAMES = np.array([COMPLETED, ESCAPED, TOLERANCE_FAILURE])
 
 
-def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
+def _per_row(name: str, value, m: int, dtype) -> np.ndarray:
+    """``value`` as an ``(m,)`` array: a scalar is repeated on every row."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim == 0:
+        return np.full(m, arr)
+    if arr.shape != (m,):
+        raise InputError(f"{name} must be a scalar or an ({m},) array, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
+def integrate_batch(field: HamiltonianField, z0: np.ndarray,
+                    t_final: float | np.ndarray,
                     tol: float = DEFAULT_TOL,
                     max_steps: int = 50_000,
-                    record: bool = False) -> FlowOutcome:
-    """Integrate an ``(m, d)`` batch of initial conditions for the signed
-    time ``t_final``.
+                    record: bool | np.ndarray = False) -> FlowOutcome:
+    """Integrate an ``(m, d)`` batch of initial conditions, each row for
+    its own signed time.
 
-    Each point carries its own adaptive step; the batch is advanced with
-    active masks, so heterogeneous stiffness does not couple points, and
-    the result order matches the input order regardless of which points
-    finish first.  A point exceeding ``max_steps`` attempts is reported as
-    a tolerance failure rather than stalling the batch.  At
-    ``t_final == 0`` every start that has not already escaped completes
-    without a step.  A non-finite ``t_final`` or start row raises
-    :class:`InputError` before any RHS call.
+    ``t_final`` is one time for every row or an ``(m,)`` array of them, and
+    ``record`` one flag or an ``(m,)`` mask of the rows whose trajectories
+    are kept.  Each point carries its own adaptive step; the batch is
+    advanced with active masks, so heterogeneous stiffness and horizons do
+    not couple points, and the result order matches the input order
+    regardless of which points finish first.  A call takes as many steps
+    as its slowest row.  A point exceeding ``max_steps`` attempts is
+    reported as a tolerance failure rather than stalling the batch.  A row
+    with time 0 that has not already escaped completes without a step.  A
+    non-finite time or start row, or a ``t_final`` or ``record`` array of
+    the wrong shape, raises :class:`InputError` before any RHS call.
 
-    A negative ``t_final`` flows backward along the reversed field (whose
-    chart monitor never fires; only the ``R_MAX`` norm guard does) and
-    reports negative ``elapsed``.  With ``record=True`` each row's
-    trajectory holds one row ``(t, z...)`` per accepted step after the
-    start row; on a chart exit the last row is the bracketed exit point.
+    A row with a negative time flows backward: it steps along the field
+    itself with negative signed steps, which is bitwise the reversed field
+    ``-v`` stepped forward (a product only changes sign when one factor
+    does), so rows of either sign share every RHS call.  The chart monitor
+    only watches forward rows; the ``R_MAX`` norm guard watches every row.
+    ``elapsed``, escape brackets and trajectory times are signed.  A
+    recorded row's trajectory holds one row ``(t, z...)`` per accepted step
+    after the start row; on an exit the last row is the bracketed exit
+    point.
     """
     z = np.array(z0, dtype=float)
-    if not np.isfinite(t_final):
-        raise InputError(f"t_final must be finite, got {t_final!r}")
+    m = z.shape[0]
+    t_end = _per_row("t_final", t_final, m, float)
+    bad = np.nonzero(~np.isfinite(t_end))[0]
+    if bad.size:
+        where = f" at row {bad[0]}" if np.ndim(t_final) else ""
+        raise InputError(
+            f"t_final must be finite, got {float(t_end[bad[0]])!r}{where}")
+    rec = _per_row("record", record, m, bool)
     bad = np.nonzero(~np.all(np.isfinite(z), axis=1))[0]
     if bad.size:
         raise InputError(f"start row {bad[0]} is not finite")
-    backward = t_final < 0
-    if backward:
-        field, t_final = _Reversed(field), -t_final
-    m = z.shape[0]
+    forward = t_end >= 0.0
+    horizon = np.abs(t_end)
     t = np.zeros(m)
-    dt = np.full(m, min(1e-2, t_final))
+    # step sizes; the first step is cut to the horizon like any other
+    dt = np.full(m, 1e-2)
+    dt_min = 1e-14 * np.maximum(1.0, horizon)
     steps = np.zeros(m, dtype=int)
-    # accepted rows of each step, as (row indices, (t, z...) rows)
-    log = [(np.arange(m), np.column_stack([t, z]))] if record else None
+    # recorded rows of each accepted step, as (row indices, (t, z...) rows)
+    log = None
+    if np.ndim(record) or record:
+        log = [(np.nonzero(rec)[0], np.column_stack([t[rec], z[rec]]))]
 
-    already = _escaped(field, z)
-    status = np.where(already, _ESC, _DONE if t_final == 0 else _RUNNING)
+    already = _escaped(field, z, forward)
+    status = np.where(already, _ESC, np.where(horizon == 0.0, _DONE, _RUNNING))
     esc_lo = np.where(already, 0.0, np.nan)
     esc_hi = esc_lo.copy()
     # first stage of each row's next step: f at its start, then the last
@@ -237,7 +278,6 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
 
     # escaping steps in the order they escaped: rows, starts, times, steps
     pending = []
-    dt_min = 1e-14 * max(1.0, abs(t_final))
     attempts = np.zeros(m, dtype=int)
     while True:
         idx = np.nonzero(status == _RUNNING)[0]
@@ -251,27 +291,29 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
             if idx.size == 0:
                 break
         zi = z[idx]
-        dti = np.minimum(dt[idx], t_final - t[idx])
-        z5, err, k7 = _dp_step(field, zi, dti, k1[idx])
+        dti = np.minimum(dt[idx], horizon[idx] - np.abs(t[idx]))
+        h = np.copysign(dti, t_end[idx])
+        z5, err, k7 = _dp_step(field, zi, h, k1[idx])
         scale = tol + tol * np.maximum(np.abs(zi), np.abs(z5)).max(axis=1)
         enorm = np.abs(err).max(axis=1) / scale
         accept = enorm <= 1.0
 
         acc = idx[accept]
         if acc.size:
-            dta = dti[accept]
-            esc_now = _escaped(field, z5[accept])
+            ha = h[accept]
+            esc_now = _escaped(field, z5[accept], forward[acc])
             if np.any(esc_now):
                 pending.append((acc[esc_now], zi[accept][esc_now],
-                                t[acc][esc_now], dta[esc_now]))
-            t[acc] += dta
+                                t[acc][esc_now], ha[esc_now]))
+            t[acc] += ha
             z[acc] = z5[accept]
             k1[acc] = k7[accept]
             steps[acc] += 1
-            if record:
-                log.append((acc, np.column_stack([t[acc], z[acc]])))
+            if log is not None:
+                kept = acc[rec[acc]]
+                log.append((kept, np.column_stack([t[kept], z[kept]])))
             status[acc[esc_now]] = _ESC
-            done = (t[acc] >= t_final) & ~esc_now
+            done = (np.abs(t[acc]) >= horizon[acc]) & ~esc_now
             status[acc[done]] = _DONE
         # free the step's stages before the next one; the carried first
         # stages live in k1 only
@@ -279,30 +321,34 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray, t_final: float,
 
         e = np.maximum(enorm, 1e-12)
         dt[idx] = dti * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
-        fail = (dt[idx] < dt_min) & (status[idx] == _RUNNING)
+        fail = (dt[idx] < dt_min[idx]) & (status[idx] == _RUNNING)
         status[idx[fail]] = _FAIL
 
     if pending:
         rows, z_prev, t_prev, dts = (np.concatenate(col) for col in zip(*pending))
-        lo, hi, z_end = _bracket_escapes_batch(field, z_prev, t_prev, dts)
-        esc_lo[rows], esc_hi[rows] = lo, hi
+        t_in, t_out, z_end = _bracket_escapes_batch(field, z_prev, t_prev, dts,
+                                                    forward[rows])
+        esc_lo[rows] = np.minimum(t_in, t_out)
+        esc_hi[rows] = np.maximum(t_in, t_out)
         z[rows] = z_end
-        t[rows] = hi
+        t[rows] = t_out
 
-    sign = -1.0 if backward else 1.0
     trajectories = None
-    if record:
+    if log is not None:
         owner, traj = (np.concatenate(col) for col in zip(*log))
         traj = traj[np.argsort(owner, kind="stable")]
         ends = np.cumsum(np.bincount(owner, minlength=m))
         if pending:
             # the bracketed exit point replaces an escaped row's last step
-            traj[ends[rows] - 1] = np.column_stack([hi, z_end])
-        traj[:, 0] *= sign
-        trajectories = np.split(traj, ends)[:m]
+            kept = rec[rows]
+            traj[ends[rows[kept]] - 1] = np.column_stack([t_out[kept],
+                                                          z_end[kept]])
+        trajectories = [None] * m
+        for i in np.nonzero(rec)[0]:
+            trajectories[i] = traj[ends[i - 1] if i else 0:ends[i]]
     return FlowOutcome(
         endpoint=z,
-        elapsed=sign * t,
+        elapsed=t,
         status=_STATUS_NAMES[status],
         step_count=steps,
         t_esc_lower=esc_lo,
@@ -345,26 +391,24 @@ def symplecticity_residual(jac: np.ndarray) -> float:
     return float(np.abs(jac.T @ omega @ jac - omega).max())
 
 
-def time1_jacobian_batch(field: HamiltonianField, points: np.ndarray,
-                         fd_step: float = 1e-5,
-                         tol: float = DEFAULT_TOL) -> np.ndarray:
-    """:func:`numerical_jacobian` of the time-1 map, with the whole stencil
-    integrated as one batch.
+def time1_jacobian_batch(outcome: FlowOutcome, points: np.ndarray,
+                         fd_step: float = 1e-5) -> np.ndarray:
+    """:func:`numerical_jacobian` of the time-1 map at ``points``, read from
+    ``outcome``, the time-1 flow of ``coordinate_stencil(points, fd_step)``.
 
     Every stencil point must survive to t=1; a stencil that touches the
     excised set raises :class:`StencilError` (callers sample with margin).
     """
     def time1(stencil):
-        out = integrate_batch(field, stencil, 1.0, tol=tol)
-        return out.endpoint, out.completed
+        return outcome.endpoint, outcome.completed
     return numerical_jacobian(time1, points, fd_step)
 
 
-def classify_escape(field: HamiltonianField, membership: Callable,
-                    points: np.ndarray, t_probe: float = 1.0 + DELTA_PROBE,
-                    tol: float = DEFAULT_TOL) -> dict:
-    """Integrate every grid point to ``t_probe`` and compare the escape
-    verdict (chart exit bracketed at or before t=1) with set membership.
+def classify_escape(outcome: FlowOutcome, membership: Callable,
+                    points: np.ndarray) -> dict:
+    """Compare the escape verdict of each grid point (chart exit bracketed
+    at or before t=1) with set membership; ``outcome`` is the flow of
+    ``points`` to a probe time past 1, such as ``1 + DELTA_PROBE``.
 
     Returns a report with the mismatch list; an empty list is the pass
     condition.  Points must already be margin-filtered by the caller: on
@@ -372,19 +416,18 @@ def classify_escape(field: HamiltonianField, membership: Callable,
     floating-point coin flip.
     """
     pts = np.asarray(points, dtype=float)
-    out = integrate_batch(field, pts, t_probe, tol=tol)
     member = np.asarray(membership(pts), dtype=bool)
     # escaped rows exit at or before t=1; completed rows survive; a
     # tolerance failure is always a mismatch
-    failed = out.status == TOLERANCE_FAILURE
-    verdict = (out.status == ESCAPED) & (
-        0.5 * (out.t_esc_lower + out.t_esc_upper) <= 1.0)
+    failed = outcome.status == TOLERANCE_FAILURE
+    verdict = (outcome.status == ESCAPED) & (
+        0.5 * (outcome.t_esc_lower + outcome.t_esc_upper) <= 1.0)
     mismatches = [{
         "index": int(i),
         "point": [float(v) for v in pts[i]],
         "verdict": None if failed[i] else bool(verdict[i]),
         "member": bool(member[i]),
-        "status": str(out.status[i]),
+        "status": str(outcome.status[i]),
     } for i in np.nonzero(failed | (verdict != member))[0]]
     return {
         "n_points": int(pts.shape[0]),

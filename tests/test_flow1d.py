@@ -546,3 +546,15 @@ class TestOneWalk:
         got = f1.flow_map(v, 4e6, 0.5)
         assert abs(got - flow_map_ref(v, 4e6, 0.5)) <= 2.0 * math.ulp(1.0)
         assert got == pytest.approx(0.9, abs=1e-9)
+
+    def test_start_next_to_a_log_divergent_end(self):
+        # from the least float above 0 no float lies between the start and
+        # the end: the walk's only panel [0, 5e-324] puts every node on 0,
+        # where 1/v is infinite.  That is an infinite time, beyond any
+        # target, so the flow stays at the last float inside the domain
+        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        least = 5e-324
+        for t in (-1e-3, -1.0, -100.0):
+            got = f1.flow_map(v, t, least)
+            assert got == least and type(got) is float
+            v.check_domain(got)

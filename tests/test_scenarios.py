@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from excisionlab import cli, lsc_fields, scenarios
-from excisionlab.errors import DepthExhausted, InputError
+from excisionlab import cli, lsc_fields, scenarios, symflow
+from excisionlab.errors import DepthExhausted, InputError, StencilError
 
 RAY_CHECKS = {
     "escape_classification", "symplecticity", "inverse_consistency",
@@ -173,6 +173,46 @@ class TestDriver:
                 mism += int(verdict != ("excised" if x >= lam_p else "survives"))
         assert undecided > 0
         assert (check["points"], check["max_residual"]) == (tested, mism + undecided)
+
+
+class TestFlowPlan:
+    """The batch-flow scenarios integrate every first leg in one call and
+    the return legs in a second, and still certify through
+    ``classify_escape`` and ``time1_jacobian_batch``."""
+
+    @pytest.mark.parametrize("with_out_dir", [False, True])
+    @pytest.mark.parametrize("scenario", ["ray", "ray-n1", "cantor-brush"])
+    def test_two_integrate_batch_calls(self, tmp_path, monkeypatch, scenario,
+                                       with_out_dir):
+        calls = []
+        for name in ("integrate_batch", "classify_escape",
+                     "time1_jacobian_batch"):
+            def spy(*args, _name=name, _fn=getattr(symflow, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(symflow, name, spy)
+        out_dir = str(tmp_path / "out") if with_out_dir else None
+        report = scenarios.run_scenario(scenarios.ScenarioConfig(
+            scenario=scenario, out_dir=out_dir, **SMALL))
+        assert report["pass"]
+        assert calls.count("integrate_batch") == 2
+        assert calls.count("classify_escape") == 1
+        assert calls.count("time1_jacobian_batch") == 1
+        if with_out_dir:
+            assert len(list((tmp_path / "out" / "trajectories").glob("*.csv"))) == 3
+
+    def test_stencil_error_comes_before_round_trip_error(self, monkeypatch):
+        # every row fails, the stencil and the first legs alike
+        real = symflow.integrate_batch
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.status[:] = symflow.TOLERANCE_FAILURE
+            return out
+        monkeypatch.setattr(symflow, "integrate_batch", failing)
+        with pytest.raises(StencilError):
+            scenarios.run_scenario(scenarios.ScenarioConfig(scenario="ray-n1",
+                                                            **SMALL))
 
 
 def assert_deterministic(tmp_path, scenario, *options):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from excisionlab import scenarios, symflow
 from excisionlab.errors import InputError, StencilError
-from excisionlab.ham_extension import build_ray_hamiltonian
+from excisionlab.ham_extension import HamiltonianField, build_ray_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,30 @@ class TestOutcomeArrays:
             symflow.integrate_batch(field, starts, t_final)
         assert field.batches == 0
 
+    @pytest.mark.parametrize("t_final,message", [
+        (np.ones(4), r"t_final must be a scalar or an \(5,\) array"),
+        (np.ones((5, 1)), r"t_final must be a scalar or an \(5,\) array"),
+        (np.array([1.0, -1.0, np.nan, 1.0, 0.0]),
+         "t_final must be finite, got nan at row 2"),
+    ])
+    def test_bad_time_array_is_refused(self, ray, starts, t_final, message):
+        field = Counting(ray)
+        with pytest.raises(InputError, match=message):
+            symflow.integrate_batch(field, starts, t_final)
+        assert field.batches == 0
+
+    def test_bad_record_mask_is_refused(self, ray, starts):
+        field = Counting(ray)
+        with pytest.raises(InputError, match="record must be a scalar or an"):
+            symflow.integrate_batch(field, starts, 1.0, record=[True] * 4)
+        assert field.batches == 0
+
+    def test_record_mask_keeps_the_marked_rows(self, ray, starts):
+        mask = np.array([True, False, False, True, False])
+        out = symflow.integrate_batch(ray, starts, 1.05, record=mask)
+        assert [traj is not None for traj in out.trajectories] == list(mask)
+        assert out.take(slice(3, 5)).trajectories[1] is None
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_is_refused(self, ray, starts, bad):
         field = Counting(ray)
@@ -128,6 +152,34 @@ class TestTimeReversal:
         # the chart monitor is off backward: points escaping forward
         # complete backward
         assert np.all(symflow.integrate_batch(ray, starts[:4], -1.0).completed)
+
+    def test_backward_row_past_the_monitor_completes(self, ray, starts):
+        # the last start lies past the chart monitor: forward it has
+        # escaped at t = 0, backward it flows for the whole time
+        field = Counting(ray)
+        out = symflow.integrate_batch(field, starts[[4, 4, 0]],
+                                      np.array([-1.0, 1.05, 1.05]))
+        assert list(out.status) == [symflow.COMPLETED, symflow.ESCAPED,
+                                    symflow.COMPLETED]
+        assert out.elapsed[0] == -1.0 and out.step_count[0] > 0
+        assert out.elapsed[1] == 0.0 and out.step_count[1] == 0
+        assert np.array_equal(out.endpoint[1], starts[4])
+        assert field.batches > 0
+
+    def test_norm_guard_brackets_backward_exits(self):
+        # F = 20 x y: forward, x reaches the chart monitor at about
+        # ln(10) / 20; backward, y = 0.5 exp(20 |t|) passes R_MAX at
+        # |t| = ln(2 R_MAX) / 20, where only the norm guard can stop it
+        out = symflow.integrate_batch(Saddle(), np.array([[0.1, 0.5]] * 2),
+                                      np.array([1.0, -1.0]))
+        assert list(out.status) == [symflow.ESCAPED] * 2
+        lo, hi = out.t_esc_lower, out.t_esc_upper
+        assert np.all(hi - lo <= symflow.ESC_BRACKET)
+        assert 0.0 < lo[0] <= hi[0] == out.elapsed[0]
+        assert out.elapsed[1] == lo[1] <= hi[1] < 0.0
+        assert abs(out.elapsed[0] - np.log(10.0) / 20.0) < 1e-3
+        assert abs(out.elapsed[1] + np.log(2 * symflow.R_MAX) / 20.0) < 1e-3
+        assert np.linalg.norm(out.endpoint[1]) >= symflow.R_MAX
 
 
 class TestNumericalJacobian:
@@ -208,6 +260,19 @@ class Counting:
         return self.base.escape_value(z)
 
 
+class Saddle(HamiltonianField):
+    """``F = 20 x y`` on the plane: ``x`` grows forward and ``y``
+    backward, each as ``exp(20 |t|)``."""
+
+    dim = 2
+
+    def value(self, z):
+        return 20.0 * z[:, 0] * z[:, 1]
+
+    def grad(self, z):
+        return 20.0 * z[:, ::-1]
+
+
 @pytest.fixture(scope="module")
 def ray_starts(ray):
     """Survivors off the axis, axis points that escape, and the mixed
@@ -259,7 +324,8 @@ def same_outcomes(got, want):
     assert (got.trajectories is None) == (want.trajectories is None)
     assert len(got.trajectories or []) == len(want.trajectories or [])
     for a, b in zip(got.trajectories or [], want.trajectories or []):
-        assert np.array_equal(a, b)
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
 
 
 class TestFsalStep:
@@ -315,7 +381,9 @@ class TestFsalStep:
         if isinstance(field, tuple):
             field = field[-1]   # the Hamiltonian extension of a null field
         starts = request.getfixturevalue(starts_name)
-        for t_final in (1.05, -1.0):
+        m = starts.shape[0]
+        mixed = np.where(np.arange(m) % 2 == 0, 1.05, -1.0)
+        for t_final in (1.05, -1.0, mixed):
             fsal = symflow.integrate_batch(field, starts, t_final, tol=tol,
                                            record=True)
             with monkeypatch.context() as mp:
@@ -323,8 +391,11 @@ class TestFsalStep:
                 ref = symflow.integrate_batch(field, starts, t_final, tol=tol,
                                               record=True)
             same_outcomes(fsal, ref)
-            escaped = np.count_nonzero(fsal.status == symflow.ESCAPED)
-            assert (escaped > 0) == (t_final > 0)
+            # the chart monitor only watches forward rows
+            forward = np.broadcast_to(t_final, (m,)) > 0
+            escaped = fsal.status == symflow.ESCAPED
+            assert np.any(escaped) == np.any(forward)
+            assert not np.any(escaped[~forward])
 
     @settings(max_examples=12)
     @given(picks=st.lists(st.integers(0, 11), min_size=1, max_size=5))
@@ -334,3 +405,33 @@ class TestFsalStep:
         alone = [symflow.integrate_batch(ray, z0[None, :], 1.05, record=True)
                  for z0 in starts]
         same_outcomes(batch, stacked(alone))
+
+
+@pytest.fixture(scope="module", params=["ray", "brush"])
+def field_and_rows(request, ray, ray_starts, brush, brush_starts):
+    if request.param == "ray":
+        return ray, ray_starts
+    return brush[-1], brush_starts
+
+
+MIXED_TIMES = (1.05, 1.0, -1.0, 2.0, 0.0)
+
+
+@settings(max_examples=10)
+@given(picks=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.sampled_from(MIXED_TIMES), st.booleans()),
+                      min_size=1, max_size=6))
+def test_signed_batch_equals_singletons(field_and_rows, picks):
+    """Rows with their own signed times and record flags in one batch
+    flow exactly as they do alone."""
+    field, rows = field_and_rows
+    starts = rows[[i % rows.shape[0] for i, _, _ in picks]]
+    times = np.array([t for _, t, _ in picks])
+    mask = np.array([rec for _, _, rec in picks])
+    batch = symflow.integrate_batch(field, starts, times, record=mask)
+    for k, (z0, t, rec) in enumerate(zip(starts, times, mask)):
+        alone = symflow.integrate_batch(field, z0[None, :], t, record=bool(rec))
+        same_outcomes(batch.take(slice(k, k + 1)),
+                      alone if rec else dataclasses.replace(alone,
+                                                            trajectories=[None]))
+

@@ -16,9 +16,21 @@ integral converges.  This module provides:
   the flow time and bisects it; only a refused time costs the two full
   walks that give the bounds :class:`~excisionlab.errors.FlowDomainError`
   reports,
+* :func:`flow_map_batch`, the flows of many :class:`Fibres` at once,
 * the closed-form time :func:`ramp_time_closed_form` for the parametric
   ramp velocity, and the threshold :func:`unit_time_threshold` where that
   time equals 1.
+
+The quadrature, the walk and the bisection are written once, as steps of
+one fibre: generators that yield the panels whose 15 GK nodes they need
+and are sent the integrand there.  A driver runs them.  The lockstep
+driver behind :func:`flow_map_batch` advances every pending fibre by one
+step per round, with one stacked velocity call for all their panels, and
+sums each panel's Kronrod and Gauss rules per fibre (a stacked matrix
+product could round differently), so each row is bitwise the flow of its
+fibre alone.  :func:`adaptive_quad`, :func:`forward_time`,
+:func:`backward_time` and :func:`flow_map` are one-fibre runs of the same
+steps, calling their integrand on each round's nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +56,8 @@ __all__ = [
     "forward_time",
     "backward_time",
     "flow_map",
+    "Fibres",
+    "flow_map_batch",
     "ramp_time_closed_form",
     "unit_time_threshold",
 ]
@@ -107,10 +121,9 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _XGK), dtype=float)
+def _gk15(fx, half: float) -> tuple[float, float]:
+    """Kronrod value and error estimate of one panel of half-width ``half``
+    from the integrand's values ``fx`` at its 15 nodes."""
     if half == 0.0 and not np.all(np.isfinite(fx)):
         # no float lies inside the panel, so every node sits on an end; an
         # infinite integrand there is an infinite time, not 0 * inf = NaN
@@ -118,6 +131,103 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     kron = half * float(_WGK @ fx)
     gauss = half * float(_WG @ fx[_GAUSS_IDX])
     return kron, abs(kron - gauss)
+
+
+def _nodes(panels) -> np.ndarray:
+    """The 15 nodes of each ``(a, b)`` panel, one row per panel."""
+    ends = np.array(panels, dtype=float)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    return mid[:, None] + half[:, None] * _XGK
+
+
+def _lockstep(steps: list, evaluate: Callable) -> list:
+    """Run every row's steps to its end, all rows together.
+
+    A step is a generator that yields a tuple of ``(a, b)`` panels and is
+    sent the integrand at their nodes, one row of 15 values per panel.
+    Each round makes one ``evaluate(rows, nodes)`` call for the panels of
+    every pending row: ``nodes`` stacks them ``(k, 15)`` and ``rows[j]`` is
+    the row that asked for panel ``j``.  Returns each row's result, or the
+    :class:`InputError` or :class:`ToleranceFailure` that it raised.
+    """
+    out = [None] * len(steps)
+    pending = {}
+
+    def advance(i, fx):
+        try:
+            pending[i] = steps[i].send(fx)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (InputError, ToleranceFailure) as exc:
+            out[i] = exc
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        rows, asked = list(pending), list(pending.values())
+        pending.clear()
+        counts = [len(panels) for panels in asked]
+        fx = evaluate(np.repeat(np.array(rows), counts),
+                      _nodes([panel for panels in asked for panel in panels]))
+        start = 0
+        for i, n in zip(rows, counts):
+            advance(i, fx[start:start + n])
+            start += n
+    return out
+
+
+def _run_one(steps, f: Callable):
+    """One row's steps run to the end, with ``f`` evaluated at each
+    round's nodes (one panel's 15, or both halves' 30 as one flat array);
+    the nodes and values are those :func:`_lockstep` gives the row.  A
+    one-row :func:`_lockstep` run spends more on its per-round stacking
+    than on one panel's integrand, which every per-fibre call would pay."""
+    try:
+        panels = next(steps)
+        while True:
+            if len(panels) == 1:
+                (a, b), = panels
+                fx = (np.asarray(f(0.5 * (a + b) + 0.5 * (b - a) * _XGK),
+                                 dtype=float),)
+            else:
+                nodes = _nodes(panels)
+                fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+            panels = steps.send(fx)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
+          max_panels=8192):
+    """The steps of :func:`adaptive_quad`: the first panel, then both
+    halves of the panel with the largest error in one round."""
+    if b <= a:
+        return 0.0, 0.0, False
+    fx = yield ((a, b),)
+    val, err = _gk15(fx[0], 0.5 * (b - a))
+    panels = [(err, a, b, val, 0)]
+    total, toterr = val, err
+    while toterr > tol * max(1.0, abs(total)):
+        if cap is not None and total - toterr > cap:
+            return total, toterr, True
+        panels.sort(key=lambda p: p[0])
+        perr, pa, pb, pval, depth = panels.pop()
+        if depth >= max_depth or len(panels) >= max_panels:
+            if cap is not None and total - toterr > cap:
+                return total, toterr, True
+            raise ToleranceFailure(
+                f"quadrature did not converge on [{a}, {b}]", partial=total
+            )
+        pm = 0.5 * (pa + pb)
+        fx = yield ((pa, pm), (pm, pb))
+        lval, lerr = _gk15(fx[0], 0.5 * (pm - pa))
+        rval, rerr = _gk15(fx[1], 0.5 * (pb - pm))
+        total += lval + rval - pval
+        toterr += lerr + rerr - perr
+        panels.append((lerr, pa, pm, lval, depth + 1))
+        panels.append((rerr, pm, pb, rval, depth + 1))
+    return total, toterr, False
 
 
 def adaptive_quad(
@@ -137,30 +247,7 @@ def adaptive_quad(
     or panel exhaustion raises :class:`ToleranceFailure` carrying the
     partial value.
     """
-    if b <= a:
-        return 0.0, 0.0, False
-    val, err = _gk15(f, a, b)
-    panels = [(err, a, b, val, 0)]
-    total, toterr = val, err
-    while toterr > tol * max(1.0, abs(total)):
-        if cap is not None and total - toterr > cap:
-            return total, toterr, True
-        panels.sort(key=lambda p: p[0])
-        perr, pa, pb, pval, depth = panels.pop()
-        if depth >= max_depth or len(panels) >= max_panels:
-            if cap is not None and total - toterr > cap:
-                return total, toterr, True
-            raise ToleranceFailure(
-                f"quadrature did not converge on [{a}, {b}]", partial=total
-            )
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _gk15(f, pa, pm)
-        rval, rerr = _gk15(f, pm, pb)
-        total += lval + rval - pval
-        toterr += lerr + rerr - perr
-        panels.append((lerr, pa, pm, lval, depth + 1))
-        panels.append((rerr, pm, pb, rval, depth + 1))
-    return total, toterr, False
+    return _run_one(_quad(a, b, tol, cap, max_depth, max_panels), f)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +288,49 @@ def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]
     return float(grid[idx[0]])
 
 
-def _transit(v: ScalarField1D, y0: float, y1: float, tol: float):
-    """``(value, capped)``: quadrature of ``1/v`` between ``y0`` and ``y1``
-    (either order), stopped once it provably exceeds ``DIVERGENCE_CAP``."""
-    val, _, capped = adaptive_quad(
-        lambda xi: 1.0 / np.asarray(v(xi), dtype=float),
-        min(y0, y1), max(y0, y1), tol=tol, cap=DIVERGENCE_CAP,
-    )
+def _transit(y0: float, y1: float, tol: float):
+    """Steps of the quadrature of ``1/v`` between ``y0`` and ``y1`` (either
+    order), stopped once it provably exceeds ``DIVERGENCE_CAP``; returns
+    ``(value, capped)``."""
+    val, _, capped = yield from _quad(min(y0, y1), max(y0, y1), tol=tol,
+                                      cap=DIVERGENCE_CAP)
     return val, capped
 
 
-def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
-          target: float = math.inf):
-    """Integrate ``1/v`` from ``x`` toward ``end`` (``d`` = +1 or -1 is the
-    direction), evaluating at ``end`` only once the far edge rounds to it.
-    The first panel is ``[x, end - d*delta]`` with ``delta`` half the
-    distance to ``end``; each later panel halves its far edge's distance to
-    ``end``.
+def _verdict(near, t_near, far, accum, capped, target):
+    """What the walk returns after crossing ``[near, far]``, ``accum`` from
+    its start, or ``None`` to go on: the bracket once ``target`` is passed,
+    and infinity once a walk to the end passes ``DIVERGENCE_CAP``."""
+    if (math.inf if capped else accum) > target:
+        return near, t_near, far
+    if target == math.inf and (capped or accum > DIVERGENCE_CAP):
+        return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
+    return None
+
+
+def _edges_toward(x: float, far: float, d: int) -> list:
+    """Inner edges of the pieces of the first panel ``[x, far]`` whose
+    distance to ``x`` halves toward it, nearest to ``x`` first, down to
+    float resolution."""
+    edges = []
+    w = abs(far - x)
+    while True:
+        w *= 0.5
+        y = x + d * w
+        if y == x:
+            return edges[::-1]
+        edges.append(y)
+
+
+def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
+    """Steps of the integral of ``1/v`` from ``x`` toward ``end`` (``d`` =
+    +1 or -1 is the direction), evaluating at ``end`` only once the far
+    edge rounds to it.  The first panel is ``[x, end - d*delta]`` with
+    ``delta`` half the distance to ``end``; each later panel halves its far
+    edge's distance to ``end``.  A first panel whose quadrature fails, as
+    it does next to a zero or a log-divergent end of ``v`` behind ``x``, is
+    crossed instead in pieces whose distance to ``x`` halves toward it,
+    from ``x`` outward; a first panel that converges is never split.
 
     Returns ``(near, t_near, far)`` as soon as the cumulative time passes
     ``target``: the time from ``x`` to ``near`` is ``t_near <= target`` and
@@ -237,12 +350,27 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
     contribs = []
     levels = range(MAX_LEVELS + 1) if target == math.inf else itertools.count()
     for level in levels:
-        val, capped = _transit(v, near, far, tol)
+        try:
+            val, capped = yield from _transit(near, far, tol)
+        except ToleranceFailure:
+            if level:
+                raise
+            # cross the first panel from x outward, piece by piece; the
+            # last piece, [x + d*w/2, far], is the level-0 panel below.  The
+            # piece at x can be one float wide, with no node inside it: its
+            # time is only as good as 1/v at its two ends
+            for y in _edges_toward(x, far, d):
+                val, capped = yield from _transit(near, y, tol)
+                accum = t_near + val
+                stop = _verdict(near, t_near, y, accum, capped, target)
+                if stop is not None:
+                    return stop
+                near, t_near = y, accum
+            val, capped = yield from _transit(near, far, tol)
         accum = t_near + val
-        if (math.inf if capped else accum) > target:
-            return near, t_near, far
-        if target == math.inf and (capped or accum > DIVERGENCE_CAP):
-            return TimeOfFlight(math.inf, MODE_QUADRATURE, lower_bound=accum)
+        stop = _verdict(near, t_near, far, accum, capped, target)
+        if stop is not None:
+            return stop
         # a panel whose far edge rounds to its near edge has no width and
         # gives no verdict
         if level and far != near:
@@ -274,28 +402,80 @@ def _walk(v: ScalarField1D, x: float, end: float, d: int, tol: float,
     )
 
 
-def _time_of_flight(v: ScalarField1D, x: float, d: int, tol: float) -> TimeOfFlight:
+def _reciprocal(v: ScalarField1D) -> Callable:
+    """The integrand ``1/v`` of every time of flight."""
+    return lambda xi: 1.0 / np.asarray(v(xi), dtype=float)
+
+
+def _time_of_flight(v: ScalarField1D, x: float, d: int, tol: float):
+    """Steps of :func:`forward_time` (``d`` = +1) or :func:`backward_time`
+    (``d`` = -1)."""
     v.check_domain(x)
     if float(v(x)) == 0.0 or _zero_barrier(v, x, d) is not None:
         return TimeOfFlight(d * math.inf, MODE_ZERO_BLOCKED)
     lo, hi = v.domain
-    tof = _walk(v, x, hi if d > 0 else lo, d, tol)
+    tof = yield from _walk(x, hi if d > 0 else lo, d, tol)
     return TimeOfFlight(d * tof.value, tof.mode, tof.lower_bound)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def forward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
     """Time of flight from ``x`` to the right endpoint of the domain of ``v``.
 
     Returns ``zero-blocked`` infinity when ``v`` vanishes somewhere on
     ``[x, hi)``; otherwise the (possibly divergent) improper integral of
-    ``1/v`` computed by adaptive quadrature.
+    ``1/v`` computed by adaptive quadrature.  A node where ``1/v``
+    overflows counts as an infinite time, as in :func:`flow_map`.
     """
-    return _time_of_flight(v, x, +1, tol)
+    return _run_one(_time_of_flight(v, x, +1, tol), _reciprocal(v))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def backward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
     """Signed (negative) time of flight from ``x`` back to the left endpoint."""
-    return _time_of_flight(v, x, -1, tol)
+    return _run_one(_time_of_flight(v, x, -1, tol), _reciprocal(v))
+
+
+def _flow(v: ScalarField1D, t: float, x: float, tol: float):
+    """Steps of one fibre's flow: the point reached from ``x`` after time
+    ``t``, or ``None`` when the walk refuses ``t``."""
+    v.check_domain(x)
+    if not -math.inf <= t <= math.inf:
+        raise InputError("flow time must not be NaN")
+    if float(v(x)) == 0.0 or t == 0.0:
+        return float(x)
+    lo, hi = v.domain
+    d = 1 if t > 0 else -1
+    target = abs(t)
+    barrier = _zero_barrier(v, x, d)
+    end = (hi if d > 0 else lo) if barrier is None else barrier
+    walk = yield from _walk(x, end, d, tol, target)
+    if isinstance(walk, TimeOfFlight):
+        return None
+    # bisect the panel: "near" is on x's side, "far" beyond the target time
+    near, t_near, far = walk
+    while abs(far - near) > ROOT_TOL:
+        mid = 0.5 * (near + far)
+        val, capped = yield from _transit(near, mid, tol)
+        t_mid = t_near + (math.inf if capped else val)
+        # forward keeps t_mid < t on the near side, backward t_mid > -t on
+        # the far side; the two differ only on a tie
+        if (t_mid < target if d > 0 else not t_mid > target):
+            near, t_near = mid, t_mid
+        else:
+            far = mid
+    y = 0.5 * (near + far)
+    # a point closer to the domain end than float resolution rounds onto it
+    if y == lo or y == hi:
+        return float(np.nextafter(y, x))
+    return y
+
+
+def _refusal(v: ScalarField1D, t: float, x: float, tol: float) -> FlowDomainError:
+    """The error for a refused time, with the exact bounds of ``x``'s flow
+    domain from :func:`backward_time` and :func:`forward_time`."""
+    return FlowDomainError(t, backward_time(v, x, tol=tol).value,
+                           forward_time(v, x, tol=tol).value)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -314,39 +494,61 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     :func:`forward_time`; a NaN time raises
     :class:`~excisionlab.errors.InputError`.  Next to a
     zero of ``v`` a node where ``v`` underflows to 0 gives ``1/v = inf``
-    (and a NaN error estimate): an infinite time, beyond any target.
+    (and a NaN error estimate): an infinite time, beyond any target.  A
+    start next to a zero or a log-divergent end of ``v`` behind it, where
+    the walk's first panel does not converge, is walked away from in
+    pieces that halve their distance to the start.
     """
-    v.check_domain(x)
-    if not -math.inf <= t <= math.inf:
-        raise InputError("flow time must not be NaN")
-    if float(v(x)) == 0.0 or t == 0.0:
-        return float(x)
-    lo, hi = v.domain
-    d = 1 if t > 0 else -1
-    target = abs(t)
-    barrier = _zero_barrier(v, x, d)
-    end = (hi if d > 0 else lo) if barrier is None else barrier
-    walk = _walk(v, x, end, d, tol, target)
-    if isinstance(walk, TimeOfFlight):
-        raise FlowDomainError(t, backward_time(v, x, tol=tol).value,
-                              forward_time(v, x, tol=tol).value)
-    # bisect the panel: "near" is on x's side, "far" beyond the target time
-    near, t_near, far = walk
-    while abs(far - near) > ROOT_TOL:
-        mid = 0.5 * (near + far)
-        val, capped = _transit(v, near, mid, tol)
-        t_mid = t_near + (math.inf if capped else val)
-        # forward keeps t_mid < t on the near side, backward t_mid > -t on
-        # the far side; the two differ only on a tie
-        if (t_mid < target if d > 0 else not t_mid > target):
-            near, t_near = mid, t_mid
-        else:
-            far = mid
-    y = 0.5 * (near + far)
-    # a point closer to the domain end than float resolution rounds onto it
-    if y == lo or y == hi:
-        return float(np.nextafter(y, x))
+    y = _run_one(_flow(v, t, x, tol), _reciprocal(v))
+    if y is None:
+        raise _refusal(v, t, x, tol)
     return y
+
+
+@dataclass(frozen=True)
+class Fibres:
+    """``m`` fibres of one field, flowed together by :func:`flow_map_batch`.
+
+    ``fields[i]`` is fibre ``i`` as a 1D field (domain, zero set and
+    start-point checks).  ``velocity(rows, nodes)`` evaluates the speed at
+    a ``(k, 15)`` stack of quadrature nodes, node row ``j`` on fibre
+    ``rows[j]``; each value must equal ``fields[rows[j]]`` at that node,
+    bitwise, so that a row of a batch is the flow of its fibre alone.
+    """
+
+    fields: Sequence[ScalarField1D]
+    velocity: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def flow_map_batch(fibres: Fibres, t, x, tol: float = QUAD_TOL) -> np.ndarray:
+    """:func:`flow_map` of every fibre at once: row ``i`` flows ``x[i]``
+    for time ``t`` (a float, or ``t[i]`` from an ``(m,)`` array) along
+    ``fibres.fields[i]``, bitwise what ``flow_map`` gives on that fibre
+    alone.  All rows walk in lockstep, with one ``fibres.velocity`` call
+    per round.  Raises the error of the first row that fails, as that row
+    alone would: a refused time's
+    :class:`~excisionlab.errors.FlowDomainError` (whose bounds are
+    computed for that row only), an :class:`~excisionlab.errors.InputError`
+    or a :class:`~excisionlab.errors.ToleranceFailure`.
+    """
+    m = len(fibres.fields)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if x.shape != (m,) or t.shape not in ((), (m,)):
+        raise InputError(f"need {m} starts and a time or {m} times, got "
+                         f"shapes {x.shape} and {t.shape}")
+    xs = x.tolist()
+    ts = np.broadcast_to(t, (m,)).tolist()
+    out = _lockstep([_flow(v, ti, xi, tol)
+                     for v, ti, xi in zip(fibres.fields, ts, xs)],
+                    lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
+    for v, ti, xi, y in zip(fibres.fields, ts, xs, out):
+        if isinstance(y, Exception):
+            raise y
+        if y is None:
+            raise _refusal(v, ti, xi, tol)
+    return np.array(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,18 @@ def _lattice(lo, hi, pitch, pad):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float array in lexicographic order, each run of
+    equal rows kept once: ``np.unique(a, axis=0)`` from one stable
+    ``lexsort``.  Of equal rows, such as rows that differ only in the sign
+    of a zero, the first in input order is kept; at every level of the
+    box-tail tower that is the row ``np.unique`` keeps, byte for byte."""
+    rows = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
+
+
 def _sq_dist(pts: np.ndarray, qi: np.ndarray, centers: np.ndarray,
              ci: np.ndarray) -> np.ndarray:
     """``|pts[qi] - centers[ci]|^2`` per pair, summed over the columns in
@@ -415,8 +427,8 @@ def baire_sequence(spec: LscSpec, n_levels: int,
         for plo, phi, _ in spec.pieces:
             proj = np.clip(ambient, np.asarray(plo, dtype=float),
                            np.asarray(phi, dtype=float))
-            parts.append(np.unique(np.round(proj, 12), axis=0))
-        centers = np.unique(np.round(np.concatenate(parts, axis=0), 12), axis=0)
+            parts.append(_unique_rows(np.round(proj, 12)))
+        centers = _unique_rows(np.round(np.concatenate(parts, axis=0), 12))
 
         lam_c = spec.lam(centers)
         if seq._levels:

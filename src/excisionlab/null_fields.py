@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExcisedPointError, InputError
-from .flow1d import flow_map, forward_time, ramp_time_closed_form
+from .flow1d import (Fibres, flow_map, flow_map_batch, forward_time,
+                     ramp_time_closed_form)
 from .scalar_kit import (
     ClosedSetSpec,
     DefiningFunction,
@@ -105,10 +106,11 @@ class VectorFieldPX:
     """Fibrewise-horizontal field ``v(p, x) d/dx`` on ``base x interval``.
 
     ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
-    ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``.  The
+    ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``, and
+    so do :meth:`fibres` and :func:`presympl_flow` built on it.  The
     one-point edge is the per-fibre API: :meth:`fiber`, and
-    :func:`presympl_time1` and :func:`presympl_flow` built on it, take one
-    base point of shape ``(base_dim,)`` and a float ``x``.
+    :func:`presympl_time1` built on it, take one base point of shape
+    ``(base_dim,)`` and a float ``x``.
     """
 
     base_dim: int
@@ -130,6 +132,11 @@ class VectorFieldPX:
 
     def fiber(self, p) -> ScalarField1D:
         """The restriction ``v(p, .)`` as a 1D field with exact zero set."""
+        raise NotImplementedError
+
+    def fibres(self, p) -> Fibres:
+        """The fibres over an ``(m, base_dim)`` batch of base points, for
+        :func:`~excisionlab.flow1d.flow_map_batch`."""
         raise NotImplementedError
 
 
@@ -164,8 +171,21 @@ class EpigraphField(VectorFieldPX):
         return v, du_dx, grad_p
 
     def fiber(self, p) -> ScalarField1D:
-        a, b, c = self.params(np.asarray(p, dtype=float)[None])
-        return ramp_velocity_field(float(a[0]), float(b[0]), float(c[0]))
+        return self.fibres(np.asarray(p, dtype=float)[None]).fields[0]
+
+    def fibres(self, p) -> Fibres:
+        """Fibre ``i`` is ``ramp_velocity_field(a[i], b[i], c[i])`` with the
+        parameters of base point ``p[i]``; the batch velocity evaluates
+        ``ramp_velocity`` with each node row's own parameters, which is
+        elementwise, so every value is bitwise that fibre's own."""
+        a, b, c = self.params(p)
+        return Fibres(
+            fields=[ramp_velocity_field(*abc)
+                    for abc in zip(a.tolist(), b.tolist(), c.tolist())],
+            velocity=lambda rows, nodes: ramp_velocity(
+                a[rows, None], b[rows, None], c[rows, None], nodes,
+                validate=False),
+        )
 
 
 def build_epigraph_field(spec: EpigraphSpec) -> EpigraphField:
@@ -214,9 +234,15 @@ def presympl_time1(field: VectorFieldPX, p, x) -> tuple[np.ndarray, float]:
     return p.copy(), flow_map(v, 1.0, float(x))
 
 
-def presympl_flow(field: VectorFieldPX, p, x, t: float) -> tuple[np.ndarray, float]:
-    """General time-``t`` fibre flow (backward flows are always defined for
-    the shipped fields; forward flows need ``t`` below the forward time)."""
+def presympl_flow(field: VectorFieldPX, p, x, t) -> tuple[np.ndarray, np.ndarray]:
+    """General time-``t`` fibre flow of a batch: ``(m, base_dim)`` base
+    points ``p``, ``(m,)`` fibre coordinates ``x`` and a time ``t`` that is
+    a float or an ``(m,)`` array.  Returns ``p`` (copied) and the ``(m,)``
+    flowed coordinates, row ``i`` bitwise ``flow_map(field.fiber(p[i]),
+    t[i], x[i])``, all from one :func:`~excisionlab.flow1d.flow_map_batch`
+    walk.  Backward flows are always defined for the shipped fields;
+    forward flows need ``t`` below the forward time, and the first row
+    whose time is refused raises its
+    :class:`~excisionlab.errors.FlowDomainError`."""
     p = np.asarray(p, dtype=float)
-    v = field.fiber(p)
-    return p.copy(), flow_map(v, float(t), float(x))
+    return p.copy(), flow_map_batch(field.fibres(p), t, x)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
@@ -558,3 +559,131 @@ class TestOneWalk:
             got = f1.flow_map(v, t, least)
             assert got == least and type(got) is float
             v.check_domain(got)
+
+
+# ---------------------------------------------------------------------------
+# a first panel that starts next to a zero or a log-divergent end of v
+# ---------------------------------------------------------------------------
+
+class TestFirstPanelNextToAnEnd:
+    def test_time_of_flight_where_one_over_v_overflows_is_quiet(self):
+        # v = 50 x is 5e-319 at the start, so 1/v overflows to inf: an
+        # infinite time, as in flow_map, and no warning
+        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        tof = f1.backward_time(v, 1e-320)
+        assert tof_fields(tof) == (-math.inf, f1.MODE_QUADRATURE, math.inf)
+        tof = f1.forward_time(v, 1e-320)
+        assert tof_fields(tof) == (math.inf, f1.MODE_QUADRATURE, math.inf)
+
+    def test_backward_flow_from_the_last_float_below_a_log_divergent_end(self):
+        # 1/v grows like c / (1 - x^2) toward 1, so the first panel's
+        # quadrature cannot settle next to the start; its pieces can.  The
+        # piece within one float of the start has no node inside it, and
+        # its time is off by about 1e-2, which moves y by about 1e-11
+        a, b, c = (-0.17978911822283405, -0.318534576735228,
+                   0.19268974261692928)
+        v = sk.ramp_velocity_field(a, b, c)
+        x = float(np.nextafter(1.0, 0.0))
+        y = f1.flow_map(v, -1.0, x)
+        assert type(y) is float and a < y < x
+
+        # above the ramp the time from y to x is closed form
+        X = mpmath.mpf(x)
+
+        def time_to_x(y):
+            return ((X - y) + c * (mpmath.atanh(X) - mpmath.atanh(y))) / (1 - b)
+
+        lo, hi = mpmath.mpf(0.9), X
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if time_to_x(mid) > 1 else (lo, mid)
+        assert abs(y - float(lo)) <= 2e-11
+        assert float(time_to_x(mpmath.mpf(y))) == pytest.approx(1.0, abs=2e-2)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200])
+    def test_forward_flow_from_next_to_a_log_divergent_start(self, x):
+        # v = 50 x: the exact point is x e^0.05
+        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        y = f1.flow_map(v, 1e-3, x)
+        assert type(y) is float and x <= y
+        assert abs(y - x * math.exp(0.05)) <= f1.ROOT_TOL
+        v.check_domain(y)
+
+
+# ---------------------------------------------------------------------------
+# lockstep flows of many fibres
+# ---------------------------------------------------------------------------
+
+@st.composite
+def epigraph_flows(draw):
+    """Rows of (base point, start, time) on the epigraph scenario's field:
+    starts above or on the zero set of the fibre (where v = 0) and times
+    that are 0, backward (always defined) or forward below the exit time,
+    with a permutation of the rows."""
+    m = draw(st.integers(1, 7))
+    rows = [(draw(st.floats(-1.2, 1.2)), draw(st.floats(-1.2, 1.2)),
+             draw(st.booleans()), draw(st.floats(0.0, 1.0)),
+             draw(st.sampled_from(["zero", "backward", "forward"])),
+             draw(st.floats(0.0, 1.0)))
+            for _ in range(m)]
+    return rows, draw(st.permutations(range(m)))
+
+
+def flow_rows(field, rows):
+    """``(p, x, t)`` arrays for the rows drawn by :func:`epigraph_flows`."""
+    p = np.array([row[:2] for row in rows])
+    a = field.params(p)[0]
+    x, t = [], []
+    for (_, _, on_zero, u, kind, frac), p_i, a_i in zip(rows, p, a.tolist()):
+        s = 0.5 * (a_i - 1.0)     # the fibre's speed vanishes below s
+        x_i = s - u * (s + 0.99) if on_zero else s + 1e-3 + u * (0.95 - s - 1e-3)
+        if kind == "zero":
+            t_i = 0.0
+        elif kind == "backward":
+            t_i = -2.0 * frac
+        else:
+            exit_t = f1.forward_time(field.fiber(p_i), x_i).value
+            t_i = 0.9 * frac * exit_t if math.isfinite(exit_t) else 3.0 * frac
+        x.append(x_i)
+        t.append(t_i)
+    return p, np.array(x), np.array(t)
+
+
+class TestFlowMapBatch:
+    @settings(max_examples=25)
+    @given(case=epigraph_flows())
+    def test_each_row_is_flow_map_alone(self, epigraph_box, case):
+        _, field, _ = epigraph_box
+        rows, order = case
+        p, x, t = flow_rows(field, rows)
+        alone = np.array([f1.flow_map(field.fiber(p_i), t_i, x_i)
+                          for p_i, t_i, x_i in zip(p, t.tolist(), x.tolist())])
+        order = list(order)
+        got = f1.flow_map_batch(field.fibres(p[order]), t[order], x[order])
+        assert got.tobytes() == alone[order].tobytes()
+
+    def test_first_refused_row_raises_as_it_would_alone(self, epigraph_box):
+        # on the set and above the ramp the exit time is (1 - x)/(1 - b),
+        # about 0.6: rows 1 and 2 are refused, row 3 has a NaN time
+        _, field, _ = epigraph_box
+        p = np.array([[0.0, 0.0], [0.1, 0.2], [0.2, -0.1], [0.3, 0.1]])
+        x = np.array([0.5, 0.5, 0.6, 0.7])
+        t = np.array([-0.5, 5.0, 3.0, math.nan])
+        with pytest.raises(FlowDomainError) as batch:
+            f1.flow_map_batch(field.fibres(p), t, x)
+        with pytest.raises(FlowDomainError) as alone:
+            f1.flow_map(field.fiber(p[1]), 5.0, 0.5)
+        assert ((batch.value.t, batch.value.backward, batch.value.forward)
+                == (alone.value.t, alone.value.backward, alone.value.forward))
+        with pytest.raises(InputError, match="NaN"):
+            f1.flow_map_batch(field.fibres(p[[0, 3, 1]]), t[[0, 3, 1]],
+                              x[[0, 3, 1]])
+
+    def test_shapes_are_checked(self, epigraph_box):
+        _, field, _ = epigraph_box
+        fibres = field.fibres(np.zeros((3, 2)))
+        for t, x in ((0.5, np.zeros(2)), (np.zeros(2), np.zeros(3)),
+                     (0.5, np.zeros((3, 1)))):
+            with pytest.raises(InputError, match="need 3 starts"):
+                f1.flow_map_batch(fibres, t, x)
+        assert f1.flow_map_batch(fibres, 0.0, np.zeros(3)).shape == (3,)

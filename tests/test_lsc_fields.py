@@ -271,6 +271,37 @@ class TestBaireSequence:
         with pytest.raises(InputError, match="query points must be finite"):
             seq.raw_values(np.array([[0.2], [bad]]))
 
+    def test_unique_rows_is_np_unique_at_every_level(self, box_tail_field,
+                                                     monkeypatch):
+        # every row set the depth-14 box-tail tower deduplicates, three per
+        # level (each piece's projection, then all centers), byte for byte
+        # what np.unique(axis=0) gives; some hold -0.0 where an equal row
+        # holds 0.0, and the same one of the two must be kept
+        spec = box_tail_field[0]
+        real = lf._unique_rows
+        seen = []
+
+        def compare(a):
+            got = real(a)
+            want = np.unique(a, axis=0)
+            signed_twins = len({row.tobytes() for row in a}) > want.shape[0]
+            seen.append((got.tobytes() == want.tobytes()
+                         and got.shape == want.shape, signed_twins))
+            return got
+        monkeypatch.setattr(lf, "_unique_rows", compare)
+        lf.baire_sequence(spec, n_levels=15)
+        assert len(seen) == 3 * 14
+        assert all(same for same, _ in seen)
+        # the centers of levels 3 and 9 to 15
+        assert sum(twins for _, twins in seen) >= 8
+
+    def test_unique_rows_keeps_np_uniques_signed_zero(self):
+        a = np.array([[0.5, 0.0], [-0.0, 1.0], [0.5, -0.0], [0.0, 1.0],
+                      [-0.25, 2.0], [0.5, 0.0]])
+        got = lf._unique_rows(a)
+        assert got.tobytes() == np.unique(a, axis=0).tobytes()
+        assert got.shape == (3, 2)
+
     def test_strict_minorization_at_jump(self):
         # just inside the low plateau the levels must stay below the low
         # value even though high-value bumps crowd the boundary

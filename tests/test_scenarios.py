@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from excisionlab import cli, lsc_fields, scenarios, symflow
+from excisionlab import cli, flow1d, lsc_fields, null_fields, scenarios, symflow
 from excisionlab.errors import DepthExhausted, InputError, StencilError
 
 RAY_CHECKS = {
@@ -200,6 +200,26 @@ class TestFlowPlan:
         assert calls.count("time1_jacobian_batch") == 1
         if with_out_dir:
             assert len(list((tmp_path / "out" / "trajectories").glob("*.csv"))) == 3
+
+    def test_epigraph_flows_its_fibres_in_three_batches(self, monkeypatch):
+        # backward legs, return legs and the forward-invariance flows: one
+        # presympl_flow call each, and no per-fibre flow_map call
+        calls = []
+        real = null_fields.presympl_flow
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[1])[0])
+            return real(*args, **kwargs)
+
+        def one_fibre(*args, **kwargs):
+            raise AssertionError("per-fibre flow_map call")
+        monkeypatch.setattr(null_fields, "presympl_flow", spy)
+        for module in (flow1d, null_fields):
+            monkeypatch.setattr(module, "flow_map", one_fibre)
+        report = scenarios.run_scenario(scenarios.ScenarioConfig(
+            scenario="epigraph", **SMALL))
+        assert report["pass"]
+        assert calls == [SMALL["roundtrip_samples"]] * 2 + [200]
 
     def test_stencil_error_comes_before_round_trip_error(self, monkeypatch):
         # every row fails, the stencil and the first legs alike

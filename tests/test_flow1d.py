@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
-from excisionlab.errors import FlowDomainError, InputError
+from excisionlab.errors import FlowDomainError, InputError, ToleranceFailure
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -567,47 +567,53 @@ class TestOneWalk:
 
 class TestFirstPanelNextToAnEnd:
     def test_time_of_flight_where_one_over_v_overflows_is_quiet(self):
-        # v = 50 x is 5e-319 at the start, so 1/v overflows to inf: an
-        # infinite time, as in flow_map, and no warning
+        # v = 50 x is 5e-319 at the start, so 1/v overflows to inf.  Toward
+        # 0 the time is infinite, as the first panel says; toward 1 it is
+        # about 14.7, but the pieces next to the start cannot time it
         v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
         tof = f1.backward_time(v, 1e-320)
         assert tof_fields(tof) == (-math.inf, f1.MODE_QUADRATURE, math.inf)
-        tof = f1.forward_time(v, 1e-320)
-        assert tof_fields(tof) == (math.inf, f1.MODE_QUADRATURE, math.inf)
+        with pytest.raises(ToleranceFailure, match="overflows"):
+            f1.forward_time(v, 1e-320)
 
-    def test_backward_flow_from_the_last_float_below_a_log_divergent_end(self):
-        # 1/v grows like c / (1 - x^2) toward 1, so the first panel's
-        # quadrature cannot settle next to the start; its pieces can.  The
-        # piece within one float of the start has no node inside it, and
-        # its time is off by about 1e-2, which moves y by about 1e-11
-        a, b, c = (-0.17978911822283405, -0.318534576735228,
-                   0.19268974261692928)
-        v = sk.ramp_velocity_field(a, b, c)
-        x = float(np.nextafter(1.0, 0.0))
-        y = f1.flow_map(v, -1.0, x)
-        assert type(y) is float and a < y < x
-
-        # above the ramp the time from y to x is closed form
-        X = mpmath.mpf(x)
-
-        def time_to_x(y):
-            return ((X - y) + c * (mpmath.atanh(X) - mpmath.atanh(y))) / (1 - b)
-
-        lo, hi = mpmath.mpf(0.9), X
-        for _ in range(120):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if time_to_x(mid) > 1 else (lo, mid)
-        assert abs(y - float(lo)) <= 2e-11
-        assert float(time_to_x(mpmath.mpf(y))) == pytest.approx(1.0, abs=2e-2)
-
-    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200])
-    def test_forward_flow_from_next_to_a_log_divergent_start(self, x):
-        # v = 50 x: the exact point is x e^0.05
+    @pytest.mark.parametrize("t, x", [(20.0, 1e-320), (14.5, 1e-320),
+                                      (1e-3, 5e-324)])
+    def test_flow_where_one_over_v_overflows_is_not_guessed(self, t, x):
+        # 20 is past the exit time, and 14.5 reaches about 7.6e-6; the
+        # overflow used to read as an infinite time and return about x
         v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        with pytest.raises(ToleranceFailure, match="overflows"):
+            f1.flow_map(v, t, x)
+
+    def test_time_between_floats_next_to_a_log_divergent_end_is_not_guessed(self):
+        # 1/v grows like c / (1 - x^2) toward 1, so the first panel's
+        # quadrature cannot settle next to the start.  The pieces within a
+        # few floats of it take about 0.25 of the time, and their rule sees
+        # 1/v at one or a few floats only: a point would be off by about
+        # 1e-11, so the flow raises
+        v = sk.ramp_velocity_field(-0.17978911822283405, -0.318534576735228,
+                                   0.19268974261692928)
+        with pytest.raises(ToleranceFailure, match="float resolution"):
+            f1.flow_map(v, -1.0, float(np.nextafter(1.0, 0.0)))
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-200])
+    def test_forward_flow_from_next_to_a_log_divergent_start(self, x):
+        # v = 50 x: the time from x to y is log(y / x) / 50
+        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        exit_t = -math.log(x) / 50.0
+        assert f1.forward_time(v, x).value == pytest.approx(exit_t,
+                                                            rel=f1.QUAD_TOL)
+        # the bisection stops at ROOT_TOL, far above x, so y is the middle
+        # of the piece [x + w, x + 2w] that passes the time: within half of
+        # exact - x of the exact point
+        exact = x * math.exp(0.05)
         y = f1.flow_map(v, 1e-3, x)
-        assert type(y) is float and x <= y
-        assert abs(y - x * math.exp(0.05)) <= f1.ROOT_TOL
-        v.check_domain(y)
+        assert type(y) is float
+        assert abs(y - exact) <= 0.5 * (exact - x)
+        # near the exit time the point is 0.5; a time off by QUAD_TOL moves
+        # it by v(0.5) QUAD_TOL
+        y = f1.flow_map(v, exit_t - math.log(2.0) / 50.0, x)
+        assert abs(y - 0.5) <= 25.0 * f1.QUAD_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ integral converges.  This module provides:
   reports,
 * :func:`flow_map_batch`, the flows of many :class:`Fibres` at once,
 * the closed-form time :func:`ramp_time_closed_form` for the parametric
-  ramp velocity, and the threshold :func:`unit_time_threshold` where that
-  time equals 1.
+  ramp velocity.
+
+A field's zeros come from its declared ``zero_regions``; no walk searches
+for them.
 
 The quadrature, the walk and the bisection are written once, as steps of
 one fibre: generators that yield the panels whose 15 GK nodes they need
@@ -36,6 +38,7 @@ nodes.  Both drivers place the nodes with one formula, :func:`_nodes`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,14 +63,12 @@ __all__ = [
     "Fibres",
     "flow_map_batch",
     "ramp_time_closed_form",
-    "unit_time_threshold",
 ]
 
 QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12
 DIVERGENCE_CAP = 1e6
 MAX_LEVELS = 60
-ZERO_SCAN_STEP = 1e-4
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_QUADRATURE = "quadrature"
@@ -88,10 +89,6 @@ class TimeOfFlight:
     value: float
     mode: str
     lower_bound: Optional[float] = None
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +203,21 @@ def _run_one(steps, f: Callable):
 def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
           max_panels=8192):
     """The steps of :func:`adaptive_quad`: the first panel, then both
-    halves of the panel with the largest error in one round."""
+    halves of the panel with the largest error in one round.  Of panels
+    with equal errors the one made last is split: a heap keyed on the
+    negated error and insertion number."""
     if b <= a:
         return 0.0, 0.0, False
     fx = yield ((a, b),)
     val, err = _gk15(fx[0], 0.5 * (b - a))
-    panels = [(err, a, b, val, 0)]
+    made = itertools.count()
+    panels = [(-err, -next(made), a, b, val, 0)]
     total, toterr = val, err
     while toterr > tol * max(1.0, abs(total)):
         if cap is not None and total - toterr > cap:
             return total, toterr, True
-        panels.sort(key=lambda p: p[0])
-        perr, pa, pb, pval, depth = panels.pop()
+        neg_err, _, pa, pb, pval, depth = heapq.heappop(panels)
+        perr = -neg_err
         if depth >= max_depth or len(panels) >= max_panels:
             if cap is not None and total - toterr > cap:
                 return total, toterr, True
@@ -230,8 +230,8 @@ def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
         rval, rerr = _gk15(fx[1], 0.5 * (pb - pm))
         total += lval + rval - pval
         toterr += lerr + rerr - perr
-        panels.append((lerr, pa, pm, lval, depth + 1))
-        panels.append((rerr, pm, pb, rval, depth + 1))
+        heapq.heappush(panels, (-lerr, -next(made), pa, pm, lval, depth + 1))
+        heapq.heappush(panels, (-rerr, -next(made), pm, pb, rval, depth + 1))
     return total, toterr, False
 
 
@@ -260,37 +260,19 @@ def adaptive_quad(
 # ---------------------------------------------------------------------------
 
 def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]:
-    """Nearest boundary of the zero set of ``v`` strictly beyond ``x`` in the
-    given direction (+1 toward the right endpoint, -1 toward the left), or
-    ``None`` when the way is clear.
-
-    Fields constructed by the kit carry their zero set exactly; for opaque
-    fields a fixed-resolution scan is used and its resolution is a
-    documented limitation.
-    """
+    """Nearest boundary of the declared zero set of ``v`` strictly beyond
+    ``x`` in the given direction (+1 toward the right endpoint, -1 toward
+    the left), or ``None`` when the way is clear."""
     lo, hi = v.domain
-    if v.zero_regions is not None:
-        best = None
-        for zl, zh in v.zero_regions:
-            if direction > 0 and zh > x and zl < hi:
-                edge = max(zl, x)
-                best = edge if best is None else min(best, edge)
-            if direction < 0 and zl < x and zh > lo:
-                edge = min(zh, x)
-                best = edge if best is None else max(best, edge)
-        return best
-    # opaque field: scan at fixed resolution
-    if direction > 0:
-        grid = np.arange(x, hi, ZERO_SCAN_STEP)
-    else:
-        grid = np.arange(x, lo, -ZERO_SCAN_STEP)
-    if grid.size == 0:
-        return None
-    vals = np.asarray(v(grid), dtype=float)
-    idx = np.nonzero(vals == 0.0)[0]
-    if idx.size == 0:
-        return None
-    return float(grid[idx[0]])
+    best = None
+    for zl, zh in v.zero_regions:
+        if direction > 0 and zh > x and zl < hi:
+            edge = max(zl, x)
+            best = edge if best is None else min(best, edge)
+        if direction < 0 and zl < x and zh > lo:
+            edge = min(zh, x)
+            best = edge if best is None else max(best, edge)
+    return best
 
 
 def _transit(y0: float, y1: float, tol: float):
@@ -642,44 +624,3 @@ def ramp_time_closed_form(a: float, b: float, c: float, x: float,
     if capped or base + corr > DIVERGENCE_CAP:
         return TimeOfFlight(math.inf, MODE_CLOSED_FORM, lower_bound=base + corr)
     return TimeOfFlight(base + corr, MODE_CLOSED_FORM)
-
-
-def unit_time_threshold(a: float, b: float, tol: float = ROOT_TOL) -> float:
-    """The unique ``x`` where the ramp time (with ``c = 0``) equals 1.
-
-    Equals ``b`` whenever ``b >= a`` (the linear branch inverts exactly);
-    for ``b < a`` it lies strictly between ``max(b, (a-1)/2)`` and ``a`` and
-    is found by bisection on the strictly decreasing closed-form time.
-    """
-    _check_ramp_params(a, b, 0.0)
-    if b >= 1.0:
-        raise InputError("b must lie in [-1, 1) for a finite threshold")
-    s = 0.5 * (a - 1.0)
-    if (1.0 - a) / (1.0 - b) >= 1.0:      # b >= a: threshold on the plateau
-        return float(b)
-
-    # Below the plateau the defining equation reduces to
-    #   A(x) = x - b,   A(x) = int_x^a exp(1/(xi-s) - 1/(a-xi)) dxi,
-    # with A strictly decreasing and blowing up at the corner, so the lower
-    # bracket needs no evaluation; bisect with incremental quadrature,
-    # treating capped segments as certified-above (x - b never exceeds 2).
-    def seg(lo: float, hi: float) -> float:
-        try:
-            val, _, capped = adaptive_quad(lambda xi: _ramp_corner(xi, a, s),
-                                           lo, hi, tol=1e-13, cap=2.5)
-        except ToleranceFailure as failure:
-            if failure.partial is not None and failure.partial > 2.5:
-                return math.inf
-            raise
-        return math.inf if capped else val
-
-    x_lo = max(b, s) + 1e-13 * (a - max(b, s))
-    x_hi, A_hi = a, 0.0
-    while x_hi - x_lo > tol:
-        mid = 0.5 * (x_lo + x_hi)
-        A_mid = A_hi + seg(mid, x_hi)
-        if A_mid - (mid - b) > 0.0:
-            x_lo = mid
-        else:
-            x_hi, A_hi = mid, A_mid
-    return 0.5 * (x_lo + x_hi)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .null_fields import VectorFieldPX
+from .null_fields import EpigraphField
 from .scalar_kit import (
     cubic_smoothstep,
     cubic_smoothstep_deriv,
@@ -44,7 +44,7 @@ __all__ = [
     "RayHamiltonian",
     "build_ray_hamiltonian",
     "build_ray_hamiltonian_n1",
-    "ExcisionTarget",
+    "epigraph_sampler",
     "ExtendedHamiltonian",
     "extend_null_field",
     "TubeNeighbourhood",
@@ -260,35 +260,16 @@ def build_ray_hamiltonian_n1(eps: float = 0.5, delta_h: float = 0.25,
 # extension of null fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcisionTarget:
-    """A closed subset of the hypersurface ``{y = 0}``: an exact membership
-    test plus a sampler used for certification.
-
-    ``sample(m, rng)`` returns at most ``m`` points of the target, all in
-    the open chart ``x in (-1, 1)``.
-    """
-
-    dim: int
-    membership: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[int, np.random.Generator], np.ndarray]
-    label: str = ""
-
-
-def epigraph_target(spec, x_max: float = 0.95) -> ExcisionTarget:
-    """Target for the epigraph of ``spec.lam`` over ``spec.C`` inside
-    ``B x I x {0}``.
+def epigraph_sampler(spec, x_max: float = 0.95) -> Callable:
+    """Sampler of the epigraph of ``spec.lam`` over ``spec.C`` inside
+    ``B x I x {0}``, the excision target: ``sample(m, rng)`` returns at
+    most ``m`` points of it.
 
     The sampler draws ``x`` uniformly in ``[lam(p), max(lam(p), x_max)]``
     and drops the base points whose fibre ``[lam(p), 1)`` is empty, so every
-    sample lies inside the open chart.
+    sample lies inside the open chart ``x in (-1, 1)``.
     """
     dim = spec.C.dim + 2
-
-    def membership(z):
-        pts = _as_batch(z, dim)
-        p, x, y = pts[:, :-2], pts[:, -2], pts[:, -1]
-        return spec.membership(p, x) & (y == 0.0)
 
     def sample(m, rng):
         p = spec.C.sample(m, rng)
@@ -299,8 +280,7 @@ def epigraph_target(spec, x_max: float = 0.95) -> ExcisionTarget:
         out[:, -2] = x
         return out[lam < 1.0]
 
-    return ExcisionTarget(dim=dim, membership=membership, sample=sample,
-                          label="epigraph")
+    return sample
 
 
 class ExtendedHamiltonian(HamiltonianField):
@@ -314,15 +294,13 @@ class ExtendedHamiltonian(HamiltonianField):
     ``chi * v * d/dx``.
     """
 
-    def __init__(self, field: VectorFieldPX, target: ExcisionTarget,
-                 v_floor: float = V_FLOOR):
+    def __init__(self, field: EpigraphField, v_floor: float = V_FLOOR):
         self.field = field
-        self.target = target
         self.dim = field.base_dim + 2
         self.v_floor = v_floor
 
     def _pieces(self, pts, need_grad: bool):
-        """``(ham, chi, grad)``: one :meth:`VectorFieldPX.jet` call when the
+        """``(ham, chi, grad)``: one :meth:`EpigraphField.jet` call when the
         gradient is needed (``grad`` is ``None`` otherwise)."""
         p = pts[:, :-2]
         x = pts[:, -2]
@@ -374,19 +352,20 @@ class ExtendedHamiltonian(HamiltonianField):
         return self._pieces(_as_batch(z, self.dim), need_grad=False)[1]
 
 
-def extend_null_field(field: VectorFieldPX, target: ExcisionTarget,
+def extend_null_field(field: EpigraphField, sample: Callable,
                       v_floor: float = V_FLOOR,
                       certificate_samples: int = 10_000,
                       rng: Optional[np.random.Generator] = None) -> ExtendedHamiltonian:
     """Extend a null field to a Hamiltonian on the ambient product model.
 
-    Certifies by sampling that the field speed stays above ``v_floor`` on
-    the target (the cutoff must be identically 1 there); scenarios that
-    violate the floor are rejected loudly rather than silently degraded.
-    A target with no sample inside the chart is rejected too.
+    Certifies on the points ``sample(certificate_samples, rng)`` of the
+    target (from :func:`epigraph_sampler`) that the field speed stays above
+    ``v_floor`` there (the cutoff must be identically 1 there); scenarios
+    that violate the floor are rejected loudly rather than silently
+    degraded.  A target with no sample inside the chart is rejected too.
     """
     rng = rng or np.random.default_rng(20240901)
-    zs = target.sample(certificate_samples, rng)
+    zs = sample(certificate_samples, rng)
     if zs.shape[0] == 0:
         raise InputError("no target sample inside the chart")
     v = field.velocity(zs[:, :-2], zs[:, -2])
@@ -395,7 +374,7 @@ def extend_null_field(field: VectorFieldPX, target: ExcisionTarget,
         raise InputError(
             f"null field not bounded below on Z: sampled min {vmin} <= {v_floor}"
         )
-    return ExtendedHamiltonian(field, target, v_floor=v_floor)
+    return ExtendedHamiltonian(field, v_floor=v_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ stages:
    (:func:`baire_sequence`);
 2. smooth separators ``g_n`` with ``f_{n+1} < g_n < g_{n+1} < 1`` and
    ``sup g_n = 1``, each a bump blend of constants above an exact
-   over-ball bound of the functions it must dominate
-   (:func:`smooth_majorant` and its structural variant);
+   over-ball bound of the functions it must dominate (built in
+   :func:`build_lsc_field`);
 3. a tower of unit-capped velocities on ``B x (0, 1)``, one stack of
    bridge bands per fibre: level ``n`` keeps level ``n-1`` below
    ``g_{n-1}``, adds the band ``(g_{n-1}, g_n)`` and runs at unit speed
@@ -45,17 +45,14 @@ from .scalar_kit import (
     ball_bump_from_sq,
     bridge_crossing_time,
     bridge_velocity,
-    bridge_velocity_dx,
     smooth_box_plateau,
     smooth_step,
-    smooth_step_deriv,
 )
 
 __all__ = [
     "LscSpec",
     "BaireSequence",
     "baire_sequence",
-    "smooth_majorant",
     "band_velocity",
     "band_travel_time",
     "FiberData",
@@ -131,27 +128,6 @@ class LscSpec:
             d = np.where(d_out > 0.0, d_out, np.maximum(inside_margin, 0.0))
             best = np.minimum(best, d)
         return best
-
-    def to_config(self) -> dict:
-        return {
-            "base_lo": list(self.base_lo),
-            "base_hi": list(self.base_hi),
-            "pieces": [
-                {"lo": list(lo), "hi": list(hi), "value": value}
-                for lo, hi, value in self.pieces
-            ],
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "LscSpec":
-        return LscSpec(
-            base_lo=tuple(cfg["base_lo"]),
-            base_hi=tuple(cfg["base_hi"]),
-            pieces=tuple(
-                (tuple(p["lo"]), tuple(p["hi"]), float(p["value"]))
-                for p in cfg["pieces"]
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +351,6 @@ class BaireSequence:
         self._cache[key] = out
         return out
 
-    def value(self, level: int, points):
-        """Level-``level`` minorant (1-based) at an ``(m, dim)`` batch."""
-        if not (1 <= level <= self.depth):
-            raise InputError(f"level must lie in [1, {self.depth}]")
-        return self.raw_values(points)[:, level - 1]
-
     def level_upper_bound(self, level: int, pts: np.ndarray,
                           reach: float) -> np.ndarray:
         """Exact upper bound for ``sup`` of the level over balls of radius
@@ -485,10 +455,11 @@ class _BlendField:
         return bound
 
 
-def _majorant_from_bounds(spec: LscSpec, bound_fns: Sequence[Callable],
-                          scale: float = MAJORANT_SCALE) -> _BlendField:
+def _majorant_from_bounds(spec: LscSpec,
+                          bound_fns: Sequence[Callable]) -> _BlendField:
     """Blend of constants ``(1 + m_i)/2`` where ``m_i`` is an exact upper
     bound, over the bump support ball, of everything to dominate."""
+    scale = MAJORANT_SCALE
     lo = np.asarray(spec.base_lo, dtype=float)
     hi = np.asarray(spec.base_hi, dtype=float)
     # pad by one bump radius: enough to cover queries inside the base box
@@ -500,33 +471,6 @@ def _majorant_from_bounds(spec: LscSpec, bound_fns: Sequence[Callable],
         raise InputError("majorant input must stay strictly below 1")
     c_vals = 0.5 * (1.0 + m)
     return _BlendField(_NeighborIndex(centers, scale), c_vals, scale)
-
-
-def smooth_majorant(f: Callable, spec: LscSpec, scale: float = MAJORANT_SCALE,
-                    sample_pitch_divisor: int = 8) -> _BlendField:
-    """A smooth ``g`` with ``1 > g > f`` (midpoint rule): blend of constants
-    ``(1 + max_ball f)/2`` on a lattice of pitch ``scale/2`` with bump
-    radius ``scale``.
-
-    The over-ball max of the opaque callable is sampled at pitch
-    ``scale/divisor``; the structural tower uses exact bounds instead (see
-    :func:`build_lsc_field`).
-    """
-    sub = _lattice((0.0,) * spec.dim, (0.0,) * spec.dim,
-                   scale / sample_pitch_divisor, pad=scale)
-    sub = sub[np.linalg.norm(sub, axis=1) <= scale]
-
-    def sampled_bound(centers, reach):
-        maxima = np.empty(centers.shape[0])
-        chunk = max(1, int(2e6 / max(sub.shape[0], 1)))
-        for start in range(0, centers.shape[0], chunk):
-            block = centers[start:start + chunk]
-            samples = (block[:, None, :] + sub[None, :, :]).reshape(-1, spec.dim)
-            vals = f(samples).reshape(block.shape[0], -1)
-            maxima[start:start + chunk] = vals.max(axis=1)
-        return maxima
-
-    return _majorant_from_bounds(spec, [sampled_bound], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +488,19 @@ def _check_level(g, tau, level: int):
     return g, tau
 
 
-def band_velocity(g, tau, level: int, x, deriv: bool = False) -> np.ndarray:
-    """Speed of tower level ``level`` at ``x`` on one fibre (its
-    ``x``-derivative with ``deriv=True``): the bridge profile with delay
+def band_velocity(g, tau, level: int, x) -> np.ndarray:
+    """Speed of tower level ``level`` at ``x`` on one fibre: the bridge
+    profile with delay
     ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])`` for
     ``k = 1..level``, unit speed everywhere else."""
     g, tau = _check_level(g, tau, level)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x) if deriv else np.ones_like(x)
+    out = np.ones_like(x)
     band = np.asarray(np.searchsorted(g, x))   # 0 below g_0, k inside band k
     inside = (band >= 1) & (band <= level)
     if np.any(inside):
         k = band[inside]
-        if deriv:
-            out[inside] = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x[inside])
-        else:
-            out[inside] = bridge_velocity(g[k - 1], g[k], tau[k - 1], x[inside],
-                                          validate=False)
+        out[inside] = bridge_velocity(g[k - 1], g[k], tau[k - 1], x[inside])
     return out
 
 
@@ -619,9 +559,9 @@ class GluedField:
     The whole API is per fibre, the one-point edge of the package: every
     method takes one base point ``p`` of shape ``(base_dim,)`` and refuses
     any other shape with :class:`~excisionlab.errors.InputError`.  So it
-    is not a batch :class:`~excisionlab.null_fields.VectorFieldPX` and has
-    no ambient extension; it is certified at the hypersurface level.
-    ``velocity``, ``velocity_dx``, the exit times and :meth:`classify`
+    is not a batch field like :class:`~excisionlab.null_fields.EpigraphField`
+    and has no ambient extension; it is certified at the hypersurface level.
+    ``velocity``, the exit times and :meth:`classify`
     evaluate elementwise in ``x``, an array of points on the fibre, so one
     call covers a fibre.  They return arrays of the shape of ``x`` (0-d for
     a float), except :meth:`level_exit_time`, which gives a float for a
@@ -722,27 +662,17 @@ class GluedField:
     def _cutoff(self, f1: float, x):
         return smooth_step((np.asarray(x, dtype=float) - 0.5 * f1) / (0.5 * f1))
 
-    def _cutoff_dx(self, f1: float, x):
-        arg = (np.asarray(x, dtype=float) - 0.5 * f1) / (0.5 * f1)
-        return smooth_step_deriv(arg) / (0.5 * f1)
-
-    def _raw_velocity(self, data: FiberData, x, deriv: bool = False):
+    def _raw_velocity(self, data: FiberData, x):
         """The full tower's speed below the deepest separator (before the
         cutoff); queries at or above it are not covered."""
         x = np.asarray(x, dtype=float)
         if np.any(x >= data.g[-1]):
             raise DepthExhausted("velocity query above deepest separator")
-        return band_velocity(data.g, data.tau, data.depth, x, deriv)
+        return band_velocity(data.g, data.tau, data.depth, x)
 
     def velocity(self, p, x):
         data = self.fiber_data(p)
         return self._raw_velocity(data, x) * self._cutoff(data.f[0], x)
-
-    def velocity_dx(self, p, x):
-        data = self.fiber_data(p)
-        raw = self._raw_velocity(data, x)
-        raw_dx = self._raw_velocity(data, x, deriv=True)
-        return raw_dx * self._cutoff(data.f[0], x) + raw * self._cutoff_dx(data.f[0], x)
 
     def fiber(self, p) -> ScalarField1D:
         # the 1D field is only defined on the covered band below the
@@ -751,7 +681,6 @@ class GluedField:
         return ScalarField1D(
             f=lambda x: self._raw_velocity(data, np.asarray(x, dtype=float))
             * self._cutoff(data.f[0], x),
-            df=lambda x: self.velocity_dx(p, x),
             domain=(0.0, float(data.g[-1]) - 1e-9),
             zero_regions=((0.0, 0.5 * float(data.f[0])),),
             label="glued-lsc",

@@ -35,7 +35,6 @@ __all__ = [
     "constant_map",
     "affine_map",
     "EpigraphSpec",
-    "VectorFieldPX",
     "EpigraphField",
     "build_epigraph_field",
     "classify_epigraph",
@@ -102,8 +101,9 @@ class EpigraphSpec:
         return self.C.contains(p) & (np.asarray(x, dtype=float) >= self.lam(p))
 
 
-class VectorFieldPX:
-    """Fibrewise-horizontal field ``v(p, x) d/dx`` on ``base x interval``.
+class EpigraphField:
+    """The ramp-velocity field ``v(p, x) d/dx`` attached to an
+    :class:`EpigraphSpec`, fibrewise-horizontal on ``base x (-1, 1)``.
 
     ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
     ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``, and
@@ -113,40 +113,9 @@ class VectorFieldPX:
     ``(base_dim,)`` and a float ``x``.
     """
 
-    base_dim: int
-    interval: tuple[float, float]
-
-    def velocity(self, p, x):
-        raise NotImplementedError
-
-    def jet(self, p, x):
-        """``(v, dv/dx, grad_p v)`` at a batch of base points ``p`` of shape
-        ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``."""
-        raise NotImplementedError
-
-    def velocity_dx(self, p, x):
-        return self.jet(p, x)[1]
-
-    def velocity_grad_p(self, p, x):
-        return self.jet(p, x)[2]
-
-    def fiber(self, p) -> ScalarField1D:
-        """The restriction ``v(p, .)`` as a 1D field with exact zero set."""
-        raise NotImplementedError
-
-    def fibres(self, p) -> Fibres:
-        """The fibres over an ``(m, base_dim)`` batch of base points, for
-        :func:`~excisionlab.flow1d.flow_map_batch`."""
-        raise NotImplementedError
-
-
-class EpigraphField(VectorFieldPX):
-    """The ramp-velocity field attached to an :class:`EpigraphSpec`."""
-
     def __init__(self, spec: EpigraphSpec):
         self.spec = spec
         self.base_dim = spec.C.dim
-        self.interval = (-1.0, 1.0)
         self.c_fn: DefiningFunction = defining_function(spec.C, spec.sharpness)
 
     # parameter fields: a = (b - 1)/2 with b = lam, c the defining function
@@ -157,11 +126,12 @@ class EpigraphField(VectorFieldPX):
 
     def velocity(self, p, x):
         a, b, c = self.params(p)
-        return ramp_velocity(a, b, c, x, validate=False)
+        return ramp_velocity(a, b, c, x)
 
     def jet(self, p, x):
-        """One pass over the parameter fields and the ramp partials; ``v``
-        is bitwise :meth:`velocity`."""
+        """``(v, dv/dx, grad_p v)`` at a batch, from one pass over the
+        parameter fields and the ramp partials; ``v`` is bitwise
+        :meth:`velocity`."""
         b = self.spec.lam(p)
         a = 0.5 * (b - 1.0)
         c, c_grad = self.c_fn.value_and_grad(p)
@@ -171,11 +141,14 @@ class EpigraphField(VectorFieldPX):
         return v, du_dx, grad_p
 
     def fiber(self, p) -> ScalarField1D:
+        """The restriction ``v(p, .)`` as a 1D field with exact zero set."""
         return self.fibres(np.asarray(p, dtype=float)[None]).fields[0]
 
     def fibres(self, p) -> Fibres:
-        """Fibre ``i`` is ``ramp_velocity_field(a[i], b[i], c[i])`` with the
-        parameters of base point ``p[i]``; the batch velocity evaluates
+        """The fibres over an ``(m, base_dim)`` batch of base points, for
+        :func:`~excisionlab.flow1d.flow_map_batch`.  Fibre ``i`` is
+        ``ramp_velocity_field(a[i], b[i], c[i])`` with the parameters of
+        base point ``p[i]``; the batch velocity evaluates
         ``ramp_velocity`` with each node row's own parameters, which is
         elementwise, so every value is bitwise that fibre's own."""
         a, b, c = self.params(p)
@@ -183,8 +156,7 @@ class EpigraphField(VectorFieldPX):
             fields=[ramp_velocity_field(*abc)
                     for abc in zip(a.tolist(), b.tolist(), c.tolist())],
             velocity=lambda rows, nodes: ramp_velocity(
-                a[rows, None], b[rows, None], c[rows, None], nodes,
-                validate=False),
+                a[rows, None], b[rows, None], c[rows, None], nodes),
         )
 
 
@@ -218,7 +190,7 @@ def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:
     ], dtype=bool)
 
 
-def presympl_time1(field: VectorFieldPX, p, x) -> tuple[np.ndarray, float]:
+def presympl_time1(field: EpigraphField, p, x) -> tuple[np.ndarray, float]:
     """Time-1 flow of the null field: freezes ``p``, advances ``x``.
 
     Raises :class:`~excisionlab.errors.ExcisedPointError` when the fibre
@@ -234,7 +206,7 @@ def presympl_time1(field: VectorFieldPX, p, x) -> tuple[np.ndarray, float]:
     return p.copy(), flow_map(v, 1.0, float(x))
 
 
-def presympl_flow(field: VectorFieldPX, p, x, t) -> tuple[np.ndarray, np.ndarray]:
+def presympl_flow(field: EpigraphField, p, x, t) -> tuple[np.ndarray, np.ndarray]:
     """General time-``t`` fibre flow of a batch: ``(m, base_dim)`` base
     points ``p``, ``(m,)`` fibre coordinates ``x`` and a time ``t`` that is
     a float or an ``(m,)`` array.  Returns ``p`` (copied) and the ``(m,)``

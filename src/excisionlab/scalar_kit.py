@@ -1,25 +1,27 @@
-"""Closed-form smooth building blocks, each paired with its exact derivative.
+"""Closed-form smooth building blocks.
 
 Everything downstream (1D flows, null fields on a product base, Hamiltonian
 extensions) is assembled from the primitives in this module:
 
 * ``cubic_smoothstep`` -- the polynomial step ``3s^2 - 2s^3`` used to flatten
-  cutoffs at their zero set,
+  cutoffs at their zero set, with its derivative,
 * ``smooth_step`` -- a C-infinity step built from ``exp(-1/t)`` ratios,
-* ``rising_cutoff`` -- the two-sided exponential ramp that is 0 below
-  ``(a-1)/2`` and 1 above ``a``,
 * ``ramp_velocity`` -- the parametric velocity profile whose forward flow
-  time has closed form (see :mod:`excisionlab.flow1d`),
+  time has closed form (see :mod:`excisionlab.flow1d`): a two-sided
+  exponential cutoff that is 0 below ``(a-1)/2`` and 1 above ``a``, times
+  a plateau speed and a rational decay,
 * ``bridge_velocity`` -- the unit-plateau profile that crosses ``(lo, hi)``
-  with a prescribed extra delay,
+  with a prescribed extra delay, and its closed-form crossing time,
+* ``ScalarField1D`` and ``ramp_velocity_field`` -- a speed on an open
+  interval with its exact zero set, the input of every 1D flow,
 * ``defining_function`` -- a smooth nonnegative function whose zero locus is
   a prescribed closed set (finite unions of boxes, points and finite-depth
-  Cantor products).
+  Cantor products), with its exact gradient.
 
 Every evaluator is batch-only and returns numpy arrays, never Python
-scalars.  The elementwise ones (smooth steps, cutoffs, ramp and bridge
-velocities, ``bump_mass``, ``ball_bump_from_sq``) take arrays of any
-shape, a 0-d array included, and return an array of the broadcast shape.
+scalars.  The elementwise ones (smooth steps, ramp and bridge velocities,
+``bump_mass``, ``ball_bump_from_sq``) take arrays of any shape, a 0-d
+array included, and return an array of the broadcast shape.
 The point evaluators (``ClosedSetSpec.contains`` and
 ``boundary_distance``, ``DefiningFunction``, ``smooth_box_plateau``) take
 an ``(m, dim)`` batch and return ``(m,)`` or ``(m, dim)`` arrays.  The
@@ -35,7 +37,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,28 +46,16 @@ from .errors import InputError
 __all__ = [
     "EXP_CLAMP",
     "BRIDGE_NORM",
-    "exp_decay",
     "cubic_smoothstep",
     "cubic_smoothstep_deriv",
     "smooth_step",
-    "smooth_step_deriv",
     "smooth_step_jet",
-    "rising_cutoff",
-    "rising_cutoff_dx",
-    "rising_cutoff_da",
     "ramp_velocity",
     "ramp_velocity_jet",
-    "ramp_velocity_partials",
     "bridge_velocity",
-    "bridge_velocity_dx",
     "bump_mass",
     "ScalarField1D",
-    "constant_field",
-    "affine_field",
     "ramp_velocity_field",
-    "bridge_velocity_field",
-    "interval_to_line_field",
-    "cotangent_lift",
     "AxisSet",
     "axis_point",
     "axis_interval",
@@ -88,18 +78,6 @@ EXP_CLAMP = 1e-12
 _LOG_TINY = -700.0
 
 
-def exp_decay(w):
-    """``exp(-1/w)`` for ``w > 0``, extended by 0 for ``w <= 0``.
-
-    The C-infinity prototype of every flat cutoff in the kit.
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    mask = w > EXP_CLAMP
-    out[mask] = np.exp(-1.0 / w[mask])
-    return out
-
-
 def cubic_smoothstep(s):
     """Polynomial step ``3 s^2 - 2 s^3``.
 
@@ -117,7 +95,9 @@ def cubic_smoothstep_deriv(s):
 
 
 def _ratio_jet(u, v, need_grad: bool = True):
-    """``E(u) / (E(u) + E(v))`` with ``E = exp_decay``, flat at both ends,
+    """``E(u) / (E(u) + E(v))`` with ``E(w) = exp(-1/w)`` for ``w > 0``
+    and 0 otherwise (the C-infinity prototype of every flat cutoff in the
+    kit), flat at both ends,
     and its partials w.r.t. ``u`` and ``v``, from one pair of ``exp`` calls.
 
     Batch-only: ``u`` and ``v`` are arrays of one shape with ``u + v > 0``
@@ -156,12 +136,8 @@ def smooth_step(t):
     return smooth_step_jet(np.asarray(t, dtype=float), need_grad=False)[0]
 
 
-def smooth_step_deriv(t):
-    return np.asarray(smooth_step_jet(np.asarray(t, dtype=float))[1])
-
-
 # ---------------------------------------------------------------------------
-# the rising cutoff and the parametric ramp velocity
+# the parametric ramp velocity
 # ---------------------------------------------------------------------------
 
 def _check_open(name, value, lo, hi):
@@ -177,8 +153,12 @@ def _check_closed(name, value, lo, hi):
 
 
 def _rising_jet(a, x, need_grad: bool = True):
-    """Batch-only :func:`rising_cutoff` with its ``x``- and ``a``-partials,
-    ``(chi, chi_x, chi_a)``, from one :func:`_ratio_jet` call."""
+    """The rising cutoff ``chi``, a nondecreasing C-infinity ramp that is 0
+    for ``x <= (a-1)/2`` and 1 for ``x >= a``, with its ``x``- and
+    ``a``-partials, ``(chi, chi_x, chi_a)``, from one :func:`_ratio_jet`
+    call.  On the middle band it is the normalized ratio of
+    ``exp(-1/(x-(a-1)/2))`` against ``exp(-1/(a-x))``, exactly 1/2 at the
+    band's midpoint."""
     s = 0.5 * (a - 1.0)
     chi, du, dv = _ratio_jet(x - s, a - x, need_grad)
     if not need_grad:
@@ -186,50 +166,18 @@ def _rising_jet(a, x, need_grad: bool = True):
     return chi, du - dv, -0.5 * du + dv
 
 
-def rising_cutoff(a, x, validate: bool = True):
-    """Nondecreasing C-infinity ramp: 0 for ``x <= (a-1)/2``, 1 for ``x >= a``.
-
-    On the middle band it is the normalized ratio of ``exp(-1/(x-(a-1)/2))``
-    against ``exp(-1/(a-x))``; in particular the value at the midpoint of the
-    band is exactly 1/2.
-    """
-    if validate:
-        _check_open("a", a, -1.0, 1.0)
-        _check_open("x", x, -1.0, 1.0)
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return _rising_jet(a, x, need_grad=False)[0]
-
-
-def rising_cutoff_dx(a, x):
-    """x-derivative of :func:`rising_cutoff` (closed form, nonnegative)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.asarray(_rising_jet(a, x)[1])
-
-
-def rising_cutoff_da(a, x):
-    """a-derivative of :func:`rising_cutoff` (nonpositive: raising ``a``
-    pushes the ramp to the right)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.asarray(_rising_jet(a, x)[2])
-
-
-def ramp_velocity(a, b, c, x, validate: bool = True):
-    """Parametric velocity ``rising_cutoff(a,x) * (1-b) * (1-x^2)/(1-x^2+c)``.
+def ramp_velocity(a, b, c, x):
+    """Parametric velocity ``chi(a, x) * (1-b) * (1-x^2)/(1-x^2+c)``, with
+    ``chi`` the rising cutoff of :func:`_rising_jet`.
 
     Values lie in [0, 1]; zero exactly where the cutoff or the ``1-b``
     factor vanishes.  For ``c = 0`` the rational factor is identically 1, so
     above the ramp the speed is the constant ``1-b``; for ``c > 0`` the
     speed decays near the right endpoint fast enough that the endpoint is
-    never reached in finite time.
+    never reached in finite time.  ``a`` in (-1, 1), ``b`` in [-1, 1], ``c``
+    in [0, 1] and ``x`` in (-1, 1) are not checked here, only at the edge,
+    :func:`ramp_velocity_field`.
     """
-    if validate:
-        _check_open("a", a, -1.0, 1.0)
-        _check_closed("b", b, -1.0, 1.0)
-        _check_closed("c", c, 0.0, 1.0)
-        _check_open("x", x, -1.0, 1.0)
     # x - s and a - x share one shape; b and c broadcast in the product
     a, b, c, x = (np.asarray(v, dtype=float) for v in (a, b, c, x))
     one_m_x2 = 1.0 - x * x
@@ -255,14 +203,6 @@ def ramp_velocity_jet(a, b, c, x):
     du_dc = chi * one_m_b * r_c
     du_dx = chi_x * one_m_b * rational + chi * one_m_b * r_x
     return u, du_da, du_db, du_dc, du_dx
-
-
-def ramp_velocity_partials(a, b, c, x):
-    """Partials ``(du/da, du/db, du/dc, du/dx)`` of :func:`ramp_velocity`."""
-    a, b, c, x = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, c, x))
-    )
-    return ramp_velocity_jet(a, b, c, x)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +242,15 @@ def bump_mass(t):
 BRIDGE_NORM = float(bump_mass(1.0))
 
 
-def _bridge_params(lo, hi, delay):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    delay = np.asarray(delay, dtype=float)
-    if np.any(~(0.0 < lo)) or np.any(~(lo < hi)) or np.any(~(hi < 1.0)):
-        raise InputError("bridge requires 0 < lo < hi < 1")
-    if np.any(~(delay > 0.0)):
-        raise InputError("bridge delay must be positive")
-    return lo, hi, delay
-
-
-def bridge_velocity(lo, hi, delay, x, validate: bool = True):
+def bridge_velocity(lo, hi, delay, x):
     """Smooth speed on (0,1): 1 outside ``(lo, hi)``, slowed inside so that
     the crossing from ``lo`` to ``hi`` takes exactly ``hi - lo + delay``.
 
     Inside the band the profile is ``K / (K + delay * W(x))`` where ``W`` is
     a flat bump on ``(lo, hi)`` and ``K = (hi-lo)/2 * BRIDGE_NORM``; the
-    normalization makes the extra crossing time exactly ``delay``.
+    normalization makes the extra crossing time exactly ``delay``.  The
+    band needs ``0 < lo < hi < 1`` and ``delay > 0``, which callers ensure.
     """
-    if validate:
-        lo, hi, delay = _bridge_params(lo, hi, delay)
     lo, hi, delay, x = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (lo, hi, delay, x))
     )
@@ -335,31 +263,6 @@ def bridge_velocity(lo, hi, delay, x, validate: bool = True):
         w = np.where(expo > _LOG_TINY, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
         k = 0.5 * width * BRIDGE_NORM
         out[inside] = k / (k + d * w)
-    return out
-
-
-def bridge_velocity_dx(lo, hi, delay, x):
-    """x-derivative of :func:`bridge_velocity` (0 outside the band)."""
-    lo, hi, delay, x = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (lo, hi, delay, x))
-    )
-    out = np.zeros(x.shape)
-    inside = (x > lo) & (x < hi)
-    if np.any(inside):
-        l, h, d, xi = lo[inside], hi[inside], delay[inside], x[inside]
-        width = h - l
-        prod = (xi - l) * (h - xi)
-        expo = -width * width / (2.0 * prod)
-        live = expo > _LOG_TINY
-        w = np.where(live, np.exp(np.maximum(expo, _LOG_TINY)), 0.0)
-        # d/dx of the exponent; w underflows to 0 faster than this grows
-        w_x = np.where(
-            live,
-            w * (width * width / 2.0) * (l + h - 2.0 * xi) / (prod * prod),
-            0.0,
-        )
-        k = 0.5 * width * BRIDGE_NORM
-        out[inside] = -k * d * w_x / (k + d * w) ** 2
     return out
 
 
@@ -388,24 +291,21 @@ def bridge_crossing_time(lo, hi, delay, x0, x1):
 
 @dataclass(frozen=True)
 class ScalarField1D:
-    """An evaluable smooth function of one variable with exact derivative.
+    """A smooth speed ``f`` on the open interval ``domain``.
 
-    ``zero_regions`` lists closed intervals on which the field vanishes
-    identically; flow-time computations use them to certify blocked
-    trajectories without scanning.  ``None`` means "unknown, scan".
+    ``zero_regions`` lists the closed intervals on which the field vanishes
+    identically, and must list every zero of ``f`` in the domain: the 1D
+    flows (:mod:`excisionlab.flow1d`) read the zeros that block a
+    trajectory from it and never search for them.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
-    zero_regions: Optional[tuple[tuple[float, float], ...]] = ()
+    zero_regions: tuple[tuple[float, float], ...] = ()
     label: str = ""
 
     def __call__(self, x):
         return self.f(x)
-
-    def deriv(self, x):
-        return self.df(x)
 
     def check_domain(self, x) -> None:
         lo, hi = self.domain
@@ -414,27 +314,6 @@ class ScalarField1D:
             raise InputError(
                 f"argument outside open domain ({lo}, {hi}) of {self.label or 'field'}"
             )
-
-
-def constant_field(value: float, domain=(0.0, 1.0)) -> ScalarField1D:
-    zeros = (tuple([domain]) if value == 0.0 else ())
-    return ScalarField1D(
-        f=lambda x: np.full_like(np.asarray(x, dtype=float), value),
-        df=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        domain=domain,
-        zero_regions=zeros,
-        label=f"const({value})",
-    )
-
-
-def affine_field(slope: float, intercept: float, domain) -> ScalarField1D:
-    return ScalarField1D(
-        f=lambda x: slope * np.asarray(x, dtype=float) + intercept,
-        df=lambda x: np.full_like(np.asarray(x, dtype=float), slope),
-        domain=domain,
-        zero_regions=None,
-        label=f"affine({slope},{intercept})",
-    )
 
 
 def ramp_velocity_field(a: float, b: float, c: float) -> ScalarField1D:
@@ -448,51 +327,11 @@ def ramp_velocity_field(a: float, b: float, c: float) -> ScalarField1D:
     else:
         zeros = ((-1.0, 0.5 * (a - 1.0)),)
     return ScalarField1D(
-        f=lambda x: ramp_velocity(a, b, c, x, validate=False),
-        df=lambda x: ramp_velocity_partials(a, b, c, x)[3],
+        f=lambda x: ramp_velocity(a, b, c, x),
         domain=(-1.0, 1.0),
         zero_regions=zeros,
         label=f"ramp(a={a},b={b},c={c})",
     )
-
-
-def bridge_velocity_field(lo: float, hi: float, delay: float) -> ScalarField1D:
-    _bridge_params(lo, hi, delay)
-    return ScalarField1D(
-        f=lambda x: bridge_velocity(lo, hi, delay, x, validate=False),
-        df=lambda x: bridge_velocity_dx(lo, hi, delay, x),
-        domain=(0.0, 1.0),
-        zero_regions=(),
-        label=f"bridge({lo},{hi},{delay})",
-    )
-
-
-def interval_to_line_field() -> ScalarField1D:
-    """The diffeomorphism ``t -> t/(1-t^2)`` from (-1,1) onto the line."""
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return t / (1.0 - t * t)
-
-    def dg(t):
-        t = np.asarray(t, dtype=float)
-        q = 1.0 - t * t
-        return (1.0 + t * t) / (q * q)
-
-    return ScalarField1D(
-        f=g, df=dg, domain=(-1.0, 1.0), zero_regions=None, label="t/(1-t^2)"
-    )
-
-
-def cotangent_lift(g: ScalarField1D, point):
-    """Area-preserving lift ``(x, y) -> (g(x), y / g'(x))`` of a 1D
-    diffeomorphism; the Jacobian determinant is identically 1."""
-    x, y = float(point[0]), float(point[1])
-    g.check_domain(x)
-    gp = float(g.deriv(x))
-    if gp == 0.0:
-        raise InputError("lifted map needs a nonvanishing derivative")
-    return float(g(x)), y / gp
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +381,6 @@ class AxisSet:
         t = np.asarray(t, dtype=float)
         edges = np.asarray([e for iv in self.intervals for e in iv])
         return np.abs(t[..., None] - edges).min(axis=-1)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.intervals[0][0], self.intervals[-1][1]
 
 
 def axis_point(v: float) -> AxisSet:

@@ -33,7 +33,7 @@ from .ham_extension import (
     build_ray_hamiltonian,
     build_ray_hamiltonian_n1,
     coordinate_stencil,
-    epigraph_target,
+    epigraph_sampler,
     extend_null_field,
     localize,
 )
@@ -372,7 +372,7 @@ def _brush_setup(sharpness: float = 0.002):
         validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=sharpness,
     )
     vfield = null_fields.build_epigraph_field(spec)
-    ham = extend_null_field(vfield, epigraph_target(spec))
+    ham = extend_null_field(vfield, epigraph_sampler(spec))
     return C, spec, vfield, ham
 
 
@@ -480,7 +480,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
         C=C, lam=lam, validation_box=((-1.5, -1.5), (1.5, 1.5)),
     )
     vfield = null_fields.build_epigraph_field(spec)
-    ham = extend_null_field(vfield, epigraph_target(spec))
+    ham = extend_null_field(vfield, epigraph_sampler(spec))
     rng = np.random.default_rng(cfg.seed)
     checks = {}
 

@@ -95,27 +95,6 @@ class TreeSpec:
     def node_array(self, i: int) -> np.ndarray:
         return np.asarray(self.nodes[i], dtype=float)
 
-    def to_config(self) -> dict:
-        return {
-            "nodes": [list(nd) for nd in self.nodes],
-            "edges": [list(e) for e in self.edges],
-            "mode": self.mode,
-            "special": self.special,
-            "w0": self.w0,
-            "eps": self.eps,
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "TreeSpec":
-        return TreeSpec(
-            nodes=tuple(tuple(nd) for nd in cfg["nodes"]),
-            edges=tuple(tuple(e) for e in cfg["edges"]),
-            mode=cfg.get("mode", OPEN_ROOTED),
-            special=int(cfg.get("special", 0)),
-            w0=float(cfg.get("w0", 0.05)),
-            eps=float(cfg.get("eps", 0.4)),
-        )
-
 
 @dataclass(frozen=True)
 class BranchChart:

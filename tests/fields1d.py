@@ -1,0 +1,88 @@
+"""1D speed fields and a closed-form oracle that only the tests use.
+
+The package's own fibres are ramp fields (``ramp_velocity_field``) and
+glued tower fibres; the fields here give the flow tests speeds with
+known times: a constant, an affine speed with a log-divergent end, and
+the bridge profile with its exact crossing time.
+"""
+
+import math
+
+import numpy as np
+
+from excisionlab import flow1d as f1
+from excisionlab.errors import InputError, ToleranceFailure
+from excisionlab.scalar_kit import ScalarField1D, bridge_velocity
+
+
+def constant_field(value: float, domain=(0.0, 1.0)) -> ScalarField1D:
+    zeros = (tuple(domain),) if value == 0.0 else ()
+    return ScalarField1D(
+        f=lambda x: np.full_like(np.asarray(x, dtype=float), value),
+        domain=domain,
+        zero_regions=zeros,
+        label=f"const({value})",
+    )
+
+
+def affine_field(slope: float, intercept: float, domain) -> ScalarField1D:
+    """``slope * x + intercept`` with its one zero declared."""
+    zero = -intercept / slope
+    return ScalarField1D(
+        f=lambda x: slope * np.asarray(x, dtype=float) + intercept,
+        domain=domain,
+        zero_regions=((zero, zero),),
+        label=f"affine({slope},{intercept})",
+    )
+
+
+def bridge_velocity_field(lo: float, hi: float, delay: float) -> ScalarField1D:
+    """The bridge profile on (0, 1); needs ``0 < lo < hi < 1`` and
+    ``delay > 0``."""
+    return ScalarField1D(
+        f=lambda x: bridge_velocity(lo, hi, delay, x),
+        domain=(0.0, 1.0),
+        zero_regions=(),
+        label=f"bridge({lo},{hi},{delay})",
+    )
+
+
+def unit_time_threshold(a: float, b: float, tol: float = f1.ROOT_TOL) -> float:
+    """The unique ``x`` where the ramp time (with ``c = 0``) equals 1.
+
+    Equals ``b`` whenever ``b >= a`` (the linear branch inverts exactly);
+    for ``b < a`` it lies strictly between ``max(b, (a-1)/2)`` and ``a`` and
+    is found by bisection on the strictly decreasing closed-form time.
+    """
+    f1._check_ramp_params(a, b, 0.0)
+    if b >= 1.0:
+        raise InputError("b must lie in [-1, 1) for a finite threshold")
+    s = 0.5 * (a - 1.0)
+    if (1.0 - a) / (1.0 - b) >= 1.0:      # b >= a: threshold on the plateau
+        return float(b)
+
+    # Below the plateau the defining equation reduces to
+    #   A(x) = x - b,   A(x) = int_x^a exp(1/(xi-s) - 1/(a-xi)) dxi,
+    # with A strictly decreasing and blowing up at the corner, so the lower
+    # bracket needs no evaluation; bisect with incremental quadrature,
+    # treating capped segments as certified-above (x - b never exceeds 2).
+    def seg(lo: float, hi: float) -> float:
+        try:
+            val, _, capped = f1.adaptive_quad(lambda xi: f1._ramp_corner(xi, a, s),
+                                              lo, hi, tol=1e-13, cap=2.5)
+        except ToleranceFailure as failure:
+            if failure.partial is not None and failure.partial > 2.5:
+                return math.inf
+            raise
+        return math.inf if capped else val
+
+    x_lo = max(b, s) + 1e-13 * (a - max(b, s))
+    x_hi, A_hi = a, 0.0
+    while x_hi - x_lo > tol:
+        mid = 0.5 * (x_lo + x_hi)
+        A_mid = A_hi + seg(mid, x_hi)
+        if A_mid - (mid - b) > 0.0:
+            x_lo = mid
+        else:
+            x_hi, A_hi = mid, A_mid
+    return 0.5 * (x_lo + x_hi)

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
 from excisionlab.errors import FlowDomainError, InputError, ToleranceFailure
+from fields1d import (affine_field, bridge_velocity_field, constant_field,
+                      unit_time_threshold)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -20,7 +22,7 @@ MU_REF = 0.09680180080448680873
 
 class TestForwardBackward:
     def test_constant_speed(self):
-        v = sk.constant_field(1.0, (0.0, 1.0))
+        v = constant_field(1.0, (0.0, 1.0))
         assert f1.forward_time(v, 0.25).value == pytest.approx(0.75, abs=1e-10)
         assert f1.backward_time(v, 0.25).value == pytest.approx(-0.25, abs=1e-10)
 
@@ -45,7 +47,7 @@ class TestForwardBackward:
             assert t.mode == f1.MODE_ZERO_BLOCKED
 
     def test_bridge_backward_finite(self):
-        v = sk.bridge_velocity_field(0.2, 0.5, 0.1)
+        v = bridge_velocity_field(0.2, 0.5, 0.1)
         t = f1.backward_time(v, 0.1)
         assert t.value == pytest.approx(-0.1, abs=1e-9)
 
@@ -61,22 +63,10 @@ class TestForwardBackward:
             with pytest.raises(InputError, match="outside open domain"):
                 flight_time(v, math.nan)
 
-    def test_opaque_field_zero_scan(self):
-        # no zero metadata: the scan must find the dead zone ahead
-        dead = sk.ScalarField1D(
-            f=lambda x: np.where(np.asarray(x) < 0.5,
-                                 0.5 * np.ones_like(np.asarray(x, dtype=float)),
-                                 0.0),
-            df=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            domain=(0.0, 1.0), zero_regions=None,
-        )
-        t = f1.forward_time(dead, 0.2)
-        assert t.value == math.inf and t.mode == f1.MODE_ZERO_BLOCKED
-
 
 class TestFlowMap:
     def test_constant(self):
-        v = sk.constant_field(1.0, (0.0, 1.0))
+        v = constant_field(1.0, (0.0, 1.0))
         assert f1.flow_map(v, 0.3, 0.2) == pytest.approx(0.5, abs=1e-10)
 
     def test_fixed_point(self):
@@ -92,7 +82,7 @@ class TestFlowMap:
             f1.flow_map(v, 0.5, math.nan)
 
     def test_bridge_endpoint_timing(self):
-        v = sk.bridge_velocity_field(0.2, 0.5, 0.1)
+        v = bridge_velocity_field(0.2, 0.5, 0.1)
         got = f1.flow_map(v, 0.4, 0.2)
         assert got == pytest.approx(0.5, abs=1e-8)
 
@@ -124,7 +114,7 @@ class TestFlowMap:
 
     def test_semigroup(self):
         rng = np.random.default_rng(1)
-        v = sk.bridge_velocity_field(0.3, 0.6, 0.2)
+        v = bridge_velocity_field(0.3, 0.6, 0.2)
         for _ in range(25):
             x = rng.uniform(0.05, 0.5)
             s, t = rng.uniform(0.01, 0.15, size=2)
@@ -160,7 +150,7 @@ class TestClosedFormTimes:
             if x <= 0.5 * (a - 1.0) + 0.05:
                 continue
             closed = f1.ramp_time_closed_form(a, b, 0.0, x)
-            if not closed.finite or closed.value > 1e3:
+            if not math.isfinite(closed.value) or closed.value > 1e3:
                 continue
             quad = f1.forward_time(sk.ramp_velocity_field(a, b, 0.0), x)
             assert quad.value == pytest.approx(closed.value,
@@ -182,11 +172,11 @@ class TestClosedFormTimes:
 
 class TestUnitTimeThreshold:
     def test_identity_above_ramp(self):
-        assert f1.unit_time_threshold(0.1, 0.5) == 0.5
-        assert f1.unit_time_threshold(-0.3, -0.3) == -0.3
+        assert unit_time_threshold(0.1, 0.5) == 0.5
+        assert unit_time_threshold(-0.3, -0.3) == -0.3
 
     def test_frozen_below_ramp_root(self):
-        mu = f1.unit_time_threshold(0.5, 0.0)
+        mu = unit_time_threshold(0.5, 0.0)
         assert mu == pytest.approx(MU_REF, abs=5e-12)
 
     def test_bounds_below(self):
@@ -194,7 +184,7 @@ class TestUnitTimeThreshold:
         for _ in range(40):
             a = rng.uniform(-0.5, 0.9)
             b = rng.uniform(-1.0, a - 0.05)
-            mu = f1.unit_time_threshold(a, b)
+            mu = unit_time_threshold(a, b)
             assert max(b, 0.5 * (a - 1.0)) < mu < a
             tof = f1.ramp_time_closed_form(a, b, 0.0, mu)
             assert tof.value == pytest.approx(1.0, abs=1e-8)
@@ -209,7 +199,7 @@ class TestUnitTimeThreshold:
         for a in a_grid:
             for b in b_grid:
                 if b < 1.0:
-                    thresholds[(a, b)] = f1.unit_time_threshold(a, b)
+                    thresholds[(a, b)] = unit_time_threshold(a, b)
         checked = 0
         for a in a_grid:
             for b in b_grid:
@@ -236,6 +226,81 @@ class TestAdaptiveQuad:
         val, _, capped = f1.adaptive_quad(
             lambda x: 1.0 / np.maximum(x, 1e-300) ** 2, 0.0, 1.0, cap=100.0)
         assert capped and val > 100.0
+
+
+# ---------------------------------------------------------------------------
+# the panel heap against the sorted panel list it replaced
+# ---------------------------------------------------------------------------
+
+def quad_sorted_ref(a, b, tol=f1.QUAD_TOL, cap=None, max_depth=f1.MAX_LEVELS,
+                    max_panels=8192):
+    """The earlier steps of ``adaptive_quad``, kept verbatim: the whole
+    panel list is sorted by error at every bisection, and the last panel,
+    of largest error and made last among equal errors, is split."""
+    if b <= a:
+        return 0.0, 0.0, False
+    fx = yield ((a, b),)
+    val, err = f1._gk15(fx[0], 0.5 * (b - a))
+    panels = [(err, a, b, val, 0)]
+    total, toterr = val, err
+    while toterr > tol * max(1.0, abs(total)):
+        if cap is not None and total - toterr > cap:
+            return total, toterr, True
+        panels.sort(key=lambda p: p[0])
+        perr, pa, pb, pval, depth = panels.pop()
+        if depth >= max_depth or len(panels) >= max_panels:
+            if cap is not None and total - toterr > cap:
+                return total, toterr, True
+            raise ToleranceFailure(
+                f"quadrature did not converge on [{a}, {b}]", partial=total
+            )
+        pm = 0.5 * (pa + pb)
+        fx = yield ((pa, pm), (pm, pb))
+        lval, lerr = f1._gk15(fx[0], 0.5 * (pm - pa))
+        rval, rerr = f1._gk15(fx[1], 0.5 * (pb - pm))
+        total += lval + rval - pval
+        toterr += lerr + rerr - perr
+        panels.append((lerr, pa, pm, lval, depth + 1))
+        panels.append((rerr, pm, pb, rval, depth + 1))
+    return total, toterr, False
+
+
+def quad_rounds(steps, f):
+    """The result of a quadrature's steps, or its refusal, and the nodes of
+    every round in order."""
+    rounds = []
+
+    def recorded(x):
+        rounds.append(np.array(x, copy=True))
+        return f(x)
+    try:
+        return f1._run_one(steps, recorded), rounds
+    except ToleranceFailure as failure:
+        return ("refused", failure.partial), rounds
+
+
+class TestPanelHeap:
+    @pytest.mark.parametrize("f, a, b, cap", [
+        # a square wave whose 64 jumps sit alike in their panels: equal
+        # errors tie at every depth, and the panel made last is split
+        (lambda x: (np.mod(64.0 * x, 1.0) < 1.0 / 3.0).astype(float),
+         0.0, 1.0, None),
+        # 1/v of a ramp with c > 0 up to 2^-40 from its end: 5,836 rounds
+        (lambda x: 1.0 / sk.ramp_velocity(-0.17978911822283405,
+                                          -0.318534576735228,
+                                          0.19268974261692928, x),
+         0.99, 1.0 - 2.0 ** -40, f1.DIVERGENCE_CAP),
+        # depth exhausted: both refuse with the same partial value
+        (lambda x: x ** -0.9, 0.0, 1.0, None),
+        # capped
+        (lambda x: 1.0 / np.maximum(x, 1e-300) ** 2, 0.0, 1.0, 100.0),
+    ], ids=["ties", "ramp-end", "refused", "capped"])
+    def test_splits_the_panels_the_sorted_list_split(self, f, a, b, cap):
+        want, want_rounds = quad_rounds(quad_sorted_ref(a, b, cap=cap), f)
+        got, got_rounds = quad_rounds(f1._quad(a, b, cap=cap), f)
+        assert got == want
+        assert len(got_rounds) == len(want_rounds)
+        assert all(np.array_equal(g, w) for g, w in zip(got_rounds, want_rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +366,7 @@ def backward_time_ref(v, x, tol=f1.QUAD_TOL):
     if float(v(x)) == 0.0 or f1._zero_barrier(v, x, -1) is not None:
         return f1.TimeOfFlight(-math.inf, f1.MODE_ZERO_BLOCKED)
     res = improper_endpoint_time_ref(v, x, v.domain[0], -1, tol)
-    if not res.finite:
+    if not math.isfinite(res.value):
         return f1.TimeOfFlight(-math.inf, res.mode, lower_bound=res.lower_bound)
     return f1.TimeOfFlight(-res.value, res.mode)
 
@@ -383,7 +448,7 @@ def walk_fibres(box_tail_field):
         xs = rng.uniform(0.5 * (a - 1.0) + 0.02, 0.95, size=4)
         fibres.append((sk.ramp_velocity_field(a, b, c), xs.tolist()))
     for lo, hi, delay in ((0.2, 0.5, 0.1), (0.3, 0.6, 0.2), (0.1, 0.9, 2.0)):
-        fibres.append((sk.bridge_velocity_field(lo, hi, delay),
+        fibres.append((bridge_velocity_field(lo, hi, delay),
                        rng.uniform(0.02, 0.98, size=4).tolist()))
     _, field, transect = box_tail_field
     for i in (3, 11, 20, 31, 44):
@@ -474,7 +539,7 @@ class TestOneWalk:
         # the walk settles about 1e-10 short of the exit time and adds the
         # tail; a time inside that tail is still walked to, and the exit
         # time itself is refused
-        v = sk.constant_field(1.0, (0.0, 1.0))
+        v = constant_field(1.0, (0.0, 1.0))
         for t in (0.75 - 1e-12, 0.75 - 1e-11, 0.75 - 1e-10):
             got = f1.flow_map(v, t, 0.25)
             assert got == flow_map_ref(v, t, 0.25)
@@ -488,7 +553,7 @@ class TestOneWalk:
             flow_map_ref(v, exit_t - 1e-12, 0.3)
 
     def test_backward_refusal_reports_both_bounds(self):
-        v = sk.bridge_velocity_field(0.2, 0.5, 0.1)
+        v = bridge_velocity_field(0.2, 0.5, 0.1)
         with pytest.raises(FlowDomainError) as err:
             f1.flow_map(v, -0.2, 0.1)
         assert err.value.t == -0.2
@@ -506,7 +571,7 @@ class TestOneWalk:
     def test_log_divergence_verdict_does_not_stop_a_finite_time(self):
         # v = 1 - x: the time to 1 diverges like -log(1 - x), slowly enough
         # that the per-level verdict fires near t = 9, yet t = 20 is reached
-        v = sk.affine_field(-1.0, 1.0, (0.0, 1.0))
+        v = affine_field(-1.0, 1.0, (0.0, 1.0))
         tof = f1.forward_time(v, 0.5)
         assert tof.value == math.inf and 8.0 < tof.lower_bound < 10.0
         got = f1.flow_map(v, 20.0, 0.5)
@@ -518,7 +583,7 @@ class TestOneWalk:
         # levels: v = a x adds log(2)/a per level, and t = -1 at a = 50
         # (t = -45 at a = 1) lies past the first MAX_LEVELS of them
         for a, t in ((50.0, -1.0), (1.0, -45.0), (1.0, -100.0)):
-            v = sk.affine_field(a, 0.0, (0.0, 1.0))
+            v = affine_field(a, 0.0, (0.0, 1.0))
             got = f1.flow_map(v, t, 0.5)
             assert got == flow_map_ref(v, t, 0.5)
             assert abs(got - 0.5 * math.exp(a * t)) <= f1.ROOT_TOL
@@ -528,7 +593,7 @@ class TestOneWalk:
         # reference refuses t = -3.9 there; the walk goes on until its far
         # edge rounds onto 0, so every time is reached, within ROOT_TOL of
         # 0.5 e^(50 t) (about 1e-85 at t = -3.9)
-        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        v = affine_field(50.0, 0.0, (0.0, 1.0))
         with pytest.raises(FlowDomainError):
             flow_map_ref(v, -3.9, 0.5)
         got = f1.flow_map(v, -3.9, 0.5)
@@ -542,7 +607,7 @@ class TestOneWalk:
     def test_time_beyond_the_divergence_cap_is_reached(self):
         # the exit time 5e6 exceeds DIVERGENCE_CAP, so forward_time calls
         # it infinite; a finite time past the cap is still walked to
-        v = sk.constant_field(1e-7, (0.0, 1.0))
+        v = constant_field(1e-7, (0.0, 1.0))
         assert f1.forward_time(v, 0.5).value == math.inf
         got = f1.flow_map(v, 4e6, 0.5)
         assert abs(got - flow_map_ref(v, 4e6, 0.5)) <= 2.0 * math.ulp(1.0)
@@ -553,7 +618,7 @@ class TestOneWalk:
         # the end: the walk's only panel [0, 5e-324] puts every node on 0,
         # where 1/v is infinite.  That is an infinite time, beyond any
         # target, so the flow stays at the last float inside the domain
-        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        v = affine_field(50.0, 0.0, (0.0, 1.0))
         least = 5e-324
         for t in (-1e-3, -1.0, -100.0):
             got = f1.flow_map(v, t, least)
@@ -570,7 +635,7 @@ class TestFirstPanelNextToAnEnd:
         # v = 50 x is 5e-319 at the start, so 1/v overflows to inf.  Toward
         # 0 the time is infinite, as the first panel says; toward 1 it is
         # about 14.7, but the pieces next to the start cannot time it
-        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        v = affine_field(50.0, 0.0, (0.0, 1.0))
         tof = f1.backward_time(v, 1e-320)
         assert tof_fields(tof) == (-math.inf, f1.MODE_QUADRATURE, math.inf)
         with pytest.raises(ToleranceFailure, match="overflows"):
@@ -581,7 +646,7 @@ class TestFirstPanelNextToAnEnd:
     def test_flow_where_one_over_v_overflows_is_not_guessed(self, t, x):
         # 20 is past the exit time, and 14.5 reaches about 7.6e-6; the
         # overflow used to read as an infinite time and return about x
-        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        v = affine_field(50.0, 0.0, (0.0, 1.0))
         with pytest.raises(ToleranceFailure, match="overflows"):
             f1.flow_map(v, t, x)
 
@@ -599,7 +664,7 @@ class TestFirstPanelNextToAnEnd:
     @pytest.mark.parametrize("x", [1e-300, 1e-200])
     def test_forward_flow_from_next_to_a_log_divergent_start(self, x):
         # v = 50 x: the time from x to y is log(y / x) / 50
-        v = sk.affine_field(50.0, 0.0, (0.0, 1.0))
+        v = affine_field(50.0, 0.0, (0.0, 1.0))
         exit_t = -math.log(x) / 50.0
         assert f1.forward_time(v, x).value == pytest.approx(exit_t,
                                                             rel=f1.QUAD_TOL)

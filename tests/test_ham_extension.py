@@ -112,8 +112,8 @@ class TestRayPlane:
     def test_off_axis_complete(self):
         F = hx.build_ray_hamiltonian_n1()
         z = np.array([0.5, 0.7])
-        assert sf.integrate(F, z, 10.0).completed[0]
-        assert sf.integrate(F, z, -10.0).completed[0]
+        assert sf.integrate_batch(F, z[None], 10.0).completed[0]
+        assert sf.integrate_batch(F, z[None], -10.0).completed[0]
 
 
 class TestExtension:
@@ -146,7 +146,7 @@ class TestExtension:
     def test_cutoff_is_one_on_target(self, brush):
         _, spec, _, ham = brush
         rng = np.random.default_rng(6)
-        zs = hx.epigraph_target(spec).sample(500, rng)
+        zs = hx.epigraph_sampler(spec)(500, rng)
         assert np.all(ham.cutoff(zs) == 1.0)
 
     def test_floor_certificate_rejects_slow_fields(self):
@@ -156,17 +156,18 @@ class TestExtension:
         def target(lam):
             spec = nf.EpigraphSpec(C=C, lam=nf.constant_map(lam),
                                    validation_box=((-1.0,), (1.0,)))
-            return nf.build_epigraph_field(spec), hx.epigraph_target(spec, x_max=0.999)
+            return (nf.build_epigraph_field(spec),
+                    hx.epigraph_sampler(spec, x_max=0.999))
 
-        vfield, tgt = target(0.9995)   # plateau speed 1 - b = 5e-4 < V_FLOOR
-        zs = tgt.sample(100, np.random.default_rng(0))
+        vfield, sample = target(0.9995)   # plateau speed 1 - b = 5e-4 < V_FLOOR
+        zs = sample(100, np.random.default_rng(0))
         assert zs.shape[0] == 100 and np.all(np.abs(zs[:, -2]) < 1.0)
         with pytest.raises(InputError, match="bounded below"):
-            hx.extend_null_field(vfield, tgt)
+            hx.extend_null_field(vfield, sample)
 
-        vfield, tgt = target(1.0)      # fibre [1, 1) empty: no point in the chart
+        vfield, sample = target(1.0)      # fibre [1, 1) empty: no point in the chart
         with pytest.raises(InputError, match="no target sample inside the chart"):
-            hx.extend_null_field(vfield, tgt)
+            hx.extend_null_field(vfield, sample)
 
 
 class TestLocalize:

@@ -10,8 +10,7 @@ from hypothesis.extra import numpy as hnp
 from excisionlab import flow1d, lsc_fields as lf, null_fields
 from excisionlab.errors import DepthExhausted, InputError
 from excisionlab.scalar_kit import (ball_bump_from_sq, bridge_crossing_time,
-                                    bridge_velocity, bridge_velocity_dx,
-                                    smooth_step)
+                                    bridge_velocity, smooth_step)
 
 
 def constant_spec(value: float) -> lf.LscSpec:
@@ -262,7 +261,7 @@ class TestBaireSequence:
         with pytest.raises(ValueError):
             vals[0, 0] = 2.0
         with pytest.raises(ValueError):
-            seq.value(2, pts)[0] = 2.0
+            seq.raw_values(pts)[:, 1][0] = 2.0
         assert np.array_equal(seq.raw_values(pts), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -363,30 +362,6 @@ class TestPrunedBlends:
                                   want)
 
 
-class TestSmoothMajorant:
-    def test_constant_midpoint_rule(self):
-        spec = constant_spec(1.0)
-        g = lf.smooth_majorant(lambda pts: np.full(pts.shape[0], 0.5), spec,
-                               scale=0.25)
-        pts = np.linspace(-0.9, 0.9, 31)[:, None]
-        vals = g(pts)
-        assert np.allclose(vals, 0.75, atol=1e-12)
-
-    def test_bounds_for_high_constant(self):
-        spec = constant_spec(1.0)
-        g = lf.smooth_majorant(lambda pts: np.full(pts.shape[0], 0.9), spec)
-        vals = g(np.linspace(-0.9, 0.9, 31)[:, None])
-        assert np.all((vals > 0.9) & (vals < 1.0))
-
-    def test_dominates_linear_input(self):
-        spec = constant_spec(1.0)
-        f = lambda pts: 0.1 + 0.35 * (pts[:, 0] + 1.0)
-        g = lf.smooth_majorant(f, spec)
-        pts = np.linspace(-1.0, 1.0, 201)[:, None]
-        assert np.all(g(pts) > f(pts))
-        assert np.all(g(pts) < 1.0)
-
-
 def band_tower(f, g):
     """Delays of the tower on one fibre with thresholds ``f`` and separators
     ``g``, built as the paper's adjust-time steps build them: the first
@@ -476,16 +451,13 @@ class TestAdjustTime:
         assert np.array_equal(data.tau, band_tower(data.f, data.g))
 
 
-def reference_band_velocity(g, tau, level, x, deriv=False):
+def reference_band_velocity(g, tau, level, x):
     """The band loop: one bridge call per band over all of ``x``."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x) if deriv else np.ones_like(x)
+    out = np.ones_like(x)
     band = np.searchsorted(g, x)
     for k in range(1, level + 1):
-        if deriv:
-            vals = bridge_velocity_dx(g[k - 1], g[k], tau[k - 1], x)
-        else:
-            vals = bridge_velocity(g[k - 1], g[k], tau[k - 1], x, validate=False)
+        vals = bridge_velocity(g[k - 1], g[k], tau[k - 1], x)
         out = np.where(band == k, vals, out)
     return out
 
@@ -521,13 +493,11 @@ class TestBandPrimitives:
                     g,                                  # exactly on separators
                     rng.uniform(g[level], 1.0, 5),      # above the top band
                 ])
-                for deriv in (False, True):
-                    want = reference_band_velocity(g, tau, level, xs, deriv)
-                    assert np.array_equal(
-                        lf.band_velocity(g, tau, level, xs, deriv), want)
-                    for x, w in zip(xs[::7], want[::7]):
-                        got = lf.band_velocity(g, tau, level, x, deriv)
-                        assert got.shape == () and got == w
+                want = reference_band_velocity(g, tau, level, xs)
+                assert np.array_equal(lf.band_velocity(g, tau, level, xs), want)
+                for x, w in zip(xs[::7], want[::7]):
+                    got = lf.band_velocity(g, tau, level, x)
+                    assert got.shape == () and got == w
                 starts = np.concatenate([data.f, g[:level + 1], rng.uniform(0, 1, 5)])
                 for x0 in starts:
                     x1 = float(rng.uniform(x0, 1.0))
@@ -684,7 +654,7 @@ class TestGluedField:
     def test_is_a_per_fibre_field(self, box_tail_field):
         # a batch of base points is refused at the edge, not deep inside
         _, field, transect = box_tail_field
-        assert not isinstance(field, null_fields.VectorFieldPX)
+        assert not isinstance(field, null_fields.EpigraphField)
         assert not hasattr(field, "jet")
         with pytest.raises(InputError, match=r"base point must have shape \(2,\)"):
             field.velocity(transect[2:5], np.full(3, 0.5))
@@ -701,14 +671,3 @@ class TestGluedField:
         top = float(field.fiber_data(p).g[-1])
         with pytest.raises(DepthExhausted):
             field.velocity(p, top + 1e-6)
-
-    def test_velocity_dx_matches_fd(self, box_tail_field):
-        spec, field, transect = box_tail_field
-        p = transect[19]
-        rng = np.random.default_rng(2)
-        h = 1e-7
-        for _ in range(40):
-            x = rng.uniform(0.1, 0.88)
-            fd = (field.velocity(p, x + h) - field.velocity(p, x - h)) / (2 * h)
-            exact = field.velocity_dx(p, x)
-            assert fd == pytest.approx(exact, rel=1e-4, abs=1e-6)

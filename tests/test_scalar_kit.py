@@ -11,6 +11,7 @@ import pytest
 
 from excisionlab import scalar_kit as sk
 from excisionlab.errors import InputError
+from fields1d import affine_field, bridge_velocity_field
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -43,31 +44,36 @@ class TestSmoothsteps:
         assert sk.smooth_step(1.0) == 1.0
 
 
+def rising_cutoff(a, x):
+    """The ramp's rising cutoff: the ramp velocity at ``b = c = 0``."""
+    return sk.ramp_velocity(a, 0.0, 0.0, x)
+
+
 class TestRisingCutoff:
     def test_branch_values(self):
         # three-branch formula at a = 0
-        assert sk.rising_cutoff(0.0, -0.6) == 0.0
-        assert sk.rising_cutoff(0.0, 0.3) == 1.0
+        assert rising_cutoff(0.0, -0.6) == 0.0
+        assert rising_cutoff(0.0, 0.3) == 1.0
         # midpoint of the ramp: both exponential terms coincide
-        assert sk.rising_cutoff(0.0, -0.25) == pytest.approx(0.5, abs=1e-15)
+        assert rising_cutoff(0.0, -0.25) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone(self):
         xs = np.linspace(-0.99, 0.99, 500)
         for a in (-0.7, 0.0, 0.55):
-            vals = sk.rising_cutoff(a, xs)
+            vals = rising_cutoff(a, xs)
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_domain_validation(self):
         with pytest.raises(InputError):
-            sk.rising_cutoff(1.5, 0.0)
+            sk.ramp_velocity_field(1.5, 0.0, 0.0)
         with pytest.raises(InputError):
-            sk.rising_cutoff(0.0, 1.0)
+            sk.ramp_velocity_field(0.0, 0.0, 0.0).check_domain(1.0)
 
     def test_flat_composition_with_cubic(self):
         # derivative of rho(chi) vanishes wherever chi = 0
         xs = np.linspace(-0.99, -0.51, 200)   # chi_0 = 0 here
-        chi = sk.rising_cutoff(0.0, xs)
-        dchi = sk.rising_cutoff_dx(0.0, xs)
+        zero = np.zeros_like(xs)
+        chi, _, _, _, dchi = sk.ramp_velocity_jet(zero, zero, zero, xs)
         d_rho_chi = sk.cubic_smoothstep_deriv(chi) * dchi
         assert np.all(chi == 0.0)
         assert np.max(np.abs(d_rho_chi)) <= 1e-10
@@ -82,17 +88,16 @@ class TestDomainEdges:
 
     def test_open_interval_refuses_nan(self):
         with pytest.raises(InputError, match="a must lie"):
-            sk.rising_cutoff(NAN, 0.0)
-        with pytest.raises(InputError, match="x must lie"):
-            sk.rising_cutoff(0.0, np.array([0.1, NAN]))
-        with pytest.raises(InputError, match="a must lie"):
             sk.ramp_velocity_field(NAN, 0.0, 0.0)
+        with pytest.raises(InputError, match="outside open domain"):
+            sk.ramp_velocity_field(0.0, 0.0, 0.0).check_domain(
+                np.array([0.1, NAN]))
 
     def test_closed_interval_refuses_nan(self):
         with pytest.raises(InputError, match="b must lie"):
             sk.ramp_velocity_field(0.0, NAN, 0.0)
         with pytest.raises(InputError, match="c must lie"):
-            sk.ramp_velocity(0.0, 0.0, NAN, 0.5)
+            sk.ramp_velocity_field(0.0, 0.0, NAN)
 
     def test_field_domain_refuses_nan(self):
         field = sk.ramp_velocity_field(0.2, 0.5, 0.0)
@@ -112,17 +117,11 @@ class TestBatchContract:
     and the point evaluators take ``(m, dim)`` batches."""
 
     ELEMENTWISE = [
-        ("exp_decay", (0.5,)),
         ("cubic_smoothstep", (0.5,)),
         ("cubic_smoothstep_deriv", (0.5,)),
         ("smooth_step", (0.5,)),
-        ("smooth_step_deriv", (0.5,)),
-        ("rising_cutoff", (0.0, -0.25)),
-        ("rising_cutoff_dx", (0.0, -0.25)),
-        ("rising_cutoff_da", (0.0, -0.25)),
         ("ramp_velocity", (0.0, 0.5, 1.0, 0.0)),
         ("bridge_velocity", (0.2, 0.5, 0.1, 0.35)),
-        ("bridge_velocity_dx", (0.2, 0.5, 0.1, 0.3)),
         ("bridge_crossing_time", (0.2, 0.5, 0.1, 0.2, 0.5)),
         ("bump_mass", (0.5,)),
         ("ball_bump_from_sq", (0.5,)),
@@ -181,7 +180,7 @@ class TestRampVelocity:
         # vanishes exactly where the cutoff or the plateau factor does
         xs = np.linspace(-0.99, 0.99, 400)
         u = sk.ramp_velocity(0.3, 0.6, 0.2, xs)
-        chi = sk.rising_cutoff(0.3, xs)
+        chi = rising_cutoff(0.3, xs)
         assert np.array_equal(u == 0.0, chi == 0.0)
         assert np.all(sk.ramp_velocity(0.3, 1.0, 0.2, xs) == 0.0)
 
@@ -192,12 +191,13 @@ class TestRampVelocity:
             b = rng.uniform(-0.8, 0.8)
             c = rng.uniform(0.05, 0.95)
             x = rng.uniform(-0.8, 0.8)
-            da, db, dc, dx = sk.ramp_velocity_partials(a, b, c, x)
+            _, da, db, dc, dx = sk.ramp_velocity_jet(
+                *(np.asarray(v) for v in (a, b, c, x)))
             ref = [
-                central_diff(lambda t: sk.ramp_velocity(t, b, c, x, validate=False), a),
-                central_diff(lambda t: sk.ramp_velocity(a, t, c, x, validate=False), b),
-                central_diff(lambda t: sk.ramp_velocity(a, b, t, x, validate=False), c),
-                central_diff(lambda t: sk.ramp_velocity(a, b, c, t, validate=False), x),
+                central_diff(lambda t: sk.ramp_velocity(t, b, c, x), a),
+                central_diff(lambda t: sk.ramp_velocity(a, t, c, x), b),
+                central_diff(lambda t: sk.ramp_velocity(a, b, t, x), c),
+                central_diff(lambda t: sk.ramp_velocity(a, b, c, t), x),
             ]
             for got, want in zip((da, db, dc, dx), ref):
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
@@ -228,62 +228,26 @@ class TestBridgeVelocity:
             t = sk.bridge_crossing_time(lo, hi, delay, lo, hi)
             assert t == pytest.approx(hi - lo + delay, abs=1e-12)
 
-    def test_parameter_validation(self):
-        with pytest.raises(InputError):
-            sk.bridge_velocity(0.5, 0.2, 0.1, 0.3)
-        with pytest.raises(InputError):
-            sk.bridge_velocity(0.2, 0.5, -0.1, 0.3)
-
-
-class TestCotangentLift:
-    def test_identity_lift(self):
-        ident = sk.ScalarField1D(
-            f=lambda x: np.asarray(x, dtype=float),
-            df=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            domain=(-1.0, 1.0),
-        )
-        assert sk.cotangent_lift(ident, (0.3, 2.0)) == (0.3, 2.0)
-
-    def test_interval_to_line(self):
-        g = sk.interval_to_line_field()
-        x1, y1 = sk.cotangent_lift(g, (0.0, 5.0))
-        assert (x1, y1) == (0.0, 5.0)          # g'(0) = 1
-        x1, y1 = sk.cotangent_lift(g, (0.5, 1.0))
-        assert x1 == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert y1 == pytest.approx(9.0 / 20.0, abs=1e-15)
-
-    def test_area_preservation_fd(self):
-        # numerical 2x2 Jacobian determinant of the lift equals 1
-        g = sk.interval_to_line_field()
-        rng = np.random.default_rng(3)
-        h = 1e-6
-        for _ in range(100):
-            x = rng.uniform(-0.8, 0.8)
-            y = rng.uniform(-2.0, 2.0)
-            fxp = np.array(sk.cotangent_lift(g, (x + h, y)))
-            fxm = np.array(sk.cotangent_lift(g, (x - h, y)))
-            fyp = np.array(sk.cotangent_lift(g, (x, y + h)))
-            fym = np.array(sk.cotangent_lift(g, (x, y - h)))
-            jac = np.stack([(fxp - fxm) / (2 * h), (fyp - fym) / (2 * h)], axis=1)
-            assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestScalarFieldDerivatives:
-    """Every shipped 1D field matches central differences of itself."""
+    """The x-derivative of the ramp fields (``ramp_velocity_jet``'s
+    ``du/dx``, which the ambient gradients use) matches central differences
+    of the field, and the 1D fields of the flow tests are finite."""
 
-    FIELDS = [
-        sk.ramp_velocity_field(0.2, 0.5, 0.0),
-        sk.ramp_velocity_field(-0.4, 0.1, 0.3),
-        sk.bridge_velocity_field(0.2, 0.5, 0.1),
-        sk.bridge_velocity_field(0.55, 0.8, 0.02),
-        sk.interval_to_line_field(),
-        sk.affine_field(0.25, -0.1, (-1.0, 1.0)),
+    RAMPS = [(0.2, 0.5, 0.0), (-0.4, 0.1, 0.3)]
+    FIELDS = [sk.ramp_velocity_field(*abc) for abc in RAMPS] + [
+        bridge_velocity_field(0.2, 0.5, 0.1),
+        bridge_velocity_field(0.55, 0.8, 0.02),
+        affine_field(0.25, -0.1, (-1.0, 1.0)),
     ]
 
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
-    def test_derivative_matches_fd(self, field):
+    @pytest.mark.parametrize("abc", RAMPS,
+                             ids=lambda abc: sk.ramp_velocity_field(*abc).label)
+    def test_derivative_matches_fd(self, abc):
         # quasi-random interior samples, away from the interval ends where
         # the finite-difference step would leave the domain
+        field = sk.ramp_velocity_field(*abc)
         lo, hi = field.domain
         n = 1000
         golden = 0.6180339887498949
@@ -291,7 +255,7 @@ class TestScalarFieldDerivatives:
         xs = lo + ts * (hi - lo)
         h = 1e-5
         fd = (field(xs + h) - field(xs - h)) / (2 * h)
-        exact = field.deriv(xs)
+        exact = sk.ramp_velocity_jet(*(np.full(n, v) for v in abc), xs)[4]
         rel = np.abs(fd - exact) / (1.0 + np.abs(exact))
         assert np.max(rel) <= 1e-6
 
@@ -359,8 +323,8 @@ class TestDefiningFunction:
     def test_clamp_continuity(self):
         # values at the underflow clamp threshold jump by strictly less
         # than any representable amount
-        below = sk.exp_decay(sk.EXP_CLAMP)
-        above = sk.exp_decay(sk.EXP_CLAMP * 1.0000001)
+        below = sk.smooth_step(sk.EXP_CLAMP)
+        above = sk.smooth_step(sk.EXP_CLAMP * 1.0000001)
         assert below == 0.0
         assert above <= 1e-300
 

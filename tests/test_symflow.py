@@ -58,13 +58,14 @@ class TestRecording:
         same_outcomes(batch, stacked(alone))
 
     def test_integrate_is_a_one_point_batch(self, ray, starts):
+        z = starts[0]
         for t in (1.05, -0.5):
-            single = symflow.integrate(ray, starts[0], t)
-            batch = symflow.integrate_batch(ray, starts[:1], t)
-            assert single.elapsed[0] == batch.elapsed[0] == t
-            assert np.array_equal(single.endpoint, batch.endpoint)
-        zero = symflow.integrate(ray, starts[0], 0.0)
+            single = symflow.integrate_batch(ray, z[None], t)
+            assert single.elapsed.shape == single.completed.shape == (1,)
+            assert single.elapsed[0] == t and single.endpoint.shape == (1, 4)
+        zero = symflow.integrate_batch(ray, z[None], 0.0)
         assert zero.completed[0] and zero.step_count[0] == 0
+        assert np.array_equal(zero.endpoint[0], z)
 
 
 class TestOutcomeArrays:

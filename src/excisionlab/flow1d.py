@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FlowDomainError, InputError, ToleranceFailure
-from .scalar_kit import ScalarField1D
+from .scalar_kit import ScalarField1D, check_ramp_params
 
 __all__ = [
     "QUAD_TOL",
@@ -68,7 +68,11 @@ __all__ = [
 QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12
 DIVERGENCE_CAP = 1e6
+# bisection depth of a quadrature panel, and dyadic levels of a walk to an
+# end, before ToleranceFailure
 MAX_LEVELS = 60
+# live panels of one quadrature before ToleranceFailure
+MAX_PANELS = 8192
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_QUADRATURE = "quadrature"
@@ -200,8 +204,7 @@ def _run_one(steps, f: Callable):
         return stop.value
 
 
-def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
-          max_panels=8192):
+def _quad(a, b, tol=QUAD_TOL, cap=None):
     """The steps of :func:`adaptive_quad`: the first panel, then both
     halves of the panel with the largest error in one round.  Of panels
     with equal errors the one made last is split: a heap keyed on the
@@ -218,7 +221,7 @@ def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
             return total, toterr, True
         neg_err, _, pa, pb, pval, depth = heapq.heappop(panels)
         perr = -neg_err
-        if depth >= max_depth or len(panels) >= max_panels:
+        if depth >= MAX_LEVELS or len(panels) >= MAX_PANELS:
             if cap is not None and total - toterr > cap:
                 return total, toterr, True
             raise ToleranceFailure(
@@ -235,24 +238,17 @@ def _quad(a, b, tol=QUAD_TOL, cap=None, max_depth=MAX_LEVELS,
     return total, toterr, False
 
 
-def adaptive_quad(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = QUAD_TOL,
-    cap: Optional[float] = None,
-    max_depth: int = MAX_LEVELS,
-    max_panels: int = 8192,
-):
+def adaptive_quad(f: Callable, a: float, b: float, tol: float = QUAD_TOL,
+                  cap: Optional[float] = None):
     """Integrate ``f`` over ``[a, b]`` by adaptive bisection of GK15 panels.
 
     Returns ``(value, error, capped)``.  When ``cap`` is given and the
     running value provably exceeds it, integration stops early with
-    ``capped=True`` (used to certify divergence of time integrals).  Depth
-    or panel exhaustion raises :class:`ToleranceFailure` carrying the
-    partial value.
+    ``capped=True`` (used to certify divergence of time integrals).  A
+    panel ``MAX_LEVELS`` bisections deep or ``MAX_PANELS`` live panels
+    raise :class:`ToleranceFailure` carrying the partial value.
     """
-    return _run_one(_quad(a, b, tol, cap, max_depth, max_panels), f)
+    return _run_one(_quad(a, b, tol, cap), f)
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +563,6 @@ def flow_map_batch(fibres: Fibres, t, x, tol: float = QUAD_TOL) -> np.ndarray:
 # closed-form times for the parametric ramp velocity
 # ---------------------------------------------------------------------------
 
-def _check_ramp_params(a: float, b: float, c: float) -> None:
-    if not (-1.0 < a < 1.0):
-        raise InputError("a must lie in (-1, 1)")
-    if not (-1.0 <= b <= 1.0):
-        raise InputError("b must lie in [-1, 1]")
-    if not (0.0 <= c <= 1.0):
-        raise InputError("c must lie in [0, 1]")
-
-
 def _ramp_corner(xi, a: float, s: float):
     """Corner factor ``exp(1/(xi - s) - 1/(a - xi))`` of the ramp time on
     the band ``(s, a)``, with the exponent clipped to the float range."""
@@ -600,7 +587,7 @@ def ramp_time_closed_form(a: float, b: float, c: float, x: float,
     for ``c > 0`` or ``b = 1``, and below the plateau an explicit correction
     integral on the ramp band.
     """
-    _check_ramp_params(a, b, c)
+    check_ramp_params(a, b, c)
     if not (-1.0 < x < 1.0):
         raise InputError("x must lie in (-1, 1)")
     s = 0.5 * (a - 1.0)

@@ -7,8 +7,9 @@ families are provided:
 
 * the explicit ray Hamiltonian ``F = (1-x^2)/(|p|^2 + 1 - x^2) * chi * y``
   (with ``chi`` an explicit flat cutoff supported in a shrinking tube around
-  the half-open segment ``{p=0, y=0, x in [0,1)}``), in any dimension
-  ``2n >= 2``;
+  the half-open segment ``{p=0, y=0, x in [0,1)}``), built in any dimension
+  ``2n >= 2`` by ``RayHamiltonian(n)``; in the plane (``n = 1``) the
+  rational prefactor is 1 and ``F = chi * y``;
 * the conormal extension ``F = chi * y * v(p, x)`` of a horizontal null
   field ``v d/dx``, which restricts to ``chi * v * d/dx`` on the
   hypersurface and whose off-hypersurface trajectories are complete because
@@ -42,8 +43,6 @@ __all__ = [
     "coordinate_stencil",
     "HamiltonianField",
     "RayHamiltonian",
-    "build_ray_hamiltonian",
-    "build_ray_hamiltonian_n1",
     "epigraph_sampler",
     "ExtendedHamiltonian",
     "extend_null_field",
@@ -52,7 +51,13 @@ __all__ = [
     "localize",
 ]
 
+# speed the null field must exceed on the target, and the scale of the
+# extension's low-speed gate
 V_FLOOR = 1e-3
+# the ray cutoff is 1 inside the tube |p|^2 + y^2 <= R_ON * h(x) and 0
+# outside R_OFF * h(x)
+R_ON = 0.25
+R_OFF = 0.5
 # standoff by which the bump plateau must clear every target sample in
 # ``localize`` (the classification standoff ``scenarios.MARGIN``)
 HOOD_MARGIN = 1e-3
@@ -125,10 +130,10 @@ def _as_batch(z, dim):
 # the explicit ray Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _tube_cutoff(pts, eps, h_coef, h_power, r_on, r_off):
+def _tube_cutoff(pts, eps, h_coef, h_power):
     """Flat cutoff ``rho(s_x * s_r)`` supported in the shrinking tube
-    ``{x > -eps, |p|^2 + y^2 < r_off * h(x)}`` with ``h = h_coef (1-x)^pow``;
-    identically 1 where ``x >= -eps/2`` and ``|p|^2 + y^2 <= r_on * h(x)``.
+    ``{x > -eps, |p|^2 + y^2 < R_OFF * h(x)}`` with ``h = h_coef (1-x)^pow``;
+    identically 1 where ``x >= -eps/2`` and ``|p|^2 + y^2 <= R_ON * h(x)``.
 
     Returns ``(chi, dchi)`` with the full gradient.  The outer cubic step
     makes the gradient vanish on the zero set of ``chi``.
@@ -147,9 +152,9 @@ def _tube_cutoff(pts, eps, h_coef, h_power, r_on, r_off):
     sx_arg = 2.0 * (x + eps) / eps
     sx, dsx = smooth_step_jet(sx_arg)
     dsx = dsx * (2.0 / eps)
-    sr_arg = (r_off - r) / (r_off - r_on)
+    sr_arg = (R_OFF - r) / (R_OFF - R_ON)
     sr, dsr = smooth_step_jet(sr_arg)
-    dsr = -dsr / (r_off - r_on)
+    dsr = -dsr / (R_OFF - R_ON)
 
     inner = sx * sr
     chi = cubic_smoothstep(inner)
@@ -178,7 +183,7 @@ class RayHamiltonian(HamiltonianField):
     """
 
     def __init__(self, n: int, eps: float = 0.5, h_coef: float = 0.25,
-                 h_power: int = 1, r_on: float = 0.25, r_off: float = 0.5):
+                 h_power: int = 1):
         if n < 1:
             raise InputError("n must be at least 1")
         if not (0.0 < eps < 1.0):
@@ -190,8 +195,6 @@ class RayHamiltonian(HamiltonianField):
         self.eps = eps
         self.h_coef = h_coef
         self.h_power = h_power
-        self.r_on = r_on
-        self.r_off = r_off
 
     def _pieces(self, pts):
         x = pts[:, -2]
@@ -209,9 +212,7 @@ class RayHamiltonian(HamiltonianField):
             safe = np.where(np.abs(denom) > 1e-12, denom, 1e-12)
             amp = (1.0 - x * x) / safe
             denom = safe
-        chi, dchi = _tube_cutoff(
-            pts, self.eps, self.h_coef, self.h_power, self.r_on, self.r_off
-        )
+        chi, dchi = _tube_cutoff(pts, self.eps, self.h_coef, self.h_power)
         return x, y, p, q, denom, amp, chi, dchi
 
     def value(self, z):
@@ -241,31 +242,16 @@ class RayHamiltonian(HamiltonianField):
         return pts
 
 
-def build_ray_hamiltonian(n: int, eps: float = 0.5, delta_h: float = 0.25) -> RayHamiltonian:
-    """Explicit excising Hamiltonian for the model ray in dimension ``2n``,
-    ``n >= 2``."""
-    if n < 2:
-        raise InputError("use build_ray_hamiltonian_n1 for the plane")
-    return RayHamiltonian(n=n, eps=eps, h_coef=delta_h)
-
-
-def build_ray_hamiltonian_n1(eps: float = 0.5, delta_h: float = 0.25,
-                             h_power: int = 1) -> RayHamiltonian:
-    """The 2-dimensional model: ``F = chi(x, y) * y`` (the rational
-    prefactor degenerates to 1 when there are no ``p`` coordinates)."""
-    return RayHamiltonian(n=1, eps=eps, h_coef=delta_h, h_power=h_power)
-
-
 # ---------------------------------------------------------------------------
 # extension of null fields
 # ---------------------------------------------------------------------------
 
-def epigraph_sampler(spec, x_max: float = 0.95) -> Callable:
+def epigraph_sampler(spec) -> Callable:
     """Sampler of the epigraph of ``spec.lam`` over ``spec.C`` inside
     ``B x I x {0}``, the excision target: ``sample(m, rng)`` returns at
     most ``m`` points of it.
 
-    The sampler draws ``x`` uniformly in ``[lam(p), max(lam(p), x_max)]``
+    The sampler draws ``x`` uniformly in ``[lam(p), max(lam(p), 0.95)]``
     and drops the base points whose fibre ``[lam(p), 1)`` is empty, so every
     sample lies inside the open chart ``x in (-1, 1)``.
     """
@@ -274,7 +260,7 @@ def epigraph_sampler(spec, x_max: float = 0.95) -> Callable:
     def sample(m, rng):
         p = spec.C.sample(m, rng)
         lam = spec.lam(p)
-        x = rng.uniform(lam, np.maximum(lam, x_max))
+        x = rng.uniform(lam, np.maximum(lam, 0.95))
         out = np.zeros((m, dim))
         out[:, :-2] = p
         out[:, -2] = x
@@ -294,10 +280,9 @@ class ExtendedHamiltonian(HamiltonianField):
     ``chi * v * d/dx``.
     """
 
-    def __init__(self, field: EpigraphField, v_floor: float = V_FLOOR):
+    def __init__(self, field: EpigraphField):
         self.field = field
         self.dim = field.base_dim + 2
-        self.v_floor = v_floor
 
     def _pieces(self, pts, need_grad: bool):
         """``(ham, chi, grad)``: one :meth:`EpigraphField.jet` call when the
@@ -312,7 +297,7 @@ class ExtendedHamiltonian(HamiltonianField):
         ham = y * v
         wit = decay_witness(pts)
         ratio = np.abs(ham) / wit
-        theta, theta_t = smooth_step_jet(v / self.v_floor, need_grad)
+        theta, theta_t = smooth_step_jet(v / V_FLOOR, need_grad)
         s_arg = 2.0 * (1.0 - ratio)
         s_h, s_h_t = smooth_step_jet(s_arg, need_grad)
         inner = theta * s_h
@@ -332,7 +317,7 @@ class ExtendedHamiltonian(HamiltonianField):
         dratio = (sgn[:, None] * dham * wit[:, None]
                   - np.abs(ham)[:, None] * dwit) / (wit * wit)[:, None]
 
-        dtheta = (theta_t / self.v_floor)[:, None] * dv
+        dtheta = (theta_t / V_FLOOR)[:, None] * dv
         ds_h = (-2.0 * s_h_t)[:, None] * dratio
         dinner = dtheta * s_h[:, None] + theta[:, None] * ds_h
         dchi = cubic_smoothstep_deriv(inner)[:, None] * dinner
@@ -352,29 +337,26 @@ class ExtendedHamiltonian(HamiltonianField):
         return self._pieces(_as_batch(z, self.dim), need_grad=False)[1]
 
 
-def extend_null_field(field: EpigraphField, sample: Callable,
-                      v_floor: float = V_FLOOR,
-                      certificate_samples: int = 10_000,
-                      rng: Optional[np.random.Generator] = None) -> ExtendedHamiltonian:
+def extend_null_field(field: EpigraphField, sample: Callable) -> ExtendedHamiltonian:
     """Extend a null field to a Hamiltonian on the ambient product model.
 
-    Certifies on the points ``sample(certificate_samples, rng)`` of the
-    target (from :func:`epigraph_sampler`) that the field speed stays above
-    ``v_floor`` there (the cutoff must be identically 1 there); scenarios
-    that violate the floor are rejected loudly rather than silently
-    degraded.  A target with no sample inside the chart is rejected too.
+    Certifies on 10,000 points ``sample(10_000, rng)`` of the target (from
+    :func:`epigraph_sampler`, with a fixed seed) that the field speed stays
+    above ``V_FLOOR`` there (the cutoff must be identically 1 there);
+    scenarios that violate the floor are rejected loudly rather than
+    silently degraded.  A target with no sample inside the chart is
+    rejected too.
     """
-    rng = rng or np.random.default_rng(20240901)
-    zs = sample(certificate_samples, rng)
+    zs = sample(10_000, np.random.default_rng(20240901))
     if zs.shape[0] == 0:
         raise InputError("no target sample inside the chart")
     v = field.velocity(zs[:, :-2], zs[:, -2])
     vmin = float(np.min(v))
-    if not vmin > v_floor:
+    if not vmin > V_FLOOR:
         raise InputError(
-            f"null field not bounded below on Z: sampled min {vmin} <= {v_floor}"
+            f"null field not bounded below on Z: sampled min {vmin} <= {V_FLOOR}"
         )
-    return ExtendedHamiltonian(field, v_floor=v_floor)
+    return ExtendedHamiltonian(field)
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +366,20 @@ def extend_null_field(field: EpigraphField, sample: Callable,
 @dataclass(frozen=True)
 class TubeNeighbourhood:
     """Shrinking-tube neighbourhood of the model ray, with a smooth plateau
-    bump: 1 inside the half-size tube, 0 outside the full tube."""
+    bump: 1 inside the half-size tube, 0 outside the full tube
+    ``{x > -eps, |p|^2 + y^2 < R_OFF * h_coef * (1 - x)}``."""
 
     eps: float
     h_coef: float
-    h_power: int = 1
 
     def bump(self, pts: np.ndarray):
-        return _tube_cutoff(pts, self.eps, self.h_coef, self.h_power,
-                            r_on=0.25, r_off=0.5)
+        return _tube_cutoff(pts, self.eps, self.h_coef, 1)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         x = pts[:, -2]
         q = np.sum(pts[:, :-2] ** 2, axis=1) + pts[:, -1] ** 2
-        h = self.h_coef * np.maximum(1.0 - x, 0.0) ** self.h_power
-        return (x > -self.eps) & (q < 0.5 * h)
+        h = self.h_coef * np.maximum(1.0 - x, 0.0)
+        return (x > -self.eps) & (q < R_OFF * h)
 
 
 class LocalizedHamiltonian(HamiltonianField):

@@ -95,7 +95,11 @@ class LscSpec:
         for lo, hi, value in self.pieces:
             if not (0.0 < value <= 1.0):
                 raise InputError("piece values must lie in (0, 1]")
-            if np.any(np.asarray(hi) < np.asarray(lo)):
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise InputError("piece corners must be finite")
+            if np.any(hi < lo):
                 raise InputError("piece corners out of order")
 
     @property
@@ -260,6 +264,45 @@ class _NeighborIndex:
         return out
 
 
+class _BlendField:
+    """Lattice-bump blend ``sum w_i c_i / sum w_i`` of per-center constants
+    ``c_vals`` over bumps centred on ``index``, whose cell size is the bump
+    radius."""
+
+    def __init__(self, index: _NeighborIndex, c_vals: np.ndarray):
+        self.index = index
+        self.c_vals = c_vals
+
+    def weights(self, pts: np.ndarray):
+        """The (query, center) pairs inside the bump support and their bump
+        weights, ``(qi, ci, w)``, in the order of :meth:`_NeighborIndex.pairs`."""
+        qi, ci = self.index.pairs(pts)
+        if qi.size == 0:
+            raise CoverageError("no centers near queries")
+        qi, ci, q = _in_support(pts, qi, self.index.centers, ci, self.index.radius)
+        return qi, ci, ball_bump_from_sq(q)
+
+    def __call__(self, points):
+        pts = np.asarray(points, dtype=float)
+        qi, ci, w = self.weights(pts)
+        num = np.bincount(qi, weights=w * self.c_vals[ci], minlength=pts.shape[0])
+        den = np.bincount(qi, weights=w, minlength=pts.shape[0])
+        if np.any(den <= 0.0):
+            raise CoverageError("majorant blend not covering a query point")
+        return num / den
+
+    def ball_upper_bound(self, pts: np.ndarray, reach: float) -> np.ndarray:
+        """Exact upper bound for ``sup`` of the blend over balls of radius
+        ``reach``: the max of its constants over centers within ``reach``
+        plus the bump radius (a blend never exceeds the constants that
+        reach into the ball)."""
+        bound = self.index.max_over_balls(pts, reach + self.index.radius,
+                                          self.c_vals)
+        if np.any(~np.isfinite(bound)):
+            raise CoverageError("upper-bound query outside the center cloud")
+        return bound
+
+
 # ---------------------------------------------------------------------------
 # the smooth minorant sequence
 # ---------------------------------------------------------------------------
@@ -267,9 +310,7 @@ class _NeighborIndex:
 @dataclass
 class _BaireLevel:
     n: int
-    radius: float
-    index: _NeighborIndex
-    c_vals: np.ndarray        # blending constants, one per center
+    blend: _BlendField        # bumps of radius 1/n and their constants
     gate_scale: np.ndarray    # per-center softness of the low-side gate
     kill_rank: np.ndarray     # pieces with value <= c are excluded high-side
 
@@ -326,12 +367,8 @@ class BaireSequence:
         prev = np.zeros(pts.shape[0])
         cols = []
         for lev in self._levels:
-            qi, ci = lev.index.pairs(pts)
-            if qi.size == 0:
-                raise CoverageError(f"no centers near queries at level {lev.n}")
-            qi, ci, q = _in_support(pts, qi, lev.index.centers, ci, lev.radius)
-            w = ball_bump_from_sq(q)
-            c = lev.c_vals.take(ci)
+            qi, ci, w = lev.blend.weights(pts)
+            c = lev.blend.c_vals.take(ci)
             w = w * smooth_step((c - prev.take(qi)) / lev.gate_scale.take(ci))
             # kill_cum[qi, kill_rank[ci]], through its flat index
             w = w * kill_cum.take(qi * kill_cum.shape[1] + lev.kill_rank.take(ci))
@@ -354,21 +391,12 @@ class BaireSequence:
     def level_upper_bound(self, level: int, pts: np.ndarray,
                           reach: float) -> np.ndarray:
         """Exact upper bound for ``sup`` of the level over balls of radius
-        ``reach``: the max of its blend constants over centers within
-        ``reach`` plus the bump radius (a blend never exceeds the constants
-        that reach into the ball)."""
+        ``reach``: its blend's :meth:`_BlendField.ball_upper_bound`, halved
+        at level 1."""
         if not (1 <= level <= self.depth):
             raise InputError("level out of range")
-        if level == 1:
-            lev = self._levels[0]
-            factor = 0.5
-        else:
-            lev = self._levels[level - 2]
-            factor = 1.0
-        bound = lev.index.max_over_balls(pts, reach + lev.radius, lev.c_vals)
-        if np.any(~np.isfinite(bound)):
-            raise CoverageError("upper-bound query outside the center cloud")
-        return factor * bound
+        bound = self._levels[max(level - 2, 0)].blend.ball_upper_bound(pts, reach)
+        return 0.5 * bound if level == 1 else bound
 
 
 def baire_sequence(spec: LscSpec, n_levels: int,
@@ -412,9 +440,7 @@ def baire_sequence(spec: LscSpec, n_levels: int,
 
         seq._levels.append(_BaireLevel(
             n=n,
-            radius=radius,
-            index=_NeighborIndex(centers, radius),
-            c_vals=c_vals,
+            blend=_BlendField(_NeighborIndex(centers, radius), c_vals),
             gate_scale=gate_scale,
             kill_rank=kill_rank.astype(np.int64),
         ))
@@ -428,32 +454,6 @@ def baire_sequence(spec: LscSpec, n_levels: int,
 # ---------------------------------------------------------------------------
 # smooth majorants
 # ---------------------------------------------------------------------------
-
-class _BlendField:
-    """Lattice-bump blend of per-center constants (no gating)."""
-
-    def __init__(self, index: _NeighborIndex, c_vals: np.ndarray, radius: float):
-        self.index = index
-        self.c_vals = c_vals
-        self.radius = radius
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        qi, ci = self.index.pairs(pts)
-        qi, ci, q = _in_support(pts, qi, self.index.centers, ci, self.radius)
-        w = ball_bump_from_sq(q)
-        num = np.bincount(qi, weights=w * self.c_vals[ci], minlength=pts.shape[0])
-        den = np.bincount(qi, weights=w, minlength=pts.shape[0])
-        if np.any(den <= 0.0):
-            raise CoverageError("majorant blend not covering a query point")
-        return num / den
-
-    def ball_upper_bound(self, pts: np.ndarray, reach: float) -> np.ndarray:
-        bound = self.index.max_over_balls(pts, reach + self.radius, self.c_vals)
-        if np.any(~np.isfinite(bound)):
-            raise CoverageError("upper-bound query outside the center cloud")
-        return bound
-
 
 def _majorant_from_bounds(spec: LscSpec,
                           bound_fns: Sequence[Callable]) -> _BlendField:
@@ -470,7 +470,7 @@ def _majorant_from_bounds(spec: LscSpec,
     if np.any(m >= 1.0):
         raise InputError("majorant input must stay strictly below 1")
     c_vals = 0.5 * (1.0 + m)
-    return _BlendField(_NeighborIndex(centers, scale), c_vals, scale)
+    return _BlendField(_NeighborIndex(centers, scale), c_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -659,28 +659,26 @@ class GluedField:
 
     # -- field evaluation --------------------------------------------------
 
-    def _cutoff(self, f1: float, x):
-        return smooth_step((np.asarray(x, dtype=float) - 0.5 * f1) / (0.5 * f1))
-
-    def _raw_velocity(self, data: FiberData, x):
-        """The full tower's speed below the deepest separator (before the
-        cutoff); queries at or above it are not covered."""
+    @staticmethod
+    def _velocity(data: FiberData, x):
+        """The full tower's speed times the final cutoff below ``f_1/2``;
+        queries at or above the deepest separator are not covered."""
         x = np.asarray(x, dtype=float)
         if np.any(x >= data.g[-1]):
             raise DepthExhausted("velocity query above deepest separator")
-        return band_velocity(data.g, data.tau, data.depth, x)
+        half_f1 = 0.5 * data.f[0]
+        return (band_velocity(data.g, data.tau, data.depth, x)
+                * smooth_step((x - half_f1) / half_f1))
 
     def velocity(self, p, x):
-        data = self.fiber_data(p)
-        return self._raw_velocity(data, x) * self._cutoff(data.f[0], x)
+        return self._velocity(self.fiber_data(p), x)
 
     def fiber(self, p) -> ScalarField1D:
         # the 1D field is only defined on the covered band below the
         # deepest separator; flows within the band never notice the cap
         data = self.fiber_data(p)
         return ScalarField1D(
-            f=lambda x: self._raw_velocity(data, np.asarray(x, dtype=float))
-            * self._cutoff(data.f[0], x),
+            f=lambda x: self._velocity(data, x),
             domain=(0.0, float(data.g[-1]) - 1e-9),
             zero_regions=((0.0, 0.5 * float(data.f[0])),),
             label="glued-lsc",

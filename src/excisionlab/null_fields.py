@@ -24,7 +24,6 @@ from .scalar_kit import (
     ClosedSetSpec,
     DefiningFunction,
     ScalarField1D,
-    defining_function,
     ramp_velocity,
     ramp_velocity_field,
     ramp_velocity_jet,
@@ -36,7 +35,6 @@ __all__ = [
     "affine_map",
     "EpigraphSpec",
     "EpigraphField",
-    "build_epigraph_field",
     "classify_epigraph",
     "presympl_time1",
     "presympl_flow",
@@ -53,7 +51,6 @@ class SmoothMap:
 
     f: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def __call__(self, p):
         return self.f(np.asarray(p, dtype=float))
@@ -62,20 +59,18 @@ class SmoothMap:
         return self.grad(np.asarray(p, dtype=float))
 
 
-def constant_map(value: float, label: str = "") -> SmoothMap:
+def constant_map(value: float) -> SmoothMap:
     return SmoothMap(
         f=lambda pts: np.full(pts.shape[0], float(value)),
         grad=lambda pts: np.zeros_like(pts),
-        label=label or f"const({value})",
     )
 
 
-def affine_map(coeffs, const: float, label: str = "") -> SmoothMap:
+def affine_map(coeffs, const: float) -> SmoothMap:
     coeffs = np.asarray(coeffs, dtype=float)
     return SmoothMap(
         f=lambda pts: pts @ coeffs + const,
         grad=lambda pts: np.broadcast_to(coeffs, pts.shape).copy(),
-        label=label or "affine",
     )
 
 
@@ -85,13 +80,14 @@ class EpigraphSpec:
 
     ``lam`` must be smooth on all of the base with values in (-1, 1]; it is
     the ambient extension of the function whose epigraph over ``C`` is
-    removed.  ``validation_box`` bounds the region on which the range of
-    ``lam`` is spot-checked at construction.
+    removed.  ``validation_box``, a ``(lo, hi)`` pair of corners, bounds
+    the region on which the range of ``lam`` is spot-checked when an
+    :class:`EpigraphField` is built.
     """
 
     C: ClosedSetSpec
     lam: SmoothMap
-    validation_box: tuple = ()
+    validation_box: tuple
     sharpness: float = 0.006
 
     def membership(self, p, x) -> np.ndarray:
@@ -111,12 +107,23 @@ class EpigraphField:
     one-point edge is the per-fibre API: :meth:`fiber`, and
     :func:`presympl_time1` built on it, take one base point of shape
     ``(base_dim,)`` and a float ``x``.
+
+    Construction validates the range of the ambient function: ``lam`` must
+    take values in (-1, 1] at 256 points of the set and 512 points of the
+    validation box, drawn with a fixed seed.
     """
 
     def __init__(self, spec: EpigraphSpec):
+        rng = np.random.default_rng(0)
+        on_set = spec.C.sample(256, rng)
+        lo, hi = np.asarray(spec.validation_box[0]), np.asarray(spec.validation_box[1])
+        in_box = rng.uniform(lo, hi, size=(512, spec.C.dim))
+        vals = spec.lam(np.concatenate([on_set, in_box], axis=0))
+        if not np.all((vals > -1.0) & (vals <= 1.0)):
+            raise InputError("ambient function must take values in (-1, 1]")
         self.spec = spec
         self.base_dim = spec.C.dim
-        self.c_fn: DefiningFunction = defining_function(spec.C, spec.sharpness)
+        self.c_fn = DefiningFunction(spec.C, spec.sharpness)
 
     # parameter fields: a = (b - 1)/2 with b = lam, c the defining function
     def params(self, p):
@@ -158,20 +165,6 @@ class EpigraphField:
             velocity=lambda rows, nodes: ramp_velocity(
                 a[rows, None], b[rows, None], c[rows, None], nodes),
         )
-
-
-def build_epigraph_field(spec: EpigraphSpec) -> EpigraphField:
-    """Build the null field of an epigraph target, validating the range of
-    the ambient function on the validation box and on the set itself."""
-    rng = np.random.default_rng(0)
-    samples = [spec.C.sample(256, rng)]
-    if spec.validation_box:
-        lo, hi = np.asarray(spec.validation_box[0]), np.asarray(spec.validation_box[1])
-        samples.append(rng.uniform(lo, hi, size=(512, spec.C.dim)))
-    vals = spec.lam(np.concatenate(samples, axis=0))
-    if not np.all((vals > -1.0) & (vals <= 1.0)):
-        raise InputError("ambient function must take values in (-1, 1]")
-    return EpigraphField(spec)
 
 
 def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:

@@ -14,7 +14,7 @@ extensions) is assembled from the primitives in this module:
   with a prescribed extra delay, and its closed-form crossing time,
 * ``ScalarField1D`` and ``ramp_velocity_field`` -- a speed on an open
   interval with its exact zero set, the input of every 1D flow,
-* ``defining_function`` -- a smooth nonnegative function whose zero locus is
+* ``DefiningFunction`` -- a smooth nonnegative function whose zero locus is
   a prescribed closed set (finite unions of boxes, points and finite-depth
   Cantor products), with its exact gradient.
 
@@ -36,6 +36,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,13 +57,13 @@ __all__ = [
     "bump_mass",
     "ScalarField1D",
     "ramp_velocity_field",
+    "check_ramp_params",
     "AxisSet",
     "axis_point",
     "axis_interval",
     "cantor_axis",
     "ClosedSetSpec",
     "DefiningFunction",
-    "defining_function",
     "decay_witness",
     "decay_witness_grad",
     "ball_bump_from_sq",
@@ -140,16 +141,15 @@ def smooth_step(t):
 # the parametric ramp velocity
 # ---------------------------------------------------------------------------
 
-def _check_open(name, value, lo, hi):
-    value = np.asarray(value, dtype=float)
-    if not np.all((lo < value) & (value < hi)):
-        raise InputError(f"{name} must lie in ({lo}, {hi})")
-
-
-def _check_closed(name, value, lo, hi):
-    value = np.asarray(value, dtype=float)
-    if not np.all((lo <= value) & (value <= hi)):
-        raise InputError(f"{name} must lie in [{lo}, {hi}]")
+def check_ramp_params(a: float, b: float, c: float) -> None:
+    """Refuse ramp parameters outside ``a`` in (-1, 1), ``b`` in [-1, 1]
+    and ``c`` in [0, 1], NaN included."""
+    if not (-1.0 < a < 1.0):
+        raise InputError("a must lie in (-1, 1)")
+    if not (-1.0 <= b <= 1.0):
+        raise InputError("b must lie in [-1, 1]")
+    if not (0.0 <= c <= 1.0):
+        raise InputError("c must lie in [0, 1]")
 
 
 def _rising_jet(a, x, need_grad: bool = True):
@@ -209,14 +209,7 @@ def ramp_velocity_jet(a, b, c, x):
 # the bridge velocity and its normalization constant
 # ---------------------------------------------------------------------------
 
-_GL_NODES = 160
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int):
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
 
 def bump_mass(t):
@@ -227,15 +220,14 @@ def bump_mass(t):
     """
     t = np.asarray(t, dtype=float)
     tc = np.clip(t, -1.0, 1.0)
-    nodes, weights = _gauss_legendre(_GL_NODES)
     half = 0.5 * (tc + 1.0)
     # map [-1, 1] reference nodes onto [-1, tc]
-    pts = -1.0 + np.multiply.outer(half, nodes + 1.0)
+    pts = -1.0 + np.multiply.outer(half, _GL_NODES + 1.0)
     q = 1.0 - pts * pts
     vals = np.zeros_like(pts)
     mask = q > EXP_CLAMP
     vals[mask] = np.exp(-2.0 / q[mask])
-    return np.asarray(half * (vals * weights).sum(axis=-1))
+    return np.asarray(half * (vals * _GL_WEIGHTS).sum(axis=-1))
 
 
 # total mass of the unit bump (normalizes all bridge crossing times)
@@ -319,9 +311,7 @@ class ScalarField1D:
 def ramp_velocity_field(a: float, b: float, c: float) -> ScalarField1D:
     """The velocity ``ramp_velocity(a, b, c, .)`` on (-1, 1) with its exact
     zero set recorded."""
-    _check_open("a", a, -1.0, 1.0)
-    _check_closed("b", b, -1.0, 1.0)
-    _check_closed("c", c, 0.0, 1.0)
+    check_ramp_params(a, b, c)
     if b == 1.0:
         zeros = ((-1.0, 1.0),)
     else:
@@ -354,6 +344,8 @@ class AxisSet:
     def __post_init__(self):
         ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
         for a, b in ivs:
+            if math.isnan(a) or math.isnan(b):
+                raise InputError("interval endpoints must not be NaN")
             if b < a:
                 raise InputError("interval endpoints out of order")
         for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
@@ -523,6 +515,10 @@ class DefiningFunction:
     spec: ClosedSetSpec
     sharpness: float = 0.006
 
+    def __post_init__(self):
+        if not self.sharpness > 0:
+            raise InputError("sharpness must be positive")
+
     def _piece_terms(self, pts: np.ndarray):
         vals = []
         grads = []
@@ -564,13 +560,6 @@ class DefiningFunction:
 
     def grad(self, points):
         return self.value_and_grad(points)[1]
-
-
-def defining_function(spec: ClosedSetSpec, sharpness: float = 0.006) -> DefiningFunction:
-    """Build the smooth defining function of a :class:`ClosedSetSpec`."""
-    if not sharpness > 0:
-        raise InputError("sharpness must be positive")
-    return DefiningFunction(spec=spec, sharpness=sharpness)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ from .errors import DepthExhausted, ExcisedPointError, InputError
 from .ham_extension import (
     RayHamiltonian,
     TubeNeighbourhood,
-    build_ray_hamiltonian,
-    build_ray_hamiltonian_n1,
     coordinate_stencil,
     epigraph_sampler,
     extend_null_field,
@@ -210,14 +208,15 @@ def _flow_checks(field, membership: Callable, grid: np.ndarray,
     return checks
 
 
-def _flatness_check(field, pts: np.ndarray, bound: float = 1e-10) -> dict:
-    """grad F must vanish on sampled zeros of F off the hypersurface."""
+def _flatness_check(field, pts: np.ndarray) -> dict:
+    """grad F must vanish, to 1e-10, on sampled zeros of F off the
+    hypersurface."""
     vals = np.abs(field.value(pts))
     zero = pts[vals == 0.0]
     if zero.shape[0] == 0:
         return _check(False, 0, math.inf, note="no zero samples found")
     worst = float(np.abs(field.grad(zero)).max())
-    return _check(worst <= bound, zero.shape[0], worst, bound=bound)
+    return _check(worst <= 1e-10, zero.shape[0], worst, bound=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
     n = cfg.n if cfg.scenario == "ray" else 1
     if cfg.scenario == "ray" and n < 2:
         raise InputError("the 'ray' scenario needs n >= 2; use 'ray-n1'")
-    base = (build_ray_hamiltonian(n) if n >= 2 else build_ray_hamiltonian_n1())
+    base = RayHamiltonian(n)
     field = base
     if cfg.u_scale != 1.0:
         hood = TubeNeighbourhood(eps=base.eps * cfg.u_scale,
@@ -362,16 +361,16 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
 # epigraph / brush scenarios
 # ---------------------------------------------------------------------------
 
-def _brush_setup(sharpness: float = 0.002):
+def _brush_setup():
     C = scalar_kit.ClosedSetSpec(
         dim=2,
         pieces=((scalar_kit.axis_point(0.0), scalar_kit.cantor_axis(0.0, 1.0, 6)),),
     )
     spec = null_fields.EpigraphSpec(
         C=C, lam=null_fields.constant_map(0.0),
-        validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=sharpness,
+        validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=0.002,
     )
-    vfield = null_fields.build_epigraph_field(spec)
+    vfield = null_fields.EpigraphField(spec)
     ham = extend_null_field(vfield, epigraph_sampler(spec))
     return C, spec, vfield, ham
 
@@ -479,7 +478,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     spec = null_fields.EpigraphSpec(
         C=C, lam=lam, validation_box=((-1.5, -1.5), (1.5, 1.5)),
     )
-    vfield = null_fields.build_epigraph_field(spec)
+    vfield = null_fields.EpigraphField(spec)
     ham = extend_null_field(vfield, epigraph_sampler(spec))
     rng = np.random.default_rng(cfg.seed)
     checks = {}
@@ -680,7 +679,6 @@ def _horned_ray_spec() -> trees.TreeSpec:
     return trees.TreeSpec(
         nodes=((0.0, 0.0), (1.2, 0.0), (-1.0, 1.0), (-1.0, -1.0)),
         edges=((0, 1), (0, 2), (0, 3)),
-        mode=trees.OPEN_ROOTED,
         special=1,
     )
 
@@ -690,7 +688,6 @@ def _double_y_spec() -> trees.TreeSpec:
         nodes=((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
                (2.0, 1.0), (2.0, -1.0), (-2.0, 1.0), (-2.0, -1.0)),
         edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)),
-        mode=trees.RETRACT,
         special=0,
     )
 
@@ -784,7 +781,7 @@ def _run_tree(cfg: ScenarioConfig) -> dict:
 
 
 def _run_retract(cfg: ScenarioConfig) -> dict:
-    staged = trees.retract_tree(_double_y_spec())
+    staged = trees.excise_tree(_double_y_spec())
     rng = np.random.default_rng(cfg.seed)
     checks = _tree_checks(staged, cfg, rng)
 

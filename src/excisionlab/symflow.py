@@ -49,6 +49,7 @@ __all__ = [
     "DELTA_PROBE",
     "ESC_BRACKET",
     "DEFAULT_TOL",
+    "MAX_STEPS",
     "COMPLETED",
     "ESCAPED",
     "TOLERANCE_FAILURE",
@@ -65,6 +66,8 @@ R_MAX = 1e6
 DELTA_PROBE = 0.05
 ESC_BRACKET = 1e-4
 DEFAULT_TOL = 1e-10
+# step attempts of one row before it is a tolerance failure
+MAX_STEPS = 50_000
 
 COMPLETED = "completed"
 ESCAPED = "escaped-chart"
@@ -214,7 +217,6 @@ def _per_row(name: str, value, m: int, dtype) -> np.ndarray:
 def integrate_batch(field: HamiltonianField, z0: np.ndarray,
                     t_final: float | np.ndarray,
                     tol: float = DEFAULT_TOL,
-                    max_steps: int = 50_000,
                     record: bool | np.ndarray = False) -> FlowOutcome:
     """Integrate an ``(m, d)`` batch of initial conditions, each row for
     its own signed time.
@@ -225,7 +227,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     advanced with active masks, so heterogeneous stiffness and horizons do
     not couple points, and the result order matches the input order
     regardless of which points finish first.  A call takes as many steps
-    as its slowest row.  A point exceeding ``max_steps`` attempts is
+    as its slowest row.  A point exceeding ``MAX_STEPS`` attempts is
     reported as a tolerance failure rather than stalling the batch.  A row
     with time 0 that has not already escaped completes without a step.  A
     non-finite time or start row, or a ``t_final`` or ``record`` array of
@@ -284,7 +286,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         if idx.size == 0:
             break
         attempts[idx] += 1
-        over = idx[attempts[idx] > max_steps]
+        over = idx[attempts[idx] > MAX_STEPS]
         if over.size:
             status[over] = _FAIL
             idx = np.nonzero(status == _RUNNING)[0]

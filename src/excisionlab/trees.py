@@ -12,10 +12,12 @@ through its own area-preserving strip chart:
   node: the strip half-width decays linearly toward the node, so sibling
   strips at a junction stay disjoint inside their angular sectors.
 
-The composed time-1 maps excise the whole tree while fixing everything
-outside the union of strips bitwise (every stage field vanishes there
-identically).  Retraction mode splits the tree at a kept point and excises
-each open-rooted component into it.
+The composed time-1 maps excise the whole tree into its special node while
+fixing everything outside the union of strips bitwise (every stage field
+vanishes there identically).  The special node itself is not excised: an
+open-rooted tree is a tree minus its root, and a tree retracted onto a kept
+point splits there into open-rooted components, each excised into that
+point, so both are the same staged construction.
 """
 
 from __future__ import annotations
@@ -37,44 +39,44 @@ __all__ = [
     "strip_chart",
     "StagedExcision",
     "excise_tree",
-    "retract_tree",
 ]
-
-OPEN_ROOTED = "open-rooted"
-RETRACT = "retract"
 
 
 @dataclass(frozen=True)
 class TreeSpec:
     """Piecewise-linear tree in the plane.
 
-    ``special`` is the root node (removed; ``open-rooted`` mode) or the
-    kept point ``z0`` (``retract`` mode).  ``w0`` caps strip half-widths;
-    ``eps`` is the model-chart tail fraction behind each leaf.
+    ``special`` is the node the tree is excised into and the one node that
+    stays: the root of an open-rooted tree, or the kept point a tree is
+    retracted onto.
+    ``w0`` caps strip half-widths; ``eps`` is the model-chart tail fraction
+    behind each leaf.
     """
 
     nodes: tuple
     edges: tuple
-    mode: str = OPEN_ROOTED
     special: int = 0
     w0: float = 0.05
     eps: float = 0.4
 
     def __post_init__(self):
         n = len(self.nodes)
-        if self.mode not in (OPEN_ROOTED, RETRACT):
-            raise InputError(f"unknown tree mode {self.mode!r}")
+        # written to fail closed: NaN is in no open interval
+        if not all(-math.inf < c < math.inf for node in self.nodes for c in node):
+            raise InputError("tree nodes must be finite")
+        if not self.w0 > 0.0:
+            raise InputError(f"w0 must be positive, got {self.w0!r}")
+        if not 0.0 < self.eps < 1.0:
+            raise InputError(f"eps must lie in (0, 1), got {self.eps!r}")
         if not (0 <= self.special < n):
             raise InputError("special node index out of range")
         if len(self.edges) != n - 1:
             raise InputError("a tree on n nodes has n-1 edges")
-        # connectivity check (breadth-first)
-        adj = {i: [] for i in range(n)}
         for a, b in self.edges:
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise InputError("bad edge")
-            adj[a].append(b)
-            adj[b].append(a)
+        # connectivity check (depth-first)
+        adj = self.adjacency()
         seen = {0}
         stack = [0]
         while stack:
@@ -141,15 +143,18 @@ class BranchChart:
     def max_half_width(self) -> float:
         return float(self.half_width(-self.eps))
 
-    def in_tube(self, pts: np.ndarray) -> np.ndarray:
+    def tube_coordinate(self, pts: np.ndarray) -> np.ndarray:
+        """Model coordinate ``x1`` toward the node inside the tube
+        ``{x1 > -eps, y1^2 < h_coef (1 - x1)^2}``, minus infinity
+        outside it."""
         m = self.to_model(pts)
         x1, y1 = m[:, 0], m[:, 1]
         h = self.h_coef * np.maximum(1.0 - x1, 0.0) ** 2
-        return (x1 > -self.eps) & (y1 * y1 < h)
+        return np.where((x1 > -self.eps) & (y1 * y1 < h), x1, -np.inf)
 
 
-def strip_chart(leaf, node, sibling_dirs: Sequence, w0: float = 0.05,
-                eps: float = 0.4) -> BranchChart:
+def strip_chart(leaf, node, sibling_dirs: Sequence, w0: float,
+                eps: float) -> BranchChart:
     """Build the tapered strip chart of the branch ``leaf -> node``.
 
     ``sibling_dirs`` are unit vectors at the node toward its other
@@ -211,11 +216,7 @@ class WorldBranchField(HamiltonianField):
         return self.model.grad(self.chart.to_model(z)) @ self._dpsi_t.T
 
     def escape_value(self, z):
-        m = self.chart.to_model(z)
-        x1, y1 = m[:, 0], m[:, 1]
-        h = self.chart.h_coef * np.maximum(1.0 - x1, 0.0) ** 2
-        in_tube = (x1 > -self.chart.eps) & (y1 * y1 < h)
-        return np.where(in_tube, x1, -np.inf)
+        return self.chart.tube_coordinate(z)
 
 
 def _check_strip_disjoint(fields: Sequence[WorldBranchField]) -> None:
@@ -262,7 +263,7 @@ class StagedExcision:
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0], dtype=bool)
         for f in self.fields:
-            out |= f.chart.in_tube(pts)
+            out |= f.chart.tube_coordinate(pts) > -np.inf
         return out
 
     def forward_batch(self, pts: np.ndarray, tol: float = 1e-10):
@@ -302,15 +303,17 @@ class StagedExcision:
         return zs
 
 
-def _build_stages(spec: TreeSpec, root: int) -> list:
-    """Leaf-first branch fields for the open-rooted tree with this root."""
+def excise_tree(spec: TreeSpec) -> StagedExcision:
+    """Excise a tree into its special node: one branch field per edge,
+    leaf first, each pushing its branch into its node, the last ones into
+    the special node."""
     adj = {i: set(ns) for i, ns in spec.adjacency().items()}
     original_adj = spec.adjacency()
     fields = []
     while any(adj[i] for i in adj):
         leaves = sorted(
             i for i in adj
-            if len(adj[i]) == 1 and i != root
+            if len(adj[i]) == 1 and i != spec.special
         )
         if not leaves:
             raise InputError("no excisable leaf found (is the root correct?)")
@@ -330,24 +333,5 @@ def _build_stages(spec: TreeSpec, root: int) -> list:
         fields.append(WorldBranchField(chart))
         adj[leaf].remove(node)
         adj[node].remove(leaf)
-    return fields
-
-
-def excise_tree(spec: TreeSpec) -> StagedExcision:
-    """Excise an open-rooted tree: branches leaf first, each pushed into
-    its node (the final branch into the removed root)."""
-    if spec.mode != OPEN_ROOTED:
-        raise InputError("excise_tree expects an open-rooted spec")
-    fields = _build_stages(spec, root=spec.special)
-    _check_strip_disjoint(fields)
-    return StagedExcision(fields=fields, spec=spec)
-
-
-def retract_tree(spec: TreeSpec) -> StagedExcision:
-    """Retract a tree onto the kept point ``z0``: split at ``z0`` and
-    excise every open-rooted component into it."""
-    if spec.mode != RETRACT:
-        raise InputError("retract_tree expects a retract spec")
-    fields = _build_stages(spec, root=spec.special)
     _check_strip_disjoint(fields)
     return StagedExcision(fields=fields, spec=spec)

@@ -25,7 +25,7 @@ def brush():
         C=C, lam=null_fields.constant_map(0.0),
         validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=0.002,
     )
-    vfield = null_fields.build_epigraph_field(spec)
+    vfield = null_fields.EpigraphField(spec)
     ham = extend_null_field(vfield, epigraph_sampler(spec))
     return C, spec, vfield, ham
 
@@ -43,7 +43,7 @@ def epigraph_box():
         C=C, lam=null_fields.affine_map((0.1, 0.0), 0.2),
         validation_box=((-1.5, -1.5), (1.5, 1.5)),
     )
-    vfield = null_fields.build_epigraph_field(spec)
+    vfield = null_fields.EpigraphField(spec)
     ham = extend_null_field(vfield, epigraph_sampler(spec))
     return spec, vfield, ham
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from excisionlab import flow1d as f1
 from excisionlab.errors import InputError, ToleranceFailure
-from excisionlab.scalar_kit import ScalarField1D, bridge_velocity
+from excisionlab.scalar_kit import ScalarField1D, bridge_velocity, check_ramp_params
 
 
 def constant_field(value: float, domain=(0.0, 1.0)) -> ScalarField1D:
@@ -54,7 +54,7 @@ def unit_time_threshold(a: float, b: float, tol: float = f1.ROOT_TOL) -> float:
     for ``b < a`` it lies strictly between ``max(b, (a-1)/2)`` and ``a`` and
     is found by bisection on the strictly decreasing closed-form time.
     """
-    f1._check_ramp_params(a, b, 0.0)
+    check_ramp_params(a, b, 0.0)
     if b >= 1.0:
         raise InputError("b must lie in [-1, 1) for a finite threshold")
     s = 0.5 * (a - 1.0)

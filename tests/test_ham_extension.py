@@ -22,7 +22,7 @@ class TestPairing:
 
 class TestRayHamiltonian:
     def test_axis_velocity_is_cutoff(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         for x in (0.0, 0.3, 0.8):
             z = np.array([[0.0, 0.0, x, 0.0]])
             vec = F.vector_field(z)[0]
@@ -30,14 +30,14 @@ class TestRayHamiltonian:
             assert np.abs(vec[[0, 1, 3]]).max() == 0.0
 
     def test_vanishes_on_zero_conorm(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.8, 0.8, size=(200, 4))
         pts[:, 3] = 0.0
         assert np.abs(np.atleast_1d(F.value(pts))).max() == 0.0
 
     def test_compact_superlevel_box(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.98, 0.98, size=(20000, 4))
         pts[:, 3] = rng.uniform(-4, 4, size=20000)
@@ -50,7 +50,7 @@ class TestRayHamiltonian:
         assert np.all(vals < c)
 
     def test_gradient_oracle(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         golden = 0.6180339887498949
         n = 1000
         seqs = (np.arange(1, n + 1)[:, None] *
@@ -67,7 +67,7 @@ class TestRayHamiltonian:
             assert np.max(rel) <= 1e-5
 
     def test_flat_on_zero_set_off_hypersurface(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-0.9, 0.9, size=(2000, 4))
         pts = pts[np.abs(pts[:, 3]) > 0.05]
@@ -77,7 +77,7 @@ class TestRayHamiltonian:
         assert np.abs(F.grad(zeros)).max() <= 1e-10
 
     def test_membership(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         inside = F.membership(np.array([[0.0, 0.0, 0.5, 0.0],
                                         [0.0, 0.0, -0.1, 0.0],
                                         [0.1, 0.0, 0.5, 0.0],
@@ -86,7 +86,7 @@ class TestRayHamiltonian:
 
     def test_single_point_is_refused(self):
         # the evaluators are batch-only: one point is a (1, dim) batch
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         z = np.array([0.0, 0.0, 0.5, 0.0])
         for evaluate in (F.value, F.grad, F.vector_field, F.membership):
             with pytest.raises(InputError, match=r"\(m, 4\) batch"):
@@ -100,7 +100,7 @@ class TestRayHamiltonian:
 
 class TestRayPlane:
     def test_exit_iff_nonnegative(self):
-        F = hx.build_ray_hamiltonian_n1()
+        F = hx.RayHamiltonian(1)
         # axis exit times: chi = 1 above -eps/2, so T(x) = 1 - x there
         starts = np.array([[0.0, 0.0], [-0.01, 0.0], [0.01, 0.0]])
         out = sf.integrate_batch(F, starts, 1.0 + sf.DELTA_PROBE)
@@ -110,7 +110,7 @@ class TestRayPlane:
         assert out.t_esc_upper[2] < 1.0
 
     def test_off_axis_complete(self):
-        F = hx.build_ray_hamiltonian_n1()
+        F = hx.RayHamiltonian(1)
         z = np.array([0.5, 0.7])
         assert sf.integrate_batch(F, z[None], 10.0).completed[0]
         assert sf.integrate_batch(F, z[None], -10.0).completed[0]
@@ -156,8 +156,7 @@ class TestExtension:
         def target(lam):
             spec = nf.EpigraphSpec(C=C, lam=nf.constant_map(lam),
                                    validation_box=((-1.0,), (1.0,)))
-            return (nf.build_epigraph_field(spec),
-                    hx.epigraph_sampler(spec, x_max=0.999))
+            return nf.EpigraphField(spec), hx.epigraph_sampler(spec)
 
         vfield, sample = target(0.9995)   # plateau speed 1 - b = 5e-4 < V_FLOOR
         zs = sample(100, np.random.default_rng(0))
@@ -172,7 +171,7 @@ class TestExtension:
 
 class TestLocalize:
     def test_support_and_plateau(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         hood = hx.TubeNeighbourhood(eps=F.eps * 0.1, h_coef=F.h_coef * 0.1)
         rng = np.random.default_rng(7)
         loc = hx.localize(F, hood, target_samples=F.sample_target(100, rng))
@@ -190,20 +189,20 @@ class TestLocalize:
             def bump(self, pts):
                 return np.full(pts.shape[0], np.nan), None
 
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         rng = np.random.default_rng(8)
         with pytest.raises(InputError):
             hx.localize(F, NanHood(), target_samples=F.sample_target(10, rng))
 
     def test_margin_enforced(self):
-        F = hx.build_ray_hamiltonian(2)
+        F = hx.RayHamiltonian(2)
         hood = hx.TubeNeighbourhood(eps=0.01, h_coef=1e-6)
         rng = np.random.default_rng(8)
         with pytest.raises(InputError):
             hx.localize(F, hood, target_samples=F.sample_target(100, rng))
 
-    @pytest.mark.parametrize("build", [lambda: hx.build_ray_hamiltonian(2),
-                                       hx.build_ray_hamiltonian_n1],
+    @pytest.mark.parametrize("build", [lambda: hx.RayHamiltonian(2),
+                                       lambda: hx.RayHamiltonian(1)],
                              ids=["ray", "ray-n1"])
     def test_margin_accepts_cli_scales(self, build):
         # the neighbourhoods of ``lab ray --u-scale u``: accepted down to

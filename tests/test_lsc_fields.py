@@ -30,6 +30,18 @@ class TestLscSpec:
         with pytest.raises(InputError):
             lf.LscSpec(base_lo=lo, base_hi=hi, pieces=())
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((float("nan"), 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, float("nan"))),
+        ((-math.inf, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, math.inf)),
+    ])
+    def test_non_finite_piece_corner_is_refused(self, lo, hi):
+        # a NaN corner would otherwise drop its piece from lam silently
+        with pytest.raises(InputError, match="piece corners must be finite"):
+            lf.LscSpec(base_lo=(-2.0, -2.0), base_hi=(2.0, 2.0),
+                       pieces=((lo, hi, 0.5),))
+
     def test_degenerate_base_box_builds(self):
         spec = lf.LscSpec(base_lo=(0.5,), base_hi=(0.5,), pieces=())
         field = lf.build_lsc_field(spec, depth=2)
@@ -103,10 +115,11 @@ def raw_values_unpruned(seq, pts):
     prev = np.zeros(pts.shape[0])
     cols = []
     for lev in seq._levels:
-        qi, ci = pairs_by_cell(lev.index, pts)
-        d2 = np.sum((pts[qi] - lev.index.centers[ci]) ** 2, axis=1)
-        w = ball_bump_from_sq(d2 / (lev.radius * lev.radius))
-        c = lev.c_vals[ci]
+        blend = lev.blend
+        qi, ci = pairs_by_cell(blend.index, pts)
+        d2 = np.sum((pts[qi] - blend.index.centers[ci]) ** 2, axis=1)
+        w = ball_bump_from_sq(d2 / (blend.index.radius * blend.index.radius))
+        c = blend.c_vals[ci]
         w = w * smooth_step((c - prev[qi]) / lev.gate_scale[ci])
         w = w * kill_cum[qi, lev.kill_rank[ci]]
         num = np.bincount(qi, weights=w * c, minlength=pts.shape[0])
@@ -119,7 +132,7 @@ def raw_values_unpruned(seq, pts):
 def blend_unpruned(blend, pts):
     qi, ci = pairs_by_cell(blend.index, pts)
     d2 = np.sum((pts[qi] - blend.index.centers[ci]) ** 2, axis=1)
-    w = ball_bump_from_sq(d2 / (blend.radius * blend.radius))
+    w = ball_bump_from_sq(d2 / (blend.index.radius * blend.index.radius))
     num = np.bincount(qi, weights=w * blend.c_vals[ci], minlength=pts.shape[0])
     den = np.bincount(qi, weights=w, minlength=pts.shape[0])
     return num / den
@@ -335,7 +348,7 @@ class TestPrunedBlends:
         for n in range(1, len(seq._levels)):
             below = lf.BaireSequence(seq.spec)
             below._levels = seq._levels[:n]
-            centers = seq._levels[n].index.centers
+            centers = seq._levels[n].blend.index.centers
             assert np.array_equal(below.raw_values(centers),
                                   raw_values_unpruned(below, centers))
 
@@ -346,7 +359,8 @@ class TestPrunedBlends:
             centers, reach = g.index.centers, lf.MAJORANT_SCALE
             assert np.array_equal(
                 g.ball_upper_bound(centers, reach),
-                max_over_balls_at(g.index, centers, reach + g.radius, g.c_vals))
+                max_over_balls_at(g.index, centers, reach + g.index.radius,
+                                  g.c_vals))
 
     def test_level_upper_bounds_equal_maximum_at(self, shallow_box_tail):
         field, _ = shallow_box_tail
@@ -356,8 +370,10 @@ class TestPrunedBlends:
         for level in range(1, seq.depth + 1):
             lev, factor = ((seq._levels[0], 0.5) if level == 1
                            else (seq._levels[level - 2], 1.0))
-            want = factor * max_over_balls_at(lev.index, centers,
-                                              reach + lev.radius, lev.c_vals)
+            blend = lev.blend
+            want = factor * max_over_balls_at(blend.index, centers,
+                                              reach + blend.index.radius,
+                                              blend.c_vals)
             assert np.array_equal(seq.level_upper_bound(level, centers, reach),
                                   want)
 

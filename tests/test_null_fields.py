@@ -16,7 +16,7 @@ def point_field():
     C = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
     spec = nf.EpigraphSpec(C=C, lam=nf.constant_map(0.0),
                            validation_box=((-1.0,), (1.0,)))
-    return spec, nf.build_epigraph_field(spec)
+    return spec, nf.EpigraphField(spec)
 
 
 def fibre_params(field, p):
@@ -54,7 +54,7 @@ class TestBuildEpigraphField:
         bad = nf.EpigraphSpec(C=C, lam=nf.constant_map(1.5),
                               validation_box=((-1.0,), (1.0,)))
         with pytest.raises(InputError):
-            nf.build_epigraph_field(bad)
+            nf.EpigraphField(bad)
 
     def test_range_validation_rejects_nan(self):
         C = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
@@ -64,7 +64,7 @@ class TestBuildEpigraphField:
         )
         bad = nf.EpigraphSpec(C=C, lam=lam, validation_box=((-1.0,), (1.0,)))
         with pytest.raises(InputError):
-            nf.build_epigraph_field(bad)
+            nf.EpigraphField(bad)
 
 
 class TestClassification:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from excisionlab import scalar_kit as sk
+from excisionlab import flow1d as f1, scalar_kit as sk
 from excisionlab.errors import InputError
 from fields1d import affine_field, bridge_velocity_field
 
@@ -106,10 +106,29 @@ class TestDomainEdges:
         with pytest.raises(InputError, match="outside open domain"):
             field.check_domain(np.array([0.5, NAN]))
 
+    @pytest.mark.parametrize("a, b, c", [
+        (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (NAN, 0.0, 0.0),
+        (0.0, -1.5, 0.0), (0.0, 1.5, 0.0), (0.0, NAN, 0.0),
+        (0.0, 0.0, -0.1), (0.0, 0.0, 1.5), (0.0, 0.0, NAN),
+    ])
+    def test_ramp_field_and_closed_form_refuse_alike(self, a, b, c):
+        with pytest.raises(InputError) as by_field:
+            sk.ramp_velocity_field(a, b, c)
+        with pytest.raises(InputError) as by_time:
+            f1.ramp_time_closed_form(a, b, c, 0.5)
+        assert str(by_field.value) == str(by_time.value)
+
+    @pytest.mark.parametrize("intervals", [
+        ((NAN, 0.5),), ((0.0, NAN),), ((0.0, 0.2), (NAN, NAN)),
+    ])
+    def test_axis_endpoints_refuse_nan(self, intervals):
+        with pytest.raises(InputError, match="must not be NaN"):
+            sk.AxisSet(intervals)
+
     def test_sharpness_refuses_nan(self):
         spec = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
         with pytest.raises(InputError, match="sharpness"):
-            sk.defining_function(spec, sharpness=NAN)
+            sk.DefiningFunction(spec, sharpness=NAN)
 
 
 class TestBatchContract:
@@ -142,7 +161,7 @@ class TestBatchContract:
         pts = np.array([[0.0, 0.0], [0.0, 0.1], [0.7, 0.0]])
         assert spec.contains(pts).tolist() == [True, False, False]
         assert spec.boundary_distance(pts) == pytest.approx([0.0, 0.1, 0.0])
-        c = sk.defining_function(spec)
+        c = sk.DefiningFunction(spec)
         val, grad = c.value_and_grad(pts)
         assert val.shape == (3,) and grad.shape == (3, 2)
         assert np.array_equal(c.value(pts), val)
@@ -269,14 +288,14 @@ class TestScalarFieldDerivatives:
 class TestDefiningFunction:
     def test_point_membership(self):
         spec = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
-        c = sk.defining_function(spec)
+        c = sk.DefiningFunction(spec)
         vals = c.value(np.array([[0.0], [0.5]]))
         assert vals[0] == 0.0
         assert vals[1] > 0.0
 
     def test_cantor_midpoint_removed(self):
         spec = sk.ClosedSetSpec(dim=1, pieces=((sk.cantor_axis(0.0, 1.0, 3),),))
-        c = sk.defining_function(spec)
+        c = sk.DefiningFunction(spec)
         pts = np.array([[0.5], [1.0 / 3.0]])
         vals = c.value(pts)
         # 1/2 sits in the middle-thirds gap removed at depth 1
@@ -306,7 +325,7 @@ class TestDefiningFunction:
             dim=2,
             pieces=((sk.axis_interval(-0.5, 0.5), sk.axis_interval(-0.25, 0.75)),),
         )
-        c = sk.defining_function(spec)
+        c = sk.DefiningFunction(spec)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1.2, 1.2, size=(300, 2))
         # stay clear of sub-resolution shells right at the box faces

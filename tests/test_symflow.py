@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from excisionlab import scenarios, symflow
 from excisionlab.errors import InputError, StencilError
-from excisionlab.ham_extension import HamiltonianField, build_ray_hamiltonian
+from excisionlab.ham_extension import HamiltonianField, RayHamiltonian
 
 
 @pytest.fixture(scope="module")
 def ray():
-    return build_ray_hamiltonian(2)
+    return RayHamiltonian(2)
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,18 @@
 """Composed tree maps: a row's result does not depend on its batch mates,
 and the backward stages undo the forward ones."""
 
+import math
+
 import numpy as np
 import pytest
 
 from excisionlab import scenarios, trees
+from excisionlab.errors import InputError
 
 
 @pytest.fixture(scope="module")
 def staged():
-    return trees.retract_tree(scenarios._double_y_spec())
+    return trees.excise_tree(scenarios._double_y_spec())
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +55,22 @@ def test_inverse_undoes_forward(staged, mixed):
     ends, esc = staged.forward_batch(survivors)
     assert np.all(esc == -1)
     assert np.abs(staged.inverse_batch(ends) - survivors).max() <= 1e-7
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"nodes": ((0.0, 0.0), (math.inf, 0.0))}, "nodes must be finite"),
+    ({"nodes": ((0.0, 0.0), (1.0, math.nan))}, "nodes must be finite"),
+    ({"w0": -0.05}, "w0 must be positive"),
+    ({"w0": math.nan}, "w0 must be positive"),
+    ({"eps": 0.0}, "eps must lie in"),
+    ({"eps": 1.0}, "eps must lie in"),
+    ({"eps": math.nan}, "eps must lie in"),
+], ids=["inf-node", "nan-node", "negative-w0", "nan-w0", "zero-eps",
+        "unit-eps", "nan-eps"])
+def test_spec_refuses_bad_input(change, match):
+    """Refused before any arithmetic: a node at infinity would build a
+    chart with an infinite tube, and a negative ``w0`` would be squared
+    into the tube of ``-w0``."""
+    spec = {"nodes": ((0.0, 0.0), (1.0, 0.0)), "edges": ((0, 1),)}
+    with pytest.raises(InputError, match=match):
+        trees.TreeSpec(**{**spec, **change})

@@ -23,6 +23,9 @@ integral converges.  This module provides:
 A field's zeros come from its declared ``zero_regions``; no walk searches
 for them.
 
+``QUAD_TOL`` is the layer's one tolerance; only :func:`adaptive_quad`
+takes another, for reference integrals.
+
 The quadrature, the walk and the bisection are written once, as steps of
 one fibre: generators that yield the panels whose 15 GK nodes they need
 and are sent the integrand there.  A driver runs them.  The lockstep
@@ -271,12 +274,11 @@ def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]
     return best
 
 
-def _transit(y0: float, y1: float, tol: float):
+def _transit(y0: float, y1: float):
     """Steps of the quadrature of ``1/v`` between ``y0`` and ``y1`` (either
     order), stopped once it provably exceeds ``DIVERGENCE_CAP``; returns
     ``(value, capped)``."""
-    val, _, capped = yield from _quad(min(y0, y1), max(y0, y1), tol=tol,
-                                      cap=DIVERGENCE_CAP)
+    val, _, capped = yield from _quad(min(y0, y1), max(y0, y1), cap=DIVERGENCE_CAP)
     return val, capped
 
 
@@ -311,7 +313,7 @@ def _resolved(y0: float, y1: float) -> bool:
     return bool(np.all(np.diff(_nodes(min(y0, y1), max(y0, y1))) > 0.0))
 
 
-def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
+def _walk(x: float, end: float, d: int, target: float = math.inf):
     """Steps of the integral of ``1/v`` from ``x`` toward ``end`` (``d`` =
     +1 or -1 is the direction), evaluating at ``end`` only once the far
     edge rounds to it.  The first panel is ``[x, end - d*delta]`` with
@@ -322,13 +324,13 @@ def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
     from ``x`` outward; a first panel that converges is never split.  The
     pieces raise :class:`ToleranceFailure` where ``1/v`` overflows, or
     where the pieces too narrow for 15 distinct nodes take more than
-    ``tol`` of time: there the answer depends on ``v`` between floats.
+    ``QUAD_TOL`` of time: there the answer depends on ``v`` between floats.
 
     Returns ``(near, t_near, far)`` as soon as the cumulative time passes
     ``target``: the time from ``x`` to ``near`` is ``t_near <= target`` and
     the time to ``far`` exceeds ``target``.  Otherwise returns the unsigned
     :class:`TimeOfFlight` to ``end``: finite when a panel's time drops below
-    the tolerance and the sum plus a geometric tail is at most ``target``.
+    ``QUAD_TOL`` and the sum plus a geometric tail is at most ``target``.
     Without a finite ``target`` it is infinite when the sum passes
     ``DIVERGENCE_CAP`` or the per-level times stop decaying, and
     ``MAX_LEVELS`` unsettled levels raise :class:`ToleranceFailure`.  A
@@ -343,7 +345,7 @@ def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
     levels = range(MAX_LEVELS + 1) if target == math.inf else itertools.count()
     for level in levels:
         try:
-            val, capped = yield from _transit(near, far, tol)
+            val, capped = yield from _transit(near, far)
         except ToleranceFailure:
             if level:
                 raise
@@ -352,16 +354,16 @@ def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
             # has no zero on it, so an infinite piece is an overflow of 1/v
             # where v is subnormal.  The pieces next to x are too narrow for
             # 15 distinct nodes, and their rule is only as good as 1/v at
-            # the few floats it sees: their times may add up to tol at most
+            # the few floats it sees: their times may total QUAD_TOL at most
             unresolved = 0.0
             for y in _edges_toward(x, far, d):
-                val, capped = yield from _transit(near, y, tol)
+                val, capped = yield from _transit(near, y)
                 if not math.isfinite(val):
                     raise ToleranceFailure(
                         f"1/v overflows next to {x}", partial=t_near)
                 if not _resolved(near, y):
                     unresolved += val
-                    if unresolved > tol:
+                    if unresolved > QUAD_TOL:
                         raise ToleranceFailure(
                             f"the time next to {x} varies below float "
                             "resolution", partial=t_near)
@@ -370,7 +372,7 @@ def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
                 if stop is not None:
                     return stop
                 near, t_near = y, accum
-            val, capped = yield from _transit(near, far, tol)
+            val, capped = yield from _transit(near, far)
         accum = t_near + val
         stop = _verdict(near, t_near, far, accum, capped, target)
         if stop is not None:
@@ -379,8 +381,8 @@ def _walk(x: float, end: float, d: int, tol: float, target: float = math.inf):
         # gives no verdict
         if level and far != near:
             contribs.append(val)
-            if val <= tol * max(1.0, accum):
-                # geometric tail extrapolation; the remainder is below tol
+            if val <= QUAD_TOL * max(1.0, accum):
+                # geometric tail extrapolation; the remainder is below QUAD_TOL
                 ratio = 0.5
                 if len(contribs) >= 2 and contribs[-2] > 0:
                     ratio = min(max(val / contribs[-2], 0.0), 0.9)
@@ -411,19 +413,19 @@ def _reciprocal(v: ScalarField1D) -> Callable:
     return lambda xi: 1.0 / np.asarray(v(xi), dtype=float)
 
 
-def _time_of_flight(v: ScalarField1D, x: float, d: int, tol: float):
+def _time_of_flight(v: ScalarField1D, x: float, d: int):
     """Steps of :func:`forward_time` (``d`` = +1) or :func:`backward_time`
     (``d`` = -1)."""
     v.check_domain(x)
     if float(v(x)) == 0.0 or _zero_barrier(v, x, d) is not None:
         return TimeOfFlight(d * math.inf, MODE_ZERO_BLOCKED)
     lo, hi = v.domain
-    tof = yield from _walk(x, hi if d > 0 else lo, d, tol)
+    tof = yield from _walk(x, hi if d > 0 else lo, d)
     return TimeOfFlight(d * tof.value, tof.mode, tof.lower_bound)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def forward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
+def forward_time(v: ScalarField1D, x: float) -> TimeOfFlight:
     """Time of flight from ``x`` to the right endpoint of the domain of ``v``.
 
     Returns ``zero-blocked`` infinity when ``v`` vanishes somewhere on
@@ -433,16 +435,16 @@ def forward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFli
     infinite time, and one on the pieces next to ``x`` raises
     :class:`~excisionlab.errors.ToleranceFailure`.
     """
-    return _run_one(_time_of_flight(v, x, +1, tol), _reciprocal(v))
+    return _run_one(_time_of_flight(v, x, +1), _reciprocal(v))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def backward_time(v: ScalarField1D, x: float, tol: float = QUAD_TOL) -> TimeOfFlight:
+def backward_time(v: ScalarField1D, x: float) -> TimeOfFlight:
     """Signed (negative) time of flight from ``x`` back to the left endpoint."""
-    return _run_one(_time_of_flight(v, x, -1, tol), _reciprocal(v))
+    return _run_one(_time_of_flight(v, x, -1), _reciprocal(v))
 
 
-def _flow(v: ScalarField1D, t: float, x: float, tol: float):
+def _flow(v: ScalarField1D, t: float, x: float):
     """Steps of one fibre's flow: the point reached from ``x`` after time
     ``t``, or ``None`` when the walk refuses ``t``."""
     v.check_domain(x)
@@ -455,14 +457,14 @@ def _flow(v: ScalarField1D, t: float, x: float, tol: float):
     target = abs(t)
     barrier = _zero_barrier(v, x, d)
     end = (hi if d > 0 else lo) if barrier is None else barrier
-    walk = yield from _walk(x, end, d, tol, target)
+    walk = yield from _walk(x, end, d, target)
     if isinstance(walk, TimeOfFlight):
         return None
     # bisect the panel: "near" is on x's side, "far" beyond the target time
     near, t_near, far = walk
     while abs(far - near) > ROOT_TOL:
         mid = 0.5 * (near + far)
-        val, capped = yield from _transit(near, mid, tol)
+        val, capped = yield from _transit(near, mid)
         t_mid = t_near + (math.inf if capped else val)
         # forward keeps t_mid < t on the near side, backward t_mid > -t on
         # the far side; the two differ only on a tie
@@ -477,15 +479,15 @@ def _flow(v: ScalarField1D, t: float, x: float, tol: float):
     return y
 
 
-def _refusal(v: ScalarField1D, t: float, x: float, tol: float) -> FlowDomainError:
+def _refusal(v: ScalarField1D, t: float, x: float) -> FlowDomainError:
     """The error for a refused time, with the exact bounds of ``x``'s flow
     domain from :func:`backward_time` and :func:`forward_time`."""
-    return FlowDomainError(t, backward_time(v, x, tol=tol).value,
-                           forward_time(v, x, tol=tol).value)
+    return FlowDomainError(t, backward_time(v, x).value,
+                           forward_time(v, x).value)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> float:
+def flow_map(v: ScalarField1D, t: float, x: float) -> float:
     """Point reached from ``x`` after flowing for time ``t`` along ``v``.
 
     Solves ``int_x^y dxi / v(xi) = t`` for ``y``: the walk toward the end
@@ -507,9 +509,9 @@ def flow_map(v: ScalarField1D, t: float, x: float, tol: float = QUAD_TOL) -> flo
     on them, or their time changes below float resolution, the flow
     raises :class:`~excisionlab.errors.ToleranceFailure`.
     """
-    y = _run_one(_flow(v, t, x, tol), _reciprocal(v))
+    y = _run_one(_flow(v, t, x), _reciprocal(v))
     if y is None:
-        raise _refusal(v, t, x, tol)
+        raise _refusal(v, t, x)
     return y
 
 
@@ -529,7 +531,7 @@ class Fibres:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def flow_map_batch(fibres: Fibres, t, x, tol: float = QUAD_TOL) -> np.ndarray:
+def flow_map_batch(fibres: Fibres, t, x) -> np.ndarray:
     """:func:`flow_map` of every fibre at once: row ``i`` flows ``x[i]``
     for time ``t`` (a float, or ``t[i]`` from an ``(m,)`` array) along
     ``fibres.fields[i]``, bitwise what ``flow_map`` gives on that fibre
@@ -548,14 +550,14 @@ def flow_map_batch(fibres: Fibres, t, x, tol: float = QUAD_TOL) -> np.ndarray:
                          f"shapes {x.shape} and {t.shape}")
     xs = x.tolist()
     ts = np.broadcast_to(t, (m,)).tolist()
-    out = _lockstep([_flow(v, ti, xi, tol)
+    out = _lockstep([_flow(v, ti, xi)
                      for v, ti, xi in zip(fibres.fields, ts, xs)],
                     lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
     for v, ti, xi, y in zip(fibres.fields, ts, xs, out):
         if isinstance(y, Exception):
             raise y
         if y is None:
-            raise _refusal(v, ti, xi, tol)
+            raise _refusal(v, ti, xi)
     return np.array(out, dtype=float)
 
 
@@ -572,16 +574,15 @@ def _ramp_corner(xi, a: float, s: float):
     return np.exp(np.clip(expo, -745.0, 700.0))
 
 
-def _tu2_correction(a: float, b: float, x: float, tol: float = QUAD_TOL):
+def _tu2_correction(a: float, b: float, x: float):
     """Quadrature of the ramp correction integral over ``[x, a]`` for the
     band below the cutoff plateau (c = 0 branch)."""
     s = 0.5 * (a - 1.0)
     return adaptive_quad(lambda xi: (1.0 + _ramp_corner(xi, a, s)) / (1.0 - b),
-                         x, a, tol=tol, cap=DIVERGENCE_CAP)
+                         x, a, cap=DIVERGENCE_CAP)
 
 
-def ramp_time_closed_form(a: float, b: float, c: float, x: float,
-                          tol: float = QUAD_TOL) -> TimeOfFlight:
+def ramp_time_closed_form(a: float, b: float, c: float, x: float) -> TimeOfFlight:
     """Forward time to the right endpoint for the ramp velocity, from the
     antiderivative: ``(1-x)/(1-b)`` above the ramp with ``c = 0``, infinite
     for ``c > 0`` or ``b = 1``, and below the plateau an explicit correction
@@ -599,7 +600,7 @@ def ramp_time_closed_form(a: float, b: float, c: float, x: float,
         return TimeOfFlight((1.0 - x) / (1.0 - b), MODE_CLOSED_FORM)
     base = (1.0 - a) / (1.0 - b)
     try:
-        corr, _, capped = _tu2_correction(a, b, x, tol=tol)
+        corr, _, capped = _tu2_correction(a, b, x)
     except ToleranceFailure as failure:
         # the ramp-corner integrand can exceed the float range before the
         # panels settle; the accumulated partial already certifies the time

@@ -24,7 +24,7 @@ used only by the test suite to certify them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -337,17 +337,17 @@ class ExtendedHamiltonian(HamiltonianField):
         return self._pieces(_as_batch(z, self.dim), need_grad=False)[1]
 
 
-def extend_null_field(field: EpigraphField, sample: Callable) -> ExtendedHamiltonian:
+def extend_null_field(field: EpigraphField) -> ExtendedHamiltonian:
     """Extend a null field to a Hamiltonian on the ambient product model.
 
-    Certifies on 10,000 points ``sample(10_000, rng)`` of the target (from
-    :func:`epigraph_sampler`, with a fixed seed) that the field speed stays
-    above ``V_FLOOR`` there (the cutoff must be identically 1 there);
+    Certifies on 10,000 points of the target, drawn by
+    ``epigraph_sampler(field.spec)`` with a fixed seed, that the field speed
+    stays above ``V_FLOOR`` there (the cutoff must be identically 1 there);
     scenarios that violate the floor are rejected loudly rather than
     silently degraded.  A target with no sample inside the chart is
     rejected too.
     """
-    zs = sample(10_000, np.random.default_rng(20240901))
+    zs = epigraph_sampler(field.spec)(10_000, np.random.default_rng(20240901))
     if zs.shape[0] == 0:
         raise InputError("no target sample inside the chart")
     v = field.velocity(zs[:, :-2], zs[:, -2])
@@ -404,19 +404,17 @@ class LocalizedHamiltonian(HamiltonianField):
 
 
 def localize(F: HamiltonianField, hood: TubeNeighbourhood,
-             target_samples: Optional[np.ndarray] = None) -> LocalizedHamiltonian:
+             target_samples: np.ndarray) -> LocalizedHamiltonian:
     """Multiply ``F`` by the neighbourhood's plateau bump.
 
-    When target samples are supplied, checks that the neighbourhood contains
-    the excised set with margin: the bump must be identically 1 on every
-    sample and on its ``2 * dim`` coordinate shifts by ``+-HOOD_MARGIN``
-    (``1e-3``).  On the axis samples of the ray the shifts probe the
-    transverse radius of the plateau and its longitudinal edge.  NaN counts
-    as a failure.
+    First checks that the neighbourhood contains the excised set with
+    margin: the bump must be identically 1 on every target sample and on
+    its ``2 * dim`` coordinate shifts by ``+-HOOD_MARGIN`` (``1e-3``).  On
+    the axis samples of the ray the shifts probe the transverse radius of
+    the plateau and its longitudinal edge.  NaN counts as a failure.
     """
-    if target_samples is not None:
-        pts = _as_batch(target_samples, F.dim)
-        b, _ = hood.bump(np.concatenate([pts, coordinate_stencil(pts, HOOD_MARGIN)]))
-        if not np.all(b >= 1.0):
-            raise InputError("neighbourhood does not contain the target with margin")
+    pts = _as_batch(target_samples, F.dim)
+    b, _ = hood.bump(np.concatenate([pts, coordinate_stencil(pts, HOOD_MARGIN)]))
+    if not np.all(b >= 1.0):
+        raise InputError("neighbourhood does not contain the target with margin")
     return LocalizedHamiltonian(F, hood)

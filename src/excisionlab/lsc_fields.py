@@ -685,7 +685,7 @@ class GluedField:
         )
 
 
-def build_lsc_field(spec: LscSpec, depth: int = 12,
+def build_lsc_field(spec: LscSpec, depth: int,
                     grid: Optional[np.ndarray] = None) -> GluedField:
     """Assemble the full tower for ``spec``.
 

@@ -31,7 +31,6 @@ from .ham_extension import (
     RayHamiltonian,
     TubeNeighbourhood,
     coordinate_stencil,
-    epigraph_sampler,
     extend_null_field,
     localize,
 )
@@ -50,7 +49,7 @@ class ScenarioConfig:
 
     scenario: str
     n: int = 2
-    tol: float = 1e-10
+    tol: float = symflow.DEFAULT_TOL
     fd_step: float = 1e-5
     grid: int = 0            # 0 = scenario default resolution
     seed: int = 0
@@ -73,11 +72,17 @@ class ScenarioConfig:
                 raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @staticmethod
-    def from_file(path: str, scenario: Optional[str] = None) -> "ScenarioConfig":
+    def from_file(path: str, scenario: str) -> "ScenarioConfig":
+        """The config of the JSON object in ``path``, run as ``scenario``."""
         with open(path) as fh:
-            raw = json.load(fh)
-        if scenario is not None:
-            raw["scenario"] = scenario
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:   # malformed JSON or not UTF-8
+                raise InputError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InputError("config file must hold a JSON object, got "
+                             f"{type(raw).__name__}")
+        raw["scenario"] = scenario
         unknown = sorted(set(raw) - {f.name for f in fields(ScenarioConfig)})
         if unknown:
             raise InputError(f"unknown config key {', '.join(map(repr, unknown))}")
@@ -371,7 +376,7 @@ def _brush_setup():
         validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=0.002,
     )
     vfield = null_fields.EpigraphField(spec)
-    ham = extend_null_field(vfield, epigraph_sampler(spec))
+    ham = extend_null_field(vfield)
     return C, spec, vfield, ham
 
 
@@ -479,7 +484,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
         C=C, lam=lam, validation_box=((-1.5, -1.5), (1.5, 1.5)),
     )
     vfield = null_fields.EpigraphField(spec)
-    ham = extend_null_field(vfield, epigraph_sampler(spec))
+    ham = extend_null_field(vfield)
     rng = np.random.default_rng(cfg.seed)
     checks = {}
 
@@ -627,7 +632,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
             prev = v
     checks["level_thresholds"] = _check(mism == 0, tested, mism)
     checks["monotone_nesting"] = _check(nest_ok and coincide_ok,
-                                        transect.shape[0] * 40, 0.0)
+                                        fibres.shape[0] * 40, 0.0)
 
     # limit classification against direct lookup
     mism = tested = 0
@@ -666,8 +671,8 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         z_lo = 0.25 * float(data.f[0])
         blocked &= (field.velocity(p, z_lo) == 0.0)
     worst = _worst(errs)
-    checks["backward_totality"] = _check(blocked and worst <= 1e-8, 60, worst,
-                                         bound=1e-8)
+    checks["backward_totality"] = _check(blocked and worst <= 1e-8, len(errs),
+                                         worst, bound=1e-8)
     return checks
 
 

@@ -366,7 +366,7 @@ def integrate(field: HamiltonianField, z0, t: float,
 
 
 def numerical_jacobian(map_batch: Callable[[np.ndarray], tuple],
-                       points: np.ndarray, fd_step: float = 1e-5) -> np.ndarray:
+                       points: np.ndarray, fd_step: float) -> np.ndarray:
     """Central-difference Jacobians of a batch map at ``m`` points, as a
     C-contiguous ``(m, d, d)`` array.
 
@@ -394,7 +394,7 @@ def symplecticity_residual(jac: np.ndarray) -> float:
 
 
 def time1_jacobian_batch(outcome: FlowOutcome, points: np.ndarray,
-                         fd_step: float = 1e-5) -> np.ndarray:
+                         fd_step: float) -> np.ndarray:
     """:func:`numerical_jacobian` of the time-1 map at ``points``, read from
     ``outcome``, the time-1 flow of ``coordinate_stencil(points, fd_step)``.
 

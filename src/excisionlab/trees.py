@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ExcisedPointError, InputError
 from .ham_extension import HamiltonianField, RayHamiltonian
-from .symflow import ESCAPED, integrate_batch
+from .symflow import DEFAULT_TOL, ESCAPED, integrate_batch
 
 __all__ = [
     "TreeSpec",
@@ -64,6 +64,8 @@ class TreeSpec:
         # written to fail closed: NaN is in no open interval
         if not all(-math.inf < c < math.inf for node in self.nodes for c in node):
             raise InputError("tree nodes must be finite")
+        if len(set(map(tuple, self.nodes))) != n:
+            raise InputError("tree nodes must be distinct points")
         if not self.w0 > 0.0:
             raise InputError(f"w0 must be positive, got {self.w0!r}")
         if not 0.0 < self.eps < 1.0:
@@ -219,9 +221,12 @@ class WorldBranchField(HamiltonianField):
         return self.chart.tube_coordinate(z)
 
 
-def _check_strip_disjoint(fields: Sequence[WorldBranchField]) -> None:
+def _check_strip_disjoint(fields: Sequence[WorldBranchField],
+                          branches: Sequence[tuple]) -> None:
     """Conservative pairwise separation check between strips that do not
-    share a node (shared-node pairs are separated by the angular taper)."""
+    share a node (shared-node pairs are separated by the angular taper).
+    ``branches[i]`` is the ``(leaf, node)`` index pair of ``fields[i]``;
+    strips meeting only at a location, not at a node, are checked."""
     def seg_dist(a0, a1, b0, b1):
         # minimal distance between two segments in the plane
         def pt_seg(p, s0, s1):
@@ -235,13 +240,9 @@ def _check_strip_disjoint(fields: Sequence[WorldBranchField]) -> None:
 
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            ci, cj = fields[i].chart, fields[j].chart
-            shared = any(
-                np.allclose(a, b)
-                for a in (ci.leaf, ci.node) for b in (cj.leaf, cj.node)
-            )
-            if shared:
+            if set(branches[i]) & set(branches[j]):
                 continue
+            ci, cj = fields[i].chart, fields[j].chart
             a0 = np.asarray(ci.leaf) - ci.eps * (np.asarray(ci.node) - np.asarray(ci.leaf))
             b0 = np.asarray(cj.leaf) - cj.eps * (np.asarray(cj.node) - np.asarray(cj.leaf))
             dist = seg_dist(a0, np.asarray(ci.node), b0, np.asarray(cj.node))
@@ -266,7 +267,7 @@ class StagedExcision:
             out |= f.chart.tube_coordinate(pts) > -np.inf
         return out
 
-    def forward_batch(self, pts: np.ndarray, tol: float = 1e-10):
+    def forward_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL):
         """Composed forward time-1 maps.
 
         Returns ``(endpoints, stage_escaped)`` where ``stage_escaped[i]``
@@ -287,13 +288,13 @@ class StagedExcision:
             alive[idx[~done]] = False
         return zs, stage_escaped
 
-    def forward_point(self, z, tol: float = 1e-10) -> np.ndarray:
+    def forward_point(self, z, tol: float = DEFAULT_TOL) -> np.ndarray:
         ends, esc = self.forward_batch(np.asarray(z, dtype=float)[None, :], tol=tol)
         if esc[0] != -1:
             raise ExcisedPointError(f"point escaped during stage {esc[0]}")
         return ends[0]
 
-    def inverse_batch(self, pts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    def inverse_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         zs = np.array(pts, dtype=float)
         for f in reversed(self.fields):
             out = integrate_batch(f, zs, -1.0, tol=tol)
@@ -310,6 +311,7 @@ def excise_tree(spec: TreeSpec) -> StagedExcision:
     adj = {i: set(ns) for i, ns in spec.adjacency().items()}
     original_adj = spec.adjacency()
     fields = []
+    branches = []
     while any(adj[i] for i in adj):
         leaves = sorted(
             i for i in adj
@@ -331,7 +333,8 @@ def excise_tree(spec: TreeSpec) -> StagedExcision:
             spec.node_array(leaf), qpt, sib_dirs, w0=spec.w0, eps=spec.eps,
         )
         fields.append(WorldBranchField(chart))
+        branches.append((leaf, node))
         adj[leaf].remove(node)
         adj[node].remove(leaf)
-    _check_strip_disjoint(fields)
+    _check_strip_disjoint(fields, branches)
     return StagedExcision(fields=fields, spec=spec)

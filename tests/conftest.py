@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from excisionlab import lsc_fields, null_fields, scalar_kit
-from excisionlab.ham_extension import epigraph_sampler, extend_null_field
+from excisionlab.ham_extension import extend_null_field
 
 # Fixed examples keep the suite deterministic.  No per-example deadline:
 # the speed of a shared host can drift by 2x, which would make a deadline
@@ -26,7 +26,7 @@ def brush():
         validation_box=((-1.0, -1.0), (2.0, 2.0)), sharpness=0.002,
     )
     vfield = null_fields.EpigraphField(spec)
-    ham = extend_null_field(vfield, epigraph_sampler(spec))
+    ham = extend_null_field(vfield)
     return C, spec, vfield, ham
 
 
@@ -44,7 +44,7 @@ def epigraph_box():
         validation_box=((-1.5, -1.5), (1.5, 1.5)),
     )
     vfield = null_fields.EpigraphField(spec)
-    ham = extend_null_field(vfield, epigraph_sampler(spec))
+    ham = extend_null_field(vfield)
     return spec, vfield, ham
 
 

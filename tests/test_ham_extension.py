@@ -156,17 +156,17 @@ class TestExtension:
         def target(lam):
             spec = nf.EpigraphSpec(C=C, lam=nf.constant_map(lam),
                                    validation_box=((-1.0,), (1.0,)))
-            return nf.EpigraphField(spec), hx.epigraph_sampler(spec)
+            return nf.EpigraphField(spec)
 
-        vfield, sample = target(0.9995)   # plateau speed 1 - b = 5e-4 < V_FLOOR
-        zs = sample(100, np.random.default_rng(0))
+        vfield = target(0.9995)   # plateau speed 1 - b = 5e-4 < V_FLOOR
+        zs = hx.epigraph_sampler(vfield.spec)(100, np.random.default_rng(0))
         assert zs.shape[0] == 100 and np.all(np.abs(zs[:, -2]) < 1.0)
         with pytest.raises(InputError, match="bounded below"):
-            hx.extend_null_field(vfield, sample)
+            hx.extend_null_field(vfield)
 
-        vfield, sample = target(1.0)      # fibre [1, 1) empty: no point in the chart
+        vfield = target(1.0)      # fibre [1, 1) empty: no point in the chart
         with pytest.raises(InputError, match="no target sample inside the chart"):
-            hx.extend_null_field(vfield, sample)
+            hx.extend_null_field(vfield)
 
 
 class TestLocalize:

@@ -174,6 +174,27 @@ class TestDriver:
         assert undecided > 0
         assert (check["points"], check["max_residual"]) == (tested, mism + undecided)
 
+    def test_box_tail_counts_only_the_fibres_it_tests(self):
+        # at margin 0.2, 2 of the 8 transect fibres lie within the margin of
+        # a piece face; the nesting and backward loops skip them
+        cfg = scenarios.ScenarioConfig(scenario="box-tail", **SMALL, margin=0.2)
+        checks = scenarios.run_scenario(cfg)["checks"]
+        spec = scenarios._box_tail_spec()
+        transect = np.stack([np.linspace(-1.95, 1.95, 8), np.full(8, 0.12)],
+                            axis=1)
+        clear = ~(spec.boundary_distance(transect) < cfg.margin)
+        assert np.count_nonzero(clear) == 6
+        # the backward loop's draws: a fibre index, then one height on a
+        # clear fibre
+        rng = np.random.default_rng(cfg.seed)
+        drawn = 0
+        for _ in range(60):
+            if clear[rng.integers(0, 8)]:
+                rng.uniform()
+                drawn += 1
+        assert checks["monotone_nesting"]["points"] == 6 * 40
+        assert checks["backward_totality"]["points"] == drawn < 60
+
 
 class TestFlowPlan:
     """The batch-flow scenarios integrate every first leg in one call and
@@ -353,6 +374,20 @@ class TestConfigValidation:
     def test_command_line_integer_is_validated(self, option, value, capsys):
         with pytest.raises(InputError, match="must be an integer >= "):
             cli.main(["ray", option, value])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("data,match", [
+        (b"[1, 2]", "must hold a JSON object, got list"),
+        (b"7", "must hold a JSON object, got int"),
+        (b'{"grid": 8', "is not valid JSON"),
+        (b"\xff\xfe{}", "is not valid JSON"),
+    ], ids=["list", "number", "truncated", "not-utf8"])
+    def test_config_file_not_a_json_object_is_refused(self, tmp_path, capsys,
+                                                      data, match):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=match):
+            cli.main(["ray", "--config", str(path)])
         assert capsys.readouterr().out == ""
 
     def test_config_file_is_validated(self, tmp_path):

@@ -65,12 +65,26 @@ def test_inverse_undoes_forward(staged, mixed):
     ({"eps": 0.0}, "eps must lie in"),
     ({"eps": 1.0}, "eps must lie in"),
     ({"eps": math.nan}, "eps must lie in"),
+    ({"nodes": ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)),
+      "edges": ((0, 1), (1, 2), (2, 3), (3, 4))}, "nodes must be distinct"),
 ], ids=["inf-node", "nan-node", "negative-w0", "nan-w0", "zero-eps",
-        "unit-eps", "nan-eps"])
+        "unit-eps", "nan-eps", "coincident-nodes"])
 def test_spec_refuses_bad_input(change, match):
     """Refused before any arithmetic: a node at infinity would build a
-    chart with an infinite tube, and a negative ``w0`` would be squared
-    into the tube of ``-w0``."""
+    chart with an infinite tube, a negative ``w0`` would be squared into
+    the tube of ``-w0``, and two nodes at one point would let strips that
+    cross there pass the separation check."""
     spec = {"nodes": ((0.0, 0.0), (1.0, 0.0)), "edges": ((0, 1),)}
     with pytest.raises(InputError, match=match):
         trees.TreeSpec(**{**spec, **change})
+
+
+def test_strips_meeting_away_from_a_shared_node_are_refused():
+    # the path closes back onto node 1 up to 1e-9: the strips of its first
+    # and third stages cross there, sharing a location but no node index
+    spec = trees.TreeSpec(
+        nodes=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 1e-9)),
+        edges=((0, 1), (1, 2), (2, 3), (3, 4)))
+    with pytest.raises(InputError, match="strips of branches 0 and 2 are not "
+                                         "separated"):
+        trees.excise_tree(spec)

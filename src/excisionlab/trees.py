@@ -273,6 +273,11 @@ class StagedExcision:
         Returns ``(endpoints, stage_escaped)`` where ``stage_escaped[i]``
         is the index of the stage during which point ``i`` left the chart
         (-1 when it survived all stages; -2 on tolerance failure).
+
+        Each stage is one :func:`integrate_batch` call over the rows still
+        alive, and a call takes as many DP5 steps as its slowest row, so
+        callers pass every start through one call rather than one call
+        per block.
         """
         zs = np.array(pts, dtype=float)
         stage_escaped = np.full(zs.shape[0], -1, dtype=int)
@@ -295,11 +300,17 @@ class StagedExcision:
         return ends[0]
 
     def inverse_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Composed backward time-1 maps, last stage first.  A row that
+        does not complete a stage raises :class:`ExcisedPointError` naming
+        the stage, the first such row and its status."""
         zs = np.array(pts, dtype=float)
-        for f in reversed(self.fields):
-            out = integrate_batch(f, zs, -1.0, tol=tol)
-            if not np.all(out.completed):
-                raise ExcisedPointError("backward stage failed")
+        for k in reversed(range(len(self.fields))):
+            out = integrate_batch(self.fields[k], zs, -1.0, tol=tol)
+            left = np.nonzero(~out.completed)[0]
+            if left.size:
+                raise ExcisedPointError(
+                    f"backward stage {k} failed at row {left[0]}: "
+                    f"{out.status[left[0]]}")
             zs = out.endpoint
         return zs
 

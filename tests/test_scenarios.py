@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from excisionlab import cli, flow1d, lsc_fields, null_fields, scenarios, symflow
+from excisionlab import (cli, flow1d, lsc_fields, null_fields, scenarios,
+                         symflow, trees)
 from excisionlab.errors import DepthExhausted, InputError, StencilError
 
 RAY_CHECKS = {
@@ -96,6 +97,11 @@ class TestWorst:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fails_closed(self, bad):
         assert scenarios._worst([0.0, np.array([1.0, bad]), 3.0]) == math.inf
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_check_of_no_point_fails_closed(self, points):
+        assert scenarios._check(True, points, 0.0)["pass"] is False
+        assert scenarios._check(True, 1, 0.0)["pass"] is True
 
     def test_grad_check_nan_value(self):
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, 2))
@@ -195,6 +201,19 @@ class TestDriver:
         assert checks["monotone_nesting"]["points"] == 6 * 40
         assert checks["backward_totality"]["points"] == drawn < 60
 
+    def test_check_that_tests_no_point_fails(self, tmp_path, capsys):
+        # at margin 1.0 every transect fibre lies within the margin of a
+        # piece face, so the four fibre checks test nothing
+        path = tmp_path / "margin.json"
+        path.write_text(json.dumps({"grid": 8, "depth": 4, "margin": 1.0}))
+        assert cli.main(["box-tail", "--config", str(path)]) == 1
+        failed = {line.split(":")[0][len("[FAIL] "):]: line.split()[2]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[FAIL]")}
+        assert failed == dict.fromkeys(
+            ("level_thresholds", "monotone_nesting", "limit_classification",
+             "backward_totality"), "points=0")
+
 
 class TestFlowPlan:
     """The batch-flow scenarios integrate every first leg in one call and
@@ -253,6 +272,50 @@ class TestFlowPlan:
         monkeypatch.setattr(symflow, "integrate_batch", failing)
         with pytest.raises(StencilError):
             scenarios.run_scenario(scenarios.ScenarioConfig(scenario="ray-n1",
+                                                            **SMALL))
+
+
+class TestTreePass:
+    """The tree scenarios map every forward start, the symplecticity
+    stencil and retract's near-tree survivor included, through one
+    composed forward pass, then run one inverse pass."""
+
+    @pytest.mark.parametrize("scenario,stages", [("tree", 3), ("retract", 6)])
+    def test_one_forward_pass(self, monkeypatch, scenario, stages):
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+        for name in ("forward_batch", "inverse_batch"):
+            spy(trees.StagedExcision, name)
+        spy(trees, "integrate_batch")
+        spy(symflow, "numerical_jacobian")
+        report = scenarios.run_scenario(scenarios.ScenarioConfig(
+            scenario=scenario, **SMALL))
+        assert report["pass"]
+        assert calls.count("forward_batch") == 1
+        assert calls.count("inverse_batch") == 1
+        assert calls.count("integrate_batch") == 2 * stages
+        assert calls.count("numerical_jacobian") == 1
+
+    @pytest.mark.parametrize("scenario", ["tree", "retract"])
+    def test_stencil_error_comes_before_inverse_error(self, monkeypatch,
+                                                      scenario):
+        # every stage row fails, the stencil and the inverse samples alike
+        real = trees.integrate_batch
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.status[:] = symflow.TOLERANCE_FAILURE
+            return out
+        monkeypatch.setattr(trees, "integrate_batch", failing)
+        with pytest.raises(StencilError):
+            scenarios.run_scenario(scenarios.ScenarioConfig(scenario=scenario,
                                                             **SMALL))
 
 

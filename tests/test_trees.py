@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from excisionlab import scenarios, trees
-from excisionlab.errors import InputError
+from excisionlab.errors import ExcisedPointError, InputError
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,17 @@ def test_inverse_undoes_forward(staged, mixed):
     ends, esc = staged.forward_batch(survivors)
     assert np.all(esc == -1)
     assert np.abs(staged.inverse_batch(ends) - survivors).max() <= 1e-7
+
+
+def test_inverse_names_the_failing_stage_and_row(staged):
+    # a row past the R_MAX guard has left the chart before the last stage,
+    # the first one run backward
+    pts = np.array([[0.0, 2.4], [2e6, 0.0], [3e6, 0.0]])
+    last = len(staged.fields) - 1
+    with pytest.raises(ExcisedPointError,
+                       match=f"backward stage {last} failed at row 1: "
+                             "escaped-chart"):
+        staged.inverse_batch(pts)
 
 
 @pytest.mark.parametrize("change, match", [

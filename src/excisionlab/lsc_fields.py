@@ -10,9 +10,9 @@ stages:
    whose constants sit strictly between the previous level and the target
    (:func:`baire_sequence`);
 2. smooth separators ``g_n`` with ``f_{n+1} < g_n < g_{n+1} < 1`` and
-   ``sup g_n = 1``, each a bump blend of constants above an exact
-   over-ball bound of the functions it must dominate (built in
-   :func:`build_lsc_field`);
+   ``sup g_n = 1``: the columns of one bump blend over one lattice, whose
+   constants in column ``n`` sit above an exact over-ball bound of the
+   functions ``g_n`` must dominate (built in :func:`build_lsc_field`);
 3. a tower of unit-capped velocities on ``B x (0, 1)``, one stack of
    bridge bands per fibre: level ``n`` keeps level ``n-1`` below
    ``g_{n-1}``, adds the band ``(g_{n-1}, g_n)`` and runs at unit speed
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -267,7 +267,7 @@ class _NeighborIndex:
 class _BlendField:
     """Lattice-bump blend ``sum w_i c_i / sum w_i`` of per-center constants
     ``c_vals`` over bumps centred on ``index``, whose cell size is the bump
-    radius."""
+    radius; a ``(centers, k)`` matrix of constants makes ``k`` blends."""
 
     def __init__(self, index: _NeighborIndex, c_vals: np.ndarray):
         self.index = index
@@ -283,13 +283,18 @@ class _BlendField:
         return qi, ci, ball_bump_from_sq(q)
 
     def __call__(self, points):
+        """``(m,)`` blend values, or ``(m, k)`` for a matrix of constants:
+        one ``bincount`` per column, bitwise the blend of that column."""
         pts = np.asarray(points, dtype=float)
+        m = pts.shape[0]
         qi, ci, w = self.weights(pts)
-        num = np.bincount(qi, weights=w * self.c_vals[ci], minlength=pts.shape[0])
-        den = np.bincount(qi, weights=w, minlength=pts.shape[0])
+        den = np.bincount(qi, weights=w, minlength=m)
         if np.any(den <= 0.0):
             raise CoverageError("majorant blend not covering a query point")
-        return num / den
+        c = self.c_vals.take(ci, axis=0).reshape(ci.size, -1)
+        num = np.column_stack([np.bincount(qi, weights=w * col, minlength=m)
+                               for col in c.T])
+        return (num / den[:, None]).reshape((m,) + self.c_vals.shape[1:])
 
     def ball_upper_bound(self, pts: np.ndarray, reach: float) -> np.ndarray:
         """Exact upper bound for ``sup`` of the blend over balls of radius
@@ -452,28 +457,6 @@ def baire_sequence(spec: LscSpec, n_levels: int,
 
 
 # ---------------------------------------------------------------------------
-# smooth majorants
-# ---------------------------------------------------------------------------
-
-def _majorant_from_bounds(spec: LscSpec,
-                          bound_fns: Sequence[Callable]) -> _BlendField:
-    """Blend of constants ``(1 + m_i)/2`` where ``m_i`` is an exact upper
-    bound, over the bump support ball, of everything to dominate."""
-    scale = MAJORANT_SCALE
-    lo = np.asarray(spec.base_lo, dtype=float)
-    hi = np.asarray(spec.base_hi, dtype=float)
-    # pad by one bump radius: enough to cover queries inside the base box
-    centers = _lattice(lo, hi, 0.5 * scale, pad=scale)
-    m = np.full(centers.shape[0], -np.inf)
-    for fn in bound_fns:
-        m = np.maximum(m, np.asarray(fn(centers, scale), dtype=float))
-    if np.any(m >= 1.0):
-        raise InputError("majorant input must stay strictly below 1")
-    c_vals = 0.5 * (1.0 + m)
-    return _BlendField(_NeighborIndex(centers, scale), c_vals)
-
-
-# ---------------------------------------------------------------------------
 # the velocity tower: stacked bridge bands
 # ---------------------------------------------------------------------------
 
@@ -553,6 +536,8 @@ class GluedField:
 
     Band ``k`` lives on ``(g_{k-1}(p), g_k(p))`` with delay ``tau_k(p)``;
     below ``g_0`` and between bands the speed is 1 (before the cutoff).
+    ``majorants`` is one blend whose ``(m, depth + 1)`` values are the
+    separators ``g_0 .. g_depth``, so one call gives a fibre all of them.
     Queries above the deepest separator raise
     :class:`~excisionlab.errors.DepthExhausted` instead of extrapolating.
 
@@ -569,12 +554,12 @@ class GluedField:
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
-                 majorants: Sequence[_BlendField], depth: int):
+                 majorants: _BlendField, depth: int):
         if depth < 2:
             raise InputError("depth must be at least 2")
         self.spec = spec
         self.baire = baire
-        self.majorants = list(majorants)   # g_0 .. g_depth
+        self.majorants = majorants   # columns g_0 .. g_depth
         self.depth = depth
         self.base_dim = spec.dim
         self._fiber_cache: dict[bytes, FiberData] = {}
@@ -592,7 +577,7 @@ class GluedField:
         if hit is not None:
             return hit
         fs = self.baire.raw_values(pt)[0]          # f_1 .. f_{depth+1}
-        gs = np.array([m(pt)[0] for m in self.majorants])
+        gs = self.majorants(pt)[0]                # g_0 .. g_depth
         if not (np.all(np.diff(fs) > 0.0) and np.all(np.diff(gs) > 0.0)):
             raise InputError("tower ordering violated at this base point")
         if not np.all(fs < gs):
@@ -690,25 +675,28 @@ def build_lsc_field(spec: LscSpec, depth: int,
     """Assemble the full tower for ``spec``.
 
     Thresholds come from :func:`baire_sequence` (one extra level feeds the
-    separator recursion); each separator is a bump blend of midpoint
-    constants above the exact over-ball bound of
-    ``max(g_{n-1}, f_{n+1}, 1 - 1/n)``, which guarantees the tower ordering
-    pointwise.  Bridge delays are filled lazily per queried base point.
+    separator recursion).  The separators are the columns of one bump
+    blend over one lattice: column ``n`` holds the midpoint constants
+    ``(1 + b_n)/2``, where ``b_0`` is the exact over-ball bound of ``f_1``
+    and ``b_n`` that of ``max(g_{n-1}, f_{n+1}, 1 - 1/n)``, which
+    guarantees the tower ordering pointwise.  Bridge delays are filled
+    lazily per queried base point.
     """
     baire = baire_sequence(spec, n_levels=depth + 1, grid=grid)
-
-    majorants: list[_BlendField] = []
-    majorants.append(_majorant_from_bounds(
-        spec, [lambda pts, reach: baire.level_upper_bound(1, pts, reach)]
-    ))
-    for n in range(1, depth + 1):
-        prev_g = majorants[-1]
-        floor = 1.0 - 1.0 / n
-        bound_fns = [
-            prev_g.ball_upper_bound,
-            lambda pts, reach, _lvl=n + 1: baire.level_upper_bound(_lvl, pts, reach),
-            lambda pts, reach, _c=floor: np.full(pts.shape[0], _c),
-        ]
-        majorants.append(_majorant_from_bounds(spec, bound_fns))
-
-    return GluedField(spec, baire, majorants, depth)
+    scale = MAJORANT_SCALE
+    # pad by one bump radius: enough to cover queries inside the base box
+    centers = _lattice(spec.base_lo, spec.base_hi, 0.5 * scale, pad=scale)
+    index = _NeighborIndex(centers, scale)
+    cols = []
+    bound = baire.level_upper_bound(1, centers, scale)
+    for n in range(depth + 1):
+        if n:
+            prev_g = _BlendField(index, cols[-1]).ball_upper_bound(centers, scale)
+            bound = np.maximum(
+                np.maximum(prev_g, baire.level_upper_bound(n + 1, centers, scale)),
+                1.0 - 1.0 / n)
+        if np.any(bound >= 1.0):
+            raise InputError("majorant input must stay strictly below 1")
+        cols.append(0.5 * (1.0 + bound))
+    return GluedField(spec, baire, _BlendField(index, np.column_stack(cols)),
+                      depth)

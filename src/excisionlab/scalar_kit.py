@@ -439,9 +439,7 @@ class ClosedSetSpec:
         best = np.full(pts.shape[0], np.inf)
         for piece in self.pieces:
             for k, axis in enumerate(piece):
-                for a, b in axis.intervals:
-                    best = np.minimum(best, np.abs(pts[:, k] - a))
-                    best = np.minimum(best, np.abs(pts[:, k] - b))
+                best = np.minimum(best, axis.boundary_distance(pts[:, k]))
         return best
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,10 +27,11 @@ A batch in gives a batch out: :func:`integrate_batch` returns one
 :class:`FlowOutcome` whose fields are arrays with one entry per row, so
 callers read masks and endpoints, or slices of rows, without taking
 per-row objects apart; :func:`classify_escape` and
-:func:`time1_jacobian_batch` read such slices.  Hamiltonian flows have no
-structure-preserving discretization here on purpose: symplecticity is
-certified a posteriori on the time-1 map, not assumed from the integrator
-class.
+:func:`time1_jacobian_batch` read such slices, and :func:`numerical_jacobian`
+reads every finite-difference Jacobian from a stencil's images.  Hamiltonian
+flows have no structure-preserving discretization here on purpose:
+symplecticity is certified a posteriori on the time-1 map, not assumed from
+the integrator class.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, StencilError
-from .ham_extension import HamiltonianField, coordinate_stencil, pairing_matrix
+from .ham_extension import HamiltonianField, pairing_matrix
 
 __all__ = [
     "DELTA_ESC",
@@ -73,8 +74,8 @@ COMPLETED = "completed"
 ESCAPED = "escaped-chart"
 TOLERANCE_FAILURE = "tolerance-failure"
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; the fields are autonomous, so the stage
+# times are never needed
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -365,32 +366,36 @@ def integrate(field: HamiltonianField, z0, t: float,
     return integrate_batch(field, np.asarray(z0, dtype=float)[None, :], t, tol=tol)
 
 
-def numerical_jacobian(map_batch: Callable[[np.ndarray], tuple],
-                       points: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central-difference Jacobians of a batch map at ``m`` points, as a
-    C-contiguous ``(m, d, d)`` array.
-
-    The whole coordinate stencil goes through one call
-    ``map_batch(stencil) -> (images, ok)``; a stencil row with ``ok``
-    false lies outside the map's domain and raises :class:`StencilError`
-    so the caller can enlarge its margin.
+def numerical_jacobian(images: np.ndarray, ok: np.ndarray,
+                       fd_step: float) -> np.ndarray:
+    """Central-difference Jacobians at ``m`` points, as a C-contiguous
+    ``(m, d, d)`` array, read from ``images``, the ``(m * 2 * d, d)`` image
+    of ``coordinate_stencil(points, fd_step)`` under a map, in any pass the
+    caller makes.  A row count that is not a multiple of ``2 * d``, or an
+    ``ok`` flag count that differs from it, raises :class:`InputError`; a
+    row with ``ok`` false lies outside the map's domain and raises
+    :class:`StencilError`, so the caller can enlarge its margin.
     """
-    pts = np.asarray(points, dtype=float)
-    m, d = pts.shape
-    images, ok = map_batch(coordinate_stencil(pts, fd_step))
-    bad = np.nonzero(~np.asarray(ok, dtype=bool))[0]
+    images, ok = np.asarray(images, dtype=float), np.asarray(ok, dtype=bool)
+    rows, d = images.shape
+    if rows % (2 * d) or ok.shape != (rows,):
+        raise InputError(f"stencil images {images.shape} and flags {ok.shape} "
+                         f"do not hold m * 2 * {d} rows each")
+    bad = np.nonzero(~ok)[0]
     if bad.size:
         k, r = divmod(int(bad[0]), 2 * d)
         raise StencilError(f"stencil escaped at sample {k}, axis {r // 2}")
-    images = np.asarray(images, dtype=float).reshape(m, d, 2, d)
+    images = images.reshape(rows // (2 * d), d, 2, d)
     cols = (images[:, :, 0, :] - images[:, :, 1, :]) / (2.0 * fd_step)
     return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
-def symplecticity_residual(jac: np.ndarray) -> float:
-    """Max-norm of ``J^T Omega J - Omega`` for the standard pairing."""
-    omega = pairing_matrix(jac.shape[0])
-    return float(np.abs(jac.T @ omega @ jac - omega).max())
+def symplecticity_residual(jacs: np.ndarray) -> np.ndarray:
+    """Max-norm of ``J^T Omega J - Omega`` for the standard pairing, per
+    matrix of an ``(m, d, d)`` stack: an ``(m,)`` array."""
+    jacs = np.asarray(jacs, dtype=float)
+    omega = pairing_matrix(jacs.shape[-1])
+    return np.abs(np.swapaxes(jacs, 1, 2) @ omega @ jacs - omega).max(axis=(1, 2))
 
 
 def time1_jacobian_batch(outcome: FlowOutcome, points: np.ndarray,
@@ -398,12 +403,15 @@ def time1_jacobian_batch(outcome: FlowOutcome, points: np.ndarray,
     """:func:`numerical_jacobian` of the time-1 map at ``points``, read from
     ``outcome``, the time-1 flow of ``coordinate_stencil(points, fd_step)``.
 
-    Every stencil point must survive to t=1; a stencil that touches the
-    excised set raises :class:`StencilError` (callers sample with margin).
+    An ``outcome`` of another shape raises :class:`InputError`.  Every
+    stencil point must survive to t=1; a stencil that touches the excised
+    set raises :class:`StencilError` (callers sample with margin).
     """
-    def time1(stencil):
-        return outcome.endpoint, outcome.completed
-    return numerical_jacobian(time1, points, fd_step)
+    m, d = np.shape(points)
+    if outcome.endpoint.shape != (2 * d * m, d):
+        raise InputError(f"outcome of shape {outcome.endpoint.shape} is not the "
+                         f"flow of the stencil of {m} points in {d} dimensions")
+    return numerical_jacobian(outcome.endpoint, outcome.completed, fd_step)
 
 
 def classify_escape(outcome: FlowOutcome, membership: Callable,

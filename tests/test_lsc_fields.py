@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from excisionlab import flow1d, lsc_fields as lf, null_fields
-from excisionlab.errors import DepthExhausted, InputError
+from excisionlab.errors import CoverageError, DepthExhausted, InputError
 from excisionlab.scalar_kit import (ball_bump_from_sq, bridge_crossing_time,
                                     bridge_velocity, smooth_step)
 
@@ -354,18 +354,21 @@ class TestPrunedBlends:
 
     def test_majorants_equal_the_unpruned_blend(self, shallow_box_tail):
         field, pts = shallow_box_tail
-        for g in field.majorants:
-            assert np.array_equal(g(pts), blend_unpruned(g, pts))
-            centers, reach = g.index.centers, lf.MAJORANT_SCALE
+        seps = field.majorants
+        values = seps(pts)
+        centers, reach = seps.index.centers, lf.MAJORANT_SCALE
+        for n, col in enumerate(seps.c_vals.T):
+            g = lf._BlendField(seps.index, col)
+            assert np.array_equal(values[:, n], blend_unpruned(g, pts))
             assert np.array_equal(
                 g.ball_upper_bound(centers, reach),
                 max_over_balls_at(g.index, centers, reach + g.index.radius,
-                                  g.c_vals))
+                                  col))
 
     def test_level_upper_bounds_equal_maximum_at(self, shallow_box_tail):
         field, _ = shallow_box_tail
         seq = field.baire
-        centers = field.majorants[0].index.centers
+        centers = field.majorants.index.centers
         reach = lf.MAJORANT_SCALE
         for level in range(1, seq.depth + 1):
             lev, factor = ((seq._levels[0], 0.5) if level == 1
@@ -376,6 +379,122 @@ class TestPrunedBlends:
                                               blend.c_vals)
             assert np.array_equal(seq.level_upper_bound(level, centers, reach),
                                   want)
+
+
+def majorant_from_bounds_ref(spec, bound_fns):
+    """The per-level separator build that the one-blend build replaced,
+    kept verbatim: one lattice and one index per separator."""
+    scale = lf.MAJORANT_SCALE
+    lo = np.asarray(spec.base_lo, dtype=float)
+    hi = np.asarray(spec.base_hi, dtype=float)
+    centers = lf._lattice(lo, hi, 0.5 * scale, pad=scale)
+    m = np.full(centers.shape[0], -np.inf)
+    for fn in bound_fns:
+        m = np.maximum(m, np.asarray(fn(centers, scale), dtype=float))
+    if np.any(m >= 1.0):
+        raise InputError("majorant input must stay strictly below 1")
+    c_vals = 0.5 * (1.0 + m)
+    return lf._BlendField(lf._NeighborIndex(centers, scale), c_vals)
+
+
+def separators_ref(spec, baire, depth):
+    """``g_0 .. g_depth`` as ``build_lsc_field`` built them, one blend per
+    separator."""
+    majorants = [majorant_from_bounds_ref(
+        spec, [lambda pts, reach: baire.level_upper_bound(1, pts, reach)])]
+    for n in range(1, depth + 1):
+        prev_g = majorants[-1]
+        floor = 1.0 - 1.0 / n
+        bound_fns = [
+            prev_g.ball_upper_bound,
+            lambda pts, reach, _lvl=n + 1: baire.level_upper_bound(_lvl, pts, reach),
+            lambda pts, reach, _c=floor: np.full(pts.shape[0], _c),
+        ]
+        majorants.append(majorant_from_bounds_ref(spec, bound_fns))
+    return majorants
+
+
+class TestSeparatorBlend:
+    """The separators are the columns of one blend over one lattice, and
+    each column is bitwise the separator the per-level build made."""
+
+    @pytest.mark.parametrize("shallow", [True, False], ids=["depth6", "depth12"])
+    def test_columns_equal_the_per_level_build(self, box_tail_field,
+                                               shallow_box_tail, shallow):
+        field, pts = shallow_box_tail
+        if not shallow:
+            _, field, _ = box_tail_field
+        seps = field.majorants
+        ref = separators_ref(field.spec, field.baire, field.depth)
+        assert seps.c_vals.shape == (seps.index.centers.shape[0], field.depth + 1)
+        values = seps(pts)
+        assert values.shape == (pts.shape[0], field.depth + 1)
+        for n, g in enumerate(ref):
+            assert np.array_equal(g.index.centers, seps.index.centers)
+            assert np.array_equal(g.c_vals, seps.c_vals[:, n])
+            assert np.array_equal(g(pts), values[:, n])
+
+    def test_vector_constants_give_a_vector(self, shallow_box_tail):
+        field, pts = shallow_box_tail
+        seps = field.majorants
+        g = lf._BlendField(seps.index, seps.c_vals[:, 0].copy())
+        assert g(pts).shape == (pts.shape[0],)
+        assert np.array_equal(g(pts), seps(pts)[:, 0])
+
+    def test_one_index_per_level_and_one_for_the_separators(
+            self, box_tail_field, monkeypatch):
+        spec, _, transect = box_tail_field
+        builds = []
+        real = lf._NeighborIndex.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(lf._NeighborIndex, "__init__", counted)
+        lf.build_lsc_field(spec, depth=4, grid=transect)
+        # Baire levels 2..5, then the separators' lattice
+        assert len(builds) == 4 + 1
+
+    def test_one_separator_query_per_fibre_miss(self, box_tail_field,
+                                                monkeypatch):
+        spec, _, transect = box_tail_field
+        field = lf.build_lsc_field(spec, depth=4, grid=transect)
+        index = field.majorants.index
+        queries = []
+        real = index.pairs
+
+        def counted(*args, **kwargs):
+            queries.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(index, "pairs", counted)
+        for p in transect[:5]:
+            field.fiber_data(p)
+        assert len(queries) == 5
+        for p in transect[:5]:    # cache hits query nothing
+            field.fiber_data(p)
+        assert len(queries) == 5
+
+    def test_bound_reaching_one_is_refused(self, box_tail_field, monkeypatch):
+        # f_3 bounded by 1 leaves no room for g_2 below 1
+        spec, _, transect = box_tail_field
+        monkeypatch.setattr(
+            lf.BaireSequence, "level_upper_bound",
+            lambda self, level, pts, reach: np.full(pts.shape[0],
+                                                    1.0 if level == 3 else 0.5))
+        with pytest.raises(InputError, match="must stay strictly below 1"):
+            lf.build_lsc_field(spec, depth=4, grid=transect)
+
+    def test_previous_separator_out_of_reach_is_refused(self, box_tail_field,
+                                                        monkeypatch):
+        spec, _, transect = box_tail_field
+        monkeypatch.setattr(
+            lf.BaireSequence, "level_upper_bound",
+            lambda self, level, pts, reach: np.full(pts.shape[0], 0.5))
+        monkeypatch.setattr(
+            lf._NeighborIndex, "max_over_balls",
+            lambda self, pts, reach, values: np.full(pts.shape[0], -np.inf))
+        with pytest.raises(CoverageError, match="outside the center cloud"):
+            lf.build_lsc_field(spec, depth=4, grid=transect)
 
 
 def band_tower(f, g):
@@ -447,8 +566,10 @@ class TestAdjustTime:
 
     @staticmethod
     def stub_field(fs, gs):
-        majorants = [lambda pts, c=c: np.full(np.atleast_2d(pts).shape[0], c)
-                     for c in gs]
+        def majorants(pts):
+            # (m, 3): the separators g_0 .. g_2 at every base point
+            return np.tile(np.asarray(gs, dtype=float),
+                           (np.atleast_2d(pts).shape[0], 1))
         return lf.GluedField(constant_spec(0.5), StubBaire(fs), majorants, depth=2)
 
     def test_ordering_validation(self):

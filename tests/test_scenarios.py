@@ -11,6 +11,7 @@ import pytest
 from excisionlab import (cli, flow1d, lsc_fields, null_fields, scenarios,
                          symflow, trees)
 from excisionlab.errors import DepthExhausted, InputError, StencilError
+from excisionlab.ham_extension import RayHamiltonian
 
 RAY_CHECKS = {
     "escape_classification", "symplecticity", "inverse_consistency",
@@ -218,7 +219,8 @@ class TestDriver:
 class TestFlowPlan:
     """The batch-flow scenarios integrate every first leg in one call and
     the return legs in a second, and still certify through
-    ``classify_escape`` and ``time1_jacobian_batch``."""
+    ``classify_escape``, ``time1_jacobian_batch`` and one batch
+    ``symplecticity_residual`` call."""
 
     @pytest.mark.parametrize("with_out_dir", [False, True])
     @pytest.mark.parametrize("scenario", ["ray", "ray-n1", "cantor-brush"])
@@ -226,7 +228,7 @@ class TestFlowPlan:
                                        with_out_dir):
         calls = []
         for name in ("integrate_batch", "classify_escape",
-                     "time1_jacobian_batch"):
+                     "time1_jacobian_batch", "symplecticity_residual"):
             def spy(*args, _name=name, _fn=getattr(symflow, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -238,6 +240,7 @@ class TestFlowPlan:
         assert calls.count("integrate_batch") == 2
         assert calls.count("classify_escape") == 1
         assert calls.count("time1_jacobian_batch") == 1
+        assert calls.count("symplecticity_residual") == 1
         if with_out_dir:
             assert len(list((tmp_path / "out" / "trajectories").glob("*.csv"))) == 3
 
@@ -295,6 +298,7 @@ class TestTreePass:
             spy(trees.StagedExcision, name)
         spy(trees, "integrate_batch")
         spy(symflow, "numerical_jacobian")
+        spy(symflow, "symplecticity_residual")
         report = scenarios.run_scenario(scenarios.ScenarioConfig(
             scenario=scenario, **SMALL))
         assert report["pass"]
@@ -302,6 +306,7 @@ class TestTreePass:
         assert calls.count("inverse_batch") == 1
         assert calls.count("integrate_batch") == 2 * stages
         assert calls.count("numerical_jacobian") == 1
+        assert calls.count("symplecticity_residual") == 1
 
     @pytest.mark.parametrize("scenario", ["tree", "retract"])
     def test_stencil_error_comes_before_inverse_error(self, monkeypatch,
@@ -352,7 +357,56 @@ class SineOfFirstCoordinate:
         return g
 
 
+def grad_check_ref(field, pts, fd_step, rel_tol):
+    """The per-axis ``_grad_check`` that the stencil form replaced, kept
+    verbatim: four ``value`` calls per axis."""
+    g = field.grad(pts)
+    resid = []
+    for i in range(pts.shape[1]):
+        def f(shift):
+            z = pts.copy()
+            z[:, i] += shift
+            return field.value(z)
+        fd = (8.0 * (f(fd_step) - f(-fd_step))
+              - (f(2.0 * fd_step) - f(-2.0 * fd_step))) / (12.0 * fd_step)
+        resid.append(np.abs(fd - g[:, i]) / (1.0 + np.abs(g[:, i])))
+    worst = scenarios._worst(resid)
+    return scenarios._check(worst <= rel_tol, pts.shape[0], worst, bound=rel_tol)
+
+
+class CountedValues:
+    """A field whose ``value`` calls are counted."""
+
+    def __init__(self, field):
+        self.field = field
+        self.value_calls = 0
+
+    def value(self, z):
+        self.value_calls += 1
+        return self.field.value(z)
+
+    def grad(self, z):
+        return self.field.grad(z)
+
+
 class TestGradCheck:
+    @pytest.mark.parametrize("field,dim", [
+        (RayHamiltonian(2), 4), (RayHamiltonian(1), 2),
+        (SineOfFirstCoordinate(), 2)], ids=["ray-4d", "ray-2d", "sine"])
+    def test_equals_per_axis_loop_in_two_value_calls(self, field, dim):
+        pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(300, dim))
+        counted = CountedValues(field)
+        chk = scenarios._grad_check(counted, pts, 1e-5, 1e-5)
+        assert counted.value_calls == 2
+        assert chk == grad_check_ref(field, pts, 1e-5, 1e-5)
+        assert chk["max_residual"] > 0.0
+
+    def test_nan_value_equals_per_axis_loop(self):
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, 2))
+        field = NanAtFirstPoint(pts[0])
+        assert (scenarios._grad_check(field, pts, 1e-5, 1e-5)
+                == grad_check_ref(field, pts, 1e-5, 1e-5))
+
     def test_fourth_order_oracle(self):
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
         pts[0] = 0.0
@@ -418,7 +472,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("grid", -3), ("seed", -1), ("sympl_samples", 0), ("sympl_samples", 1),
-        ("roundtrip_samples", -2), ("n", 0), ("depth", 1), ("grid", 2.5),
+        ("roundtrip_samples", -2), ("roundtrip_samples", 0),
+        ("roundtrip_samples", 3), ("n", 0), ("depth", 1), ("grid", 2.5),
         ("seed", True), ("depth", "14"), ("sympl_samples", None),
     ])
     def test_bad_integer_is_refused(self, field, value):
@@ -428,8 +483,9 @@ class TestConfigValidation:
     def test_least_integers_are_accepted(self):
         cfg = scenarios.ScenarioConfig(scenario="ray", n=1, grid=0, seed=0,
                                        depth=2, sympl_samples=2,
-                                       roundtrip_samples=0)
-        assert (cfg.n, cfg.depth, cfg.sympl_samples) == (1, 2, 2)
+                                       roundtrip_samples=4)
+        assert (cfg.n, cfg.depth, cfg.sympl_samples,
+                cfg.roundtrip_samples) == (1, 2, 2, 4)
 
     @pytest.mark.parametrize("option,value", [
         ("--grid", "-3"), ("--seed", "-1"), ("--n", "0"), ("--depth", "1"),
@@ -451,6 +507,22 @@ class TestConfigValidation:
         path.write_bytes(data)
         with pytest.raises(InputError, match=match):
             cli.main(["ray", "--config", str(path)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("scenario,value", [
+        ("tree", 3), ("retract", 1), ("ray-n1", 0), ("epigraph", 0)])
+    def test_too_few_roundtrip_samples_in_config_file_are_refused(
+            self, tmp_path, capsys, monkeypatch, scenario, value):
+        # every scenario tests at least one inverse point: the tree
+        # scenarios take roundtrip_samples // 4 of them
+        def no_run(cfg):
+            raise AssertionError("the scenario ran")
+        monkeypatch.setattr(scenarios, "run_scenario", no_run)
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        with pytest.raises(InputError,
+                           match="roundtrip_samples must be an integer >= 4"):
+            cli.main([scenario, "--config",
+                      write_config(tmp_path, roundtrip_samples=value)])
         assert capsys.readouterr().out == ""
 
     def test_config_file_is_validated(self, tmp_path):

@@ -1,5 +1,7 @@
 """The DP5 integrator loop: recording, batching, time reversal and the
-first-same-as-last (FSAL) step."""
+first-same-as-last (FSAL) step; and the finite-difference Jacobian reader
+and the batch symplecticity residual, against the per-matrix residual they
+replaced."""
 
 import dataclasses
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from excisionlab import scenarios, symflow
 from excisionlab.errors import InputError, StencilError
-from excisionlab.ham_extension import HamiltonianField, RayHamiltonian
+from excisionlab.ham_extension import (HamiltonianField, RayHamiltonian,
+                                       coordinate_stencil, pairing_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +186,19 @@ class TestTimeReversal:
         assert np.linalg.norm(out.endpoint[1]) >= symflow.R_MAX
 
 
+def all_ok(images):
+    return np.ones(images.shape[0], dtype=bool)
+
+
 class TestNumericalJacobian:
+    """Jacobians read from the images of ``coordinate_stencil``."""
+
     def test_linear_map(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 3))
         pts = rng.normal(size=(4, 3))
-        jacs = symflow.numerical_jacobian(
-            lambda z: (z @ a.T, np.ones(z.shape[0], dtype=bool)), pts, 1e-5)
+        images = coordinate_stencil(pts, 1e-5) @ a.T
+        jacs = symflow.numerical_jacobian(images, all_ok(images), 1e-5)
         assert jacs.shape == (4, 3, 3)
         assert jacs.flags.c_contiguous
         assert np.abs(jacs - a).max() <= 1e-9
@@ -197,32 +206,86 @@ class TestNumericalJacobian:
     def test_equals_column_loop(self):
         # row-wise map, so the loop below does the same arithmetic
         def f(z):
-            return np.sin(z) * z[:, ::-1], np.ones(z.shape[0], dtype=bool)
+            return np.sin(z) * z[:, ::-1]
 
         pts = np.random.default_rng(6).normal(size=(5, 4))
         h = 1e-5
-        jacs = symflow.numerical_jacobian(f, pts, h)
+        images = f(coordinate_stencil(pts, h))
+        jacs = symflow.numerical_jacobian(images, all_ok(images), h)
         for z, jac in zip(pts, jacs):
             for i in range(z.size):
                 zp, zm = z.copy(), z.copy()
                 zp[i] += h
                 zm[i] -= h
-                col = (f(zp[None, :])[0][0] - f(zm[None, :])[0][0]) / (2.0 * h)
+                col = (f(zp[None, :])[0] - f(zm[None, :])[0]) / (2.0 * h)
                 assert np.array_equal(jac[:, i], col)
 
     @pytest.mark.parametrize("k,i", [(0, 0), (2, 1), (3, 2)])
     def test_escaped_row_names_sample_and_axis(self, k, i):
         pts = np.zeros((4, 3))
         d = pts.shape[1]
-
-        def escapes_once(z):
-            ok = np.ones(z.shape[0], dtype=bool)
-            ok[k * 2 * d + 2 * i + 1] = False
-            return z, ok
-
+        images = coordinate_stencil(pts, 1e-5)
+        ok = all_ok(images)
+        ok[k * 2 * d + 2 * i + 1] = False
         with pytest.raises(StencilError,
                            match=f"stencil escaped at sample {k}, axis {i}$"):
-            symflow.numerical_jacobian(escapes_once, pts, 1e-5)
+            symflow.numerical_jacobian(images, ok, 1e-5)
+
+    @pytest.mark.parametrize("shape,flags", [
+        ((5, 3), 5), ((7, 2), 7), ((4, 4), 4), ((8, 2), 1), ((8, 2), 9)])
+    def test_row_count_not_a_stencil_is_refused(self, shape, flags):
+        # fails closed: a short flag mask would leave rows unchecked
+        with pytest.raises(InputError, match="do not hold m \\* 2 \\* "):
+            symflow.numerical_jacobian(np.zeros(shape),
+                                       np.ones(flags, dtype=bool), 1e-5)
+
+    def test_empty_stencil_gives_no_jacobian(self):
+        jacs = symflow.numerical_jacobian(np.zeros((0, 2)), np.ones(0, bool), 1e-5)
+        assert jacs.shape == (0, 2, 2)
+
+
+class TestTime1JacobianBatch:
+    def test_reads_the_stencil_flow(self, ray):
+        pts = np.zeros((2, 4))
+        pts[:, 2] = (-0.3, -0.2)
+        out = symflow.integrate_batch(ray, coordinate_stencil(pts, 1e-5), 1.0)
+        want = symflow.numerical_jacobian(out.endpoint, out.completed, 1e-5)
+        assert np.array_equal(symflow.time1_jacobian_batch(out, pts, 1e-5), want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_outcome_of_another_stencil_is_refused(self, ray, m):
+        pts = np.zeros((2, 4))
+        pts[:, 2] = (-0.3, -0.2)
+        out = symflow.integrate_batch(ray, coordinate_stencil(pts, 1e-5), 1.0)
+        with pytest.raises(InputError, match="is not the flow of the stencil"):
+            symflow.time1_jacobian_batch(out, np.zeros((m, 4)), 1e-5)
+
+
+def symplecticity_residual_ref(jac):
+    """The per-matrix residual that the batch form replaced, kept verbatim:
+    one call per Jacobian."""
+    omega = pairing_matrix(jac.shape[0])
+    return float(np.abs(jac.T @ omega @ jac - omega).max())
+
+
+class TestSymplecticityResidual:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_batch_equals_per_matrix_loop(self, d):
+        rng = np.random.default_rng(d)
+        jacs = np.concatenate([
+            rng.normal(size=(200, d, d)),
+            # near-symplectic stacks, as the checks meet them
+            np.eye(d) + 1e-6 * rng.normal(size=(200, d, d)),
+        ])
+        got = symflow.symplecticity_residual(jacs)
+        assert got.shape == (400,)
+        assert np.array_equal(got, [symplecticity_residual_ref(j) for j in jacs])
+
+    def test_non_finite_entry_propagates(self):
+        jacs = np.tile(np.eye(2), (3, 1, 1))
+        jacs[1, 0, 1] = np.nan
+        got = symflow.symplecticity_residual(jacs)
+        assert got[0] == got[2] == 0.0 and np.isnan(got[1])
 
 
 def dp_step_seven_stages(field, z, dt, k1):

@@ -92,6 +92,17 @@ _DP_ERR = np.array([
 ])
 
 
+def _nonzero(weights) -> tuple:
+    """The ``(stage, weight)`` pairs of the nonzero ``weights``, in order."""
+    return tuple((j, w) for j, w in enumerate(weights) if w != 0.0)
+
+
+# the nonzero entries of the stage rows 2-7 and of the error weights; stage
+# 7's row equals the fifth-order weights, so its input is the step's result
+_DP_ROWS = tuple(_nonzero(row) for row in _DP_A[1:6]) + (_nonzero(_DP_B5),)
+_DP_ERR_NZ = _nonzero(_DP_ERR)
+
+
 @dataclass
 class FlowOutcome:
     """Result of integrating an ``(m, d)`` batch: one entry per row.
@@ -144,26 +155,24 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
     """One Dormand-Prince step for a batch from its first stage
     ``k1 = f(z)``: returns ``(z5, err_vector, k7)``.
 
-    ``dt`` is signed per row.  Stage 7 is evaluated at ``z5`` itself (its
-    weights are the fifth-order weights, applied in the same order), so
-    ``k7`` is bitwise the first stage of the next step from ``z5``: six RHS
-    calls per step (FSAL).
+    ``dt`` is signed per row.  Each stage input is ``z`` plus the weighted
+    earlier stages, accumulated in place in stage order over the nonzero
+    tableau entries precomputed at import (``_DP_ROWS``, ``_DP_ERR_NZ``).
+    Stage 7's weights are the fifth-order weights, so its input is ``z5``
+    itself and ``k7`` is bitwise the first stage of the next step from
+    ``z5``: six RHS calls per step (FSAL).
     """
     ks = [k1]
-    for i in range(1, 7):
+    term = np.empty_like(z)
+    for row in _DP_ROWS:
         zi = z.copy()
-        for j, aij in enumerate(_DP_A[i]):
-            if aij != 0.0:
-                zi = zi + (dt * aij)[:, None] * ks[j]
+        for j, a in row:
+            zi += np.multiply((dt * a)[:, None], ks[j], out=term)
         ks.append(field.vector_field(zi))
-    z5 = z.copy()
     err = np.zeros_like(z)
-    for i in range(7):
-        if _DP_B5[i] != 0.0:
-            z5 = z5 + (dt * _DP_B5[i])[:, None] * ks[i]
-        if _DP_ERR[i] != 0.0:
-            err = err + (dt * _DP_ERR[i])[:, None] * ks[i]
-    return z5, err, ks[6]
+    for j, e in _DP_ERR_NZ:
+        err += np.multiply((dt * e)[:, None], ks[j], out=term)
+    return zi, err, ks[6]
 
 
 def _bracket_escapes_batch(field, z_prev, t_prev, dts, monitored):

@@ -97,6 +97,16 @@ class TestRayHamiltonian:
         with pytest.raises(InputError, match="h_coef"):
             hx.RayHamiltonian(n=2, h_coef=float("nan"))
 
+    def test_infinite_height_coefficient_is_refused(self):
+        # an infinite tube is all plateau, so off-axis points would escape
+        with pytest.raises(InputError, match="h_coef"):
+            hx.RayHamiltonian(1, h_coef=float("inf"))
+
+    @pytest.mark.parametrize("h_power", [0, -1, 1.5, True])
+    def test_height_power_must_be_a_positive_integer(self, h_power):
+        with pytest.raises(InputError, match="h_power"):
+            hx.RayHamiltonian(1, h_power=h_power)
+
 
 class TestRayPlane:
     def test_exit_iff_nonnegative(self):
@@ -170,6 +180,15 @@ class TestExtension:
 
 
 class TestLocalize:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"eps": float("nan"), "h_coef": 0.25}, "eps"),
+        ({"eps": 2.0, "h_coef": 0.25}, "eps"),
+        ({"eps": 0.5, "h_coef": -1.0}, "h_coef"),
+    ])
+    def test_bad_neighbourhood_is_refused(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            hx.TubeNeighbourhood(**kwargs)
+
     def test_support_and_plateau(self):
         F = hx.RayHamiltonian(2)
         hood = hx.TubeNeighbourhood(eps=F.eps * 0.1, h_coef=F.h_coef * 0.1)

@@ -5,15 +5,20 @@ replaced: each kernel must agree with its reference bitwise
 The references below are the earlier implementations, kept verbatim: the
 per-gap loop of ``_axis_profile`` and ``AxisSet.contains``, the separate
 ``_ratio`` / ``_ratio_partials`` evaluations, the ramp partials and
-``EpigraphField`` derivatives assembled from them, and ``ramp_velocity``
-with its four inputs broadcast to one shape up front.
+``EpigraphField`` derivatives assembled from them, ``ramp_velocity``
+with its four inputs broadcast to one shape up front, and the ray field's
+tube cutoff, value and gradient with two smooth-step calls and 2-D
+assembly.  Every field's vector field must equal both
+``grad @ pairing_matrix(d).T`` and the pairing permutation of the gradient.
+The ray kernels are compared as bit patterns, so signed zeros count too.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from excisionlab import scalar_kit as sk
+from excisionlab import ham_extension as hx, scalar_kit as sk, scenarios, trees
+from excisionlab.ham_extension import R_OFF, R_ON
 from excisionlab.scalar_kit import EXP_CLAMP, _LOG_TINY
 
 
@@ -373,3 +378,207 @@ class TestEpigraphJet:
         calls.clear()
         ham.vector_field(z)
         assert calls == ["jet"]
+
+
+# ---------------------------------------------------------------------------
+# the ray field's cutoff, gradient and symplectic gradient
+# ---------------------------------------------------------------------------
+
+def tube_cutoff_ref(pts, eps, h_coef, h_power):
+    x = pts[:, -2]
+    y = pts[:, -1]
+    p = pts[:, :-2]
+    q = np.sum(p * p, axis=1) + y * y
+
+    one_m_x = 1.0 - x
+    inside = one_m_x > 0.0
+    h = np.where(inside, h_coef * np.maximum(one_m_x, 1e-300) ** h_power, 1e-300)
+    dh = np.where(inside, -h_power * h / np.maximum(one_m_x, 1e-300), 0.0)
+
+    r = np.where(inside, q / h, np.inf)
+    sx_arg = 2.0 * (x + eps) / eps
+    sx, dsx = sk.smooth_step_jet(sx_arg)
+    dsx = dsx * (2.0 / eps)
+    sr_arg = (R_OFF - r) / (R_OFF - R_ON)
+    sr, dsr = sk.smooth_step_jet(sr_arg)
+    dsr = -dsr / (R_OFF - R_ON)
+
+    inner = sx * sr
+    chi = sk.cubic_smoothstep(inner)
+    rho_p = sk.cubic_smoothstep_deriv(inner)
+
+    dchi = np.zeros_like(pts)
+    live = inside & (rho_p != 0.0) & ((dsx != 0.0) | (dsr != 0.0))
+    if np.any(live):
+        hl = h[live]
+        coef_r = (rho_p * sx * dsr)[live]
+        dchi[live, :-2] = coef_r[:, None] * 2.0 * p[live] / hl[:, None]
+        dchi[live, -1] = coef_r * 2.0 * y[live] / hl
+        dr_dx = -q[live] * dh[live] / (hl * hl)
+        dchi[live, -2] = coef_r * dr_dx + (rho_p * dsx * sr)[live]
+    return chi, dchi
+
+
+def ray_pieces_ref(F, pts):
+    x = pts[:, -2]
+    y = pts[:, -1]
+    p = pts[:, :-2]
+    q = np.sum(p * p, axis=1)
+    if F.n == 1:
+        denom = np.ones_like(x)
+        amp = np.ones_like(x)
+    else:
+        denom = q + 1.0 - x * x
+        safe = np.where(np.abs(denom) > 1e-12, denom, 1e-12)
+        amp = (1.0 - x * x) / safe
+        denom = safe
+    chi, dchi = tube_cutoff_ref(pts, F.eps, F.h_coef, F.h_power)
+    return x, y, p, q, denom, amp, chi, dchi
+
+
+def ray_value_ref(F, pts):
+    _, y, _, _, _, amp, chi, _ = ray_pieces_ref(F, pts)
+    return amp * chi * y
+
+
+def ray_grad_ref(F, pts):
+    x, y, p, q, denom, amp, chi, dchi = ray_pieces_ref(F, pts)
+    damp = np.zeros_like(pts)
+    damp[:, :-2] = -(1.0 - x * x)[:, None] * 2.0 * p / (denom * denom)[:, None]
+    damp[:, -2] = -2.0 * x * q / (denom * denom)
+    out = (chi * y)[:, None] * damp + (amp * y)[:, None] * dchi
+    out[:, -1] += amp * chi
+    return out
+
+
+def pairing_permutation(g):
+    """``Omega grad F`` as a permutation of the gradient, with signed zeros
+    turned into ``+0.0`` as the pairing product's sums do."""
+    out = np.empty_like(g)
+    out[:, 0::2] = g[:, 1::2] + 0.0
+    out[:, 1::2] = -g[:, 0::2] + 0.0
+    return out
+
+
+def same_bits(got, want):
+    """Equal as float64 bit patterns, so signed zeros count."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+# (eps, h_coef) of the ray scenarios and of the retract tree's charts
+_TUBES = [(0.5, 0.25), (0.4, 0.002066326530612246)]
+
+
+@st.composite
+def ray_batches(draw):
+    """A ray field and a batch of 1 to 300 rows: ``x`` at the tube's edges
+    ``-eps`` and ``-eps/2``, at 0, just below 1, at 1 and above 1 or
+    anywhere in between; signed zeros in ``p`` and ``y``; and rows whose
+    squared radius is ``R_ON * h`` or ``R_OFF * h``."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    h_power = draw(st.sampled_from([1, 2]))
+    eps, h_coef = draw(st.sampled_from(_TUBES))
+    m = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = hx.RayHamiltonian(n, eps=eps, h_coef=h_coef, h_power=h_power)
+    edges = np.array([-eps, -eps / 2, 0.0, -0.0, np.nextafter(1.0, 0.0), 1.0,
+                      1.0 + 1e-3, 1.3])
+    x = np.where(rng.random(m) < 0.4, rng.choice(edges, size=m),
+                 rng.uniform(-1.2, 1.4, size=m))
+    # radii at the plateau edge, the support edge, or up to twice it
+    h = h_coef * np.maximum(1.0 - x, 0.0) ** h_power
+    ratio = rng.choice(np.array([R_ON, R_OFF, 0.0]), size=m)
+    ratio = np.where(rng.random(m) < 0.5, ratio, rng.uniform(0.0, 2 * R_OFF, size=m))
+    direction = rng.normal(size=(m, 2 * n - 1))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    transverse = direction * np.sqrt(ratio * h)[:, None]
+    pts = np.empty((m, 2 * n))
+    pts[:, :-2] = transverse[:, :-1]
+    pts[:, -2] = x
+    pts[:, -1] = transverse[:, -1]
+    zero = rng.random((m, 2 * n)) < 0.15
+    zero[:, -2] = False
+    pts[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return F, pts
+
+
+class TestRayKernel:
+    @given(case=ray_batches())
+    def test_cutoff_equals_reference(self, case):
+        F, pts = case
+        chi, dchi = hx._tube_cutoff(pts, F.eps, F.h_coef, F.h_power)
+        want_chi, want_dchi = tube_cutoff_ref(pts, F.eps, F.h_coef, F.h_power)
+        assert same_bits(chi, want_chi)
+        assert same_bits(dchi, want_dchi)
+
+    @given(case=ray_batches())
+    def test_value_and_grad_equal_reference(self, case):
+        F, pts = case
+        assert same_bits(F.value(pts), ray_value_ref(F, pts))
+        assert same_bits(F.grad(pts), ray_grad_ref(F, pts))
+
+    @given(case=ray_batches())
+    def test_vector_field_equals_pairing_product(self, case):
+        F, pts = case
+        g = ray_grad_ref(F, pts)
+        got = F.vector_field(pts)
+        assert same_bits(got, g @ hx.pairing_matrix(F.dim).T)
+        assert same_bits(got, pairing_permutation(g))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_smooth_step_call_per_evaluation(self, n, monkeypatch):
+        F = hx.RayHamiltonian(n)
+        z = np.random.default_rng(3).uniform(-0.6, 0.9, size=(40, 2 * n))
+        z[:, :-2] *= 0.3
+        z[:, -1] *= 0.3
+        want = F.grad(z), F.value(z)
+        calls = []
+
+        def counted(t, need_grad=True):
+            calls.append(need_grad)
+            return sk.smooth_step_jet(t, need_grad)
+
+        monkeypatch.setattr(hx, "smooth_step_jet", counted)
+        assert same_bits(F.grad(z), want[0])
+        assert calls == [True]
+        calls.clear()
+        assert same_bits(F.value(z), want[1])
+        assert calls == [False]
+
+
+@pytest.fixture(scope="module")
+def symplectic_fields(brush):
+    """An extension, a localized ray field and the retract's chart fields,
+    each with a batch that reaches where its gradient is nonzero."""
+    rng = np.random.default_rng(11)
+    out = []
+    brush_pts = rng.uniform(-0.5, 1.0, size=(64, 4))
+    brush_pts[:16, -1] = 0.0
+    out.append((brush[3], brush_pts))
+    base = hx.RayHamiltonian(2)
+    hood = hx.TubeNeighbourhood(eps=base.eps * 0.5, h_coef=base.h_coef * 0.5)
+    loc = hx.localize(base, hood, base.sample_target(200, np.random.default_rng(99)))
+    ray_pts = rng.uniform(-0.4, 0.9, size=(64, 4))
+    ray_pts[:, [0, 1, 3]] *= 0.2
+    out.append((loc, ray_pts))
+    staged = trees.excise_tree(scenarios._double_y_spec())
+    for f in staged.fields:
+        model = np.column_stack([rng.uniform(-0.5, 1.1, size=64),
+                                 rng.uniform(-0.8, 0.8, size=64)])
+        model[:, 1] *= np.sqrt(f.chart.h_coef) * np.abs(1.0 - model[:, 0])
+        out.append((f, f.chart.from_model(model)))
+    return out
+
+
+class TestSharedVectorField:
+    def test_equals_pairing_product_and_permutation(self, symplectic_fields):
+        # one-row batches go through BLAS gemv, larger ones through gemm
+        for F, pts in symplectic_fields:
+            assert np.any(F.grad(pts) != 0.0), type(F).__name__
+            for batch in [pts] + [row[None, :] for row in pts[:8]]:
+                g = F.grad(batch)
+                got = F.vector_field(batch)
+                assert same_bits(got, g @ hx.pairing_matrix(F.dim).T)
+                assert same_bits(got, pairing_permutation(g))

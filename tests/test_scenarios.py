@@ -72,6 +72,15 @@ SMALL_TRAJECTORY_DIGESTS = {
 }
 
 
+# the same digests of the ray scenarios' reports at ``u_scale = 0.5``, where
+# the flows run on the localized field and its tube bump; ray-n1 fails
+# symplecticity there (ROADMAP)
+SMALL_LOCALIZED_REPORT_DIGESTS = {
+    "ray": "b141e6d2e78ada43cf17448705020d499edbf0e07a67c92060393e883f336451",
+    "ray-n1": "1c3435cb4e2cc91a02863d05febb0e052e39e2d50d34ddfe3ad7a79db82880cc",
+}
+
+
 class NanAtFirstPoint:
     """``F = |z|^2`` with its exact gradient, except that the value is NaN
     at the first sample point."""
@@ -428,6 +437,13 @@ class TestUScale:
         cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.3)
         with pytest.raises(InputError, match="u_scale must exceed 0.333333"):
             scenarios.run_scenario(cfg)
+
+    @pytest.mark.parametrize("scenario", ["ray", "ray-n1"])
+    def test_localized_report_is_pinned(self, scenario):
+        cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.5, **SMALL)
+        text = json.dumps(scenarios.run_scenario(cfg), indent=2, sort_keys=True)
+        want = SMALL_LOCALIZED_REPORT_DIGESTS[scenario]
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
     def test_trajectories_follow_the_certified_field(self, tmp_path):
         # at u = 0.5 the start (-0.3, 0) lies outside the shrunk

@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="model dimension parameter")
     parser.add_argument("--depth", type=int, help="tower depth (box-tail)")
     parser.add_argument("--u-scale", type=float, dest="u_scale",
-                        help="neighbourhood shrink factor (ray scenarios)")
+                        help="scale of the ray field's own tube, outside "
+                        "which the map is the identity (ray scenarios only)")
     return parser
 
 

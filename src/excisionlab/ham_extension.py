@@ -9,7 +9,11 @@ families are provided:
   (with ``chi`` an explicit flat cutoff supported in a shrinking tube around
   the half-open segment ``{p=0, y=0, x in [0,1)}``), built in any dimension
   ``2n >= 2`` by ``RayHamiltonian(n)``; in the plane (``n = 1``) the
-  rational prefactor is 1 and ``F = chi * y``;
+  rational prefactor is 1 and ``F = chi * y``.  The field vanishes outside
+  its tube ``{x > -eps, |p|^2 + y^2 < R_OFF * h(x)}``, so that tube is the
+  neighbourhood of the ray outside which the time-1 map is the identity:
+  scaling ``eps`` and ``h_coef`` shrinks it, as ``TreeSpec.w0`` does for
+  the trees;
 * the conormal extension ``F = chi * y * v(p, x)`` of a horizontal null
   field ``v d/dx``, which restricts to ``chi * v * d/dx`` on the
   hypersurface and whose off-hypersurface trajectories are complete because
@@ -28,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,9 +54,6 @@ __all__ = [
     "epigraph_sampler",
     "ExtendedHamiltonian",
     "extend_null_field",
-    "TubeNeighbourhood",
-    "LocalizedHamiltonian",
-    "localize",
 ]
 
 # speed the null field must exceed on the target, and the scale of the
@@ -63,9 +63,6 @@ V_FLOOR = 1e-3
 # outside R_OFF * h(x)
 R_ON = 0.25
 R_OFF = 0.5
-# standoff by which the bump plateau must clear every target sample in
-# ``localize`` (the classification standoff ``scenarios.MARGIN``)
-HOOD_MARGIN = 1e-3
 
 
 def pairing_matrix(dim: int) -> np.ndarray:
@@ -149,8 +146,13 @@ def _base_sq(p):
 
 
 def _tube_jet(pts, qp, eps, h_coef, h_power, need_grad=True):
-    """The cutoff of :func:`_tube_cutoff` on the batch ``pts``, given its
-    ``qp = _base_sq(p)``.
+    """Flat cutoff ``chi = rho(s_x * s_r)`` on the batch ``pts``, given its
+    ``qp = _base_sq(p)``: supported in the shrinking tube ``{x > -eps,
+    |p|^2 + y^2 < R_OFF * h(x)}`` with ``h = h_coef (1-x)^pow``, and
+    identically 1 where ``x >= -eps/2`` and ``|p|^2 + y^2 <= R_ON * h(x)``.
+    The outer cubic step makes the gradient vanish on the zero set of
+    ``chi``.  Both smooth steps ``s_x`` and ``s_r`` come from one
+    :func:`smooth_step_jet` call on their stacked arguments.
 
     Returns ``(chi, None)`` without the gradient, else ``(chi, (live, dp,
     dx, dy))``: ``live`` indexes the rows where the gradient can be nonzero
@@ -193,27 +195,6 @@ def _tube_jet(pts, qp, eps, h_coef, h_power, need_grad=True):
     dy = coef_r * 2.0 * y[live] / hl
     dp = None if qp is None else coef_r[:, None] * 2.0 * p[live] / hl[:, None]
     return chi, (live, dp, dx, dy)
-
-
-def _tube_cutoff(pts, eps, h_coef, h_power):
-    """Flat cutoff ``rho(s_x * s_r)`` supported in the shrinking tube
-    ``{x > -eps, |p|^2 + y^2 < R_OFF * h(x)}`` with ``h = h_coef (1-x)^pow``;
-    identically 1 where ``x >= -eps/2`` and ``|p|^2 + y^2 <= R_ON * h(x)``.
-
-    Returns ``(chi, dchi)`` with the full gradient.  The outer cubic step
-    makes the gradient vanish on the zero set of ``chi``.  The arithmetic
-    runs on 1-D columns (:func:`_tube_jet`), with both smooth steps ``s_x``
-    and ``s_r`` in one :func:`smooth_step_jet` call on their stacked
-    arguments, and the gradient is formed on the live rows only.
-    """
-    chi, (live, dp, dx, dy) = _tube_jet(pts, _base_sq(pts[:, :-2]), eps,
-                                        h_coef, h_power)
-    dchi = np.zeros_like(pts)
-    if dp is not None:
-        dchi[live, :-2] = dp
-    dchi[live, -2] = dx
-    dchi[live, -1] = dy
-    return chi, dchi
 
 
 class RayHamiltonian(HamiltonianField):
@@ -292,16 +273,20 @@ class RayHamiltonian(HamiltonianField):
         out[:, -1] = chi_y * 0.0 + amp_y * dchi_y + amp * chi
         return out
 
+    def in_tube(self, z) -> np.ndarray:
+        """Rows inside the open support ``{x > -eps, |p|^2 + y^2 <
+        R_OFF * h(x)}`` of the cutoff; the field vanishes on every other
+        row."""
+        pts = _as_batch(z, self.dim)
+        q = np.sum(pts[:, :-2] ** 2, axis=1) + pts[:, -1] ** 2
+        h = self.h_coef * np.maximum(1.0 - pts[:, -2], 0.0) ** self.h_power
+        return (pts[:, -2] > -self.eps) & (q < R_OFF * h)
+
     def membership(self, z) -> np.ndarray:
         """Exact membership in the model ray ``{p=0, y=0, 0 <= x < 1}``."""
         pts = _as_batch(z, self.dim)
         on_axis = np.all(pts[:, :-2] == 0.0, axis=1) & (pts[:, -1] == 0.0)
         return on_axis & (pts[:, -2] >= 0.0) & (pts[:, -2] < 1.0)
-
-    def sample_target(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        pts = np.zeros((m, self.dim))
-        pts[:, -2] = rng.uniform(0.0, 0.95, size=m)
-        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -419,71 +404,3 @@ def extend_null_field(field: EpigraphField) -> ExtendedHamiltonian:
             f"null field not bounded below on Z: sampled min {vmin} <= {V_FLOOR}"
         )
     return ExtendedHamiltonian(field)
-
-
-# ---------------------------------------------------------------------------
-# localization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TubeNeighbourhood:
-    """Shrinking-tube neighbourhood of the model ray, with a smooth plateau
-    bump: 1 inside the half-size tube, 0 outside the full tube
-    ``{x > -eps, |p|^2 + y^2 < R_OFF * h_coef * (1 - x)}``."""
-
-    eps: float
-    h_coef: float
-
-    def __post_init__(self):
-        # written to fail closed: NaN lies in neither interval
-        if not 0.0 < self.eps < 1.0:
-            raise InputError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not 0.0 < self.h_coef < math.inf:
-            raise InputError(f"h_coef must be positive and finite, got {self.h_coef!r}")
-
-    def bump(self, pts: np.ndarray):
-        return _tube_cutoff(pts, self.eps, self.h_coef, 1)
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        x = pts[:, -2]
-        q = np.sum(pts[:, :-2] ** 2, axis=1) + pts[:, -1] ** 2
-        h = self.h_coef * np.maximum(1.0 - x, 0.0)
-        return (x > -self.eps) & (q < R_OFF * h)
-
-
-class LocalizedHamiltonian(HamiltonianField):
-    """``F' = bump * F``: vanishes outside the neighbourhood, coincides with
-    ``F`` on the bump plateau."""
-
-    def __init__(self, base: HamiltonianField, hood: TubeNeighbourhood):
-        self.base = base
-        self.hood = hood
-        self.dim = base.dim
-
-    def value(self, z):
-        pts = _as_batch(z, self.dim)
-        b, _ = self.hood.bump(pts)
-        return b * self.base.value(pts)
-
-    def grad(self, z):
-        pts = _as_batch(z, self.dim)
-        b, db = self.hood.bump(pts)
-        f, g = self.base.value(pts), self.base.grad(pts)
-        return b[:, None] * g + f[:, None] * db
-
-
-def localize(F: HamiltonianField, hood: TubeNeighbourhood,
-             target_samples: np.ndarray) -> LocalizedHamiltonian:
-    """Multiply ``F`` by the neighbourhood's plateau bump.
-
-    First checks that the neighbourhood contains the excised set with
-    margin: the bump must be identically 1 on every target sample and on
-    its ``2 * dim`` coordinate shifts by ``+-HOOD_MARGIN`` (``1e-3``).  On
-    the axis samples of the ray the shifts probe the transverse radius of
-    the plateau and its longitudinal edge.  NaN counts as a failure.
-    """
-    pts = _as_batch(target_samples, F.dim)
-    b, _ = hood.bump(np.concatenate([pts, coordinate_stencil(pts, HOOD_MARGIN)]))
-    if not np.all(b >= 1.0):
-        raise InputError("neighbourhood does not contain the target with margin")
-    return LocalizedHamiltonian(F, hood)

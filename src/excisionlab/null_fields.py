@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExcisedPointError, InputError
-from .flow1d import (Fibres, flow_map, flow_map_batch, forward_time,
-                     ramp_time_closed_form)
+from .errors import InputError
+# flow_map is not called here; perfbench/test_perfbench.py checks that
+# tracing wraps this module's binding of it
+from .flow1d import Fibres, flow_map, flow_map_batch, ramp_time_closed_form
 from .scalar_kit import (
     ClosedSetSpec,
     DefiningFunction,
@@ -36,7 +37,6 @@ __all__ = [
     "EpigraphSpec",
     "EpigraphField",
     "classify_epigraph",
-    "presympl_time1",
     "presympl_flow",
 ]
 
@@ -104,9 +104,8 @@ class EpigraphField:
     ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
     ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``, and
     so do :meth:`fibres` and :func:`presympl_flow` built on it.  The
-    one-point edge is the per-fibre API: :meth:`fiber`, and
-    :func:`presympl_time1` built on it, take one base point of shape
-    ``(base_dim,)`` and a float ``x``.
+    one-point edge is the per-fibre API: :meth:`fiber` takes one base point
+    of shape ``(base_dim,)``.
 
     Construction validates the range of the ambient function: ``lam`` must
     take values in (-1, 1] at 256 points of the set and 512 points of the
@@ -181,22 +180,6 @@ def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:
         ramp_time_closed_form(*abcx).value <= 1.0
         for abcx in zip(a.tolist(), b.tolist(), c.tolist(), xs.tolist())
     ], dtype=bool)
-
-
-def presympl_time1(field: EpigraphField, p, x) -> tuple[np.ndarray, float]:
-    """Time-1 flow of the null field: freezes ``p``, advances ``x``.
-
-    Raises :class:`~excisionlab.errors.ExcisedPointError` when the fibre
-    leaves the interval within time 1.
-    """
-    p = np.asarray(p, dtype=float)
-    v = field.fiber(p)
-    tof = forward_time(v, float(x))
-    if tof.value <= 1.0:
-        raise ExcisedPointError(
-            f"forward time {tof.value} <= 1 at (p={p.tolist()}, x={x})"
-        )
-    return p.copy(), flow_map(v, 1.0, float(x))
 
 
 def presympl_flow(field: EpigraphField, p, x, t) -> tuple[np.ndarray, np.ndarray]:

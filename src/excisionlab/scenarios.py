@@ -27,13 +27,7 @@ import numpy as np
 
 from . import flow1d, lsc_fields, null_fields, scalar_kit, symflow, trees
 from .errors import DepthExhausted, ExcisedPointError, InputError
-from .ham_extension import (
-    RayHamiltonian,
-    TubeNeighbourhood,
-    coordinate_stencil,
-    extend_null_field,
-    localize,
-)
+from .ham_extension import RayHamiltonian, coordinate_stencil, extend_null_field
 
 __all__ = ["ScenarioConfig", "run_scenario", "SCENARIOS"]
 
@@ -55,7 +49,7 @@ class ScenarioConfig:
     seed: int = 0
     out_dir: Optional[str] = None
     margin: float = MARGIN
-    u_scale: float = 1.0     # neighbourhood shrink factor (ray scenarios)
+    u_scale: float = 1.0     # scale of the ray field's own tube (ray scenarios)
     depth: int = 14          # tower depth (lsc scenario)
     sympl_samples: int = 100
     roundtrip_samples: int = 200
@@ -66,6 +60,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not 0 < value < math.inf:
                 raise InputError(f"{name} must be positive and finite, got {value!r}")
+        if self.u_scale != 1.0 and self.scenario not in ("ray", "ray-n1"):
+            raise InputError("u_scale scales the ray field's tube; scenario "
+                             f"{self.scenario!r} must run at u_scale 1")
         for name, least in _INT_MINIMUMS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -264,30 +261,26 @@ def _ray_grid(n: int, resolution: int, margin: float) -> np.ndarray:
 
 
 def _ray_sympl_samples(field: RayHamiltonian, count: int,
-                       rng: np.random.Generator,
-                       u_scale: float = 1.0) -> np.ndarray:
-    """Surviving points where the time-1 map is FD-conditioned: inside the
-    cutoff plateau near the axis (with the whole trajectory staying in the
-    plateau: the tube pinches, so the radius ratio grows along the flow),
-    or outside the tube with margin.  ``u_scale`` shrinks the tube as
-    :func:`localize` does; the plateau window ``[x_lo, x_hi)`` must stay
-    non-empty, which bounds ``u_scale`` from below."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """Surviving points where the time-1 map of ``field`` is FD-conditioned:
+    inside its cutoff plateau near the axis (with the whole trajectory
+    staying in the plateau: the tube pinches, so the radius ratio grows
+    along the flow), or outside its tube with margin.  The plateau window
+    ``[x_lo, x_hi)`` must stay non-empty, which bounds the tube's ``eps``
+    from below."""
     dim = field.dim
-    eps_eff = field.eps * u_scale
-    h_eff = field.h_coef * u_scale
     out = []
     x_hi = -0.15
-    x_lo = -min(0.45, 0.9 * eps_eff)
+    x_lo = -min(0.45, 0.9 * field.eps)
     if not x_lo < x_hi:
         raise InputError(
-            f"u_scale {u_scale:g} leaves no plateau window for the "
-            f"symplecticity samples; u_scale must exceed "
-            f"{-x_hi / (0.9 * field.eps):.6g}")
+            f"eps {field.eps:g} leaves no plateau window for the "
+            f"symplecticity samples; eps must exceed {-x_hi / 0.9:.6g}")
     while len(out) < count // 2:
         x = rng.uniform(x_lo, x_hi)
         # bound the squared radius by the tube height at the time-1
         # endpoint x + 1, where the ratio is largest
-        h_end = h_eff * abs(x) ** field.h_power
+        h_end = field.h_coef * abs(x) ** field.h_power
         vec = rng.normal(size=dim - 1)
         vec /= np.linalg.norm(vec)
         q = rng.uniform(0.0, 0.12 * h_end)
@@ -298,7 +291,7 @@ def _ray_sympl_samples(field: RayHamiltonian, count: int,
         out.append(z)
     while len(out) < count:
         z = rng.uniform(-0.8, 0.8, size=dim)
-        h = h_eff * (1.0 - z[-2]) ** field.h_power
+        h = field.h_coef * (1.0 - z[-2]) ** field.h_power
         q = np.sum(z[: dim - 2] ** 2) + z[-1] ** 2
         if q > 0.6 * h:
             out.append(z)
@@ -309,49 +302,48 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
     n = cfg.n if cfg.scenario == "ray" else 1
     if cfg.scenario == "ray" and n < 2:
         raise InputError("the 'ray' scenario needs n >= 2; use 'ray-n1'")
-    base = RayHamiltonian(n)
-    field = base
+    # u_scale scales the field's own tube, the neighbourhood outside which
+    # the time-1 map is the identity
+    field = RayHamiltonian(n)
     if cfg.u_scale != 1.0:
-        hood = TubeNeighbourhood(eps=base.eps * cfg.u_scale,
-                                 h_coef=base.h_coef * cfg.u_scale)
-        rng0 = np.random.default_rng(cfg.seed + 99)
-        field = localize(base, hood, target_samples=base.sample_target(200, rng0))
+        field = RayHamiltonian(n, eps=field.eps * cfg.u_scale,
+                               h_coef=field.h_coef * cfg.u_scale)
 
     rng = np.random.default_rng(cfg.seed)
     # every flow sample is drawn first, sympl first so that a bad u_scale
     # fails before any flow; the grid draws nothing from rng
-    sympl = _ray_sympl_samples(base, cfg.sympl_samples, rng, cfg.u_scale)
+    sympl = _ray_sympl_samples(field, cfg.sympl_samples, rng)
     m = cfg.roundtrip_samples
     survivors = sympl[rng.integers(0, sympl.shape[0], size=m // 2)]
     targets = sympl[rng.integers(0, sympl.shape[0], size=m - m // 2)]
-    axis_pts = np.zeros((3, base.dim))
+    axis_pts = np.zeros((3, field.dim))
     axis_pts[:, -2] = (-0.4, -0.2, -0.1)
     cons = np.concatenate([sympl[rng.integers(0, sympl.shape[0], size=10)],
                            axis_pts])
-    starts = np.zeros((3, base.dim))
+    starts = np.zeros((3, field.dim))
     starts[:, -2] = (-0.3, 0.25, -0.2)
     starts[2, -1] = 0.1
-    checks = _flow_checks(field, base.membership,
+    checks = _flow_checks(field, field.membership,
                           _ray_grid(n, cfg.grid, cfg.margin), sympl,
                           survivors, targets, cons, starts, cfg)
 
     # zeros of F off the hypersurface: outside the tube with y != 0
-    off = rng.uniform(-0.9, 0.9, size=(4000, base.dim))
+    off = rng.uniform(-0.9, 0.9, size=(4000, field.dim))
     off = off[np.abs(off[:, -1]) > 0.05]
-    hvals = base.h_coef * (1.0 - off[:, -2]) ** base.h_power
-    qvals = np.sum(off[:, : base.dim - 2] ** 2, axis=1) + off[:, -1] ** 2
+    hvals = field.h_coef * (1.0 - off[:, -2]) ** field.h_power
+    qvals = np.sum(off[:, : field.dim - 2] ** 2, axis=1) + off[:, -1] ** 2
     off = off[qvals > 0.55 * hvals]
     checks["flatness_off_hypersurface"] = _flatness_check(field, off)
 
     # properness: |F| >= c only inside the predicted compact box
     prop_pass, prop_vals = True, []
     for c in (0.05, 0.1, 0.2):
-        x_hi = 1.0 - c * c / base.h_coef
-        r2 = base.h_coef * (1.0 + base.eps)
-        pts = rng.uniform(-0.98, 0.98, size=(20000, base.dim))
+        x_hi = 1.0 - c * c / field.h_coef
+        r2 = field.h_coef * (1.0 + field.eps)
+        pts = rng.uniform(-0.98, 0.98, size=(20000, field.dim))
         pts[:, -1] = rng.uniform(-3.0, 3.0, size=20000)
-        inside = (pts[:, -2] >= -base.eps) & (pts[:, -2] <= x_hi)
-        inside &= (np.sum(pts[:, : base.dim - 2] ** 2, axis=1) + pts[:, -1] ** 2) <= r2
+        inside = (pts[:, -2] >= -field.eps) & (pts[:, -2] <= x_hi)
+        inside &= (np.sum(pts[:, : field.dim - 2] ** 2, axis=1) + pts[:, -1] ** 2) <= r2
         vals = np.abs(field.value(pts[~inside]))
         prop_vals.append(vals)
         prop_pass &= bool(np.all(vals < c))
@@ -359,8 +351,8 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
                                                  _worst(prop_vals))
 
     if cfg.u_scale != 1.0:
-        outside = rng.uniform(-0.9, 0.9, size=(500, base.dim))
-        hood_mask = ~field.hood.contains(outside)
+        outside = rng.uniform(-0.9, 0.9, size=(500, field.dim))
+        hood_mask = ~field.in_tube(outside)
         vecs = field.vector_field(outside[hood_mask])
         worst = float(np.abs(vecs).max()) if vecs.size else 0.0
         checks["locality_outside_U"] = _check(

@@ -6,6 +6,7 @@ import pytest
 from excisionlab import ham_extension as hx, null_fields as nf, scalar_kit as sk
 from excisionlab import symflow as sf
 from excisionlab.errors import InputError
+from excisionlab.ham_extension import R_OFF, R_ON
 
 
 class TestPairing:
@@ -180,6 +181,9 @@ class TestExtension:
 
 
 class TestLocalize:
+    """The ray field in a scaled copy of its own tube, the neighbourhood of
+    ``lab ray --u-scale u``: ``RayHamiltonian(n, eps * u, h_coef * u)``."""
+
     @pytest.mark.parametrize("kwargs,match", [
         ({"eps": float("nan"), "h_coef": 0.25}, "eps"),
         ({"eps": 2.0, "h_coef": 0.25}, "eps"),
@@ -187,53 +191,45 @@ class TestLocalize:
     ])
     def test_bad_neighbourhood_is_refused(self, kwargs, match):
         with pytest.raises(InputError, match=match):
-            hx.TubeNeighbourhood(**kwargs)
+            hx.RayHamiltonian(2, **kwargs)
 
-    def test_support_and_plateau(self):
-        F = hx.RayHamiltonian(2)
-        hood = hx.TubeNeighbourhood(eps=F.eps * 0.1, h_coef=F.h_coef * 0.1)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scaled_field_vanishes_outside_its_tube(self, n):
+        base = hx.RayHamiltonian(n)
+        F = hx.RayHamiltonian(n, eps=base.eps * 0.1, h_coef=base.h_coef * 0.1)
         rng = np.random.default_rng(7)
-        loc = hx.localize(F, hood, target_samples=F.sample_target(100, rng))
-        outside = rng.uniform(-0.9, 0.9, size=(500, 4))
-        mask = ~hood.contains(outside)
-        assert np.abs(np.atleast_2d(loc.vector_field(outside[mask]))).max() == 0.0
-        # on the axis the localized field agrees with the original
-        axis = np.zeros((5, 4))
-        axis[:, 2] = np.linspace(0.0, 0.8, 5)
-        assert np.allclose(np.atleast_1d(loc.value(axis)),
-                           np.atleast_1d(F.value(axis)))
+        outside = rng.uniform(-0.9, 0.9, size=(500, 2 * n))
+        mask = ~F.in_tube(outside)
+        assert mask.any()
+        assert np.all(F.vector_field(outside[mask]) == 0.0)
+        # just inside the support edge R_OFF * h(x) the cutoff is positive,
+        # just outside it the whole field is zero
+        x = rng.uniform(-0.9 * F.eps, 0.9, size=200)
+        direction = rng.normal(size=(200, 2 * n - 1))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        h = F.h_coef * (1.0 - x)
+        for ratio, inside in ((0.99 * R_OFF, True), (1.01 * R_OFF, False)):
+            radial = direction * np.sqrt(ratio * h)[:, None]
+            pts = np.insert(radial, 2 * n - 2, x, axis=1)
+            assert np.all(F.in_tube(pts) == inside)
+            if inside:
+                assert np.all(F.value(pts) != 0.0)
+            else:
+                assert np.all(F.vector_field(pts) == 0.0)
 
-    def test_nan_bump_is_not_a_margin(self):
-        class NanHood:
-            def bump(self, pts):
-                return np.full(pts.shape[0], np.nan), None
-
-        F = hx.RayHamiltonian(2)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scaled_field_agrees_with_base_on_axis_plateau(self, n):
+        # the plateau of the scaled tube, x >= -eps/2 and
+        # |p|^2 + y^2 <= R_ON * h(x), lies inside the base plateau: both
+        # cutoffs are 1 there with zero gradient, so the fields agree
+        base = hx.RayHamiltonian(n)
+        F = hx.RayHamiltonian(n, eps=base.eps * 0.1, h_coef=base.h_coef * 0.1)
         rng = np.random.default_rng(8)
-        with pytest.raises(InputError):
-            hx.localize(F, NanHood(), target_samples=F.sample_target(10, rng))
-
-    def test_margin_enforced(self):
-        F = hx.RayHamiltonian(2)
-        hood = hx.TubeNeighbourhood(eps=0.01, h_coef=1e-6)
-        rng = np.random.default_rng(8)
-        with pytest.raises(InputError):
-            hx.localize(F, hood, target_samples=F.sample_target(100, rng))
-
-    @pytest.mark.parametrize("build", [lambda: hx.RayHamiltonian(2),
-                                       lambda: hx.RayHamiltonian(1)],
-                             ids=["ray", "ray-n1"])
-    def test_margin_accepts_cli_scales(self, build):
-        # the neighbourhoods of ``lab ray --u-scale u``: accepted down to
-        # u = 0.01, refused at u = 1e-3 where eps * u / 2 < HOOD_MARGIN
-        base = build()
-
-        def localize_at(u):
-            hood = hx.TubeNeighbourhood(eps=base.eps * u, h_coef=base.h_coef * u)
-            zs = base.sample_target(200, np.random.default_rng(99))
-            return hx.localize(base, hood, target_samples=zs)
-
-        for u in (0.5, 0.1, 0.01):
-            assert isinstance(localize_at(u), hx.LocalizedHamiltonian)
-        with pytest.raises(InputError, match="margin"):
-            localize_at(1e-3)
+        x = np.concatenate([[-F.eps / 2, 0.0, 0.5], rng.uniform(-F.eps / 2, 0.95, 100)])
+        direction = rng.normal(size=(x.size, 2 * n - 1))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        radius = np.sqrt(rng.uniform(0.0, R_ON, x.size) * F.h_coef * (1.0 - x))
+        radius[:3] = 0.0
+        pts = np.insert(direction * radius[:, None], 2 * n - 2, x, axis=1)
+        assert np.array_equal(F.vector_field(pts), base.vector_field(pts))
+        assert np.all(F.vector_field(pts[:3])[:, -2] == 1.0)

@@ -508,7 +508,14 @@ class TestRayKernel:
     @given(case=ray_batches())
     def test_cutoff_equals_reference(self, case):
         F, pts = case
-        chi, dchi = hx._tube_cutoff(pts, F.eps, F.h_coef, F.h_power)
+        chi, (live, dp, dx, dy) = hx._tube_jet(pts, hx._base_sq(pts[:, :-2]),
+                                               F.eps, F.h_coef, F.h_power)
+        # the full gradient: zero off the live rows
+        dchi = np.zeros_like(pts)
+        if dp is not None:
+            dchi[live, :-2] = dp
+        dchi[live, -2] = dx
+        dchi[live, -1] = dy
         want_chi, want_dchi = tube_cutoff_ref(pts, F.eps, F.h_coef, F.h_power)
         assert same_bits(chi, want_chi)
         assert same_bits(dchi, want_dchi)
@@ -550,19 +557,19 @@ class TestRayKernel:
 
 @pytest.fixture(scope="module")
 def symplectic_fields(brush):
-    """An extension, a localized ray field and the retract's chart fields,
-    each with a batch that reaches where its gradient is nonzero."""
+    """An extension, the ray field in its tube scaled by 0.5 and the
+    retract's chart fields, each with a batch that reaches where its
+    gradient is nonzero."""
     rng = np.random.default_rng(11)
     out = []
     brush_pts = rng.uniform(-0.5, 1.0, size=(64, 4))
     brush_pts[:16, -1] = 0.0
     out.append((brush[3], brush_pts))
     base = hx.RayHamiltonian(2)
-    hood = hx.TubeNeighbourhood(eps=base.eps * 0.5, h_coef=base.h_coef * 0.5)
-    loc = hx.localize(base, hood, base.sample_target(200, np.random.default_rng(99)))
+    scaled = hx.RayHamiltonian(2, eps=base.eps * 0.5, h_coef=base.h_coef * 0.5)
     ray_pts = rng.uniform(-0.4, 0.9, size=(64, 4))
     ray_pts[:, [0, 1, 3]] *= 0.2
-    out.append((loc, ray_pts))
+    out.append((scaled, ray_pts))
     staged = trees.excise_tree(scenarios._double_y_spec())
     for f in staged.fields:
         model = np.column_stack([rng.uniform(-0.5, 1.1, size=64),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from excisionlab import flow1d, null_fields as nf, scalar_kit as sk
-from excisionlab.errors import ExcisedPointError, InputError
+from excisionlab.errors import FlowDomainError, InputError
 
 
 @pytest.fixture(scope="module")
@@ -98,28 +98,27 @@ class TestClassification:
 class TestFibreFlows:
     def test_time1_freezes_base(self, point_field):
         _, field = point_field
-        p0 = np.array([0.37])
-        p1, x1 = nf.presympl_time1(field, p0, -0.2)
-        assert np.array_equal(p0, p1)
+        p0 = np.array([[0.37]])
+        p1, _ = nf.presympl_flow(field, p0, np.array([-0.2]), 1.0)
+        assert np.array_equal(p0, p1) and p1 is not p0
 
     def test_time1_plateau_translation(self, point_field):
         # on the set, above the ramp, the fibre speed is exactly 1
         _, field = point_field
-        _, x1 = nf.presympl_time1(field, np.array([0.0]), -0.5)
-        assert x1 == pytest.approx(0.5, abs=1e-8)
+        _, x1 = nf.presympl_flow(field, np.array([[0.0]]), np.array([-0.5]), 1.0)
+        assert x1[0] == pytest.approx(0.5, abs=1e-8)
 
     def test_excised_point_rejected(self, point_field):
         _, field = point_field
-        with pytest.raises(ExcisedPointError):
-            nf.presympl_time1(field, np.array([0.0]), 0.3)
+        with pytest.raises(FlowDomainError):
+            nf.presympl_flow(field, np.array([[0.0]]), np.array([0.3]), 1.0)
 
     def test_fixed_fibre_where_cutoff_dead(self, point_field):
         _, field = point_field
-        p = np.array([0.9])
         a, _, _ = fibre_params(field, 0.9)
         x = 0.5 * (a - 1.0) - 0.1     # below the ramp: speed 0
-        _, x1 = nf.presympl_time1(field, p, x)
-        assert x1 == x
+        _, x1 = nf.presympl_flow(field, np.array([[0.9]]), np.array([x]), 1.0)
+        assert x1[0] == x
 
     def test_backward_total_and_bijective(self, point_field):
         _, field = point_field

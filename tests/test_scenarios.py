@@ -72,12 +72,19 @@ SMALL_TRAJECTORY_DIGESTS = {
 }
 
 
-# the same digests of the ray scenarios' reports at ``u_scale = 0.5``, where
-# the flows run on the localized field and its tube bump; ray-n1 fails
-# symplecticity there (ROADMAP)
+# the same digests of the ray scenarios' reports at ``u_scale`` 0.5 and 1.5,
+# where the flows run on the ray field in its own tube scaled by u; ray-n1
+# fails symplecticity at 0.5 (ROADMAP), and at 1.5 the tube reaches past the
+# unscaled properness box, so the box must follow the field
 SMALL_LOCALIZED_REPORT_DIGESTS = {
-    "ray": "b141e6d2e78ada43cf17448705020d499edbf0e07a67c92060393e883f336451",
-    "ray-n1": "1c3435cb4e2cc91a02863d05febb0e052e39e2d50d34ddfe3ad7a79db82880cc",
+    "ray": {
+        0.5: "cecea41376d9a006f3db8b27a77c3a5b97ff9f09d4b62cbe1af5a54d39a427d3",
+        1.5: "ca6d2298849decfb9af3c58b44b3908fc2097709286b1d6c924221de0e81c9c7",
+    },
+    "ray-n1": {
+        0.5: "c48e46fcad789b068ceb5415529149c71828c210375abbdb187cb0863752713d",
+        1.5: "2502a138ae821d30537622713c05f3beab1534d5e39da255f2dbf148873c5922",
+    },
 }
 
 
@@ -434,16 +441,27 @@ class TestGradCheck:
 class TestUScale:
     @pytest.mark.parametrize("scenario", ["ray", "ray-n1"])
     def test_empty_sample_window_is_refused(self, scenario):
+        # u = 0.3 scales the tube's eps to 0.15
         cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.3)
-        with pytest.raises(InputError, match="u_scale must exceed 0.333333"):
+        with pytest.raises(InputError, match="eps must exceed 0.166667"):
             scenarios.run_scenario(cfg)
 
     @pytest.mark.parametrize("scenario", ["ray", "ray-n1"])
     def test_localized_report_is_pinned(self, scenario):
-        cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=0.5, **SMALL)
-        text = json.dumps(scenarios.run_scenario(cfg), indent=2, sort_keys=True)
-        want = SMALL_LOCALIZED_REPORT_DIGESTS[scenario]
-        assert hashlib.sha256(text.encode()).hexdigest() == want
+        for u, want in SMALL_LOCALIZED_REPORT_DIGESTS[scenario].items():
+            cfg = scenarios.ScenarioConfig(scenario=scenario, u_scale=u, **SMALL)
+            text = json.dumps(scenarios.run_scenario(cfg), indent=2, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, u
+
+    def test_scale_two_is_refused_before_any_flow(self, monkeypatch, capsys):
+        # u = 2 scales the tube's eps to 1, where the chart ends
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(scenarios.symflow, "integrate_batch", no_flow)
+        with pytest.raises(InputError, match="eps must lie in"):
+            cli.main(["ray", "--u-scale", "2"])
+        assert capsys.readouterr().out == ""
 
     def test_trajectories_follow_the_certified_field(self, tmp_path):
         # at u = 0.5 the start (-0.3, 0) lies outside the shrunk
@@ -484,6 +502,18 @@ class TestConfigValidation:
     def test_command_line_override_is_validated(self, option, value, capsys):
         with pytest.raises(InputError, match="must be positive and finite"):
             cli.main(["ray-n1", option, value])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("scenario", ["epigraph", "cantor-brush", "box-tail",
+                                          "tree", "retract", "verify-all"])
+    def test_u_scale_is_refused_where_nothing_reads_it(self, scenario):
+        with pytest.raises(InputError, match=f"scenario {scenario!r} must run at u_scale 1"):
+            scenarios.ScenarioConfig(scenario=scenario, u_scale=0.5)
+        assert scenarios.ScenarioConfig(scenario=scenario).u_scale == 1.0
+
+    def test_command_line_u_scale_is_refused_where_nothing_reads_it(self, capsys):
+        with pytest.raises(InputError, match="must run at u_scale 1"):
+            cli.main(["epigraph", "--u-scale", "0.5"])
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("field,value", [

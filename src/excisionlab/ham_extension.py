@@ -100,9 +100,17 @@ class HamiltonianField:
     ``escape_value`` is the chart-exit monitor used by the integrator: a
     trajectory is declared to leave the chart when it reaches 1 (for the
     product models this is the ``x`` coordinate, whose chart ends at 1).
+
+    A staged field is a sequence of ``stages`` Hamiltonians whose time-1
+    maps compose; ``at(stage)`` is the field on a batch whose ``i``-th row
+    is in stage ``stage[i]``.  A plain field is its own single stage.
     """
 
     dim: int
+    stages = 1
+
+    def at(self, stage):
+        return self
 
     def value(self, z):
         raise NotImplementedError
@@ -197,6 +205,59 @@ def _tube_jet(pts, qp, eps, h_coef, h_power, need_grad=True):
     return chi, (live, dp, dx, dy)
 
 
+def _prefactor(x, qp):
+    """The ray's rational prefactor ``(1-x^2)/(|p|^2+1-x^2)`` and its
+    denominator, kept away from 0: outside the chart the cutoff vanishes,
+    and a finite prefactor keeps ``0 * amp`` at 0."""
+    denom = qp + 1.0 - x * x
+    denom = np.where(np.abs(denom) > 1e-12, denom, 1e-12)
+    return (1.0 - x * x) / denom, denom
+
+
+def _ray_value(pts, eps, h_coef, h_power):
+    """The ray Hamiltonian on the batch ``pts`` in the tube of ``eps``,
+    ``h_coef`` and ``h_power``; ``eps`` and ``h_coef`` are scalars, or
+    ``(m,)`` arrays that give each row its own tube."""
+    qp = _base_sq(pts[:, :-2])
+    chi, _ = _tube_jet(pts, qp, eps, h_coef, h_power, False)
+    if qp is None:
+        return chi * pts[:, -1]
+    return _prefactor(pts[:, -2], qp)[0] * chi * pts[:, -1]
+
+
+def _ray_grad(pts, eps, h_coef, h_power):
+    """The gradient of :func:`_ray_value`, with the same arguments.  Every
+    operation is elementwise, so a row's gradient does not depend on its
+    batch, and a row with its own tube gets the bits it would get alone."""
+    x, y, p = pts[:, -2], pts[:, -1], pts[:, :-2]
+    qp = _base_sq(p)
+    chi, (live, dp, dx, dy) = _tube_jet(pts, qp, eps, h_coef, h_power)
+    m = pts.shape[0]
+    dchi_x = np.zeros(m)
+    dchi_x[live] = dx
+    dchi_y = np.zeros(m)
+    dchi_y[live] = dy
+    chi_y = chi * y
+    out = np.empty_like(pts)
+    if qp is None:
+        # amp = 1, |p|^2 = 0: the prefactor's x-derivative is the signed
+        # zero -2x * 0, kept so the zero signs of the gradient do not move
+        out[:, -2] = chi_y * (-2.0 * x * 0.0) + y * dchi_x
+        out[:, -1] = y * dchi_y + chi
+        return out
+    # grad F = chi y grad(amp) + amp y grad(chi) + amp chi e_y
+    amp, denom = _prefactor(x, qp)
+    dd = denom * denom
+    amp_y = amp * y
+    dchi_p = np.zeros_like(p)
+    dchi_p[live] = dp
+    damp_p = (-(1.0 - x * x) * 2.0)[:, None] * p / dd[:, None]
+    out[:, :-2] = chi_y[:, None] * damp_p + amp_y[:, None] * dchi_p
+    out[:, -2] = chi_y * (-2.0 * x * qp / dd) + amp_y * dchi_x
+    out[:, -1] = chi_y * 0.0 + amp_y * dchi_y + amp * chi
+    return out
+
+
 class RayHamiltonian(HamiltonianField):
     """``F = (1-x^2)/(|p|^2+1-x^2) * chi(z) * y`` on ``R^{2n-2} x I x R``.
 
@@ -225,53 +286,13 @@ class RayHamiltonian(HamiltonianField):
         self.h_coef = h_coef
         self.h_power = h_power
 
-    @staticmethod
-    def _prefactor(x, qp):
-        """The rational prefactor ``(1-x^2)/(|p|^2+1-x^2)`` and its
-        denominator, kept away from 0: outside the chart the cutoff
-        vanishes, and a finite prefactor keeps ``0 * amp`` at 0."""
-        denom = qp + 1.0 - x * x
-        denom = np.where(np.abs(denom) > 1e-12, denom, 1e-12)
-        return (1.0 - x * x) / denom, denom
-
     def value(self, z):
-        pts = _as_batch(z, self.dim)
-        qp = _base_sq(pts[:, :-2])
-        chi, _ = _tube_jet(pts, qp, self.eps, self.h_coef, self.h_power, False)
-        if qp is None:
-            return chi * pts[:, -1]
-        return self._prefactor(pts[:, -2], qp)[0] * chi * pts[:, -1]
+        return _ray_value(_as_batch(z, self.dim), self.eps, self.h_coef,
+                          self.h_power)
 
     def grad(self, z):
-        pts = _as_batch(z, self.dim)
-        x, y, p = pts[:, -2], pts[:, -1], pts[:, :-2]
-        qp = _base_sq(p)
-        chi, (live, dp, dx, dy) = _tube_jet(pts, qp, self.eps, self.h_coef,
-                                            self.h_power)
-        m = pts.shape[0]
-        dchi_x = np.zeros(m)
-        dchi_x[live] = dx
-        dchi_y = np.zeros(m)
-        dchi_y[live] = dy
-        chi_y = chi * y
-        out = np.empty_like(pts)
-        if qp is None:
-            # amp = 1, |p|^2 = 0: the prefactor's x-derivative is the signed
-            # zero -2x * 0, kept so the zero signs of the gradient do not move
-            out[:, -2] = chi_y * (-2.0 * x * 0.0) + y * dchi_x
-            out[:, -1] = y * dchi_y + chi
-            return out
-        # grad F = chi y grad(amp) + amp y grad(chi) + amp chi e_y
-        amp, denom = self._prefactor(x, qp)
-        dd = denom * denom
-        amp_y = amp * y
-        dchi_p = np.zeros_like(p)
-        dchi_p[live] = dp
-        damp_p = (-(1.0 - x * x) * 2.0)[:, None] * p / dd[:, None]
-        out[:, :-2] = chi_y[:, None] * damp_p + amp_y[:, None] * dchi_p
-        out[:, -2] = chi_y * (-2.0 * x * qp / dd) + amp_y * dchi_x
-        out[:, -1] = chi_y * 0.0 + amp_y * dchi_y + amp * chi
-        return out
+        return _ray_grad(_as_batch(z, self.dim), self.eps, self.h_coef,
+                         self.h_power)
 
     def in_tube(self, z) -> np.ndarray:
         """Rows inside the open support ``{x > -eps, |p|^2 + y^2 <

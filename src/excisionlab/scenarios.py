@@ -717,22 +717,20 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     # on-tree samples of each branch; margin bands are carved around both
     # branch ends (junctions of other stages)
     on_tree = []
-    for f in staged.fields:
-        chart = f.chart
+    for chart in staged.charts:
         margin_t = 2.0 * spec.w0 / chart.length
         ts = np.linspace(margin_t, 1.0 - margin_t, 12)
         leaf = np.asarray(chart.leaf)
         node = np.asarray(chart.node)
         on_tree.append(leaf[None, :] + ts[:, None] * (node - leaf)[None, :])
     on_tree = np.concatenate(on_tree)
-    own_stage = np.repeat(np.arange(len(staged.fields)), ts.size)
+    own_stage = np.repeat(np.arange(staged.field.stages), ts.size)
 
     # conditioned survivors: behind-the-leaf plateau points and frozen
     # outside points
     samples = []
-    per_branch = max(1, cfg.sympl_samples // (2 * len(staged.fields)))
-    for f in staged.fields:
-        chart = f.chart
+    per_branch = max(1, cfg.sympl_samples // (2 * staged.field.stages))
+    for chart in staged.charts:
         for _ in range(per_branch):
             x1 = rng.uniform(-0.35 * chart.eps / 0.4, -0.05)
             z = chart.from_model(np.array([[x1, 0.0]]))[0]
@@ -744,8 +742,8 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     # one composed forward pass serves the locality, containment, on-tree
     # and inverse checks, the symplecticity stencil and the caller's extra
     # starts (retract's near-tree survivor): each row carries its own
-    # adaptive step, so a stage takes as many DP5 steps as its slowest row
-    # instead of the sum over the blocks
+    # adaptive step and stage, so the pass takes as many DP5 steps as its
+    # slowest row instead of the sum over the blocks
     blocks = [outside, on_tree, inv_samples,
               coordinate_stencil(samples, cfg.fd_step), extra]
     cuts = np.cumsum([b.shape[0] for b in blocks])[:-1]
@@ -787,8 +785,8 @@ def _run_tree(cfg: ScenarioConfig) -> dict:
     staged = trees.excise_tree(_horned_ray_spec())
     rng = np.random.default_rng(cfg.seed)
     checks, _ = _tree_checks(staged, cfg, rng, np.zeros((0, 2)))
-    checks["stage_count"] = _check(len(staged.fields) == 3, 3,
-                                   float(len(staged.fields)))
+    checks["stage_count"] = _check(staged.field.stages == 3, 3,
+                                   float(staged.field.stages))
     return checks
 
 

@@ -23,6 +23,12 @@ exceeds ``R_MAX``; the crossing time is then bracketed to width
 steps as its slowest row, so a scenario's independent flows go through
 one call.
 
+A staged field (``HamiltonianField.stages > 1``) composes the time-1 maps
+of its stages, and one call flows each row through all of them as a
+wavefront: a row that completes a stage starts the next one at once, as a
+fresh one-row call would, so a call takes as many steps as the row whose
+stages take the most in total.  A plain field is the one-stage case.
+
 A batch in gives a batch out: :func:`integrate_batch` returns one
 :class:`FlowOutcome` whose fields are arrays with one entry per row, so
 callers read masks and endpoints, or slices of rows, without taking
@@ -108,15 +114,19 @@ class FlowOutcome:
     """Result of integrating an ``(m, d)`` batch: one entry per row.
 
     ``endpoint`` is ``(m, d)``; ``elapsed``, ``status``, ``step_count``,
-    ``t_esc_lower`` and ``t_esc_upper`` are ``(m,)``.  ``elapsed`` is the
-    signed flow time, negative on backward rows.  ``status`` holds the
-    strings ``COMPLETED``, ``ESCAPED`` or ``TOLERANCE_FAILURE``.  An escaped
-    row carries a bracket ``t_esc_lower <= t_esc <= t_esc_upper`` of width
-    at most ``ESC_BRACKET`` around its signed exit time; the bracket is NaN
-    on every other row.  ``trajectories`` is ``None`` when no recording was
-    asked for, and otherwise a list of ``m`` entries: ``None`` on a row not
-    recorded, else an array holding the start row ``(0, z0...)`` and one
-    row ``(t, z...)`` per accepted step.
+    ``t_esc_lower``, ``t_esc_upper`` and ``stage`` are ``(m,)``.
+    ``elapsed`` is the signed flow time, negative on backward rows.
+    ``status`` holds the strings ``COMPLETED``, ``ESCAPED`` or
+    ``TOLERANCE_FAILURE``.  An escaped row carries a bracket
+    ``t_esc_lower <= t_esc <= t_esc_upper`` of width at most
+    ``ESC_BRACKET`` around its signed exit time; the bracket is NaN on
+    every other row.  ``stage``, a signed integer array, is the stage of a
+    staged field each row ended in: the one it escaped or failed in, else
+    its last (0 for a plain field); ``elapsed`` and the bracket count from that stage's
+    start.  ``trajectories`` is ``None`` when no recording was asked for,
+    and otherwise a list of ``m`` entries: ``None`` on a row not recorded,
+    else an array holding, for each stage the row entered, the start row
+    ``(0, z0...)`` and one row ``(t, z...)`` per accepted step.
     """
 
     endpoint: np.ndarray
@@ -125,6 +135,7 @@ class FlowOutcome:
     step_count: np.ndarray
     t_esc_lower: np.ndarray
     t_esc_upper: np.ndarray
+    stage: np.ndarray
     trajectories: Optional[list] = None
 
     @property
@@ -140,13 +151,14 @@ class FlowOutcome:
             else self.trajectories[rows])
 
 
-def _escaped(field: HamiltonianField, pts: np.ndarray,
-             monitored: np.ndarray) -> np.ndarray:
-    """Rows of ``pts`` out of the chart: past the norm guard ``R_MAX``, or
-    at the chart monitor on the ``monitored`` rows."""
+def _escaped(field: HamiltonianField, pts: np.ndarray, monitored: np.ndarray,
+             stage: np.ndarray) -> np.ndarray:
+    """Rows of ``pts``, in the stages ``stage``, out of the chart: past the
+    norm guard ``R_MAX``, or at their stage's chart monitor on the
+    ``monitored`` rows."""
     esc = np.linalg.norm(pts, axis=1) >= R_MAX
-    esc[monitored] |= (np.asarray(field.escape_value(pts[monitored]))
-                       >= 1.0 - DELTA_ESC)
+    esc[monitored] |= (np.asarray(field.at(stage[monitored]).escape_value(
+        pts[monitored])) >= 1.0 - DELTA_ESC)
     return esc
 
 
@@ -175,20 +187,21 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
     return zi, err, ks[6]
 
 
-def _bracket_escapes_batch(field, z_prev, t_prev, dts, monitored):
+def _bracket_escapes_batch(field, z_prev, t_prev, dts, monitored, stage):
     """Bracket exit times for a batch of escaping steps.
 
     Each row escaped between its step start ``z_prev`` (not escaped) at the
     signed time ``t_prev`` and its accepted endpoint (escaped) one signed
-    step ``dts`` later; ``monitored`` marks the rows the chart monitor
-    watches.  Bisect the step fraction in lockstep until every bracket is
-    narrower than ``ESC_BRACKET`` in flow time.  Every bisection step
-    starts from ``z_prev``, so its first stage is evaluated once for all of
-    them.  Returns the last time not escaped, the first time escaped and
-    the point reached then.
+    step ``dts`` later, in the stage ``stage`` of ``field``; ``monitored``
+    marks the rows the chart monitor watches.  Bisect the step fraction in
+    lockstep until every bracket is narrower than ``ESC_BRACKET`` in flow
+    time.  Every bisection step starts from ``z_prev``, so its first stage
+    is evaluated once for all of them.  Returns the last time not escaped,
+    the first time escaped and the point reached then.
     """
     k = z_prev.shape[0]
-    k_prev = field.vector_field(z_prev)
+    rows = field.at(stage)
+    k_prev = rows.vector_field(z_prev)
     lo = np.zeros(k)
     hi = np.ones(k)
     span = np.abs(dts)
@@ -197,13 +210,13 @@ def _bracket_escapes_batch(field, z_prev, t_prev, dts, monitored):
         if not np.any(open_mask):
             break
         mid = 0.5 * (lo + hi)
-        zm, _, _ = _dp_step(field, z_prev[open_mask], (mid * dts)[open_mask],
-                            k_prev[open_mask])
-        esc = _escaped(field, zm, monitored[open_mask])
+        zm, _, _ = _dp_step(field.at(stage[open_mask]), z_prev[open_mask],
+                            (mid * dts)[open_mask], k_prev[open_mask])
+        esc = _escaped(field, zm, monitored[open_mask], stage[open_mask])
         sub = np.nonzero(open_mask)[0]
         hi[sub[esc]] = mid[sub[esc]]
         lo[sub[~esc]] = mid[sub[~esc]]
-    z_end, _, _ = _dp_step(field, z_prev, hi * dts, k_prev)
+    z_end, _, _ = _dp_step(rows, z_prev, hi * dts, k_prev)
     return t_prev + lo * dts, t_prev + hi * dts, z_end
 
 
@@ -237,11 +250,12 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     advanced with active masks, so heterogeneous stiffness and horizons do
     not couple points, and the result order matches the input order
     regardless of which points finish first.  A call takes as many steps
-    as its slowest row.  A point exceeding ``MAX_STEPS`` attempts is
-    reported as a tolerance failure rather than stalling the batch.  A row
-    with time 0 that has not already escaped completes without a step.  A
-    non-finite time or start row, or a ``t_final`` or ``record`` array of
-    the wrong shape, raises :class:`InputError` before any RHS call.
+    as its slowest row.  A point exceeding ``MAX_STEPS`` attempts in one
+    stage is reported as a tolerance failure rather than stalling the
+    batch.  A row with time 0 that has not already escaped completes
+    without a step.  A non-finite time or start row, or a ``t_final`` or
+    ``record`` array of the wrong shape, raises :class:`InputError` before
+    any RHS call.
 
     A row with a negative time flows backward: it steps along the field
     itself with negative signed steps, which is bitwise the reversed field
@@ -252,6 +266,22 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     recorded row's trajectory holds one row ``(t, z...)`` per accepted step
     after the start row; on an exit the last row is the bracketed exit
     point.
+
+    A staged field (``field.stages > 1``) is flowed through every stage in
+    one call, as a wavefront: a forward row runs its stages up from 0 and
+    a backward row down from the last, each for the row's time, and a row
+    that completes a stage with stages left starts the next one exactly as
+    a fresh one-row call would (at ``t = 0`` with the first step size, its
+    own attempt count, the already-escaped check and the new stage's first
+    RHS), while the other rows go on.  Every RHS, monitor and bracket call
+    evaluates each row in its own stage, so a row's outcome is bitwise its
+    chain of one-stage calls.  A row stops at the first stage it does not
+    complete; ``stage`` is the stage each row ended in, and ``elapsed``,
+    escape brackets and trajectory times count from that stage's start.
+    A recorded row's trajectory holds the start row and steps of each
+    stage it entered, in order; ``step_count`` counts the steps of all of
+    them.  The call takes as many steps as the row whose stages take the
+    most steps in total.
     """
     z = np.array(z0, dtype=float)
     m = z.shape[0]
@@ -267,30 +297,66 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         raise InputError(f"start row {bad[0]} is not finite")
     forward = t_end >= 0.0
     horizon = np.abs(t_end)
+    # forward rows run the stages up from 0, backward rows down to 0; the
+    # narrowest signed type keeps a large plain batch's stages at a byte a
+    # row
+    stage = np.where(forward, 0, field.stages - 1).astype(
+        np.min_scalar_type(-field.stages))
     t = np.zeros(m)
     # step sizes; the first step is cut to the horizon like any other
     dt = np.full(m, 1e-2)
     dt_min = 1e-14 * np.maximum(1.0, horizon)
     steps = np.zeros(m, dtype=int)
-    # recorded rows of each accepted step, as (row indices, (t, z...) rows)
-    log = None
-    if np.ndim(record) or record:
-        log = [(np.nonzero(rec)[0], np.column_stack([t[rec], z[rec]]))]
-
-    already = _escaped(field, z, forward)
-    status = np.where(already, _ESC, np.where(horizon == 0.0, _DONE, _RUNNING))
-    esc_lo = np.where(already, 0.0, np.nan)
+    attempts = np.zeros(m, dtype=int)
+    status = np.full(m, _RUNNING)
+    esc_lo = np.full(m, np.nan)
     esc_hi = esc_lo.copy()
     # first stage of each row's next step: f at its start, then the last
     # stage of each accepted step; a rejected step keeps it
     k1 = np.zeros_like(z)
-    running = status == _RUNNING
-    if np.any(running):
-        k1[running] = field.vector_field(z[running])
+    # recorded rows of each stage start and accepted step, as (row
+    # indices, (t, z...) rows)
+    log = None
+    if np.ndim(record) or record:
+        log = [(np.nonzero(rec)[0], np.column_stack([t[rec], z[rec]]))]
+
+    def complete(rows):
+        """Rows that completed their stage: done after their last stage;
+        the others start their next one as a fresh call would, at t = 0
+        with the first step size and their own attempt count, and are
+        returned."""
+        ahead = forward[rows]
+        more = np.where(ahead, stage[rows] < field.stages - 1, stage[rows] > 0)
+        status[rows[~more]] = _DONE
+        rows = rows[more]
+        stage[rows] += np.where(ahead[more], 1, -1)
+        t[rows] = 0.0
+        dt[rows] = 1e-2
+        attempts[rows] = 0
+        if log is not None:
+            kept = rows[rec[rows]]
+            log.append((kept, np.column_stack([t[kept], z[kept]])))
+        return rows
+
+    def enter(rows):
+        """Rows entering a stage: the already-escaped check, then the
+        stage's first RHS; a zero time completes the stage without a step,
+        and the row enters the next one."""
+        while rows.size:
+            already = _escaped(field, z[rows], forward[rows], stage[rows])
+            status[rows] = np.where(already, _ESC, _RUNNING)
+            esc_lo[rows[already]] = 0.0
+            esc_hi[rows[already]] = 0.0
+            rows = rows[~already]
+            zero = horizon[rows] == 0.0
+            moving = rows[~zero]
+            if moving.size:
+                k1[moving] = field.at(stage[moving]).vector_field(z[moving])
+            rows = complete(rows[zero])
 
     # escaping steps in the order they escaped: rows, starts, times, steps
     pending = []
-    attempts = np.zeros(m, dtype=int)
+    enter(np.arange(m))
     while True:
         idx = np.nonzero(status == _RUNNING)[0]
         if idx.size == 0:
@@ -305,15 +371,16 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         zi = z[idx]
         dti = np.minimum(dt[idx], horizon[idx] - np.abs(t[idx]))
         h = np.copysign(dti, t_end[idx])
-        z5, err, k7 = _dp_step(field, zi, h, k1[idx])
+        z5, err, k7 = _dp_step(field.at(stage[idx]), zi, h, k1[idx])
         scale = tol + tol * np.maximum(np.abs(zi), np.abs(z5)).max(axis=1)
         enorm = np.abs(err).max(axis=1) / scale
         accept = enorm <= 1.0
 
         acc = idx[accept]
+        finished = acc[:0]
         if acc.size:
             ha = h[accept]
-            esc_now = _escaped(field, z5[accept], forward[acc])
+            esc_now = _escaped(field, z5[accept], forward[acc], stage[acc])
             if np.any(esc_now):
                 pending.append((acc[esc_now], zi[accept][esc_now],
                                 t[acc][esc_now], ha[esc_now]))
@@ -325,8 +392,8 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
                 kept = acc[rec[acc]]
                 log.append((kept, np.column_stack([t[kept], z[kept]])))
             status[acc[esc_now]] = _ESC
-            done = (np.abs(t[acc]) >= horizon[acc]) & ~esc_now
-            status[acc[done]] = _DONE
+            finished = acc[(np.abs(t[acc]) >= horizon[acc]) & ~esc_now]
+            status[finished] = _DONE
         # free the step's stages before the next one; the carried first
         # stages live in k1 only
         del z5, err, k7
@@ -335,11 +402,13 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         dt[idx] = dti * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
         fail = (dt[idx] < dt_min[idx]) & (status[idx] == _RUNNING)
         status[idx[fail]] = _FAIL
+        enter(complete(finished))
 
     if pending:
         rows, z_prev, t_prev, dts = (np.concatenate(col) for col in zip(*pending))
+        # an escaped row ends in the stage it escaped in
         t_in, t_out, z_end = _bracket_escapes_batch(field, z_prev, t_prev, dts,
-                                                    forward[rows])
+                                                    forward[rows], stage[rows])
         esc_lo[rows] = np.minimum(t_in, t_out)
         esc_hi[rows] = np.maximum(t_in, t_out)
         z[rows] = z_end
@@ -365,6 +434,7 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         step_count=steps,
         t_esc_lower=esc_lo,
         t_esc_upper=esc_hi,
+        stage=stage,
         trajectories=trajectories,
     )
 

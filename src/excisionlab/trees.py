@@ -18,18 +18,28 @@ vanishes there identically).  The special node itself is not excised: an
 open-rooted tree is a tree minus its root, and a tree retracted onto a kept
 point splits there into open-rooted components, each excised into that
 point, so both are the same staged construction.
+
+One :class:`WorldBranchField` holds every stage's chart as a table and
+evaluates rows of any stage in one row-wise kernel call.  So each of the
+composed maps, forward and backward, is one staged
+:func:`~excisionlab.symflow.integrate_batch` call, in which a row starts
+its next stage as soon as it completes the last one, and a row's image is
+bitwise that of its chain of one-stage flows, whatever its batch.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ExcisedPointError, InputError
-from .ham_extension import HamiltonianField, RayHamiltonian
+from .ham_extension import (HamiltonianField, _as_batch, _ray_grad,
+                            _ray_value)
 from .symflow import DEFAULT_TOL, ESCAPED, integrate_batch
 
 __all__ = [
@@ -40,6 +50,11 @@ __all__ = [
     "StagedExcision",
     "excise_tree",
 ]
+
+
+def _is_index(i) -> bool:
+    """Whether ``i`` is an integer that can index a node (not a bool)."""
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
 
 
 @dataclass(frozen=True)
@@ -61,6 +76,8 @@ class TreeSpec:
 
     def __post_init__(self):
         n = len(self.nodes)
+        if not all(np.shape(node) == (2,) for node in self.nodes):
+            raise InputError("tree nodes must be points of the plane")
         # written to fail closed: NaN is in no open interval
         if not all(-math.inf < c < math.inf for node in self.nodes for c in node):
             raise InputError("tree nodes must be finite")
@@ -70,12 +87,16 @@ class TreeSpec:
             raise InputError(f"w0 must be positive, got {self.w0!r}")
         if not 0.0 < self.eps < 1.0:
             raise InputError(f"eps must lie in (0, 1), got {self.eps!r}")
+        if not _is_index(self.special):
+            raise InputError(
+                f"special must be an integer node index, got {self.special!r}")
         if not (0 <= self.special < n):
             raise InputError("special node index out of range")
         if len(self.edges) != n - 1:
             raise InputError("a tree on n nodes has n-1 edges")
         for a, b in self.edges:
-            if a == b or not (0 <= a < n and 0 <= b < n):
+            if (not (_is_index(a) and _is_index(b)) or a == b
+                    or not (0 <= a < n and 0 <= b < n)):
                 raise InputError("bad edge")
         # connectivity check (depth-first)
         adj = self.adjacency()
@@ -100,6 +121,35 @@ class TreeSpec:
         return np.asarray(self.nodes[i], dtype=float)
 
 
+# the entries of BranchChart.columns() past the chart map that the field
+# reads: the world-to-model Jacobian, h_coef and eps
+_JAC = slice(7, 11)
+_H_COEF, _EPS = 11, 12
+
+
+def _to_model(pts, cols):
+    """Model coordinates ``(s/L, r*L)`` of the rows of ``pts``, where
+    ``cols`` is :meth:`BranchChart.columns` (one value per column) or its
+    transposed gather (one entry per row).  The rotation is written out
+    row-wise: a 2x2 matrix product would round differently on one row
+    (BLAS gemv) and on many (gemm)."""
+    lx, ly, r00, r01, r10, r11, length = cols[:7]
+    dx = pts[:, 0] - lx
+    dy = pts[:, 1] - ly
+    out = np.empty_like(pts)
+    out[:, 0] = (dx * r00 + dy * r01) / length
+    out[:, 1] = (dx * r10 + dy * r11) * length
+    return out
+
+
+def _tube_coordinate(model, h_coef, eps):
+    """Model coordinate ``x1`` inside the tube ``{x1 > -eps, y1^2 <
+    h_coef (1 - x1)^2}``, minus infinity outside it."""
+    x1, y1 = model[:, 0], model[:, 1]
+    h = h_coef * np.maximum(1.0 - x1, 0.0) ** 2
+    return np.where((x1 > -eps) & (y1 * y1 < h), x1, -np.inf)
+
+
 @dataclass(frozen=True)
 class BranchChart:
     """Area-preserving chart of a tapered strip around one branch.
@@ -121,13 +171,18 @@ class BranchChart:
     def rot_matrix(self) -> np.ndarray:
         return np.asarray(self.rot, dtype=float).reshape(2, 2)
 
+    def columns(self) -> np.ndarray:
+        """The chart as one row of numbers: the leaf, the rotation, the
+        length, the row-major world-to-model Jacobian ``diag(1/L, L) @
+        rot``, ``h_coef`` and ``eps``."""
+        inv = 1.0 / self.length
+        r00, r01, r10, r11 = self.rot
+        return np.array([*self.leaf, *self.rot, self.length,
+                         inv * r00, inv * r01, self.length * r10,
+                         self.length * r11, self.h_coef, self.eps])
+
     def to_model(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        frame = (pts - np.asarray(self.leaf)) @ self.rot_matrix.T
-        out = np.empty_like(frame)
-        out[:, 0] = frame[:, 0] / self.length
-        out[:, 1] = frame[:, 1] * self.length
-        return out
+        return _to_model(np.asarray(pts, dtype=float), self.columns())
 
     def from_model(self, mpts: np.ndarray) -> np.ndarray:
         mpts = np.asarray(mpts, dtype=float)
@@ -149,10 +204,7 @@ class BranchChart:
         """Model coordinate ``x1`` toward the node inside the tube
         ``{x1 > -eps, y1^2 < h_coef (1 - x1)^2}``, minus infinity
         outside it."""
-        m = self.to_model(pts)
-        x1, y1 = m[:, 0], m[:, 1]
-        h = self.h_coef * np.maximum(1.0 - x1, 0.0) ** 2
-        return np.where((x1 > -self.eps) & (y1 * y1 < h), x1, -np.inf)
+        return _tube_coordinate(self.to_model(pts), self.h_coef, self.eps)
 
 
 def strip_chart(leaf, node, sibling_dirs: Sequence, w0: float,
@@ -190,42 +242,76 @@ def strip_chart(leaf, node, sibling_dirs: Sequence, w0: float,
 
 
 class WorldBranchField(HamiltonianField):
-    """The planar ray Hamiltonian pulled back through a branch chart.
+    """The planar ray Hamiltonian pulled back through branch charts, one
+    stage per chart.
 
-    ``F = F_model o psi`` with ``psi`` symplectic, so the Hamiltonian field
-    is the pullback of the model field; the support is the tapered strip
-    (the tube where the model cutoff lives), and the escape monitor is the
-    model coordinate toward the node.
+    ``F = F_model o psi`` with ``psi`` symplectic, so each stage's
+    Hamiltonian field is the pullback of the model field; its support is
+    the stage's tapered strip (the tube where the model cutoff lives), and
+    its escape monitor is the model coordinate toward the node.  The model
+    tube ``y1^2 < h_coef (1-x1)^2`` pinches linearly at the node, so the
+    strip half-width is linear in world space.
+
+    The charts are one table with a row per stage, and :meth:`at` gathers
+    a table row per point, so one kernel call evaluates rows of any stage:
+    the chart map and the chain rule are row-wise 2x2 products, and the
+    model gradient is the planar ray gradient with each row's own tube.
+    Every operation is elementwise, so a row's result is bitwise
+    independent of its batch.  A one-stage field evaluates any batch; a
+    field of more stages evaluates only through :meth:`at`.
     """
 
-    def __init__(self, chart: BranchChart):
-        self.chart = chart
+    def __init__(self, charts: Sequence[BranchChart]):
+        self.charts = tuple(charts)
+        if not self.charts:
+            raise InputError("a branch field needs at least one chart")
+        self.stages = len(self.charts)
         self.dim = 2
-        # the model tube y1^2 < h(x1) with h = h_coef (1-x1)^2 pinches
-        # linearly at the node; quadratic-profile heights keep the strip
-        # half-width linear in world space
-        self.model = RayHamiltonian(
-            n=1, eps=chart.eps, h_coef=chart.h_coef, h_power=2,
-        )
-        mat = self.chart.rot_matrix
-        scale = np.array([[1.0 / chart.length, 0.0], [0.0, chart.length]])
-        self._dpsi_t = (scale @ mat).T
+        self._table = np.array([c.columns() for c in self.charts])
+        # the chart columns the evaluators read, one entry per row, or one
+        # for every row
+        self._cols = self._table.T if self.stages == 1 else None
+
+    def at(self, stage):
+        if self.stages == 1:
+            return self
+        rows = copy.copy(self)
+        rows._cols = self._table[stage].T
+        return rows
+
+    def _model(self, z):
+        """The model coordinates of the batch ``z`` and the chart columns
+        of its rows."""
+        pts = _as_batch(z, 2)
+        cols = self._cols
+        if cols is None or cols.shape[1] not in (1, pts.shape[0]):
+            raise InputError(f"a field of {self.stages} stages evaluates a "
+                             f"batch through at(stage)")
+        return _to_model(pts, cols), cols
 
     def value(self, z):
-        return self.model.value(self.chart.to_model(z))
+        model, cols = self._model(z)
+        return _ray_value(model, cols[_EPS], cols[_H_COEF], 2)
 
     def grad(self, z):
-        return self.model.grad(self.chart.to_model(z)) @ self._dpsi_t.T
+        model, cols = self._model(z)
+        g = _ray_grad(model, cols[_EPS], cols[_H_COEF], 2)
+        j00, j01, j10, j11 = cols[_JAC]
+        out = np.empty_like(g)
+        out[:, 0] = g[:, 0] * j00 + g[:, 1] * j10
+        out[:, 1] = g[:, 0] * j01 + g[:, 1] * j11
+        return out
 
     def escape_value(self, z):
-        return self.chart.tube_coordinate(z)
+        model, cols = self._model(z)
+        return _tube_coordinate(model, cols[_H_COEF], cols[_EPS])
 
 
-def _check_strip_disjoint(fields: Sequence[WorldBranchField],
+def _check_strip_disjoint(charts: Sequence[BranchChart],
                           branches: Sequence[tuple]) -> None:
     """Conservative pairwise separation check between strips that do not
     share a node (shared-node pairs are separated by the angular taper).
-    ``branches[i]`` is the ``(leaf, node)`` index pair of ``fields[i]``;
+    ``branches[i]`` is the ``(leaf, node)`` index pair of ``charts[i]``;
     strips meeting only at a location, not at a node, are checked."""
     def seg_dist(a0, a1, b0, b1):
         # minimal distance between two segments in the plane
@@ -238,11 +324,11 @@ def _check_strip_disjoint(fields: Sequence[WorldBranchField],
                  pt_seg(b0, a0, a1), pt_seg(b1, a0, a1)]
         return min(cands)
 
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
+    for i in range(len(charts)):
+        for j in range(i + 1, len(charts)):
             if set(branches[i]) & set(branches[j]):
                 continue
-            ci, cj = fields[i].chart, fields[j].chart
+            ci, cj = charts[i], charts[j]
             a0 = np.asarray(ci.leaf) - ci.eps * (np.asarray(ci.node) - np.asarray(ci.leaf))
             b0 = np.asarray(cj.leaf) - cj.eps * (np.asarray(cj.node) - np.asarray(cj.leaf))
             dist = seg_dist(a0, np.asarray(ci.node), b0, np.asarray(cj.node))
@@ -252,46 +338,51 @@ def _check_strip_disjoint(fields: Sequence[WorldBranchField],
                 )
 
 
-@dataclass
 class StagedExcision:
-    """Ordered stage fields and their composed forward/backward maps."""
+    """The stage charts of a tree in excision order, the staged field
+    holding them all, and their composed forward and backward maps."""
 
-    fields: list
-    spec: TreeSpec
+    def __init__(self, charts: Sequence[BranchChart], spec: TreeSpec):
+        self.field = WorldBranchField(charts)
+        self.spec = spec
+
+    @property
+    def charts(self) -> tuple:
+        return self.field.charts
+
+    @property
+    def fields(self) -> list:
+        """The one-stage field of each stage, in forward order."""
+        return [WorldBranchField([c]) for c in self.charts]
 
     def in_support(self, pts: np.ndarray) -> np.ndarray:
         """Union of the stage tubes (the neighbourhood the excision owns)."""
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0], dtype=bool)
-        for f in self.fields:
-            out |= f.chart.tube_coordinate(pts) > -np.inf
+        for chart in self.charts:
+            out |= chart.tube_coordinate(pts) > -np.inf
         return out
 
     def forward_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL):
-        """Composed forward time-1 maps.
+        """Composed forward time-1 maps of an ``(m, 2)`` batch.
 
         Returns ``(endpoints, stage_escaped)`` where ``stage_escaped[i]``
         is the index of the stage during which point ``i`` left the chart
-        (-1 when it survived all stages; -2 on tolerance failure).
+        (-1 when it survived all stages; -2 on tolerance failure), and
+        ``endpoints[i]`` is its composed image, or the bracketed exit
+        point of a row that escaped, or the last point a failed row
+        reached.
 
-        Each stage is one :func:`integrate_batch` call over the rows still
-        alive, and a call takes as many DP5 steps as its slowest row, so
-        callers pass every start through one call rather than one call
-        per block.
+        All stages run as one staged :func:`integrate_batch` call: a row
+        starts its next stage as soon as it completes the last one, so the
+        pass takes as many DP5 steps as the row whose stages take the most
+        in total, not the sum over stages of each stage's slowest row.
+        Each row's outcome is bitwise its chain of one-stage flows, so
+        callers pass every start through one call.
         """
-        zs = np.array(pts, dtype=float)
-        stage_escaped = np.full(zs.shape[0], -1, dtype=int)
-        alive = np.ones(zs.shape[0], dtype=bool)
-        for k, f in enumerate(self.fields):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            out = integrate_batch(f, zs[idx], 1.0, tol=tol)
-            done = out.completed
-            zs[idx[done]] = out.endpoint[done]
-            stage_escaped[idx[~done]] = np.where(out.status[~done] == ESCAPED, k, -2)
-            alive[idx[~done]] = False
-        return zs, stage_escaped
+        out = integrate_batch(self.field, _as_batch(pts, 2), 1.0, tol=tol)
+        escaped = np.where(out.status == ESCAPED, out.stage, -2)
+        return out.endpoint, np.where(out.completed, -1, escaped)
 
     def forward_point(self, z, tol: float = DEFAULT_TOL) -> np.ndarray:
         ends, esc = self.forward_batch(np.asarray(z, dtype=float)[None, :], tol=tol)
@@ -300,19 +391,19 @@ class StagedExcision:
         return ends[0]
 
     def inverse_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Composed backward time-1 maps, last stage first.  A row that
-        does not complete a stage raises :class:`ExcisedPointError` naming
-        the stage, the first such row and its status."""
-        zs = np.array(pts, dtype=float)
-        for k in reversed(range(len(self.fields))):
-            out = integrate_batch(self.fields[k], zs, -1.0, tol=tol)
-            left = np.nonzero(~out.completed)[0]
-            if left.size:
-                raise ExcisedPointError(
-                    f"backward stage {k} failed at row {left[0]}: "
-                    f"{out.status[left[0]]}")
-            zs = out.endpoint
-        return zs
+        """Composed backward time-1 maps of an ``(m, 2)`` batch, last stage
+        first, as one staged :func:`integrate_batch` call.  A row that does
+        not complete a stage raises :class:`ExcisedPointError` naming the
+        first stage in backward order where a row failed, the first such
+        row and its status."""
+        out = integrate_batch(self.field, _as_batch(pts, 2), -1.0, tol=tol)
+        left = np.nonzero(~out.completed)[0]
+        if left.size:
+            row = left[np.argmax(out.stage[left])]
+            raise ExcisedPointError(
+                f"backward stage {out.stage[row]} failed at row {row}: "
+                f"{out.status[row]}")
+        return out.endpoint
 
 
 def excise_tree(spec: TreeSpec) -> StagedExcision:
@@ -321,7 +412,7 @@ def excise_tree(spec: TreeSpec) -> StagedExcision:
     the special node."""
     adj = {i: set(ns) for i, ns in spec.adjacency().items()}
     original_adj = spec.adjacency()
-    fields = []
+    charts = []
     branches = []
     while any(adj[i] for i in adj):
         leaves = sorted(
@@ -340,12 +431,11 @@ def excise_tree(spec: TreeSpec) -> StagedExcision:
                 continue
             d = spec.node_array(other) - qpt
             sib_dirs.append(d / np.linalg.norm(d))
-        chart = strip_chart(
+        charts.append(strip_chart(
             spec.node_array(leaf), qpt, sib_dirs, w0=spec.w0, eps=spec.eps,
-        )
-        fields.append(WorldBranchField(chart))
+        ))
         branches.append((leaf, node))
         adj[leaf].remove(node)
         adj[node].remove(leaf)
-    _check_strip_disjoint(fields, branches)
-    return StagedExcision(fields=fields, spec=spec)
+    _check_strip_disjoint(charts, branches)
+    return StagedExcision(charts, spec)

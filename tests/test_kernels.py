@@ -571,11 +571,11 @@ def symplectic_fields(brush):
     ray_pts[:, [0, 1, 3]] *= 0.2
     out.append((scaled, ray_pts))
     staged = trees.excise_tree(scenarios._double_y_spec())
-    for f in staged.fields:
+    for f, chart in zip(staged.fields, staged.charts):
         model = np.column_stack([rng.uniform(-0.5, 1.1, size=64),
                                  rng.uniform(-0.8, 0.8, size=64)])
-        model[:, 1] *= np.sqrt(f.chart.h_coef) * np.abs(1.0 - model[:, 0])
-        out.append((f, f.chart.from_model(model)))
+        model[:, 1] *= np.sqrt(chart.h_coef) * np.abs(1.0 - model[:, 0])
+        out.append((f, chart.from_model(model)))
     return out
 
 

@@ -297,17 +297,21 @@ class TestFlowPlan:
 class TestTreePass:
     """The tree scenarios map every forward start, the symplecticity
     stencil and retract's near-tree survivor included, through one
-    composed forward pass, then run one inverse pass."""
+    composed forward pass, then run one inverse pass; each pass is one
+    staged flow through every stage."""
 
     @pytest.mark.parametrize("scenario,stages", [("tree", 3), ("retract", 6)])
     def test_one_forward_pass(self, monkeypatch, scenario, stages):
         calls = []
+        flows = []
 
         def spy(owner, name):
             real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
+                if name == "integrate_batch":
+                    flows.append((args[0].stages, float(args[2])))
                 return real(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
         for name in ("forward_batch", "inverse_batch"):
@@ -320,7 +324,7 @@ class TestTreePass:
         assert report["pass"]
         assert calls.count("forward_batch") == 1
         assert calls.count("inverse_batch") == 1
-        assert calls.count("integrate_batch") == 2 * stages
+        assert flows == [(stages, 1.0), (stages, -1.0)]
         assert calls.count("numerical_jacobian") == 1
         assert calls.count("symplecticity_residual") == 1
 

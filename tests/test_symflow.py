@@ -308,8 +308,8 @@ def dp_step_seven_stages(field, z, dt, k1):
     return z5, err, ks[6]
 
 
-class Counting:
-    """A field wrapper that counts ``vector_field`` row batches."""
+class Counting(HamiltonianField):
+    """A plain field wrapper that counts ``vector_field`` row batches."""
 
     def __init__(self, base):
         self.base = base

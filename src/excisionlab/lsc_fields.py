@@ -8,7 +8,10 @@ stages:
 1. a strictly increasing sequence of smooth minorants ``f_n`` converging to
    ``lam`` from below, built level by level from blended lattice bumps
    whose constants sit strictly between the previous level and the target
-   (:func:`baire_sequence`);
+   (:func:`baire_sequence`).  :meth:`BaireSequence.raw_values` evaluates a
+   batch in blocks of ``BLOCK_ROWS`` rows, every level of a block before
+   the next block, so each block's candidate arrays stay cache-sized; every
+   row depends only on its own pairs, so blocking changes no bit;
 2. smooth separators ``g_n`` with ``f_{n+1} < g_n < g_{n+1} < 1`` and
    ``sup g_n = 1``: the columns of one bump blend over one lattice, whose
    constants in column ``n`` sit above an exact over-ball bound of the
@@ -20,7 +23,9 @@ stages:
    within time 1 exactly above ``f_1``; each next delay is the level
    ``n-1`` travel time from ``f_{n-1}`` to ``f_n``, which re-times the
    threshold to ``f_n``.  :meth:`GluedField.fiber_data` computes the
-   thresholds, separators and delays of one fibre, and the band primitive
+   thresholds, separators and delays of one fibre; the thresholds and
+   separators of the build's grid fibres come from one batched call each
+   at build time.  The band primitive
    :func:`band_velocity` / :func:`band_travel_time` evaluates any level
    from them at a whole array of points of the fibre: one bridge call over
    every crossed (point, band) pair, summed band by band per point.
@@ -68,6 +73,10 @@ GATE_HI_MARGIN = 1e-4
 # (1 - 1/n) floor, so the blend scale can stay fixed
 MAJORANT_SCALE = 0.25
 
+# query rows per block of a tower evaluation: at the deepest box-tail level
+# a block's candidate arrays then hold about 75k pairs, about 0.6 MB each
+BLOCK_ROWS = 2048
+
 
 # ---------------------------------------------------------------------------
 # the target: piecewise-constant lower semi-continuous functions
@@ -97,6 +106,10 @@ class LscSpec:
                 raise InputError("piece values must lie in (0, 1]")
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
+            if lo.shape != base_lo.shape or hi.shape != base_lo.shape:
+                raise InputError(
+                    f"piece corners must have the base's {base_lo.size} "
+                    f"coordinates")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
                 raise InputError("piece corners must be finite")
             if np.any(hi < lo):
@@ -156,50 +169,27 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _sq_dist(pts: np.ndarray, qi: np.ndarray, centers: np.ndarray,
-             ci: np.ndarray) -> np.ndarray:
-    """``|pts[qi] - centers[ci]|^2`` per pair, summed over the columns in
-    order (as ``np.sum(..., axis=1)`` sums them) without ``(n, dim)``
-    temporaries."""
-    d2 = np.zeros(qi.shape[0])
-    for p_col, c_col in zip(pts.T, centers.T):
-        diff = np.ascontiguousarray(p_col).take(qi)
-        diff -= np.ascontiguousarray(c_col).take(ci)
-        diff *= diff
-        d2 += diff
-    return d2
-
-
-def _in_support(pts: np.ndarray, qi: np.ndarray, centers: np.ndarray,
-                ci: np.ndarray, radius: float):
-    """The candidate pairs inside the bump support, with their squared
-    relative radii ``q = d^2 / radius^2 < 1``.
-
-    A dropped pair (``q >= 1``) would carry the weight ``+0.0`` through the
-    gate and kill factors and add ``+0.0`` to its query's ``bincount``
-    sums; the kept pairs keep their order, so every blend is bitwise the
-    same as over all candidates."""
-    q = _sq_dist(pts, qi, centers, ci) / (radius * radius)
-    inside = np.flatnonzero(q < 1.0)
-    return qi.take(inside), ci.take(inside), q.take(inside)
-
-
 class _NeighborIndex:
-    """Cell hash over a fixed center set, kept as one sorted array of cell
-    codes.  ``pairs`` returns candidate (query, center) index pairs for all
-    centers within ``reach`` of each query as a sort-based join.
+    """Cell hash over a fixed center set: the centers sorted by cell code,
+    and a cell-start table.  ``pairs`` returns candidate (query, center)
+    index pairs for all centers within ``reach`` of each query as a join.
 
     Cell codes ravel the key box in C order, so the ``2*span + 1``
     neighbour cells that differ only in the last key axis have consecutive
     codes: each such row of cells, its last axis clipped to the key box, is
-    one code range and costs one pair of ``searchsorted`` lookups: at
-    ``span = 1`` in 2-D, 3 rows per query instead of 9 cells.
+    one run of sorted positions, from ``_cell_start[first cell]`` up to
+    ``_cell_start[last cell + 1]``, so it costs two ``take`` lookups: at
+    ``span = 1`` in 2-D, 3 rows per query instead of 9 cells.  The table
+    has one entry per cell of the key box plus one; a lattice of pitch
+    ``radius / 2`` puts about ``2**dim`` centers in each cell, so the
+    table is the smaller array.
 
     Each query's candidates come cell by cell, the neighbour cells in C
     order of their offsets (rows in ``_row_offsets`` order, the last key
     axis fastest within a row), and within a cell in ascending center
-    index; the ``bincount`` blends sum each query's weights in that order,
-    so it fixes their last digits."""
+    index: in ascending sorted position per row, as the stable sort keeps
+    equal codes in index order.  The ``bincount`` blends sum each query's
+    weights in that order, so it fixes their last digits."""
 
     def __init__(self, centers: np.ndarray, radius: float):
         self.centers = centers
@@ -218,6 +208,12 @@ class _NeighborIndex:
         codes = (keys - self._key_lo) @ self._key_strides
         self._order = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[self._order]
+        # cell c holds the sorted positions _cell_start[c] .. _cell_start[c+1] - 1
+        self._cell_start = np.searchsorted(
+            self._sorted_codes, np.arange(int(np.prod(self._key_shape)) + 1))
+        # center columns in sorted order, read by sorted position
+        self._sorted_cols = [np.ascontiguousarray(col)
+                             for col in centers.take(self._order, axis=0).T]
 
     def _row_offsets(self, span: int) -> np.ndarray:
         """Neighbour-cell offsets in all but the last key axis, in C order:
@@ -225,7 +221,10 @@ class _NeighborIndex:
         rows = list(itertools.product(range(-span, span + 1), repeat=self.dim - 1))
         return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim - 1)
 
-    def pairs(self, pts: np.ndarray, reach: Optional[float] = None):
+    def pairs(self, pts: np.ndarray, reach: Optional[float] = None,
+              positions: bool = False):
+        """Candidate pairs ``(qi, ci)``, query-major; with ``positions``
+        the centers come as sorted positions ``pos`` (``ci = _order[pos]``)."""
         reach = self.radius if reach is None else reach
         span = int(math.ceil(reach / self.radius))
         keys = np.floor(pts / self.radius).astype(np.int64) - self._key_lo
@@ -238,24 +237,50 @@ class _NeighborIndex:
                   & (last_lo <= last_hi)[:, None])
         q_rows, _ = np.nonzero(in_box)      # query-major, rows in order
         row_code = lead[in_box] @ self._key_strides[:-1]
-        start = np.searchsorted(self._sorted_codes, row_code + last_lo[q_rows],
-                                side="left")
-        counts = np.searchsorted(self._sorted_codes, row_code + last_hi[q_rows],
-                                 side="right") - start
+        start = self._cell_start.take(row_code + last_lo.take(q_rows))
+        counts = self._cell_start.take(row_code + last_hi.take(q_rows) + 1) - start
         # expand each (query, row) run of sorted centers
         run_start = np.cumsum(counts) - counts
         pos = np.arange(int(counts.sum())) + np.repeat(start - run_start, counts)
         qi = np.repeat(q_rows, counts).astype(np.int64, copy=False)
-        ci = self._order.take(pos)
-        return qi, ci
+        return qi, (pos if positions else self._order.take(pos))
+
+    def _sq_dist(self, pts: np.ndarray, qi: np.ndarray,
+                 pos: np.ndarray) -> np.ndarray:
+        """``|pts[qi] - centers[_order[pos]]|^2`` per pair, summed over the
+        columns in order (as ``np.sum(..., axis=1)`` sums them) without
+        ``(n, dim)`` temporaries."""
+        d2 = None
+        for p_col, c_col in zip(pts.T, self._sorted_cols):
+            diff = np.ascontiguousarray(p_col).take(qi)
+            diff -= c_col.take(pos)
+            diff *= diff
+            # the first column is its own sum: 0.0 + diff is diff, bit for bit
+            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+        return d2
+
+    def support(self, pts: np.ndarray):
+        """The candidate pairs inside the bump support, ``(qi, ci, q)``,
+        with their squared relative radii ``q = d^2 / radius^2 < 1``.
+
+        A dropped pair (``q >= 1``) would carry the weight ``+0.0`` through
+        the gate and kill factors and add ``+0.0`` to its query's
+        ``bincount`` sums; the kept pairs keep their order, so every blend
+        is bitwise the same as over all candidates.  Center indices are
+        formed for the kept pairs only."""
+        qi, pos = self.pairs(pts, positions=True)
+        q = self._sq_dist(pts, qi, pos)
+        q /= self.radius * self.radius
+        inside = np.flatnonzero(q < 1.0)
+        return qi.take(inside), self._order.take(pos.take(inside)), q.take(inside)
 
     def max_over_balls(self, pts: np.ndarray, reach: float,
                        values: np.ndarray) -> np.ndarray:
         """Per query point, the max of ``values`` over centers within
         ``reach``; minus infinity where no center is in reach."""
-        qi, ci = self.pairs(pts, reach=reach)
-        keep = np.flatnonzero(_sq_dist(pts, qi, self.centers, ci) <= reach * reach)
-        qi, ci = qi.take(keep), ci.take(keep)
+        qi, pos = self.pairs(pts, reach=reach, positions=True)
+        keep = np.flatnonzero(self._sq_dist(pts, qi, pos) <= reach * reach)
+        qi, ci = qi.take(keep), self._order.take(pos.take(keep))
         out = np.full(pts.shape[0], -np.inf)
         if qi.size:
             # pairs are query-major: one max per run of equal queries
@@ -276,10 +301,7 @@ class _BlendField:
     def weights(self, pts: np.ndarray):
         """The (query, center) pairs inside the bump support and their bump
         weights, ``(qi, ci, w)``, in the order of :meth:`_NeighborIndex.pairs`."""
-        qi, ci = self.index.pairs(pts)
-        if qi.size == 0:
-            raise CoverageError("no centers near queries")
-        qi, ci, q = _in_support(pts, qi, self.index.centers, ci, self.index.radius)
+        qi, ci, q = self.index.support(pts)
         return qi, ci, ball_bump_from_sq(q)
 
     def __call__(self, points):
@@ -291,7 +313,8 @@ class _BlendField:
         den = np.bincount(qi, weights=w, minlength=m)
         if np.any(den <= 0.0):
             raise CoverageError("majorant blend not covering a query point")
-        c = self.c_vals.take(ci, axis=0).reshape(ci.size, -1)
+        k = int(np.prod(self.c_vals.shape[1:]))
+        c = self.c_vals.take(ci, axis=0).reshape(ci.size, k)
         num = np.column_stack([np.bincount(qi, weights=w * col, minlength=m)
                                for col in c.T])
         return (num / den[:, None]).reshape((m,) + self.c_vals.shape[1:])
@@ -354,8 +377,11 @@ class BaireSequence:
 
     def raw_values(self, points) -> np.ndarray:
         """(m, depth) matrix of all exposed levels at an ``(m, dim)`` batch
-        of query points."""
+        of query points, evaluated in blocks of ``BLOCK_ROWS`` rows."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.spec.dim:
+            raise InputError(f"expected an (m, {self.spec.dim}) batch of "
+                             f"query points")
         if not np.all(np.isfinite(pts)):
             raise InputError("query points must be finite")
         key = pts.tobytes()
@@ -363,6 +389,18 @@ class BaireSequence:
         if hit is not None:
             return hit
 
+        # an empty batch is one empty block
+        starts = range(0, pts.shape[0], BLOCK_ROWS) or [0]
+        out = np.concatenate([self._block_values(pts[i:i + BLOCK_ROWS])
+                              for i in starts])
+        # callers share the cached array, so nobody may write into it
+        out.flags.writeable = False
+        self._cache[key] = out
+        return out
+
+    def _block_values(self, pts: np.ndarray) -> np.ndarray:
+        """``raw_values`` of one block: every row depends on its own pairs
+        only, so a block's rows are bitwise those of any other batch."""
         plat = self._plateaus(pts)
         # cumulative high-side kill factors by piece-value rank
         kill_cum = np.ones((pts.shape[0], plat.shape[1] + 1))
@@ -386,12 +424,7 @@ class BaireSequence:
                 )
             prev = num / den
             cols.append(prev)
-
-        out = np.stack([0.5 * cols[0]] + cols, axis=1)
-        # callers share the cached array, so nobody may write into it
-        out.flags.writeable = False
-        self._cache[key] = out
-        return out
+        return np.stack([0.5 * cols[0]] + cols, axis=1)
 
     def level_upper_bound(self, level: int, pts: np.ndarray,
                           reach: float) -> np.ndarray:
@@ -404,13 +437,8 @@ class BaireSequence:
         return 0.5 * bound if level == 1 else bound
 
 
-def baire_sequence(spec: LscSpec, n_levels: int,
-                   grid: Optional[np.ndarray] = None) -> BaireSequence:
-    """Build ``n_levels`` exposed minorant levels of ``spec``.
-
-    When ``grid`` is given, coverage is verified on it immediately, so a
-    partition hole fails loudly at construction rather than mid-query.
-    """
+def baire_sequence(spec: LscSpec, n_levels: int) -> BaireSequence:
+    """Build ``n_levels`` exposed minorant levels of ``spec``."""
     if n_levels < 2:
         raise InputError("need at least two levels")
     lo = np.asarray(spec.base_lo, dtype=float)
@@ -450,9 +478,6 @@ def baire_sequence(spec: LscSpec, n_levels: int,
             kill_rank=kill_rank.astype(np.int64),
         ))
         seq._cache.clear()
-
-    if grid is not None:
-        seq.raw_values(grid)
     return seq
 
 
@@ -516,6 +541,14 @@ def band_travel_time(g, tau, level: int, x0, x1):
 # the glued limit field
 # ---------------------------------------------------------------------------
 
+def _fibre_points(x) -> np.ndarray:
+    """Points on a fibre as a float array; non-finite ones are refused."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InputError("fibre points must be finite")
+    return x
+
+
 @dataclass
 class FiberData:
     """Per-base-point tower data: thresholds ``f_1..f_{N+1}``, separators
@@ -550,11 +583,21 @@ class GluedField:
     evaluate elementwise in ``x``, an array of points on the fibre, so one
     call covers a fibre.  They return arrays of the shape of ``x`` (0-d for
     a float), except :meth:`level_exit_time`, which gives a float for a
-    float.
+    float.  They refuse non-finite ``x`` with
+    :class:`~excisionlab.errors.InputError`.
+
+    Given a ``grid`` of base points, the constructor evaluates the
+    thresholds and separators of all its rows in one ``raw_values`` and
+    one ``majorants`` call (which also checks the tower's coverage there),
+    and :meth:`fiber_data` reads a grid row's from them on its first
+    query, bitwise what a one-point evaluation gives.  The ordering checks
+    and the delays stay per fibre and lazy: a grid row nobody queries is
+    never checked.
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
-                 majorants: _BlendField, depth: int):
+                 majorants: _BlendField, depth: int,
+                 grid: Optional[np.ndarray] = None):
         if depth < 2:
             raise InputError("depth must be at least 2")
         self.spec = spec
@@ -563,6 +606,14 @@ class GluedField:
         self.depth = depth
         self.base_dim = spec.dim
         self._fiber_cache: dict[bytes, FiberData] = {}
+        # each grid row's thresholds and separators, keyed by its bytes
+        self._grid_rows: dict[bytes, tuple] = {}
+        if grid is not None:
+            pts = np.asarray(grid, dtype=float)
+            fs = baire.raw_values(pts)            # f_1 .. f_{depth+1}
+            gs = majorants(pts)                   # g_0 .. g_depth
+            self._grid_rows = {row.tobytes(): (f, g)
+                               for row, f, g in zip(pts, fs, gs)}
 
     # -- per-point tower data -------------------------------------------
 
@@ -576,8 +627,12 @@ class GluedField:
         hit = self._fiber_cache.get(key)
         if hit is not None:
             return hit
-        fs = self.baire.raw_values(pt)[0]          # f_1 .. f_{depth+1}
-        gs = self.majorants(pt)[0]                # g_0 .. g_depth
+        grid_row = self._grid_rows.get(key)
+        if grid_row is not None:
+            fs, gs = grid_row
+        else:
+            fs = self.baire.raw_values(pt)[0]      # f_1 .. f_{depth+1}
+            gs = self.majorants(pt)[0]            # g_0 .. g_depth
         if not (np.all(np.diff(fs) > 0.0) and np.all(np.diff(gs) > 0.0)):
             raise InputError("tower ordering violated at this base point")
         if not np.all(fs < gs):
@@ -598,7 +653,7 @@ class GluedField:
         data = self.fiber_data(p)
         if not (1 <= level <= data.depth):
             raise InputError("level out of range")
-        return band_travel_time(data.g, data.tau, level, x, 1.0)
+        return band_travel_time(data.g, data.tau, level, _fibre_points(x), 1.0)
 
     def limit_exit_time(self, p, x) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``(lower, upper)`` on the exit times of the limit field
@@ -612,7 +667,7 @@ class GluedField:
         is sharp and the upper bound is infinite.
         """
         data = self.fiber_data(p)
-        x = np.asarray(x, dtype=float)
+        x = _fibre_points(x)
         above = x >= data.g[-1]
         if np.any(above):
             raise DepthExhausted(
@@ -656,7 +711,7 @@ class GluedField:
                 * smooth_step((x - half_f1) / half_f1))
 
     def velocity(self, p, x):
-        return self._velocity(self.fiber_data(p), x)
+        return self._velocity(self.fiber_data(p), _fibre_points(x))
 
     def fiber(self, p) -> ScalarField1D:
         # the 1D field is only defined on the covered band below the
@@ -679,10 +734,12 @@ def build_lsc_field(spec: LscSpec, depth: int,
     blend over one lattice: column ``n`` holds the midpoint constants
     ``(1 + b_n)/2``, where ``b_0`` is the exact over-ball bound of ``f_1``
     and ``b_n`` that of ``max(g_{n-1}, f_{n+1}, 1 - 1/n)``, which
-    guarantees the tower ordering pointwise.  Bridge delays are filled
-    lazily per queried base point.
+    guarantees the tower ordering pointwise.  The thresholds and
+    separators of the ``grid`` rows are evaluated here in one batch each,
+    so a coverage hole there fails at construction; bridge delays are
+    filled lazily per queried base point.
     """
-    baire = baire_sequence(spec, n_levels=depth + 1, grid=grid)
+    baire = baire_sequence(spec, n_levels=depth + 1)
     scale = MAJORANT_SCALE
     # pad by one bump radius: enough to cover queries inside the base box
     centers = _lattice(spec.base_lo, spec.base_hi, 0.5 * scale, pad=scale)
@@ -699,4 +756,4 @@ def build_lsc_field(spec: LscSpec, depth: int,
             raise InputError("majorant input must stay strictly below 1")
         cols.append(0.5 * (1.0 + bound))
     return GluedField(spec, baire, _BlendField(index, np.column_stack(cols)),
-                      depth)
+                      depth, grid=grid)

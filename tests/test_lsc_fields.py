@@ -42,6 +42,18 @@ class TestLscSpec:
             lf.LscSpec(base_lo=(-2.0, -2.0), base_hi=(2.0, 2.0),
                        pieces=((lo, hi, 0.5),))
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((0.0,), (1.0,)),                  # a 1-D piece in a 2-D base
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        ((0.0, 0.0), (1.0,)),
+        ((0.0,), (1.0, 1.0)),
+    ])
+    def test_piece_corners_of_another_length_are_refused(self, lo, hi):
+        # a shorter piece would broadcast over every axis of the base
+        with pytest.raises(InputError, match="piece corners must have"):
+            lf.LscSpec(base_lo=(-2.0, -2.0), base_hi=(2.0, 2.0),
+                       pieces=((lo, hi, 0.5),))
+
     def test_degenerate_base_box_builds(self):
         spec = lf.LscSpec(base_lo=(0.5,), base_hi=(0.5,), pieces=())
         field = lf.build_lsc_field(spec, depth=2)
@@ -138,6 +150,17 @@ def blend_unpruned(blend, pts):
     return num / den
 
 
+def in_support_ref(index, pts, qi, ci):
+    """The candidates with ``q = d^2 / radius^2 < 1``, from gathers of the
+    unsorted center columns."""
+    d2 = np.zeros(qi.shape[0])
+    for p_col, c_col in zip(pts.T, index.centers.T):
+        d2 += (p_col[qi] - c_col[ci]) ** 2
+    q = d2 / (index.radius * index.radius)
+    inside = q < 1.0
+    return qi[inside], ci[inside], q[inside]
+
+
 def band_travel_time_scalar(g, tau, level, x0, x1):
     g, tau = lf._check_level(g, tau, level)
     lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
@@ -219,6 +242,32 @@ class TestNeighborIndex:
         index = lf._NeighborIndex(centers, radius)
         assert np.array_equal(index.max_over_balls(pts, reach, values),
                               max_over_balls_at(index, pts, reach, values))
+
+    @given(neighbor_cases())
+    def test_cell_start_table_is_the_searchsorted_one(self, case):
+        centers, _, radius, _ = case
+        index = lf._NeighborIndex(centers, radius)
+        cells = np.arange(int(np.prod(index._key_shape)) + 1)
+        assert np.array_equal(index._cell_start,
+                              np.searchsorted(index._sorted_codes, cells))
+
+    @given(neighbor_cases())
+    def test_sorted_positions_name_the_per_cell_centers(self, case):
+        centers, pts, radius, reach = case
+        index = lf._NeighborIndex(centers, radius)
+        qi, pos = index.pairs(pts, reach, positions=True)
+        want_qi, want_ci = pairs_by_cell(index, pts, reach)
+        assert np.array_equal(qi, want_qi)
+        assert np.array_equal(index._order[pos], want_ci)
+
+    @given(neighbor_cases())
+    def test_support_is_the_per_cell_join_pruned(self, case):
+        centers, pts, radius, _ = case
+        index = lf._NeighborIndex(centers, radius)
+        qi, ci, q = index.support(pts)
+        want = in_support_ref(index, pts, *pairs_by_cell(index, pts))
+        for got, ref in zip((qi, ci, q), want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_empty_center_set_gives_empty_pairs(self):
         for dim in (1, 2, 3):
@@ -381,6 +430,63 @@ class TestPrunedBlends:
                                   want)
 
 
+def levels_below(seq, n):
+    """A fresh sequence (empty cache) with the first ``n`` levels of ``seq``."""
+    below = lf.BaireSequence(seq.spec)
+    below._levels = seq._levels[:n]
+    return below
+
+
+class TestBlockedRawValues:
+    """``raw_values`` evaluates blocks of ``BLOCK_ROWS`` rows; every block
+    size gives the same bits as one block and as one row per call."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "above_m"])
+    def test_blocks_equal_one_block_and_per_row_calls(self, shallow_box_tail,
+                                                      monkeypatch, rows):
+        field, pts = shallow_box_tail
+        seq = field.baire
+        # the query points, then every third center of each level under
+        # the levels below it, as the build queries them
+        cases = [(len(seq._levels), pts)] + [
+            (n, seq._levels[n].blend.index.centers[::3])
+            for n in range(1, len(seq._levels))]
+        for n, batch in cases:
+            one_block = levels_below(seq, n).raw_values(batch)
+            monkeypatch.setattr(lf, "BLOCK_ROWS", rows or batch.shape[0] + 1)
+            blocked = levels_below(seq, n).raw_values(batch)
+            monkeypatch.undo()
+            assert blocked.tobytes() == one_block.tobytes()
+            assert blocked.shape == one_block.shape
+            per_row = levels_below(seq, n)
+            for i in range(0, batch.shape[0], 37):
+                row = per_row.raw_values(batch[i:i + 1])
+                assert row.tobytes() == blocked[i:i + 1].tobytes()
+
+    def test_blocks_equal_the_unpruned_blend(self, shallow_box_tail,
+                                             monkeypatch):
+        field, pts = shallow_box_tail
+        monkeypatch.setattr(lf, "BLOCK_ROWS", 7)
+        seq = levels_below(field.baire, len(field.baire._levels))
+        assert np.array_equal(seq.raw_values(pts),
+                              raw_values_unpruned(field.baire, pts))
+
+    def test_empty_batch_gives_empty_matrices(self, shallow_box_tail):
+        field, _ = shallow_box_tail
+        empty = np.zeros((0, 2))
+        assert field.baire.raw_values(empty).shape == (0, field.baire.depth)
+        seps = field.majorants
+        assert seps(empty).shape == (0, field.depth + 1)
+        g = lf._BlendField(seps.index, seps.c_vals[:, 0].copy())
+        assert g(empty).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1), (1, 2, 1)])
+    def test_wrong_shaped_batch_is_refused(self, shallow_box_tail, shape):
+        field, _ = shallow_box_tail
+        with pytest.raises(InputError, match=r"expected an \(m, 2\) batch"):
+            field.baire.raw_values(np.full(shape, 0.1))
+
+
 def majorant_from_bounds_ref(spec, bound_fns):
     """The per-level separator build that the one-blend build replaced,
     kept verbatim: one lattice and one index per separator."""
@@ -467,12 +573,17 @@ class TestSeparatorBlend:
             queries.append(1)
             return real(*args, **kwargs)
         monkeypatch.setattr(index, "pairs", counted)
+        # grid fibres read the build's one batched separator call
         for p in transect[:5]:
             field.fiber_data(p)
-        assert len(queries) == 5
-        for p in transect[:5]:    # cache hits query nothing
+        assert len(queries) == 0
+        # a fibre off the grid makes one query on its miss
+        off_grid = np.array([0.3, -0.4])
+        field.fiber_data(off_grid)
+        assert len(queries) == 1
+        for p in [*transect[:5], off_grid]:    # cache hits query nothing
             field.fiber_data(p)
-        assert len(queries) == 5
+        assert len(queries) == 1
 
     def test_bound_reaching_one_is_refused(self, box_tail_field, monkeypatch):
         # f_3 bounded by 1 leaves no room for g_2 below 1
@@ -702,6 +813,40 @@ class TestArrayExitTimes:
 
 
 class TestGluedField:
+    def test_grid_fibres_equal_the_one_point_path(self, box_tail_field):
+        spec, field, transect = box_tail_field
+        one_point = lf.GluedField(spec, field.baire, field.majorants,
+                                  field.depth)
+        assert len(field._grid_rows) == transect.shape[0]
+        assert not one_point._grid_rows
+        for p in transect:
+            got, want = field.fiber_data(p), one_point.fiber_data(p)
+            for a, b in ((got.f, want.f), (got.g, want.g), (got.tau, want.tau)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+    def test_unqueried_grid_row_is_not_checked(self, box_tail_field):
+        # the ordering checks are per fibre and lazy: a bad grid row
+        # raises on its own query only
+        spec, field, transect = box_tail_field
+        bad = lf.GluedField(spec, field.baire, field.majorants, field.depth,
+                            grid=transect[:3])
+        f, g = bad._grid_rows[transect[1].tobytes()]
+        bad._grid_rows[transect[1].tobytes()] = (f[::-1], g)
+        bad.fiber_data(transect[0])
+        with pytest.raises(InputError, match="tower ordering violated"):
+            bad.fiber_data(transect[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fibre_point_is_refused(self, box_tail_field, bad):
+        _, field, transect = box_tail_field
+        p = transect[4]
+        calls = (field.velocity, field.limit_exit_time, field.classify,
+                 lambda p, x: field.level_exit_time(p, x, 2))
+        for call in calls:
+            for x in (bad, np.array([0.3, bad])):
+                with pytest.raises(InputError, match="fibre points must be finite"):
+                    call(p, x)
+
     def test_cached_fibre_data_is_read_only(self, box_tail_field):
         spec, field, transect = box_tail_field
         p = transect[9]

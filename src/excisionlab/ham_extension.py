@@ -354,7 +354,16 @@ class ExtendedHamiltonian(HamiltonianField):
 
     def _pieces(self, pts, need_grad: bool):
         """``(ham, chi, grad)``: one :meth:`EpigraphField.jet` call when the
-        gradient is needed (``grad`` is ``None`` otherwise)."""
+        gradient is needed (``grad`` is ``None`` otherwise).
+
+        ``grad = chi * dham + ham * dchi``.  The cutoff gradient ``dchi`` is
+        a multiple of ``rho'(inner)``, the outer cubic step's derivative, so
+        its chain (the witness gradient, ``dratio``, ``dtheta``, ``ds_h``,
+        ``dinner``) and ``ham * dchi`` are formed on the live rows, where
+        ``rho'`` is nonzero, only.  Every other row gets ``chi * dham``,
+        equal by value to the full formula: its ``ham * dchi`` is a zero,
+        whose sign the full formula could still pass on to a zero entry.
+        """
         p = pts[:, :-2]
         x = pts[:, -2]
         y = pts[:, -1]
@@ -379,18 +388,20 @@ class ExtendedHamiltonian(HamiltonianField):
 
         dham = y[:, None] * dv
         dham[:, -1] += v
+        grad = chi[:, None] * dham
 
-        dwit = decay_witness_grad(pts)
-        sgn = np.sign(ham)
-        dratio = (sgn[:, None] * dham * wit[:, None]
-                  - np.abs(ham)[:, None] * dwit) / (wit * wit)[:, None]
-
-        dtheta = (theta_t / V_FLOOR)[:, None] * dv
-        ds_h = (-2.0 * s_h_t)[:, None] * dratio
-        dinner = dtheta * s_h[:, None] + theta[:, None] * ds_h
-        dchi = cubic_smoothstep_deriv(inner)[:, None] * dinner
-
-        grad = chi[:, None] * dham + ham[:, None] * dchi
+        rho_p = cubic_smoothstep_deriv(inner)
+        live = np.flatnonzero(rho_p != 0.0)
+        if live.size:
+            ham_l, wit_l, dham_l = ham[live], wit[live], dham[live]
+            dwit = decay_witness_grad(pts[live])
+            dratio = (np.sign(ham_l)[:, None] * dham_l * wit_l[:, None]
+                      - np.abs(ham_l)[:, None] * dwit) / (wit_l * wit_l)[:, None]
+            dtheta = (theta_t[live] / V_FLOOR)[:, None] * dv[live]
+            ds_h = (-2.0 * s_h_t[live])[:, None] * dratio
+            dinner = dtheta * s_h[live, None] + theta[live, None] * ds_h
+            dchi = rho_p[live, None] * dinner
+            grad[live] += ham_l[:, None] * dchi
         return ham, chi, grad
 
     def value(self, z):

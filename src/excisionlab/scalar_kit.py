@@ -26,10 +26,12 @@ The point evaluators (``ClosedSetSpec.contains`` and
 ``boundary_distance``, ``DefiningFunction``, ``smooth_box_plateau``) take
 an ``(m, dim)`` batch and return ``(m,)`` or ``(m, dim)`` arrays.  The
 one-pass kernels that the vector fields call on every RHS evaluation take
-arrays of one shape: ``_ratio_jet`` (the exponential ratio behind every
-smooth step, with both partials from one pair of ``exp`` calls),
-``smooth_step_jet``, ``ramp_velocity_jet``, ``AxisSet.locate`` (one
-``searchsorted`` over the sorted interval starts) and ``_axis_profile``.
+arrays of one shape: ``_ratio_terms`` (the exponential ratio behind every
+smooth step, with both partials from one pair of ``exp`` calls, formed only
+on the rows where they can be nonzero), ``_ratio_jet`` (those partials as
+full arrays), ``smooth_step_jet``, ``ramp_velocity_jet``,
+``AxisSet.locate`` (one ``searchsorted`` over the sorted interval starts)
+and ``_axis_profile``.
 All evaluators are pure; the field objects are immutable after
 construction and safe to share between threads.
 """
@@ -95,15 +97,19 @@ def cubic_smoothstep_deriv(s):
     return np.asarray(6.0 * s * (1.0 - s))
 
 
-def _ratio_jet(u, v, need_grad: bool = True):
+def _ratio_terms(u, v, need_grad: bool):
     """``E(u) / (E(u) + E(v))`` with ``E(w) = exp(-1/w)`` for ``w > 0``
     and 0 otherwise (the C-infinity prototype of every flat cutoff in the
-    kit), flat at both ends,
-    and its partials w.r.t. ``u`` and ``v``, from one pair of ``exp`` calls.
+    kit), flat at both ends, with its partials on the rows where they can
+    be nonzero, from one pair of ``exp`` calls.
 
     Batch-only: ``u`` and ``v`` are arrays of one shape with ``u + v > 0``
-    pointwise (never both branches dead).  Returns ``(value, du, dv)``;
-    with ``need_grad=False`` the partials are ``None``.
+    pointwise (never both branches dead).  Returns ``(value, mid, du,
+    -dv)``: ``mid`` masks the rows where both ``u`` and ``v`` exceed
+    ``EXP_CLAMP``, the only rows where the partials are nonzero, and ``du``
+    and ``-dv`` are the partials w.r.t. ``u`` and ``v`` there, the second
+    with its sign turned, so both are nonnegative; with
+    ``need_grad=False`` they are ``None``.
     """
     val = np.zeros(u.shape)
     val[v <= EXP_CLAMP] = 1.0
@@ -111,25 +117,40 @@ def _ratio_jet(u, v, need_grad: bool = True):
     um, vm = u[mid], v[mid]
     n = np.exp(-1.0 / um)
     d = np.exp(-1.0 / vm)
-    val[mid] = n / (n + d)
+    total = n + d
+    val[mid] = n / total
+    if not need_grad:
+        return val, mid, None, None
+    denom = total ** 2
+    return val, mid, n / (um * um) * d / denom, n * (d / (vm * vm)) / denom
+
+
+def _ratio_jet(u, v, need_grad: bool = True):
+    """The ratio of :func:`_ratio_terms` with its partials w.r.t. ``u`` and
+    ``v`` as full arrays: ``(value, du, dv)``, the partials ``None`` when
+    ``need_grad`` is false."""
+    val, mid, du_mid, neg_dv_mid = _ratio_terms(u, v, need_grad)
     if not need_grad:
         return val, None, None
     du = np.zeros(u.shape)
     dv = np.zeros(u.shape)
-    np_ = n / (um * um)
-    dp = d / (vm * vm)
-    denom = (n + d) ** 2
-    du[mid] = np_ * d / denom
-    dv[mid] = -n * dp / denom
+    du[mid] = du_mid
+    dv[mid] = -neg_dv_mid
     return val, du, dv
 
 
 def smooth_step_jet(t, need_grad: bool = True):
     """Batch-only :func:`smooth_step` with its derivative: ``(value,
-    derivative)`` from one :func:`_ratio_jet` call (derivative ``None``
-    when ``need_grad`` is false)."""
-    val, du, dv = _ratio_jet(t, 1.0 - t, need_grad)
-    return val, (du - dv if need_grad else None)
+    derivative)`` from one :func:`_ratio_terms` call (derivative ``None``
+    when ``need_grad`` is false).  The derivative ``du - dv`` of the ratio
+    at ``(t, 1 - t)`` is formed on the rows where it can be nonzero only,
+    as ``du + (-dv)``, which is bitwise ``du - dv``."""
+    val, mid, du_mid, neg_dv_mid = _ratio_terms(t, 1.0 - t, need_grad)
+    if not need_grad:
+        return val, None
+    deriv = np.zeros(t.shape)
+    deriv[mid] = du_mid + neg_dv_mid
+    return val, deriv
 
 
 def smooth_step(t):

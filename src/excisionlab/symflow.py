@@ -7,7 +7,17 @@ adaptive steps, vectorized over batches of initial conditions.  Each step
 attempt makes six RHS calls: the seventh stage is evaluated at the
 fifth-order solution itself, so an accepted step's last stage is carried
 over, bitwise, as the first stage of the next step (first same as last,
-FSAL), and a rejected step keeps the first stage it had.
+FSAL), and a rejected step keeps the first stage it had.  A step forms the
+products of its step sizes with all the tableau weights in one outer
+product.
+
+A call keeps its running rows in a compacted working set: their state
+lives in arrays of the running rows only, a step updates them in place
+(the accepted rows through ``where=`` masks), and a row is written back to
+the full-length arrays only when it leaves the set, done, escaped, failed
+or at the end of a stage.  The set is compacted only on the steps where
+some row leaves, so a step where no row leaves gathers and scatters no
+row state.
 
 The flows are autonomous, so the inverse of a time-``t`` map is the
 time ``-t`` flow of the same field.  Every row of a batch carries its own
@@ -42,6 +52,7 @@ the integrator class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -98,15 +109,21 @@ _DP_ERR = np.array([
 ])
 
 
-def _nonzero(weights) -> tuple:
-    """The ``(stage, weight)`` pairs of the nonzero ``weights``, in order."""
-    return tuple((j, w) for j, w in enumerate(weights) if w != 0.0)
+def _tableau_terms(groups) -> tuple:
+    """The nonzero weights of each group of tableau weights, all in one
+    array, and per group the ``(stage, column)`` pair of each of them,
+    ``column`` indexing that array."""
+    coefs, terms = [], []
+    for weights in groups:
+        terms.append(tuple((int(j), len(coefs) + i) for i, j in
+                           enumerate(np.flatnonzero(weights))))
+        coefs.extend(w for w in weights if w != 0.0)
+    return np.array(coefs), tuple(terms)
 
 
 # the nonzero entries of the stage rows 2-7 and of the error weights; stage
 # 7's row equals the fifth-order weights, so its input is the step's result
-_DP_ROWS = tuple(_nonzero(row) for row in _DP_A[1:6]) + (_nonzero(_DP_B5),)
-_DP_ERR_NZ = _nonzero(_DP_ERR)
+_DP_COEFS, (*_DP_ROWS, _DP_ERR_NZ) = _tableau_terms(_DP_A[1:6] + [_DP_B5, _DP_ERR])
 
 
 @dataclass
@@ -167,23 +184,27 @@ def _dp_step(field: HamiltonianField, z: np.ndarray, dt: np.ndarray,
     """One Dormand-Prince step for a batch from its first stage
     ``k1 = f(z)``: returns ``(z5, err_vector, k7)``.
 
-    ``dt`` is signed per row.  Each stage input is ``z`` plus the weighted
+    ``dt`` is signed per row.  The step forms the products of ``dt`` with
+    all 26 nonzero tableau weights (``_DP_COEFS``) in one outer product,
+    which holds each weight's ``(m, 1)`` column, bitwise ``(dt * a)[:,
+    None]``, contiguously.  Each stage input is ``z`` plus the weighted
     earlier stages, accumulated in place in stage order over the nonzero
-    tableau entries precomputed at import (``_DP_ROWS``, ``_DP_ERR_NZ``).
-    Stage 7's weights are the fifth-order weights, so its input is ``z5``
-    itself and ``k7`` is bitwise the first stage of the next step from
-    ``z5``: six RHS calls per step (FSAL).
+    tableau entries (``_DP_ROWS``, ``_DP_ERR_NZ``).  Stage 7's weights are
+    the fifth-order weights, so its input is ``z5`` itself and ``k7`` is
+    bitwise the first stage of the next step from ``z5``: six RHS calls per
+    step (FSAL).
     """
+    tab = np.multiply.outer(_DP_COEFS, dt)[:, :, None]
     ks = [k1]
     term = np.empty_like(z)
     for row in _DP_ROWS:
         zi = z.copy()
-        for j, a in row:
-            zi += np.multiply((dt * a)[:, None], ks[j], out=term)
+        for j, c in row:
+            zi += np.multiply(tab[c], ks[j], out=term)
         ks.append(field.vector_field(zi))
     err = np.zeros_like(z)
-    for j, e in _DP_ERR_NZ:
-        err += np.multiply((dt * e)[:, None], ks[j], out=term)
+    for j, c in _DP_ERR_NZ:
+        err += np.multiply(tab[c], ks[j], out=term)
     return zi, err, ks[6]
 
 
@@ -246,16 +267,26 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
 
     ``t_final`` is one time for every row or an ``(m,)`` array of them, and
     ``record`` one flag or an ``(m,)`` mask of the rows whose trajectories
-    are kept.  Each point carries its own adaptive step; the batch is
-    advanced with active masks, so heterogeneous stiffness and horizons do
-    not couple points, and the result order matches the input order
-    regardless of which points finish first.  A call takes as many steps
-    as its slowest row.  A point exceeding ``MAX_STEPS`` attempts in one
-    stage is reported as a tolerance failure rather than stalling the
-    batch.  A row with time 0 that has not already escaped completes
-    without a step.  A non-finite time or start row, or a ``t_final`` or
-    ``record`` array of the wrong shape, raises :class:`InputError` before
-    any RHS call.
+    are kept.  Each point carries its own adaptive step, so heterogeneous
+    stiffness and horizons do not couple points, and the result order
+    matches the input order regardless of which points finish first.  A
+    call takes as many steps as its slowest row.  A point exceeding
+    ``MAX_STEPS`` attempts in one stage is reported as a tolerance failure
+    rather than stalling the batch.  A row with time 0 that has not
+    already escaped completes without a step.  A ``tol`` that is not
+    positive and finite, a ``z0`` that is not an ``(m, field.dim)`` batch,
+    a non-finite time or start row, or a ``t_final`` or ``record`` array of
+    the wrong shape raises :class:`InputError` before any RHS call.
+
+    The running rows live in a working set: their indices and, in the same
+    order, their ``z``, carried first stage, ``t``, step size, horizon,
+    signed end time, stage, attempt and step counts, forward flag and
+    ``dt_min``.  A step reads those arrays and updates them in place, the
+    accepted rows through ``where=`` masks.  A row goes back to the
+    full-length arrays only when it leaves the working set (done, escaped,
+    failed, or at the end of a stage), and the working set is compacted
+    only on the steps where some row leaves.  The fields are row-independent
+    bitwise, so which rows share an RHS call does not change a row's bits.
 
     A row with a negative time flows backward: it steps along the field
     itself with negative signed steps, which is bitwise the reversed field
@@ -273,17 +304,23 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     that completes a stage with stages left starts the next one exactly as
     a fresh one-row call would (at ``t = 0`` with the first step size, its
     own attempt count, the already-escaped check and the new stage's first
-    RHS), while the other rows go on.  Every RHS, monitor and bracket call
-    evaluates each row in its own stage, so a row's outcome is bitwise its
-    chain of one-stage calls.  A row stops at the first stage it does not
-    complete; ``stage`` is the stage each row ended in, and ``elapsed``,
-    escape brackets and trajectory times count from that stage's start.
-    A recorded row's trajectory holds the start row and steps of each
-    stage it entered, in order; ``step_count`` counts the steps of all of
-    them.  The call takes as many steps as the row whose stages take the
-    most steps in total.
+    RHS) and rejoins the working set, while the other rows go on.  Every
+    RHS, monitor and bracket call evaluates each row in its own stage, so a
+    row's outcome is bitwise its chain of one-stage calls.  A row stops at
+    the first stage it does not complete; ``stage`` is the stage each row
+    ended in, and ``elapsed``, escape brackets and trajectory times count
+    from that stage's start.  A recorded row's trajectory holds the start
+    row and steps of each stage it entered, in order; ``step_count`` counts
+    the steps of all of them.  The call takes as many steps as the row
+    whose stages take the most steps in total.
     """
+    # written to fail closed: NaN is not in (0, inf)
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
     z = np.array(z0, dtype=float)
+    if z.ndim != 2 or z.shape[1] != field.dim:
+        raise InputError(f"z0 must be an (m, {field.dim}) batch, "
+                         f"got shape {z.shape}")
     m = z.shape[0]
     t_end = _per_row("t_final", t_final, m, float)
     bad = np.nonzero(~np.isfinite(t_end))[0]
@@ -303,17 +340,11 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     stage = np.where(forward, 0, field.stages - 1).astype(
         np.min_scalar_type(-field.stages))
     t = np.zeros(m)
-    # step sizes; the first step is cut to the horizon like any other
-    dt = np.full(m, 1e-2)
     dt_min = 1e-14 * np.maximum(1.0, horizon)
     steps = np.zeros(m, dtype=int)
-    attempts = np.zeros(m, dtype=int)
     status = np.full(m, _RUNNING)
     esc_lo = np.full(m, np.nan)
     esc_hi = esc_lo.copy()
-    # first stage of each row's next step: f at its start, then the last
-    # stage of each accepted step; a rejected step keeps it
-    k1 = np.zeros_like(z)
     # recorded rows of each stage start and accepted step, as (row
     # indices, (t, z...) rows)
     log = None
@@ -322,17 +353,13 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
 
     def complete(rows):
         """Rows that completed their stage: done after their last stage;
-        the others start their next one as a fresh call would, at t = 0
-        with the first step size and their own attempt count, and are
-        returned."""
+        the others start their next one at t = 0 and are returned."""
         ahead = forward[rows]
         more = np.where(ahead, stage[rows] < field.stages - 1, stage[rows] > 0)
         status[rows[~more]] = _DONE
         rows = rows[more]
         stage[rows] += np.where(ahead[more], 1, -1)
         t[rows] = 0.0
-        dt[rows] = 1e-2
-        attempts[rows] = 0
         if log is not None:
             kept = rows[rec[rows]]
             log.append((kept, np.column_stack([t[kept], z[kept]])))
@@ -341,7 +368,10 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     def enter(rows):
         """Rows entering a stage: the already-escaped check, then the
         stage's first RHS; a zero time completes the stage without a step,
-        and the row enters the next one."""
+        and the row enters the next one.  Returns the rows that step and
+        their first stages, as the working-set columns of a fresh call:
+        ``t = 0``, the first step size and no attempt yet."""
+        moved, k1s = [rows[:0]], [z[:0]]
         while rows.size:
             already = _escaped(field, z[rows], forward[rows], stage[rows])
             status[rows] = np.where(already, _ESC, _RUNNING)
@@ -351,58 +381,69 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
             zero = horizon[rows] == 0.0
             moving = rows[~zero]
             if moving.size:
-                k1[moving] = field.at(stage[moving]).vector_field(z[moving])
+                moved.append(moving)
+                k1s.append(field.at(stage[moving]).vector_field(z[moving]))
             rows = complete(rows[zero])
+        rows = np.concatenate(moved)
+        k = rows.size
+        return [rows, z[rows], np.concatenate(k1s), np.zeros(k),
+                np.full(k, 1e-2), horizon[rows], t_end[rows], stage[rows],
+                np.zeros(k, dtype=int), steps[rows], forward[rows],
+                dt_min[rows]]
 
     # escaping steps in the order they escaped: rows, starts, times, steps
     pending = []
-    enter(np.arange(m))
-    while True:
-        idx = np.nonzero(status == _RUNNING)[0]
-        if idx.size == 0:
-            break
-        attempts[idx] += 1
-        over = idx[attempts[idx] > MAX_STEPS]
-        if over.size:
-            status[over] = _FAIL
-            idx = np.nonzero(status == _RUNNING)[0]
-            if idx.size == 0:
-                break
-        zi = z[idx]
-        dti = np.minimum(dt[idx], horizon[idx] - np.abs(t[idx]))
-        h = np.copysign(dti, t_end[idx])
-        z5, err, k7 = _dp_step(field.at(stage[idx]), zi, h, k1[idx])
-        scale = tol + tol * np.maximum(np.abs(zi), np.abs(z5)).max(axis=1)
+    # the working set: running rows' indices, then z, k1 (the first stage of
+    # the next step: f at its start, then the last stage of each accepted
+    # step; a rejected step keeps it), t, dt, horizon, signed end time,
+    # stage, attempts, steps, forward flag and dt_min
+    work = enter(np.arange(m))
+    while work[0].size:
+        run, wz, wk1, wt, wdt, whor, wend, wstage, watt, wsteps, wfwd, wdt_min = work
+        watt += 1
+        dti = np.minimum(wdt, whor - np.abs(wt))
+        h = np.copysign(dti, wend)
+        z5, err, k7 = _dp_step(field.at(wstage), wz, h, wk1)
+        scale = tol + tol * np.maximum(np.abs(wz), np.abs(z5)).max(axis=1)
         enorm = np.abs(err).max(axis=1) / scale
         accept = enorm <= 1.0
 
-        acc = idx[accept]
-        finished = acc[:0]
-        if acc.size:
-            ha = h[accept]
-            esc_now = _escaped(field, z5[accept], forward[acc], stage[acc])
-            if np.any(esc_now):
-                pending.append((acc[esc_now], zi[accept][esc_now],
-                                t[acc][esc_now], ha[esc_now]))
-            t[acc] += ha
-            z[acc] = z5[accept]
-            k1[acc] = k7[accept]
-            steps[acc] += 1
+        esc = np.zeros_like(accept)
+        if accept.any():
+            esc[accept] = _escaped(field, z5[accept], wfwd[accept],
+                                   wstage[accept])
+            if esc.any():
+                pending.append((run[esc], wz[esc], wt[esc], h[esc]))
+            np.add(wt, h, out=wt, where=accept)
+            np.copyto(wz, z5, where=accept[:, None])
+            np.copyto(wk1, k7, where=accept[:, None])
+            wsteps += accept
             if log is not None:
-                kept = acc[rec[acc]]
-                log.append((kept, np.column_stack([t[kept], z[kept]])))
-            status[acc[esc_now]] = _ESC
-            finished = acc[(np.abs(t[acc]) >= horizon[acc]) & ~esc_now]
-            status[finished] = _DONE
+                kept = accept & rec[run]
+                log.append((run[kept], np.column_stack([wt[kept], wz[kept]])))
         # free the step's stages before the next one; the carried first
-        # stages live in k1 only
+        # stages live in the working set only
         del z5, err, k7
 
         e = np.maximum(enorm, 1e-12)
-        dt[idx] = dti * np.clip(0.9 * e ** -0.2, 0.2, 5.0)
-        fail = (dt[idx] < dt_min[idx]) & (status[idx] == _RUNNING)
-        status[idx[fail]] = _FAIL
-        enter(complete(finished))
+        np.multiply(dti, np.clip(0.9 * e ** -0.2, 0.2, 5.0), out=wdt)
+        finished = (np.abs(wt) >= whor) & ~esc
+        # a row whose next attempt would pass MAX_STEPS fails now
+        fail = ((wdt < wdt_min) | (watt >= MAX_STEPS)) & ~esc & ~finished
+        gone = esc | finished | fail
+        if gone.any():
+            status[run[esc]] = _ESC
+            status[run[fail]] = _FAIL
+            # a leaving row's state goes back to the full-length arrays
+            rows = run[gone]
+            z[rows] = wz[gone]
+            t[rows] = wt[gone]
+            steps[rows] = wsteps[gone]
+            work = [col[~gone] for col in work]
+            done = run[finished]
+            if done.size:
+                work = [np.concatenate(cols) for cols in
+                        zip(work, enter(complete(done)))]
 
     if pending:
         rows, z_prev, t_prev, dts = (np.concatenate(col) for col in zip(*pending))

@@ -8,9 +8,12 @@ per-gap loop of ``_axis_profile`` and ``AxisSet.contains``, the separate
 ``EpigraphField`` derivatives assembled from them, ``ramp_velocity``
 with its four inputs broadcast to one shape up front, and the ray field's
 tube cutoff, value and gradient with two smooth-step calls and 2-D
-assembly.  Every field's vector field must equal both
+assembly, and the extension's gradient with its cutoff chain formed on
+every row.  Every field's vector field must equal both
 ``grad @ pairing_matrix(d).T`` and the pairing permutation of the gradient.
-The ray kernels are compared as bit patterns, so signed zeros count too.
+The ray kernels are compared as bit patterns, so signed zeros count too;
+the extension's gradient is compared by value, and as bit patterns on the
+rows where its cutoff chain is formed and through its vector field.
 """
 
 import numpy as np
@@ -257,11 +260,11 @@ class TestRatioJet:
         val, du, dv = sk._ratio_jet(u, v)
         want_du, want_dv = ratio_partials_ref(u, v)
         assert np.array_equal(val, ratio_ref(u, v))
-        assert np.array_equal(du, want_du)
-        assert np.array_equal(dv, want_dv)
+        assert same_bits(du, want_du)
+        assert same_bits(dv, want_dv)
         step, deriv = sk.smooth_step_jet(t)
         assert np.array_equal(step, ratio_ref(u, v))
-        assert np.array_equal(deriv, want_du - want_dv)
+        assert same_bits(deriv, want_du - want_dv)
         assert np.array_equal(sk.smooth_step(t), step)
 
     @given(t=step_args())
@@ -589,3 +592,86 @@ class TestSharedVectorField:
                 got = F.vector_field(batch)
                 assert same_bits(got, g @ hx.pairing_matrix(F.dim).T)
                 assert same_bits(got, pairing_permutation(g))
+
+
+# ---------------------------------------------------------------------------
+# the extension's gradient, its cutoff chain formed on live rows only
+# ---------------------------------------------------------------------------
+
+def extended_grad_ref(F, pts):
+    """``ExtendedHamiltonian.grad`` with the cutoff gradient chain formed on
+    every row."""
+    p, x, y = pts[:, :-2], pts[:, -2], pts[:, -1]
+    v, v_x, v_p = F.field.jet(p, x)
+    ham = y * v
+    wit = sk.decay_witness(pts)
+    ratio = np.abs(ham) / wit
+    theta, theta_t = sk.smooth_step_jet(v / hx.V_FLOOR)
+    s_arg = 2.0 * (1.0 - ratio)
+    s_h, s_h_t = sk.smooth_step_jet(s_arg)
+    inner = theta * s_h
+    chi = sk.cubic_smoothstep(inner)
+
+    dv = np.zeros_like(pts)
+    dv[:, :-2] = v_p
+    dv[:, -2] = v_x
+
+    dham = y[:, None] * dv
+    dham[:, -1] += v
+
+    dwit = sk.decay_witness_grad(pts)
+    sgn = np.sign(ham)
+    dratio = (sgn[:, None] * dham * wit[:, None]
+              - np.abs(ham)[:, None] * dwit) / (wit * wit)[:, None]
+
+    dtheta = (theta_t / hx.V_FLOOR)[:, None] * dv
+    ds_h = (-2.0 * s_h_t)[:, None] * dratio
+    dinner = dtheta * s_h[:, None] + theta[:, None] * ds_h
+    dchi = sk.cubic_smoothstep_deriv(inner)[:, None] * dinner
+    return chi[:, None] * dham + ham[:, None] * dchi, inner
+
+
+@pytest.fixture(scope="module")
+def extension_rows(brush):
+    """Rows of the Cantor-brush extension: the scenario's grid and
+    symplecticity samples (moving and frozen), rows whose speed lies in the
+    low-speed gate's band ``0.01 V_FLOOR < v < V_FLOOR``, rows in the energy band
+    ``1/2 < |y v| / witness < 1`` and uniform random rows."""
+    C, _, vfield, _ = brush
+    rng = np.random.default_rng(23)
+    grid = scenarios._brush_grid(C, 24, 1e-3)
+    samples = scenarios._brush_sympl_samples(C, vfield, 40, rng)
+    cand = rng.uniform(-0.4, 1.2, size=(20000, 4))
+    cand[:, 2] = rng.uniform(-0.99, 0.99, size=20000)
+    v = vfield.velocity(cand[:, :2], cand[:, 2])
+    slow = cand[(v > 0.01 * hx.V_FLOOR) & (v < hx.V_FLOOR)][:200]
+    slow[:, 3] *= 0.05
+    band = cand[v > 10 * hx.V_FLOOR][:400].copy()
+    wit = 1.0 / (1.0 + np.sum(band[:, :3] ** 2, axis=1))
+    band_v = vfield.velocity(band[:, :2], band[:, 2])
+    band[:, 3] = rng.uniform(0.4, 1.1, size=band.shape[0]) * wit / band_v
+    random = rng.uniform(-1.5, 1.5, size=(400, 4))
+    return {"grid": grid, "samples": samples, "slow": slow, "band": band,
+            "random": random}
+
+
+class TestExtensionKernel:
+    def test_grad_equals_full_formula(self, brush, extension_rows):
+        """Equal by value everywhere and bitwise on the live rows; off them
+        only the sign of a zero entry may differ, and the vector field,
+        whose pairing product turns every zero into ``+0.0``, is bitwise
+        that of the full formula."""
+        F = brush[3]
+        live_rows = 0
+        for name, pts in extension_rows.items():
+            got = F.grad(pts)
+            want, inner = extended_grad_ref(F, pts)
+            assert np.array_equal(got, want), name
+            live = sk.cubic_smoothstep_deriv(inner) != 0.0
+            assert same_bits(got[live], want[live]), name
+            assert same_bits(F.vector_field(pts),
+                             want @ hx.pairing_matrix(F.dim).T), name
+            live_rows += int(live.sum())
+            if name in ("slow", "band"):
+                assert live.sum() >= 100, name
+        assert live_rows > 0

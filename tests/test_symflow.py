@@ -132,6 +132,22 @@ class TestOutcomeArrays:
         assert [traj is not None for traj in out.trajectories] == list(mask)
         assert out.take(slice(3, 5)).trajectories[1] is None
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf, True])
+    def test_tol_not_positive_and_finite_is_refused(self, ray, starts, tol):
+        # 0 and NaN spun MAX_STEPS attempts per row; a negative or infinite
+        # tol accepted every step
+        field = Counting(ray)
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            symflow.integrate_batch(field, starts, 1.0, tol=tol)
+        assert field.batches == 0
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 3), (5, 4, 1), ()])
+    def test_start_batch_of_another_shape_is_refused(self, ray, shape):
+        field = Counting(ray)
+        with pytest.raises(InputError, match=r"z0 must be an \(m, 4\) batch"):
+            symflow.integrate_batch(field, np.zeros(shape), 1.0)
+        assert field.batches == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_is_refused(self, ray, starts, bad):
         field = Counting(ray)
@@ -499,3 +515,57 @@ def test_signed_batch_equals_singletons(field_and_rows, picks):
                       alone if rec else dataclasses.replace(alone,
                                                             trajectories=[None]))
 
+
+
+class Wall(HamiltonianField):
+    """``F = y g(x)`` on the plane with ``g = 1`` below ``x = 0.5`` and
+    ``1e20`` from there on, so ``x' = g(x)``: a forward row below the wall
+    creeps up to it with ever smaller steps until its step falls below
+    ``dt_min``, and so does a backward row above it at once; a forward row
+    above the wall escapes."""
+
+    dim = 2
+
+    def grad(self, z):
+        return np.column_stack([0.0 * z[:, 1],
+                                np.where(z[:, 0] < 0.5, 1.0, 1e20)])
+
+
+class TestExits:
+    """Rows leave a batch in every way a row can, at different steps, and
+    each row's outcome is still its one-row outcome."""
+
+    def test_max_steps_exit_equals_singletons(self, ray, ray_starts,
+                                              monkeypatch):
+        monkeypatch.setattr(symflow, "MAX_STEPS", 40)
+        m = ray_starts.shape[0]
+        times = np.where(np.arange(m) % 2 == 0, 1.05, -1.0)
+        record = np.arange(m) % 3 != 1
+        batch = symflow.integrate_batch(ray, ray_starts, times, record=record)
+        assert set(batch.status) == {symflow.COMPLETED, symflow.ESCAPED,
+                                     symflow.TOLERANCE_FAILURE}
+        failed = batch.status == symflow.TOLERANCE_FAILURE
+        assert np.any(failed & (times > 0)) and np.any(failed & (times < 0))
+        alone = [symflow.integrate_batch(ray, z0[None, :], t, record=True)
+                 for z0, t in zip(ray_starts, times)]
+        want = stacked(alone)
+        want.trajectories = [traj if rec else None
+                             for traj, rec in zip(want.trajectories, record)]
+        same_outcomes(batch, want)
+
+    def test_dt_min_exit_equals_singletons(self):
+        z = np.array([[0.0, 0.0], [0.3, 0.0], [0.4, 0.1], [0.6, 0.0],
+                      [0.8, 0.0], [0.2, -0.3]])
+        times = np.array([1.0, 0.1, -1.0, -1.0, 1.0, 1.0])
+        batch = symflow.integrate_batch(Wall(), z, times, record=True)
+        assert list(batch.status) == [
+            symflow.TOLERANCE_FAILURE, symflow.COMPLETED, symflow.COMPLETED,
+            symflow.TOLERANCE_FAILURE, symflow.ESCAPED,
+            symflow.TOLERANCE_FAILURE]
+        # the forward rows stalled at the wall, the backward one above it
+        # did not take a step
+        assert np.all(np.abs(batch.endpoint[[0, 5], 0] - 0.5) < 1e-13)
+        assert batch.step_count[3] == 0 and batch.elapsed[3] == 0.0
+        alone = [symflow.integrate_batch(Wall(), z0[None, :], t, record=True)
+                 for z0, t in zip(z, times)]
+        same_outcomes(batch, stacked(alone))

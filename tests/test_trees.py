@@ -165,6 +165,30 @@ def test_staged_batch_equals_chains(tree_and_pool, t):
     assert np.array_equal(bits(out.endpoint[fixed]), bits(starts[fixed]))
 
 
+def test_rows_that_fail_escape_or_go_on_equal_chains(tree_and_pool,
+                                                     monkeypatch):
+    """With few attempts allowed per stage, some rows fail in a later
+    stage and some escape in one while others enter their next stages; the
+    batch still equals each row's chain."""
+    monkeypatch.setattr(symflow, "MAX_STEPS", 25)
+    staged, pool = tree_and_pool
+    m = pool.shape[0]
+    times = np.where(np.arange(m) % 3 == 0, -1.0, 1.0)
+    out = assert_rows_are_chains(staged, pool, times, np.arange(m) % 2 == 0)
+    later = np.where(times > 0, out.stage > 0,
+                     out.stage < staged.field.stages - 1)
+    for status in (symflow.TOLERANCE_FAILURE, symflow.ESCAPED,
+                   symflow.COMPLETED):
+        assert np.any((out.status == status) & later), status
+
+
+def test_tol_not_positive_and_finite_is_refused(staged, mixed):
+    pts, _ = mixed
+    for call in (staged.forward_batch, staged.inverse_batch):
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            call(pts, tol=0.0)
+
+
 @settings(max_examples=12)
 @given(picks=st.lists(st.tuples(st.integers(0, 10 ** 6),
                                 st.sampled_from([1.0, -1.0, 0.0]),

@@ -28,10 +28,9 @@ an ``(m, dim)`` batch and return ``(m,)`` or ``(m, dim)`` arrays.  The
 one-pass kernels that the vector fields call on every RHS evaluation take
 arrays of one shape: ``_ratio_terms`` (the exponential ratio behind every
 smooth step, with both partials from one pair of ``exp`` calls, formed only
-on the rows where they can be nonzero), ``_ratio_jet`` (those partials as
-full arrays), ``smooth_step_jet``, ``ramp_velocity_jet``,
-``AxisSet.locate`` (one ``searchsorted`` over the sorted interval starts)
-and ``_axis_profile``.
+on the rows where they can be nonzero), ``smooth_step_jet``,
+``ramp_velocity_jet``, ``AxisSet.locate`` (one ``searchsorted`` over the
+sorted interval starts) and ``_axis_profile``.
 All evaluators are pure; the field objects are immutable after
 construction and safe to share between threads.
 """
@@ -125,20 +124,6 @@ def _ratio_terms(u, v, need_grad: bool):
     return val, mid, n / (um * um) * d / denom, n * (d / (vm * vm)) / denom
 
 
-def _ratio_jet(u, v, need_grad: bool = True):
-    """The ratio of :func:`_ratio_terms` with its partials w.r.t. ``u`` and
-    ``v`` as full arrays: ``(value, du, dv)``, the partials ``None`` when
-    ``need_grad`` is false."""
-    val, mid, du_mid, neg_dv_mid = _ratio_terms(u, v, need_grad)
-    if not need_grad:
-        return val, None, None
-    du = np.zeros(u.shape)
-    dv = np.zeros(u.shape)
-    du[mid] = du_mid
-    dv[mid] = -neg_dv_mid
-    return val, du, dv
-
-
 def smooth_step_jet(t, need_grad: bool = True):
     """Batch-only :func:`smooth_step` with its derivative: ``(value,
     derivative)`` from one :func:`_ratio_terms` call (derivative ``None``
@@ -176,15 +161,22 @@ def check_ramp_params(a: float, b: float, c: float) -> None:
 def _rising_jet(a, x, need_grad: bool = True):
     """The rising cutoff ``chi``, a nondecreasing C-infinity ramp that is 0
     for ``x <= (a-1)/2`` and 1 for ``x >= a``, with its ``x``- and
-    ``a``-partials, ``(chi, chi_x, chi_a)``, from one :func:`_ratio_jet`
+    ``a``-partials, ``(chi, chi_x, chi_a)``, from one :func:`_ratio_terms`
     call.  On the middle band it is the normalized ratio of
     ``exp(-1/(x-(a-1)/2))`` against ``exp(-1/(a-x))``, exactly 1/2 at the
-    band's midpoint."""
+    band's midpoint.  With ``u = x - (a-1)/2`` and ``v = a - x`` the
+    partials are ``du - dv`` and ``-du/2 + dv``, formed on the rows where
+    they can be nonzero only, as ``du + (-dv)`` and ``-du/2 - (-dv)``,
+    which is bitwise the same."""
     s = 0.5 * (a - 1.0)
-    chi, du, dv = _ratio_jet(x - s, a - x, need_grad)
+    chi, mid, du, neg_dv = _ratio_terms(x - s, a - x, need_grad)
     if not need_grad:
         return chi, None, None
-    return chi, du - dv, -0.5 * du + dv
+    chi_x = np.zeros(chi.shape)
+    chi_a = np.zeros(chi.shape)
+    chi_x[mid] = du + neg_dv
+    chi_a[mid] = -0.5 * du - neg_dv
+    return chi, chi_x, chi_a
 
 
 def ramp_velocity(a, b, c, x):
@@ -210,7 +202,7 @@ def ramp_velocity(a, b, c, x):
 def ramp_velocity_jet(a, b, c, x):
     """Batch-only :func:`ramp_velocity` with all its partials:
     ``(u, du/da, du/db, du/dc, du/dx)`` for arrays of one shape, from one
-    :func:`_ratio_jet` call.  ``u`` is bitwise :func:`ramp_velocity`."""
+    :func:`_ratio_terms` call.  ``u`` is bitwise :func:`ramp_velocity`."""
     one_m_x2 = 1.0 - x * x
     denom = one_m_x2 + c
     rational = one_m_x2 / denom

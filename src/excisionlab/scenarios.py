@@ -141,15 +141,21 @@ def _integrate_plan(field, plan: dict, tol: float) -> dict:
     own would give; the call takes as many DP5 steps as its slowest row
     instead of the sum over the blocks.
     """
-    blocks = list(plan.values())
-    sizes = [z.shape[0] for z, _, _ in blocks]
-    out = symflow.integrate_batch(
-        field, np.concatenate([z for z, _, _ in blocks]),
-        np.repeat([t for _, t, _ in blocks], sizes), tol=tol,
-        record=np.repeat([rec for _, _, rec in blocks], sizes))
-    cuts = np.cumsum([0] + sizes)
-    return {name: out.take(slice(a, b))
-            for name, a, b in zip(plan, cuts[:-1], cuts[1:])}
+    starts, times, record = zip(*plan.values())
+    sizes = [z.shape[0] for z in starts]
+    out = symflow.integrate_batch(field, np.concatenate(starts),
+                                  np.repeat(times, sizes), tol=tol,
+                                  record=np.repeat(record, sizes))
+    return _split(out, dict(zip(plan, starts)))
+
+
+def _split(outcome, blocks: dict) -> dict:
+    """Each named block's :class:`symflow.FlowOutcome`, sliced from
+    ``outcome``, the flow of the blocks' ``(k, d)`` starts concatenated in
+    order."""
+    cuts = np.cumsum([0] + [z.shape[0] for z in blocks.values()])
+    return {name: outcome.take(slice(a, b))
+            for name, a, b in zip(blocks, cuts[:-1], cuts[1:])}
 
 
 def _completed_endpoints(out) -> np.ndarray:
@@ -347,8 +353,9 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
         vals = np.abs(field.value(pts[~inside]))
         prop_vals.append(vals)
         prop_pass &= bool(np.all(vals < c))
-    checks["properness_away_from_zero"] = _check(prop_pass, 60000,
-                                                 _worst(prop_vals))
+    # the points are the rows outside the predicted box, the only ones tested
+    checks["properness_away_from_zero"] = _check(
+        prop_pass, sum(v.size for v in prop_vals), _worst(prop_vals))
 
     if cfg.u_scale != 1.0:
         outside = rng.uniform(-0.9, 0.9, size=(500, field.dim))
@@ -698,9 +705,10 @@ def _double_y_spec() -> trees.TreeSpec:
 def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
                  rng: np.random.Generator, extra: np.ndarray) -> tuple:
     """Locality, containment, on-tree escape, composed symplecticity and
-    composed inverse checks of ``staged``; returns ``(checks, (ends,
-    stage))`` with the composed forward images and escape stages of the
-    ``(k, 2)`` starts ``extra``, which ride along in the same pass.
+    composed inverse checks of ``staged``, all read from one composed
+    forward pass; returns ``(checks, outcome)`` with the
+    :class:`symflow.FlowOutcome` of the ``(k, 2)`` starts ``extra``, which
+    ride along in the same pass.
 
     A stencil row that leaves the chart raises :class:`StencilError`
     before an inverse sample that escapes raises
@@ -744,41 +752,44 @@ def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
     # starts (retract's near-tree survivor): each row carries its own
     # adaptive step and stage, so the pass takes as many DP5 steps as its
     # slowest row instead of the sum over the blocks
-    blocks = [outside, on_tree, inv_samples,
-              coordinate_stencil(samples, cfg.fd_step), extra]
-    cuts = np.cumsum([b.shape[0] for b in blocks])[:-1]
-    ends, esc = staged.forward_batch(np.concatenate(blocks), tol=cfg.tol)
-    out_ends, _, inv_ends, sten_ends, extra_ends = np.split(ends, cuts)
-    out_esc, tree_esc, inv_esc, sten_esc, extra_esc = np.split(esc, cuts)
+    blocks = {"outside": outside, "on_tree": on_tree, "inverse": inv_samples,
+              "stencil": coordinate_stencil(samples, cfg.fd_step),
+              "extra": extra}
+    flows = _split(staged.forward_batch(np.concatenate(list(blocks.values())),
+                                        tol=cfg.tol), blocks)
 
     # locality: points outside the union of strips are fixed bitwise
-    moved = np.abs(out_ends - outside).max() if outside.size else 0.0
-    fixed = bool(np.all(out_ends == outside)) and bool(np.all(out_esc == -1))
+    out = flows["outside"]
+    moved = np.abs(out.endpoint - outside).max() if outside.size else 0.0
+    fixed = bool(np.all(out.endpoint == outside) and np.all(out.completed))
     checks["locality_outside_U"] = _check(fixed, outside.shape[0], float(moved))
 
     # containment: nothing outside U maps into U
-    into = staged.in_support(out_ends)
+    into = staged.in_support(out.endpoint)
     checks["containment"] = _check(not np.any(into), outside.shape[0],
                                    float(np.sum(into)))
 
     # every on-tree sample escapes during its own branch's stage
-    mism = int(np.sum(tree_esc != own_stage))
+    tree = flows["on_tree"]
+    mism = int(np.sum((tree.status != symflow.ESCAPED)
+                      | (tree.stage != own_stage)))
     checks["on_tree_escape"] = _check(mism == 0, on_tree.shape[0], float(mism))
 
     # composed symplecticity at the conditioned survivors, read from the
     # pass's stencil images
     checks["composed_symplecticity"] = _symplecticity_check(
-        symflow.numerical_jacobian(sten_ends, sten_esc == -1, cfg.fd_step),
+        symflow.time1_jacobian_batch(flows["stencil"], samples, cfg.fd_step),
         2e-5)
 
     # composed inverse consistency
-    if np.any(inv_esc != -1):
+    inv = flows["inverse"]
+    if not np.all(inv.completed):
         raise ExcisedPointError("an inverse sample escaped the forward map")
-    worst = _worst([np.abs(staged.inverse_batch(inv_ends, tol=cfg.tol)
+    worst = _worst([np.abs(staged.inverse_batch(inv.endpoint, tol=cfg.tol)
                            - inv_samples)])
     checks["composed_inverse"] = _check(worst <= 1e-7, inv_samples.shape[0],
                                         worst, bound=1e-7)
-    return checks, (extra_ends, extra_esc)
+    return checks, flows["extra"]
 
 
 def _run_tree(cfg: ScenarioConfig) -> dict:
@@ -796,10 +807,10 @@ def _run_retract(cfg: ScenarioConfig) -> dict:
     # a near-tree survivor lands away from the kept point
     z0 = np.asarray(staged.spec.nodes[staged.spec.special])
     z = np.array([[0.5, 0.035]])
-    checks, (end, esc) = _tree_checks(staged, cfg, rng, z)
-    ok = esc[0] == -1 and np.linalg.norm(end[0] - z0) > 1e-3
-    checks["near_tree_survivor"] = _check(bool(ok), 1,
-                                          float(np.linalg.norm(end[0] - z0)))
+    checks, out = _tree_checks(staged, cfg, rng, z)
+    dist = np.linalg.norm(out.endpoint[0] - z0)
+    checks["near_tree_survivor"] = _check(out.completed[0] and dist > 1e-3, 1,
+                                          float(dist))
     return checks
 
 

@@ -272,20 +272,22 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     matches the input order regardless of which points finish first.  A
     call takes as many steps as its slowest row.  A point exceeding
     ``MAX_STEPS`` attempts in one stage is reported as a tolerance failure
-    rather than stalling the batch.  A row with time 0 that has not
-    already escaped completes without a step.  A ``tol`` that is not
-    positive and finite, a ``z0`` that is not an ``(m, field.dim)`` batch,
-    a non-finite time or start row, or a ``t_final`` or ``record`` array of
-    the wrong shape raises :class:`InputError` before any RHS call.
+    rather than stalling the batch, and so is a point whose next step falls
+    below ``1e-14 * max(1, |t|)``, the float resolution of its current
+    time ``t``.  A row with time 0 that has not already escaped completes
+    without a step.  A ``tol`` that is not positive and finite, a ``z0``
+    that is not an ``(m, field.dim)`` batch, a non-finite time or start
+    row, or a ``t_final`` or ``record`` array of the wrong shape raises
+    :class:`InputError` before any RHS call.
 
     The running rows live in a working set: their indices and, in the same
     order, their ``z``, carried first stage, ``t``, step size, horizon,
-    signed end time, stage, attempt and step counts, forward flag and
-    ``dt_min``.  A step reads those arrays and updates them in place, the
-    accepted rows through ``where=`` masks.  A row goes back to the
-    full-length arrays only when it leaves the working set (done, escaped,
-    failed, or at the end of a stage), and the working set is compacted
-    only on the steps where some row leaves.  The fields are row-independent
+    signed end time, stage, attempt and step counts and forward flag.  A
+    step reads those arrays and updates them in place, the accepted rows
+    through ``where=`` masks.  A row goes back to the full-length arrays
+    only when it leaves the working set (done, escaped, failed, or at the
+    end of a stage), and the working set is compacted only on the steps
+    where some row leaves.  The fields are row-independent
     bitwise, so which rows share an RHS call does not change a row's bits.
 
     A row with a negative time flows backward: it steps along the field
@@ -340,7 +342,6 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
     stage = np.where(forward, 0, field.stages - 1).astype(
         np.min_scalar_type(-field.stages))
     t = np.zeros(m)
-    dt_min = 1e-14 * np.maximum(1.0, horizon)
     steps = np.zeros(m, dtype=int)
     status = np.full(m, _RUNNING)
     esc_lo = np.full(m, np.nan)
@@ -388,18 +389,17 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         k = rows.size
         return [rows, z[rows], np.concatenate(k1s), np.zeros(k),
                 np.full(k, 1e-2), horizon[rows], t_end[rows], stage[rows],
-                np.zeros(k, dtype=int), steps[rows], forward[rows],
-                dt_min[rows]]
+                np.zeros(k, dtype=int), steps[rows], forward[rows]]
 
     # escaping steps in the order they escaped: rows, starts, times, steps
     pending = []
     # the working set: running rows' indices, then z, k1 (the first stage of
     # the next step: f at its start, then the last stage of each accepted
     # step; a rejected step keeps it), t, dt, horizon, signed end time,
-    # stage, attempts, steps, forward flag and dt_min
+    # stage, attempts, steps and forward flag
     work = enter(np.arange(m))
     while work[0].size:
-        run, wz, wk1, wt, wdt, whor, wend, wstage, watt, wsteps, wfwd, wdt_min = work
+        run, wz, wk1, wt, wdt, whor, wend, wstage, watt, wsteps, wfwd = work
         watt += 1
         dti = np.minimum(wdt, whor - np.abs(wt))
         h = np.copysign(dti, wend)
@@ -428,8 +428,10 @@ def integrate_batch(field: HamiltonianField, z0: np.ndarray,
         e = np.maximum(enorm, 1e-12)
         np.multiply(dti, np.clip(0.9 * e ** -0.2, 0.2, 5.0), out=wdt)
         finished = (np.abs(wt) >= whor) & ~esc
-        # a row whose next attempt would pass MAX_STEPS fails now
-        fail = ((wdt < wdt_min) | (watt >= MAX_STEPS)) & ~esc & ~finished
+        # a row whose next step is below the float resolution of its time,
+        # or whose next attempt would pass MAX_STEPS, fails now
+        floor = 1e-14 * np.maximum(1.0, np.abs(wt))
+        fail = ((wdt < floor) | (watt >= MAX_STEPS)) & ~esc & ~finished
         gone = esc | finished | fail
         if gone.any():
             status[run[esc]] = _ESC

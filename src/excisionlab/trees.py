@@ -20,11 +20,15 @@ point splits there into open-rooted components, each excised into that
 point, so both are the same staged construction.
 
 One :class:`WorldBranchField` holds every stage's chart as a table and
-evaluates rows of any stage in one row-wise kernel call.  So each of the
+evaluates rows of any stage in one row-wise kernel call; the support test
+:meth:`StagedExcision.in_support` reads the same table.  So each of the
 composed maps, forward and backward, is one staged
 :func:`~excisionlab.symflow.integrate_batch` call, in which a row starts
 its next stage as soon as it completes the last one, and a row's image is
-bitwise that of its chain of one-stage flows, whatever its batch.
+bitwise that of its chain of one-stage flows, whatever its batch.  The
+forward map returns that call's :class:`~excisionlab.symflow.FlowOutcome`
+as it is: callers read ``completed``, ``status`` and ``stage`` (the stage a
+row escaped or failed in) and slice it as they slice any other flow.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import ExcisedPointError, InputError
 from .ham_extension import (HamiltonianField, _as_batch, _ray_grad,
                             _ray_value)
-from .symflow import DEFAULT_TOL, ESCAPED, integrate_batch
+from .symflow import DEFAULT_TOL, FlowOutcome, integrate_batch
 
 __all__ = [
     "TreeSpec",
@@ -167,10 +171,6 @@ class BranchChart:
     h_coef: float           # model tube: y1^2 < h_coef (1 - x1)^2
     eps: float
 
-    @property
-    def rot_matrix(self) -> np.ndarray:
-        return np.asarray(self.rot, dtype=float).reshape(2, 2)
-
     def columns(self) -> np.ndarray:
         """The chart as one row of numbers: the leaf, the rotation, the
         length, the row-major world-to-model Jacobian ``diag(1/L, L) @
@@ -181,30 +181,17 @@ class BranchChart:
                          inv * r00, inv * r01, self.length * r10,
                          self.length * r11, self.h_coef, self.eps])
 
-    def to_model(self, pts: np.ndarray) -> np.ndarray:
-        return _to_model(np.asarray(pts, dtype=float), self.columns())
-
     def from_model(self, mpts: np.ndarray) -> np.ndarray:
         mpts = np.asarray(mpts, dtype=float)
         frame = np.empty_like(mpts)
         frame[:, 0] = mpts[:, 0] * self.length
         frame[:, 1] = mpts[:, 1] / self.length
-        return frame @ self.rot_matrix + np.asarray(self.leaf)
-
-    def half_width(self, x1) -> np.ndarray:
-        """World-space strip half-width at model coordinate ``x1`` (the
-        width of the full cutoff tube, not just its plateau)."""
-        x1 = np.asarray(x1, dtype=float)
-        return np.sqrt(self.h_coef) * np.maximum(1.0 - x1, 0.0) / self.length
+        return frame @ np.reshape(self.rot, (2, 2)) + np.asarray(self.leaf)
 
     def max_half_width(self) -> float:
-        return float(self.half_width(-self.eps))
-
-    def tube_coordinate(self, pts: np.ndarray) -> np.ndarray:
-        """Model coordinate ``x1`` toward the node inside the tube
-        ``{x1 > -eps, y1^2 < h_coef (1 - x1)^2}``, minus infinity
-        outside it."""
-        return _tube_coordinate(self.to_model(pts), self.h_coef, self.eps)
+        """World-space half-width of the full cutoff tube at its widest,
+        the tail end ``x1 = -eps``."""
+        return math.sqrt(self.h_coef) * (1.0 + self.eps) / self.length
 
 
 def strip_chart(leaf, node, sibling_dirs: Sequence, w0: float,
@@ -350,45 +337,35 @@ class StagedExcision:
     def charts(self) -> tuple:
         return self.field.charts
 
-    @property
-    def fields(self) -> list:
-        """The one-stage field of each stage, in forward order."""
-        return [WorldBranchField([c]) for c in self.charts]
-
     def in_support(self, pts: np.ndarray) -> np.ndarray:
-        """Union of the stage tubes (the neighbourhood the excision owns)."""
+        """Union of the stage tubes (the neighbourhood the excision owns),
+        one row of the field's stage table at a time."""
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0], dtype=bool)
-        for chart in self.charts:
-            out |= chart.tube_coordinate(pts) > -np.inf
+        for cols in self.field._table:
+            out |= _tube_coordinate(_to_model(pts, cols), cols[_H_COEF],
+                                    cols[_EPS]) > -np.inf
         return out
 
-    def forward_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL):
-        """Composed forward time-1 maps of an ``(m, 2)`` batch.
+    def forward_batch(self, pts: np.ndarray,
+                      tol: float = DEFAULT_TOL) -> FlowOutcome:
+        """Composed forward time-1 maps of an ``(m, 2)`` batch: the
+        :class:`FlowOutcome` of one staged :func:`integrate_batch` call,
+        whose ``stage`` is the stage a row escaped or failed in.
 
-        Returns ``(endpoints, stage_escaped)`` where ``stage_escaped[i]``
-        is the index of the stage during which point ``i`` left the chart
-        (-1 when it survived all stages; -2 on tolerance failure), and
-        ``endpoints[i]`` is its composed image, or the bracketed exit
-        point of a row that escaped, or the last point a failed row
-        reached.
-
-        All stages run as one staged :func:`integrate_batch` call: a row
-        starts its next stage as soon as it completes the last one, so the
-        pass takes as many DP5 steps as the row whose stages take the most
-        in total, not the sum over stages of each stage's slowest row.
-        Each row's outcome is bitwise its chain of one-stage flows, so
-        callers pass every start through one call.
+        A row starts its next stage as soon as it completes the last one,
+        so the pass takes as many DP5 steps as the row whose stages take
+        the most in total.  Each row's outcome is bitwise its chain of
+        one-stage flows, so callers pass every start through one call.
         """
-        out = integrate_batch(self.field, _as_batch(pts, 2), 1.0, tol=tol)
-        escaped = np.where(out.status == ESCAPED, out.stage, -2)
-        return out.endpoint, np.where(out.completed, -1, escaped)
+        return integrate_batch(self.field, _as_batch(pts, 2), 1.0, tol=tol)
 
     def forward_point(self, z, tol: float = DEFAULT_TOL) -> np.ndarray:
-        ends, esc = self.forward_batch(np.asarray(z, dtype=float)[None, :], tol=tol)
-        if esc[0] != -1:
-            raise ExcisedPointError(f"point escaped during stage {esc[0]}")
-        return ends[0]
+        out = self.forward_batch(np.asarray(z, dtype=float)[None, :], tol=tol)
+        if not out.completed[0]:
+            raise ExcisedPointError(
+                f"point left during stage {out.stage[0]}: {out.status[0]}")
+        return out.endpoint[0]
 
     def inverse_batch(self, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Composed backward time-1 maps of an ``(m, 2)`` batch, last stage

@@ -257,11 +257,14 @@ class TestRatioJet:
     @given(t=step_args())
     def test_smooth_step_jet(self, t):
         u, v = t, 1.0 - t
-        val, du, dv = sk._ratio_jet(u, v)
+        val, mid, du, neg_dv = sk._ratio_terms(u, v, need_grad=True)
         want_du, want_dv = ratio_partials_ref(u, v)
         assert np.array_equal(val, ratio_ref(u, v))
-        assert same_bits(du, want_du)
-        assert same_bits(dv, want_dv)
+        # the partials vanish off the mask and are formed on it only
+        assert np.array_equal(mid, (u > EXP_CLAMP) & (v > EXP_CLAMP))
+        assert not np.any(want_du[~mid]) and not np.any(want_dv[~mid])
+        assert same_bits(du, want_du[mid])
+        assert same_bits(-neg_dv, want_dv[mid])
         step, deriv = sk.smooth_step_jet(t)
         assert np.array_equal(step, ratio_ref(u, v))
         assert same_bits(deriv, want_du - want_dv)
@@ -269,8 +272,8 @@ class TestRatioJet:
 
     @given(t=step_args())
     def test_value_only_pass(self, t):
-        val, du, dv = sk._ratio_jet(t, 1.0 - t, need_grad=False)
-        assert du is None and dv is None
+        val, _, du, neg_dv = sk._ratio_terms(t, 1.0 - t, need_grad=False)
+        assert du is None and neg_dv is None
         assert np.array_equal(val, ratio_ref(t, 1.0 - t))
         step, deriv = sk.smooth_step_jet(t, need_grad=False)
         assert deriv is None and np.array_equal(step, val)
@@ -574,7 +577,8 @@ def symplectic_fields(brush):
     ray_pts[:, [0, 1, 3]] *= 0.2
     out.append((scaled, ray_pts))
     staged = trees.excise_tree(scenarios._double_y_spec())
-    for f, chart in zip(staged.fields, staged.charts):
+    for chart in staged.charts:
+        f = trees.WorldBranchField([chart])
         model = np.column_stack([rng.uniform(-0.5, 1.1, size=64),
                                  rng.uniform(-0.8, 0.8, size=64)])
         model[:, 1] *= np.sqrt(chart.h_coef) * np.abs(1.0 - model[:, 0])

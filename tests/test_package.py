@@ -5,10 +5,11 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import excisionlab
-from excisionlab import flow1d, null_fields, symflow, trees
+from excisionlab import flow1d, lsc_fields, null_fields, symflow, trees
 
 MODULES = ["excisionlab"] + sorted(
     f"excisionlab.{info.name}" for info in pkgutil.iter_modules(excisionlab.__path__))
@@ -33,12 +34,17 @@ def test_benchmark_wraps_every_name_it_traces(monkeypatch):
     from tracer import Tracer
 
     originals = (flow1d.flow_map, symflow.integrate_batch)
+    field = lsc_fields.build_lsc_field(
+        lsc_fields.LscSpec(base_lo=(0.5,), base_hi=(0.5,), pieces=()), depth=2)
     tracer = Tracer()
     try:
         instrument(tracer)
         # names imported into other modules are wrapped there too
         assert null_fields.flow_map is flow1d.flow_map is not originals[0]
         assert trees.integrate_batch is symflow.integrate_batch is not originals[1]
+        # the wrappers that read a cache attribute around each call run
+        field.fiber_data(np.array([0.5]))
+        field.baire.raw_values(np.array([[0.25]]))
     finally:
         tracer.restore()
     assert (flow1d.flow_map, symflow.integrate_batch) == originals

@@ -47,8 +47,8 @@ SMALL = {"grid": 8, "depth": 4, "sympl_samples": 8, "roundtrip_samples": 8}
 # them unchanged; a change that moves a digit must list its residual
 # deltas in CHANGES.md when it updates them.
 SMALL_REPORT_DIGESTS = {
-    "ray": "14a14f1f6a58d0a7f889e1db0e73ba5e781f3ba750ca45acf3d01c67783a45fe",
-    "ray-n1": "8f77ee2cd1c772a0c2f3f024dc9bc0afff4a7073d952788edcdb0565b1947151",
+    "ray": "455f623b2b87e5f6f2eca93da188e82f3b83de289ddd83917c8e0ae3575bf154",
+    "ray-n1": "d723cd739771fa093808fb168f122fd89d45dc1143bebdc866b180fc7311683a",
     "epigraph": "146ae87bf7a91704a3abf9715cb3acba6109fb8186100c6eacac3d8614ffb88d",
     "cantor-brush": "8b98e924f4411cae71586d088306c246c7d55e3a879589f7362096ec5e9bbed7",
     "box-tail": "72d622dbc9975a00ec5ef750618a13075278b31821ff2fb22ee348496633ba93",
@@ -78,12 +78,12 @@ SMALL_TRAJECTORY_DIGESTS = {
 # unscaled properness box, so the box must follow the field
 SMALL_LOCALIZED_REPORT_DIGESTS = {
     "ray": {
-        0.5: "cecea41376d9a006f3db8b27a77c3a5b97ff9f09d4b62cbe1af5a54d39a427d3",
-        1.5: "ca6d2298849decfb9af3c58b44b3908fc2097709286b1d6c924221de0e81c9c7",
+        0.5: "6fa763752f2e8ca2accb14817e5334b0113bfecce7e809f4d4c6e66539847dd9",
+        1.5: "ae4c63e89eb1040a48fbeede2d3d592ddccbdec4767e239935f1bb5a0bc70197",
     },
     "ray-n1": {
-        0.5: "c48e46fcad789b068ceb5415529149c71828c210375abbdb187cb0863752713d",
-        1.5: "2502a138ae821d30537622713c05f3beab1534d5e39da255f2dbf148873c5922",
+        0.5: "6fd038a5355c60c2cbd19859437ecc9c219ca532982869831f108f4d146c9704",
+        1.5: "32ba6d572085982e32c1af97d9fc80c9cdc147a0c4ed134f0f8ac762f99a9d8d",
     },
 }
 

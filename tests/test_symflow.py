@@ -520,9 +520,9 @@ def test_signed_batch_equals_singletons(field_and_rows, picks):
 class Wall(HamiltonianField):
     """``F = y g(x)`` on the plane with ``g = 1`` below ``x = 0.5`` and
     ``1e20`` from there on, so ``x' = g(x)``: a forward row below the wall
-    creeps up to it with ever smaller steps until its step falls below
-    ``dt_min``, and so does a backward row above it at once; a forward row
-    above the wall escapes."""
+    creeps up to it with ever smaller steps until its step falls below the
+    float resolution of its time, and so does a backward row above it at
+    once; a forward row above the wall escapes."""
 
     dim = 2
 
@@ -569,3 +569,19 @@ class TestExits:
         alone = [symflow.integrate_batch(Wall(), z0[None, :], t, record=True)
                  for z0, t in zip(z, times)]
         same_outcomes(batch, stacked(alone))
+
+    @pytest.mark.parametrize("horizon", [1e12, 1e13])
+    def test_long_horizon_steps_as_a_short_one(self, ray, monkeypatch,
+                                               horizon):
+        """The step floor is the float resolution of a row's current time,
+        not of its horizon, so a rejected first step of a long flow is no
+        failure: rows flow as they do to ``t = 1e3`` (a horizon neither
+        reaches here).  The on-axis row escapes; the off-axis orbit runs
+        until ``MAX_STEPS``, cut to 300 attempts here."""
+        monkeypatch.setattr(symflow, "MAX_STEPS", 300)
+        z = np.array([[0.0, 0.0, -0.3, 0.0], [0.1, 0.0, 0.2, 0.05]])
+        out = symflow.integrate_batch(ray, z, horizon)
+        assert list(out.status) == [symflow.ESCAPED, symflow.TOLERANCE_FAILURE]
+        assert out.t_esc_lower[0] == pytest.approx(1.30000521, abs=1e-8)
+        assert out.step_count[1] > 200
+        same_outcomes(out, symflow.integrate_batch(ray, z, 1e3))

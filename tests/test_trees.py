@@ -38,6 +38,12 @@ def mixed(staged):
     return pts[order], survivors
 
 
+def stage_fields(staged):
+    """The one-stage field of each stage, in forward order: the reference
+    a staged flow is checked against."""
+    return [trees.WorldBranchField([chart]) for chart in staged.charts]
+
+
 def bits(a):
     """The int64 bit patterns of a float array: equal bits, equal floats,
     signed zeros and NaN payloads included."""
@@ -45,30 +51,31 @@ def bits(a):
 
 
 def test_batch_equals_rows(staged, mixed):
-    """Each row's stage label and image are those of the row run alone,
+    """Each row's status, stage and image are those of the row run alone,
     bit for bit: every chart product is row-wise, so no row's arithmetic
     depends on how many rows share a step."""
     pts, _ = mixed
-    ends, esc = staged.forward_batch(pts)
-    assert np.any(esc == -1) and np.any(esc >= 0)
-    for z, end, label in zip(pts, ends, esc):
-        end1, esc1 = staged.forward_batch(z[None, :])
-        assert esc1[0] == label
-        assert np.array_equal(bits(end1[0]), bits(end))
+    out = staged.forward_batch(pts)
+    assert np.any(out.completed) and np.any(out.status == symflow.ESCAPED)
+    for i, z in enumerate(pts):
+        alone = staged.forward_batch(z[None, :])
+        assert alone.status[0] == out.status[i]
+        assert alone.stage[0] == out.stage[i]
+        assert np.array_equal(bits(alone.endpoint[0]), bits(out.endpoint[i]))
 
 
 def test_inverse_undoes_forward(staged, mixed):
     _, survivors = mixed
-    ends, esc = staged.forward_batch(survivors)
-    assert np.all(esc == -1)
-    assert np.abs(staged.inverse_batch(ends) - survivors).max() <= 1e-7
+    out = staged.forward_batch(survivors)
+    assert np.all(out.completed)
+    assert np.abs(staged.inverse_batch(out.endpoint) - survivors).max() <= 1e-7
 
 
 def test_inverse_names_the_failing_stage_and_row(staged):
     # a row past the R_MAX guard has left the chart before the last stage,
     # the first one run backward
     pts = np.array([[0.0, 2.4], [2e6, 0.0], [3e6, 0.0]])
-    last = len(staged.fields) - 1
+    last = staged.field.stages - 1
     with pytest.raises(ExcisedPointError,
                        match=f"backward stage {last} failed at row 1: "
                              "escaped-chart"):
@@ -111,9 +118,10 @@ def chain(staged, z0, t, record):
     order = range(staged.field.stages)
     if t < 0:
         order = reversed(order)
+    fields = stage_fields(staged)
     z, steps, trajs = z0[None, :], 0, []
     for k in order:
-        out = symflow.integrate_batch(staged.fields[k], z, t, record=record)
+        out = symflow.integrate_batch(fields[k], z, t, record=record)
         steps += out.step_count[0]
         if record:
             trajs.append(out.trajectories[0])
@@ -211,14 +219,15 @@ def test_rowwise_products_equal_the_matrix_products(staged, mixed):
     pts, _ = mixed
     stage = np.arange(pts.shape[0]) % staged.field.stages
     rows = staged.field.at(stage)
-    for k, (f, chart) in enumerate(zip(staged.fields, staged.charts)):
-        mat = chart.rot_matrix
+    for k, (f, chart) in enumerate(zip(stage_fields(staged), staged.charts)):
+        mat = np.reshape(chart.rot, (2, 2))
         frame = (pts - np.asarray(chart.leaf)) @ mat.T
         model = frame * np.array([1.0 / chart.length, chart.length])
-        assert np.allclose(chart.to_model(pts), model, rtol=1e-15, atol=1e-15)
+        rowwise = trees._to_model(pts, chart.columns())
+        assert np.allclose(rowwise, model, rtol=1e-15, atol=1e-15)
         ray = RayHamiltonian(1, eps=chart.eps, h_coef=chart.h_coef, h_power=2)
         dpsi = np.array([[1.0 / chart.length, 0.0], [0.0, chart.length]]) @ mat
-        want = ray.grad(chart.to_model(pts)) @ dpsi
+        want = ray.grad(rowwise) @ dpsi
         assert np.any(want != 0.0)
         assert np.allclose(f.grad(pts), want, rtol=1e-14, atol=1e-14)
         mine = stage == k
@@ -233,8 +242,8 @@ def test_many_stages_evaluate_only_through_at(staged):
 
 
 @pytest.mark.parametrize("call", [
-    lambda s: s.fields[0].grad(np.zeros(2)),
-    lambda s: s.fields[0].vector_field(np.zeros((2, 3))),
+    lambda s: stage_fields(s)[0].grad(np.zeros(2)),
+    lambda s: stage_fields(s)[0].vector_field(np.zeros((2, 3))),
     lambda s: s.field.at(np.zeros(2, dtype=int)).escape_value(np.zeros(2)),
     lambda s: s.forward_batch(np.zeros((2, 3))),
     lambda s: s.forward_batch(np.zeros(2)),

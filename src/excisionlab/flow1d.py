@@ -16,7 +16,8 @@ integral converges.  This module provides:
   the flow time and bisects it; only a refused time costs the two full
   walks that give the bounds :class:`~excisionlab.errors.FlowDomainError`
   reports,
-* :func:`flow_map_batch`, the flows of many :class:`Fibres` at once,
+* :func:`flow_map_batch` and :func:`forward_time_batch`, the flows and
+  the forward times of many :class:`Fibres` at once,
 * the closed-form time :func:`ramp_time_closed_form` for the parametric
   ramp velocity.
 
@@ -33,10 +34,12 @@ driver behind :func:`flow_map_batch` advances every pending fibre by one
 step per round, with one stacked velocity call for all their panels, and
 sums each panel's Kronrod and Gauss rules per fibre (a stacked matrix
 product could round differently), so each row is bitwise the flow of its
-fibre alone.  :func:`adaptive_quad`, :func:`forward_time`,
-:func:`backward_time` and :func:`flow_map` are one-fibre runs of the same
-steps by a lean one-row driver, calling their integrand on each round's
-nodes.  Both drivers place the nodes with one formula, :func:`_nodes`.
+fibre alone; :func:`forward_time_batch` runs the walks of
+:func:`forward_time` through the same driver.  :func:`adaptive_quad`,
+:func:`forward_time`, :func:`backward_time` and :func:`flow_map` are
+one-fibre runs of the same steps by a lean one-row driver, calling their
+integrand on each round's nodes.  Both drivers place the nodes with one
+formula, :func:`_nodes`.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "flow_map",
     "Fibres",
     "flow_map_batch",
+    "forward_time_batch",
     "ramp_time_closed_form",
 ]
 
@@ -517,7 +521,8 @@ def flow_map(v: ScalarField1D, t: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class Fibres:
-    """``m`` fibres of one field, flowed together by :func:`flow_map_batch`.
+    """``m`` fibres of one field, flowed together by :func:`flow_map_batch`
+    and timed together by :func:`forward_time_batch`.
 
     ``fields[i]`` is fibre ``i`` as a 1D field (domain, zero set and
     start-point checks).  ``velocity(rows, nodes)`` evaluates the speed at
@@ -550,15 +555,42 @@ def flow_map_batch(fibres: Fibres, t, x) -> np.ndarray:
                          f"shapes {x.shape} and {t.shape}")
     xs = x.tolist()
     ts = np.broadcast_to(t, (m,)).tolist()
-    out = _lockstep([_flow(v, ti, xi)
-                     for v, ti, xi in zip(fibres.fields, ts, xs)],
-                    lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
+    out = _run_rows(fibres, [_flow(v, ti, xi)
+                             for v, ti, xi in zip(fibres.fields, ts, xs)])
     for v, ti, xi, y in zip(fibres.fields, ts, xs, out):
         if isinstance(y, Exception):
             raise y
         if y is None:
             raise _refusal(v, ti, xi)
     return np.array(out, dtype=float)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def forward_time_batch(fibres: Fibres, x) -> list[TimeOfFlight]:
+    """:func:`forward_time` of every fibre at once: row ``i`` is the
+    :class:`TimeOfFlight` from ``x[i]`` to the right end of
+    ``fibres.fields[i]``, bitwise what ``forward_time`` gives on that fibre
+    alone.  All rows walk in lockstep, with one ``fibres.velocity`` call
+    per round.  Raises the error of the first row that fails, as that row
+    alone would: an :class:`~excisionlab.errors.InputError` or a
+    :class:`~excisionlab.errors.ToleranceFailure`.
+    """
+    m = len(fibres.fields)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (m,):
+        raise InputError(f"need {m} starts, got shape {x.shape}")
+    out = _run_rows(fibres, [_time_of_flight(v, xi, +1)
+                             for v, xi in zip(fibres.fields, x.tolist())])
+    for tof in out:
+        if isinstance(tof, Exception):
+            raise tof
+    return out
+
+
+def _run_rows(fibres: Fibres, steps: list) -> list:
+    """:func:`_lockstep` of one step per fibre, integrating ``1/v`` with
+    one ``fibres.velocity`` call per round."""
+    return _lockstep(steps, lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
 
 
 # ---------------------------------------------------------------------------

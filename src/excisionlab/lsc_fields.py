@@ -29,6 +29,9 @@ stages:
    :func:`band_velocity` / :func:`band_travel_time` evaluates any level
    from them at a whole array of points of the fibre: one bridge call over
    every crossed (point, band) pair, summed band by band per point.
+   The speed is one row-wise kernel, :func:`_tower_speed`; a single fibre
+   is its one-row case, and :meth:`GluedField.fibres` stacks the tables
+   of many fibres for the lockstep flows of :mod:`~excisionlab.flow1d`.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -45,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CoverageError, DepthExhausted, InputError
+from .flow1d import Fibres
 from .scalar_kit import (
     ScalarField1D,
     ball_bump_from_sq,
@@ -496,6 +500,25 @@ def _check_level(g, tau, level: int):
     return g, tau
 
 
+def _tower_speed(g: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise speed of a tower of ``L`` bands: row ``r`` of the ``(k, n)``
+    points ``x`` lies on the fibre with separators ``g[r]`` (``(k, L+1)``)
+    and delays ``tau[r]`` (``(k, L)``).  The band of a point is the count
+    of its row's separators below it, which is ``searchsorted`` on a sorted
+    row: 0 below ``g_0``, ``j`` inside band ``j``, ``L + 1`` above the top.
+    Every value is elementwise in its row's data, so a row gives the same
+    bits in any batch."""
+    out = np.ones_like(x)
+    band = np.count_nonzero(g[:, :, None] < x[:, None, :], axis=1)
+    inside = (band >= 1) & (band < g.shape[1])
+    if np.any(inside):
+        r = np.nonzero(inside)[0]
+        k = band[inside]
+        out[inside] = bridge_velocity(g[r, k - 1], g[r, k], tau[r, k - 1],
+                                      x[inside])
+    return out
+
+
 def band_velocity(g, tau, level: int, x) -> np.ndarray:
     """Speed of tower level ``level`` at ``x`` on one fibre: the bridge
     profile with delay
@@ -503,13 +526,8 @@ def band_velocity(g, tau, level: int, x) -> np.ndarray:
     ``k = 1..level``, unit speed everywhere else."""
     g, tau = _check_level(g, tau, level)
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    band = np.asarray(np.searchsorted(g, x))   # 0 below g_0, k inside band k
-    inside = (band >= 1) & (band <= level)
-    if np.any(inside):
-        k = band[inside]
-        out[inside] = bridge_velocity(g[k - 1], g[k], tau[k - 1], x[inside])
-    return out
+    return _tower_speed(g[None, :level + 1], tau[None, :level],
+                        x.reshape(1, -1)).reshape(x.shape)
 
 
 def band_travel_time(g, tau, level: int, x0, x1):
@@ -574,11 +592,14 @@ class GluedField:
     Queries above the deepest separator raise
     :class:`~excisionlab.errors.DepthExhausted` instead of extrapolating.
 
-    The whole API is per fibre, the one-point edge of the package: every
-    method takes one base point ``p`` of shape ``(base_dim,)`` and refuses
-    any other shape with :class:`~excisionlab.errors.InputError`.  So it
-    is not a batch field like :class:`~excisionlab.null_fields.EpigraphField`
-    and has no ambient extension; it is certified at the hypersurface level.
+    Its point evaluations are per fibre: :meth:`velocity`, the exit times,
+    :meth:`classify`, :meth:`fiber_data` and :meth:`fiber` take one base
+    point ``p`` of shape ``(base_dim,)`` and refuse any other shape with
+    :class:`~excisionlab.errors.InputError`.  Its batch edge is
+    :meth:`fibres`, the fibres over an ``(m, base_dim)`` batch for the
+    lockstep drivers of :mod:`~excisionlab.flow1d`.  It is not an ambient
+    field like :class:`~excisionlab.null_fields.EpigraphField` and has no
+    ambient extension; it is certified at the hypersurface level.
     ``velocity``, the exit times and :meth:`classify`
     evaluate elementwise in ``x``, an array of points on the fibre, so one
     call covers a fibre.  They return arrays of the shape of ``x`` (0-d for
@@ -700,28 +721,60 @@ class GluedField:
     # -- field evaluation --------------------------------------------------
 
     @staticmethod
-    def _velocity(data: FiberData, x):
-        """The full tower's speed times the final cutoff below ``f_1/2``;
+    def _speed(g, tau, half_f1, x):
+        """Row-wise speed of the glued field, the one kernel of
+        :meth:`velocity`, :meth:`fiber` and :meth:`fibres`: the full
+        tower's :func:`_tower_speed` at the ``(k, n)`` points ``x`` times
+        the final cutoff below ``half_f1`` (``(k, 1)`` or a float);
         queries at or above the deepest separator are not covered."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x >= data.g[-1]):
+        if np.any(x >= g[:, -1:]):
             raise DepthExhausted("velocity query above deepest separator")
-        half_f1 = 0.5 * data.f[0]
-        return (band_velocity(data.g, data.tau, data.depth, x)
-                * smooth_step((x - half_f1) / half_f1))
+        return _tower_speed(g, tau, x) * smooth_step((x - half_f1) / half_f1)
+
+    @classmethod
+    def _velocity(cls, data: FiberData, x):
+        """:meth:`_speed` on one fibre, at points ``x`` of any shape."""
+        x = np.asarray(x, dtype=float)
+        return cls._speed(data.g[None], data.tau[None], 0.5 * data.f[0],
+                          x.reshape(1, -1)).reshape(x.shape)
 
     def velocity(self, p, x):
         return self._velocity(self.fiber_data(p), _fibre_points(x))
 
     def fiber(self, p) -> ScalarField1D:
+        return self._field(self.fiber_data(p))
+
+    def _field(self, data: FiberData) -> ScalarField1D:
         # the 1D field is only defined on the covered band below the
         # deepest separator; flows within the band never notice the cap
-        data = self.fiber_data(p)
         return ScalarField1D(
             f=lambda x: self._velocity(data, x),
             domain=(0.0, float(data.g[-1]) - 1e-9),
             zero_regions=((0.0, 0.5 * float(data.f[0])),),
             label="glued-lsc",
+        )
+
+    def fibres(self, ps) -> Fibres:
+        """The fibres over an ``(m, base_dim)`` batch of base points, for
+        :func:`~excisionlab.flow1d.flow_map_batch` and
+        :func:`~excisionlab.flow1d.forward_time_batch`.  Fibre ``i`` is
+        :meth:`fiber` of ``ps[i]``; the batch velocity evaluates
+        :meth:`_speed` on a stacked table of every row's separators,
+        delays and cutoff, row by row, so every value is bitwise that
+        fibre's own.  An empty batch gives no fibres."""
+        pts = np.asarray(ps, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.base_dim:
+            raise InputError(f"base points must have shape (m, {self.base_dim}), "
+                             f"got {pts.shape}")
+        data = [self.fiber_data(p) for p in pts]
+        m = len(data)
+        g = np.array([d.g for d in data]).reshape(m, self.depth + 1)
+        tau = np.array([d.tau for d in data]).reshape(m, self.depth)
+        half_f1 = 0.5 * np.array([d.f[0] for d in data]).reshape(m, 1)
+        return Fibres(
+            fields=[self._field(d) for d in data],
+            velocity=lambda rows, nodes: self._speed(g[rows], tau[rows],
+                                                     half_f1[rows], nodes),
         )
 
 

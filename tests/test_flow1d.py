@@ -758,3 +758,54 @@ class TestFlowMapBatch:
             with pytest.raises(InputError, match="need 3 starts"):
                 f1.flow_map_batch(fibres, t, x)
         assert f1.flow_map_batch(fibres, 0.0, np.zeros(3)).shape == (3,)
+
+
+def tof_bits(tofs):
+    """Each :class:`TimeOfFlight` as its value's and bound's bytes and its
+    mode, so that equal lists are bitwise equal."""
+    def bits(value):
+        return None if value is None else np.float64(value).tobytes()
+    return [(bits(tof.value), tof.mode, bits(tof.lower_bound)) for tof in tofs]
+
+
+class TestForwardTimeBatch:
+    # on the set above the ramp (finite), at and below the fibre's zero set
+    # x <= (a-1)/2 (zero-blocked), and off the set where c > 0 (divergent)
+    P = np.array([[0.0, 0.0], [0.3, -0.2], [0.1, 0.4], [-0.2, 0.1],
+                  [1.0, 0.0], [0.0, -0.6], [0.45, 0.3]])
+
+    def starts(self, field):
+        a = field.params(self.P)[0]
+        s = 0.5 * (a - 1.0)
+        return np.array([0.5, 0.1, s[2], s[3] - 0.1, 0.5, 0.2, -0.3])
+
+    def test_each_row_is_forward_time_alone(self, epigraph_box):
+        _, field, _ = epigraph_box
+        x = self.starts(field)
+        alone = [f1.forward_time(field.fiber(p_i), x_i)
+                 for p_i, x_i in zip(self.P, x.tolist())]
+        modes = [(tof.mode, math.isfinite(tof.value)) for tof in alone]
+        assert modes == [(f1.MODE_QUADRATURE, True)] * 2 + [
+            (f1.MODE_ZERO_BLOCKED, False)] * 2 + [
+            (f1.MODE_QUADRATURE, False)] * 2 + [(f1.MODE_QUADRATURE, True)]
+        for order in (list(range(7)), [6, 4, 2, 0, 5, 3, 1]):
+            got = f1.forward_time_batch(field.fibres(self.P[order]), x[order])
+            assert tof_bits(got) == tof_bits([alone[i] for i in order])
+
+    def test_row_refused_alone_is_refused_in_the_batch(self, epigraph_box):
+        # row 2 starts outside the open domain (-1, 1)
+        _, field, _ = epigraph_box
+        x = self.starts(field)
+        x[2] = 1.5
+        with pytest.raises(InputError, match="outside open domain"):
+            f1.forward_time(field.fiber(self.P[2]), 1.5)
+        with pytest.raises(InputError, match="outside open domain"):
+            f1.forward_time_batch(field.fibres(self.P), x)
+
+    def test_shapes_are_checked(self, epigraph_box):
+        _, field, _ = epigraph_box
+        fibres = field.fibres(np.zeros((3, 2)))
+        for x in (np.zeros(2), np.zeros((3, 1)), 0.5):
+            with pytest.raises(InputError, match="need 3 starts"):
+                f1.forward_time_batch(fibres, x)
+        assert f1.forward_time_batch(field.fibres(np.zeros((0, 2))), []) == []

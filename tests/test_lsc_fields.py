@@ -953,3 +953,90 @@ class TestGluedField:
         top = float(field.fiber_data(p).g[-1])
         with pytest.raises(DepthExhausted):
             field.velocity(p, top + 1e-6)
+
+
+def tower_nodes(data) -> np.ndarray:
+    """Points of one fibre in every part of the glued tower: inside the
+    cutoff below ``f_1/2``, on its ramp, at unit speed below ``g_0``, in
+    every band, on every separator below the top and just above it."""
+    f1, g = float(data.f[0]), data.g
+    return np.concatenate([
+        [0.25 * f1, 0.5 * f1, 0.75 * f1, 0.5 * (f1 + g[0])],
+        0.5 * (g[:-1] + g[1:]), g[:-1], np.nextafter(g[:-1], 1.0)])
+
+
+class TestGluedFibres:
+    """``GluedField.fibres`` is a batch of :meth:`GluedField.fiber`: every
+    value and every flow is bitwise that fibre's own."""
+
+    ROWS = [2, 20, 33, 20, 45, 11]
+
+    def test_batch_velocity_is_each_fibre_alone(self, box_tail_field):
+        _, field, transect = box_tail_field
+        ps = transect[self.ROWS]
+        nodes = np.stack([tower_nodes(field.fiber_data(p)) for p in ps])
+        fibres = field.fibres(ps)
+        assert len(fibres.fields) == len(self.ROWS)
+        for rows in (np.arange(len(self.ROWS)), np.array([5, 0, 0, 3, 1])):
+            got = fibres.velocity(rows, nodes[rows])
+            for r, row in zip(rows, got):
+                want = field.fiber(ps[r])(nodes[r])
+                assert row.tobytes() == want.tobytes()
+                assert want.tobytes() == field.velocity(ps[r], nodes[r]).tobytes()
+        # the cutoff freezes the bottom, and every band slows the flow
+        depth = field.depth
+        assert np.all(got[:, 0] == 0.0)
+        assert np.all(got[:, 4:4 + depth] < 1.0)
+
+    def test_empty_batch(self, box_tail_field):
+        _, field, _ = box_tail_field
+        fibres = field.fibres(np.zeros((0, 2)))
+        assert list(fibres.fields) == []
+        got = fibres.velocity(np.zeros(0, dtype=int), np.zeros((0, 15)))
+        assert got.shape == (0, 15)
+        assert flow1d.flow_map_batch(fibres, 1.0, []).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 2, 2)])
+    def test_base_point_shape_is_checked(self, box_tail_field, shape):
+        _, field, _ = box_tail_field
+        with pytest.raises(InputError, match=r"base points must have shape \(m, 2\)"):
+            field.fibres(np.full(shape, 0.1))
+
+    def test_round_trips_are_the_per_fibre_chain(self, box_tail_field):
+        _, field, transect = box_tail_field
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, transect.shape[0], 12)
+        x_t = np.array([rng.uniform(float(field.fiber_data(p).f[0]), 0.9)
+                        for p in transect[idx]])
+        back, there = [], []
+        for p, x in zip(transect[idx], x_t.tolist()):
+            fiber = field.fiber(p)
+            back.append(flow1d.flow_map(fiber, -1.0, x))
+            there.append(flow1d.flow_map(fiber, 1.0, back[-1]))
+        back, there = np.array(back), np.array(there)
+        for order in (np.arange(12), rng.permutation(12)):
+            fibres = field.fibres(transect[idx[order]])
+            x_b = flow1d.flow_map_batch(fibres, -1.0, x_t[order])
+            assert x_b.tobytes() == back[order].tobytes()
+            x_f = flow1d.flow_map_batch(fibres, 1.0, x_b)
+            assert x_f.tobytes() == there[order].tobytes()
+
+    def test_one_kernel_serves_every_evaluation(self, box_tail_field,
+                                                monkeypatch):
+        _, field, transect = box_tail_field
+        calls = []
+        real = lf._tower_speed
+
+        def spy(g, tau, x):
+            calls.append(x.shape)
+            return real(g, tau, x)
+        monkeypatch.setattr(lf, "_tower_speed", spy)
+        p = transect[7]
+        data = field.fiber_data(p)
+        x = np.full(3, 0.5)
+        lf.band_velocity(data.g, data.tau, 2, x)
+        field.velocity(p, x)
+        field.fiber(p)(x)
+        field.fibres(transect[[7, 8]]).velocity(np.array([1, 0]),
+                                                np.full((2, 15), 0.5))
+        assert calls == [(1, 3)] * 3 + [(2, 15)]

@@ -207,14 +207,7 @@ class TestDriver:
                             axis=1)
         clear = ~(spec.boundary_distance(transect) < cfg.margin)
         assert np.count_nonzero(clear) == 6
-        # the backward loop's draws: a fibre index, then one height on a
-        # clear fibre
-        rng = np.random.default_rng(cfg.seed)
-        drawn = 0
-        for _ in range(60):
-            if clear[rng.integers(0, 8)]:
-                rng.uniform()
-                drawn += 1
+        drawn = backward_draws(cfg)
         assert checks["monotone_nesting"]["points"] == 6 * 40
         assert checks["backward_totality"]["points"] == drawn < 60
 
@@ -230,6 +223,21 @@ class TestDriver:
         assert failed == dict.fromkeys(
             ("level_thresholds", "monotone_nesting", "limit_classification",
              "backward_totality"), "points=0")
+
+
+def backward_draws(cfg) -> int:
+    """How many heights box-tail's backward loop draws: a fibre index, then
+    one height on each fibre of the 8-point transect clear of the margin."""
+    spec = scenarios._box_tail_spec()
+    transect = np.stack([np.linspace(-1.95, 1.95, 8), np.full(8, 0.12)], axis=1)
+    clear = ~(spec.boundary_distance(transect) < cfg.margin)
+    rng = np.random.default_rng(cfg.seed)
+    drawn = 0
+    for _ in range(60):
+        if clear[rng.integers(0, 8)]:
+            rng.uniform()
+            drawn += 1
+    return drawn
 
 
 class TestFlowPlan:
@@ -260,25 +268,56 @@ class TestFlowPlan:
         if with_out_dir:
             assert len(list((tmp_path / "out" / "trajectories").glob("*.csv"))) == 3
 
-    def test_epigraph_flows_its_fibres_in_three_batches(self, monkeypatch):
-        # backward legs, return legs and the forward-invariance flows: one
-        # presympl_flow call each, and no per-fibre flow_map call
-        calls = []
-        real = null_fields.presympl_flow
+    @staticmethod
+    def spy_rows(monkeypatch, owner, name, arg, calls):
+        """Record the row count of every ``owner.name`` call: the length of
+        its positional argument ``arg``."""
+        real = getattr(owner, name)
 
         def spy(*args, **kwargs):
-            calls.append(np.shape(args[1])[0])
+            calls.append((name, np.shape(args[arg])[0]))
             return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
 
+    @staticmethod
+    def forbid(monkeypatch, modules, name):
         def one_fibre(*args, **kwargs):
-            raise AssertionError("per-fibre flow_map call")
-        monkeypatch.setattr(null_fields, "presympl_flow", spy)
-        for module in (flow1d, null_fields):
-            monkeypatch.setattr(module, "flow_map", one_fibre)
+            raise AssertionError(f"per-fibre {name} call")
+        for module in modules:
+            monkeypatch.setattr(module, name, one_fibre)
+
+    def test_epigraph_flows_its_fibres_in_three_batches(self, monkeypatch):
+        # backward legs, return legs and the forward-invariance flows: one
+        # presympl_flow call each, the exit times before them one
+        # forward_time_batch call, and no per-fibre flow_map or forward_time
+        calls = []
+        self.spy_rows(monkeypatch, null_fields, "presympl_flow", 1, calls)
+        self.spy_rows(monkeypatch, flow1d, "forward_time_batch", 1, calls)
+        self.forbid(monkeypatch, (flow1d, null_fields), "flow_map")
+        self.forbid(monkeypatch, (flow1d,), "forward_time")
         report = scenarios.run_scenario(scenarios.ScenarioConfig(
             scenario="epigraph", **SMALL))
         assert report["pass"]
-        assert calls == [SMALL["roundtrip_samples"]] * 2 + [200]
+        n = SMALL["roundtrip_samples"]
+        assert calls == ([("presympl_flow", n)] * 2 + [("forward_time_batch", 200),
+                                                       ("presympl_flow", 200)])
+
+    @pytest.mark.parametrize("margin", [0.05, 1.0])
+    def test_box_tail_flows_its_round_trips_in_two_batches(self, monkeypatch,
+                                                           margin):
+        # backward legs, then return legs, one flow_map_batch call of every
+        # drawn row each, and no per-fibre flow_map; at margin 1.0 no fibre
+        # is clear and both batches are empty
+        calls = []
+        self.spy_rows(monkeypatch, flow1d, "flow_map_batch", 2, calls)
+        self.forbid(monkeypatch, (flow1d,), "flow_map")
+        cfg = scenarios.ScenarioConfig(scenario="box-tail", **SMALL,
+                                       margin=margin)
+        check = scenarios.run_scenario(cfg)["checks"]["backward_totality"]
+        drawn = backward_draws(cfg)
+        assert calls == [("flow_map_batch", drawn)] * 2
+        assert check["points"] == drawn and check["pass"] == (drawn > 0)
+        assert (drawn > 0) == (margin < 1.0)
 
     def test_stencil_error_comes_before_round_trip_error(self, monkeypatch):
         # every row fails, the stencil and the first legs alike

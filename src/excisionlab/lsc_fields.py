@@ -22,16 +22,14 @@ stages:
    above ``g_n``.  The first band's delay is ``f_1``, so level 1 exits
    within time 1 exactly above ``f_1``; each next delay is the level
    ``n-1`` travel time from ``f_{n-1}`` to ``f_n``, which re-times the
-   threshold to ``f_n``.  :meth:`GluedField.fiber_data` computes the
-   thresholds, separators and delays of one fibre; the thresholds and
-   separators of the build's grid fibres come from one batched call each
-   at build time.  The band primitive
-   :func:`band_velocity` / :func:`band_travel_time` evaluates any level
-   from them at a whole array of points of the fibre: one bridge call over
-   every crossed (point, band) pair, summed band by band per point.
-   The speed is one row-wise kernel, :func:`_tower_speed`; a single fibre
-   is its one-row case, and :meth:`GluedField.fibres` stacks the tables
-   of many fibres for the lockstep flows of :mod:`~excisionlab.flow1d`.
+   threshold to ``f_n``.  :meth:`GluedField.fibre_table` gives the
+   thresholds, separators and delays of a batch of fibres and stores them
+   in ``_fiber_cache``: one reader of tower data, one store.  The band
+   primitive :func:`band_velocity` / :func:`band_travel_time` evaluates
+   any level from them at a whole array of points of the fibre: one bridge
+   call over every crossed (point, band) pair, summed band by band per
+   point.  Speed and travel time are row-wise kernels, :func:`_tower_speed`
+   and :func:`_tower_time`, with a single fibre as their one-row case.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +79,12 @@ MAJORANT_SCALE = 0.25
 # query rows per block of a tower evaluation: at the deepest box-tail level
 # a block's candidate arrays then hold about 75k pairs, about 0.6 MB each
 BLOCK_ROWS = 2048
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integral count; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +448,7 @@ class BaireSequence:
 
 def baire_sequence(spec: LscSpec, n_levels: int) -> BaireSequence:
     """Build ``n_levels`` exposed minorant levels of ``spec``."""
+    _check_integer("n_levels", n_levels)
     if n_levels < 2:
         raise InputError("need at least two levels")
     lo = np.asarray(spec.base_lo, dtype=float)
@@ -490,6 +496,7 @@ def baire_sequence(spec: LscSpec, n_levels: int) -> BaireSequence:
 # ---------------------------------------------------------------------------
 
 def _check_level(g, tau, level: int):
+    _check_integer("level", level)
     g = np.asarray(g, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if not (1 <= level <= g.size - 1 and tau.size >= level):
@@ -521,37 +528,46 @@ def _tower_speed(g: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def band_velocity(g, tau, level: int, x) -> np.ndarray:
     """Speed of tower level ``level`` at ``x`` on one fibre: the bridge
-    profile with delay
-    ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])`` for
-    ``k = 1..level``, unit speed everywhere else."""
+    profile with delay ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])``
+    for ``k = 1..level``, unit speed everywhere else."""
     g, tau = _check_level(g, tau, level)
     x = np.asarray(x, dtype=float)
     return _tower_speed(g[None, :level + 1], tau[None, :level],
                         x.reshape(1, -1)).reshape(x.shape)
 
 
+def _tower_time(g: np.ndarray, tau: np.ndarray, x0: np.ndarray,
+                x1: np.ndarray) -> np.ndarray:
+    """Row-wise crossing time from ``x0`` to ``x1`` under the speed of
+    :func:`_tower_speed`, closed form per band, for ``(k, n)`` ends on the
+    rows of ``g`` and ``tau``; a row gives the same bits in any batch."""
+    # (k, n, L): each point's stretch of each band
+    a = np.maximum(x0[..., None], g[:, None, :-1])
+    b = np.minimum(x1[..., None], g[:, None, 1:])
+    crossed = b > a
+    extra = np.zeros(crossed.shape)
+    r, _, band = np.nonzero(crossed)
+    a, b = a[crossed], b[crossed]
+    extra[crossed] = (bridge_crossing_time(g[r, band], g[r, band + 1],
+                                           tau[r, band], a, b) - (b - a))
+    # band by band, each point's terms in band order: a sum over the band
+    # axis would reorder them
+    total = x1 - x0
+    for k in range(tau.shape[1]):
+        np.add(total, extra[..., k], out=total, where=crossed[..., k])
+    return total
+
+
 def band_travel_time(g, tau, level: int, x0, x1):
     """Crossing time from ``x0`` to ``x1`` under tower level ``level``
-    (the speed of :func:`band_velocity`), closed form per band.  ``x0``
-    and ``x1`` broadcast; floats in give a float out."""
+    (the speed of :func:`band_velocity`): the one-row case of
+    :func:`_tower_time`.  ``x0`` and ``x1`` broadcast; floats in give a
+    float out."""
     g, tau = _check_level(g, tau, level)
     x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                  np.asarray(x1, dtype=float))
-    lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
-    # (..., level): each point's stretch of each band
-    a = np.maximum(x0[..., None], lo)
-    b = np.minimum(x1[..., None], hi)
-    crossed = b > a
-    extra = np.zeros(crossed.shape)
-    band = np.nonzero(crossed)[-1]
-    a, b = a[crossed], b[crossed]
-    extra[crossed] = (bridge_crossing_time(lo[band], hi[band], delay[band], a, b)
-                      - (b - a))
-    # band by band, each point's terms in band order: a sum over the band
-    # axis would reorder them
-    total = np.array(x1 - x0)
-    for k in range(level):
-        np.add(total, extra[..., k], out=total, where=crossed[..., k])
+    total = _tower_time(g[None, :level + 1], tau[None, :level],
+                        x0.reshape(1, -1), x1.reshape(1, -1)).reshape(x0.shape)
     return float(total) if total.ndim == 0 else total
 
 
@@ -596,29 +612,25 @@ class GluedField:
     :meth:`classify`, :meth:`fiber_data` and :meth:`fiber` take one base
     point ``p`` of shape ``(base_dim,)`` and refuse any other shape with
     :class:`~excisionlab.errors.InputError`.  Its batch edge is
-    :meth:`fibres`, the fibres over an ``(m, base_dim)`` batch for the
-    lockstep drivers of :mod:`~excisionlab.flow1d`.  It is not an ambient
-    field like :class:`~excisionlab.null_fields.EpigraphField` and has no
-    ambient extension; it is certified at the hypersurface level.
-    ``velocity``, the exit times and :meth:`classify`
-    evaluate elementwise in ``x``, an array of points on the fibre, so one
-    call covers a fibre.  They return arrays of the shape of ``x`` (0-d for
-    a float), except :meth:`level_exit_time`, which gives a float for a
-    float.  They refuse non-finite ``x`` with
-    :class:`~excisionlab.errors.InputError`.
+    :meth:`fibre_table`, the tower data of an ``(m, base_dim)`` batch, and
+    :meth:`fibres`, the fibres over such a batch for the lockstep driver
+    of :mod:`~excisionlab.flow1d`.  It is not an ambient field like
+    :class:`~excisionlab.null_fields.EpigraphField` and has no ambient
+    extension; it is certified at the hypersurface level.  ``velocity``,
+    the exit times and :meth:`classify` evaluate elementwise in ``x``, an
+    array of points on the fibre, so one call covers a fibre.  They return
+    arrays of the shape of ``x`` (0-d for a float), except
+    :meth:`level_exit_time`, which gives a float for a float.  They refuse
+    non-finite ``x`` with :class:`~excisionlab.errors.InputError`.
 
-    Given a ``grid`` of base points, the constructor evaluates the
-    thresholds and separators of all its rows in one ``raw_values`` and
-    one ``majorants`` call (which also checks the tower's coverage there),
-    and :meth:`fiber_data` reads a grid row's from them on its first
-    query, bitwise what a one-point evaluation gives.  The ordering checks
-    and the delays stay per fibre and lazy: a grid row nobody queries is
-    never checked.
+    Only :meth:`fibre_table` computes tower data, bitwise the same for a
+    row in any batch, and ``_fiber_cache`` is its one store:
+    :meth:`fiber_data` reads a fibre there, or tables it as a batch of one.
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
-                 majorants: _BlendField, depth: int,
-                 grid: Optional[np.ndarray] = None):
+                 majorants: _BlendField, depth: int):
+        _check_integer("depth", depth)
         if depth < 2:
             raise InputError("depth must be at least 2")
         self.spec = spec
@@ -627,53 +639,54 @@ class GluedField:
         self.depth = depth
         self.base_dim = spec.dim
         self._fiber_cache: dict[bytes, FiberData] = {}
-        # each grid row's thresholds and separators, keyed by its bytes
-        self._grid_rows: dict[bytes, tuple] = {}
-        if grid is not None:
-            pts = np.asarray(grid, dtype=float)
-            fs = baire.raw_values(pts)            # f_1 .. f_{depth+1}
-            gs = majorants(pts)                   # g_0 .. g_depth
-            self._grid_rows = {row.tobytes(): (f, g)
-                               for row, f, g in zip(pts, fs, gs)}
 
-    # -- per-point tower data -------------------------------------------
+    # -- tower data ---------------------------------------------------------
+
+    def fibre_table(self, ps):
+        """Thresholds ``f_1 .. f_{depth+1}``, separators ``g_0 .. g_depth``
+        and delays ``tau_1 .. tau_depth`` over an ``(m, base_dim)`` batch,
+        one row per fibre, checked row by row; each row not yet in
+        ``_fiber_cache`` is stored there, read-only."""
+        pts = np.asarray(ps, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.base_dim:
+            raise InputError(f"base points must have shape (m, {self.base_dim}), "
+                             f"got {pts.shape}")
+        fs = self.baire.raw_values(pts)
+        gs = self.majorants(pts)
+        # increasing thresholds and separators, with f_{n+1} < g_n
+        ordered = (np.all(np.diff(fs, axis=1) > 0.0, axis=1)
+                   & np.all(np.diff(gs, axis=1) > 0.0, axis=1)
+                   & np.all(fs < gs, axis=1))
+        if not np.all(ordered):
+            bad = pts[np.flatnonzero(~ordered)[0]]
+            raise InputError(f"tower ordering violated at base point {bad.tolist()}")
+        tau = np.empty((pts.shape[0], self.depth))
+        tau[:, 0] = fs[:, 0]
+        for k in range(2, self.depth + 1):
+            # the level k-1 time from f_{k-1} to f_k
+            tau[:, k - 1] = _tower_time(gs[:, :k], tau[:, :k - 1],
+                                        fs[:, k - 2:k - 1], fs[:, k - 1:k])[:, 0]
+        fs.flags.writeable = gs.flags.writeable = tau.flags.writeable = False
+        for row, f, g, t in zip(pts, fs, gs, tau):
+            self._fiber_cache.setdefault(row.tobytes(), FiberData(f=f, g=g, tau=t))
+        return fs, gs, tau
 
     def fiber_data(self, p) -> FiberData:
+        """The tower data of the fibre over ``p``, from the cache, or else
+        from :meth:`fibre_table` of ``p`` alone."""
         pt = np.asarray(p, dtype=float)
         if pt.shape != (self.base_dim,):
             raise InputError(f"base point must have shape ({self.base_dim},), "
                              f"got {pt.shape}")
-        pt = pt[None]
         key = pt.tobytes()
-        hit = self._fiber_cache.get(key)
-        if hit is not None:
-            return hit
-        grid_row = self._grid_rows.get(key)
-        if grid_row is not None:
-            fs, gs = grid_row
-        else:
-            fs = self.baire.raw_values(pt)[0]      # f_1 .. f_{depth+1}
-            gs = self.majorants(pt)[0]            # g_0 .. g_depth
-        if not (np.all(np.diff(fs) > 0.0) and np.all(np.diff(gs) > 0.0)):
-            raise InputError("tower ordering violated at this base point")
-        if not np.all(fs < gs):
-            raise InputError("separator must dominate the matching threshold")
-        tau = np.empty(self.depth)
-        tau[0] = fs[0]
-        for k in range(2, self.depth + 1):
-            tau[k - 1] = band_travel_time(gs, tau, k - 1, fs[k - 2], fs[k - 1])
-        for arr in (fs, gs, tau):
-            arr.flags.writeable = False
-        data = FiberData(f=fs, g=gs, tau=tau)
-        self._fiber_cache[key] = data
-        return data
+        if key not in self._fiber_cache:
+            self.fibre_table(pt[None])
+        return self._fiber_cache[key]
 
     def level_exit_time(self, p, x, level: int):
         """Exit times to the top under tower level ``level`` (no cutoff)
         from the points ``x`` of the fibre over ``p``."""
         data = self.fiber_data(p)
-        if not (1 <= level <= data.depth):
-            raise InputError("level out of range")
         return band_travel_time(data.g, data.tau, level, _fibre_points(x), 1.0)
 
     def limit_exit_time(self, p, x) -> tuple[np.ndarray, np.ndarray]:
@@ -759,27 +772,19 @@ class GluedField:
         :func:`~excisionlab.flow1d.flow_map_batch` and
         :func:`~excisionlab.flow1d.forward_time_batch`.  Fibre ``i`` is
         :meth:`fiber` of ``ps[i]``; the batch velocity evaluates
-        :meth:`_speed` on a stacked table of every row's separators,
-        delays and cutoff, row by row, so every value is bitwise that
-        fibre's own.  An empty batch gives no fibres."""
-        pts = np.asarray(ps, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.base_dim:
-            raise InputError(f"base points must have shape (m, {self.base_dim}), "
-                             f"got {pts.shape}")
-        data = [self.fiber_data(p) for p in pts]
-        m = len(data)
-        g = np.array([d.g for d in data]).reshape(m, self.depth + 1)
-        tau = np.array([d.tau for d in data]).reshape(m, self.depth)
-        half_f1 = 0.5 * np.array([d.f[0] for d in data]).reshape(m, 1)
+        :meth:`_speed` on the :meth:`fibre_table` of the batch, row by
+        row, so every value is bitwise that fibre's own.  An empty batch
+        gives no fibres."""
+        f, g, tau = self.fibre_table(ps)
+        half_f1 = 0.5 * f[:, :1]
         return Fibres(
-            fields=[self._field(d) for d in data],
+            fields=[self._field(FiberData(*row)) for row in zip(f, g, tau)],
             velocity=lambda rows, nodes: self._speed(g[rows], tau[rows],
                                                      half_f1[rows], nodes),
         )
 
 
-def build_lsc_field(spec: LscSpec, depth: int,
-                    grid: Optional[np.ndarray] = None) -> GluedField:
+def build_lsc_field(spec: LscSpec, depth: int) -> GluedField:
     """Assemble the full tower for ``spec``.
 
     Thresholds come from :func:`baire_sequence` (one extra level feeds the
@@ -787,11 +792,11 @@ def build_lsc_field(spec: LscSpec, depth: int,
     blend over one lattice: column ``n`` holds the midpoint constants
     ``(1 + b_n)/2``, where ``b_0`` is the exact over-ball bound of ``f_1``
     and ``b_n`` that of ``max(g_{n-1}, f_{n+1}, 1 - 1/n)``, which
-    guarantees the tower ordering pointwise.  The thresholds and
-    separators of the ``grid`` rows are evaluated here in one batch each,
-    so a coverage hole there fails at construction; bridge delays are
-    filled lazily per queried base point.
+    guarantees the tower ordering pointwise.  No fibre is evaluated here:
+    :meth:`GluedField.fibre_table` reads the tower data of a batch of base
+    points on demand.
     """
+    _check_integer("depth", depth)
     baire = baire_sequence(spec, n_levels=depth + 1)
     scale = MAJORANT_SCALE
     # pad by one bump radius: enough to cover queries inside the base box
@@ -809,4 +814,4 @@ def build_lsc_field(spec: LscSpec, depth: int,
             raise InputError("majorant input must stay strictly below 1")
         cols.append(0.5 * (1.0 + bound))
     return GluedField(spec, baire, _BlendField(index, np.column_stack(cols)),
-                      depth, grid=grid)
+                      depth)

@@ -572,7 +572,7 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     m = cfg.grid or 50
     transect = np.stack([np.linspace(-1.95, 1.95, m),
                          np.full(m, 0.12)], axis=1)
-    field = lsc_fields.build_lsc_field(spec, depth=cfg.depth, grid=transect)
+    field = lsc_fields.build_lsc_field(spec, depth=cfg.depth)
     rng = np.random.default_rng(cfg.seed)
     checks = {}
 
@@ -612,9 +612,9 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     xs = xs[(xs > 0.0) & (xs < 0.9)]
     clear = ~(spec.boundary_distance(transect) < cfg.margin)
     fibres = transect[clear]
+    field.fibre_table(fibres)
     mism = tested = 0
-    nest_ok = True
-    coincide_ok = True
+    nest_ok = coincide_ok = True
     for p in fibres:
         data = field.fiber_data(p)
         for lvl in (1, max(2, cfg.depth // 2), cfg.depth):

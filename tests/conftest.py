@@ -58,5 +58,6 @@ def box_tail_field():
     )
     transect = np.stack([np.linspace(-1.95, 1.95, 50), np.full(50, 0.12)],
                         axis=1)
-    field = lsc_fields.build_lsc_field(spec, depth=12, grid=transect)
+    field = lsc_fields.build_lsc_field(spec, depth=12)
+    field.fibre_table(transect)
     return spec, field, transect

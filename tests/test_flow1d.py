@@ -227,6 +227,40 @@ class TestAdaptiveQuad:
             lambda x: 1.0 / np.maximum(x, 1e-300) ** 2, 0.0, 1.0, cap=100.0)
         assert capped and val > 100.0
 
+    @pytest.mark.parametrize("tol", [float("nan"), math.inf, 0.0, -1e-10,
+                                     True, False])
+    def test_bad_tol_is_refused_before_any_call(self, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.cos(30.0 * x) ** 2 + 0.1
+        with pytest.raises(InputError,
+                           match=f"tol must be positive and finite, got {tol!r}"):
+            f1.adaptive_quad(f, 0.0, 1.0, tol=tol)
+        assert calls == []
+
+
+class TestOneDriver:
+    """Every one-fibre evaluation is a one-row run of ``_lockstep``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: f1.adaptive_quad(lambda x: np.cos(30.0 * x) ** 2 + 0.1, 0.0, 1.0),
+        lambda: f1.forward_time(sk.ramp_velocity_field(0.2, 0.5, 0.0), 0.7),
+        lambda: f1.backward_time(bridge_velocity_field(0.3, 0.6, 0.2), 0.5),
+        lambda: f1.flow_map(sk.ramp_velocity_field(0.2, 0.5, 0.0), 0.1, 0.7),
+    ], ids=["adaptive_quad", "forward_time", "backward_time", "flow_map"])
+    def test_one_lockstep_run_per_call(self, call, monkeypatch):
+        runs = []
+        real = f1._lockstep
+
+        def counted(steps, evaluate):
+            runs.append(len(steps))
+            return real(steps, evaluate)
+        monkeypatch.setattr(f1, "_lockstep", counted)
+        call()
+        assert runs == [1]
+
 
 # ---------------------------------------------------------------------------
 # the panel heap against the sorted panel list it replaced

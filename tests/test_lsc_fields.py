@@ -1,6 +1,7 @@
 """Baire minorants, separators, and the glued velocity tower."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ class TestBaireSequence:
 def shallow_box_tail(box_tail_field):
     """A depth-6 box-tail tower, with a 31 x 31 grid over the base."""
     spec, _, transect = box_tail_field
-    field = lf.build_lsc_field(spec, depth=6, grid=transect)
+    field = lf.build_lsc_field(spec, depth=6)
     g1 = np.linspace(-1.95, 1.95, 31)
     grid = np.stack(np.meshgrid(g1, g1, indexing="ij"), axis=-1).reshape(-1, 2)
     return field, np.concatenate([grid, transect])
@@ -557,14 +558,14 @@ class TestSeparatorBlend:
             builds.append(1)
             real(self, *args, **kwargs)
         monkeypatch.setattr(lf._NeighborIndex, "__init__", counted)
-        lf.build_lsc_field(spec, depth=4, grid=transect)
+        lf.build_lsc_field(spec, depth=4)
         # Baire levels 2..5, then the separators' lattice
         assert len(builds) == 4 + 1
 
     def test_one_separator_query_per_fibre_miss(self, box_tail_field,
                                                 monkeypatch):
         spec, _, transect = box_tail_field
-        field = lf.build_lsc_field(spec, depth=4, grid=transect)
+        field = lf.build_lsc_field(spec, depth=4)
         index = field.majorants.index
         queries = []
         real = index.pairs
@@ -573,17 +574,20 @@ class TestSeparatorBlend:
             queries.append(1)
             return real(*args, **kwargs)
         monkeypatch.setattr(index, "pairs", counted)
-        # grid fibres read the build's one batched separator call
+        # one batched separator query for a whole table
+        field.fibre_table(transect[:5])
+        assert len(queries) == 1
+        # a tabled fibre queries nothing
         for p in transect[:5]:
             field.fiber_data(p)
-        assert len(queries) == 0
-        # a fibre off the grid makes one query on its miss
-        off_grid = np.array([0.3, -0.4])
-        field.fiber_data(off_grid)
         assert len(queries) == 1
-        for p in [*transect[:5], off_grid]:    # cache hits query nothing
+        # an untabled fibre makes one query on its miss
+        untabled = np.array([0.3, -0.4])
+        field.fiber_data(untabled)
+        assert len(queries) == 2
+        for p in [*transect[:5], untabled]:    # cache hits query nothing
             field.fiber_data(p)
-        assert len(queries) == 1
+        assert len(queries) == 2
 
     def test_bound_reaching_one_is_refused(self, box_tail_field, monkeypatch):
         # f_3 bounded by 1 leaves no room for g_2 below 1
@@ -593,7 +597,7 @@ class TestSeparatorBlend:
             lambda self, level, pts, reach: np.full(pts.shape[0],
                                                     1.0 if level == 3 else 0.5))
         with pytest.raises(InputError, match="must stay strictly below 1"):
-            lf.build_lsc_field(spec, depth=4, grid=transect)
+            lf.build_lsc_field(spec, depth=4)
 
     def test_previous_separator_out_of_reach_is_refused(self, box_tail_field,
                                                         monkeypatch):
@@ -605,7 +609,7 @@ class TestSeparatorBlend:
             lf._NeighborIndex, "max_over_balls",
             lambda self, pts, reach, values: np.full(pts.shape[0], -np.inf))
         with pytest.raises(CoverageError, match="outside the center cloud"):
-            lf.build_lsc_field(spec, depth=4, grid=transect)
+            lf.build_lsc_field(spec, depth=4)
 
 
 def band_tower(f, g):
@@ -754,6 +758,60 @@ class TestBandPrimitives:
                                 == reference_band_travel_time(g, tau, level, x0, end))
 
 
+    @pytest.mark.parametrize("level", [1, 5, 12])
+    def test_row_wise_travel_time_is_each_fibre_alone(self, box_tail_field,
+                                                       level):
+        _, field, transect = box_tail_field
+        rng = np.random.default_rng(level)
+        _, g, tau = field.fibre_table(transect)
+        # permuted and repeated rows
+        rows = np.array([2, 20, 33, 20, 45, 11, 2])
+        g, tau = g[rows, :level + 1], tau[rows, :level]
+        x0 = np.concatenate([rng.uniform(0.0, 1.0, (rows.size, 30)), g], axis=1)
+        x1 = np.maximum(x0, rng.uniform(0.0, 1.0, x0.shape))
+        x1[:, ::4] = 1.0
+        got = lf._tower_time(g, tau, x0, x1)
+        assert got.shape == x0.shape
+        for r in range(rows.size):
+            want = lf.band_travel_time(g[r], tau[r], level, x0[r], x1[r])
+            assert got[r].tobytes() == want.tobytes()
+
+
+class TestIntegerArguments:
+    """Levels and depths are integers: a bool or a non-integral value is
+    refused before any evaluation, and numpy integers are accepted."""
+
+    G, TAU = np.array([0.4, 0.7, 0.85]), np.array([0.2, 0.1])
+    CALLS = {
+        "level_exit_time": lambda spec, field, transect, v:
+            field.level_exit_time(transect[3], 0.3, v),
+        "band_velocity": lambda spec, field, transect, v:
+            lf.band_velocity(TestIntegerArguments.G, TestIntegerArguments.TAU, v, 0.5),
+        "band_travel_time": lambda spec, field, transect, v:
+            lf.band_travel_time(TestIntegerArguments.G, TestIntegerArguments.TAU,
+                                v, 0.1, 1.0),
+        "glued_field": lambda spec, field, transect, v:
+            lf.GluedField(spec, field.baire, field.majorants, v),
+        "build_lsc_field": lambda spec, field, transect, v:
+            lf.build_lsc_field(constant_spec(0.5), v),
+        "baire_sequence": lambda spec, field, transect, v:
+            lf.baire_sequence(constant_spec(0.5), v),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, np.float64(2.0), "2"])
+    def test_non_integer_is_refused(self, box_tail_field, name, value):
+        with pytest.raises(InputError, match=r"must be an integer, got "):
+            self.CALLS[name](*box_tail_field, value)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integer_is_accepted(self, box_tail_field, name):
+        got = self.CALLS[name](*box_tail_field, np.int64(2))
+        want = self.CALLS[name](*box_tail_field, 2)
+        if isinstance(want, (float, np.ndarray)):
+            assert np.array_equal(got, want)
+
+
 class TestArrayExitTimes:
     """Exit times on arrays equal the scalar band time point by point."""
 
@@ -814,27 +872,40 @@ class TestArrayExitTimes:
 
 class TestGluedField:
     def test_grid_fibres_equal_the_one_point_path(self, box_tail_field):
+        # the rows of one table equal one-point fiber_data on a fresh field
         spec, field, transect = box_tail_field
+        tabled = lf.GluedField(spec, field.baire, field.majorants, field.depth)
         one_point = lf.GluedField(spec, field.baire, field.majorants,
                                   field.depth)
-        assert len(field._grid_rows) == transect.shape[0]
-        assert not one_point._grid_rows
-        for p in transect:
-            got, want = field.fiber_data(p), one_point.fiber_data(p)
-            for a, b in ((got.f, want.f), (got.g, want.g), (got.tau, want.tau)):
-                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+        table = tabled.fibre_table(transect)
+        assert [a.shape for a in table] == [(50, field.depth + 1),
+                                            (50, field.depth + 1),
+                                            (50, field.depth)]
+        assert len(tabled._fiber_cache) == transect.shape[0]
+        for i, p in enumerate(transect):
+            want = one_point.fiber_data(p)
+            cached = tabled.fiber_data(p)
+            for row, b, a in zip(table, (want.f, want.g, want.tau),
+                                 (cached.f, cached.g, cached.tau)):
+                assert row[i].tobytes() == a.tobytes() == b.tobytes()
+                assert row[i].shape == a.shape == b.shape
+            # the delays are the per-fibre recursion's
+            assert table[2][i].tobytes() == band_tower(want.f, want.g).tobytes()
 
-    def test_unqueried_grid_row_is_not_checked(self, box_tail_field):
-        # the ordering checks are per fibre and lazy: a bad grid row
-        # raises on its own query only
+    def test_table_with_a_bad_row_is_refused(self, box_tail_field,
+                                             monkeypatch):
+        # every row of a table is checked: one bad row refuses the table,
+        # and no row of it is stored
         spec, field, transect = box_tail_field
-        bad = lf.GluedField(spec, field.baire, field.majorants, field.depth,
-                            grid=transect[:3])
-        f, g = bad._grid_rows[transect[1].tobytes()]
-        bad._grid_rows[transect[1].tobytes()] = (f[::-1], g)
-        bad.fiber_data(transect[0])
-        with pytest.raises(InputError, match="tower ordering violated"):
-            bad.fiber_data(transect[1])
+        bad = lf.GluedField(spec, field.baire, field.majorants, field.depth)
+        fs = field.baire.raw_values(transect[:3]).copy()
+        fs[1] = fs[1, ::-1]
+        monkeypatch.setattr(field.baire, "raw_values", lambda pts: fs)
+        with pytest.raises(InputError, match=re.escape(
+                "tower ordering violated at base point "
+                f"{transect[1].tolist()}")):
+            bad.fibre_table(transect[:3])
+        assert not bad._fiber_cache
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_fibre_point_is_refused(self, box_tail_field, bad):

@@ -178,7 +178,7 @@ class TestDriver:
         spec = scenarios._box_tail_spec()
         transect = np.stack([np.linspace(-1.95, 1.95, 8), np.full(8, 0.12)],
                             axis=1)
-        field = lsc_fields.build_lsc_field(spec, depth=2, grid=transect)
+        field = lsc_fields.build_lsc_field(spec, depth=2)
         xs = np.linspace(0.05, 0.9, 8)
         xs = xs[(xs > 0.0) & (xs < 0.9)]
         fibres = transect[~(spec.boundary_distance(transect) < cfg.margin)]

@@ -23,13 +23,16 @@ stages:
    within time 1 exactly above ``f_1``; each next delay is the level
    ``n-1`` travel time from ``f_{n-1}`` to ``f_n``, which re-times the
    threshold to ``f_n``.  :meth:`GluedField.fibre_table` gives the
-   thresholds, separators and delays of a batch of fibres and stores them
-   in ``_fiber_cache``: one reader of tower data, one store.  The band
+   thresholds, separators and delays of a batch of fibres: it reads the
+   rows already in ``_fiber_cache`` and computes and stores only the
+   others, so it is the one reader of tower data over one store.  The band
    primitive :func:`band_velocity` / :func:`band_travel_time` evaluates
    any level from them at a whole array of points of the fibre: one bridge
    call over every crossed (point, band) pair, summed band by band per
    point.  Speed and travel time are row-wise kernels, :func:`_tower_speed`
-   and :func:`_tower_time`, with a single fibre as their one-row case.
+   and :func:`_tower_time`, with a single fibre as their one-row case;
+   :meth:`GluedField.level_checks`, box-tail's threshold and nesting
+   checks, runs them over a whole fibre table, one batch per level.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -85,6 +88,17 @@ def _check_integer(name: str, value) -> None:
     """Refuse a bool or a non-integral count; numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _query_batch(points, dim: int) -> np.ndarray:
+    """An ``(m, dim)`` batch of finite query points as a float array; any
+    other shape, or a non-finite point, is refused."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise InputError(f"expected an (m, {dim}) batch of query points")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("query points must be finite")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +330,7 @@ class _BlendField:
     def __call__(self, points):
         """``(m,)`` blend values, or ``(m, k)`` for a matrix of constants:
         one ``bincount`` per column, bitwise the blend of that column."""
-        pts = np.asarray(points, dtype=float)
+        pts = _query_batch(points, self.index.dim)
         m = pts.shape[0]
         qi, ci, w = self.weights(pts)
         den = np.bincount(qi, weights=w, minlength=m)
@@ -328,11 +342,14 @@ class _BlendField:
                                for col in c.T])
         return (num / den[:, None]).reshape((m,) + self.c_vals.shape[1:])
 
-    def ball_upper_bound(self, pts: np.ndarray, reach: float) -> np.ndarray:
+    def ball_upper_bound(self, pts, reach: float) -> np.ndarray:
         """Exact upper bound for ``sup`` of the blend over balls of radius
         ``reach``: the max of its constants over centers within ``reach``
         plus the bump radius (a blend never exceeds the constants that
-        reach into the ball)."""
+        reach into the ball).  ``reach`` must be finite and nonnegative."""
+        pts = _query_batch(pts, self.index.dim)
+        if not (math.isfinite(reach) and reach >= 0.0):
+            raise InputError(f"reach must be finite and >= 0, got {reach!r}")
         bound = self.index.max_over_balls(pts, reach + self.index.radius,
                                           self.c_vals)
         if np.any(~np.isfinite(bound)):
@@ -387,12 +404,7 @@ class BaireSequence:
     def raw_values(self, points) -> np.ndarray:
         """(m, depth) matrix of all exposed levels at an ``(m, dim)`` batch
         of query points, evaluated in blocks of ``BLOCK_ROWS`` rows."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.spec.dim:
-            raise InputError(f"expected an (m, {self.spec.dim}) batch of "
-                             f"query points")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("query points must be finite")
+        pts = _query_batch(points, self.spec.dim)
         key = pts.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
@@ -435,11 +447,11 @@ class BaireSequence:
             cols.append(prev)
         return np.stack([0.5 * cols[0]] + cols, axis=1)
 
-    def level_upper_bound(self, level: int, pts: np.ndarray,
-                          reach: float) -> np.ndarray:
+    def level_upper_bound(self, level: int, pts, reach: float) -> np.ndarray:
         """Exact upper bound for ``sup`` of the level over balls of radius
         ``reach``: its blend's :meth:`_BlendField.ball_upper_bound`, halved
         at level 1."""
+        _check_integer("level", level)
         if not (1 <= level <= self.depth):
             raise InputError("level out of range")
         bound = self._levels[max(level - 2, 0)].blend.ball_upper_bound(pts, reach)
@@ -561,11 +573,13 @@ def _tower_time(g: np.ndarray, tau: np.ndarray, x0: np.ndarray,
 def band_travel_time(g, tau, level: int, x0, x1):
     """Crossing time from ``x0`` to ``x1`` under tower level ``level``
     (the speed of :func:`band_velocity`): the one-row case of
-    :func:`_tower_time`.  ``x0`` and ``x1`` broadcast; floats in give a
-    float out."""
+    :func:`_tower_time`.  ``x0`` and ``x1`` broadcast, with ``x0 <= x1``
+    pointwise; floats in give a float out."""
     g, tau = _check_level(g, tau, level)
     x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                  np.asarray(x1, dtype=float))
+    if np.any(x0 > x1):
+        raise InputError("travel times run upward: x0 must not exceed x1")
     total = _tower_time(g[None, :level + 1], tau[None, :level],
                         x0.reshape(1, -1), x1.reshape(1, -1)).reshape(x0.shape)
     return float(total) if total.ndim == 0 else total
@@ -580,6 +594,14 @@ def _fibre_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InputError("fibre points must be finite")
+    return x
+
+
+def _exit_points(x) -> np.ndarray:
+    """Start points of exit times: finite, and on the fibre ``[0, 1]``."""
+    x = _fibre_points(x)
+    if np.any((x < 0.0) | (x > 1.0)):
+        raise InputError("fibre points must lie in [0, 1]")
     return x
 
 
@@ -614,14 +636,16 @@ class GluedField:
     :class:`~excisionlab.errors.InputError`.  Its batch edge is
     :meth:`fibre_table`, the tower data of an ``(m, base_dim)`` batch, and
     :meth:`fibres`, the fibres over such a batch for the lockstep driver
-    of :mod:`~excisionlab.flow1d`.  It is not an ambient field like
+    of :mod:`~excisionlab.flow1d`, and :meth:`level_checks` reads the
+    table of such a batch.  It is not an ambient field like
     :class:`~excisionlab.null_fields.EpigraphField` and has no ambient
     extension; it is certified at the hypersurface level.  ``velocity``,
     the exit times and :meth:`classify` evaluate elementwise in ``x``, an
     array of points on the fibre, so one call covers a fibre.  They return
     arrays of the shape of ``x`` (0-d for a float), except
     :meth:`level_exit_time`, which gives a float for a float.  They refuse
-    non-finite ``x`` with :class:`~excisionlab.errors.InputError`.
+    non-finite ``x`` with :class:`~excisionlab.errors.InputError`, and the
+    exit times and :meth:`classify` refuse ``x`` off the fibre ``[0, 1]``.
 
     Only :meth:`fibre_table` computes tower data, bitwise the same for a
     row in any batch, and ``_fiber_cache`` is its one store:
@@ -645,12 +669,21 @@ class GluedField:
     def fibre_table(self, ps):
         """Thresholds ``f_1 .. f_{depth+1}``, separators ``g_0 .. g_depth``
         and delays ``tau_1 .. tau_depth`` over an ``(m, base_dim)`` batch,
-        one row per fibre, checked row by row; each row not yet in
-        ``_fiber_cache`` is stored there, read-only."""
+        one row per fibre.  Rows already in ``_fiber_cache`` are read
+        there; the others are computed, checked row by row and stored,
+        read-only.  A row's bits are its own in any batch."""
         pts = np.asarray(ps, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.base_dim:
             raise InputError(f"base points must have shape (m, {self.base_dim}), "
                              f"got {pts.shape}")
+        keys = [row.tobytes() for row in pts]
+        miss = [i for i, key in enumerate(keys) if key not in self._fiber_cache]
+        if 0 < len(miss) < len(keys):
+            self.fibre_table(pts[miss])     # a table of the misses alone
+        if len(miss) < len(keys):
+            rows = [self._fiber_cache[key] for key in keys]
+            return tuple(np.stack([getattr(d, name) for d in rows])
+                         for name in ("f", "g", "tau"))
         fs = self.baire.raw_values(pts)
         gs = self.majorants(pts)
         # increasing thresholds and separators, with f_{n+1} < g_n
@@ -667,8 +700,8 @@ class GluedField:
             tau[:, k - 1] = _tower_time(gs[:, :k], tau[:, :k - 1],
                                         fs[:, k - 2:k - 1], fs[:, k - 1:k])[:, 0]
         fs.flags.writeable = gs.flags.writeable = tau.flags.writeable = False
-        for row, f, g, t in zip(pts, fs, gs, tau):
-            self._fiber_cache.setdefault(row.tobytes(), FiberData(f=f, g=g, tau=t))
+        for key, f, g, t in zip(keys, fs, gs, tau):
+            self._fiber_cache.setdefault(key, FiberData(f=f, g=g, tau=t))
         return fs, gs, tau
 
     def fiber_data(self, p) -> FiberData:
@@ -687,7 +720,7 @@ class GluedField:
         """Exit times to the top under tower level ``level`` (no cutoff)
         from the points ``x`` of the fibre over ``p``."""
         data = self.fiber_data(p)
-        return band_travel_time(data.g, data.tau, level, _fibre_points(x), 1.0)
+        return band_travel_time(data.g, data.tau, level, _exit_points(x), 1.0)
 
     def limit_exit_time(self, p, x) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``(lower, upper)`` on the exit times of the limit field
@@ -701,7 +734,7 @@ class GluedField:
         is sharp and the upper bound is infinite.
         """
         data = self.fiber_data(p)
-        x = _fibre_points(x)
+        x = _exit_points(x)
         above = x >= data.g[-1]
         if np.any(above):
             raise DepthExhausted(
@@ -730,6 +763,36 @@ class GluedField:
                 f"bounds ({lower.flat[i]}, {upper.flat[i]})"
             )
         return np.where(survives, "survives", "excised")
+
+    def level_checks(self, ps, xs) -> tuple[int, int, bool]:
+        """Threshold exactness and monotone nesting of the tower levels over
+        the ``(m, base_dim)`` batch ``ps``, one row-wise batch per level:
+        ``(mismatches, tested, nested)``.  Levels 1, ``depth // 2`` and
+        ``depth`` must exit within time 1 exactly at the points of ``xs``
+        at or above ``f_n`` (points within 1e-6 of it are not tested); at
+        40 points below each fibre's top, each level must be positive, no
+        faster than the one before, equal to it below its new band and 1
+        above it."""
+        f, g, tau = self.fibre_table(ps)
+        x = np.tile(np.asarray(xs, dtype=float), (f.shape[0], 1))
+        mism = tested = 0
+        for lvl in (1, max(2, self.depth // 2), self.depth):
+            fn = f[:, lvl - 1:lvl]
+            kept = ~(np.abs(x - fn) < 1e-6)
+            t_exit = _tower_time(g[:, :lvl + 1], tau[:, :lvl], x, np.ones_like(x))
+            tested += int(np.count_nonzero(kept))
+            mism += int(np.count_nonzero(((t_exit <= 1.0) != (x >= fn)) & kept))
+        xs_f = np.linspace(0.05, g[:, -1] - 1e-3, 40, axis=1)
+        prev = _tower_speed(g[:, :2], tau[:, :1], xs_f)
+        nested = True
+        for lvl in range(2, self.depth + 1):
+            v = _tower_speed(g[:, :lvl + 1], tau[:, :lvl], xs_f)
+            low = xs_f <= g[:, lvl - 1:lvl]
+            nested &= bool(np.all(v <= prev + 1e-14) and np.all(v > 0)
+                           and np.all(v[low] == prev[low])
+                           and np.all(v[xs_f >= g[:, lvl:lvl + 1]] == 1.0))
+            prev = v
+        return mism, tested, nested
 
     # -- field evaluation --------------------------------------------------
 

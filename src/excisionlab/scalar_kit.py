@@ -224,27 +224,45 @@ def ramp_velocity_jet(a, b, c, x):
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
 
+# arguments per pass of the rule: its (rows, 160) temporaries then take
+# about 80 kB each, so they stay in cache and a large batch adds no memory
+_RULE_ROWS = 64
 
-def bump_mass(t):
-    """Cumulative mass ``int_{-1}^{t} exp(-2/(1-s^2)) ds`` of the unit bump.
 
-    Evaluated with a fixed high-order Gauss-Legendre rule; the integrand is
-    smooth and flat at the endpoints, so the rule is accurate to roundoff.
-    """
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, -1.0, 1.0)
-    half = 0.5 * (tc + 1.0)
-    # map [-1, 1] reference nodes onto [-1, tc]
+def _bump_rule(t: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre rule of :func:`bump_mass` at a batch ``t`` in
+    [-1, 1], on the reference nodes mapped onto [-1, t]; NaN gives NaN."""
+    half = 0.5 * (t + 1.0)
     pts = -1.0 + np.multiply.outer(half, _GL_NODES + 1.0)
     q = 1.0 - pts * pts
     vals = np.zeros_like(pts)
     mask = q > EXP_CLAMP
     vals[mask] = np.exp(-2.0 / q[mask])
-    return np.asarray(half * (vals * _GL_WEIGHTS).sum(axis=-1))
+    return half * (vals * _GL_WEIGHTS).sum(axis=-1)
 
 
 # total mass of the unit bump (normalizes all bridge crossing times)
-BRIDGE_NORM = float(bump_mass(1.0))
+BRIDGE_NORM = float(_bump_rule(np.array(1.0)))
+
+
+def bump_mass(t):
+    """Cumulative mass ``int_{-1}^{t} exp(-2/(1-s^2)) ds`` of the unit bump.
+
+    Arguments at or below -1 read exactly 0 and those at or above 1 exactly
+    ``BRIDGE_NORM``, the rule's own value at 1; only the arguments strictly
+    inside (-1, 1), and NaN, run the fixed high-order Gauss-Legendre rule
+    of :func:`_bump_rule`, ``_RULE_ROWS`` at a time; each argument's sum
+    is its own, so the blocks change no bit.  The integrand is smooth and
+    flat at the endpoints, so the rule is accurate to roundoff.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, BRIDGE_NORM, 0.0)
+    inner = ~((t <= -1.0) | (t >= 1.0))
+    vals = t[inner]
+    for i in range(0, vals.size, _RULE_ROWS):
+        vals[i:i + _RULE_ROWS] = _bump_rule(vals[i:i + _RULE_ROWS])
+    out[inner] = vals
+    return out
 
 
 def bridge_velocity(lo, hi, delay, x):
@@ -592,14 +610,13 @@ def decay_witness_grad(z):
 
 
 def ball_bump_from_sq(q):
-    """Radial bump as a function of the squared relative radius
-    ``q = (r/R)^2``: 1 at the center, flat 0 at ``q >= 1``."""
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(q.shape)
-    m = q < 1.0 - 1e-14
-    qm = q[m]
-    out[m] = np.exp(-qm / (1.0 - qm))
-    return out
+    """Radial bump ``exp(-q / (1 - q))`` as a function of the squared
+    relative radius ``q = (r/R)^2``: 1 at the center, flat 0 at ``q >= 1``.
+    One unmasked expression: ``q`` is capped at ``1 - 1e-14``, where the
+    bump underflows to exactly 0, so every ``q`` past the cap (and NaN)
+    reads 0 with no warning."""
+    t = np.fmin(np.asarray(q, dtype=float), 1.0 - 1e-14)
+    return np.asarray(np.exp(-t / (1.0 - t)))
 
 
 def smooth_box_plateau(points, lo, hi, margin):

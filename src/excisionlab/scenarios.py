@@ -612,32 +612,9 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     xs = xs[(xs > 0.0) & (xs < 0.9)]
     clear = ~(spec.boundary_distance(transect) < cfg.margin)
     fibres = transect[clear]
-    field.fibre_table(fibres)
-    mism = tested = 0
-    nest_ok = coincide_ok = True
-    for p in fibres:
-        data = field.fiber_data(p)
-        for lvl in (1, max(2, cfg.depth // 2), cfg.depth):
-            fn = data.f[lvl - 1]
-            x = xs[~(np.abs(xs - fn) < 1e-6)]
-            tested += x.size
-            t_exit = field.level_exit_time(p, x, lvl)
-            mism += int(np.count_nonzero((t_exit <= 1.0) != (x >= fn)))
-        # nesting and coincidence on this fibre
-        xs_f = np.linspace(0.05, float(data.g[-1]) - 1e-3, 40)
-        prev = None
-        for lvl in range(1, field.depth + 1):
-            v = lsc_fields.band_velocity(data.g, data.tau, lvl, xs_f)
-            if prev is not None:
-                nest_ok &= bool(np.all(v <= prev + 1e-14)) and bool(np.all(v > 0))
-                low = xs_f <= data.g[lvl - 1]
-                coincide_ok &= bool(np.all(v[low] == prev[low]))
-                high = xs_f >= data.g[lvl]
-                coincide_ok &= bool(np.all(v[high] == 1.0))
-            prev = v
+    mism, tested, nested = field.level_checks(fibres, xs)
     checks["level_thresholds"] = _check(mism == 0, tested, mism)
-    checks["monotone_nesting"] = _check(nest_ok and coincide_ok,
-                                        fibres.shape[0] * 40, 0.0)
+    checks["monotone_nesting"] = _check(nested, fibres.shape[0] * 40, 0.0)
 
     # limit classification against direct lookup
     mism = tested = 0

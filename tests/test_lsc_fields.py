@@ -612,6 +612,48 @@ class TestSeparatorBlend:
             lf.build_lsc_field(spec, depth=4)
 
 
+class TestBallBoundEdges:
+    """The ball bounds and the separator blend refuse a bad level, batch or
+    reach with ``InputError``, before any evaluation and with no warning."""
+
+    PTS = np.array([[0.1, 0.12], [-0.3, 0.5]])
+    BAD = {
+        "bool level": (True, PTS, 0.25, "level must be an integer"),
+        "float level": (2.0, PTS, 0.25, "level must be an integer"),
+        "1-D points": (2, PTS[0], 0.25, re.escape("expected an (m, 2) batch")),
+        "3-column points": (2, np.zeros((2, 3)), 0.25,
+                            re.escape("expected an (m, 2) batch")),
+        "inf point": (2, np.array([[np.inf, 0.0]]), 0.25, "must be finite"),
+        "nan point": (2, np.array([[0.0, np.nan]]), 0.25, "must be finite"),
+        "nan reach": (2, PTS, math.nan, "reach must be finite and >= 0"),
+        "inf reach": (2, PTS, math.inf, "reach must be finite and >= 0"),
+        "negative reach": (2, PTS, -0.1, "reach must be finite and >= 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_level_upper_bound_refuses(self, box_tail_field, case):
+        level, pts, reach, match = self.BAD[case]
+        with pytest.raises(InputError, match=match):
+            box_tail_field[1].baire.level_upper_bound(level, pts, reach)
+
+    @pytest.mark.parametrize("case", [c for c in sorted(BAD) if "level" not in c])
+    def test_ball_upper_bound_refuses(self, box_tail_field, case):
+        _, pts, reach, match = self.BAD[case]
+        with pytest.raises(InputError, match=match):
+            box_tail_field[1].majorants.ball_upper_bound(pts, reach)
+
+    @pytest.mark.parametrize("pts", [[[np.nan, 0.0]], [[0.0, -np.inf]],
+                                     [0.1, 0.12], [[0.1, 0.12, 0.0]]])
+    def test_separator_blend_refuses(self, box_tail_field, pts):
+        with pytest.raises(InputError, match="query points"):
+            box_tail_field[1].majorants(pts)
+
+    def test_zero_reach_is_accepted(self, box_tail_field):
+        baire = box_tail_field[1].baire
+        bound = baire.level_upper_bound(np.int64(2), self.PTS, 0.0)
+        assert bound.shape == (2,) and np.all(np.isfinite(bound))
+
+
 def band_tower(f, g):
     """Delays of the tower on one fibre with thresholds ``f`` and separators
     ``g``, built as the paper's adjust-time steps build them: the first
@@ -733,6 +775,18 @@ class TestBandPrimitives:
             with pytest.raises(InputError):
                 lf.band_travel_time(g, delays, level, 0.1, 1.0)
 
+    def test_travel_time_runs_upward_through_the_bands(self, box_tail_field):
+        # on the fibre over (0.1, 0.12) of a depth-4 tower, 0.1 -> 0.9 is
+        # slowed by the bands; 0.9 -> 0.1 used to read x1 - x0 = -0.8
+        field = lf.build_lsc_field(box_tail_field[0], depth=4)
+        data = field.fiber_data(np.array([0.1, 0.12]))
+        assert lf.band_travel_time(data.g, data.tau, 2, 0.1, 0.9) == \
+            pytest.approx(1.0896, abs=1e-4)
+        for x0, x1 in [(0.9, 0.1), (np.array([0.1, 0.5]), np.array([0.2, 0.4]))]:
+            with pytest.raises(InputError, match="x0 must not exceed x1"):
+                lf.band_travel_time(data.g, data.tau, 2, x0, x1)
+        assert lf.band_travel_time(data.g, data.tau, 2, 0.4, 0.4) == 0.0
+
     def test_equal_band_loops_on_box_tail_fibres(self, box_tail_field):
         spec, field, transect = box_tail_field
         rng = np.random.default_rng(3)
@@ -754,6 +808,11 @@ class TestBandPrimitives:
                 for x0 in starts:
                     x1 = float(rng.uniform(x0, 1.0))
                     for end in (x1, 1.0, float(g[level])):
+                        if x0 > end:
+                            # a downward stretch is refused, not timed
+                            with pytest.raises(InputError, match="x0 must not"):
+                                lf.band_travel_time(g, tau, level, x0, end)
+                            continue
                         assert (lf.band_travel_time(g, tau, level, x0, end)
                                 == reference_band_travel_time(g, tau, level, x0, end))
 
@@ -870,6 +929,33 @@ class TestArrayExitTimes:
             field.classify(p, x)
 
 
+def level_checks_per_fibre(field, fibres, xs):
+    """The per-fibre loops of box-tail's threshold and nesting checks that
+    ``GluedField.level_checks`` batches, kept as its reference."""
+    mism = tested = 0
+    nest_ok = coincide_ok = True
+    for p in fibres:
+        data = field.fiber_data(p)
+        for lvl in (1, max(2, field.depth // 2), field.depth):
+            fn = data.f[lvl - 1]
+            x = xs[~(np.abs(xs - fn) < 1e-6)]
+            tested += x.size
+            t_exit = field.level_exit_time(p, x, lvl)
+            mism += int(np.count_nonzero((t_exit <= 1.0) != (x >= fn)))
+        xs_f = np.linspace(0.05, float(data.g[-1]) - 1e-3, 40)
+        prev = None
+        for lvl in range(1, field.depth + 1):
+            v = lf.band_velocity(data.g, data.tau, lvl, xs_f)
+            if prev is not None:
+                nest_ok &= bool(np.all(v <= prev + 1e-14)) and bool(np.all(v > 0))
+                low = xs_f <= data.g[lvl - 1]
+                coincide_ok &= bool(np.all(v[low] == prev[low]))
+                high = xs_f >= data.g[lvl]
+                coincide_ok &= bool(np.all(v[high] == 1.0))
+            prev = v
+    return mism, tested, nest_ok and coincide_ok
+
+
 class TestGluedField:
     def test_grid_fibres_equal_the_one_point_path(self, box_tail_field):
         # the rows of one table equal one-point fiber_data on a fresh field
@@ -917,6 +1003,79 @@ class TestGluedField:
             for x in (bad, np.array([0.3, bad])):
                 with pytest.raises(InputError, match="fibre points must be finite"):
                     call(p, x)
+
+    def test_cached_rows_are_read_not_tabled(self, box_tail_field,
+                                             monkeypatch):
+        # a fully cached table makes no raw_values call; a mixed one
+        # tables its misses only; every row has its one-table bits
+        spec, field, transect = box_tail_field
+        tabled = lf.GluedField(spec, field.baire, field.majorants, field.depth)
+        fresh = lf.GluedField(spec, field.baire, field.majorants, field.depth)
+        tabled.fibre_table(transect[:10])
+        calls = []
+        real = field.baire.raw_values
+        monkeypatch.setattr(field.baire, "raw_values",
+                            lambda pts: calls.append(len(pts)) or real(pts))
+        rows = [3, 1, 3, 9]
+        for got, want in zip(tabled.fibre_table(transect[rows]),
+                             fresh.fibre_table(transect[rows])):
+            assert got.tobytes() == want.tobytes()
+        assert calls == [4]                 # the fresh table's one call
+        rows = [12, 3, 15, 0, 12]
+        got = tabled.fibre_table(transect[rows])
+        assert calls == [4, 3]              # the misses 12, 15, 12 only
+        assert len(tabled._fiber_cache) == 12
+        for table_col, want in zip(got, fresh.fibre_table(transect[rows])):
+            assert table_col.shape == want.shape
+            assert table_col.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 4, 14])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_level_checks_equal_the_per_fibre_loops(self, box_tail_field,
+                                                     depth, tampered):
+        # the batched threshold and nesting counts are the per-fibre loops'
+        # on exact towers, and on towers whose delays are scaled down with
+        # the second band's negated on one fibre, where both checks fail
+        spec, _, transect = box_tail_field
+        field = lf.build_lsc_field(spec, depth=depth)
+        xs = np.linspace(0.05, 0.9, 50)[:-1]
+        f, g, tau = field.fibre_table(transect)
+        if tampered:
+            tau = 0.7 * tau
+            tau[7, 1] = -tau[7, 1]
+            for row, f_r, g_r, tau_r in zip(transect, f, g, tau):
+                field._fiber_cache[row.tobytes()] = lf.FiberData(f_r, g_r, tau_r)
+        got = field.level_checks(transect, xs)
+        assert got == level_checks_per_fibre(field, transect, xs)
+        if tampered:
+            assert got[0] > 0 and got[2] is False
+        else:
+            assert got[0] == 0 and got[2] is True
+        if depth == 14 and not tampered:
+            assert got == (0, 7350, True)
+        # the batched sample points are each fibre's own
+        xs_f = np.linspace(0.05, g[:, -1] - 1e-3, 40, axis=1)
+        for r, top in enumerate(g[:, -1].tolist()):
+            assert (xs_f[r].tobytes()
+                    == np.linspace(0.05, top - 1e-3, 40).tobytes())
+
+    def test_level_checks_of_no_fibre_test_nothing(self, box_tail_field):
+        _, field, _ = box_tail_field
+        xs = np.linspace(0.05, 0.9, 8)
+        assert field.level_checks(np.zeros((0, 2)), xs) == (0, 0, True)
+
+    @pytest.mark.parametrize("x", [1.5, -0.5, [0.3, 1.0 + 1e-12], [-1e-300, 0.3]])
+    def test_point_off_the_fibre_is_refused(self, box_tail_field, x):
+        _, field, transect = box_tail_field
+        p = transect[4]
+        calls = (field.limit_exit_time, field.classify,
+                 lambda p, x: field.level_exit_time(p, x, 2))
+        for call in calls:
+            with pytest.raises(InputError, match=re.escape("lie in [0, 1]")):
+                call(p, x)
+        # the ends of the fibre are on it
+        assert field.level_exit_time(p, 1.0, 2) == 0.0
+        assert field.level_exit_time(p, 0.0, 2) > 1.0
 
     def test_cached_fibre_data_is_read_only(self, box_tail_field):
         spec, field, transect = box_tail_field

@@ -248,6 +248,79 @@ class TestBridgeVelocity:
             assert t == pytest.approx(hi - lo + delay, abs=1e-12)
 
 
+def bump_rule_everywhere(t):
+    """The 160-node Gauss-Legendre bump mass run on every argument, clipped
+    to [-1, 1]: the reference the exact ends of ``bump_mass`` must match."""
+    nodes, weights = np.polynomial.legendre.leggauss(160)
+    half = 0.5 * (np.clip(np.asarray(t, dtype=float), -1.0, 1.0) + 1.0)
+    pts = -1.0 + np.multiply.outer(half, nodes + 1.0)
+    q = 1.0 - pts * pts
+    vals = np.zeros_like(pts)
+    vals[q > sk.EXP_CLAMP] = np.exp(-2.0 / q[q > sk.EXP_CLAMP])
+    return np.asarray(half * (vals * weights).sum(axis=-1))
+
+
+def ball_bump_masked(q):
+    """The radial bump formed on the rows below the ``1 - 1e-14`` cap only."""
+    q = np.asarray(q, dtype=float)
+    out = np.zeros(q.shape)
+    m = q < 1.0 - 1e-14
+    out[m] = np.exp(-q[m] / (1.0 - q[m]))
+    return out
+
+
+def ulps_around(v, k=4):
+    """``v`` and the ``k`` floats on either side of it."""
+    below, above = [v], [v]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+class TestExactFastPaths:
+    """The ends of ``bump_mass`` and the unmasked ball bump are bitwise the
+    formulas they replace."""
+
+    EDGES = [-1.0, 1.0, -1.5, 1.5, -np.inf, np.inf, np.nan, -0.0, 0.0,
+             *ulps_around(-1.0), *ulps_around(1.0)]
+
+    def test_bridge_norm_is_the_rule_at_one(self):
+        assert sk.BRIDGE_NORM.hex() == "0x1.108f74c4a5618p-3"
+        assert float(bump_rule_everywhere(1.0)).hex() == sk.BRIDGE_NORM.hex()
+        ends = sk.bump_mass(np.array([-1.0, -2.0, -np.inf, 1.0, 2.0, np.inf]))
+        assert ends.tolist() == [0.0] * 3 + [sk.BRIDGE_NORM] * 3
+        assert not np.any(np.signbit(ends))
+
+    def test_bump_mass_equals_the_rule_everywhere(self):
+        rng = np.random.default_rng(11)
+        t = np.concatenate([self.EDGES, rng.uniform(-1.0, 1.0, 3000),
+                            rng.uniform(-3.0, 3.0, 3000)])
+        assert sk.bump_mass(t).tobytes() == bump_rule_everywhere(t).tobytes()
+        grid = t[:6000].reshape(60, 100)
+        got = sk.bump_mass(grid)
+        assert got.shape == grid.shape
+        assert got.tobytes() == bump_rule_everywhere(grid).tobytes()
+        for v in self.EDGES + [0.3, -0.7]:
+            got = sk.bump_mass(v)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == bump_rule_everywhere(v).tobytes()
+        assert np.isnan(sk.bump_mass(np.nan))
+
+    def test_ball_bump_equals_the_masked_formula(self):
+        rng = np.random.default_rng(12)
+        q = np.concatenate([
+            [0.0, -0.0, 1e-300, 0.5, 2.0, np.inf, np.nan],
+            ulps_around(1.0 - 1e-14), ulps_around(1.0),
+            rng.uniform(0.0, 2.0, 20000),
+        ])
+        assert sk.ball_bump_from_sq(q).tobytes() == ball_bump_masked(q).tobytes()
+        got = sk.ball_bump_from_sq(q[:20].reshape(4, 5))
+        assert got.shape == (4, 5)
+        assert got.tobytes() == ball_bump_masked(q[:20].reshape(4, 5)).tobytes()
+        assert sk.ball_bump_from_sq(np.nan) == 0.0
+        assert sk.ball_bump_from_sq(1.0 - 1e-14) == 0.0
+
 
 class TestScalarFieldDerivatives:
     """The x-derivative of the ramp fields (``ramp_velocity_jet``'s

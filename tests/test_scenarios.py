@@ -87,6 +87,13 @@ SMALL_LOCALIZED_REPORT_DIGESTS = {
     },
 }
 
+# sha256 of the whole box-tail report (``out_dir`` removed) at the SMALL
+# config and depth 14, by seed: the deep tower's last digits
+DEEP_BOX_TAIL_DIGESTS = {
+    "0": "aa0d1d44e7eb5d4782d6008ae838bd293ffedb187544fb9dd8eba70d7a38ea19",
+    "1": "c6cd230edc8c0802e4dc09a593ac50109ec168573f9eb20387e9cbd9c7306810",
+}
+
 
 class NanAtFirstPoint:
     """``F = |z|^2`` with its exact gradient, except that the value is NaN
@@ -159,7 +166,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("scenario", ["ray-n1", "cantor-brush"])
     def test_batch_flow_report_is_deterministic(self, tmp_path, scenario):
-        csvs = assert_deterministic(tmp_path, scenario)
+        _, csvs = assert_deterministic(tmp_path, scenario)
         digests = {name: hashlib.sha256(data).hexdigest()
                    for name, data in csvs.items()}
         assert digests == SMALL_TRAJECTORY_DIGESTS[scenario]
@@ -167,8 +174,12 @@ class TestDriver:
     def test_box_tail_report_is_deterministic(self, tmp_path):
         # the tower's blends and band times sum in candidate and band
         # order, so their last digits hang on that order; at the default
-        # depth
-        assert_deterministic(tmp_path, "box-tail", "--depth", "14")
+        # depth, pinned so that a change to them fails here
+        for seed, want in DEEP_BOX_TAIL_DIGESTS.items():
+            (tmp_path / seed).mkdir()
+            text, _ = assert_deterministic(tmp_path / seed, "box-tail",
+                                           "--depth", "14", "--seed", seed)
+            assert hashlib.sha256(text.encode()).hexdigest() == want, seed
 
     def test_undecided_points_count_as_mismatches(self):
         # a depth-2 tower leaves points undecided: each is one mismatch,
@@ -386,8 +397,8 @@ class TestTreePass:
 def assert_deterministic(tmp_path, scenario, *options):
     """Two runs of ``scenario`` at the reduced config (with any further
     command-line ``options``) write the same ``report.json`` (``out_dir``
-    removed) and the same trajectory CSVs; returns the CSV bytes by file
-    name."""
+    removed) and the same trajectory CSVs; returns the report, serialised
+    with indent=2 and sorted keys, and the CSV bytes by file name."""
     texts, csvs = [], []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -400,7 +411,7 @@ def assert_deterministic(tmp_path, scenario, *options):
                      for path in sorted((out / "trajectories").glob("*.csv"))})
     assert texts[0] == texts[1]
     assert csvs[0] == csvs[1]
-    return csvs[0]
+    return texts[0], csvs[0]
 
 
 class SineOfFirstCoordinate:

@@ -22,17 +22,18 @@ stages:
    above ``g_n``.  The first band's delay is ``f_1``, so level 1 exits
    within time 1 exactly above ``f_1``; each next delay is the level
    ``n-1`` travel time from ``f_{n-1}`` to ``f_n``, which re-times the
-   threshold to ``f_n``.  :meth:`GluedField.fibre_table` gives the
-   thresholds, separators and delays of a batch of fibres: it reads the
-   rows already in ``_fiber_cache`` and computes and stores only the
-   others, so it is the one reader of tower data over one store.  The band
-   primitive :func:`band_velocity` / :func:`band_travel_time` evaluates
-   any level from them at a whole array of points of the fibre: one bridge
-   call over every crossed (point, band) pair, summed band by band per
-   point.  Speed and travel time are row-wise kernels, :func:`_tower_speed`
-   and :func:`_tower_time`, with a single fibre as their one-row case;
-   :meth:`GluedField.level_checks`, box-tail's threshold and nesting
-   checks, runs them over a whole fibre table, one batch per level.
+   threshold to ``f_n``.  Speed and travel time are row-wise kernels,
+   :func:`_tower_speed` and :func:`_tower_time`: one bridge call over
+   every (point, band) pair of a batch of fibres, summed band by band per
+   point, so a fibre's values are its own in any batch.
+   :meth:`GluedField.fibre_table` gives the thresholds, separators and
+   delays of a batch of fibres: it reads the rows already in
+   ``_fiber_cache`` and computes and stores only the others, so it is the
+   one reader of tower data over one store.  Every evaluation of the field
+   runs the kernels over such a table: :meth:`GluedField.fibres` for the
+   fibre flows, and :meth:`GluedField.level_checks` and
+   :meth:`GluedField.classify`, box-tail's threshold, nesting and limit
+   checks.
 
 The limit field is evaluated lazily band by band; its exit time is at most
 1 exactly on the epigraph ``{x >= lam(p)}``, and the final flat cutoff
@@ -64,9 +65,6 @@ __all__ = [
     "LscSpec",
     "BaireSequence",
     "baire_sequence",
-    "band_velocity",
-    "band_travel_time",
-    "FiberData",
     "GluedField",
     "build_lsc_field",
 ]
@@ -507,18 +505,6 @@ def baire_sequence(spec: LscSpec, n_levels: int) -> BaireSequence:
 # the velocity tower: stacked bridge bands
 # ---------------------------------------------------------------------------
 
-def _check_level(g, tau, level: int):
-    _check_integer("level", level)
-    g = np.asarray(g, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if not (1 <= level <= g.size - 1 and tau.size >= level):
-        raise InputError(
-            f"level {level} needs 1 <= level <= {g.size - 1} separators "
-            f"and at least {level} delays (got {tau.size})"
-        )
-    return g, tau
-
-
 def _tower_speed(g: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise speed of a tower of ``L`` bands: row ``r`` of the ``(k, n)``
     points ``x`` lies on the fibre with separators ``g[r]`` (``(k, L+1)``)
@@ -536,16 +522,6 @@ def _tower_speed(g: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[inside] = bridge_velocity(g[r, k - 1], g[r, k], tau[r, k - 1],
                                       x[inside])
     return out
-
-
-def band_velocity(g, tau, level: int, x) -> np.ndarray:
-    """Speed of tower level ``level`` at ``x`` on one fibre: the bridge
-    profile with delay ``tau[k-1]`` inside band ``k`` on ``(g[k-1], g[k])``
-    for ``k = 1..level``, unit speed everywhere else."""
-    g, tau = _check_level(g, tau, level)
-    x = np.asarray(x, dtype=float)
-    return _tower_speed(g[None, :level + 1], tau[None, :level],
-                        x.reshape(1, -1)).reshape(x.shape)
 
 
 def _tower_time(g: np.ndarray, tau: np.ndarray, x0: np.ndarray,
@@ -570,53 +546,19 @@ def _tower_time(g: np.ndarray, tau: np.ndarray, x0: np.ndarray,
     return total
 
 
-def band_travel_time(g, tau, level: int, x0, x1):
-    """Crossing time from ``x0`` to ``x1`` under tower level ``level``
-    (the speed of :func:`band_velocity`): the one-row case of
-    :func:`_tower_time`.  ``x0`` and ``x1`` broadcast, with ``x0 <= x1``
-    pointwise; floats in give a float out."""
-    g, tau = _check_level(g, tau, level)
-    x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
-                                 np.asarray(x1, dtype=float))
-    if np.any(x0 > x1):
-        raise InputError("travel times run upward: x0 must not exceed x1")
-    total = _tower_time(g[None, :level + 1], tau[None, :level],
-                        x0.reshape(1, -1), x1.reshape(1, -1)).reshape(x0.shape)
-    return float(total) if total.ndim == 0 else total
-
-
 # ---------------------------------------------------------------------------
 # the glued limit field
 # ---------------------------------------------------------------------------
 
-def _fibre_points(x) -> np.ndarray:
-    """Points on a fibre as a float array; non-finite ones are refused."""
+def _exit_points(x) -> np.ndarray:
+    """Start points of exit times as a float array: finite, and on the
+    fibre ``[0, 1]``."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InputError("fibre points must be finite")
-    return x
-
-
-def _exit_points(x) -> np.ndarray:
-    """Start points of exit times: finite, and on the fibre ``[0, 1]``."""
-    x = _fibre_points(x)
     if np.any((x < 0.0) | (x > 1.0)):
         raise InputError("fibre points must lie in [0, 1]")
     return x
-
-
-@dataclass
-class FiberData:
-    """Per-base-point tower data: thresholds ``f_1..f_{N+1}``, separators
-    ``g_0..g_N``, and bridge delays ``tau_1..tau_N`` (``tau_1 = f_1``)."""
-
-    f: np.ndarray
-    g: np.ndarray
-    tau: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return self.tau.size
 
 
 class GluedField:
@@ -627,29 +569,22 @@ class GluedField:
     below ``g_0`` and between bands the speed is 1 (before the cutoff).
     ``majorants`` is one blend whose ``(m, depth + 1)`` values are the
     separators ``g_0 .. g_depth``, so one call gives a fibre all of them.
-    Queries above the deepest separator raise
+    Speed queries above the deepest separator raise
     :class:`~excisionlab.errors.DepthExhausted` instead of extrapolating.
 
-    Its point evaluations are per fibre: :meth:`velocity`, the exit times,
-    :meth:`classify`, :meth:`fiber_data` and :meth:`fiber` take one base
-    point ``p`` of shape ``(base_dim,)`` and refuse any other shape with
-    :class:`~excisionlab.errors.InputError`.  Its batch edge is
-    :meth:`fibre_table`, the tower data of an ``(m, base_dim)`` batch, and
-    :meth:`fibres`, the fibres over such a batch for the lockstep driver
-    of :mod:`~excisionlab.flow1d`, and :meth:`level_checks` reads the
-    table of such a batch.  It is not an ambient field like
+    Its evaluations take an ``(m, base_dim)`` batch of base points:
+    :meth:`fibre_table` gives their tower data, :meth:`fibres` the fibres
+    over them for the lockstep driver of :mod:`~excisionlab.flow1d`, and
+    :meth:`level_checks` and :meth:`classify` test the same ``(n,)``
+    points ``xs`` on every fibre, refusing ``xs`` that are non-finite or
+    off the fibre ``[0, 1]`` with :class:`~excisionlab.errors.InputError`.
+    It is not an ambient field like
     :class:`~excisionlab.null_fields.EpigraphField` and has no ambient
-    extension; it is certified at the hypersurface level.  ``velocity``,
-    the exit times and :meth:`classify` evaluate elementwise in ``x``, an
-    array of points on the fibre, so one call covers a fibre.  They return
-    arrays of the shape of ``x`` (0-d for a float), except
-    :meth:`level_exit_time`, which gives a float for a float.  They refuse
-    non-finite ``x`` with :class:`~excisionlab.errors.InputError`, and the
-    exit times and :meth:`classify` refuse ``x`` off the fibre ``[0, 1]``.
+    extension; it is certified at the hypersurface level.
 
     Only :meth:`fibre_table` computes tower data, bitwise the same for a
-    row in any batch, and ``_fiber_cache`` is its one store:
-    :meth:`fiber_data` reads a fibre there, or tables it as a batch of one.
+    row in any batch, and ``_fiber_cache`` is its one store of
+    ``(f, g, tau)`` rows; :meth:`fiber_data` is its one-row edge.
     """
 
     def __init__(self, spec: LscSpec, baire: BaireSequence,
@@ -662,16 +597,17 @@ class GluedField:
         self.majorants = majorants   # columns g_0 .. g_depth
         self.depth = depth
         self.base_dim = spec.dim
-        self._fiber_cache: dict[bytes, FiberData] = {}
+        self._fiber_cache: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     # -- tower data ---------------------------------------------------------
 
     def fibre_table(self, ps):
         """Thresholds ``f_1 .. f_{depth+1}``, separators ``g_0 .. g_depth``
-        and delays ``tau_1 .. tau_depth`` over an ``(m, base_dim)`` batch,
-        one row per fibre.  Rows already in ``_fiber_cache`` are read
-        there; the others are computed, checked row by row and stored,
-        read-only.  A row's bits are its own in any batch."""
+        and delays ``tau_1 .. tau_depth`` (``tau_1 = f_1``) over an
+        ``(m, base_dim)`` batch, one row per fibre.  Rows already in
+        ``_fiber_cache`` are read there; the others are computed, checked
+        row by row and stored, read-only.  A row's bits are its own in any
+        batch."""
         pts = np.asarray(ps, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.base_dim:
             raise InputError(f"base points must have shape (m, {self.base_dim}), "
@@ -681,9 +617,8 @@ class GluedField:
         if 0 < len(miss) < len(keys):
             self.fibre_table(pts[miss])     # a table of the misses alone
         if len(miss) < len(keys):
-            rows = [self._fiber_cache[key] for key in keys]
-            return tuple(np.stack([getattr(d, name) for d in rows])
-                         for name in ("f", "g", "tau"))
+            return tuple(np.stack(col) for col in
+                         zip(*(self._fiber_cache[key] for key in keys)))
         fs = self.baire.raw_values(pts)
         gs = self.majorants(pts)
         # increasing thresholds and separators, with f_{n+1} < g_n
@@ -700,13 +635,13 @@ class GluedField:
             tau[:, k - 1] = _tower_time(gs[:, :k], tau[:, :k - 1],
                                         fs[:, k - 2:k - 1], fs[:, k - 1:k])[:, 0]
         fs.flags.writeable = gs.flags.writeable = tau.flags.writeable = False
-        for key, f, g, t in zip(keys, fs, gs, tau):
-            self._fiber_cache.setdefault(key, FiberData(f=f, g=g, tau=t))
+        for key, row in zip(keys, zip(fs, gs, tau)):
+            self._fiber_cache.setdefault(key, row)
         return fs, gs, tau
 
-    def fiber_data(self, p) -> FiberData:
-        """The tower data of the fibre over ``p``, from the cache, or else
-        from :meth:`fibre_table` of ``p`` alone."""
+    def fiber_data(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(f, g, tau)`` row of the fibre over ``p``, from the cache,
+        or else from :meth:`fibre_table` of ``p`` alone."""
         pt = np.asarray(p, dtype=float)
         if pt.shape != (self.base_dim,):
             raise InputError(f"base point must have shape ({self.base_dim},), "
@@ -715,54 +650,6 @@ class GluedField:
         if key not in self._fiber_cache:
             self.fibre_table(pt[None])
         return self._fiber_cache[key]
-
-    def level_exit_time(self, p, x, level: int):
-        """Exit times to the top under tower level ``level`` (no cutoff)
-        from the points ``x`` of the fibre over ``p``."""
-        data = self.fiber_data(p)
-        return band_travel_time(data.g, data.tau, level, _exit_points(x), 1.0)
-
-    def limit_exit_time(self, p, x) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds ``(lower, upper)`` on the exit times of the limit field
-        from the points ``x`` of the fibre over ``p``.
-
-        The time through the built bands is exact; each unbuilt band above
-        adds its delay, and those delays sum to ``lam(p) - f_N(p)``
-        whenever every threshold stays below ``g_0(p)`` (the tower is unit
-        speed there, so each delay equals its threshold increment).  On
-        fibres where the target reaches above ``g_0`` only the lower bound
-        is sharp and the upper bound is infinite.
-        """
-        data = self.fiber_data(p)
-        x = _exit_points(x)
-        above = x >= data.g[-1]
-        if np.any(above):
-            raise DepthExhausted(
-                f"query x={x[above].flat[0]} above deepest separator "
-                f"g_N={data.g[-1]}"
-            )
-        base = np.asarray(band_travel_time(data.g, data.tau, data.depth, x, 1.0))
-        lam_p = float(self.spec.lam(np.asarray(p, dtype=float)[None])[0])
-        if lam_p < data.g[0]:
-            t_inf = base + max(lam_p - data.f[self.depth - 1], 0.0)
-            return t_inf, t_inf
-        return base, np.full(base.shape, math.inf)
-
-    def classify(self, p, x) -> np.ndarray:
-        """``excised`` iff the limit exit time is at most 1, certified from
-        the monotone level times and the exact tail sum, at the points
-        ``x`` of the fibre over ``p``; a point the bounds leave undecided
-        raises :class:`~excisionlab.errors.DepthExhausted`."""
-        lower, upper = self.limit_exit_time(p, x)
-        survives = lower > 1.0
-        undecided = ~survives & ~(upper <= 1.0)
-        if np.any(undecided):
-            i = np.flatnonzero(undecided)[0]
-            raise DepthExhausted(
-                f"classification undecided at (p={p}, x={np.ravel(x)[i]}): "
-                f"bounds ({lower.flat[i]}, {upper.flat[i]})"
-            )
-        return np.where(survives, "survives", "excised")
 
     def level_checks(self, ps, xs) -> tuple[int, int, bool]:
         """Threshold exactness and monotone nesting of the tower levels over
@@ -773,8 +660,9 @@ class GluedField:
         40 points below each fibre's top, each level must be positive, no
         faster than the one before, equal to it below its new band and 1
         above it."""
+        x_row = _exit_points(xs)
         f, g, tau = self.fibre_table(ps)
-        x = np.tile(np.asarray(xs, dtype=float), (f.shape[0], 1))
+        x = np.tile(x_row, (f.shape[0], 1))
         mism = tested = 0
         for lvl in (1, max(2, self.depth // 2), self.depth):
             fn = f[:, lvl - 1:lvl]
@@ -794,57 +682,68 @@ class GluedField:
             prev = v
         return mism, tested, nested
 
+    def classify(self, ps, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Limit-field verdicts over the ``(m, base_dim)`` batch ``ps`` at
+        the same ``(n,)`` points ``xs`` on every fibre: ``(m, n)`` masks
+        ``(excised, undecided)``.  A point is excised when its limit exit
+        time is certainly at most 1, and survives when it certainly
+        exceeds 1; it is undecided when the bounds below leave it open, or
+        when it lies at or above the deepest separator ``g_N``, which the
+        built tower does not cover.  An undecided point is not excised.
+
+        The bounds come from one full-depth :func:`_tower_time` batch.  The
+        time through the built bands is exact; each unbuilt band above
+        adds its delay, and those delays sum to ``lam(p) - f_N(p)``
+        whenever every threshold stays below ``g_0(p)`` (the tower is unit
+        speed there, so each delay equals its threshold increment).  On
+        fibres where the target reaches above ``g_0`` only the lower bound
+        is sharp and the upper bound is infinite."""
+        x_row = _exit_points(xs)
+        f, g, tau = self.fibre_table(ps)
+        x = np.tile(x_row, (f.shape[0], 1))
+        lower = _tower_time(g, tau, x, np.ones_like(x))
+        lam = self.spec.lam(ps)[:, None]
+        sharp = lam < g[:, :1]
+        tail = np.maximum(lam - f[:, self.depth - 1:self.depth], 0.0)
+        lower = np.where(sharp, lower + tail, lower)
+        upper = np.where(sharp, lower, np.inf)
+        excised = upper <= 1.0
+        undecided = ~(excised | (lower > 1.0)) | (x >= g[:, -1:])
+        return excised & ~undecided, undecided
+
     # -- field evaluation --------------------------------------------------
-
-    @staticmethod
-    def _speed(g, tau, half_f1, x):
-        """Row-wise speed of the glued field, the one kernel of
-        :meth:`velocity`, :meth:`fiber` and :meth:`fibres`: the full
-        tower's :func:`_tower_speed` at the ``(k, n)`` points ``x`` times
-        the final cutoff below ``half_f1`` (``(k, 1)`` or a float);
-        queries at or above the deepest separator are not covered."""
-        if np.any(x >= g[:, -1:]):
-            raise DepthExhausted("velocity query above deepest separator")
-        return _tower_speed(g, tau, x) * smooth_step((x - half_f1) / half_f1)
-
-    @classmethod
-    def _velocity(cls, data: FiberData, x):
-        """:meth:`_speed` on one fibre, at points ``x`` of any shape."""
-        x = np.asarray(x, dtype=float)
-        return cls._speed(data.g[None], data.tau[None], 0.5 * data.f[0],
-                          x.reshape(1, -1)).reshape(x.shape)
-
-    def velocity(self, p, x):
-        return self._velocity(self.fiber_data(p), _fibre_points(x))
-
-    def fiber(self, p) -> ScalarField1D:
-        return self._field(self.fiber_data(p))
-
-    def _field(self, data: FiberData) -> ScalarField1D:
-        # the 1D field is only defined on the covered band below the
-        # deepest separator; flows within the band never notice the cap
-        return ScalarField1D(
-            f=lambda x: self._velocity(data, x),
-            domain=(0.0, float(data.g[-1]) - 1e-9),
-            zero_regions=((0.0, 0.5 * float(data.f[0])),),
-            label="glued-lsc",
-        )
 
     def fibres(self, ps) -> Fibres:
         """The fibres over an ``(m, base_dim)`` batch of base points, for
-        :func:`~excisionlab.flow1d.flow_map_batch` and
-        :func:`~excisionlab.flow1d.forward_time_batch`.  Fibre ``i`` is
-        :meth:`fiber` of ``ps[i]``; the batch velocity evaluates
-        :meth:`_speed` on the :meth:`fibre_table` of the batch, row by
-        row, so every value is bitwise that fibre's own.  An empty batch
-        gives no fibres."""
+        :func:`~excisionlab.flow1d.flow_map_batch`,
+        :func:`~excisionlab.flow1d.forward_time_batch` and the one-fibre
+        routines of :mod:`~excisionlab.flow1d`.  The speed is the full
+        tower's :func:`_tower_speed` times the final cutoff below
+        ``f_1/2``, row by row over the :meth:`fibre_table` of the batch;
+        fibre ``i`` evaluates it on row ``i`` alone, so every value of the
+        batch velocity is bitwise that fibre's own.  A fibre is defined on
+        the covered band below its deepest separator, where flows never
+        notice the cap; a speed query at or above the separator raises.
+        An empty batch gives no fibres."""
         f, g, tau = self.fibre_table(ps)
         half_f1 = 0.5 * f[:, :1]
-        return Fibres(
-            fields=[self._field(FiberData(*row)) for row in zip(f, g, tau)],
-            velocity=lambda rows, nodes: self._speed(g[rows], tau[rows],
-                                                     half_f1[rows], nodes),
-        )
+
+        def velocity(rows, nodes):
+            g_r, h = g[rows], half_f1[rows]
+            if np.any(nodes >= g_r[:, -1:]):
+                raise DepthExhausted("velocity query above deepest separator")
+            return _tower_speed(g_r, tau[rows], nodes) * smooth_step((nodes - h) / h)
+
+        def field(r: int) -> ScalarField1D:
+            def speed(x):
+                x = np.asarray(x, dtype=float)
+                return velocity([r], x.reshape(1, -1)).reshape(x.shape)
+            return ScalarField1D(f=speed, domain=(0.0, float(g[r, -1]) - 1e-9),
+                                 zero_regions=((0.0, float(half_f1[r, 0])),),
+                                 label="glued-lsc")
+
+        return Fibres(fields=[field(r) for r in range(f.shape[0])],
+                      velocity=velocity)
 
 
 def build_lsc_field(spec: LscSpec, depth: int) -> GluedField:

@@ -24,7 +24,6 @@ from .flow1d import Fibres, flow_map, flow_map_batch, ramp_time_closed_form
 from .scalar_kit import (
     ClosedSetSpec,
     DefiningFunction,
-    ScalarField1D,
     ramp_velocity,
     ramp_velocity_field,
     ramp_velocity_jet,
@@ -103,9 +102,7 @@ class EpigraphField:
 
     ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
     ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``, and
-    so do :meth:`fibres` and :func:`presympl_flow` built on it.  The
-    one-point edge is the per-fibre API: :meth:`fiber` takes one base point
-    of shape ``(base_dim,)``.
+    so do :meth:`fibres` and :func:`presympl_flow` built on it.
 
     Construction validates the range of the ambient function: ``lam`` must
     take values in (-1, 1] at 256 points of the set and 512 points of the
@@ -146,13 +143,10 @@ class EpigraphField:
                   + du_dc[:, None] * c_grad)
         return v, du_dx, grad_p
 
-    def fiber(self, p) -> ScalarField1D:
-        """The restriction ``v(p, .)`` as a 1D field with exact zero set."""
-        return self.fibres(np.asarray(p, dtype=float)[None]).fields[0]
-
     def fibres(self, p) -> Fibres:
         """The fibres over an ``(m, base_dim)`` batch of base points, for
-        :func:`~excisionlab.flow1d.flow_map_batch`.  Fibre ``i`` is
+        :func:`~excisionlab.flow1d.flow_map_batch`.  Fibre ``i`` is the
+        restriction ``v(p[i], .)`` as a 1D field with its exact zero set,
         ``ramp_velocity_field(a[i], b[i], c[i])`` with the parameters of
         base point ``p[i]``; the batch velocity evaluates
         ``ramp_velocity`` with each node row's own parameters, which is
@@ -186,11 +180,11 @@ def presympl_flow(field: EpigraphField, p, x, t) -> tuple[np.ndarray, np.ndarray
     """General time-``t`` fibre flow of a batch: ``(m, base_dim)`` base
     points ``p``, ``(m,)`` fibre coordinates ``x`` and a time ``t`` that is
     a float or an ``(m,)`` array.  Returns ``p`` (copied) and the ``(m,)``
-    flowed coordinates, row ``i`` bitwise ``flow_map(field.fiber(p[i]),
-    t[i], x[i])``, all from one :func:`~excisionlab.flow1d.flow_map_batch`
-    walk.  Backward flows are always defined for the shipped fields;
-    forward flows need ``t`` below the forward time, and the first row
-    whose time is refused raises its
+    flowed coordinates, row ``i`` bitwise ``flow_map`` of fibre ``i`` of
+    ``field.fibres(p)`` for time ``t[i]`` from ``x[i]``, all from one
+    :func:`~excisionlab.flow1d.flow_map_batch` walk.  Backward flows are
+    always defined for the shipped fields; forward flows need ``t`` below
+    the forward time, and the first row whose time is refused raises its
     :class:`~excisionlab.errors.FlowDomainError`."""
     p = np.asarray(p, dtype=float)
     return p.copy(), flow_map_batch(field.fibres(p), t, x)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import flow1d, lsc_fields, null_fields, scalar_kit, symflow, trees
-from .errors import DepthExhausted, ExcisedPointError, InputError
+from .errors import ExcisedPointError, InputError
 from .ham_extension import RayHamiltonian, coordinate_stencil, extend_null_field
 
 __all__ = ["ScenarioConfig", "run_scenario", "SCENARIOS"]
@@ -616,39 +616,29 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     checks["level_thresholds"] = _check(mism == 0, tested, mism)
     checks["monotone_nesting"] = _check(nested, fibres.shape[0] * 40, 0.0)
 
-    # limit classification against direct lookup
-    mism = tested = 0
-    for p, lam_p in zip(fibres, spec.lam(fibres)):
-        x = xs[~(np.abs(xs - lam_p) < cfg.margin)]
-        want = np.where(x >= lam_p, "excised", "survives")
-        tested += x.size
-        try:
-            mism += int(np.count_nonzero(field.classify(p, x) != want))
-        except DepthExhausted:
-            # point by point: each point the tower leaves undecided is one
-            # mismatch
-            for x_i, want_i in zip(x, want):
-                try:
-                    mism += int(field.classify(p, x_i) != want_i)
-                except DepthExhausted:
-                    mism += 1
-    checks["limit_classification"] = _check(mism == 0, tested, mism)
+    # limit classification against direct lookup: each point the tower
+    # leaves undecided is one mismatch
+    lam = spec.lam(fibres)[:, None]
+    kept = ~(np.abs(xs - lam) < cfg.margin)
+    excised, undecided = field.classify(fibres, xs)
+    mism = int(np.count_nonzero((undecided | (excised != (xs >= lam))) & kept))
+    checks["limit_classification"] = _check(mism == 0, np.count_nonzero(kept), mism)
 
     # backward totality and fibre bijectivity through the final cutoff: the
-    # draws and the per-fibre tests first, then the round trips as two batches
+    # draws first, then the tests and the round trips on the drawn fibres
+    f1 = field.fibre_table(fibres)[0][:, 0]
+    slot = np.cumsum(clear) - 1      # each clear fibre's row in the table
     rows, x_t = [], []
-    blocked = True
     for _ in range(60):
         i = rng.integers(0, transect.shape[0])
-        if not clear[i]:
-            continue
-        p = transect[i]
-        data = field.fiber_data(p)
-        rows.append(i)
-        x_t.append(rng.uniform(float(data.f[0]), 0.9))
-        blocked &= (flow1d.backward_time(field.fiber(p), x_t[-1]).value == -math.inf)
-        blocked &= (field.velocity(p, 0.25 * float(data.f[0])) == 0.0)
-    drawn = field.fibres(transect[rows])
+        if clear[i]:
+            rows.append(slot[i])
+            x_t.append(rng.uniform(float(f1[slot[i]]), 0.9))
+    drawn = field.fibres(fibres[rows])
+    blocked = all(flow1d.backward_time(v, x).value == -math.inf
+                  for v, x in zip(drawn.fields, x_t))
+    blocked &= bool(np.all(drawn.velocity(np.arange(len(rows)),
+                                          0.25 * f1[rows, None]) == 0.0))
     x_b = flow1d.flow_map_batch(drawn, -1.0, x_t)
     worst = _worst([np.abs(flow1d.flow_map_batch(drawn, 1.0, x_b) - x_t)])
     checks["backward_totality"] = _check(blocked and worst <= 1e-8, len(rows),

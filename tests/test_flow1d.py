@@ -485,10 +485,10 @@ def walk_fibres(box_tail_field):
         fibres.append((bridge_velocity_field(lo, hi, delay),
                        rng.uniform(0.02, 0.98, size=4).tolist()))
     _, field, transect = box_tail_field
-    for i in (3, 11, 20, 31, 44):
-        data = field.fiber_data(transect[i])
-        fibres.append((field.fiber(transect[i]),
-                       rng.uniform(float(data.f[0]), 0.9, size=4).tolist()))
+    rows = [3, 11, 20, 31, 44]
+    f1 = field.fibre_table(transect[rows])[0][:, 0]
+    for fiber, f1_i in zip(field.fibres(transect[rows]).fields, f1.tolist()):
+        fibres.append((fiber, rng.uniform(f1_i, 0.9, size=4).tolist()))
     return fibres
 
 
@@ -747,7 +747,7 @@ def flow_rows(field, rows):
         elif kind == "backward":
             t_i = -2.0 * frac
         else:
-            exit_t = f1.forward_time(field.fiber(p_i), x_i).value
+            exit_t = f1.forward_time(field.fibres(p_i[None]).fields[0], x_i).value
             t_i = 0.9 * frac * exit_t if math.isfinite(exit_t) else 3.0 * frac
         x.append(x_i)
         t.append(t_i)
@@ -761,7 +761,7 @@ class TestFlowMapBatch:
         _, field, _ = epigraph_box
         rows, order = case
         p, x, t = flow_rows(field, rows)
-        alone = np.array([f1.flow_map(field.fiber(p_i), t_i, x_i)
+        alone = np.array([f1.flow_map(field.fibres(p_i[None]).fields[0], t_i, x_i)
                           for p_i, t_i, x_i in zip(p, t.tolist(), x.tolist())])
         order = list(order)
         got = f1.flow_map_batch(field.fibres(p[order]), t[order], x[order])
@@ -777,7 +777,7 @@ class TestFlowMapBatch:
         with pytest.raises(FlowDomainError) as batch:
             f1.flow_map_batch(field.fibres(p), t, x)
         with pytest.raises(FlowDomainError) as alone:
-            f1.flow_map(field.fiber(p[1]), 5.0, 0.5)
+            f1.flow_map(field.fibres(p[1:2]).fields[0], 5.0, 0.5)
         assert ((batch.value.t, batch.value.backward, batch.value.forward)
                 == (alone.value.t, alone.value.backward, alone.value.forward))
         with pytest.raises(InputError, match="NaN"):
@@ -816,7 +816,7 @@ class TestForwardTimeBatch:
     def test_each_row_is_forward_time_alone(self, epigraph_box):
         _, field, _ = epigraph_box
         x = self.starts(field)
-        alone = [f1.forward_time(field.fiber(p_i), x_i)
+        alone = [f1.forward_time(field.fibres(p_i[None]).fields[0], x_i)
                  for p_i, x_i in zip(self.P, x.tolist())]
         modes = [(tof.mode, math.isfinite(tof.value)) for tof in alone]
         assert modes == [(f1.MODE_QUADRATURE, True)] * 2 + [
@@ -832,7 +832,7 @@ class TestForwardTimeBatch:
         x = self.starts(field)
         x[2] = 1.5
         with pytest.raises(InputError, match="outside open domain"):
-            f1.forward_time(field.fiber(self.P[2]), 1.5)
+            f1.forward_time(field.fibres(self.P[2:3]).fields[0], 1.5)
         with pytest.raises(InputError, match="outside open domain"):
             f1.forward_time_batch(field.fibres(self.P), x)
 

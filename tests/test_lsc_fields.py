@@ -12,6 +12,7 @@ from excisionlab import flow1d, lsc_fields as lf, null_fields
 from excisionlab.errors import CoverageError, DepthExhausted, InputError
 from excisionlab.scalar_kit import (ball_bump_from_sq, bridge_crossing_time,
                                     bridge_velocity, smooth_step)
+from towers import band_travel_time_scalar, limit_verdict
 
 
 def constant_spec(value: float) -> lf.LscSpec:
@@ -58,7 +59,7 @@ class TestLscSpec:
     def test_degenerate_base_box_builds(self):
         spec = lf.LscSpec(base_lo=(0.5,), base_hi=(0.5,), pieces=())
         field = lf.build_lsc_field(spec, depth=2)
-        assert field.fiber_data(np.array([0.5])).depth == 2
+        assert field.fiber_data(np.array([0.5]))[2].size == 2
 
 
 def cell_offsets(dim, span):
@@ -160,21 +161,6 @@ def in_support_ref(index, pts, qi, ci):
     q = d2 / (index.radius * index.radius)
     inside = q < 1.0
     return qi[inside], ci[inside], q[inside]
-
-
-def band_travel_time_scalar(g, tau, level, x0, x1):
-    g, tau = lf._check_level(g, tau, level)
-    lo, hi, delay = g[:level], g[1:level + 1], tau[:level]
-    a = np.maximum(x0, lo)
-    b = np.minimum(x1, hi)
-    crossed = b > a
-    lo, hi, delay, a, b = (v[crossed] for v in (lo, hi, delay, a, b))
-    extra = bridge_crossing_time(lo, hi, delay, a, b) - (b - a)
-    # band by band as Python floats: a numpy sum would reorder the terms
-    total = x1 - x0
-    for term in extra.tolist():
-        total += term
-    return total
 
 
 @st.composite
@@ -654,6 +640,26 @@ class TestBallBoundEdges:
         assert bound.shape == (2,) and np.all(np.isfinite(bound))
 
 
+def tower_time(g, tau, level, x0, x1):
+    """Crossing time from ``x0`` up to ``x1`` under tower level ``level`` of
+    one fibre: :func:`lf._tower_time` on a batch of one row, at ends that
+    broadcast, in their shape."""
+    g, tau = np.asarray(g, dtype=float), np.asarray(tau, dtype=float)
+    x0, x1 = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                 np.asarray(x1, dtype=float))
+    return lf._tower_time(g[None, :level + 1], tau[None, :level],
+                          x0.reshape(1, -1), x1.reshape(1, -1)).reshape(x0.shape)
+
+
+def tower_speed(g, tau, level, x):
+    """Speed of tower level ``level`` of one fibre: :func:`lf._tower_speed`
+    on a batch of one row, at points ``x`` in their shape."""
+    g, tau = np.asarray(g, dtype=float), np.asarray(tau, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return lf._tower_speed(g[None, :level + 1], tau[None, :level],
+                           x.reshape(1, -1)).reshape(x.shape)
+
+
 def band_tower(f, g):
     """Delays of the tower on one fibre with thresholds ``f`` and separators
     ``g``, built as the paper's adjust-time steps build them: the first
@@ -661,7 +667,7 @@ def band_tower(f, g):
     to ``f_k``."""
     tau = [f[0]]
     for k in range(1, len(g) - 1):
-        tau.append(lf.band_travel_time(g, tau, k, f[k - 1], f[k]))
+        tau.append(float(tower_time(g, tau, k, f[k - 1], f[k])))
     return np.asarray(tau)
 
 
@@ -676,7 +682,7 @@ class StubBaire:
 
 
 class TestAdjustTime:
-    """The adjust-time steps, evaluated through the band primitive."""
+    """The adjust-time steps, evaluated through the row kernels."""
 
     # first level: threshold 0.2, bridge band (0.4, 0.7)
     G1 = np.array([0.4, 0.7])
@@ -687,39 +693,38 @@ class TestAdjustTime:
         # constant thresholds: unit travel plus the bridge delay sums to 1
         g = self.G1
         tau = band_tower([0.2], g)
-        assert lf.band_travel_time(g, tau, 1, 0.2, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert lf.band_travel_time(g, tau, 1, 0.25, 1.0) < 1.0
-        assert lf.band_travel_time(g, tau, 1, 0.15, 1.0) == pytest.approx(1.05, abs=1e-12)
+        assert tower_time(g, tau, 1, 0.2, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert tower_time(g, tau, 1, 0.25, 1.0) < 1.0
+        assert tower_time(g, tau, 1, 0.15, 1.0) == pytest.approx(1.05, abs=1e-12)
 
     def test_unit_speed_off_band(self):
         g = self.G1
         tau = band_tower([0.2], g)
-        v = lf.band_velocity(g, tau, 1, np.array([0.1, 0.39, 0.45, 0.65, 0.71, 0.9]))
+        v = tower_speed(g, tau, 1, np.array([0.1, 0.39, 0.45, 0.65, 0.71, 0.9]))
         assert v[0] == 1.0 and v[1] == 1.0 and v[4] == 1.0 and v[5] == 1.0
         assert 0.0 < v[2] < 1.0 and 0.0 < v[3] < 1.0
 
     def test_second_level_retiming(self):
         g = self.G2
         tau = band_tower([0.2, 0.3], g)
-        assert lf.band_travel_time(g, tau, 2, 0.3, 1.0) == pytest.approx(1.0, abs=1e-6)
+        assert tower_time(g, tau, 2, 0.3, 1.0) == pytest.approx(1.0, abs=1e-6)
         # coincides with the previous level below its top separator
         xs = np.linspace(0.05, 0.69, 30)
-        assert np.allclose(lf.band_velocity(g, tau, 2, xs),
-                           lf.band_velocity(g, tau, 1, xs))
+        assert np.allclose(tower_speed(g, tau, 2, xs), tower_speed(g, tau, 1, xs))
         # unit speed above the new separator
-        assert lf.band_velocity(g, tau, 2, 0.9) == 1.0
+        assert tower_speed(g, tau, 2, 0.9) == 1.0
 
     def test_delay_via_independent_quadrature(self):
         # the closed-form band delay equals the adaptive quadrature of the
         # previous level's reciprocal speed (dual route)
         g = self.G2
         tau = band_tower([0.2, 0.3], g)
-        inv_speed = lambda x: 1.0 / lf.band_velocity(g, tau, 1, x)
+        inv_speed = lambda x: 1.0 / tower_speed(g, tau, 1, x)
         ref, _, _ = flow1d.adaptive_quad(inv_speed, 0.2, 0.3, tol=1e-12)
         assert tau[1] == pytest.approx(ref, abs=1e-9)
         # the same identity across the first bridge band
         ref, _, _ = flow1d.adaptive_quad(inv_speed, 0.3, 0.6, tol=1e-12)
-        assert lf.band_travel_time(g, tau, 1, 0.3, 0.6) == pytest.approx(ref, abs=1e-9)
+        assert tower_time(g, tau, 1, 0.3, 0.6) == pytest.approx(ref, abs=1e-9)
 
     @staticmethod
     def stub_field(fs, gs):
@@ -741,8 +746,8 @@ class TestAdjustTime:
 
     def test_ordered_tower_accepted(self):
         field = self.stub_field([0.1, 0.2, 0.3], [0.4, 0.6, 0.8])
-        data = field.fiber_data(np.zeros(1))
-        assert np.array_equal(data.tau, band_tower(data.f, data.g))
+        f, g, tau = field.fiber_data(np.zeros(1))
+        assert np.array_equal(tau, band_tower(f, g))
 
 
 def reference_band_velocity(g, tau, level, x):
@@ -767,32 +772,19 @@ def reference_band_travel_time(g, tau, level, x0, x1):
 
 
 class TestBandPrimitives:
-    def test_level_is_guarded(self):
-        g, tau = np.array([0.4, 0.7, 0.85]), np.array([0.2, 0.1])
-        for level, delays in [(0, tau), (3, tau), (2, tau[:1])]:
-            with pytest.raises(InputError):
-                lf.band_velocity(g, delays, level, 0.5)
-            with pytest.raises(InputError):
-                lf.band_travel_time(g, delays, level, 0.1, 1.0)
-
     def test_travel_time_runs_upward_through_the_bands(self, box_tail_field):
         # on the fibre over (0.1, 0.12) of a depth-4 tower, 0.1 -> 0.9 is
-        # slowed by the bands; 0.9 -> 0.1 used to read x1 - x0 = -0.8
+        # slowed by the bands
         field = lf.build_lsc_field(box_tail_field[0], depth=4)
-        data = field.fiber_data(np.array([0.1, 0.12]))
-        assert lf.band_travel_time(data.g, data.tau, 2, 0.1, 0.9) == \
-            pytest.approx(1.0896, abs=1e-4)
-        for x0, x1 in [(0.9, 0.1), (np.array([0.1, 0.5]), np.array([0.2, 0.4]))]:
-            with pytest.raises(InputError, match="x0 must not exceed x1"):
-                lf.band_travel_time(data.g, data.tau, 2, x0, x1)
-        assert lf.band_travel_time(data.g, data.tau, 2, 0.4, 0.4) == 0.0
+        _, g, tau = field.fiber_data(np.array([0.1, 0.12]))
+        assert tower_time(g, tau, 2, 0.1, 0.9) == pytest.approx(1.0896, abs=1e-4)
+        assert tower_time(g, tau, 2, 0.4, 0.4) == 0.0
 
     def test_equal_band_loops_on_box_tail_fibres(self, box_tail_field):
         spec, field, transect = box_tail_field
         rng = np.random.default_rng(3)
         for p in transect[[2, 20, 33]]:
-            data = field.fiber_data(p)
-            g, tau = data.g, data.tau
+            f, g, tau = field.fiber_data(p)
             for level in range(1, field.depth + 1):
                 xs = np.concatenate([
                     rng.uniform(0.0, g[-1], 60),
@@ -800,20 +792,16 @@ class TestBandPrimitives:
                     rng.uniform(g[level], 1.0, 5),      # above the top band
                 ])
                 want = reference_band_velocity(g, tau, level, xs)
-                assert np.array_equal(lf.band_velocity(g, tau, level, xs), want)
+                assert np.array_equal(tower_speed(g, tau, level, xs), want)
                 for x, w in zip(xs[::7], want[::7]):
-                    got = lf.band_velocity(g, tau, level, x)
-                    assert got.shape == () and got == w
-                starts = np.concatenate([data.f, g[:level + 1], rng.uniform(0, 1, 5)])
+                    assert tower_speed(g, tau, level, x) == w
+                starts = np.concatenate([f, g[:level + 1], rng.uniform(0, 1, 5)])
                 for x0 in starts:
                     x1 = float(rng.uniform(x0, 1.0))
                     for end in (x1, 1.0, float(g[level])):
                         if x0 > end:
-                            # a downward stretch is refused, not timed
-                            with pytest.raises(InputError, match="x0 must not"):
-                                lf.band_travel_time(g, tau, level, x0, end)
-                            continue
-                        assert (lf.band_travel_time(g, tau, level, x0, end)
+                            continue        # times run upward only
+                        assert (tower_time(g, tau, level, x0, end)
                                 == reference_band_travel_time(g, tau, level, x0, end))
 
 
@@ -832,7 +820,7 @@ class TestBandPrimitives:
         got = lf._tower_time(g, tau, x0, x1)
         assert got.shape == x0.shape
         for r in range(rows.size):
-            want = lf.band_travel_time(g[r], tau[r], level, x0[r], x1[r])
+            want = tower_time(g[r], tau[r], level, x0[r], x1[r])
             assert got[r].tobytes() == want.tobytes()
 
 
@@ -840,15 +828,9 @@ class TestIntegerArguments:
     """Levels and depths are integers: a bool or a non-integral value is
     refused before any evaluation, and numpy integers are accepted."""
 
-    G, TAU = np.array([0.4, 0.7, 0.85]), np.array([0.2, 0.1])
     CALLS = {
-        "level_exit_time": lambda spec, field, transect, v:
-            field.level_exit_time(transect[3], 0.3, v),
-        "band_velocity": lambda spec, field, transect, v:
-            lf.band_velocity(TestIntegerArguments.G, TestIntegerArguments.TAU, v, 0.5),
-        "band_travel_time": lambda spec, field, transect, v:
-            lf.band_travel_time(TestIntegerArguments.G, TestIntegerArguments.TAU,
-                                v, 0.1, 1.0),
+        "level_upper_bound": lambda spec, field, transect, v:
+            field.baire.level_upper_bound(v, transect[:2], 0.25),
         "glued_field": lambda spec, field, transect, v:
             lf.GluedField(spec, field.baire, field.majorants, v),
         "build_lsc_field": lambda spec, field, transect, v:
@@ -865,68 +847,79 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_numpy_integer_is_accepted(self, box_tail_field, name):
-        got = self.CALLS[name](*box_tail_field, np.int64(2))
-        want = self.CALLS[name](*box_tail_field, 2)
-        if isinstance(want, (float, np.ndarray)):
-            assert np.array_equal(got, want)
+        self.CALLS[name](*box_tail_field, np.int64(2))
 
 
 class TestArrayExitTimes:
-    """Exit times on arrays equal the scalar band time point by point."""
+    """Exit times on arrays equal the scalar band time point by point, and
+    the batch verdicts the per-point ones."""
 
     def test_band_travel_time_equals_the_scalar_one(self, box_tail_field):
         spec, field, transect = box_tail_field
         rng = np.random.default_rng(5)
         for p in transect[[2, 13, 20, 33, 47]]:
-            data = field.fiber_data(p)
-            g, tau = data.g, data.tau
+            f, g, tau = field.fiber_data(p)
             for level in range(1, field.depth + 1):
                 x0 = np.concatenate([
                     rng.uniform(0.0, g[-1], 40),
                     g,                                  # exactly on separators
-                    data.f,
+                    f,
                     rng.uniform(g[level], 1.0, 5),      # above the top band
                 ])
                 want = [band_travel_time_scalar(g, tau, level, x, 1.0)
                         for x in x0.tolist()]
-                assert np.array_equal(lf.band_travel_time(g, tau, level, x0, 1.0),
-                                      want)
-                assert np.array_equal(field.level_exit_time(p, x0, level), want)
+                assert np.array_equal(tower_time(g, tau, level, x0, 1.0), want)
                 # pairwise ends, a quarter of them empty stretches
                 x1 = np.maximum(x0, rng.uniform(0.0, 1.0, x0.size))
                 x1[::4] = x0[::4]
                 want = [band_travel_time_scalar(g, tau, level, a, b)
                         for a, b in zip(x0.tolist(), x1.tolist())]
-                assert np.array_equal(lf.band_travel_time(g, tau, level, x0, x1),
-                                      want)
-                got = lf.band_travel_time(g, tau, level, float(x0[0]), float(x1[0]))
-                assert type(got) is float and got == want[0]
+                assert np.array_equal(tower_time(g, tau, level, x0, x1), want)
+                assert tower_time(g, tau, level, float(x0[0]),
+                                  float(x1[0])) == want[0]
 
     def test_limit_times_and_verdicts_per_point(self, box_tail_field):
         spec, field, transect = box_tail_field
         xs = np.linspace(0.05, 0.9, 50)
-        clear = spec.boundary_distance(transect) >= 1e-3
-        for p, lam_p in zip(transect[clear], spec.lam(transect[clear])):
-            x = xs[np.abs(xs - lam_p) >= 1e-3]
-            lower, upper = field.limit_exit_time(p, x)
-            verdicts = field.classify(p, x)
-            assert lower.shape == upper.shape == verdicts.shape == x.shape
-            for i, x_i in enumerate(x.tolist()):
-                lo_i, up_i = field.limit_exit_time(p, x_i)
-                assert (lower[i], upper[i]) == (lo_i, up_i)
-                assert verdicts[i] == field.classify(p, x_i)
-            assert np.array_equal(verdicts,
-                                  np.where(x >= lam_p, "excised", "survives"))
+        ps = transect[spec.boundary_distance(transect) >= 1e-3]
+        excised, undecided = field.classify(ps, xs)
+        assert excised.shape == undecided.shape == (ps.shape[0], xs.size)
+        for p, row_ex, row_un in zip(ps, excised.tolist(), undecided.tolist()):
+            want = [limit_verdict(field, p, x) for x in xs.tolist()]
+            assert row_un == [v is None for v in want]
+            assert row_ex == [v == "excised" for v in want]
 
-    def test_one_point_above_the_tower_refuses_the_fibre(self, box_tail_field):
+    @pytest.mark.parametrize("depth", [2, 14])
+    def test_classify_equals_the_per_point_reference(self, box_tail_field,
+                                                     depth):
+        # bit for bit in its masks, on permuted and repeated fibres and at
+        # points on and above each fibre's deepest separator
+        spec, _, transect = box_tail_field
+        field = lf.build_lsc_field(spec, depth=depth)
+        ps = transect[[2, 20, 33, 20, 45, 11, 2, 24, 25]]
+        top = field.fibre_table(ps)[1][:3, -1]
+        xs = np.concatenate([np.linspace(0.0, 1.0, 41), top,
+                             np.nextafter(top, 0.0), np.nextafter(top, 1.0)])
+        excised, undecided = field.classify(ps, xs)
+        assert np.any(excised) and np.any(undecided)
+        assert np.any(~(excised | undecided))
+        for p, row_ex, row_un in zip(ps, excised.tolist(), undecided.tolist()):
+            want = [limit_verdict(field, p, x) for x in xs.tolist()]
+            assert row_un == [v is None for v in want]
+            assert row_ex == [v == "excised" for v in want]
+
+    def test_points_above_the_tower_are_undecided(self, box_tail_field):
+        # a point at or above the deepest separator is undecided, and the
+        # other points of its fibre keep their verdicts
         _, field, transect = box_tail_field
         p = transect[5]
-        top = float(field.fiber_data(p).g[-1])
-        x = np.array([0.3, top, 0.5])
-        with pytest.raises(DepthExhausted, match=f"query x={top}"):
-            field.limit_exit_time(p, x)
-        with pytest.raises(DepthExhausted):
-            field.classify(p, x)
+        top = float(field.fiber_data(p)[1][-1])
+        xs = np.array([0.3, top, np.nextafter(top, 1.0), 0.5])
+        excised, undecided = field.classify(p[None], xs)
+        assert undecided.tolist() == [[False, True, True, False]]
+        assert not np.any(excised[undecided])
+        for x, ex in zip(xs[[0, 3]].tolist(), excised[0, [0, 3]].tolist()):
+            assert limit_verdict(field, p, x) == ("excised" if ex else "survives")
 
 
 def level_checks_per_fibre(field, fibres, xs):
@@ -935,22 +928,22 @@ def level_checks_per_fibre(field, fibres, xs):
     mism = tested = 0
     nest_ok = coincide_ok = True
     for p in fibres:
-        data = field.fiber_data(p)
+        f, g, tau = field.fiber_data(p)
         for lvl in (1, max(2, field.depth // 2), field.depth):
-            fn = data.f[lvl - 1]
+            fn = f[lvl - 1]
             x = xs[~(np.abs(xs - fn) < 1e-6)]
             tested += x.size
-            t_exit = field.level_exit_time(p, x, lvl)
+            t_exit = tower_time(g, tau, lvl, x, 1.0)
             mism += int(np.count_nonzero((t_exit <= 1.0) != (x >= fn)))
-        xs_f = np.linspace(0.05, float(data.g[-1]) - 1e-3, 40)
+        xs_f = np.linspace(0.05, float(g[-1]) - 1e-3, 40)
         prev = None
         for lvl in range(1, field.depth + 1):
-            v = lf.band_velocity(data.g, data.tau, lvl, xs_f)
+            v = tower_speed(g, tau, lvl, xs_f)
             if prev is not None:
                 nest_ok &= bool(np.all(v <= prev + 1e-14)) and bool(np.all(v > 0))
-                low = xs_f <= data.g[lvl - 1]
+                low = xs_f <= g[lvl - 1]
                 coincide_ok &= bool(np.all(v[low] == prev[low]))
-                high = xs_f >= data.g[lvl]
+                high = xs_f >= g[lvl]
                 coincide_ok &= bool(np.all(v[high] == 1.0))
             prev = v
     return mism, tested, nest_ok and coincide_ok
@@ -971,12 +964,11 @@ class TestGluedField:
         for i, p in enumerate(transect):
             want = one_point.fiber_data(p)
             cached = tabled.fiber_data(p)
-            for row, b, a in zip(table, (want.f, want.g, want.tau),
-                                 (cached.f, cached.g, cached.tau)):
+            for row, b, a in zip(table, want, cached):
                 assert row[i].tobytes() == a.tobytes() == b.tobytes()
                 assert row[i].shape == a.shape == b.shape
             # the delays are the per-fibre recursion's
-            assert table[2][i].tobytes() == band_tower(want.f, want.g).tobytes()
+            assert table[2][i].tobytes() == band_tower(*want[:2]).tobytes()
 
     def test_table_with_a_bad_row_is_refused(self, box_tail_field,
                                              monkeypatch):
@@ -996,13 +988,9 @@ class TestGluedField:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_fibre_point_is_refused(self, box_tail_field, bad):
         _, field, transect = box_tail_field
-        p = transect[4]
-        calls = (field.velocity, field.limit_exit_time, field.classify,
-                 lambda p, x: field.level_exit_time(p, x, 2))
-        for call in calls:
-            for x in (bad, np.array([0.3, bad])):
-                with pytest.raises(InputError, match="fibre points must be finite"):
-                    call(p, x)
+        for x in (bad, np.array([0.3, bad])):
+            with pytest.raises(InputError, match="fibre points must be finite"):
+                field.classify(transect[4:6], x)
 
     def test_cached_rows_are_read_not_tabled(self, box_tail_field,
                                              monkeypatch):
@@ -1044,7 +1032,7 @@ class TestGluedField:
             tau = 0.7 * tau
             tau[7, 1] = -tau[7, 1]
             for row, f_r, g_r, tau_r in zip(transect, f, g, tau):
-                field._fiber_cache[row.tobytes()] = lf.FiberData(f_r, g_r, tau_r)
+                field._fiber_cache[row.tobytes()] = (f_r, g_r, tau_r)
         got = field.level_checks(transect, xs)
         assert got == level_checks_per_fibre(field, transect, xs)
         if tampered:
@@ -1067,25 +1055,30 @@ class TestGluedField:
     @pytest.mark.parametrize("x", [1.5, -0.5, [0.3, 1.0 + 1e-12], [-1e-300, 0.3]])
     def test_point_off_the_fibre_is_refused(self, box_tail_field, x):
         _, field, transect = box_tail_field
-        p = transect[4]
-        calls = (field.limit_exit_time, field.classify,
-                 lambda p, x: field.level_exit_time(p, x, 2))
-        for call in calls:
-            with pytest.raises(InputError, match=re.escape("lie in [0, 1]")):
-                call(p, x)
-        # the ends of the fibre are on it
-        assert field.level_exit_time(p, 1.0, 2) == 0.0
-        assert field.level_exit_time(p, 0.0, 2) > 1.0
+        with pytest.raises(InputError, match=re.escape("lie in [0, 1]")):
+            field.classify(transect[4:6], x)
+        # the ends of the fibre are on it; the top end lies above the tower
+        excised, undecided = field.classify(transect[4:5], [0.0, 1.0])
+        assert (excised.tolist(), undecided.tolist()) == ([[False, False]],
+                                                          [[False, True]])
+        assert field.level_checks(transect[4:5], [0.0, 1.0]) == (0, 6, True)
+
+    @pytest.mark.parametrize("xs", [[np.nan, 0.5], [1.5, 0.5], [-0.3, 0.5],
+                                    [np.inf]])
+    def test_level_checks_refuse_bad_fibre_points(self, box_tail_field, xs):
+        # such points used to count as tested, and as passing
+        _, field, transect = box_tail_field
+        with pytest.raises(InputError, match="fibre points must"):
+            field.level_checks(transect[:2], xs)
 
     def test_cached_fibre_data_is_read_only(self, box_tail_field):
         spec, field, transect = box_tail_field
         p = transect[9]
-        data = field.fiber_data(p)
-        want = data.tau.copy()
-        for arr in (data.f, data.g, data.tau):
+        want = field.fiber_data(p)[2].copy()
+        for arr in field.fiber_data(p):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
-        assert np.array_equal(field.fiber_data(p).tau, want)
+        assert np.array_equal(field.fiber_data(p)[2], want)
 
     def test_non_finite_base_point_is_refused(self, box_tail_field):
         _, field, _ = box_tail_field
@@ -1094,51 +1087,44 @@ class TestGluedField:
 
     def test_tower_thresholds_are_exact(self, box_tail_field):
         spec, field, transect = box_tail_field
-        p = transect[7]
-        data = field.fiber_data(p)
+        f, g, tau = field.fiber_data(transect[7])
         for lvl in (1, 4, field.depth):
-            t = field.level_exit_time(p, float(data.f[lvl - 1]), lvl)
+            t = tower_time(g, tau, lvl, f[lvl - 1], 1.0)
             assert t == pytest.approx(1.0, abs=1e-10)
 
     def test_level_classification(self, box_tail_field):
         spec, field, transect = box_tail_field
         rng = np.random.default_rng(0)
         for _ in range(150):
-            p = transect[rng.integers(0, transect.shape[0])]
-            data = field.fiber_data(p)
+            f, g, tau = field.fiber_data(transect[rng.integers(0, transect.shape[0])])
             lvl = int(rng.integers(1, field.depth + 1))
-            fn = float(data.f[lvl - 1])
+            fn = float(f[lvl - 1])
             for dx in (-0.05, -1e-4, 1e-4, 0.05):
                 x = fn + dx
                 if not (0.0 < x < 0.9):
                     continue
-                t = field.level_exit_time(p, x, lvl)
+                t = tower_time(g, tau, lvl, x, 1.0)
                 assert (t <= 1.0) == (x >= fn)
 
     def test_limit_classification(self, box_tail_field):
         spec, field, transect = box_tail_field
         xs = np.linspace(0.05, 0.9, 50)
-        mismatches = 0
-        clear = spec.boundary_distance(transect) >= 1e-3
-        for p, lam_p in zip(transect[clear], spec.lam(transect[clear])):
-            for x in xs:
-                if abs(x - lam_p) < 1e-3:
-                    continue
-                verdict = field.classify(p, float(x))
-                want = "excised" if x >= lam_p else "survives"
-                mismatches += int(verdict != want)
-        assert mismatches == 0
+        ps = transect[spec.boundary_distance(transect) >= 1e-3]
+        lam = spec.lam(ps)[:, None]
+        excised, undecided = field.classify(ps, xs)
+        kept = ~(np.abs(xs - lam) < 1e-3)
+        assert not np.any(undecided[kept])
+        assert np.array_equal(excised[kept], (xs >= lam)[kept])
 
     def test_cutoff_freezes_bottom(self, box_tail_field):
         spec, field, transect = box_tail_field
         p = transect[3]
-        data = field.fiber_data(p)
-        assert field.velocity(p, 0.25 * float(data.f[0])) == 0.0
+        f1 = float(field.fiber_data(p)[0][0])
+        assert field.fibres(p[None]).fields[0](0.25 * f1) == 0.0
 
     def test_backward_time_is_unbounded(self, box_tail_field):
         spec, field, transect = box_tail_field
-        p = transect[11]
-        fiber = field.fiber(p)
+        fiber = field.fibres(transect[11:12]).fields[0]
         tof = flow1d.backward_time(fiber, 0.5)
         assert tof.value == -math.inf
 
@@ -1148,7 +1134,7 @@ class TestGluedField:
         worst = 0.0
         for _ in range(30):
             p = transect[rng.integers(0, transect.shape[0])]
-            fiber = field.fiber(p)
+            fiber = field.fibres(p[None]).fields[0]
             x_t = rng.uniform(0.3, 0.85)
             x_b = flow1d.flow_map(fiber, -1.0, x_t)
             x_f = flow1d.flow_map(fiber, 1.0, x_b)
@@ -1159,17 +1145,18 @@ class TestGluedField:
     @given(i=st.integers(0, 49), x=st.floats(0.3, 0.85), t=st.floats(0.0, 1.0))
     def test_backward_then_forward_is_identity(self, box_tail_field, i, x, t):
         _, field, transect = box_tail_field
-        fiber = field.fiber(transect[i])
+        fiber = field.fibres(transect[i:i + 1]).fields[0]
         back = flow1d.flow_map(fiber, -t, x)
         assert abs(flow1d.flow_map(fiber, t, back) - x) <= 1e-8
 
     def test_is_a_per_fibre_field(self, box_tail_field):
-        # a batch of base points is refused at the edge, not deep inside
+        # a field of fibres, not an ambient one; a batch where one base
+        # point belongs is refused at the edge, not deep inside
         _, field, transect = box_tail_field
         assert not isinstance(field, null_fields.EpigraphField)
         assert not hasattr(field, "jet")
         with pytest.raises(InputError, match=r"base point must have shape \(2,\)"):
-            field.velocity(transect[2:5], np.full(3, 0.5))
+            field.fiber_data(transect[2:5])
 
     @pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 2), (2, 2)])
     def test_base_point_shape_is_checked(self, box_tail_field, shape):
@@ -1180,39 +1167,42 @@ class TestGluedField:
     def test_depth_exhaustion_is_loud(self, box_tail_field):
         spec, field, transect = box_tail_field
         p = transect[5]
-        top = float(field.fiber_data(p).g[-1])
+        top = float(field.fiber_data(p)[1][-1])
+        fibres = field.fibres(p[None])
         with pytest.raises(DepthExhausted):
-            field.velocity(p, top + 1e-6)
+            fibres.fields[0](top + 1e-6)
+        with pytest.raises(DepthExhausted):
+            fibres.velocity(np.array([0]), np.full((1, 15), top))
 
 
-def tower_nodes(data) -> np.ndarray:
+def tower_nodes(f, g) -> np.ndarray:
     """Points of one fibre in every part of the glued tower: inside the
     cutoff below ``f_1/2``, on its ramp, at unit speed below ``g_0``, in
     every band, on every separator below the top and just above it."""
-    f1, g = float(data.f[0]), data.g
+    f1 = float(f[0])
     return np.concatenate([
         [0.25 * f1, 0.5 * f1, 0.75 * f1, 0.5 * (f1 + g[0])],
         0.5 * (g[:-1] + g[1:]), g[:-1], np.nextafter(g[:-1], 1.0)])
 
 
 class TestGluedFibres:
-    """``GluedField.fibres`` is a batch of :meth:`GluedField.fiber`: every
-    value and every flow is bitwise that fibre's own."""
+    """``GluedField.fibres`` flows a batch of fibres: every value and every
+    flow is bitwise that fibre's own, as in a batch of one."""
 
     ROWS = [2, 20, 33, 20, 45, 11]
 
     def test_batch_velocity_is_each_fibre_alone(self, box_tail_field):
         _, field, transect = box_tail_field
         ps = transect[self.ROWS]
-        nodes = np.stack([tower_nodes(field.fiber_data(p)) for p in ps])
+        nodes = np.stack([tower_nodes(*field.fiber_data(p)[:2]) for p in ps])
         fibres = field.fibres(ps)
         assert len(fibres.fields) == len(self.ROWS)
         for rows in (np.arange(len(self.ROWS)), np.array([5, 0, 0, 3, 1])):
             got = fibres.velocity(rows, nodes[rows])
             for r, row in zip(rows, got):
-                want = field.fiber(ps[r])(nodes[r])
+                want = field.fibres(ps[r][None]).fields[0](nodes[r])
                 assert row.tobytes() == want.tobytes()
-                assert want.tobytes() == field.velocity(ps[r], nodes[r]).tobytes()
+                assert want.tobytes() == fibres.fields[r](nodes[r]).tobytes()
         # the cutoff freezes the bottom, and every band slows the flow
         depth = field.depth
         assert np.all(got[:, 0] == 0.0)
@@ -1236,11 +1226,11 @@ class TestGluedFibres:
         _, field, transect = box_tail_field
         rng = np.random.default_rng(5)
         idx = rng.integers(0, transect.shape[0], 12)
-        x_t = np.array([rng.uniform(float(field.fiber_data(p).f[0]), 0.9)
+        x_t = np.array([rng.uniform(float(field.fiber_data(p)[0][0]), 0.9)
                         for p in transect[idx]])
         back, there = [], []
         for p, x in zip(transect[idx], x_t.tolist()):
-            fiber = field.fiber(p)
+            fiber = field.fibres(p[None]).fields[0]
             back.append(flow1d.flow_map(fiber, -1.0, x))
             there.append(flow1d.flow_map(fiber, 1.0, back[-1]))
         back, there = np.array(back), np.array(there)
@@ -1261,12 +1251,7 @@ class TestGluedFibres:
             calls.append(x.shape)
             return real(g, tau, x)
         monkeypatch.setattr(lf, "_tower_speed", spy)
-        p = transect[7]
-        data = field.fiber_data(p)
-        x = np.full(3, 0.5)
-        lf.band_velocity(data.g, data.tau, 2, x)
-        field.velocity(p, x)
-        field.fiber(p)(x)
+        field.fibres(transect[7:8]).fields[0](np.full(3, 0.5))
         field.fibres(transect[[7, 8]]).velocity(np.array([1, 0]),
                                                 np.full((2, 15), 0.5))
-        assert calls == [(1, 3)] * 3 + [(2, 15)]
+        assert calls == [(1, 3), (2, 15)]

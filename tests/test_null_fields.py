@@ -135,7 +135,7 @@ class TestFibreFlows:
         rng = np.random.default_rng(1)
         for _ in range(200):
             x = rng.uniform(0.0, 0.9)
-            fiber = field.fiber(np.array([0.0]))
+            fiber = field.fibres(np.array([[0.0]])).fields[0]
             tof = flow1d.forward_time(fiber, x)
             x1 = flow1d.flow_map(fiber, 0.7 * tof.value, x)
             assert x1 >= x          # the fibre only moves up
@@ -170,7 +170,7 @@ class TestFibreFlowProperties:
         # flow_map(s + t) = flow_map(t) o flow_map(s): backward flows are
         # total on epigraph fibres, so every composition is defined
         _, field, _ = epigraph_box
-        fiber = field.fiber(np.array(p))
+        fiber = field.fibres(np.array([p])).fields[0]
         once = flow1d.flow_map(fiber, s + t, x)
         twice = flow1d.flow_map(fiber, t, flow1d.flow_map(fiber, s, x))
         assert abs(once - twice) <= 1e-10
@@ -180,7 +180,7 @@ class TestFibreFlowProperties:
         # meet v = 0 (1/v = inf) while the bracket closes in on it; under
         # the suite's error::RuntimeWarning filter a warning would raise
         _, field, _ = epigraph_box
-        fiber = field.fiber(np.array([0.48876145, 0.70375182]))
+        fiber = field.fibres(np.array([[0.48876145, 0.70375182]])).fields[0]
         x = -0.6860298096716246
         assert fiber.zero_regions[0][1] < x
         once = flow1d.flow_map(fiber, -0.47511112, x)

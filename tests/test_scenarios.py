@@ -10,8 +10,9 @@ import pytest
 
 from excisionlab import (cli, flow1d, lsc_fields, null_fields, scenarios,
                          symflow, trees)
-from excisionlab.errors import DepthExhausted, InputError, StencilError
+from excisionlab.errors import InputError, StencilError
 from excisionlab.ham_extension import RayHamiltonian
+from towers import limit_verdict
 
 RAY_CHECKS = {
     "escape_classification", "symplecticity", "inverse_consistency",
@@ -199,9 +200,8 @@ class TestDriver:
                 if abs(x - lam_p) < cfg.margin:
                     continue
                 tested += 1
-                try:
-                    verdict = field.classify(p, float(x))
-                except DepthExhausted:
+                verdict = limit_verdict(field, p, float(x))
+                if verdict is None:
                     undecided += 1
                     continue
                 mism += int(verdict != ("excised" if x >= lam_p else "survives"))

@@ -9,9 +9,11 @@ stages:
    ``lam`` from below, built level by level from blended lattice bumps
    whose constants sit strictly between the previous level and the target
    (:func:`baire_sequence`).  :meth:`BaireSequence.raw_values` evaluates a
-   batch in blocks of ``BLOCK_ROWS`` rows, every level of a block before
-   the next block, so each block's candidate arrays stay cache-sized; every
-   row depends only on its own pairs, so blocking changes no bit;
+   batch in blocks of ``BLOCK_ROWS`` rows, every level of a block in one
+   go, so each block's candidate arrays stay cache-sized.  Blocks may run
+   concurrently on a small thread pool (:func:`_blockwise`) and are
+   concatenated in block order; every row depends only on its own pairs,
+   so neither the blocking nor the thread that ran a block changes a bit;
 2. smooth separators ``g_n`` with ``f_{n+1} < g_n < g_{n+1} < 1`` and
    ``sup g_n = 1``: the columns of one bump blend over one lattice, whose
    constants in column ``n`` sit above an exact over-ball bound of the
@@ -42,9 +44,11 @@ below ``f_1(p)/2`` makes every backward trajectory take infinite time.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,14 +82,90 @@ GATE_HI_MARGIN = 1e-4
 MAJORANT_SCALE = 0.25
 
 # query rows per block of a tower evaluation: at the deepest box-tail level
-# a block's candidate arrays then hold about 75k pairs, about 0.6 MB each
+# a block's candidate arrays then hold about 75k pairs, about 0.6 MB each,
+# and the blocks of a batch share the threads of _blockwise
 BLOCK_ROWS = 2048
+
+# candidate pairs per block of a ball-max join, the size of the deepest
+# tower block: at the deepest box-tail level one join over all 1,369
+# separator centers would hold about 0.55M pairs
+JOIN_PAIRS = 75_000
+
+# (executor, threads) of the threads that run blocks beside the caller,
+# built by _block_pool on the first batch of several blocks and dropped in
+# a forked child
+_pool = None
 
 
 def _check_integer(name: str, value) -> None:
     """Refuse a bool or a non-integral count; numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _block_pool():
+    """``(executor, threads)`` of the threads that run blocks beside the
+    caller: one per usable CPU beyond the first, built on the first call.
+    None on a host with one usable CPU."""
+    global _pool
+    if _pool is None:
+        threads = len(os.sched_getaffinity(0)) - 1
+        if threads < 1:
+            return None
+        # imported here: a run that never blocks a batch never loads it
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(threads, thread_name_prefix="lsc-block"), threads
+    return _pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, where its threads do not exist."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _blockwise(fn, pts: np.ndarray, rows: int) -> np.ndarray:
+    """``fn`` over the blocks of ``rows`` rows of ``pts``, its results
+    concatenated in block order, so for a row-independent ``fn`` the bits
+    do not depend on the blocking or on the thread that ran a block.  An
+    empty batch is one empty block.
+
+    With more than one block, the threads of :func:`_block_pool` and the
+    calling thread claim blocks in batch order until none is left; each
+    pool task runs in a copy of the caller's context, so its blocks see the
+    caller's ``np.errstate``.  After a failure no further block is
+    claimed, every claimed block finishes, and the first failure in batch
+    order is raised: the one a plain loop over the blocks would raise."""
+    blocks = [pts[i:i + rows] for i in range(0, pts.shape[0], rows)] or [pts]
+    pool = _block_pool() if len(blocks) > 1 else None
+    if pool is None:
+        return np.concatenate([fn(block) for block in blocks])
+    executor, threads = pool
+    results = [None] * len(blocks)
+    failures = {}
+    claims = itertools.count()
+
+    def drain():
+        while not failures:
+            i = next(claims)
+            if i >= len(blocks):
+                return
+            try:
+                results[i] = fn(blocks[i])
+            except Exception as exc:
+                failures[i] = exc
+
+    tasks = [executor.submit(contextvars.copy_context().run, drain)
+             for _ in range(min(threads, len(blocks) - 1))]
+    drain()
+    for task in tasks:
+        task.result()
+    if failures:
+        raise failures[min(failures)]
+    return np.concatenate(results)
 
 
 def _query_batch(points, dim: int) -> np.ndarray:
@@ -229,9 +309,10 @@ class _NeighborIndex:
         codes = (keys - self._key_lo) @ self._key_strides
         self._order = np.argsort(codes, kind="stable")
         self._sorted_codes = codes[self._order]
+        n_cells = int(np.prod(self._key_shape))
         # cell c holds the sorted positions _cell_start[c] .. _cell_start[c+1] - 1
-        self._cell_start = np.searchsorted(
-            self._sorted_codes, np.arange(int(np.prod(self._key_shape)) + 1))
+        self._cell_start = np.searchsorted(self._sorted_codes, np.arange(n_cells + 1))
+        self._per_cell = centers.shape[0] / max(n_cells, 1)
         # center columns in sorted order, read by sorted position
         self._sorted_cols = [np.ascontiguousarray(col)
                              for col in centers.take(self._order, axis=0).T]
@@ -298,7 +379,18 @@ class _NeighborIndex:
     def max_over_balls(self, pts: np.ndarray, reach: float,
                        values: np.ndarray) -> np.ndarray:
         """Per query point, the max of ``values`` over centers within
-        ``reach``; minus infinity where no center is in reach."""
+        ``reach``; minus infinity where no center is in reach.  The join
+        runs through :func:`_blockwise` in blocks of about ``JOIN_PAIRS``
+        candidate pairs, counted from the mean centers per cell; a max is
+        exact, so every blocking gives the same bits."""
+        cells = (2 * math.ceil(reach / self.radius) + 1) ** self.dim
+        rows = max(1, int(JOIN_PAIRS / max(cells * self._per_cell, 1.0)))
+        return _blockwise(lambda block: self._ball_max(block, reach, values),
+                          pts, rows)
+
+    def _ball_max(self, pts: np.ndarray, reach: float,
+                  values: np.ndarray) -> np.ndarray:
+        """:meth:`max_over_balls` of one block."""
         qi, pos = self.pairs(pts, reach=reach, positions=True)
         keep = np.flatnonzero(self._sq_dist(pts, qi, pos) <= reach * reach)
         qi, ci = qi.take(keep), self._order.take(pos.take(keep))
@@ -344,7 +436,9 @@ class _BlendField:
         """Exact upper bound for ``sup`` of the blend over balls of radius
         ``reach``: the max of its constants over centers within ``reach``
         plus the bump radius (a blend never exceeds the constants that
-        reach into the ball).  ``reach`` must be finite and nonnegative."""
+        reach into the ball), joined in blocks of about ``JOIN_PAIRS``
+        candidate pairs by :meth:`_NeighborIndex.max_over_balls`.
+        ``reach`` must be finite and nonnegative."""
         pts = _query_batch(pts, self.index.dim)
         if not (math.isfinite(reach) and reach >= 0.0):
             raise InputError(f"reach must be finite and >= 0, got {reach!r}")
@@ -401,17 +495,15 @@ class BaireSequence:
 
     def raw_values(self, points) -> np.ndarray:
         """(m, depth) matrix of all exposed levels at an ``(m, dim)`` batch
-        of query points, evaluated in blocks of ``BLOCK_ROWS`` rows."""
+        of query points, evaluated in blocks of ``BLOCK_ROWS`` rows by
+        :func:`_blockwise`."""
         pts = _query_batch(points, self.spec.dim)
         key = pts.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
 
-        # an empty batch is one empty block
-        starts = range(0, pts.shape[0], BLOCK_ROWS) or [0]
-        out = np.concatenate([self._block_values(pts[i:i + BLOCK_ROWS])
-                              for i in starts])
+        out = _blockwise(self._block_values, pts, BLOCK_ROWS)
         # callers share the cached array, so nobody may write into it
         out.flags.writeable = False
         self._cache[key] = out

@@ -1,7 +1,12 @@
 """Baire minorants, separators, and the glued velocity tower."""
 
 import math
+import os
 import re
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -424,9 +429,20 @@ def levels_below(seq, n):
     return below
 
 
+@pytest.fixture
+def three_threads(monkeypatch):
+    """A pool of three threads for ``_blockwise``, more than the host may
+    have CPUs, so the threaded path runs on any host."""
+    with ThreadPoolExecutor(3) as executor:
+        monkeypatch.setattr(lf, "_block_pool", lambda: (executor, 3))
+        yield
+
+
 class TestBlockedRawValues:
-    """``raw_values`` evaluates blocks of ``BLOCK_ROWS`` rows; every block
-    size gives the same bits as one block and as one row per call."""
+    """``raw_values`` evaluates blocks of ``BLOCK_ROWS`` rows and the ball
+    maxima blocks of about ``JOIN_PAIRS`` candidate pairs, through
+    ``_blockwise``; every block size gives the same bits as one block and
+    as one row per call, with the blocks on a thread pool or inline."""
 
     @pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "above_m"])
     def test_blocks_equal_one_block_and_per_row_calls(self, shallow_box_tail,
@@ -457,6 +473,100 @@ class TestBlockedRawValues:
         seq = levels_below(field.baire, len(field.baire._levels))
         assert np.array_equal(seq.raw_values(pts),
                               raw_values_unpruned(field.baire, pts))
+
+    @pytest.mark.parametrize("rows, pairs", [(1, 300), (7, 3000), (None, None)],
+                             ids=["1", "7", "above_m"])
+    def test_pool_and_inline_give_the_same_bits(self, shallow_box_tail,
+                                                monkeypatch, rows, pairs):
+        field, pts = shallow_box_tail
+        pts = pts[::2]
+        seq = field.baire
+        top = lf._BlendField(field.majorants.index, field.majorants.c_vals[:, -1].copy())
+
+        def evaluate():
+            built = lf.build_lsc_field(field.spec, depth=2)
+            return [levels_below(seq, len(seq._levels)).raw_values(pts),
+                    built.majorants.c_vals, built.majorants(pts),
+                    top.ball_upper_bound(pts, 0.1),
+                    seq.level_upper_bound(seq.depth, pts, 0.1)]
+
+        monkeypatch.setattr(lf, "_block_pool", lambda: None)
+        monkeypatch.setattr(lf, "JOIN_PAIRS", 10**12)
+        one_block = evaluate()
+        # 506 rows in ragged blocks of 7 rows, and of 3 or 30 rows per join
+        monkeypatch.setattr(lf, "BLOCK_ROWS", rows or pts.shape[0] + 1)
+        monkeypatch.setattr(lf, "JOIN_PAIRS", pairs or 10**12)
+        inline = evaluate()
+        with ThreadPoolExecutor(3) as executor:
+            monkeypatch.setattr(lf, "_block_pool", lambda: (executor, 3))
+            pooled = evaluate()
+        for a, b, c in zip(one_block, inline, pooled):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+            assert a.shape == b.shape == c.shape
+
+    def test_coverage_error_names_the_first_bad_row(self, shallow_box_tail,
+                                                    monkeypatch, three_threads):
+        field, pts = shallow_box_tail
+        bad = pts[:40].copy()
+        bad[9] = (9.0, 9.0)      # block 1 of 7-row blocks
+        bad[30] = (30.0, 30.0)   # block 4
+        monkeypatch.setattr(lf, "BLOCK_ROWS", 7)
+        with pytest.raises(CoverageError, match=re.escape("[9.0, 9.0]")):
+            levels_below(field.baire, 2).raw_values(bad)
+
+    def test_first_failure_in_batch_order_wins_over_the_first_in_time(
+            self, three_threads):
+        # block 2 fails first in time; block 1 fails only after it
+        later = threading.Event()
+
+        def fn(block):
+            if block[0] == 1:
+                assert later.wait(10)
+                raise ValueError("block 1")
+            if block[0] == 2:
+                later.set()
+                raise ValueError("block 2")
+            return block
+
+        with pytest.raises(ValueError, match="block 1"):
+            lf._blockwise(fn, np.arange(6.0), 1)
+
+    def test_blocks_see_the_callers_errstate(self, three_threads):
+        # the first four blocks meet at a barrier, so four threads, three
+        # of them the pool's, each run one
+        meet = threading.Barrier(4, timeout=10)
+        seen = []
+
+        def fn(block):
+            if block[0] < 4:
+                meet.wait()
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return block
+
+        with np.errstate(divide="ignore"):
+            out = lf._blockwise(fn, np.arange(20.0), 1)
+        assert np.array_equal(out, np.arange(20.0))
+        assert len({ident for ident, _ in seen}) == 4
+        assert {mode for _, mode in seen} == {"ignore"}
+
+    def test_a_forked_child_drops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(lf, "_pool", object())   # a pool with no threads
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = lf._pool is None and np.array_equal(
+                    lf._blockwise(np.negative, np.arange(8.0), 1), -np.arange(8.0))
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
     def test_empty_batch_gives_empty_matrices(self, shallow_box_tail):
         field, _ = shallow_box_tail

@@ -3,7 +3,10 @@ benchmark in ``perfbench/`` wraps by name is still there to wrap, and the
 scenarios module stays small enough to compile cheaply."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -61,3 +64,13 @@ def test_scenarios_module_stays_below_8192_parser_tokens():
     with open(scenarios.__file__, "rb") as fh:
         count = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
     assert count < 8192, f"scenarios.py has {count} parser tokens"
+
+
+def test_importing_the_scenarios_leaves_the_thread_pool_unloaded():
+    # lsc_fields imports concurrent.futures only when it first runs a batch
+    # of several blocks, so importing the scenarios costs no more
+    code = "import sys, excisionlab.scenarios; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(excisionlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ functions, and piecewise-linear trees excised in stages.
 """
 
 from . import (
+    certify,
     errors,
     flow1d,
     ham_extension,
@@ -27,6 +28,7 @@ __all__ = [
     "ham_extension",
     "symflow",
     "trees",
+    "certify",
     "scenarios",
 ]
 

@@ -270,16 +270,15 @@ class RayHamiltonian(HamiltonianField):
 
     def __init__(self, n: int, eps: float = 0.5, h_coef: float = 0.25,
                  h_power: int = 1):
-        if n < 1:
-            raise InputError("n must be at least 1")
+        for name, value in (("n", n), ("h_power", h_power)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
         if not (0.0 < eps < 1.0):
             raise InputError(f"eps must lie in (0, 1), got {eps!r}")
         # an infinite tube is all plateau, so off-axis points would escape
-        if not 0.0 < h_coef < math.inf:
+        if isinstance(h_coef, bool) or not 0.0 < h_coef < math.inf:
             raise InputError(f"h_coef must be positive and finite, got {h_coef!r}")
-        if (isinstance(h_power, bool) or not isinstance(h_power, numbers.Integral)
-                or h_power < 1):
-            raise InputError(f"h_power must be an integer >= 1, got {h_power!r}")
         self.n = n
         self.dim = 2 * n
         self.eps = eps

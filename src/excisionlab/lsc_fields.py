@@ -323,10 +323,9 @@ class _NeighborIndex:
         rows = list(itertools.product(range(-span, span + 1), repeat=self.dim - 1))
         return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim - 1)
 
-    def pairs(self, pts: np.ndarray, reach: Optional[float] = None,
-              positions: bool = False):
-        """Candidate pairs ``(qi, ci)``, query-major; with ``positions``
-        the centers come as sorted positions ``pos`` (``ci = _order[pos]``)."""
+    def pairs(self, pts: np.ndarray, reach: Optional[float] = None):
+        """Candidate pairs ``(qi, pos)``, query-major, with each center as
+        its sorted position ``pos`` (center index ``_order[pos]``)."""
         reach = self.radius if reach is None else reach
         span = int(math.ceil(reach / self.radius))
         keys = np.floor(pts / self.radius).astype(np.int64) - self._key_lo
@@ -345,7 +344,7 @@ class _NeighborIndex:
         run_start = np.cumsum(counts) - counts
         pos = np.arange(int(counts.sum())) + np.repeat(start - run_start, counts)
         qi = np.repeat(q_rows, counts).astype(np.int64, copy=False)
-        return qi, (pos if positions else self._order.take(pos))
+        return qi, pos
 
     def _sq_dist(self, pts: np.ndarray, qi: np.ndarray,
                  pos: np.ndarray) -> np.ndarray:
@@ -370,7 +369,7 @@ class _NeighborIndex:
         ``bincount`` sums; the kept pairs keep their order, so every blend
         is bitwise the same as over all candidates.  Center indices are
         formed for the kept pairs only."""
-        qi, pos = self.pairs(pts, positions=True)
+        qi, pos = self.pairs(pts)
         q = self._sq_dist(pts, qi, pos)
         q /= self.radius * self.radius
         inside = np.flatnonzero(q < 1.0)
@@ -391,7 +390,7 @@ class _NeighborIndex:
     def _ball_max(self, pts: np.ndarray, reach: float,
                   values: np.ndarray) -> np.ndarray:
         """:meth:`max_over_balls` of one block."""
-        qi, pos = self.pairs(pts, reach=reach, positions=True)
+        qi, pos = self.pairs(pts, reach=reach)
         keep = np.flatnonzero(self._sq_dist(pts, qi, pos) <= reach * reach)
         qi, ci = qi.take(keep), self._order.take(pos.take(keep))
         out = np.full(pts.shape[0], -np.inf)

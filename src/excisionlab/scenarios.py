@@ -1,33 +1,28 @@
 """Shipped scenarios and the certification driver.
 
-Each scenario builds its excising field(s), runs the certification suite
-(escape classification against exact membership, symplecticity residuals of
-the time-1 map, inverse consistency, energy conservation, cutoff flatness,
-locality), and emits a deterministic report: same config and seed, byte
-identical ``report.json``.
-
-Symplecticity is certified by finite differences, which requires the map to
-be FD-conditioned at the sample: near the cutoff transition bands the flow
-has genuinely large higher derivatives and central differences at step 1e-5
-cannot see 1e-5 residuals there.  Samples are therefore drawn from the
-cutoff plateau and from frozen regions (both honest surviving points), and
-the conditioning rule is part of each scenario's sampler.
+Each scenario builds its excising field(s), draws its samples, runs the
+certification suite of :mod:`excisionlab.certify` on them (escape
+classification against exact membership, symplecticity residuals of the
+time-1 map, inverse consistency, energy conservation, cutoff flatness,
+locality) with the checks only it makes, and emits a deterministic report:
+same config and seed, byte identical ``report.json``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import flow1d, lsc_fields, null_fields, scalar_kit, symflow, trees
-from .errors import ExcisedPointError, InputError
-from .ham_extension import RayHamiltonian, coordinate_stencil, extend_null_field
+from .certify import (_bounded, _check, _flatness_check, _flow_checks,
+                      _grad_check, _tree_checks, _worst)
+from .errors import InputError
+from .ham_extension import RayHamiltonian, extend_null_field
 
 __all__ = ["ScenarioConfig", "run_scenario", "SCENARIOS"]
 
@@ -84,153 +79,6 @@ class ScenarioConfig:
         if unknown:
             raise InputError(f"unknown config key {', '.join(map(repr, unknown))}")
         return ScenarioConfig(**raw)
-
-
-def _worst(values) -> float:
-    """Largest of the residuals in ``values`` (floats or arrays), failing
-    closed: ``inf`` when any of them is NaN or infinite, ``0.0`` when there
-    are none.  Python's ``max`` would let a NaN residual through."""
-    flat = np.concatenate([np.zeros(0)] + [np.ravel(v) for v in values])
-    if flat.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(flat)):
-        return math.inf
-    return float(flat.max())
-
-
-def _check(passed: bool, points: int, max_residual: float, **extra) -> dict:
-    """One check's report entry; a check that tested no point fails
-    closed, whatever its verdict."""
-    out = {"pass": bool(passed) and int(points) > 0, "points": int(points),
-           "max_residual": float(max_residual)}
-    out.update(extra)
-    return out
-
-
-def _grad_check(field, pts: np.ndarray, fd_step: float, rel_tol: float) -> dict:
-    """Closed-form gradient against the Richardson-extrapolated O(h^4)
-    central difference ``(8 (f(z+h) - f(z-h)) - (f(z+2h) - f(z-2h))) / 12h``.
-    The plain O(h^2) stencil is truncation-limited in the cutoff bands.
-    The shifts by ``h`` and ``2h`` are the rows of two coordinate stencils,
-    each evaluated in one ``value`` call."""
-    m, d = pts.shape
-    g = field.grad(pts)
-    # (m, d, 2): the +step and -step values along each axis
-    near = field.value(coordinate_stencil(pts, fd_step)).reshape(m, d, 2)
-    far = field.value(coordinate_stencil(pts, 2.0 * fd_step)).reshape(m, d, 2)
-    fd = (8.0 * (near[..., 0] - near[..., 1])
-          - (far[..., 0] - far[..., 1])) / (12.0 * fd_step)
-    worst = _worst([np.abs(fd - g) / (1.0 + np.abs(g))])
-    return _check(worst <= rel_tol, m, worst, bound=rel_tol)
-
-
-def _symplecticity_check(jacs: np.ndarray, bound: float) -> dict:
-    """The symplecticity residual of each Jacobian of the ``(m, d, d)``
-    stack ``jacs`` against ``bound``."""
-    worst = _worst([symflow.symplecticity_residual(jacs)])
-    return _check(worst <= bound, jacs.shape[0], worst, bound=bound)
-
-
-def _integrate_plan(field, plan: dict, tol: float) -> dict:
-    """Integrate every block of ``plan`` in one :func:`symflow.integrate_batch`
-    call and return each block's :class:`symflow.FlowOutcome` by name.
-
-    ``plan`` maps a name to ``(starts, t_final, record)``.  Each row
-    carries its own signed time and step, and the scenario fields are
-    row-independent, so a block's outcome is bitwise the one a call of its
-    own would give; the call takes as many DP5 steps as its slowest row
-    instead of the sum over the blocks.
-    """
-    starts, times, record = zip(*plan.values())
-    sizes = [z.shape[0] for z in starts]
-    out = symflow.integrate_batch(field, np.concatenate(starts),
-                                  np.repeat(times, sizes), tol=tol,
-                                  record=np.repeat(record, sizes))
-    return _split(out, dict(zip(plan, starts)))
-
-
-def _split(outcome, blocks: dict) -> dict:
-    """Each named block's :class:`symflow.FlowOutcome`, sliced from
-    ``outcome``, the flow of the blocks' ``(k, d)`` starts concatenated in
-    order."""
-    cuts = np.cumsum([0] + [z.shape[0] for z in blocks.values()])
-    return {name: outcome.take(slice(a, b))
-            for name, a, b in zip(blocks, cuts[:-1], cuts[1:])}
-
-
-def _completed_endpoints(out) -> np.ndarray:
-    left = np.nonzero(~out.completed)[0]
-    if left.size:
-        raise InputError(f"round-trip sample left the chart: {out.status[left[0]]}")
-    return out.endpoint
-
-
-def _flow_checks(field, membership: Callable, grid: np.ndarray,
-                 sympl: np.ndarray, survivors: np.ndarray, targets: np.ndarray,
-                 cons: np.ndarray, starts: np.ndarray,
-                 cfg: ScenarioConfig) -> dict:
-    """Escape classification of ``grid``, symplecticity at ``sympl``, the
-    round trips of ``survivors`` (forward first) and ``targets`` (backward
-    first) and conservation along ``cons``, from two integrate_batch calls:
-    every first leg, then the return legs.  With an ``out_dir`` the first
-    call also records the trajectories from ``starts``.
-
-    A stencil row that leaves the chart raises :class:`StencilError`
-    before a first leg that leaves it raises :class:`InputError`.
-    """
-    probe = 1.0 + symflow.DELTA_PROBE
-    plan = {
-        "grid": (grid, probe, False),
-        "stencil": (coordinate_stencil(sympl, cfg.fd_step), 1.0, False),
-        "survivors": (survivors, 1.0, False),
-        "targets": (targets, -1.0, False),
-        "conservation": (cons, 2.0, True),
-    }
-    if cfg.out_dir:
-        plan["trajectories"] = (starts, probe, True)
-    flows = _integrate_plan(field, plan, cfg.tol)
-
-    checks = {}
-    rep = symflow.classify_escape(flows["grid"], membership, grid)
-    checks["escape_classification"] = _check(
-        rep["pass"], rep["n_points"], float(rep["n_mismatches"]),
-        mismatches=rep["mismatches"][:10])
-
-    checks["symplecticity"] = _symplecticity_check(
-        symflow.time1_jacobian_batch(flows["stencil"], sympl, cfg.fd_step), 1e-5)
-
-    legs = _integrate_plan(field, {
-        "survivors": (_completed_endpoints(flows["survivors"]), -1.0, False),
-        "targets": (_completed_endpoints(flows["targets"]), 1.0, False),
-    }, cfg.tol)
-    worst = _worst([np.abs(_completed_endpoints(legs["survivors"]) - survivors),
-                    np.abs(_completed_endpoints(legs["targets"]) - targets)])
-    checks["inverse_consistency"] = _check(
-        worst <= 1e-7, survivors.shape[0] + targets.shape[0], worst, bound=1e-7)
-
-    # energy drift along each recorded trajectory to t = 2
-    drift = []
-    for traj in flows["conservation"].trajectories:
-        vals = field.value(traj[:, 1:])
-        drift.append(np.abs(vals - vals[0]))
-    worst = _worst(drift)
-    checks["conservation"] = _check(worst <= 1e-7, cons.shape[0], worst,
-                                    bound=1e-7)
-
-    if cfg.out_dir:
-        _write_trajectories(flows["trajectories"].trajectories, cfg.out_dir)
-    return checks
-
-
-def _flatness_check(field, pts: np.ndarray) -> dict:
-    """grad F must vanish, to 1e-10, on sampled zeros of F off the
-    hypersurface."""
-    vals = np.abs(field.value(pts))
-    zero = pts[vals == 0.0]
-    if zero.shape[0] == 0:
-        return _check(False, 0, math.inf, note="no zero samples found")
-    worst = float(np.abs(field.grad(zero)).max())
-    return _check(worst <= 1e-10, zero.shape[0], worst, bound=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +371,7 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     # fibre bijectivity: backward then forward is the identity
     _, x_back = null_fields.presympl_flow(vfield, p_rt, x_target, -1.0)
     _, x_fwd = null_fields.presympl_flow(vfield, p_rt, x_back, 1.0)
-    worst = _worst([np.abs(x_fwd - x_target)])
-    checks["fibre_bijectivity"] = _check(worst <= 1e-8, n, worst, bound=1e-8)
+    checks["fibre_bijectivity"] = _bounded([np.abs(x_fwd - x_target)], n, 1e-8)
 
     # forward invariance of the epigraph (flow for less than the exit time)
     exit_t = np.array([tof.value for tof in
@@ -544,9 +391,9 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     vec = ham.vector_field(onN)
     v_exp = vfield.velocity(onN[:, :2], onN[:, 2])
     chi = ham.cutoff(onN)
-    resid = _worst([np.abs(vec[:, [0, 1, 3]]), np.abs(vec[:, 2] - chi * v_exp)])
-    checks["hypersurface_restriction"] = _check(resid <= 1e-10, onN.shape[0], resid,
-                                                bound=1e-10)
+    checks["hypersurface_restriction"] = _bounded(
+        [np.abs(vec[:, [0, 1, 3]]), np.abs(vec[:, 2] - chi * v_exp)],
+        onN.shape[0], 1e-10)
     f_on_n = np.abs(ham.value(onN)).max()
     wit = scalar_kit.decay_witness(pts)
     below = np.all(np.abs(ham.value(pts)) < wit)
@@ -591,15 +438,18 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         increasing and below and gap_ok and depth_needed <= 12,
         G.shape[0], float(depth_needed), depth_for_gap=depth_needed)
 
+    # each piece's box distance, read at every level's ball radius
+    dists = []
+    for lo, hi, value in spec.pieces:
+        lo_a, hi_a = np.asarray(lo), np.asarray(hi)
+        d = np.linalg.norm(np.maximum(np.maximum(lo_a - G, G - hi_a), 0.0), axis=1)
+        dists.append((d, value))
     prop_ok = True
     worst_slack = math.inf
     for lvl in range(2, field.baire.depth + 1):
         r = 1.0 / lvl
         inf_ball = np.ones(G.shape[0])
-        for lo, hi, value in spec.pieces:
-            lo_a, hi_a = np.asarray(lo), np.asarray(hi)
-            d = np.linalg.norm(
-                np.maximum(np.maximum(lo_a - G, G - hi_a), 0.0), axis=1)
+        for d, value in dists:
             inf_ball = np.where(d < r, np.minimum(inf_ball, value), inf_ball)
         slack = vals[:, lvl - 1] - (1.0 - 1.0 / lvl) * inf_ball
         worst_slack = min(worst_slack, float(slack.min()))
@@ -640,9 +490,9 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
     blocked &= bool(np.all(drawn.velocity(np.arange(len(rows)),
                                           0.25 * f1[rows, None]) == 0.0))
     x_b = flow1d.flow_map_batch(drawn, -1.0, x_t)
-    worst = _worst([np.abs(flow1d.flow_map_batch(drawn, 1.0, x_b) - x_t)])
-    checks["backward_totality"] = _check(blocked and worst <= 1e-8, len(rows),
-                                         worst, bound=1e-8)
+    checks["backward_totality"] = _bounded(
+        [np.abs(flow1d.flow_map_batch(drawn, 1.0, x_b) - x_t)], len(rows), 1e-8,
+        holds=blocked)
     return checks
 
 
@@ -665,96 +515,6 @@ def _double_y_spec() -> trees.TreeSpec:
         edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)),
         special=0,
     )
-
-
-def _tree_checks(staged: trees.StagedExcision, cfg: ScenarioConfig,
-                 rng: np.random.Generator, extra: np.ndarray) -> tuple:
-    """Locality, containment, on-tree escape, composed symplecticity and
-    composed inverse checks of ``staged``, all read from one composed
-    forward pass; returns ``(checks, outcome)`` with the
-    :class:`symflow.FlowOutcome` of the ``(k, 2)`` starts ``extra``, which
-    ride along in the same pass.
-
-    A stencil row that leaves the chart raises :class:`StencilError`
-    before an inverse sample that escapes raises
-    :class:`ExcisedPointError`.
-    """
-    checks = {}
-    spec = staged.spec
-
-    # locality samples: points outside the union of strips
-    box_lo, box_hi = np.array([-2.5, -2.5]), np.array([2.5, 2.5])
-    pool = rng.uniform(box_lo, box_hi, size=(3000, 2))
-    outside = pool[~staged.in_support(pool)][:200]
-
-    # on-tree samples of each branch; margin bands are carved around both
-    # branch ends (junctions of other stages)
-    on_tree = []
-    for chart in staged.charts:
-        margin_t = 2.0 * spec.w0 / chart.length
-        ts = np.linspace(margin_t, 1.0 - margin_t, 12)
-        leaf = np.asarray(chart.leaf)
-        node = np.asarray(chart.node)
-        on_tree.append(leaf[None, :] + ts[:, None] * (node - leaf)[None, :])
-    on_tree = np.concatenate(on_tree)
-    own_stage = np.repeat(np.arange(staged.field.stages), ts.size)
-
-    # conditioned survivors: behind-the-leaf plateau points and frozen
-    # outside points
-    samples = []
-    per_branch = max(1, cfg.sympl_samples // (2 * staged.field.stages))
-    for chart in staged.charts:
-        for _ in range(per_branch):
-            x1 = rng.uniform(-0.35 * chart.eps / 0.4, -0.05)
-            z = chart.from_model(np.array([[x1, 0.0]]))[0]
-            samples.append(z)
-    frozen = outside[: max(cfg.sympl_samples - len(samples), 0)]
-    samples = np.concatenate([np.asarray(samples), frozen], axis=0)
-    inv_samples = samples[: cfg.roundtrip_samples // 4]
-
-    # one composed forward pass serves the locality, containment, on-tree
-    # and inverse checks, the symplecticity stencil and the caller's extra
-    # starts (retract's near-tree survivor): each row carries its own
-    # adaptive step and stage, so the pass takes as many DP5 steps as its
-    # slowest row instead of the sum over the blocks
-    blocks = {"outside": outside, "on_tree": on_tree, "inverse": inv_samples,
-              "stencil": coordinate_stencil(samples, cfg.fd_step),
-              "extra": extra}
-    flows = _split(staged.forward_batch(np.concatenate(list(blocks.values())),
-                                        tol=cfg.tol), blocks)
-
-    # locality: points outside the union of strips are fixed bitwise
-    out = flows["outside"]
-    moved = np.abs(out.endpoint - outside).max() if outside.size else 0.0
-    fixed = bool(np.all(out.endpoint == outside) and np.all(out.completed))
-    checks["locality_outside_U"] = _check(fixed, outside.shape[0], float(moved))
-
-    # containment: nothing outside U maps into U
-    into = staged.in_support(out.endpoint)
-    checks["containment"] = _check(not np.any(into), outside.shape[0],
-                                   float(np.sum(into)))
-
-    # every on-tree sample escapes during its own branch's stage
-    tree = flows["on_tree"]
-    mism = int(np.sum((tree.status != symflow.ESCAPED)
-                      | (tree.stage != own_stage)))
-    checks["on_tree_escape"] = _check(mism == 0, on_tree.shape[0], float(mism))
-
-    # composed symplecticity at the conditioned survivors, read from the
-    # pass's stencil images
-    checks["composed_symplecticity"] = _symplecticity_check(
-        symflow.time1_jacobian_batch(flows["stencil"], samples, cfg.fd_step),
-        2e-5)
-
-    # composed inverse consistency
-    inv = flows["inverse"]
-    if not np.all(inv.completed):
-        raise ExcisedPointError("an inverse sample escaped the forward map")
-    worst = _worst([np.abs(staged.inverse_batch(inv.endpoint, tol=cfg.tol)
-                           - inv_samples)])
-    checks["composed_inverse"] = _check(worst <= 1e-7, inv_samples.shape[0],
-                                        worst, bound=1e-7)
-    return checks, flows["extra"]
 
 
 def _run_tree(cfg: ScenarioConfig) -> dict:
@@ -792,21 +552,6 @@ SCENARIOS = {
     "tree": _run_tree,
     "retract": _run_retract,
 }
-
-
-def _write_trajectories(trajectories: list, out_dir: str) -> None:
-    """One CSV per recorded trajectory."""
-    for i, rows in enumerate(trajectories):
-        path = os.path.join(out_dir, "trajectories", f"traj_{i}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n_pairs = (rows.shape[1] - 1) // 2
-            header = ["t"]
-            for k in range(1, n_pairs + 1):
-                header += [f"x{k}", f"y{k}"]
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:

@@ -87,8 +87,8 @@ class TreeSpec:
             raise InputError("tree nodes must be finite")
         if len(set(map(tuple, self.nodes))) != n:
             raise InputError("tree nodes must be distinct points")
-        if not self.w0 > 0.0:
-            raise InputError(f"w0 must be positive, got {self.w0!r}")
+        if isinstance(self.w0, bool) or not 0.0 < self.w0 < math.inf:
+            raise InputError(f"w0 must be positive and finite, got {self.w0!r}")
         if not 0.0 < self.eps < 1.0:
             raise InputError(f"eps must lie in (0, 1), got {self.eps!r}")
         if not _is_index(self.special):

@@ -108,6 +108,21 @@ class TestRayHamiltonian:
         with pytest.raises(InputError, match="h_power"):
             hx.RayHamiltonian(1, h_power=h_power)
 
+    @pytest.mark.parametrize("n", [0, 2.5, 2.0, True])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        # 2.5 would build a field of dim 5.0 that fails only at its first
+        # vector_field, and True the planar field
+        with pytest.raises(InputError, match=f"n must be an integer >= 1, got {n!r}"):
+            hx.RayHamiltonian(n)
+
+    def test_bool_height_coefficient_is_refused(self):
+        # True would pass 0 < True < inf and be stored as the height
+        with pytest.raises(InputError, match="h_coef must be positive and finite, got True"):
+            hx.RayHamiltonian(2, h_coef=True)
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        assert hx.RayHamiltonian(np.int64(2)).dim == 4
+
 
 class TestRayPlane:
     def test_exit_iff_nonnegative(self):

@@ -188,8 +188,9 @@ class TestNeighborIndex:
     def test_pairs_match_cell_scan(self, case):
         centers, pts, radius, reach = case
         index = lf._NeighborIndex(centers, radius)
-        qi, ci = index.pairs(pts, reach)
-        assert qi.dtype == np.int64 and ci.dtype == np.int64
+        qi, pos = index.pairs(pts, reach)
+        assert qi.dtype == np.int64 and pos.dtype == np.int64
+        ci = index._order[pos]
         for q, want in enumerate(reference_pairs(index, pts, reach)):
             assert np.array_equal(ci[qi == q], want)
 
@@ -207,9 +208,10 @@ class TestNeighborIndex:
     def test_pairs_equal_the_per_cell_join(self, case):
         centers, pts, radius, reach = case
         index = lf._NeighborIndex(centers, radius)
-        qi, ci = index.pairs(pts, reach)
+        qi, pos = index.pairs(pts, reach)
         want_qi, want_ci = pairs_by_cell(index, pts, reach)
-        assert np.array_equal(qi, want_qi) and np.array_equal(ci, want_ci)
+        assert np.array_equal(qi, want_qi)
+        assert np.array_equal(index._order[pos], want_ci)
 
     @settings(max_examples=40)
     @given(dim=st.integers(1, 3), span=st.integers(1, 4),
@@ -222,9 +224,10 @@ class TestNeighborIndex:
         pts = rng.uniform(-1.5, 1.5, (25, dim)) + shift
         index = lf._NeighborIndex(centers, 0.2)
         reach = 0.2 * span
-        qi, ci = index.pairs(pts, reach)
+        qi, pos = index.pairs(pts, reach)
         want_qi, want_ci = pairs_by_cell(index, pts, reach)
-        assert np.array_equal(qi, want_qi) and np.array_equal(ci, want_ci)
+        assert np.array_equal(qi, want_qi)
+        assert np.array_equal(index._order[pos], want_ci)
 
     @given(neighbor_cases())
     def test_max_over_balls_equals_maximum_at(self, case):
@@ -247,10 +250,16 @@ class TestNeighborIndex:
     def test_sorted_positions_name_the_per_cell_centers(self, case):
         centers, pts, radius, reach = case
         index = lf._NeighborIndex(centers, radius)
-        qi, pos = index.pairs(pts, reach, positions=True)
+        qi, pos = index.pairs(pts, reach)
         want_qi, want_ci = pairs_by_cell(index, pts, reach)
         assert np.array_equal(qi, want_qi)
-        assert np.array_equal(index._order[pos], want_ci)
+        # a position reads the sorted columns at the center it names
+        for k, col in enumerate(index._sorted_cols):
+            assert np.array_equal(col[pos], centers[want_ci, k])
+        # and lies in the run of its center's cell
+        codes = index._sorted_codes[pos]
+        assert np.all(index._cell_start[codes] <= pos)
+        assert np.all(pos < index._cell_start[codes + 1])
 
     @given(neighbor_cases())
     def test_support_is_the_per_cell_join_pruned(self, case):
@@ -264,9 +273,9 @@ class TestNeighborIndex:
     def test_empty_center_set_gives_empty_pairs(self):
         for dim in (1, 2, 3):
             index = lf._NeighborIndex(np.zeros((0, dim)), 0.25)
-            qi, ci = index.pairs(np.zeros((3, dim)), reach=0.6)
-            assert qi.dtype == ci.dtype == np.int64
-            assert qi.size == ci.size == 0
+            qi, pos = index.pairs(np.zeros((3, dim)), reach=0.6)
+            assert qi.dtype == pos.dtype == np.int64
+            assert qi.size == pos.size == 0
             assert np.all(index.max_over_balls(np.zeros((3, dim)), 0.6,
                                                np.zeros(0)) == -np.inf)
 

@@ -1,6 +1,6 @@
 """Package-wide contracts: every exported name exists, every function the
-benchmark in ``perfbench/`` wraps by name is still there to wrap, and the
-scenarios module stays small enough to compile cheaply."""
+benchmark in ``perfbench/`` wraps by name is still there to wrap, and every
+module stays small enough to compile cheaply."""
 
 import importlib
 import os
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import excisionlab
-from excisionlab import flow1d, lsc_fields, null_fields, scenarios, symflow, trees
+from excisionlab import flow1d, lsc_fields, null_fields, symflow, trees
 
 MODULES = ["excisionlab"] + sorted(
     f"excisionlab.{info.name}" for info in pkgutil.iter_modules(excisionlab.__path__))
@@ -55,15 +55,16 @@ def test_benchmark_wraps_every_name_it_traces(monkeypatch):
     assert (flow1d.flow_map, symflow.integrate_batch) == originals
 
 
-def test_scenarios_module_stays_below_8192_parser_tokens():
-    # every benchmark worker compiles scenarios.py from source, and past
-    # 8,192 tokens the parser's token array doubles: about 0.3 to 0.6 MB
-    # more peak RSS per worker.  Comments and non-logical newlines are not
-    # parser tokens.
+@pytest.mark.parametrize("name", MODULES)
+def test_module_stays_below_8192_parser_tokens(name):
+    # every benchmark worker compiles the package from source, and past
+    # 8,192 tokens in one module the parser's token array doubles: about
+    # 0.3 to 0.6 MB more peak RSS per worker.  Comments and non-logical
+    # newlines are not parser tokens.
     skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-    with open(scenarios.__file__, "rb") as fh:
+    with open(importlib.import_module(name).__file__, "rb") as fh:
         count = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
-    assert count < 8192, f"scenarios.py has {count} parser tokens"
+    assert count < 8192, f"{name} has {count} parser tokens"
 
 
 def test_importing_the_scenarios_leaves_the_thread_pool_unloaded():

@@ -260,6 +260,8 @@ def test_batch_that_is_not_m_by_2_is_refused(staged, call):
     ({"nodes": ((0.0, 0.0), (1.0, math.nan))}, "nodes must be finite"),
     ({"w0": -0.05}, "w0 must be positive"),
     ({"w0": math.nan}, "w0 must be positive"),
+    ({"w0": math.inf}, "w0 must be positive and finite"),
+    ({"w0": True}, "w0 must be positive and finite"),
     ({"eps": 0.0}, "eps must lie in"),
     ({"eps": 1.0}, "eps must lie in"),
     ({"eps": math.nan}, "eps must lie in"),
@@ -271,16 +273,17 @@ def test_batch_that_is_not_m_by_2_is_refused(staged, call):
     ({"nodes": ((0.0,), (1.0,))}, "points of the plane"),
     ({"edges": ((0, 1.0),)}, "bad edge"),
     ({"edges": ((False, True),)}, "bad edge"),
-], ids=["inf-node", "nan-node", "negative-w0", "nan-w0", "zero-eps",
-        "unit-eps", "nan-eps", "coincident-nodes", "bool-special",
+], ids=["inf-node", "nan-node", "negative-w0", "nan-w0", "inf-w0", "bool-w0",
+        "zero-eps", "unit-eps", "nan-eps", "coincident-nodes", "bool-special",
         "float-special", "3d-nodes", "1d-nodes", "float-edge", "bool-edge"])
 def test_spec_refuses_bad_input(change, match):
     """Refused before any arithmetic: a node at infinity would build a
     chart with an infinite tube, a negative ``w0`` would be squared into
-    the tube of ``-w0``, two nodes at one point would let strips that
-    cross there pass the separation check, a node off the plane would
-    misread a chart, and a ``special`` or an edge end that is not an
-    integer would index no node."""
+    the tube of ``-w0``, an infinite ``w0`` would drop the width cap, two
+    nodes at one point would let strips that cross there pass the
+    separation check, a node off the plane would misread a chart, and a
+    ``special`` or an edge end that is not an integer would index no
+    node."""
     spec = {"nodes": ((0.0, 0.0), (1.0, 0.0)), "edges": ((0, 1),)}
     with pytest.raises(InputError, match=match):
         trees.TreeSpec(**{**spec, **change})

@@ -259,9 +259,9 @@ def _tree_checks(staged, cfg, rng: np.random.Generator,
 
     # locality: points outside the union of strips are fixed bitwise
     out = flows["outside"]
-    moved = np.abs(out.endpoint - outside).max() if outside.size else 0.0
     fixed = bool(np.all(out.endpoint == outside) and np.all(out.completed))
-    checks["locality_outside_U"] = _check(fixed, outside.shape[0], float(moved))
+    checks["locality_outside_U"] = _check(
+        fixed, outside.shape[0], _worst([np.abs(out.endpoint - outside)]))
 
     # containment: nothing outside U maps into U
     into = staged.in_support(out.endpoint)

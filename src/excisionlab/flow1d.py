@@ -18,8 +18,8 @@ integral converges.  This module provides:
   reports,
 * :func:`flow_map_batch` and :func:`forward_time_batch`, the flows and
   the forward times of many :class:`Fibres` at once,
-* the closed-form time :func:`ramp_time_closed_form` for the parametric
-  ramp velocity.
+* :func:`ramp_time_closed_form`, the ramp velocity's forward times from
+  its antiderivative, with its band corrections in one lockstep batch.
 
 A field's zeros come from its declared ``zero_regions``; no walk searches
 for them.
@@ -37,9 +37,9 @@ product could round differently), so each row is bitwise the flow of its
 fibre alone; :func:`forward_time_batch` runs the walks of
 :func:`forward_time` through the same driver.  :func:`adaptive_quad`,
 :func:`forward_time`, :func:`backward_time` and :func:`flow_map` are
-one-row runs of the same driver, calling their integrand on each round's
-nodes, so it is the one loop that runs steps.  Its nodes come from one
-formula, :func:`_nodes`.
+one-row runs of the same driver, and :func:`ramp_time_closed_form` a
+batch of quadratures, so it is the one loop that runs steps.  Its nodes
+come from one formula, :func:`_nodes`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "QUAD_TOL",
     "DIVERGENCE_CAP",
     "TimeOfFlight",
-    "MODE_CLOSED_FORM",
     "MODE_QUADRATURE",
     "MODE_ZERO_BLOCKED",
     "adaptive_quad",
@@ -81,7 +80,6 @@ MAX_LEVELS = 60
 # live panels of one quadrature before ToleranceFailure
 MAX_PANELS = 8192
 
-MODE_CLOSED_FORM = "closed-form"
 MODE_QUADRATURE = "quadrature"
 MODE_ZERO_BLOCKED = "zero-blocked"
 
@@ -189,9 +187,9 @@ def _lockstep(steps: list, evaluate: Callable) -> list:
 def _run_one(steps, f: Callable):
     """One row's steps run by :func:`_lockstep`, ``f`` evaluated at each
     round's nodes as one flat array; raises the row's :class:`InputError`
-    or :class:`ToleranceFailure`.  Rounds cost more than in a separate
-    one-row loop: 57 against 42 ms for the 694 quadratures of one epigraph
-    run (2-vCPU Xeon, numpy 2.4), inside the spread of fibre-tower passes."""
+    or :class:`ToleranceFailure`.  A round costs more here than in a
+    separate one-row loop, so many small quadratures, as the ramp
+    corrections of :func:`ramp_time_closed_form`, run as one batch."""
     out, = _lockstep([steps], lambda rows, nodes: np.asarray(
         f(nodes.ravel()), dtype=float).reshape(nodes.shape))
     if isinstance(out, Exception):
@@ -272,9 +270,9 @@ def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]
 
 
 def _transit(y0: float, y1: float):
-    """Steps of the quadrature of ``1/v`` between ``y0`` and ``y1`` (either
-    order), stopped once it provably exceeds ``DIVERGENCE_CAP``; returns
-    ``(value, capped)``."""
+    """Steps of the quadrature between ``y0`` and ``y1`` (either order) of
+    ``1/v`` or a ramp correction, stopped once it provably exceeds
+    ``DIVERGENCE_CAP``; returns ``(value, capped)``."""
     val, _, capped = yield from _quad(min(y0, y1), max(y0, y1), cap=DIVERGENCE_CAP)
     return val, capped
 
@@ -590,50 +588,50 @@ def _run_rows(fibres: Fibres, steps: list) -> list:
 # closed-form times for the parametric ramp velocity
 # ---------------------------------------------------------------------------
 
-def _ramp_corner(xi, a: float, s: float):
+def _ramp_corner(xi, a):
     """Corner factor ``exp(1/(xi - s) - 1/(a - xi))`` of the ramp time on
-    the band ``(s, a)``, with the exponent clipped to the float range."""
-    xi = np.asarray(xi, dtype=float)
-    expo = (1.0 / np.maximum(xi - s, 1e-300)
+    the band ``(s, a)``, ``s = (a-1)/2``, with the exponent clipped to the
+    float range."""
+    expo = (1.0 / np.maximum(xi - 0.5 * (a - 1.0), 1e-300)
             - 1.0 / np.maximum(a - xi, 1e-300))
     return np.exp(np.clip(expo, -745.0, 700.0))
 
 
-def _tu2_correction(a: float, b: float, x: float):
-    """Quadrature of the ramp correction integral over ``[x, a]`` for the
-    band below the cutoff plateau (c = 0 branch)."""
-    s = 0.5 * (a - 1.0)
-    return adaptive_quad(lambda xi: (1.0 + _ramp_corner(xi, a, s)) / (1.0 - b),
-                         x, a, cap=DIVERGENCE_CAP)
-
-
-def ramp_time_closed_form(a: float, b: float, c: float, x: float) -> TimeOfFlight:
-    """Forward time to the right endpoint for the ramp velocity, from the
-    antiderivative: ``(1-x)/(1-b)`` above the ramp with ``c = 0``, infinite
-    for ``c > 0`` or ``b = 1``, and below the plateau an explicit correction
-    integral on the ramp band.
-    """
+def ramp_time_closed_form(a, b, c, x) -> np.ndarray:
+    """Forward times to the right endpoint for the ramp velocity at
+    broadcastable arrays, from the antiderivative: infinite for ``x <=
+    (a-1)/2``, ``b = 1`` or ``c > 0``, else ``(1-max(x, a))/(1-b)`` plus,
+    for ``x < a``, a correction integral over ``[x, a]``, all corrections
+    in one :func:`_lockstep`.  Bad or non-broadcastable arguments raise
+    :class:`~excisionlab.errors.InputError`."""
+    try:
+        a, b, c, x = np.broadcast_arrays(a, b, c, x)
+    except ValueError as exc:
+        raise InputError(f"ramp arguments do not broadcast: {exc}") from None
     check_ramp_params(a, b, c)
-    if not (-1.0 < x < 1.0):
+    if not np.all(np.abs(x) < 1.0):
         raise InputError("x must lie in (-1, 1)")
     s = 0.5 * (a - 1.0)
-    if x <= s or b == 1.0:
-        return TimeOfFlight(math.inf, MODE_ZERO_BLOCKED)
-    if c > 0.0:
-        return TimeOfFlight(math.inf, MODE_CLOSED_FORM)
-    if x >= a:
-        return TimeOfFlight((1.0 - x) / (1.0 - b), MODE_CLOSED_FORM)
-    base = (1.0 - a) / (1.0 - b)
-    try:
-        corr, _, capped = _tu2_correction(a, b, x)
-    except ToleranceFailure as failure:
-        # the ramp-corner integrand can exceed the float range before the
-        # panels settle; the accumulated partial already certifies the time
-        # as operationally infinite
-        if failure.partial is not None and failure.partial > DIVERGENCE_CAP:
-            return TimeOfFlight(math.inf, MODE_CLOSED_FORM,
-                                lower_bound=failure.partial)
-        raise
-    if capped or base + corr > DIVERGENCE_CAP:
-        return TimeOfFlight(math.inf, MODE_CLOSED_FORM, lower_bound=base + corr)
-    return TimeOfFlight(base + corr, MODE_CLOSED_FORM)
+    out = np.full(x.shape, math.inf)
+    moving = (x > s) & (b != 1.0) & (c == 0.0)
+    out[moving] = (1.0 - np.maximum(x, a)[moving]) / (1.0 - b[moving])
+    band = moving & (x < a)
+    ab, bb = a[band], b[band]
+    corrs = _lockstep(
+        [_transit(*ends) for ends in zip(x[band].tolist(), ab.tolist())],
+        lambda rows, nodes: (1.0 + _ramp_corner(nodes, ab[rows, None]))
+        / (1.0 - bb[rows, None]))
+    out[band] += [_correction(r) for r in corrs]
+    out[band & (out > DIVERGENCE_CAP)] = math.inf
+    return out
+
+
+def _correction(result) -> float:
+    """One ramp correction from its quadrature: infinite once capped or
+    failed past ``DIVERGENCE_CAP``, as the corner integrand can overflow
+    before the panels settle; any other failure is raised."""
+    if not isinstance(result, ToleranceFailure):
+        return math.inf if result[1] else result[0]
+    if result.partial is not None and result.partial > DIVERGENCE_CAP:
+        return math.inf
+    raise result

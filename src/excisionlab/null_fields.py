@@ -44,8 +44,8 @@ class SmoothMap:
     """A smooth function on the base with an exact gradient.
 
     Batch-only: ``f`` maps an ``(m, d)`` batch of base points to ``(m,)``
-    and ``grad`` maps it to ``(m, d)``; calling the map and
-    :meth:`gradient` do the same.
+    and ``grad`` maps it to ``(m, d)``; calling the map does the same as
+    ``f``.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -53,9 +53,6 @@ class SmoothMap:
 
     def __call__(self, p):
         return self.f(np.asarray(p, dtype=float))
-
-    def gradient(self, p):
-        return self.grad(np.asarray(p, dtype=float))
 
 
 def constant_map(value: float) -> SmoothMap:
@@ -139,7 +136,7 @@ class EpigraphField:
         a = 0.5 * (b - 1.0)
         c, c_grad = self.c_fn.value_and_grad(p)
         v, du_da, du_db, du_dc, du_dx = ramp_velocity_jet(a, b, c, x)
-        grad_p = ((0.5 * du_da + du_db)[:, None] * self.spec.lam.gradient(p)
+        grad_p = ((0.5 * du_da + du_db)[:, None] * self.spec.lam.grad(p)
                   + du_dc[:, None] * c_grad)
         return v, du_dx, grad_p
 
@@ -163,17 +160,18 @@ class EpigraphField:
 def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:
     """Boolean ``excised`` array at ``(m, base_dim)`` base points and
     ``(m,)`` fibre coordinates: true where the closed-form forward time is
-    at most 1.
+    at most 1, from one :func:`~excisionlab.flow1d.ramp_time_closed_form`
+    call over the whole batch.  An ``x`` of any other shape raises
+    :class:`~excisionlab.errors.InputError`.
 
     This is the analytic route; the integration-based escape verdicts and
     the raw membership test are kept independent of it.
     """
-    a, b, c = field.params(p)
-    xs = np.asarray(x, dtype=float)
-    return np.array([
-        ramp_time_closed_form(*abcx).value <= 1.0
-        for abcx in zip(a.tolist(), b.tolist(), c.tolist(), xs.tolist())
-    ], dtype=bool)
+    x = np.asarray(x, dtype=float)
+    if x.shape != np.shape(p)[:1]:
+        raise InputError(f"need one fibre coordinate per base point, got "
+                         f"shapes {np.shape(p)} and {x.shape}")
+    return ramp_time_closed_form(*field.params(p), x) <= 1.0
 
 
 def presympl_flow(field: EpigraphField, p, x, t) -> tuple[np.ndarray, np.ndarray]:

@@ -147,14 +147,14 @@ def smooth_step(t):
 # the parametric ramp velocity
 # ---------------------------------------------------------------------------
 
-def check_ramp_params(a: float, b: float, c: float) -> None:
-    """Refuse ramp parameters outside ``a`` in (-1, 1), ``b`` in [-1, 1]
-    and ``c`` in [0, 1], NaN included."""
-    if not (-1.0 < a < 1.0):
+def check_ramp_params(a, b, c) -> None:
+    """Refuse ramp parameters, floats or arrays, with an entry outside ``a``
+    in (-1, 1), ``b`` in [-1, 1] or ``c`` in [0, 1], NaN included."""
+    if not np.all(np.abs(a) < 1.0):
         raise InputError("a must lie in (-1, 1)")
-    if not (-1.0 <= b <= 1.0):
+    if not np.all(np.abs(b) <= 1.0):
         raise InputError("b must lie in [-1, 1]")
-    if not (0.0 <= c <= 1.0):
+    if not np.all((0.0 <= c) & (c <= 1.0)):
         raise InputError("c must lie in [0, 1]")
 
 

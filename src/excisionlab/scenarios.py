@@ -208,8 +208,7 @@ def _run_ray(cfg: ScenarioConfig) -> dict:
     if cfg.u_scale != 1.0:
         outside = rng.uniform(-0.9, 0.9, size=(500, field.dim))
         hood_mask = ~field.in_tube(outside)
-        vecs = field.vector_field(outside[hood_mask])
-        worst = float(np.abs(vecs).max()) if vecs.size else 0.0
+        worst = _worst([np.abs(field.vector_field(outside[hood_mask]))])
         checks["locality_outside_U"] = _check(
             worst == 0.0, int(hood_mask.sum()), worst)
     return checks
@@ -445,16 +444,17 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
         d = np.linalg.norm(np.maximum(np.maximum(lo_a - G, G - hi_a), 0.0), axis=1)
         dists.append((d, value))
     prop_ok = True
-    worst_slack = math.inf
+    deficits = []
     for lvl in range(2, field.baire.depth + 1):
         r = 1.0 / lvl
         inf_ball = np.ones(G.shape[0])
         for d, value in dists:
             inf_ball = np.where(d < r, np.minimum(inf_ball, value), inf_ball)
         slack = vals[:, lvl - 1] - (1.0 - 1.0 / lvl) * inf_ball
-        worst_slack = min(worst_slack, float(slack.min()))
+        deficits.append(-slack)
         prop_ok &= bool(np.all(slack >= -1e-12))
-    checks["minorant_lower_bound"] = _check(prop_ok, G.shape[0], -worst_slack)
+    checks["minorant_lower_bound"] = _check(prop_ok, G.shape[0],
+                                            _worst(deficits))
 
     # level-resolved exit times: threshold exactness and monotone nesting,
     # on the transect fibres clear of the piece faces

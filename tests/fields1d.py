@@ -1,9 +1,11 @@
-"""1D speed fields and a closed-form oracle that only the tests use.
+"""1D speed fields and closed-form oracles that only the tests use.
 
 The package's own fibres are ramp fields (``ramp_velocity_field``) and
 glued tower fibres; the fields here give the flow tests speeds with
 known times: a constant, an affine speed with a log-divergent end, and
-the bridge profile with its exact crossing time.
+the bridge profile with its exact crossing time.  ``ramp_time_reference``
+is the one-point closed-form ramp time that the batch
+``flow1d.ramp_time_closed_form`` must equal bitwise.
 """
 
 import math
@@ -68,7 +70,7 @@ def unit_time_threshold(a: float, b: float, tol: float = f1.ROOT_TOL) -> float:
     # treating capped segments as certified-above (x - b never exceeds 2).
     def seg(lo: float, hi: float) -> float:
         try:
-            val, _, capped = f1.adaptive_quad(lambda xi: f1._ramp_corner(xi, a, s),
+            val, _, capped = f1.adaptive_quad(lambda xi: f1._ramp_corner(xi, a),
                                               lo, hi, tol=1e-13, cap=2.5)
         except ToleranceFailure as failure:
             if failure.partial is not None and failure.partial > 2.5:
@@ -86,3 +88,29 @@ def unit_time_threshold(a: float, b: float, tol: float = f1.ROOT_TOL) -> float:
         else:
             x_hi, A_hi = mid, A_mid
     return 0.5 * (x_lo + x_hi)
+
+
+def ramp_time_reference(a: float, b: float, c: float, x: float) -> float:
+    """The forward ramp time at one point, branch by branch, with its own
+    ``adaptive_quad`` of the band correction: the reference for
+    ``flow1d.ramp_time_closed_form``."""
+    check_ramp_params(a, b, c)
+    if not (-1.0 < x < 1.0):
+        raise InputError("x must lie in (-1, 1)")
+    s = 0.5 * (a - 1.0)
+    if x <= s or b == 1.0 or c > 0.0:
+        return math.inf
+    if x >= a:
+        return (1.0 - x) / (1.0 - b)
+    base = (1.0 - a) / (1.0 - b)
+    try:
+        corr, _, capped = f1.adaptive_quad(
+            lambda xi: (1.0 + f1._ramp_corner(xi, a)) / (1.0 - b),
+            x, a, cap=f1.DIVERGENCE_CAP)
+    except ToleranceFailure as failure:
+        if failure.partial is not None and failure.partial > f1.DIVERGENCE_CAP:
+            return math.inf
+        raise
+    if capped or base + corr > f1.DIVERGENCE_CAP:
+        return math.inf
+    return base + corr

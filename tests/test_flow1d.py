@@ -10,7 +10,7 @@ from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
 from excisionlab.errors import FlowDomainError, InputError, ToleranceFailure
 from fields1d import (affine_field, bridge_velocity_field, constant_field,
-                      unit_time_threshold)
+                      ramp_time_reference, unit_time_threshold)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -126,19 +126,19 @@ class TestFlowMap:
 class TestClosedFormTimes:
     def test_plateau_branch(self):
         t = f1.ramp_time_closed_form(0.2, 0.5, 0.0, 0.7)
-        assert t.value == pytest.approx(0.6, abs=1e-12)
-        assert t.mode == f1.MODE_CLOSED_FORM
+        assert t.shape == ()
+        assert t == pytest.approx(0.6, abs=1e-12)
 
     def test_below_plateau_frozen_value(self):
         t = f1.ramp_time_closed_form(0.2, 0.5, 0.0, 0.1)
-        assert t.value == pytest.approx(TU2_REF, abs=1e-9)
+        assert t == pytest.approx(TU2_REF, abs=1e-9)
         # strictly exceeds the straight-line value: the ramp slows the start
-        assert t.value > (1.0 - 0.1) / (1.0 - 0.5)
+        assert t > (1.0 - 0.1) / (1.0 - 0.5)
 
     def test_infinite_branches(self):
-        assert f1.ramp_time_closed_form(0.2, 1.0, 0.0, 0.5).value == math.inf
-        assert f1.ramp_time_closed_form(0.2, 0.5, 0.0, -0.5).value == math.inf
-        assert f1.ramp_time_closed_form(0.2, 0.5, 0.2, 0.7).value == math.inf
+        assert f1.ramp_time_closed_form(0.2, 1.0, 0.0, 0.5) == math.inf
+        assert f1.ramp_time_closed_form(0.2, 0.5, 0.0, -0.5) == math.inf
+        assert f1.ramp_time_closed_form(0.2, 0.5, 0.2, 0.7) == math.inf
 
     def test_oracle_agreement_with_quadrature(self):
         rng = np.random.default_rng(2)
@@ -149,12 +149,11 @@ class TestClosedFormTimes:
             x = rng.uniform(0.5 * (a - 1.0) + 0.05, 0.95)
             if x <= 0.5 * (a - 1.0) + 0.05:
                 continue
-            closed = f1.ramp_time_closed_form(a, b, 0.0, x)
-            if not math.isfinite(closed.value) or closed.value > 1e3:
+            closed = float(f1.ramp_time_closed_form(a, b, 0.0, x))
+            if not math.isfinite(closed) or closed > 1e3:
                 continue
             quad = f1.forward_time(sk.ramp_velocity_field(a, b, 0.0), x)
-            assert quad.value == pytest.approx(closed.value,
-                                               rel=1e-8, abs=1e-8)
+            assert quad.value == pytest.approx(closed, rel=1e-8, abs=1e-8)
             n += 1
 
     def test_both_infinite_for_positive_c(self):
@@ -166,8 +165,91 @@ class TestClosedFormTimes:
             x = rng.uniform(0.5 * (a - 1.0) + 0.02, 0.9)
             closed = f1.ramp_time_closed_form(a, b, c, x)
             quad = f1.forward_time(sk.ramp_velocity_field(a, b, c), x)
-            assert closed.value == math.inf
+            assert closed == math.inf
             assert quad.value == math.inf
+
+
+@st.composite
+def ramp_rows(draw):
+    """``(a, b, c, x)`` of one closed-form row, drawn to reach every
+    branch: a blocked start at or below ``s = (a-1)/2``, the band (down to
+    starts so close to ``s`` that the correction is capped), the plateau,
+    ``b = 1`` and ``c > 0``."""
+    a = draw(st.floats(-0.9, 0.9))
+    b = draw(st.one_of(st.floats(-1.0, 0.95), st.just(1.0), st.just(-1.0)))
+    c = draw(st.one_of(st.just(0.0), st.just(0.0), st.floats(0.0, 1.0)))
+    s = 0.5 * (a - 1.0)
+    kind = draw(st.sampled_from(["blocked", "band", "near", "plateau"]))
+    if kind == "blocked":
+        x = draw(st.floats(-0.999, s))
+    elif kind == "near":
+        x = s + draw(st.floats(1e-12, 0.06))
+    elif kind == "band":
+        x = draw(st.floats(s, a, exclude_min=True, exclude_max=True))
+    else:
+        x = draw(st.floats(a, 0.999))
+    return a, b, c, min(max(x, -0.999), 0.999)
+
+
+class TestClosedFormBatch:
+    @settings(max_examples=60)
+    @given(rows=st.lists(ramp_rows(), min_size=1, max_size=12))
+    def test_batch_and_single_rows_equal_the_reference(self, rows):
+        a, b, c, x = (np.array(col) for col in zip(*rows))
+        ref = np.array([ramp_time_reference(*row) for row in rows])
+        assert f1.ramp_time_closed_form(a, b, c, x).tobytes() == ref.tobytes()
+        for row, want in zip(rows, ref.tolist()):
+            got = f1.ramp_time_closed_form(*row)
+            assert got.shape == () and got.tobytes() == np.float64(want).tobytes()
+
+    def test_every_branch_is_reached(self):
+        # blocked, c > 0, b = 1, plateau, band and a capped band correction
+        a, s = 0.2, -0.4
+        x = np.array([-0.5, 0.7, 0.5, 0.7, 0.1, s + 0.02])
+        b = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 0.5])
+        c = np.array([0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+        got = f1.ramp_time_closed_form(a, b, c, x)
+        ref = [ramp_time_reference(a, *row) for row in zip(b, c, x)]
+        assert got.tobytes() == np.array(ref).tobytes()
+        assert got[:3].tolist() == [math.inf] * 3 and got[5] == math.inf
+        assert got[3] == pytest.approx(0.6) and math.isfinite(got[4])
+        _, _, capped = f1.adaptive_quad(
+            lambda xi: (1.0 + f1._ramp_corner(xi, a)) / 0.5, s + 0.02, a,
+            cap=f1.DIVERGENCE_CAP)
+        assert capped
+
+    def test_broadcasting_and_empty(self):
+        x = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        got = f1.ramp_time_closed_form(0.2, 0.5, 0.0, x)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == np.array(
+            [ramp_time_reference(0.2, 0.5, 0.0, xi) for xi in x.ravel()]).tobytes()
+        assert f1.ramp_time_closed_form(0.2, 0.5, 0.0, np.zeros(0)).shape == (0,)
+
+    def test_refusals(self):
+        with pytest.raises(InputError, match="do not broadcast"):
+            f1.ramp_time_closed_form([0.1, 0.2], [0.5] * 3, 0.0, 0.5)
+        with pytest.raises(InputError, match="x must lie"):
+            f1.ramp_time_closed_form(0.2, 0.5, 0.0, [0.5, 1.0])
+        with pytest.raises(InputError, match="c must lie"):
+            f1.ramp_time_closed_form(0.2, 0.5, [0.0, math.nan], 0.5)
+
+    def test_quadrature_failures(self, monkeypatch):
+        # a failure past the cap certifies an infinite time; any other
+        # failure raises, the first failing band row's first
+        def failing(x, a):
+            if x == 0.1:
+                raise ToleranceFailure("past the cap",
+                                       partial=2.0 * f1.DIVERGENCE_CAP)
+            if x in (0.15, 0.0):
+                raise ToleranceFailure(f"fails at {x}", partial=1.0)
+            yield from ()
+            return 0.25, False
+        monkeypatch.setattr(f1, "_transit", failing)
+        got = f1.ramp_time_closed_form(0.2, 0.5, 0.0, [0.1, 0.05, 0.7])
+        assert got.tolist() == [math.inf, 1.6 + 0.25, (1.0 - 0.7) / 0.5]
+        with pytest.raises(ToleranceFailure, match="fails at 0.15"):
+            f1.ramp_time_closed_form(0.2, 0.5, 0.0, [0.1, 0.7, 0.15, 0.0])
 
 
 class TestUnitTimeThreshold:
@@ -187,7 +269,7 @@ class TestUnitTimeThreshold:
             mu = unit_time_threshold(a, b)
             assert max(b, 0.5 * (a - 1.0)) < mu < a
             tof = f1.ramp_time_closed_form(a, b, 0.0, mu)
-            assert tof.value == pytest.approx(1.0, abs=1e-8)
+            assert tof == pytest.approx(1.0, abs=1e-8)
 
     def test_classification_identity_on_grid(self):
         # time <= 1 iff (b < 1, c = 0 and threshold <= x), exhaustively
@@ -200,19 +282,19 @@ class TestUnitTimeThreshold:
             for b in b_grid:
                 if b < 1.0:
                     thresholds[(a, b)] = unit_time_threshold(a, b)
-        checked = 0
+        cases, want = [], []
         for a in a_grid:
             for b in b_grid:
                 for c in (0.0, c_grid[7], c_grid[-1]):
                     for x in x_grid:
-                        rhs = (b < 1.0 and c == 0.0
-                               and thresholds[(a, b)] <= x)
                         if abs(x - thresholds.get((a, b), 2.0)) < 1e-9:
                             continue  # exact-tie guard
-                        tof = f1.ramp_time_closed_form(a, b, c, x)
-                        assert (tof.value <= 1.0) == rhs
-                        checked += 1
-        assert checked > 20_000
+                        cases.append((a, b, c, x))
+                        want.append(b < 1.0 and c == 0.0
+                                    and thresholds[(a, b)] <= x)
+        assert len(cases) > 20_000
+        times = f1.ramp_time_closed_form(*np.array(cases).T)
+        assert np.array_equal(times <= 1.0, want)
 
 
 class TestAdaptiveQuad:

@@ -155,7 +155,7 @@ def velocity_grad_p_ref(field, p, x):
     b = field.spec.lam(pts)
     a = 0.5 * (b - 1.0)
     c, c_grad = field.c_fn.value_and_grad(pts)
-    b_grad = field.spec.lam.gradient(pts)
+    b_grad = field.spec.lam.grad(pts)
     du_da, du_db, du_dc, _ = ramp_partials_ref(a, b, c, xs)
     return ((0.5 * du_da + du_db)[..., None] * b_grad
             + du_dc[..., None] * c_grad)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from excisionlab import flow1d, null_fields as nf, scalar_kit as sk
 from excisionlab.errors import FlowDomainError, InputError
+from excisionlab.scenarios import MARGIN
+from fields1d import ramp_time_reference
 
 
 @pytest.fixture(scope="module")
@@ -35,19 +37,19 @@ class TestBuildEpigraphField:
         _, field = point_field
         a, b, c = fibre_params(field, 0.0)
         tof = flow1d.ramp_time_closed_form(a, b, c, 0.5)
-        assert tof.value == pytest.approx(0.5, abs=1e-12)
+        assert tof == pytest.approx(0.5, abs=1e-12)
 
     def test_exit_time_off_set(self, point_field):
         _, field = point_field
         a, b, c = fibre_params(field, 0.7)
         for x in (-0.5, 0.0, 0.5):
-            assert flow1d.ramp_time_closed_form(a, b, c, x).value == math.inf
+            assert flow1d.ramp_time_closed_form(a, b, c, x) == math.inf
 
     def test_exit_time_below_threshold(self, point_field):
         _, field = point_field
         a, b, c = fibre_params(field, 0.0)
         tof = flow1d.ramp_time_closed_form(a, b, c, -0.2)
-        assert 1.0 < tof.value < math.inf
+        assert 1.0 < tof < math.inf
 
     def test_range_validation(self):
         C = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
@@ -93,6 +95,42 @@ class TestClassification:
         want = member_p[keep] & (xs[keep] >= 0.0)
         assert excised.shape == want.shape and np.any(want)
         assert np.sum(excised != want) == 0
+
+    def test_refuses_points_and_coordinates_that_do_not_pair(self, epigraph_box):
+        # a zip would pair the first 3 base points and drop the other two
+        _, field, _ = epigraph_box
+        p = np.zeros((5, 2))
+        for x in ([0.5, 0.9, -0.9], 0.5, [0.5], np.zeros((5, 1)), np.zeros(6)):
+            with pytest.raises(InputError, match="one fibre coordinate per"):
+                nf.classify_epigraph(field, p, x)
+        assert nf.classify_epigraph(field, p, np.full(5, 0.5)).shape == (5,)
+
+    def test_transect_is_one_batch_equal_to_the_pointwise_reference(
+            self, epigraph_box, monkeypatch):
+        # the epigraph scenario's transect: one lockstep run of every band
+        # correction and one defining-function call, and each verdict the
+        # one-point closed form's
+        spec, field, _ = epigraph_box
+        m, margin = 100, MARGIN
+        ps = np.stack([np.linspace(-1.2, 1.2, m), np.full(m, 0.1)], axis=1)
+        ps = ps[~(spec.C.boundary_distance(ps) < margin)]
+        p_q = np.repeat(ps, m, axis=0)
+        x_q = np.tile(np.linspace(-0.9, 0.9, m), ps.shape[0])
+        clear = ~(np.abs(x_q - np.repeat(spec.lam(ps), m)) < margin)
+        p_q, x_q = p_q[clear], x_q[clear]
+        runs, values = [], []
+        lockstep, value = flow1d._lockstep, sk.DefiningFunction.value
+        monkeypatch.setattr(flow1d, "_lockstep", lambda steps, evaluate: (
+            runs.append(len(steps)) or lockstep(steps, evaluate)))
+        monkeypatch.setattr(sk.DefiningFunction, "value", lambda self, pts: (
+            values.append(len(pts)) or value(self, pts)))
+        excised = nf.classify_epigraph(field, p_q, x_q)
+        assert len(runs) == 1 and runs[0] > 0 and values == [x_q.size]
+        monkeypatch.undo()
+        a, b, c = field.params(p_q)
+        want = [ramp_time_reference(*row) <= 1.0
+                for row in zip(a.tolist(), b.tolist(), c.tolist(), x_q.tolist())]
+        assert excised.tolist() == want
 
 
 class TestFibreFlows:

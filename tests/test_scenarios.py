@@ -180,6 +180,68 @@ class TestWorst:
         assert chk["max_residual"] == math.inf
 
 
+class TestResidualsFailClosed:
+    """A NaN in a residual that a scenario reduces reaches the report as
+    ``inf``, through :func:`certify._worst`, and fails the check."""
+
+    @staticmethod
+    def nan_in_next_result(monkeypatch, owner, name, index, armed):
+        """Wrap ``owner.name`` so that its next result after ``armed`` gets
+        a NaN at ``index``, once."""
+        wrapped = getattr(owner, name)
+
+        def nan_once(*args, **kwargs):
+            out = wrapped(*args, **kwargs)
+            if armed:
+                armed.clear()
+                out = np.array(out)
+                out[index] = math.nan
+            return out
+        monkeypatch.setattr(owner, name, nan_once)
+
+    def test_ray_locality(self, monkeypatch):
+        # the locality check is the only caller of in_tube; the vector
+        # field evaluated next is the one on the points outside the tube
+        armed, in_tube = [], RayHamiltonian.in_tube
+        monkeypatch.setattr(RayHamiltonian, "in_tube", lambda self, z: (
+            armed.append(True) or in_tube(self, z)))
+        self.nan_in_next_result(monkeypatch, RayHamiltonian, "vector_field",
+                                (0, 0), armed)
+        report = scenarios.run_scenario(
+            scenarios.ScenarioConfig(scenario="ray", u_scale=0.5, **SMALL))
+        chk = report["checks"]["locality_outside_U"]
+        assert (chk["pass"], chk["max_residual"]) == (False, math.inf)
+
+    def test_tree_locality(self, monkeypatch):
+        # the composed pass's first row is the first point outside U
+        def nan_endpoint(self, pts, tol):
+            out = forward_batch(self, pts, tol)
+            out.endpoint[0, 0] = math.nan
+            return out
+        forward_batch = trees.StagedExcision.forward_batch
+        monkeypatch.setattr(trees.StagedExcision, "forward_batch", nan_endpoint)
+        report = scenarios.run_scenario(
+            scenarios.ScenarioConfig(scenario="tree", **SMALL))
+        chk = report["checks"]["locality_outside_U"]
+        assert (chk["pass"], chk["max_residual"]) == (False, math.inf)
+
+    def test_box_tail_minorant_lower_bound(self, monkeypatch):
+        # a NaN in the level-2 minorant of the first grid point; Python's
+        # min would drop its slack and report the other levels' worst
+        def build_then_arm(spec, depth):
+            field = build(spec, depth)
+            armed.append(True)
+            return field
+        armed, build = [], lsc_fields.build_lsc_field
+        monkeypatch.setattr(lsc_fields, "build_lsc_field", build_then_arm)
+        self.nan_in_next_result(monkeypatch, lsc_fields.BaireSequence,
+                                "raw_values", (0, 1), armed)
+        report = scenarios.run_scenario(
+            scenarios.ScenarioConfig(scenario="box-tail", **SMALL))
+        chk = report["checks"]["minorant_lower_bound"]
+        assert (chk["pass"], chk["max_residual"]) == (False, math.inf)
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"scenario": "unused", **SMALL, **extra}))

@@ -17,29 +17,28 @@ integral converges.  This module provides:
   walks that give the bounds :class:`~excisionlab.errors.FlowDomainError`
   reports,
 * :func:`flow_map_batch` and :func:`forward_time_batch`, the flows and
-  the forward times of many :class:`Fibres` at once,
+  the forward times of many fibres at once,
 * :func:`ramp_time_closed_form`, the ramp velocity's forward times from
   its antiderivative, with its band corrections in one lockstep batch.
 
-A field's zeros come from its declared ``zero_regions``; no walk searches
-for them.
+Fibres come as one :class:`~excisionlab.scalar_kit.Fibres`;
+:func:`forward_time`, :func:`backward_time` and :func:`flow_map` take a
+batch of one.  A fibre's zeros come from its declared zero interval; no
+walk searches for them.
 
 ``QUAD_TOL`` is the layer's one tolerance; only :func:`adaptive_quad`
 takes another, for reference integrals.
 
 The quadrature, the walk and the bisection are written once, as steps of
 one fibre: generators that yield the panels whose 15 GK nodes they need
-and are sent the integrand there.  A driver runs them.  The lockstep
-driver behind :func:`flow_map_batch` advances every pending fibre by one
-step per round, with one stacked velocity call for all their panels, and
-sums each panel's Kronrod and Gauss rules per fibre (a stacked matrix
-product could round differently), so each row is bitwise the flow of its
-fibre alone; :func:`forward_time_batch` runs the walks of
-:func:`forward_time` through the same driver.  :func:`adaptive_quad`,
-:func:`forward_time`, :func:`backward_time` and :func:`flow_map` are
-one-row runs of the same driver, and :func:`ramp_time_closed_form` a
-batch of quadratures, so it is the one loop that runs steps.  Its nodes
-come from one formula, :func:`_nodes`.
+and are sent the integrand there.  The lockstep driver advances every
+pending fibre by one step per round, with one stacked velocity call for
+all their panels, and sums each panel's Kronrod and Gauss rules per fibre
+(a stacked matrix product could round differently), so each row is
+bitwise the flow of its fibre alone; the start speeds come from one more
+velocity call.  :func:`adaptive_quad` is a one-row run of it and
+:func:`ramp_time_closed_form` a batch of quadratures, so it is the one
+loop that runs steps.  Its nodes come from one formula, :func:`_nodes`.
 """
 
 from __future__ import annotations
@@ -48,12 +47,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FlowDomainError, InputError, ToleranceFailure
-from .scalar_kit import ScalarField1D, check_ramp_params
+from .scalar_kit import Fibres, check_ramp_params
 
 __all__ = [
     "QUAD_TOL",
@@ -65,7 +64,6 @@ __all__ = [
     "forward_time",
     "backward_time",
     "flow_map",
-    "Fibres",
     "flow_map_batch",
     "forward_time_batch",
     "ramp_time_closed_form",
@@ -184,19 +182,6 @@ def _lockstep(steps: list, evaluate: Callable) -> list:
     return out
 
 
-def _run_one(steps, f: Callable):
-    """One row's steps run by :func:`_lockstep`, ``f`` evaluated at each
-    round's nodes as one flat array; raises the row's :class:`InputError`
-    or :class:`ToleranceFailure`.  A round costs more here than in a
-    separate one-row loop, so many small quadratures, as the ramp
-    corrections of :func:`ramp_time_closed_form`, run as one batch."""
-    out, = _lockstep([steps], lambda rows, nodes: np.asarray(
-        f(nodes.ravel()), dtype=float).reshape(nodes.shape))
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def _quad(a, b, tol=QUAD_TOL, cap=None):
     """The steps of :func:`adaptive_quad`: the first panel, then both
     halves of the panel with the largest error in one round.  Of panels
@@ -246,27 +231,29 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float = QUAD_TOL,
     # written to fail closed: NaN is not in (0, inf)
     if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}")
-    return _run_one(_quad(a, b, tol, cap), f)
+    # one row of _lockstep, f evaluated at each round's nodes as one flat array
+    out, = _lockstep([_quad(a, b, tol, cap)], lambda rows, nodes: np.asarray(
+        f(nodes.ravel()), dtype=float).reshape(nodes.shape))
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # zero detection ahead of / behind a point
 # ---------------------------------------------------------------------------
 
-def _zero_barrier(v: ScalarField1D, x: float, direction: int) -> Optional[float]:
-    """Nearest boundary of the declared zero set of ``v`` strictly beyond
-    ``x`` in the given direction (+1 toward the right endpoint, -1 toward
-    the left), or ``None`` when the way is clear."""
-    lo, hi = v.domain
-    best = None
-    for zl, zh in v.zero_regions:
-        if direction > 0 and zh > x and zl < hi:
-            edge = max(zl, x)
-            best = edge if best is None else min(best, edge)
-        if direction < 0 and zl < x and zh > lo:
-            edge = min(zh, x)
-            best = edge if best is None else max(best, edge)
-    return best
+def _zero_barrier(fibres: Fibres, i: int, x: float, d: int) -> Optional[float]:
+    """Nearest edge of fibre ``i``'s zero interval strictly beyond ``x`` in
+    the direction ``d`` (+1 toward the right endpoint, -1 toward the
+    left), or ``None`` when the way is clear; a NaN row never blocks."""
+    lo, hi = fibres.domain[i].tolist()
+    zl, zh = fibres.zero[i].tolist()
+    if d > 0 and zh > x and zl < hi:
+        return max(zl, x)
+    if d < 0 and zl < x and zh > lo:
+        return min(zh, x)
+    return None
 
 
 def _transit(y0: float, y1: float):
@@ -403,54 +390,38 @@ def _walk(x: float, end: float, d: int, target: float = math.inf):
     )
 
 
-def _reciprocal(v: ScalarField1D) -> Callable:
-    """The integrand ``1/v`` of every time of flight."""
-    return lambda xi: 1.0 / np.asarray(v(xi), dtype=float)
+def _domain(fibres: Fibres, i: int, x: float) -> tuple[float, float]:
+    """Fibre ``i``'s open domain ``(lo, hi)``, which must hold the start
+    ``x``."""
+    lo, hi = fibres.domain[i].tolist()
+    if not lo < x < hi:
+        raise InputError(f"start {x} of fibre {i} outside open domain "
+                         f"({lo}, {hi})")
+    return lo, hi
 
 
-def _time_of_flight(v: ScalarField1D, x: float, d: int):
-    """Steps of :func:`forward_time` (``d`` = +1) or :func:`backward_time`
-    (``d`` = -1)."""
-    v.check_domain(x)
-    if float(v(x)) == 0.0 or _zero_barrier(v, x, d) is not None:
+def _time_of_flight(fibres: Fibres, i: int, x: float, v0: float, d: int):
+    """Steps of fibre ``i``'s time of flight from ``x``, where its speed is
+    ``v0``, to the right (``d`` = +1) or left (``d`` = -1) end."""
+    lo, hi = _domain(fibres, i, x)
+    if v0 == 0.0 or _zero_barrier(fibres, i, x, d) is not None:
         return TimeOfFlight(d * math.inf, MODE_ZERO_BLOCKED)
-    lo, hi = v.domain
     tof = yield from _walk(x, hi if d > 0 else lo, d)
     return TimeOfFlight(d * tof.value, tof.mode, tof.lower_bound)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def forward_time(v: ScalarField1D, x: float) -> TimeOfFlight:
-    """Time of flight from ``x`` to the right endpoint of the domain of ``v``.
-
-    Returns ``zero-blocked`` infinity when ``v`` vanishes somewhere on
-    ``[x, hi)``; otherwise the (possibly divergent) improper integral of
-    ``1/v`` computed by adaptive quadrature.  As in :func:`flow_map`, a
-    node of the walk's panels where ``1/v`` overflows counts as an
-    infinite time, and one on the pieces next to ``x`` raises
-    :class:`~excisionlab.errors.ToleranceFailure`.
-    """
-    return _run_one(_time_of_flight(v, x, +1), _reciprocal(v))
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def backward_time(v: ScalarField1D, x: float) -> TimeOfFlight:
-    """Signed (negative) time of flight from ``x`` back to the left endpoint."""
-    return _run_one(_time_of_flight(v, x, -1), _reciprocal(v))
-
-
-def _flow(v: ScalarField1D, t: float, x: float):
-    """Steps of one fibre's flow: the point reached from ``x`` after time
-    ``t``, or ``None`` when the walk refuses ``t``."""
-    v.check_domain(x)
+def _flow(fibres: Fibres, i: int, x: float, v0: float, t: float):
+    """Steps of fibre ``i``'s flow from ``x``, where its speed is ``v0``:
+    the point reached after time ``t``, or ``None`` when the walk refuses
+    ``t``."""
+    lo, hi = _domain(fibres, i, x)
     if not -math.inf <= t <= math.inf:
         raise InputError("flow time must not be NaN")
-    if float(v(x)) == 0.0 or t == 0.0:
-        return float(x)
-    lo, hi = v.domain
+    if v0 == 0.0 or t == 0.0:
+        return x
     d = 1 if t > 0 else -1
     target = abs(t)
-    barrier = _zero_barrier(v, x, d)
+    barrier = _zero_barrier(fibres, i, x, d)
     end = (hi if d > 0 else lo) if barrier is None else barrier
     walk = yield from _walk(x, end, d, target)
     if isinstance(walk, TimeOfFlight):
@@ -474,16 +445,70 @@ def _flow(v: ScalarField1D, t: float, x: float):
     return y
 
 
-def _refusal(v: ScalarField1D, t: float, x: float) -> FlowDomainError:
-    """The error for a refused time, with the exact bounds of ``x``'s flow
-    domain from :func:`backward_time` and :func:`forward_time`."""
-    return FlowDomainError(t, backward_time(v, x).value,
-                           forward_time(v, x).value)
+def _run_rows(fibres: Fibres, x, step, *cols) -> list:
+    """:func:`_lockstep` of ``step(fibres, i, x[i], v0[i], *cols[i])`` for
+    every fibre ``i``, integrating ``1/v`` with one ``fibres.velocity``
+    call per round.  The start speeds ``v0`` come from one more call, over
+    the starts inside their domains only; the others read NaN and are
+    refused by their step.  ``x`` must hold one start per fibre."""
+    m = len(fibres.domain)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (m,):
+        raise InputError(f"need {m} starts, got shape {x.shape}")
+    lo, hi = fibres.domain.T
+    inside = np.flatnonzero((lo < x) & (x < hi))
+    v0 = np.full(m, math.nan)
+    v0[inside] = fibres.velocity(inside, x[inside, None])[:, 0]
+    steps = [step(fibres, i, *args)
+             for i, args in enumerate(zip(x.tolist(), v0.tolist(), *cols))]
+    return _lockstep(steps, lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
+
+
+def _times(fibres: Fibres, x, d: int) -> list[TimeOfFlight]:
+    """The :class:`TimeOfFlight` of every fibre from ``x[i]`` to its right
+    (``d`` = +1) or left (``d`` = -1) end, all walks in lockstep; raises
+    the first failing row's error."""
+    out = _run_rows(fibres, x, _time_of_flight, itertools.repeat(d))
+    for tof in out:
+        if isinstance(tof, Exception):
+            raise tof
+    return out
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def flow_map(v: ScalarField1D, t: float, x: float) -> float:
-    """Point reached from ``x`` after flowing for time ``t`` along ``v``.
+def forward_time(fibres: Fibres, x: float) -> TimeOfFlight:
+    """Time of flight from ``x`` to the right endpoint of the one fibre of
+    ``fibres``.
+
+    Returns ``zero-blocked`` infinity when the speed vanishes somewhere on
+    ``[x, hi)``; otherwise the (possibly divergent) improper integral of
+    ``1/v`` computed by adaptive quadrature.  As in :func:`flow_map`, a
+    node of the walk's panels where ``1/v`` overflows counts as an
+    infinite time, and one on the pieces next to ``x`` raises
+    :class:`~excisionlab.errors.ToleranceFailure`.
+    """
+    return _times(fibres, [x], +1)[0]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def backward_time(fibres: Fibres, x: float) -> TimeOfFlight:
+    """Signed (negative) time of flight from ``x`` back to the left
+    endpoint of the one fibre of ``fibres``."""
+    return _times(fibres, [x], -1)[0]
+
+
+def _refusal(fibres: Fibres, i: int, t: float, x: float) -> FlowDomainError:
+    """The error for fibre ``i``'s refused time, with the exact bounds of
+    ``x``'s flow domain from :func:`backward_time` and
+    :func:`forward_time`."""
+    one = fibres.take([i])
+    return FlowDomainError(t, backward_time(one, x).value,
+                           forward_time(one, x).value)
+
+
+def flow_map(fibres: Fibres, t: float, x: float) -> float:
+    """Point reached from ``x`` after flowing for time ``t`` along the one
+    fibre of ``fibres``.
 
     Solves ``int_x^y dxi / v(xi) = t`` for ``y``: the walk toward the end
     in the flow direction (the domain endpoint or the nearest zero of
@@ -504,84 +529,46 @@ def flow_map(v: ScalarField1D, t: float, x: float) -> float:
     on them, or their time changes below float resolution, the flow
     raises :class:`~excisionlab.errors.ToleranceFailure`.
     """
-    y = _run_one(_flow(v, t, x), _reciprocal(v))
-    if y is None:
-        raise _refusal(v, t, x)
-    return y
-
-
-@dataclass(frozen=True)
-class Fibres:
-    """``m`` fibres of one field, flowed together by :func:`flow_map_batch`
-    and timed together by :func:`forward_time_batch`.
-
-    ``fields[i]`` is fibre ``i`` as a 1D field (domain, zero set and
-    start-point checks).  ``velocity(rows, nodes)`` evaluates the speed at
-    a ``(k, 15)`` stack of quadrature nodes, node row ``j`` on fibre
-    ``rows[j]``; each value must equal ``fields[rows[j]]`` at that node,
-    bitwise, so that a row of a batch is the flow of its fibre alone.
-    """
-
-    fields: Sequence[ScalarField1D]
-    velocity: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    return flow_map_batch(fibres, t, [x]).tolist()[0]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def flow_map_batch(fibres: Fibres, t, x) -> np.ndarray:
     """:func:`flow_map` of every fibre at once: row ``i`` flows ``x[i]``
     for time ``t`` (a float, or ``t[i]`` from an ``(m,)`` array) along
-    ``fibres.fields[i]``, bitwise what ``flow_map`` gives on that fibre
-    alone.  All rows walk in lockstep, with one ``fibres.velocity`` call
-    per round.  Raises the error of the first row that fails, as that row
-    alone would: a refused time's
-    :class:`~excisionlab.errors.FlowDomainError` (whose bounds are
+    fibre ``i``, bitwise the flow of that fibre alone.  All rows walk in
+    lockstep, with one ``fibres.velocity`` call per round.  Raises the
+    error of the first row that fails, as that row alone would: a refused
+    time's :class:`~excisionlab.errors.FlowDomainError` (whose bounds are
     computed for that row only), an :class:`~excisionlab.errors.InputError`
     or a :class:`~excisionlab.errors.ToleranceFailure`.
     """
-    m = len(fibres.fields)
-    x = np.asarray(x, dtype=float)
+    m = len(fibres.domain)
     t = np.asarray(t, dtype=float)
-    if x.shape != (m,) or t.shape not in ((), (m,)):
+    if t.shape not in ((), (m,)):
         raise InputError(f"need {m} starts and a time or {m} times, got "
-                         f"shapes {x.shape} and {t.shape}")
-    xs = x.tolist()
+                         f"times of shape {t.shape}")
     ts = np.broadcast_to(t, (m,)).tolist()
-    out = _run_rows(fibres, [_flow(v, ti, xi)
-                             for v, ti, xi in zip(fibres.fields, ts, xs)])
-    for v, ti, xi, y in zip(fibres.fields, ts, xs, out):
+    out = _run_rows(fibres, x, _flow, ts)
+    for i, y in enumerate(out):
         if isinstance(y, Exception):
             raise y
         if y is None:
-            raise _refusal(v, ti, xi)
+            raise _refusal(fibres, i, ts[i], float(x[i]))
     return np.array(out, dtype=float)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def forward_time_batch(fibres: Fibres, x) -> list[TimeOfFlight]:
     """:func:`forward_time` of every fibre at once: row ``i`` is the
-    :class:`TimeOfFlight` from ``x[i]`` to the right end of
-    ``fibres.fields[i]``, bitwise what ``forward_time`` gives on that fibre
-    alone.  All rows walk in lockstep, with one ``fibres.velocity`` call
-    per round.  Raises the error of the first row that fails, as that row
-    alone would: an :class:`~excisionlab.errors.InputError` or a
+    :class:`TimeOfFlight` from ``x[i]`` to the right end of fibre ``i``,
+    bitwise that of the fibre alone.  All rows walk in lockstep, with one
+    ``fibres.velocity`` call per round.  Raises the error of the first row
+    that fails, as that row alone would: an
+    :class:`~excisionlab.errors.InputError` or a
     :class:`~excisionlab.errors.ToleranceFailure`.
     """
-    m = len(fibres.fields)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m,):
-        raise InputError(f"need {m} starts, got shape {x.shape}")
-    out = _run_rows(fibres, [_time_of_flight(v, xi, +1)
-                             for v, xi in zip(fibres.fields, x.tolist())])
-    for tof in out:
-        if isinstance(tof, Exception):
-            raise tof
-    return out
-
-
-def _run_rows(fibres: Fibres, steps: list) -> list:
-    """:func:`_lockstep` of one step per fibre, integrating ``1/v`` with
-    one ``fibres.velocity`` call per round."""
-    return _lockstep(steps, lambda rows, nodes: 1.0 / fibres.velocity(rows, nodes))
+    return _times(fibres, x, +1)
 
 
 # ---------------------------------------------------------------------------

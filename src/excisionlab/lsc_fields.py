@@ -33,7 +33,8 @@ stages:
    ``_fiber_cache`` and computes and stores only the others, so it is the
    one reader of tower data over one store.  Every evaluation of the field
    runs the kernels over such a table: :meth:`GluedField.fibres` for the
-   fibre flows, and :meth:`GluedField.level_checks` and
+   fibre flows (one batch velocity, each fibre's domain and zero interval
+   read off its row), and :meth:`GluedField.level_checks` and
    :meth:`GluedField.classify`, box-tail's threshold, nesting and limit
    checks.
 
@@ -55,9 +56,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CoverageError, DepthExhausted, InputError
-from .flow1d import Fibres
 from .scalar_kit import (
-    ScalarField1D,
+    Fibres,
     ball_bump_from_sq,
     bridge_crossing_time,
     bridge_velocity,
@@ -809,13 +809,13 @@ class GluedField:
         :func:`~excisionlab.flow1d.flow_map_batch`,
         :func:`~excisionlab.flow1d.forward_time_batch` and the one-fibre
         routines of :mod:`~excisionlab.flow1d`.  The speed is the full
-        tower's :func:`_tower_speed` times the final cutoff below
-        ``f_1/2``, row by row over the :meth:`fibre_table` of the batch;
-        fibre ``i`` evaluates it on row ``i`` alone, so every value of the
-        batch velocity is bitwise that fibre's own.  A fibre is defined on
-        the covered band below its deepest separator, where flows never
-        notice the cap; a speed query at or above the separator raises.
-        An empty batch gives no fibres."""
+        tower's :func:`_tower_speed` times the final cutoff, which vanishes
+        on ``[0, f_1/2]``, row by row over the :meth:`fibre_table` of the
+        batch, so every value is bitwise that fibre's own.  A fibre is
+        defined on the covered band below its deepest separator, where
+        flows never notice the cap; a speed query at or above the separator
+        raises :class:`~excisionlab.errors.DepthExhausted`.  An empty batch
+        gives no fibres."""
         f, g, tau = self.fibre_table(ps)
         half_f1 = 0.5 * f[:, :1]
 
@@ -825,16 +825,9 @@ class GluedField:
                 raise DepthExhausted("velocity query above deepest separator")
             return _tower_speed(g_r, tau[rows], nodes) * smooth_step((nodes - h) / h)
 
-        def field(r: int) -> ScalarField1D:
-            def speed(x):
-                x = np.asarray(x, dtype=float)
-                return velocity([r], x.reshape(1, -1)).reshape(x.shape)
-            return ScalarField1D(f=speed, domain=(0.0, float(g[r, -1]) - 1e-9),
-                                 zero_regions=((0.0, float(half_f1[r, 0])),),
-                                 label="glued-lsc")
-
-        return Fibres(fields=[field(r) for r in range(f.shape[0])],
-                      velocity=velocity)
+        zeros = np.zeros_like(half_f1)
+        return Fibres(domain=np.hstack([zeros, g[:, -1:] - 1e-9]),
+                      zero=np.hstack([zeros, half_f1]), velocity=velocity)
 
 
 def build_lsc_field(spec: LscSpec, depth: int) -> GluedField:

@@ -20,10 +20,11 @@ import numpy as np
 from .errors import InputError
 # flow_map is not called here; perfbench/test_perfbench.py checks that
 # tracing wraps this module's binding of it
-from .flow1d import Fibres, flow_map, flow_map_batch, ramp_time_closed_form
+from .flow1d import flow_map, flow_map_batch, ramp_time_closed_form
 from .scalar_kit import (
     ClosedSetSpec,
     DefiningFunction,
+    Fibres,
     ramp_velocity,
     ramp_velocity_field,
     ramp_velocity_jet,
@@ -99,7 +100,8 @@ class EpigraphField:
 
     ``velocity`` and ``jet`` take a batch: base points ``p`` of shape
     ``(m, base_dim)`` and fibre coordinates ``x`` of shape ``(m,)``, and
-    so do :meth:`fibres` and :func:`presympl_flow` built on it.
+    so do :meth:`fibres` and :func:`presympl_flow` built on it.  Base
+    points of any other shape raise :class:`~excisionlab.errors.InputError`.
 
     Construction validates the range of the ambient function: ``lam`` must
     take values in (-1, 1] at 256 points of the set and 512 points of the
@@ -118,9 +120,17 @@ class EpigraphField:
         self.base_dim = spec.C.dim
         self.c_fn = DefiningFunction(spec.C, spec.sharpness)
 
+    def _points(self, p) -> np.ndarray:
+        pts = np.asarray(p, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.base_dim:
+            raise InputError(f"base points must have shape (m, {self.base_dim}), "
+                             f"got {pts.shape}")
+        return pts
+
     # parameter fields: a = (b - 1)/2 with b = lam, c the defining function
     def params(self, p):
         """``(a, b, c)`` arrays at an ``(m, base_dim)`` batch."""
+        p = self._points(p)
         b = self.spec.lam(p)
         return 0.5 * (b - 1.0), b, self.c_fn.value(p)
 
@@ -132,6 +142,7 @@ class EpigraphField:
         """``(v, dv/dx, grad_p v)`` at a batch, from one pass over the
         parameter fields and the ramp partials; ``v`` is bitwise
         :meth:`velocity`."""
+        p = self._points(p)
         b = self.spec.lam(p)
         a = 0.5 * (b - 1.0)
         c, c_grad = self.c_fn.value_and_grad(p)
@@ -142,19 +153,11 @@ class EpigraphField:
 
     def fibres(self, p) -> Fibres:
         """The fibres over an ``(m, base_dim)`` batch of base points, for
-        :func:`~excisionlab.flow1d.flow_map_batch`.  Fibre ``i`` is the
-        restriction ``v(p[i], .)`` as a 1D field with its exact zero set,
-        ``ramp_velocity_field(a[i], b[i], c[i])`` with the parameters of
-        base point ``p[i]``; the batch velocity evaluates
-        ``ramp_velocity`` with each node row's own parameters, which is
-        elementwise, so every value is bitwise that fibre's own."""
-        a, b, c = self.params(p)
-        return Fibres(
-            fields=[ramp_velocity_field(*abc)
-                    for abc in zip(a.tolist(), b.tolist(), c.tolist())],
-            velocity=lambda rows, nodes: ramp_velocity(
-                a[rows, None], b[rows, None], c[rows, None], nodes),
-        )
+        :func:`~excisionlab.flow1d.flow_map_batch`: fibre ``i`` is the
+        restriction ``v(p[i], .)`` with its exact zero set, one
+        :func:`~excisionlab.scalar_kit.ramp_velocity_field` of the
+        parameters of the whole batch."""
+        return ramp_velocity_field(*self.params(p))
 
 
 def classify_epigraph(field: EpigraphField, p, x) -> np.ndarray:

@@ -12,8 +12,9 @@ extensions) is assembled from the primitives in this module:
   a plateau speed and a rational decay,
 * ``bridge_velocity`` -- the unit-plateau profile that crosses ``(lo, hi)``
   with a prescribed extra delay, and its closed-form crossing time,
-* ``ScalarField1D`` and ``ramp_velocity_field`` -- a speed on an open
-  interval with its exact zero set, the input of every 1D flow,
+* ``Fibres`` and ``ramp_velocity_field`` -- a batch of speeds, each on
+  its open interval with its one zero interval, and one batch velocity:
+  the input of every 1D flow,
 * ``DefiningFunction`` -- a smooth nonnegative function whose zero locus is
   a prescribed closed set (finite unions of boxes, points and finite-depth
   Cantor products), with its exact gradient.
@@ -56,7 +57,7 @@ __all__ = [
     "ramp_velocity_jet",
     "bridge_velocity",
     "bump_mass",
-    "ScalarField1D",
+    "Fibres",
     "ramp_velocity_field",
     "check_ramp_params",
     "AxisSet",
@@ -309,49 +310,47 @@ def bridge_crossing_time(lo, hi, delay, x0, x1):
 
 
 # ---------------------------------------------------------------------------
-# 1D scalar fields
+# batches of 1D fibres
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScalarField1D:
-    """A smooth speed ``f`` on the open interval ``domain``.
+class Fibres:
+    """``m`` smooth speeds, each on its own open interval: the input of
+    every 1D flow (:mod:`excisionlab.flow1d`).
 
-    ``zero_regions`` lists the closed intervals on which the field vanishes
-    identically, and must list every zero of ``f`` in the domain: the 1D
-    flows (:mod:`excisionlab.flow1d`) read the zeros that block a
-    trajectory from it and never search for them.
+    Fibre ``i`` lives on the open interval ``domain[i]`` and vanishes
+    identically on the closed interval ``zero[i]``, a NaN row for none,
+    which must hold every zero of the fibre in its domain: the flows read
+    the zeros that block a trajectory from it and never search for them.
+    ``velocity(rows, nodes)`` is the speed at a ``(k, n)`` stack of points,
+    point row ``j`` on fibre ``rows[j]``; every value depends on its own
+    fibre and point only, so a fibre's values are its own in any batch.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
-    zero_regions: tuple[tuple[float, float], ...] = ()
-    label: str = ""
+    domain: np.ndarray
+    zero: np.ndarray
+    velocity: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __call__(self, x):
-        return self.f(x)
-
-    def check_domain(self, x) -> None:
-        lo, hi = self.domain
-        x = np.asarray(x, dtype=float)
-        if not np.all((lo < x) & (x < hi)):
-            raise InputError(
-                f"argument outside open domain ({lo}, {hi}) of {self.label or 'field'}"
-            )
+    def take(self, rows) -> Fibres:
+        """The fibres ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Fibres(self.domain[rows], self.zero[rows],
+                      lambda r, nodes: self.velocity(rows[r], nodes))
 
 
-def ramp_velocity_field(a: float, b: float, c: float) -> ScalarField1D:
-    """The velocity ``ramp_velocity(a, b, c, .)`` on (-1, 1) with its exact
-    zero set recorded."""
+def ramp_velocity_field(a, b, c) -> Fibres:
+    """The fibres ``ramp_velocity(a, b, c, .)`` on (-1, 1), one per entry
+    of the broadcast 1-D parameter arrays (scalars give one), each with
+    its exact zero set: ``[-1, (a-1)/2]``, or all of it where ``b = 1``."""
+    a, b, c = np.broadcast_arrays(*np.atleast_1d(a, b, c))
     check_ramp_params(a, b, c)
-    if b == 1.0:
-        zeros = ((-1.0, 1.0),)
-    else:
-        zeros = ((-1.0, 0.5 * (a - 1.0)),)
-    return ScalarField1D(
-        f=lambda x: ramp_velocity(a, b, c, x),
-        domain=(-1.0, 1.0),
-        zero_regions=zeros,
-        label=f"ramp(a={a},b={b},c={c})",
+    m = a.size
+    return Fibres(
+        domain=np.tile([-1.0, 1.0], (m, 1)),
+        zero=np.column_stack([np.full(m, -1.0),
+                              np.where(b == 1.0, 1.0, 0.5 * (a - 1.0))]),
+        velocity=lambda rows, nodes: ramp_velocity(
+            a[rows, None], b[rows, None], c[rows, None], nodes),
     )
 
 

@@ -358,14 +358,11 @@ def _run_epigraph(cfg: ScenarioConfig) -> dict:
     # every fibre-flow sample is drawn first, in the order the checks use
     # them; the flows then run as three batches
     n = cfg.roundtrip_samples
-    p_rt = np.empty((n, 2))
-    x_target = np.empty(n)
-    for i in range(n):
-        p_rt[i] = rng.uniform(-1.2, 1.2, size=2)
-        x_target[i] = rng.uniform(-0.9, 0.9)
+    draws = rng.uniform([-1.2, -1.2, -0.9], [1.2, 1.2, 0.9], size=(n, 3))
+    p_rt, x_target = np.ascontiguousarray(draws[:, :2]), draws[:, 2]
     zp = C.sample(200, rng)
     lam_zp = lam(zp)
-    x_inv = np.array([rng.uniform(lam_p, 0.97) for lam_p in lam_zp.tolist()])
+    x_inv = rng.uniform(lam_zp, 0.97)
 
     # fibre bijectivity: backward then forward is the identity
     _, x_back = null_fields.presympl_flow(vfield, p_rt, x_target, -1.0)
@@ -485,8 +482,8 @@ def _run_box_tail(cfg: ScenarioConfig) -> dict:
             rows.append(slot[i])
             x_t.append(rng.uniform(float(f1[slot[i]]), 0.9))
     drawn = field.fibres(fibres[rows])
-    blocked = all(flow1d.backward_time(v, x).value == -math.inf
-                  for v, x in zip(drawn.fields, x_t))
+    blocked = all(flow1d.backward_time(drawn.take([j]), x).value == -math.inf
+                  for j, x in enumerate(x_t))
     blocked &= bool(np.all(drawn.velocity(np.arange(len(rows)),
                                           0.25 * f1[rows, None]) == 0.0))
     x_b = flow1d.flow_map_batch(drawn, -1.0, x_t)

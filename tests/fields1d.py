@@ -3,9 +3,10 @@
 The package's own fibres are ramp fields (``ramp_velocity_field``) and
 glued tower fibres; the fields here give the flow tests speeds with
 known times: a constant, an affine speed with a log-divergent end, and
-the bridge profile with its exact crossing time.  ``ramp_time_reference``
-is the one-point closed-form ramp time that the batch
-``flow1d.ramp_time_closed_form`` must equal bitwise.
+the bridge profile with its exact crossing time.  Each is a one-row
+``Fibres``, and ``speed`` evaluates such a fibre at points.
+``ramp_time_reference`` is the one-point closed-form ramp time that the
+batch ``flow1d.ramp_time_closed_form`` must equal bitwise.
 """
 
 import math
@@ -14,39 +15,38 @@ import numpy as np
 
 from excisionlab import flow1d as f1
 from excisionlab.errors import InputError, ToleranceFailure
-from excisionlab.scalar_kit import ScalarField1D, bridge_velocity, check_ramp_params
+from excisionlab.scalar_kit import Fibres, bridge_velocity, check_ramp_params
 
 
-def constant_field(value: float, domain=(0.0, 1.0)) -> ScalarField1D:
-    zeros = (tuple(domain),) if value == 0.0 else ()
-    return ScalarField1D(
-        f=lambda x: np.full_like(np.asarray(x, dtype=float), value),
-        domain=domain,
-        zero_regions=zeros,
-        label=f"const({value})",
-    )
+def one_fibre(f, domain, zero=(math.nan, math.nan)) -> Fibres:
+    """The speed ``f``, elementwise, on the open interval ``domain``,
+    vanishing on the closed interval ``zero``."""
+    return Fibres(domain=np.array([domain], dtype=float),
+                  zero=np.array([zero], dtype=float),
+                  velocity=lambda rows, nodes: f(nodes))
 
 
-def affine_field(slope: float, intercept: float, domain) -> ScalarField1D:
+def speed(fibre: Fibres, x) -> np.ndarray:
+    """The speed of the one fibre of ``fibre`` at points ``x`` of any shape."""
+    x = np.asarray(x, dtype=float)
+    return fibre.velocity(np.zeros(1, dtype=int), x.reshape(1, -1)).reshape(x.shape)
+
+
+def constant_field(value: float, domain=(0.0, 1.0)) -> Fibres:
+    zero = domain if value == 0.0 else (math.nan, math.nan)
+    return one_fibre(lambda x: np.full_like(x, value), domain, zero)
+
+
+def affine_field(slope: float, intercept: float, domain) -> Fibres:
     """``slope * x + intercept`` with its one zero declared."""
     zero = -intercept / slope
-    return ScalarField1D(
-        f=lambda x: slope * np.asarray(x, dtype=float) + intercept,
-        domain=domain,
-        zero_regions=((zero, zero),),
-        label=f"affine({slope},{intercept})",
-    )
+    return one_fibre(lambda x: slope * x + intercept, domain, (zero, zero))
 
 
-def bridge_velocity_field(lo: float, hi: float, delay: float) -> ScalarField1D:
+def bridge_velocity_field(lo: float, hi: float, delay: float) -> Fibres:
     """The bridge profile on (0, 1); needs ``0 < lo < hi < 1`` and
     ``delay > 0``."""
-    return ScalarField1D(
-        f=lambda x: bridge_velocity(lo, hi, delay, x),
-        domain=(0.0, 1.0),
-        zero_regions=(),
-        label=f"bridge({lo},{hi},{delay})",
-    )
+    return one_fibre(lambda x: bridge_velocity(lo, hi, delay, x), (0.0, 1.0))
 
 
 def unit_time_threshold(a: float, b: float, tol: float = f1.ROOT_TOL) -> float:

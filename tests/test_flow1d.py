@@ -1,5 +1,6 @@
 """Times of flight, flow maps and their closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from excisionlab import flow1d as f1
 from excisionlab import scalar_kit as sk
 from excisionlab.errors import FlowDomainError, InputError, ToleranceFailure
 from fields1d import (affine_field, bridge_velocity_field, constant_field,
-                      ramp_time_reference, unit_time_threshold)
+                      ramp_time_reference, speed, unit_time_threshold)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -386,13 +387,13 @@ def quad_rounds(steps, f):
     every round in order."""
     rounds = []
 
-    def recorded(x):
-        rounds.append(np.array(x, copy=True))
-        return f(x)
-    try:
-        return f1._run_one(steps, recorded), rounds
-    except ToleranceFailure as failure:
-        return ("refused", failure.partial), rounds
+    def recorded(rows, nodes):
+        rounds.append(np.array(nodes.ravel(), copy=True))
+        return np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    out, = f1._lockstep([steps], recorded)
+    if isinstance(out, ToleranceFailure):
+        return ("refused", out.partial), rounds
+    return out, rounds
 
 
 class TestPanelHeap:
@@ -431,7 +432,7 @@ class TestPanelHeap:
 
 def improper_endpoint_time_ref(v, x, endpoint, sign, tol):
     def integrand(xi):
-        return 1.0 / np.asarray(v(xi), dtype=float)
+        return 1.0 / speed(v, xi)
 
     span = abs(endpoint - x)
     accum = 0.0
@@ -473,15 +474,15 @@ def improper_endpoint_time_ref(v, x, endpoint, sign, tol):
 
 
 def forward_time_ref(v, x, tol=f1.QUAD_TOL):
-    if float(v(x)) == 0.0 or f1._zero_barrier(v, x, +1) is not None:
+    if float(speed(v, x)) == 0.0 or f1._zero_barrier(v, 0, x, +1) is not None:
         return f1.TimeOfFlight(math.inf, f1.MODE_ZERO_BLOCKED)
-    return improper_endpoint_time_ref(v, x, v.domain[1], +1, tol)
+    return improper_endpoint_time_ref(v, x, v.domain[0, 1].item(), +1, tol)
 
 
 def backward_time_ref(v, x, tol=f1.QUAD_TOL):
-    if float(v(x)) == 0.0 or f1._zero_barrier(v, x, -1) is not None:
+    if float(speed(v, x)) == 0.0 or f1._zero_barrier(v, 0, x, -1) is not None:
         return f1.TimeOfFlight(-math.inf, f1.MODE_ZERO_BLOCKED)
-    res = improper_endpoint_time_ref(v, x, v.domain[0], -1, tol)
+    res = improper_endpoint_time_ref(v, x, v.domain[0, 0].item(), -1, tol)
     if not math.isfinite(res.value):
         return f1.TimeOfFlight(-math.inf, res.mode, lower_bound=res.lower_bound)
     return f1.TimeOfFlight(-res.value, res.mode)
@@ -489,13 +490,13 @@ def backward_time_ref(v, x, tol=f1.QUAD_TOL):
 
 @np.errstate(divide="ignore", over="ignore")
 def flow_map_ref(v, t, x, tol=f1.QUAD_TOL):
-    if float(v(x)) == 0.0 or t == 0.0:
+    if float(speed(v, x)) == 0.0 or t == 0.0:
         return float(x)
-    lo, hi = v.domain
+    lo, hi = v.domain[0].tolist()
 
     def cum(frm, to):
         val, _, capped = f1.adaptive_quad(
-            lambda xi: 1.0 / np.asarray(v(xi), dtype=float), frm, to,
+            lambda xi: 1.0 / speed(v, xi), frm, to,
             tol=tol, cap=f1.DIVERGENCE_CAP,
         )
         return math.inf if capped else val
@@ -507,7 +508,7 @@ def flow_map_ref(v, t, x, tol=f1.QUAD_TOL):
         other = (backward_time_ref if d > 0 else forward_time_ref)(v, x, tol=tol)
         back, fwd = (other, tof) if d > 0 else (tof, other)
         raise FlowDomainError(t, back.value, fwd.value)
-    barrier = f1._zero_barrier(v, x, d)
+    barrier = f1._zero_barrier(v, 0, x, d)
     end = (hi if d > 0 else lo) if barrier is None else barrier
 
     def span(y0, y1):
@@ -569,8 +570,9 @@ def walk_fibres(box_tail_field):
     _, field, transect = box_tail_field
     rows = [3, 11, 20, 31, 44]
     f1 = field.fibre_table(transect[rows])[0][:, 0]
-    for fiber, f1_i in zip(field.fibres(transect[rows]).fields, f1.tolist()):
-        fibres.append((fiber, rng.uniform(f1_i, 0.9, size=4).tolist()))
+    glued = field.fibres(transect[rows])
+    for j, f1_j in enumerate(f1.tolist()):
+        fibres.append((glued.take([j]), rng.uniform(f1_j, 0.9, size=4).tolist()))
     return fibres
 
 
@@ -596,7 +598,7 @@ class TestOneWalk:
                         continue
                     # ulps at the scale of the fibre's coordinate, which
                     # the bisection midpoints carry
-                    assert abs(got - want) <= 2.0 * math.ulp(max(map(abs, v.domain)))
+                    assert abs(got - want) <= 2.0 * math.ulp(np.abs(v.domain).max())
                     moved += got != want
         # only the first probe moved, so most flows are bitwise equal
         assert moved < 20
@@ -648,7 +650,7 @@ class TestOneWalk:
             assert flow_map_ref(v, 5.0, x) == 1.0
             got = f1.flow_map(v, 5.0, x)
             assert got == last and type(got) is float
-            v.check_domain(got)
+            assert -1.0 < got < 1.0
             assert f1.flow_map(v, 1.0, got) == last
 
     def test_time_inside_the_extrapolated_tail(self):
@@ -718,7 +720,6 @@ class TestOneWalk:
         for t in (-14.0, -100.0, -1e4):
             got = f1.flow_map(v, t, 0.5)
             assert 0.0 < got <= f1.ROOT_TOL
-            v.check_domain(got)
 
     def test_time_beyond_the_divergence_cap_is_reached(self):
         # the exit time 5e6 exceeds DIVERGENCE_CAP, so forward_time calls
@@ -739,7 +740,6 @@ class TestOneWalk:
         for t in (-1e-3, -1.0, -100.0):
             got = f1.flow_map(v, t, least)
             assert got == least and type(got) is float
-            v.check_domain(got)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +829,7 @@ def flow_rows(field, rows):
         elif kind == "backward":
             t_i = -2.0 * frac
         else:
-            exit_t = f1.forward_time(field.fibres(p_i[None]).fields[0], x_i).value
+            exit_t = f1.forward_time(field.fibres(p_i[None]), x_i).value
             t_i = 0.9 * frac * exit_t if math.isfinite(exit_t) else 3.0 * frac
         x.append(x_i)
         t.append(t_i)
@@ -843,7 +843,7 @@ class TestFlowMapBatch:
         _, field, _ = epigraph_box
         rows, order = case
         p, x, t = flow_rows(field, rows)
-        alone = np.array([f1.flow_map(field.fibres(p_i[None]).fields[0], t_i, x_i)
+        alone = np.array([f1.flow_map(field.fibres(p_i[None]), t_i, x_i)
                           for p_i, t_i, x_i in zip(p, t.tolist(), x.tolist())])
         order = list(order)
         got = f1.flow_map_batch(field.fibres(p[order]), t[order], x[order])
@@ -859,7 +859,7 @@ class TestFlowMapBatch:
         with pytest.raises(FlowDomainError) as batch:
             f1.flow_map_batch(field.fibres(p), t, x)
         with pytest.raises(FlowDomainError) as alone:
-            f1.flow_map(field.fibres(p[1:2]).fields[0], 5.0, 0.5)
+            f1.flow_map(field.fibres(p[1:2]), 5.0, 0.5)
         assert ((batch.value.t, batch.value.backward, batch.value.forward)
                 == (alone.value.t, alone.value.backward, alone.value.forward))
         with pytest.raises(InputError, match="NaN"):
@@ -898,7 +898,7 @@ class TestForwardTimeBatch:
     def test_each_row_is_forward_time_alone(self, epigraph_box):
         _, field, _ = epigraph_box
         x = self.starts(field)
-        alone = [f1.forward_time(field.fibres(p_i[None]).fields[0], x_i)
+        alone = [f1.forward_time(field.fibres(p_i[None]), x_i)
                  for p_i, x_i in zip(self.P, x.tolist())]
         modes = [(tof.mode, math.isfinite(tof.value)) for tof in alone]
         assert modes == [(f1.MODE_QUADRATURE, True)] * 2 + [
@@ -914,7 +914,7 @@ class TestForwardTimeBatch:
         x = self.starts(field)
         x[2] = 1.5
         with pytest.raises(InputError, match="outside open domain"):
-            f1.forward_time(field.fibres(self.P[2:3]).fields[0], 1.5)
+            f1.forward_time(field.fibres(self.P[2:3]), 1.5)
         with pytest.raises(InputError, match="outside open domain"):
             f1.forward_time_batch(field.fibres(self.P), x)
 
@@ -925,3 +925,33 @@ class TestForwardTimeBatch:
             with pytest.raises(InputError, match="need 3 starts"):
                 f1.forward_time_batch(fibres, x)
         assert f1.forward_time_batch(field.fibres(np.zeros((0, 2))), []) == []
+
+
+class TestOneFibreType:
+    """A batch of fibres is one ``Fibres``: its ramp parameters are checked
+    once, and every start speed comes from one velocity call."""
+
+    def test_epigraph_fibres_check_their_parameters_once(self, epigraph_box,
+                                                          monkeypatch):
+        _, field, _ = epigraph_box
+        calls = []
+        real = sk.check_ramp_params
+        monkeypatch.setattr(sk, "check_ramp_params",
+                            lambda *abc: calls.append(abc) or real(*abc))
+        field.fibres(TestForwardTimeBatch.P)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("batch", ["flow_map_batch", "forward_time_batch"])
+    def test_start_speeds_are_one_velocity_call(self, epigraph_box, batch):
+        _, field, _ = epigraph_box
+        P = TestForwardTimeBatch.P
+        x = TestForwardTimeBatch().starts(field)
+        fibres = field.fibres(P)
+        shapes = []
+
+        def velocity(rows, nodes):
+            shapes.append(nodes.shape)
+            return fibres.velocity(rows, nodes)
+        args = (-0.5, x) if batch == "flow_map_batch" else (x,)
+        getattr(f1, batch)(dataclasses.replace(fibres, velocity=velocity), *args)
+        assert [shape for shape in shapes if shape[1] != 15] == [(len(P), 1)]

@@ -17,6 +17,7 @@ from excisionlab import flow1d, lsc_fields as lf, null_fields
 from excisionlab.errors import CoverageError, DepthExhausted, InputError
 from excisionlab.scalar_kit import (ball_bump_from_sq, bridge_crossing_time,
                                     bridge_velocity, smooth_step)
+from fields1d import speed
 from towers import band_travel_time_scalar, limit_verdict
 
 
@@ -1239,12 +1240,11 @@ class TestGluedField:
         spec, field, transect = box_tail_field
         p = transect[3]
         f1 = float(field.fiber_data(p)[0][0])
-        assert field.fibres(p[None]).fields[0](0.25 * f1) == 0.0
+        assert speed(field.fibres(p[None]), 0.25 * f1) == 0.0
 
     def test_backward_time_is_unbounded(self, box_tail_field):
         spec, field, transect = box_tail_field
-        fiber = field.fibres(transect[11:12]).fields[0]
-        tof = flow1d.backward_time(fiber, 0.5)
+        tof = flow1d.backward_time(field.fibres(transect[11:12]), 0.5)
         assert tof.value == -math.inf
 
     def test_fibre_roundtrip(self, box_tail_field):
@@ -1253,7 +1253,7 @@ class TestGluedField:
         worst = 0.0
         for _ in range(30):
             p = transect[rng.integers(0, transect.shape[0])]
-            fiber = field.fibres(p[None]).fields[0]
+            fiber = field.fibres(p[None])
             x_t = rng.uniform(0.3, 0.85)
             x_b = flow1d.flow_map(fiber, -1.0, x_t)
             x_f = flow1d.flow_map(fiber, 1.0, x_b)
@@ -1264,7 +1264,7 @@ class TestGluedField:
     @given(i=st.integers(0, 49), x=st.floats(0.3, 0.85), t=st.floats(0.0, 1.0))
     def test_backward_then_forward_is_identity(self, box_tail_field, i, x, t):
         _, field, transect = box_tail_field
-        fiber = field.fibres(transect[i:i + 1]).fields[0]
+        fiber = field.fibres(transect[i:i + 1])
         back = flow1d.flow_map(fiber, -t, x)
         assert abs(flow1d.flow_map(fiber, t, back) - x) <= 1e-8
 
@@ -1289,7 +1289,7 @@ class TestGluedField:
         top = float(field.fiber_data(p)[1][-1])
         fibres = field.fibres(p[None])
         with pytest.raises(DepthExhausted):
-            fibres.fields[0](top + 1e-6)
+            speed(fibres, top + 1e-6)
         with pytest.raises(DepthExhausted):
             fibres.velocity(np.array([0]), np.full((1, 15), top))
 
@@ -1315,13 +1315,12 @@ class TestGluedFibres:
         ps = transect[self.ROWS]
         nodes = np.stack([tower_nodes(*field.fiber_data(p)[:2]) for p in ps])
         fibres = field.fibres(ps)
-        assert len(fibres.fields) == len(self.ROWS)
+        assert len(fibres.domain) == len(self.ROWS)
         for rows in (np.arange(len(self.ROWS)), np.array([5, 0, 0, 3, 1])):
             got = fibres.velocity(rows, nodes[rows])
             for r, row in zip(rows, got):
-                want = field.fibres(ps[r][None]).fields[0](nodes[r])
+                want = speed(field.fibres(ps[r][None]), nodes[r])
                 assert row.tobytes() == want.tobytes()
-                assert want.tobytes() == fibres.fields[r](nodes[r]).tobytes()
         # the cutoff freezes the bottom, and every band slows the flow
         depth = field.depth
         assert np.all(got[:, 0] == 0.0)
@@ -1330,7 +1329,7 @@ class TestGluedFibres:
     def test_empty_batch(self, box_tail_field):
         _, field, _ = box_tail_field
         fibres = field.fibres(np.zeros((0, 2)))
-        assert list(fibres.fields) == []
+        assert fibres.domain.shape == fibres.zero.shape == (0, 2)
         got = fibres.velocity(np.zeros(0, dtype=int), np.zeros((0, 15)))
         assert got.shape == (0, 15)
         assert flow1d.flow_map_batch(fibres, 1.0, []).shape == (0,)
@@ -1341,6 +1340,17 @@ class TestGluedFibres:
         with pytest.raises(InputError, match=r"base points must have shape \(m, 2\)"):
             field.fibres(np.full(shape, 0.1))
 
+    def test_start_above_the_top_is_refused_not_evaluated(self, box_tail_field):
+        # the speed raises DepthExhausted above a fibre's top, but a start
+        # outside the domain below it never reaches the speed
+        _, field, transect = box_tail_field
+        fibres = field.fibres(transect[[4, 9]])
+        top = fibres.domain[1, 1]
+        for batch, args in ((flow1d.flow_map_batch, (-1.0,)),
+                            (flow1d.forward_time_batch, ())):
+            with pytest.raises(InputError, match="fibre 1 outside open domain"):
+                batch(fibres, *args, [0.5, top + 1e-6])
+
     def test_round_trips_are_the_per_fibre_chain(self, box_tail_field):
         _, field, transect = box_tail_field
         rng = np.random.default_rng(5)
@@ -1349,7 +1359,7 @@ class TestGluedFibres:
                         for p in transect[idx]])
         back, there = [], []
         for p, x in zip(transect[idx], x_t.tolist()):
-            fiber = field.fibres(p[None]).fields[0]
+            fiber = field.fibres(p[None])
             back.append(flow1d.flow_map(fiber, -1.0, x))
             there.append(flow1d.flow_map(fiber, 1.0, back[-1]))
         back, there = np.array(back), np.array(there)
@@ -1370,7 +1380,7 @@ class TestGluedFibres:
             calls.append(x.shape)
             return real(g, tau, x)
         monkeypatch.setattr(lf, "_tower_speed", spy)
-        field.fibres(transect[7:8]).fields[0](np.full(3, 0.5))
+        speed(field.fibres(transect[7:8]), np.full(3, 0.5))
         field.fibres(transect[[7, 8]]).velocity(np.array([1, 0]),
                                                 np.full((2, 15), 0.5))
         assert calls == [(1, 3), (2, 15)]

@@ -51,6 +51,22 @@ class TestBuildEpigraphField:
         tof = flow1d.ramp_time_closed_form(a, b, c, -0.2)
         assert 1.0 < tof < math.inf
 
+    @pytest.mark.parametrize("name", ["brush", "epigraph"])
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (5,), (), (1, 5, 2)])
+    def test_base_point_shape_is_checked(self, brush, epigraph_box, name, shape):
+        # a wrong width is refused at the edge: not read as the first
+        # columns (a constant lam) nor failed on inside numpy (an affine one)
+        field = {"brush": brush[2], "epigraph": epigraph_box[1]}[name]
+        p = np.zeros(shape)
+        x = np.full(shape[:1], 0.5)
+        for call in (field.params, field.fibres, lambda p: field.velocity(p, x),
+                     lambda p: field.jet(p, x),
+                     lambda p: nf.classify_epigraph(field, p, x),
+                     lambda p: nf.presympl_flow(field, p, x, -1.0)):
+            with pytest.raises(InputError,
+                               match=r"base points must have shape \(m, 2\)"):
+                call(p)
+
     def test_range_validation(self):
         C = sk.ClosedSetSpec(dim=1, pieces=((sk.axis_point(0.0),),))
         bad = nf.EpigraphSpec(C=C, lam=nf.constant_map(1.5),
@@ -173,7 +189,7 @@ class TestFibreFlows:
         rng = np.random.default_rng(1)
         for _ in range(200):
             x = rng.uniform(0.0, 0.9)
-            fiber = field.fibres(np.array([[0.0]])).fields[0]
+            fiber = field.fibres(np.array([[0.0]]))
             tof = flow1d.forward_time(fiber, x)
             x1 = flow1d.flow_map(fiber, 0.7 * tof.value, x)
             assert x1 >= x          # the fibre only moves up
@@ -208,7 +224,7 @@ class TestFibreFlowProperties:
         # flow_map(s + t) = flow_map(t) o flow_map(s): backward flows are
         # total on epigraph fibres, so every composition is defined
         _, field, _ = epigraph_box
-        fiber = field.fibres(np.array([p])).fields[0]
+        fiber = field.fibres(np.array([p]))
         once = flow1d.flow_map(fiber, s + t, x)
         twice = flow1d.flow_map(fiber, t, flow1d.flow_map(fiber, s, x))
         assert abs(once - twice) <= 1e-10
@@ -218,11 +234,11 @@ class TestFibreFlowProperties:
         # meet v = 0 (1/v = inf) while the bracket closes in on it; under
         # the suite's error::RuntimeWarning filter a warning would raise
         _, field, _ = epigraph_box
-        fiber = field.fibres(np.array([[0.48876145, 0.70375182]])).fields[0]
+        fiber = field.fibres(np.array([[0.48876145, 0.70375182]]))
         x = -0.6860298096716246
-        assert fiber.zero_regions[0][1] < x
+        assert fiber.zero[0, 1] < x
         once = flow1d.flow_map(fiber, -0.47511112, x)
         twice = flow1d.flow_map(fiber, -0.17889691,
                                 flow1d.flow_map(fiber, -0.29621421, x))
-        assert fiber.zero_regions[0][1] < once < x
+        assert fiber.zero[0, 1] < once < x
         assert abs(once - twice) <= 1e-10

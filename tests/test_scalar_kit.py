@@ -11,7 +11,7 @@ import pytest
 
 from excisionlab import flow1d as f1, scalar_kit as sk
 from excisionlab.errors import InputError
-from fields1d import affine_field, bridge_velocity_field
+from fields1d import affine_field, bridge_velocity_field, speed
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -67,7 +67,28 @@ class TestRisingCutoff:
         with pytest.raises(InputError):
             sk.ramp_velocity_field(1.5, 0.0, 0.0)
         with pytest.raises(InputError):
-            sk.ramp_velocity_field(0.0, 0.0, 0.0).check_domain(1.0)
+            f1.forward_time(sk.ramp_velocity_field(0.0, 0.0, 0.0), 1.0)
+
+    def test_one_fibre_per_parameter_row(self):
+        # b = 1 vanishes on the whole fibre, any other b below (a-1)/2
+        fibres = sk.ramp_velocity_field([0.2, -0.4, 0.1], [0.5, 1.0, 0.0], 0.3)
+        assert fibres.domain.tolist() == [[-1.0, 1.0]] * 3
+        assert fibres.zero.tolist() == [[-1.0, -0.4], [-1.0, 1.0], [-1.0, -0.45]]
+        nodes = np.tile(np.linspace(-0.95, 0.95, 15), (3, 1))
+        want = np.stack([sk.ramp_velocity(a, b, 0.3, nodes[0]) for a, b in
+                         ((0.2, 0.5), (-0.4, 1.0), (0.1, 0.0))])
+        assert fibres.velocity(np.arange(3), nodes).tobytes() == want.tobytes()
+        with pytest.raises(InputError, match="b must lie"):
+            sk.ramp_velocity_field([0.2, 0.1], [0.5, 1.5], 0.0)
+
+    def test_take_reorders_every_column(self):
+        fibres = sk.ramp_velocity_field([0.2, -0.4, 0.1], [0.5, 1.0, 0.0], 0.0)
+        got = fibres.take([2, 0, 2])
+        assert got.domain.tolist() == fibres.domain[[2, 0, 2]].tolist()
+        assert got.zero.tolist() == fibres.zero[[2, 0, 2]].tolist()
+        nodes = np.tile(np.linspace(-0.95, 0.95, 15), (2, 1))
+        assert (got.velocity(np.array([1, 0]), nodes).tobytes()
+                == fibres.velocity(np.array([0, 2]), nodes).tobytes())
 
     def test_flat_composition_with_cubic(self):
         # derivative of rho(chi) vanishes wherever chi = 0
@@ -90,8 +111,8 @@ class TestDomainEdges:
         with pytest.raises(InputError, match="a must lie"):
             sk.ramp_velocity_field(NAN, 0.0, 0.0)
         with pytest.raises(InputError, match="outside open domain"):
-            sk.ramp_velocity_field(0.0, 0.0, 0.0).check_domain(
-                np.array([0.1, NAN]))
+            f1.forward_time_batch(sk.ramp_velocity_field(0.0, 0.0, [0.0, 0.0]),
+                                  np.array([0.1, NAN]))
 
     def test_closed_interval_refuses_nan(self):
         with pytest.raises(InputError, match="b must lie"):
@@ -102,9 +123,9 @@ class TestDomainEdges:
     def test_field_domain_refuses_nan(self):
         field = sk.ramp_velocity_field(0.2, 0.5, 0.0)
         with pytest.raises(InputError, match="outside open domain"):
-            field.check_domain(NAN)
+            f1.forward_time(field, NAN)
         with pytest.raises(InputError, match="outside open domain"):
-            field.check_domain(np.array([0.5, NAN]))
+            f1.forward_time_batch(field.take([0, 0]), np.array([0.5, NAN]))
 
     @pytest.mark.parametrize("a, b, c", [
         (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (NAN, 0.0, 0.0),
@@ -335,27 +356,27 @@ class TestScalarFieldDerivatives:
     ]
 
     @pytest.mark.parametrize("abc", RAMPS,
-                             ids=lambda abc: sk.ramp_velocity_field(*abc).label)
+                             ids=lambda abc: "ramp(a={},b={},c={})".format(*abc))
     def test_derivative_matches_fd(self, abc):
         # quasi-random interior samples, away from the interval ends where
         # the finite-difference step would leave the domain
         field = sk.ramp_velocity_field(*abc)
-        lo, hi = field.domain
+        lo, hi = field.domain[0]
         n = 1000
         golden = 0.6180339887498949
         ts = (0.05 + 0.9 * ((np.arange(1, n + 1) * golden) % 1.0))
         xs = lo + ts * (hi - lo)
         h = 1e-5
-        fd = (field(xs + h) - field(xs - h)) / (2 * h)
+        fd = (speed(field, xs + h) - speed(field, xs - h)) / (2 * h)
         exact = sk.ramp_velocity_jet(*(np.full(n, v) for v in abc), xs)[4]
         rel = np.abs(fd - exact) / (1.0 + np.abs(exact))
         assert np.max(rel) <= 1e-6
 
     def test_finite_on_domain(self):
         for field in self.FIELDS:
-            lo, hi = field.domain
+            lo, hi = field.domain[0]
             xs = np.linspace(lo + 1e-6, hi - 1e-6, 300)
-            assert np.all(np.isfinite(field(xs)))
+            assert np.all(np.isfinite(speed(field, xs)))
 
 
 class TestDefiningFunction:
